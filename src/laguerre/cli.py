@@ -49,7 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit a JSON array")
         if with_budget:
             p.add_argument("--budget", default=None,
-                           help="'exhaustive' or 'sample:K' (default: per-check)")
+                           help="'orbit', 'exhaustive' or 'sample:K' (default: "
+                                "orbit for T/V/Pgm/Des/Pap, exhaustive otherwise)")
             p.add_argument("--seed", type=int, default=0,
                            help="seed for sampled sweeps (default 0)")
 
@@ -151,8 +152,18 @@ def _require_odd(q: int) -> None:
         raise UsageError(f"{q} is not prime")
 
 
+def _parse_budget(args) -> Budget | None:
+    if args.budget is None:
+        return None
+    try:
+        return Budget.parse(args.budget, args.seed)
+    except ValueError as e:
+        raise UsageError(str(e))
+
+
 def _cmd_ska_verify(args) -> int:
     _require_odd(args.q)
+    budget = _parse_budget(args)
     plane = _make_plane(args.q)
     pencil = canonical_pencil(plane)
     space = GroupSpace.build(plane, pencil, DeltaGroup.build(plane, pencil),
@@ -161,19 +172,18 @@ def _cmd_ska_verify(args) -> int:
     for name in names:
         if name not in AXIOMS:
             raise UsageError(f"unknown axiom {name!r}")
-    budget = Budget.parse(args.budget, args.seed) if args.budget else None
-    reports = [space.check_axiom(name, budget, args.seed) for name in names]
+    reports = [space.check_axiom(name, budget) for name in names]
     return _emit(reports, args.json)
 
 
 def _cmd_theorems_run(args) -> int:
     _require_odd(args.q)
     _make_plane(args.q)  # validates the bound
+    budget = _parse_budget(args)
     ids = CHECK_IDS if args.id == "all" else (args.id,)
     for cid in ids:
         if cid not in CHECK_IDS:
             raise UsageError(f"unknown check id {cid!r}")
-    budget = Budget.parse(args.budget, args.seed) if args.budget else None
     workers = int(os.environ.get("LAGUERRE_WORKERS", "1"))
     if workers > 1 and len(ids) > 1:
         import concurrent.futures

@@ -68,29 +68,26 @@ class Report:
 
 @dataclass(frozen=True)
 class Budget:
-    """Quantifier budget: exhaustive sweep or deterministic seeded sampling."""
+    """Quantifier budget: exhaustive sweep, orbit-reduced exhaustive sweep,
+    or deterministic seeded sampling."""
 
-    mode: str = "exhaustive"  # "exhaustive" | "sample"
+    mode: str = "exhaustive"  # "exhaustive" | "orbit" | "sample"
     samples: int = 0
     seed: int = 0
 
     @staticmethod
     def parse(text: str, seed: int = 0) -> "Budget":
-        if text == "exhaustive":
-            return Budget("exhaustive", 0, seed)
+        if text in ("exhaustive", "orbit"):
+            return Budget(text, 0, seed)
         if text.startswith("sample:"):
-            n = int(text.split(":", 1)[1])
-            if n <= 0:
-                raise ValueError("sample budget must be positive")
-            return Budget("sample", n, seed)
-        raise ValueError(f"bad budget {text!r}; expected 'exhaustive' or 'sample:K'")
-
-    @property
-    def exhaustive(self) -> bool:
-        return self.mode == "exhaustive"
-
-
-EXHAUSTIVE = Budget()
+            try:
+                n = int(text.split(":", 1)[1])
+            except ValueError:
+                n = 0
+            if n > 0:
+                return Budget("sample", n, seed)
+        raise ValueError(f"bad budget {text!r}; expected 'orbit', 'exhaustive' "
+                         f"or 'sample:K' with K > 0")
 
 
 class timed:

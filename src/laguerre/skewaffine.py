@@ -18,6 +18,19 @@ axiom sweep are unaffected for q > 3.
 
 Every join is computed twice - by orbit enumeration and by the closed-form
 circle/square-class description - and the two must agree.
+
+Axiom budgets.  T, V, Pgm, Des and Pap quantify first over two points, and
+every case is decided by the join-line and join-class tables, which the
+group permutes.  Their default ``orbit`` budget therefore fixes the first
+point to one representative and takes one second point per orbit of its
+stabilizer (q + 2 orbits); this is McKay's isomorph rejection ("Isomorph-free
+exhaustive generation", J. Algorithms 26, 1998).  The reduction is
+machine-checked once per space, before its first orbit sweep: both tables
+must be equivariant under the three generators of the group, and the
+generators must carry the representative to every point, or the sweep
+raises ``not_equivariant``.  ``exhaustive`` sweeps every ordered pair and is
+the brute-force oracle for the reduction; ``sample:K`` draws K seeded cases
+of T, Des and Pap.  L1, L2, P1 and P2 are quadratic and always exhaustive.
 """
 
 from __future__ import annotations
@@ -26,7 +39,7 @@ import random
 from dataclasses import dataclass
 
 from .plane import Circle, GeometryError, LaguerrePlane, Pencil, Point, affine
-from .autgroup import DeltaGroup, PencilAut
+from .autgroup import IDENTITY, DeltaGroup, PencilAut
 from .report import Budget, FAIL, PASS, Report, timed
 
 CIRCLE_LINE = "circle_line"
@@ -35,9 +48,8 @@ SPECIAL = "special"
 
 AXIOMS = ("L1", "L2", "P1", "P2", "T", "V", "Pgm", "Des", "Pap")
 
-# axioms whose case space is quintic; these default to seeded sampling
-HEAVY_AXIOMS = {"T", "Des", "Pap"}
-DEFAULT_SAMPLES = 10 ** 6
+# axioms quantifying first over two points; these default to orbit sweeps
+ORBIT_AXIOMS = ("T", "V", "Pgm", "Des", "Pap")
 
 
 @dataclass
@@ -84,7 +96,7 @@ class GroupSpace:
         self.q = plane.q
         self.points: list[Point] = []
         self.lines: list[Line] = []
-        self._built = False
+        self._orbit_plan: tuple[int, list[tuple[int, int]]] | None = None
 
     # -- construction -----------------------------------------------------
 
@@ -143,6 +155,7 @@ class GroupSpace:
 
     def _build(self) -> None:
         plane, delta = self.plane, self.delta
+        self._gens = self._generators()
         base_gen = delta.base_generator_points()
         self.points = [p for p in plane.points if p not in base_gen]
         self.n = len(self.points)
@@ -175,21 +188,19 @@ class GroupSpace:
 
         self._assign_classes()
         self._build_tables()
-        self._built = True
 
-    def _assign_classes(self) -> None:
-        """Parallel classes = orbits of the group acting on lines.
+    def _generators(self) -> list[PencilAut]:
+        """A primitive root plus the two unit translations.
 
-        A generating set suffices for the orbit partition; its closure is
-        checked to be the full group first.
+        Parallel classes and the orbit sweeps see the group only through
+        these three, so their closure must be exactly the group.
         """
         q = self.q
-        # a primitive root plus the two unit translations generate everything
         proot = next(g for g in range(2, q)
                      if len({pow(g, e, q) for e in range(q - 1)}) == q - 1)
         gens = [PencilAut(proot, 0, 0), PencilAut(1, 1, 0), PencilAut(1, 0, 1)]
-        closure = {PencilAut(1, 0, 0)}
-        frontier = [PencilAut(1, 0, 0)]
+        closure = {IDENTITY}
+        frontier = [IDENTITY]
         while frontier:
             nxt = []
             for f in frontier:
@@ -199,12 +210,24 @@ class GroupSpace:
                         closure.add(h)
                         nxt.append(h)
             frontier = nxt
-        assert len(closure) == len(self.delta.elements)
+        if closure != set(self.delta.elements):
+            raise GeometryError(f"the generators close to {len(closure)} elements, "
+                                f"not to the {len(self.delta.elements)} of the group",
+                                code="generators_not_closed")
+        return gens
 
+    def _assign_classes(self) -> None:
+        """Parallel classes = orbits of the group acting on lines.
+
+        The generators suffice for the orbit partition.  Their permutations
+        of the lines are kept for the equivariance check of the orbit sweeps.
+        """
         def line_image(line: Line, g: PencilAut) -> int:
             pts = tuple(sorted(self.delta.apply(g, p) for p in line.points))
             return self._line_by_key[(pts, line.kind, line.offset_class)]
 
+        self._line_perms = [[line_image(line, g) for line in self.lines]
+                            for g in self._gens]
         class_of = [-1] * len(self.lines)
         for start in range(len(self.lines)):
             if class_of[start] != -1:
@@ -214,8 +237,8 @@ class GroupSpace:
             while frontier:
                 nxt = []
                 for li in frontier:
-                    for g in gens:
-                        im = line_image(self.lines[li], g)
+                    for perm in self._line_perms:
+                        im = perm[li]
                         if class_of[im] == -1:
                             class_of[im] = start
                             nxt.append(im)
@@ -327,30 +350,108 @@ class GroupSpace:
 
     # -- axiom checking -----------------------------------------------------
 
-    def default_budget(self, axiom: str, seed: int = 0) -> Budget:
-        if axiom in HEAVY_AXIOMS and self.q > 3:
-            return Budget("sample", DEFAULT_SAMPLES, seed)
-        return Budget("exhaustive", 0, seed)
-
-    def check_axiom(self, axiom: str, budget: Budget | None = None,
-                    seed: int = 0) -> Report:
+    def check_axiom(self, axiom: str, budget: Budget | None = None) -> Report:
+        """Sweep one axiom; the default budget is ``orbit``."""
         if axiom not in AXIOMS:
             raise GeometryError(f"unknown axiom {axiom!r}", code="bad_axiom")
         if budget is None:
-            budget = self.default_budget(axiom, seed)
+            budget = Budget("orbit")
+        if budget.mode == "orbit" and axiom not in ORBIT_AXIOMS:
+            budget = Budget("exhaustive")  # quadratic sweeps: nothing to reduce
         rep = Report(axiom, self.q, PASS)
         with timed(rep):
             checker = getattr(self, f"_ax_{axiom}")
-            cases, witnesses, notes = checker(budget)
+            cases, witnesses, notes, details = checker(budget)
             rep.cases_checked = cases
             rep.witnesses = witnesses
             rep.reading_notes = notes
-            rep.details = {"mode": budget.mode}
+            rep.details = {"mode": budget.mode, **details}
             if budget.mode == "sample":
                 rep.details.update(samples=budget.samples, seed=budget.seed)
             if witnesses:
                 rep.status = FAIL
         return rep
+
+    def _sweep(self, budget: Budget, pair_cases) -> tuple[int, dict]:
+        """Run ``pair_cases(first, second)``, which returns how many cases it
+        evaluated, over the first two quantified points of an axiom.
+
+        ``orbit`` evaluates one first point and one second point per orbit
+        of its stabilizer, and reports how many cases of the full sweep
+        these stand for.  Any other budget runs all ordered pairs of
+        distinct points, first point outermost (V and Pgm have no sampled
+        form).
+        """
+        n = self.n
+        if budget.mode != "orbit":
+            return sum(pair_cases(x, y) for x in range(n) for y in range(n)
+                       if x != y), {}
+        first, orbits = self._orbit_reps()
+        second, cases, represented = [], 0, 0
+        for y, size in orbits:
+            got = pair_cases(first, y)
+            cases += got
+            represented += n * size * got
+            second.append({"point": repr(self.points[y]), "orbit_size": size,
+                           "cases": got})
+        return cases, {"first": repr(self.points[first]), "second": second,
+                       "cases_represented": represented}
+
+    def _orbit_reps(self) -> tuple[int, list[tuple[int, int]]]:
+        """Point 0 and, per orbit of its stabilizer on the other points, the
+        least point index with the orbit size.  Checked once per space."""
+        if self._orbit_plan is None:
+            first = 0
+            self._check_equivariance(first)
+            stab = self._stab[self.points[first]]
+            seen = [False] * self.n
+            seen[first] = True
+            orbits = []
+            for y in range(self.n):
+                if seen[y]:
+                    continue
+                orbit = {self.index[self.delta.apply(f, self.points[y])] for f in stab}
+                for j in orbit:
+                    seen[j] = True
+                orbits.append((y, len(orbit)))
+            self._orbit_plan = (first, orbits)
+        return self._orbit_plan
+
+    def _check_equivariance(self, first: int) -> None:
+        """Every axiom case is decided by the join-line and join-class
+        tables.  Each generator must carry the join line of (x, y) to the
+        join line of the image pair and keep its class, and the generators
+        must carry ``first`` to every point; then ``first`` alone can stand
+        for all first points."""
+        n, jl, jc = self.n, self._joinline, self._joinclass
+        perms = [[self.index[self.delta.apply(g, p)] for p in self.points]
+                 for g in self._gens]
+        for g, perm, line_perm in zip(self._gens, perms, self._line_perms):
+            for i in range(n):
+                jl_i, jc_i = jl[i], jc[i]
+                jl_gi, jc_gi = jl[perm[i]], jc[perm[i]]
+                for j in range(n):
+                    if j != i and (jl_gi[perm[j]] != line_perm[jl_i[j]]
+                                   or jc_gi[perm[j]] != jc_i[j]):
+                        raise GeometryError(
+                            "join tables are not equivariant under the group",
+                            code="not_equivariant",
+                            witnesses=[{"generator": list(g),
+                                        "x": repr(self.points[i]),
+                                        "y": repr(self.points[j])}])
+        reached, frontier = {first}, [first]
+        while frontier:
+            nxt = []
+            for i in frontier:
+                for perm in perms:
+                    if perm[i] not in reached:
+                        reached.add(perm[i])
+                        nxt.append(perm[i])
+            frontier = nxt
+        if len(reached) != n:
+            raise GeometryError(
+                f"the generators carry {self.points[first]!r} to {len(reached)} "
+                f"of the {n} points", code="not_equivariant")
 
     def _ax_L1(self, budget: Budget):
         cases, witnesses = 0, []
@@ -362,7 +463,7 @@ class GroupSpace:
                 pts = self.lines[self._joinline[i][j]].points
                 if x not in pts or y not in pts:
                     witnesses.append({"x": repr(x), "y": repr(y)})
-        return cases, witnesses, None
+        return cases, witnesses, None, {}
 
     def _ax_L2(self, budget: Budget):
         cases, witnesses = 0, []
@@ -378,7 +479,7 @@ class GroupSpace:
                         witnesses.append({"x": repr(self.points[i]),
                                           "y": repr(self.points[j]),
                                           "z": repr(self.points[k])})
-        return cases, witnesses, None
+        return cases, witnesses, None, {}
 
     def _ax_P1(self, budget: Budget):
         # lines from x in one parallel class, per (x, class): must be exactly 1
@@ -393,7 +494,7 @@ class GroupSpace:
                 if hit != 1:
                     witnesses.append({"line": line.index,
                                       "x": repr(self.points[i]), "count": hit})
-        return cases, witnesses, None
+        return cases, witnesses, None, {}
 
     def _ax_P2(self, budget: Budget):
         # direction-reversal must be class-functional; that single pass is
@@ -412,49 +513,52 @@ class GroupSpace:
                                       "y": repr(self.points[j]),
                                       "fwd_class": fwd, "bwd_class": bwd,
                                       "expected_bwd": rev[fwd]})
-        return cases, witnesses, None
+        return cases, witnesses, None, {}
 
     def _ax_Pgm(self, budget: Budget):
-        cases, witnesses = 0, []
+        witnesses = []
         jc, wm = self._joinclass, self._witmask
         n = self.n
-        for x in range(n):
-            for y in range(n):
-                if y == x:
+
+        def pair(x, y):
+            cases = 0
+            for z in range(n):
+                if z == x or z == y:
                     continue
-                for z in range(n):
-                    if z == x or z == y:
-                        continue
-                    cases += 1
-                    if not (wm[z][jc[x][y]] & wm[y][jc[x][z]]):
-                        witnesses.append({"x": repr(self.points[x]),
-                                          "y": repr(self.points[y]),
-                                          "z": repr(self.points[z])})
-        return cases, witnesses, None
+                cases += 1
+                if not (wm[z][jc[x][y]] & wm[y][jc[x][z]]):
+                    witnesses.append({"x": repr(self.points[x]),
+                                      "y": repr(self.points[y]),
+                                      "z": repr(self.points[z])})
+            return cases
+
+        cases, details = self._sweep(budget, pair)
+        return cases, witnesses, None, details
 
     def _ax_V(self, budget: Budget):
-        cases, witnesses = 0, []
+        witnesses = []
         jc, wm, byc = self._joinclass, self._witmask, self._byclass
         n = self.n
-        for x in range(n):
-            for y in range(n):
-                if y == x:
+
+        def pair(x, y):
+            cases = 0
+            partners = byc[x][jc[x][y]]
+            for z in range(n):
+                if z == x or z == y:
                     continue
-                cxy = jc[x][y]
-                partners = byc[x][cxy]
-                for z in range(n):
-                    if z == x or z == y:
-                        continue
-                    c1 = jc[x][z]
-                    c2 = jc[y][z]
-                    for y2 in partners:
-                        cases += 1
-                        if not (wm[x][c1] & wm[y2][c2]):
-                            witnesses.append({"x": repr(self.points[x]),
-                                              "y": repr(self.points[y]),
-                                              "z": repr(self.points[z]),
-                                              "y'": repr(self.points[y2])})
-        return cases, witnesses, None
+                c1 = jc[x][z]
+                c2 = jc[y][z]
+                for y2 in partners:
+                    cases += 1
+                    if not (wm[x][c1] & wm[y2][c2]):
+                        witnesses.append({"x": repr(self.points[x]),
+                                          "y": repr(self.points[y]),
+                                          "z": repr(self.points[z]),
+                                          "y'": repr(self.points[y2])})
+            return cases
+
+        cases, details = self._sweep(budget, pair)
+        return cases, witnesses, None, details
 
     def _t_case_holds(self, x, y, z, x2, y2) -> bool:
         jc, wm = self._joinclass, self._witmask
@@ -464,21 +568,23 @@ class GroupSpace:
         cases, witnesses = 0, []
         jc, byc = self._joinclass, self._byclass
         n = self.n
-        if budget.exhaustive:
-            for x in range(n):
-                for y in range(n):
-                    if y == x:
-                        continue
-                    cxy = jc[x][y]
-                    for z in range(n):
-                        if z == x or z == y:
-                            continue
-                        for x2 in range(n):
-                            for y2 in byc[x2][cxy]:
-                                cases += 1
-                                if not self._t_case_holds(x, y, z, x2, y2):
-                                    witnesses.append(self._t_witness(x, y, z, x2, y2))
-            return cases, witnesses, None
+
+        def pair(x, y):
+            cases = 0
+            cxy = jc[x][y]
+            for z in range(n):
+                if z == x or z == y:
+                    continue
+                for x2 in range(n):
+                    for y2 in byc[x2][cxy]:
+                        cases += 1
+                        if not self._t_case_holds(x, y, z, x2, y2):
+                            witnesses.append(self._t_witness(x, y, z, x2, y2))
+            return cases
+
+        if budget.mode != "sample":
+            cases, details = self._sweep(budget, pair)
+            return cases, witnesses, None, details
         rng = random.Random(budget.seed)
         randrange = rng.randrange
         wm = self._witmask
@@ -494,7 +600,7 @@ class GroupSpace:
             if not (wm[x2][jc[x][z]] & wm[y2][jc[y][z]]):
                 witnesses.append(self._t_witness(x, y, z, x2, y2))
                 break
-        return cases, witnesses, None
+        return cases, witnesses, None, {}
 
     def _t_witness(self, x, y, z, x2, y2) -> dict:
         p = self.points
@@ -517,26 +623,28 @@ class GroupSpace:
     def _ax_Des(self, budget: Budget):
         cases, witnesses = 0, []
         n = self.n
-        if budget.exhaustive:
-            for u in range(n):
-                for x in range(n):
-                    if x == u:
+        lpm = self._linepts_minus
+
+        def pair(u, x):
+            cases = 0
+            for y in range(n):
+                if y in (u, x):
+                    continue
+                for z in range(n):
+                    if z in (u, x, y):
                         continue
-                    for y in range(n):
-                        if y in (u, x):
-                            continue
-                        for z in range(n):
-                            if z in (u, x, y):
-                                continue
-                            for x2 in self._linepts_minus[u][x]:
-                                cases += 1
-                                if not self._des_case_holds(u, x, y, z, x2):
-                                    witnesses.append(self._des_witness(u, x, y, z, x2))
-            return cases, witnesses, None
+                    for x2 in lpm[u][x]:
+                        cases += 1
+                        if not self._des_case_holds(u, x, y, z, x2):
+                            witnesses.append(self._des_witness(u, x, y, z, x2))
+            return cases
+
+        if budget.mode != "sample":
+            cases, details = self._sweep(budget, pair)
+            return cases, witnesses, None, details
         rng = random.Random(budget.seed)
         randrange = rng.randrange
         target = budget.samples
-        lpm = self._linepts_minus
         while cases < target:
             u = randrange(n); x = randrange(n); y = randrange(n); z = randrange(n)
             if u == x or u == y or u == z or x == y or x == z or y == z:
@@ -547,7 +655,7 @@ class GroupSpace:
             if not self._des_case_holds(u, x, y, z, x2):
                 witnesses.append(self._des_witness(u, x, y, z, x2))
                 break
-        return cases, witnesses, None
+        return cases, witnesses, None, {}
 
     def _des_witness(self, u, x, y, z, x2) -> dict:
         p = self.points
@@ -582,24 +690,26 @@ class GroupSpace:
         n = self.n
         lpm = self._linepts_minus
         jl = self._joinline
-        if budget.exhaustive:
-            for u in range(n):
-                for x in range(n):
-                    if x == u:
-                        continue
-                    online = lpm[u][x]
-                    lid = jl[u][x]
-                    for y in online:
-                        for z in online:
-                            for x2 in range(n):
-                                if x2 == u or x2 == x or jl[u][x2] == lid:
-                                    continue
-                                cases += 1
-                                if y == x2 or z == x2:
-                                    continue  # vacuous: a printed join is undefined
-                                if not self._pap_case(u, x, y, z, x2):
-                                    witnesses.append(self._pap_witness(u, x, y, z, x2))
-            return cases, witnesses, self._PAP_NOTE
+
+        def pair(u, x):
+            cases = 0
+            online = lpm[u][x]
+            lid = jl[u][x]
+            for y in online:
+                for z in online:
+                    for x2 in range(n):
+                        if x2 == u or x2 == x or jl[u][x2] == lid:
+                            continue
+                        cases += 1
+                        if y == x2 or z == x2:
+                            continue  # vacuous: a printed join is undefined
+                        if not self._pap_case(u, x, y, z, x2):
+                            witnesses.append(self._pap_witness(u, x, y, z, x2))
+            return cases
+
+        if budget.mode != "sample":
+            cases, details = self._sweep(budget, pair)
+            return cases, witnesses, self._PAP_NOTE, details
         rng = random.Random(budget.seed)
         randrange = rng.randrange
         target = budget.samples
@@ -619,7 +729,7 @@ class GroupSpace:
             if not self._pap_case(u, x, y, z, x2):
                 witnesses.append(self._pap_witness(u, x, y, z, x2))
                 break
-        return cases, witnesses, self._PAP_NOTE
+        return cases, witnesses, self._PAP_NOTE, {}
 
     def _pap_witness(self, u, x, y, z, x2) -> dict:
         p = self.points

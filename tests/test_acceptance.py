@@ -99,6 +99,13 @@ def test_criterion_5_skewaffine_axioms():
     for axiom in ("T", "Des", "Pap"):
         rep = spaces[3].check_axiom(axiom, Budget("exhaustive", 0, 0))
         assert rep.status == "pass", (3, axiom, rep.witnesses[:2])
+    represented_total = 0
+    for q in (5, 7):
+        for axiom in ("T", "Des", "Pap"):
+            rep = spaces[q].check_axiom(axiom, Budget("orbit", 0, 0))
+            assert rep.status == "pass", (q, axiom, rep.witnesses[:2])
+            assert rep.details["mode"] == "orbit"
+            represented_total += rep.details["cases_represented"]
     sampled_total = 0
     for q in (5, 7):
         for axiom in ("T", "Des", "Pap"):
@@ -107,8 +114,10 @@ def test_criterion_5_skewaffine_axioms():
             assert rep.cases_checked >= 10 ** 6
             sampled_total += rep.cases_checked
     _verdict(5, True, "L1/L2/P1/P2/V/Pgm exhaustive q in (3,5,7); T/Des/Pap "
-                      f"exhaustive q=3 and {sampled_total} sampled cases "
-                      "at q in (5,7), zero violations")
+                      f"exhaustive q=3, orbit-exhaustive at q in (5,7) "
+                      f"({represented_total} cases represented), and "
+                      f"{sampled_total} sampled cases at q in (5,7), "
+                      "zero violations")
 
 
 def test_criterion_6_theorem_suite():

@@ -47,6 +47,13 @@ def test_skewaffine_verify(capsys):
                            "--axiom", "all")
     assert code == 0
     assert out.count("PASS") == 9
+    code, out, _ = run_cli(capsys, "skewaffine", "verify", "--q", "3",
+                           "--axiom", "all", "--budget", "orbit", "--json")
+    assert code == 0
+    modes = {r["check_id"]: r["details"]["mode"] for r in json.loads(out)}
+    assert modes == {"L1": "exhaustive", "L2": "exhaustive", "P1": "exhaustive",
+                     "P2": "exhaustive", "T": "orbit", "V": "orbit",
+                     "Pgm": "orbit", "Des": "orbit", "Pap": "orbit"}
 
 
 def test_skewaffine_sampled_budget(capsys):
@@ -92,6 +99,16 @@ def test_usage_errors(capsys):
     assert run_cli(capsys, "plane", "verify", "--q", "9")[0] == 2
     assert run_cli(capsys, "plane", "verify", "--q", "211")[0] == 2
     assert run_cli(capsys, "nonsense")[0] == 2
+
+
+def test_bad_budget_is_a_usage_error(capsys):
+    for budget in ("bogus", "sample:x", "sample:0"):
+        for argv in (("skewaffine", "verify", "--q", "5", "--axiom", "T"),
+                     ("theorems", "run", "--q", "5", "--id", "P4.6")):
+            code, out, err = run_cli(capsys, *argv, "--budget", budget)
+            assert code == 2, (argv, budget)
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_export_plane(tmp_path, capsys):

@@ -2,7 +2,7 @@ import pytest
 
 from laguerre import (Circle, DeltaGroup, GeometryError, GroupSpace,
                       LaguerrePlane, PencilAut, affine, canonical_pencil, ideal)
-from laguerre.skewaffine import CIRCLE_LINE, SPECIAL, STRAIGHT
+from laguerre.skewaffine import CIRCLE_LINE, ORBIT_AXIOMS, SPECIAL, STRAIGHT
 
 
 def test_join_examples(space5):
@@ -158,11 +158,27 @@ def test_build_rejects_non_transitive_group(plane5):
     assert e.value.code == "a1a2_failed"
 
 
+def test_build_rejects_generators_not_closed(plane5):
+    pencil = canonical_pencil(plane5)
+    full = DeltaGroup.build(plane5, pencil)
+    translations = DeltaGroup(plane5, pencil,
+                              [f for f in full.elements if f.k == 1], None)
+    with pytest.raises(GeometryError) as e:
+        GroupSpace.build(plane5, pencil, translations, check_preconditions=False)
+    assert e.value.code == "generators_not_closed"
+
+
 def test_axiom_reports_exhaustive_small(space3):
+    from laguerre import Budget
     for axiom in ("L1", "L2", "P1", "P2", "T", "V", "Pgm", "Des", "Pap"):
         rep = space3.check_axiom(axiom)
         assert rep.status == "pass", (axiom, rep.witnesses)
-        assert rep.details["mode"] == "exhaustive"
+        want = "orbit" if axiom in ORBIT_AXIOMS else "exhaustive"
+        assert rep.details["mode"] == want
+        assert rep.cases_checked > 0
+        rep = space3.check_axiom(axiom, Budget("exhaustive", 0, 0))
+        assert rep.status == "pass", (axiom, rep.witnesses)
+        assert rep.details == {"mode": "exhaustive"}
         assert rep.cases_checked > 0
 
 
@@ -172,10 +188,37 @@ def test_axiom_budget_modes(space5):
     assert rep.status == "pass"
     assert rep.cases_checked == 2000
     assert rep.details == {"mode": "sample", "samples": 2000, "seed": 42}
-    rep = space5.check_axiom("T")  # default for q=5 is sampling
-    assert rep.details["mode"] == "sample"
+    rep = space5.check_axiom("T")  # the default is the orbit sweep
+    assert rep.details["mode"] == "orbit"
+    assert rep.details["first"] == "A(0,0)"
+    assert len(rep.details["second"]) == 5 + 2  # q + 2 stabilizer orbits
+    rep = space5.check_axiom("L1", Budget("orbit", 0, 0))  # nothing to reduce
+    assert rep.details == {"mode": "exhaustive"}
     with pytest.raises(GeometryError):
         space5.check_axiom("XX")
+
+
+def test_orbit_matches_exhaustive(space3, space5):
+    from laguerre import Budget
+    for gs in (space3, space5):
+        for axiom in ORBIT_AXIOMS:
+            orbit = gs.check_axiom(axiom, Budget("orbit", 0, 0))
+            brute = gs.check_axiom(axiom, Budget("exhaustive", 0, 0))
+            assert orbit.status == brute.status == "pass", (gs.q, axiom)
+            details = orbit.details
+            assert details["cases_represented"] == brute.cases_checked, (gs.q, axiom)
+            assert sum(o["cases"] for o in details["second"]) == orbit.cases_checked
+            assert sum(o["orbit_size"] for o in details["second"]) == gs.n - 1
+            assert orbit.cases_checked < brute.cases_checked
+
+
+def test_orbit_sweep_rejects_non_equivariant_tables(plane5, delta5):
+    gs = GroupSpace.build(plane5, canonical_pencil(plane5), delta5,
+                          check_preconditions=False)
+    gs._joinclass[0][1] = (gs._joinclass[0][1] + 1) % gs.ncls
+    with pytest.raises(GeometryError) as e:
+        gs.check_axiom("T")
+    assert e.value.code == "not_equivariant"
 
 
 def test_sampled_reports_deterministic(space5):
@@ -197,6 +240,10 @@ def test_noncanonical_space_smoke():
     assert census["classes"] == 7
     assert gs.check_axiom("P1").status == "pass"
     assert gs.check_axiom("P2").status == "pass"
+    for axiom in ("T", "Des", "Pap"):
+        rep = gs.check_axiom(axiom)
+        assert rep.status == "pass", (axiom, rep.witnesses[:2])
+        assert rep.details["mode"] == "orbit"
 
 
 def test_space_json(space3):
