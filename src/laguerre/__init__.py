@@ -1,12 +1,12 @@
 """Finite Laguerre planes, their pencil-fixing automorphism groups, and the
 residual skewaffine planes built from them, with exhaustive verification."""
 
-from .field import GF, FieldElement, FieldError, NONSQUARE, SQUARE, ZERO
+from .field import GF, FieldError, NONSQUARE, SQUARE, ZERO
 from .plane import (Circle, GeometryError, Generator, LaguerrePlane, Pencil,
                     Point, affine, canonical_pencil, ideal)
 from .autgroup import (DeltaGroup, PencilAut, PermutationMap, classify_aut,
-                       classify_by_scan, delta_group, verify_a1a2a3)
-from .skewaffine import AXIOMS, GroupSpace, Line, build_space
+                       classify_by_scan, verify_a1a2a3)
+from .skewaffine import AXIOMS, GroupSpace, Line
 from .verify import (CHECK_IDS, EquivPartition, run_suite, thm_check,
                      thm_equiv_rel, thm_tangency_locus)
 from .report import Budget, Report
@@ -14,12 +14,12 @@ from .report import Budget, Report
 __version__ = "0.1.0"
 
 __all__ = [
-    "GF", "FieldElement", "FieldError", "ZERO", "SQUARE", "NONSQUARE",
+    "GF", "FieldError", "ZERO", "SQUARE", "NONSQUARE",
     "LaguerrePlane", "Point", "Circle", "Generator", "Pencil", "GeometryError",
     "affine", "ideal", "canonical_pencil",
     "DeltaGroup", "PencilAut", "PermutationMap", "classify_aut",
-    "classify_by_scan", "delta_group", "verify_a1a2a3",
-    "GroupSpace", "Line", "AXIOMS", "build_space",
+    "classify_by_scan", "verify_a1a2a3",
+    "GroupSpace", "Line", "AXIOMS",
     "CHECK_IDS", "EquivPartition", "run_suite", "thm_check",
     "thm_equiv_rel", "thm_tangency_locus",
     "Budget", "Report",

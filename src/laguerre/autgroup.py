@@ -234,13 +234,15 @@ class DeltaGroup:
         group = cls(plane, pencil, elements, norm)
         # the normalizer must carry the canonical pencil onto the target one
         base = canonical_pencil(plane)
-        assert norm.apply_point(base.p) == p
-        assert norm.apply_circle(base.base) == K
         want = {frozenset(plane.circle_points(M))
                 for M in plane.pencil_members(pencil)}
         got = {frozenset(norm.apply_point(x) for x in plane.circle_points(M))
                for M in plane.pencil_members(base)}
-        assert want == got
+        carried = (norm.apply_point(base.p) == p
+                   and norm.apply_circle(base.base) == K and want == got)
+        if not carried:
+            raise GeometryError("the normalizer does not carry the canonical "
+                                f"pencil onto {pencil}", code="normalizer_mismatch")
         return group
 
     @property
@@ -338,10 +340,6 @@ class DeltaGroup:
             "pencil": {"p": self.pencil.p.to_json(), "K": list(self.pencil.base)},
             "elements": sorted([f.k, f.t, f.g] for f in self.elements),
         }
-
-
-def delta_group(plane: LaguerrePlane, pencil: Pencil) -> DeltaGroup:
-    return DeltaGroup.build(plane, pencil)
 
 
 def verify_a1a2a3(plane: LaguerrePlane, pencil: Pencil,

@@ -4,8 +4,10 @@ Subcommands
 -----------
 plane verify       --q N                       Laguerre axioms, exhaustively
 group verify       --q N [--pencil SPEC]       transitivity + tangency axioms
-skewaffine verify  --q N --axiom ID|all        residual-plane axioms
-theorems run       --q N [--id ID|all]         the named-check catalog
+skewaffine verify  --q N --axiom ID|all        residual-plane axioms, at the
+                   [--budget B] [--seed S]     default or the given budget
+theorems run       --q N [--id ID|all]         the named-check catalog,
+                                               exhaustively
 export             --q N --what W --out FILE   plane/group/space JSON
 
 Pencil SPEC is ``canonical`` (default), ``p:x,y[@K:a,b,c]`` for an affine
@@ -15,8 +17,8 @@ circle through the vertex is chosen (y = y0 resp. y = a x^2).
 Exit codes: 0 all checks pass or are report-only, 1 some check failed,
 2 usage or configuration error.  ``--json`` emits one stable JSON array;
 timing is excluded so identical runs are byte-identical.  Set
-LAGUERRE_WORKERS > 1 to run catalog checks in worker processes (output
-order is unaffected).
+LAGUERRE_WORKERS > 1 to run catalog checks in worker processes, at most one
+per CPU (output order is unaffected).
 """
 
 from __future__ import annotations
@@ -44,15 +46,9 @@ def build_parser() -> argparse.ArgumentParser:
                                   formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_budget=False):
+    def add_common(p):
         p.add_argument("--q", type=int, required=True, help="prime field size")
         p.add_argument("--json", action="store_true", help="emit a JSON array")
-        if with_budget:
-            p.add_argument("--budget", default=None,
-                           help="'orbit', 'exhaustive' or 'sample:K' (default: "
-                                "orbit for T/V/Pgm/Des/Pap, exhaustive otherwise)")
-            p.add_argument("--seed", type=int, default=0,
-                           help="seed for sampled sweeps (default 0)")
 
     plane = sub.add_parser("plane", help="Laguerre plane commands")
     plane_sub = plane.add_subparsers(dest="action", required=True)
@@ -68,14 +64,20 @@ def build_parser() -> argparse.ArgumentParser:
     ska = sub.add_parser("skewaffine", help="residual-plane commands")
     ska_sub = ska.add_subparsers(dest="action", required=True)
     sv = ska_sub.add_parser("verify", help="check residual-plane axioms")
-    add_common(sv, with_budget=True)
+    add_common(sv)
     sv.add_argument("--axiom", required=True,
                     help="one of %s or 'all'" % "/".join(AXIOMS))
+    sv.add_argument("--budget", default=None,
+                    help="'orbit', 'exhaustive' or 'sample:K' (default: orbit for "
+                         "T/V/Pgm/Des/Pap, exhaustive otherwise; only T, Des and "
+                         "Pap have a sampled form)")
+    sv.add_argument("--seed", type=int, default=0,
+                    help="seed for sampled sweeps (default 0)")
 
     thm = sub.add_parser("theorems", help="named-check catalog")
     thm_sub = thm.add_subparsers(dest="action", required=True)
     tr = thm_sub.add_parser("run", help="run catalog checks")
-    add_common(tr, with_budget=True)
+    add_common(tr)
     tr.add_argument("--id", default="all", help="a check id or 'all'")
 
     exp = sub.add_parser("export", help="write a JSON model")
@@ -176,29 +178,34 @@ def _cmd_ska_verify(args) -> int:
     return _emit(reports, args.json)
 
 
+def _workers() -> int:
+    """LAGUERRE_WORKERS (default 1), capped at the CPU count."""
+    text = os.environ.get("LAGUERRE_WORKERS", "1")
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise UsageError(f"LAGUERRE_WORKERS must be a positive integer, not {text!r}")
+    return min(workers, os.cpu_count() or 1)
+
+
 def _cmd_theorems_run(args) -> int:
     _require_odd(args.q)
     _make_plane(args.q)  # validates the bound
-    budget = _parse_budget(args)
     ids = CHECK_IDS if args.id == "all" else (args.id,)
     for cid in ids:
         if cid not in CHECK_IDS:
             raise UsageError(f"unknown check id {cid!r}")
-    workers = int(os.environ.get("LAGUERRE_WORKERS", "1"))
+    workers = _workers()
     if workers > 1 and len(ids) > 1:
         import concurrent.futures
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_run_one, [(cid, args.q, budget, args.seed)
-                                               for cid in ids]))
+            reports = list(pool.map(thm_check, ids, [args.q] * len(ids)))
     else:
-        reports = run_suite(args.q, ids, budget, args.seed)
+        reports = run_suite(args.q, ids)
     return _emit(reports, args.json)
-
-
-def _run_one(item) -> Report:
-    cid, q, budget, seed = item
-    return thm_check(cid, q, budget, seed)
 
 
 def _cmd_export(args) -> int:

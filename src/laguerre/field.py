@@ -107,14 +107,6 @@ class GF:
         other = self.q - r
         return (r, other) if r < other else (other, r)
 
-    # -- element factory ----------------------------------------------------
-
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(value, self)
-
-    def __call__(self, value: int) -> "FieldElement":
-        return FieldElement(value, self)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, GF) and other.q == self.q
 
@@ -124,71 +116,3 @@ class GF:
     def __repr__(self) -> str:
         return f"GF({self.q})"
 
-
-class FieldElement:
-    """An element of GF(q); thin operator-overload wrapper over the int API."""
-
-    __slots__ = ("value", "gf")
-
-    def __init__(self, value: int, gf: GF):
-        self.value = value % gf.q
-        self.gf = gf
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.gf != self.gf:
-                raise FieldError("operands belong to different fields", code="field_mismatch")
-            return other.value
-        return other % self.gf.q
-
-    def __add__(self, other):
-        return FieldElement(self.value + self._coerce(other), self.gf)
-
-    def __radd__(self, other):
-        return self.__add__(other)
-
-    def __sub__(self, other):
-        return FieldElement(self.value - self._coerce(other), self.gf)
-
-    def __rsub__(self, other):
-        return FieldElement(self._coerce(other) - self.value, self.gf)
-
-    def __mul__(self, other):
-        return FieldElement(self.value * self._coerce(other), self.gf)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __truediv__(self, other):
-        return FieldElement(self.gf.div(self.value, self._coerce(other)), self.gf)
-
-    def __rtruediv__(self, other):
-        return FieldElement(self.gf.div(self._coerce(other), self.value), self.gf)
-
-    def __neg__(self):
-        return FieldElement(-self.value, self.gf)
-
-    def __pow__(self, e: int):
-        return FieldElement(self.gf.pow(self.value, e), self.gf)
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.gf.inv(self.value), self.gf)
-
-    def square_class(self) -> str:
-        return self.gf.square_class(self.value)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, FieldElement):
-            return self.gf == other.gf and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.gf.q
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.gf.q, self.value))
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"{self.value}"

@@ -234,7 +234,9 @@ class LaguerrePlane:
                 m = gf.div(r.y - self.evaluate(K, r.x), (r.x - p.x) ** 2)
             C = Circle((K.a + m) % gf.q, (K.b - 2 * m * p.x) % gf.q,
                        (K.c + m * p.x * p.x) % gf.q)
-        assert self.incident(r, C) and self.intersection(C, K) == (p,)
+        if not (self.incident(r, C) and self.intersection(C, K) == (p,)):
+            raise GeometryError(f"{C} is not the circle through {r} touching {K} "
+                                f"at {p}", code="touching_circle_mismatch")
         return C
 
     def parallel_point(self, x: Point, K: Circle) -> Point:
@@ -264,8 +266,9 @@ class LaguerrePlane:
             )
         if verify:
             for M in members:
-                assert self.incident(p, M)
-                assert M == K or self.intersection_size(M, K) == 1
+                if not self.incident(p, M) or (M != K and self.intersection_size(M, K) != 1):
+                    raise GeometryError(f"{M} does not touch {K} at {p}",
+                                        code="pencil_member_mismatch")
         return members
 
     def joining_pencil(self, x: Point, y: Point) -> list[Circle]:
@@ -325,7 +328,9 @@ class LaguerrePlane:
             # closed form for the canonical pencil; must match the sweep
             u = gf.div(-M.b, 2 * M.a)
             v = gf.sub(M.c, gf.div(M.b * M.b, 4 * M.a))
-            assert point == affine(u, v) and member == Circle(0, 0, v)
+            if point != affine(u, v) or member != Circle(0, 0, v):
+                raise GeometryError(f"closed-form tangency disagrees with the sweep "
+                                    f"for {M}", code="tangency_mismatch")
         return member, point
 
     # -- axiom verification ------------------------------------------------

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 PASS = "pass"
 FAIL = "fail"
 REPORT_ONLY = "report_only"
-ERROR = "error"
 
 MAX_WITNESSES_SHOWN = 20
 
@@ -34,7 +33,7 @@ class Report:
     def ok(self) -> bool:
         return self.status in (PASS, REPORT_ONLY)
 
-    def to_dict(self, with_timing: bool = False) -> dict:
+    def to_dict(self) -> dict:
         d = {
             "check_id": self.check_id,
             "q": self.q,
@@ -45,13 +44,7 @@ class Report:
         }
         if self.reading_notes is not None:
             d["reading_notes"] = self.reading_notes
-        if with_timing:
-            d["elapsed_ms"] = self.elapsed_ms
         return d
-
-    def to_json(self, with_timing: bool = False) -> str:
-        return json.dumps(self.to_dict(with_timing=with_timing), sort_keys=True,
-                          separators=(",", ":"))
 
     def text(self) -> str:
         head = f"{self.status.upper():>11}  {self.check_id:<16} q={self.q:<3} cases={self.cases_checked}"

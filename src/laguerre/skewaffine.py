@@ -30,7 +30,9 @@ must be equivariant under the three generators of the group, and the
 generators must carry the representative to every point, or the sweep
 raises ``not_equivariant``.  ``exhaustive`` sweeps every ordered pair and is
 the brute-force oracle for the reduction; ``sample:K`` draws K seeded cases
-of T, Des and Pap.  L1, L2, P1 and P2 are quadratic and always exhaustive.
+of T, Des and Pap.  The other axioms have no sampled form and are swept
+exhaustively under ``sample:K``; L1, L2, P1 and P2 are quadratic and always
+exhaustive.
 """
 
 from __future__ import annotations
@@ -50,6 +52,17 @@ AXIOMS = ("L1", "L2", "P1", "P2", "T", "V", "Pgm", "Des", "Pap")
 
 # axioms quantifying first over two points; these default to orbit sweeps
 ORBIT_AXIOMS = ("T", "V", "Pgm", "Des", "Pap")
+
+# reading notes that travel with an axiom's report
+_NOTES = {
+    "Pap": ("y and z range over the line of u and x, as the printed join "
+            "equalities force (coincidences among x, y, z allowed); the "
+            "two join bundles are taken distinct (x' off the line of u "
+            "and x), the usual nondegeneracy of this configuration - "
+            "with collapsed bundles the statement is false already for "
+            "q = 5; configurations where a printed join is undefined "
+            "(y = x' or z = x') are vacuous"),
+}
 
 
 @dataclass
@@ -356,46 +369,66 @@ class GroupSpace:
             raise GeometryError(f"unknown axiom {axiom!r}", code="bad_axiom")
         if budget is None:
             budget = Budget("orbit")
-        if budget.mode == "orbit" and axiom not in ORBIT_AXIOMS:
-            budget = Budget("exhaustive")  # quadratic sweeps: nothing to reduce
         rep = Report(axiom, self.q, PASS)
         with timed(rep):
             checker = getattr(self, f"_ax_{axiom}")
-            cases, witnesses, notes, details = checker(budget)
-            rep.cases_checked = cases
-            rep.witnesses = witnesses
-            rep.reading_notes = notes
-            rep.details = {"mode": budget.mode, **details}
-            if budget.mode == "sample":
-                rep.details.update(samples=budget.samples, seed=budget.seed)
-            if witnesses:
+            rep.cases_checked, rep.witnesses, rep.details = checker(budget)
+            rep.reading_notes = _NOTES.get(axiom)
+            if rep.witnesses:
                 rep.status = FAIL
         return rep
 
-    def _sweep(self, budget: Budget, pair_cases) -> tuple[int, dict]:
-        """Run ``pair_cases(first, second)``, which returns how many cases it
-        evaluated, over the first two quantified points of an axiom.
+    def _witness(self, names: tuple[str, ...], *idx: int) -> dict:
+        return {name: repr(self.points[i]) for name, i in zip(names, idx)}
 
-        ``orbit`` evaluates one first point and one second point per orbit
-        of its stabilizer, and reports how many cases of the full sweep
-        these stand for.  Any other budget runs all ordered pairs of
-        distinct points, first point outermost (V and Pgm have no sampled
-        form).
+    def _sweep(self, budget: Budget, names: tuple[str, ...], pair,
+               draw=None, holds=None) -> tuple[int, list, dict]:
+        """Sweep an axiom whose cases start with two quantified points and
+        return (cases, witnesses, details).
+
+        ``pair(first, second, fail)`` evaluates every case with those two
+        points, passes each failing case to ``fail``, and returns how many
+        cases it evaluated.  ``orbit`` evaluates one first point and one
+        second point per orbit of its stabilizer, and reports how many cases
+        of the full sweep these stand for.  ``sample:K`` needs
+        ``draw(randrange)``, which returns one case or ``None`` for a
+        rejected draw, and the case predicate ``holds``; it stops at the
+        first failing case.  Any other budget, and ``sample:K`` for an axiom
+        without ``draw``, runs all ordered pairs of distinct points, first
+        point outermost.
         """
+        witnesses = []
+
+        def fail(*case):
+            witnesses.append(self._witness(names, *case))
+
         n = self.n
+        if budget.mode == "sample" and draw is not None:
+            randrange = random.Random(budget.seed).randrange
+            cases = 0
+            while cases < budget.samples:
+                case = draw(randrange)
+                if case is None:
+                    continue
+                cases += 1
+                if not holds(*case):
+                    fail(*case)
+                    break
+            return cases, witnesses, {"mode": "sample", "samples": budget.samples,
+                                      "seed": budget.seed}
         if budget.mode != "orbit":
-            return sum(pair_cases(x, y) for x in range(n) for y in range(n)
-                       if x != y), {}
+            cases = sum(pair(x, y, fail) for x in range(n) for y in range(n) if x != y)
+            return cases, witnesses, {"mode": "exhaustive"}
         first, orbits = self._orbit_reps()
         second, cases, represented = [], 0, 0
         for y, size in orbits:
-            got = pair_cases(first, y)
+            got = pair(first, y, fail)
             cases += got
             represented += n * size * got
             second.append({"point": repr(self.points[y]), "orbit_size": size,
                            "cases": got})
-        return cases, {"first": repr(self.points[first]), "second": second,
-                       "cases_represented": represented}
+        return cases, witnesses, {"mode": "orbit", "first": repr(self.points[first]),
+                                  "second": second, "cases_represented": represented}
 
     def _orbit_reps(self) -> tuple[int, list[tuple[int, int]]]:
         """Point 0 and, per orbit of its stabilizer on the other points, the
@@ -462,8 +495,8 @@ class GroupSpace:
                 cases += 1
                 pts = self.lines[self._joinline[i][j]].points
                 if x not in pts or y not in pts:
-                    witnesses.append({"x": repr(x), "y": repr(y)})
-        return cases, witnesses, None, {}
+                    witnesses.append(self._witness(("x", "y"), i, j))
+        return cases, witnesses, {"mode": "exhaustive"}
 
     def _ax_L2(self, budget: Budget):
         cases, witnesses = 0, []
@@ -476,10 +509,8 @@ class GroupSpace:
                 for k in self._linepts_minus[i][j]:
                     cases += 1
                     if jl[i][k] != lid:
-                        witnesses.append({"x": repr(self.points[i]),
-                                          "y": repr(self.points[j]),
-                                          "z": repr(self.points[k])})
-        return cases, witnesses, None, {}
+                        witnesses.append(self._witness(("x", "y", "z"), i, j, k))
+        return cases, witnesses, {"mode": "exhaustive"}
 
     def _ax_P1(self, budget: Budget):
         # lines from x in one parallel class, per (x, class): must be exactly 1
@@ -492,9 +523,9 @@ class GroupSpace:
                 cases += 1
                 hit = counts[i][c] if self._byclass[i][c] else 0
                 if hit != 1:
-                    witnesses.append({"line": line.index,
-                                      "x": repr(self.points[i]), "count": hit})
-        return cases, witnesses, None, {}
+                    witnesses.append(dict(self._witness(("x",), i),
+                                          line=line.index, count=hit))
+        return cases, witnesses, {"mode": "exhaustive"}
 
     def _ax_P2(self, budget: Budget):
         # direction-reversal must be class-functional; that single pass is
@@ -509,38 +540,32 @@ class GroupSpace:
                 cases += 1
                 fwd, bwd = jc[i][j], jc[j][i]
                 if rev.setdefault(fwd, bwd) != bwd:
-                    witnesses.append({"x": repr(self.points[i]),
-                                      "y": repr(self.points[j]),
-                                      "fwd_class": fwd, "bwd_class": bwd,
-                                      "expected_bwd": rev[fwd]})
-        return cases, witnesses, None, {}
+                    witnesses.append(dict(self._witness(("x", "y"), i, j),
+                                          fwd_class=fwd, bwd_class=bwd,
+                                          expected_bwd=rev[fwd]))
+        return cases, witnesses, {"mode": "exhaustive"}
 
     def _ax_Pgm(self, budget: Budget):
-        witnesses = []
         jc, wm = self._joinclass, self._witmask
         n = self.n
 
-        def pair(x, y):
+        def pair(x, y, fail):
             cases = 0
             for z in range(n):
                 if z == x or z == y:
                     continue
                 cases += 1
                 if not (wm[z][jc[x][y]] & wm[y][jc[x][z]]):
-                    witnesses.append({"x": repr(self.points[x]),
-                                      "y": repr(self.points[y]),
-                                      "z": repr(self.points[z])})
+                    fail(x, y, z)
             return cases
 
-        cases, details = self._sweep(budget, pair)
-        return cases, witnesses, None, details
+        return self._sweep(budget, ("x", "y", "z"), pair)
 
     def _ax_V(self, budget: Budget):
-        witnesses = []
         jc, wm, byc = self._joinclass, self._witmask, self._byclass
         n = self.n
 
-        def pair(x, y):
+        def pair(x, y, fail):
             cases = 0
             partners = byc[x][jc[x][y]]
             for z in range(n):
@@ -551,25 +576,21 @@ class GroupSpace:
                 for y2 in partners:
                     cases += 1
                     if not (wm[x][c1] & wm[y2][c2]):
-                        witnesses.append({"x": repr(self.points[x]),
-                                          "y": repr(self.points[y]),
-                                          "z": repr(self.points[z]),
-                                          "y'": repr(self.points[y2])})
+                        fail(x, y, z, y2)
             return cases
 
-        cases, details = self._sweep(budget, pair)
-        return cases, witnesses, None, details
+        return self._sweep(budget, ("x", "y", "z", "y'"), pair)
 
     def _t_case_holds(self, x, y, z, x2, y2) -> bool:
         jc, wm = self._joinclass, self._witmask
         return bool(wm[x2][jc[x][z]] & wm[y2][jc[y][z]])
 
     def _ax_T(self, budget: Budget):
-        cases, witnesses = 0, []
         jc, byc = self._joinclass, self._byclass
         n = self.n
+        holds = self._t_case_holds
 
-        def pair(x, y):
+        def pair(x, y, fail):
             cases = 0
             cxy = jc[x][y]
             for z in range(n):
@@ -578,34 +599,19 @@ class GroupSpace:
                 for x2 in range(n):
                     for y2 in byc[x2][cxy]:
                         cases += 1
-                        if not self._t_case_holds(x, y, z, x2, y2):
-                            witnesses.append(self._t_witness(x, y, z, x2, y2))
+                        if not holds(x, y, z, x2, y2):
+                            fail(x, y, z, x2, y2)
             return cases
 
-        if budget.mode != "sample":
-            cases, details = self._sweep(budget, pair)
-            return cases, witnesses, None, details
-        rng = random.Random(budget.seed)
-        randrange = rng.randrange
-        wm = self._witmask
-        target = budget.samples
-        while cases < target:
+        def draw(randrange):
             x = randrange(n); y = randrange(n); z = randrange(n)
             if x == y or x == z or y == z:
-                continue
+                return None
             x2 = randrange(n)
             partners = byc[x2][jc[x][y]]
-            y2 = partners[randrange(len(partners))]
-            cases += 1
-            if not (wm[x2][jc[x][z]] & wm[y2][jc[y][z]]):
-                witnesses.append(self._t_witness(x, y, z, x2, y2))
-                break
-        return cases, witnesses, None, {}
+            return x, y, z, x2, partners[randrange(len(partners))]
 
-    def _t_witness(self, x, y, z, x2, y2) -> dict:
-        p = self.points
-        return {"x": repr(p[x]), "y": repr(p[y]), "z": repr(p[z]),
-                "x'": repr(p[x2]), "y'": repr(p[y2])}
+        return self._sweep(budget, ("x", "y", "z", "x'", "y'"), pair, draw, holds)
 
     def _des_case_holds(self, u, x, y, z, x2) -> bool:
         jc = self._joinclass
@@ -621,11 +627,11 @@ class GroupSpace:
         return False
 
     def _ax_Des(self, budget: Budget):
-        cases, witnesses = 0, []
         n = self.n
         lpm = self._linepts_minus
+        holds = self._des_case_holds
 
-        def pair(u, x):
+        def pair(u, x, fail):
             cases = 0
             for y in range(n):
                 if y in (u, x):
@@ -635,42 +641,22 @@ class GroupSpace:
                         continue
                     for x2 in lpm[u][x]:
                         cases += 1
-                        if not self._des_case_holds(u, x, y, z, x2):
-                            witnesses.append(self._des_witness(u, x, y, z, x2))
+                        if not holds(u, x, y, z, x2):
+                            fail(u, x, y, z, x2)
             return cases
 
-        if budget.mode != "sample":
-            cases, details = self._sweep(budget, pair)
-            return cases, witnesses, None, details
-        rng = random.Random(budget.seed)
-        randrange = rng.randrange
-        target = budget.samples
-        while cases < target:
+        def draw(randrange):
             u = randrange(n); x = randrange(n); y = randrange(n); z = randrange(n)
             if u == x or u == y or u == z or x == y or x == z or y == z:
-                continue
+                return None
             opts = lpm[u][x]
-            x2 = opts[randrange(len(opts))]
-            cases += 1
-            if not self._des_case_holds(u, x, y, z, x2):
-                witnesses.append(self._des_witness(u, x, y, z, x2))
-                break
-        return cases, witnesses, None, {}
+            return u, x, y, z, opts[randrange(len(opts))]
 
-    def _des_witness(self, u, x, y, z, x2) -> dict:
-        p = self.points
-        return {"u": repr(p[u]), "x": repr(p[x]), "y": repr(p[y]),
-                "z": repr(p[z]), "x'": repr(p[x2])}
-
-    _PAP_NOTE = ("y and z range over the line of u and x, as the printed join "
-                 "equalities force (coincidences among x, y, z allowed); the "
-                 "two join bundles are taken distinct (x' off the line of u "
-                 "and x), the usual nondegeneracy of this configuration - "
-                 "with collapsed bundles the statement is false already for "
-                 "q = 5; configurations where a printed join is undefined "
-                 "(y = x' or z = x') are vacuous")
+        return self._sweep(budget, ("u", "x", "y", "z", "x'"), pair, draw, holds)
 
     def _pap_case(self, u, x, y, z, x2) -> bool:
+        if y == x2 or z == x2:
+            return True  # vacuous: a printed join is undefined
         jc = self._joinclass
         want1 = jc[x][x2]
         for y2 in self._linepts_minus[u][x2]:
@@ -686,12 +672,12 @@ class GroupSpace:
         return False
 
     def _ax_Pap(self, budget: Budget):
-        cases, witnesses = 0, []
         n = self.n
         lpm = self._linepts_minus
         jl = self._joinline
+        holds = self._pap_case
 
-        def pair(u, x):
+        def pair(u, x, fail):
             cases = 0
             online = lpm[u][x]
             lid = jl[u][x]
@@ -701,44 +687,21 @@ class GroupSpace:
                         if x2 == u or x2 == x or jl[u][x2] == lid:
                             continue
                         cases += 1
-                        if y == x2 or z == x2:
-                            continue  # vacuous: a printed join is undefined
-                        if not self._pap_case(u, x, y, z, x2):
-                            witnesses.append(self._pap_witness(u, x, y, z, x2))
+                        if not holds(u, x, y, z, x2):
+                            fail(u, x, y, z, x2)
             return cases
 
-        if budget.mode != "sample":
-            cases, details = self._sweep(budget, pair)
-            return cases, witnesses, self._PAP_NOTE, details
-        rng = random.Random(budget.seed)
-        randrange = rng.randrange
-        target = budget.samples
-        while cases < target:
+        def draw(randrange):
             u = randrange(n); x = randrange(n)
             if u == x:
-                continue
+                return None
             online = lpm[u][x]
             y = online[randrange(len(online))]
             z = online[randrange(len(online))]
             x2 = randrange(n)
             if x2 == u or x2 == x or jl[u][x2] == jl[u][x]:
-                continue
-            cases += 1
-            if y == x2 or z == x2:
-                continue
-            if not self._pap_case(u, x, y, z, x2):
-                witnesses.append(self._pap_witness(u, x, y, z, x2))
-                break
-        return cases, witnesses, self._PAP_NOTE, {}
+                return None
+            return u, x, y, z, x2
 
-    def _pap_witness(self, u, x, y, z, x2) -> dict:
-        p = self.points
-        return {"u": repr(p[u]), "x": repr(p[x]), "y": repr(p[y]),
-                "z": repr(p[z]), "x'": repr(p[x2])}
+        return self._sweep(budget, ("u", "x", "y", "z", "x'"), pair, draw, holds)
 
-
-def build_space(plane: LaguerrePlane, pencil: Pencil,
-                delta: DeltaGroup | None = None) -> GroupSpace:
-    if delta is None:
-        delta = DeltaGroup.build(plane, pencil)
-    return GroupSpace.build(plane, pencil, delta)

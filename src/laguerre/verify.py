@@ -2,17 +2,17 @@
 
 Every entry of ``CHECK_IDS`` maps to a checker that sweeps the statement's
 quantifiers over the canonical pencil of the plane of the requested size,
-exhaustively unless a sampling budget is passed.  Checks verify
-conclusions, not intermediate constructions.  ``L3.1`` is deliberately
-report-only: it publishes the census of fixed-point-free group elements and
-asserts only the restricted claims that hold in this model (see its
-reading notes).
+always exhaustively.  Checks verify conclusions, not intermediate
+constructions.  ``L3.1`` is deliberately report-only: it publishes the
+census of fixed-point-free group elements and asserts only the restricted
+claims that hold in this model (see its reading notes).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .plane import (Circle, GeometryError, IDEAL, LaguerrePlane, Pencil, Point,
                     affine, canonical_pencil, ideal)
@@ -74,29 +74,99 @@ class EquivPartition:
         return {tag: sorted(pts) for tag, pts in out.items()}
 
 
+class TangentFamily:
+    """The circles tangent to one circle L, with bitmask tables.
+
+    Circles are grouped by their touch point on L, in point order.  Bit j of
+    ``inter[i]`` is set when circles i and j meet (i itself included), bit j
+    of ``samept[i]`` when they touch L at the same point; ``point_mask[p]``
+    has bit i set when circle i passes through p, for every p off L.  Two
+    points off a pencil member are tangency-equivalent when every pair of
+    tangent circles through them meets.
+    """
+
+    def __init__(self, plane: LaguerrePlane, L: Circle):
+        lpts = plane.circle_points(L)
+        self.off_points = [p for p in plane.points if p not in lpts]
+        circles: list[Circle] = []
+        touch: list[Point] = []
+        for t in lpts:
+            for M in plane.pencil_members(plane.pencil(t, L), verify=False):
+                if M != L:
+                    circles.append(M)
+                    touch.append(t)
+        self.circles = circles
+        self.touch = touch
+        n = len(circles)
+        inter = [1 << i for i in range(n)]
+        samept = [1 << i for i in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                if plane.intersection_size(circles[i], circles[j]) >= 1:
+                    inter[i] |= 1 << j
+                    inter[j] |= 1 << i
+                if touch[i] == touch[j]:
+                    samept[i] |= 1 << j
+                    samept[j] |= 1 << i
+        self.inter = inter
+        self.samept = samept
+        self.point_mask: dict[Point, int] = {p: 0 for p in self.off_points}
+        self.point_list: dict[Point, list[int]] = {p: [] for p in self.off_points}
+        for i, C in enumerate(circles):
+            for p in plane.circle_points(C):
+                if p in self.point_mask:
+                    self.point_mask[p] |= 1 << i
+                    self.point_list[p].append(i)
+
+    def equivalent(self, a: Point, b: Point) -> bool:
+        """Every tangent circle through a meets every one through b."""
+        mb = self.point_mask[b]
+        return all(not (mb & ~self.inter[i]) for i in self.point_list[a])
+
+    def witness_pair(self, a: Point, b: Point) -> bool:
+        """Some tangent pair at distinct points through a, b that meets."""
+        mb = self.point_mask[b]
+        return any(mb & self.inter[i] & ~self.samept[i] for i in self.point_list[a])
+
+    def common_tangents(self, a: Point, b: Point) -> int:
+        return (self.point_mask[a] & self.point_mask[b]).bit_count()
+
+
 class _Ctx:
-    """Per-q lazily built plane, group, and residual plane."""
+    """Per-q lazily built plane, group and residual plane, plus the
+    per-member artifacts that several checks read."""
 
     def __init__(self, q: int):
         self.q = q
         self.plane = LaguerrePlane(q)
         self.pencil = canonical_pencil(self.plane)
         self.members = self.plane.pencil_members(self.pencil)
-        self._delta: DeltaGroup | None = None
-        self._space: GroupSpace | None = None
 
-    @property
+    @cached_property
     def delta(self) -> DeltaGroup:
-        if self._delta is None:
-            self._delta = DeltaGroup.build(self.plane, self.pencil)
-        return self._delta
+        return DeltaGroup.build(self.plane, self.pencil)
 
-    @property
+    @cached_property
     def space(self) -> GroupSpace:
-        if self._space is None:
-            self._space = GroupSpace.build(self.plane, self.pencil, self.delta,
-                                           check_preconditions=False)
-        return self._space
+        return GroupSpace.build(self.plane, self.pencil, self.delta,
+                                check_preconditions=False)
+
+    @cached_property
+    def families(self) -> dict[Circle, TangentFamily]:
+        """The tangent family of each pencil member (members only: a family
+        for every circle would cost memory in proportion to q^3)."""
+        return {M: TangentFamily(self.plane, M) for M in self.members}
+
+    @cached_property
+    def equiv_reports(self) -> list[Report]:
+        """``thm_equiv_rel`` per pencil member."""
+        return [thm_equiv_rel(self.plane, M)[1] for M in self.members]
+
+    @cached_property
+    def loci(self) -> list[tuple[int, Point, Circle, Report]]:
+        """``thm_tangency_locus`` per ideal direction and residual point."""
+        return [(beta, x, *thm_tangency_locus(self.plane, self.pencil, ideal(beta), x))
+                for beta in range(1, self.q) for x in self.space.points]
 
 
 _CTX_CACHE: dict[int, _Ctx] = {}
@@ -109,73 +179,6 @@ def _context(q: int) -> _Ctx:
     return ctx
 
 
-class EquivAnalysis:
-    """Brute-force tangency equivalence off one pencil member.
-
-    Two points off the member are equivalent when every pair of tangent
-    circles through them meets.  All pair queries run over bitmask tables
-    of the (q+1)(q-1) tangent circles.
-    """
-
-    def __init__(self, plane: LaguerrePlane, member: Circle):
-        self.plane = plane
-        self.member = member
-        mpts = plane.circle_points(member)
-        self.off_points = [p for p in plane.points if p not in mpts]
-        circles: list[Circle] = []
-        touch: list[Point] = []
-        for t in mpts:
-            for M in plane.pencil_members(plane.pencil(t, member), verify=False):
-                if M != member:
-                    circles.append(M)
-                    touch.append(t)
-        self.circles = circles
-        self.touch = touch
-        n = len(circles)
-        full = (1 << n) - 1
-        inter = [0] * n
-        samept = [0] * n
-        for i in range(n):
-            inter[i] |= 1 << i
-            samept[i] |= 1 << i
-            for j in range(i + 1, n):
-                if plane.intersection_size(circles[i], circles[j]) >= 1:
-                    inter[i] |= 1 << j
-                    inter[j] |= 1 << i
-                if touch[i] == touch[j]:
-                    samept[i] |= 1 << j
-                    samept[j] |= 1 << i
-        self.inter = inter
-        self.samept = samept
-        self.full = full
-        self.point_mask: dict[Point, int] = {p: 0 for p in self.off_points}
-        self.point_list: dict[Point, list[int]] = {p: [] for p in self.off_points}
-        for i, C in enumerate(circles):
-            for p in plane.circle_points(C):
-                if p in self.point_mask:
-                    self.point_mask[p] |= 1 << i
-                    self.point_list[p].append(i)
-
-    def equivalent(self, a: Point, b: Point) -> bool:
-        mb = self.point_mask[b]
-        return all(not (mb & ~self.inter[i]) for i in self.point_list[a])
-
-    def witness_pair(self, a: Point, b: Point) -> bool:
-        """Some tangent pair at distinct points through a, b that meets."""
-        mb = self.point_mask[b]
-        return any(mb & self.inter[i] & ~self.samept[i] for i in self.point_list[a])
-
-    def common_tangents(self, a: Point, b: Point) -> int:
-        return (self.point_mask[a] & self.point_mask[b]).bit_count()
-
-    def rule_class(self, p: Point) -> str:
-        """Square class of the height offset (ideal points use their label)."""
-        gf = self.plane.gf
-        if p.kind == IDEAL:
-            return gf.square_class(p.x)
-        return gf.square_class(p.y - self.member.c)
-
-
 def thm_equiv_rel(plane: LaguerrePlane, member: Circle) -> tuple[EquivPartition, Report]:
     """Brute-force the equivalence off ``member`` and verify its shape:
     equivalence laws, the single-witness characterization, the two-circle
@@ -185,33 +188,38 @@ def thm_equiv_rel(plane: LaguerrePlane, member: Circle) -> tuple[EquivPartition,
     if not (member.a == 0 and member.b == 0):
         raise GeometryError("member must belong to the canonical pencil",
                             code="not_canonical_member")
+
+    def rule_class(p: Point) -> str:
+        """Square class of the height offset (ideal points use their label)."""
+        return plane.gf.square_class(p.x if p.kind == IDEAL else p.y - member.c)
+
     rep = Report("equiv-rel", plane.q, PASS)
     with timed(rep):
-        ana = EquivAnalysis(plane, member)
-        pts = ana.off_points
+        fam = TangentFamily(plane, member)
+        pts = fam.off_points
         cases = 0
         for a in pts:
             cases += 1
-            if not ana.equivalent(a, a):
+            if not fam.equivalent(a, a):
                 rep.witnesses.append({"law": "reflexive", "a": repr(a)})
         rel = {}
         for a, b in itertools.combinations(pts, 2):
             cases += 1
-            e1, e2 = ana.equivalent(a, b), ana.equivalent(b, a)
+            e1, e2 = fam.equivalent(a, b), fam.equivalent(b, a)
             if e1 != e2:
                 rep.witnesses.append({"law": "symmetric", "a": repr(a), "b": repr(b)})
             rel[(a, b)] = e1
-            if e1 != ana.witness_pair(a, b):
+            if e1 != fam.witness_pair(a, b):
                 rep.witnesses.append({"law": "single_witness", "a": repr(a), "b": repr(b)})
-            if (ana.rule_class(a) == ana.rule_class(b)) != e1:
+            if (rule_class(a) == rule_class(b)) != e1:
                 rep.witnesses.append({"law": "square_class_rule", "a": repr(a), "b": repr(b)})
             if a.kind == IDEAL and b.kind != IDEAL:
-                cnt = ana.common_tangents(a, b)
+                cnt = fam.common_tangents(a, b)
                 if (cnt == 2) != e1:
                     rep.witnesses.append({"law": "two_circle_count", "a": repr(a),
                                           "b": repr(b), "count": cnt})
         # transitivity via block consistency
-        classes = {p: ana.rule_class(p) for p in pts}
+        classes = {p: rule_class(p) for p in pts}
         for (a, b), e in rel.items():
             cases += 1
             if e != (classes[a] == classes[b]):
@@ -266,7 +274,7 @@ def thm_tangency_locus(plane: LaguerrePlane, pencil: Pencil, q_ideal: Point,
 # ---------------------------------------------------------------------------
 
 
-def _check_p2_1(ctx: _Ctx, budget: Budget):
+def _check_p2_1(ctx: _Ctx):
     plane, space = ctx.plane, ctx.space
     members = set(ctx.members)
     cases, bad = 0, []
@@ -298,7 +306,7 @@ def _check_p2_1(ctx: _Ctx, budget: Budget):
     return cases, bad, None, {}, None
 
 
-def _check_p2_2(ctx: _Ctx, budget: Budget):
+def _check_p2_2(ctx: _Ctx):
     space = ctx.space
     cases, bad = 0, []
     for M in ctx.members:
@@ -319,7 +327,7 @@ def _line_circle(ctx: _Ctx, line) -> Circle:
     return ctx.plane.circle_through(*line.points[:3])
 
 
-def _check_p2_3(ctx: _Ctx, budget: Budget):
+def _check_p2_3(ctx: _Ctx):
     space = ctx.space
     cases, bad = 0, []
     by_class: dict[int, list] = {}
@@ -333,7 +341,7 @@ def _check_p2_3(ctx: _Ctx, budget: Budget):
     return cases, bad, None, {}, None
 
 
-def _check_p2_4(ctx: _Ctx, budget: Budget):
+def _check_p2_4(ctx: _Ctx):
     plane, space = ctx.plane, ctx.space
     cases, bad = 0, []
     for M in plane.circles:
@@ -350,7 +358,7 @@ def _check_p2_4(ctx: _Ctx, budget: Budget):
     return cases, bad, None, {}, None
 
 
-def _check_p2_5(ctx: _Ctx, budget: Budget):
+def _check_p2_5(ctx: _Ctx):
     space = ctx.space
     members = set(ctx.members)
     cases, bad = 0, []
@@ -363,7 +371,7 @@ def _check_p2_5(ctx: _Ctx, budget: Budget):
     return cases, bad, None, {}, None
 
 
-def _check_p2_6(ctx: _Ctx, budget: Budget):
+def _check_p2_6(ctx: _Ctx):
     space = ctx.space
     cases, bad = 0, []
     lines_by_a: dict[int, list] = {}
@@ -379,7 +387,7 @@ def _check_p2_6(ctx: _Ctx, budget: Budget):
     return cases, bad, None, {}, None
 
 
-def _check_c2_1(ctx: _Ctx, budget: Budget):
+def _check_c2_1(ctx: _Ctx):
     plane, delta = ctx.plane, ctx.delta
     cases, bad = 0, []
     off_vertex_invariant = 0
@@ -412,7 +420,7 @@ def _member_through(ctx: _Ctx, r: Point) -> Circle:
     return next(M for M in ctx.members if ctx.plane.incident(r, M))
 
 
-def _check_t3_1(ctx: _Ctx, budget: Budget):
+def _check_t3_1(ctx: _Ctx):
     plane, delta = ctx.plane, ctx.delta
     gf = plane.gf
     K = ctx.pencil.base
@@ -459,7 +467,7 @@ def _is_translation(ctx: _Ctx, f: PencilAut) -> bool:
     return all(delta.apply(f, Circle(0, b, 0)).b == b for b in range(q))
 
 
-def _check_p3_1(ctx: _Ctx, budget: Budget):
+def _check_p3_1(ctx: _Ctx):
     plane, delta = ctx.plane, ctx.delta
     cases, bad = 0, []
     fixing = [f for f in delta.elements
@@ -479,7 +487,7 @@ def _check_p3_1(ctx: _Ctx, budget: Budget):
     return cases, bad, None, {}, None
 
 
-def _check_c3_1(ctx: _Ctx, budget: Budget):
+def _check_c3_1(ctx: _Ctx):
     plane, delta = ctx.plane, ctx.delta
     gf = plane.gf
     cases, bad = 0, []
@@ -498,7 +506,7 @@ def _check_c3_1(ctx: _Ctx, budget: Budget):
     return cases, bad, None, {}, None
 
 
-def _check_l3_1(ctx: _Ctx, budget: Budget):
+def _check_l3_1(ctx: _Ctx):
     plane, delta = ctx.plane, ctx.delta
     q = plane.q
     cases, bad = 0, []
@@ -543,7 +551,7 @@ def _check_l3_1(ctx: _Ctx, budget: Budget):
     return cases, bad, notes, details, status
 
 
-def _check_p3_2(ctx: _Ctx, budget: Budget):
+def _check_p3_2(ctx: _Ctx):
     plane, delta = ctx.plane, ctx.delta
     q = plane.q
     cases, bad = 0, []
@@ -567,7 +575,7 @@ def _check_p3_2(ctx: _Ctx, budget: Budget):
     return cases, bad, None, {}, None
 
 
-def _check_t3_2(ctx: _Ctx, budget: Budget):
+def _check_t3_2(ctx: _Ctx):
     plane, delta = ctx.plane, ctx.delta
     gf = plane.gf
     q = plane.q
@@ -619,7 +627,7 @@ def _check_t3_2(ctx: _Ctx, budget: Budget):
     return cases, bad, None, {}, None
 
 
-def _check_c3_3(ctx: _Ctx, budget: Budget):
+def _check_c3_3(ctx: _Ctx):
     gf = ctx.plane.gf
     translations = [f for f in ctx.delta.elements if f.k == 1]
     cases, bad = 0, []
@@ -634,7 +642,7 @@ def _check_c3_3(ctx: _Ctx, budget: Budget):
     return cases, bad, None, {}, None
 
 
-def _check_c3_4(ctx: _Ctx, budget: Budget):
+def _check_c3_4(ctx: _Ctx):
     space = ctx.space
     translations = [f for f in ctx.delta.elements if f.k == 1]
     cases, bad = 0, []
@@ -651,22 +659,10 @@ def _check_c3_4(ctx: _Ctx, budget: Budget):
     return cases, bad, None, {}, None
 
 
-def _tangent_family(plane: LaguerrePlane, L: Circle):
-    """All circles tangent to L, with tangency points."""
-    out: list[tuple[Circle, Point]] = []
-    for t in plane.circle_points(L):
-        for M in plane.pencil_members(plane.pencil(t, L), verify=False):
-            if M != L:
-                out.append((M, t))
-    return out
-
-
-def _check_p4_1(ctx: _Ctx, budget: Budget):
-    plane = ctx.plane
+def _check_p4_1(ctx: _Ctx):
     cases, bad = 0, []
-    for L in ctx.members:
-        fam = _tangent_family(plane, L)
-        for (M, tm), (N, tn) in itertools.combinations(fam, 2):
+    for L, fam in ctx.families.items():
+        for (M, tm), (N, tn) in itertools.combinations(zip(fam.circles, fam.touch), 2):
             if tm == tn:
                 continue
             cases += 1
@@ -675,12 +671,12 @@ def _check_p4_1(ctx: _Ctx, budget: Budget):
     return cases, bad, None, {}, None
 
 
-def _check_c4_1(ctx: _Ctx, budget: Budget):
+def _check_c4_1(ctx: _Ctx):
     plane = ctx.plane
     cases, bad = 0, []
-    for L in ctx.members:
+    for L, fam in ctx.families.items():
         by_a: dict[int, list[Circle]] = {}
-        for M, t in _tangent_family(plane, L):
+        for M in fam.circles:
             if M.a != 0:
                 by_a.setdefault(M.a, []).append(M)
         for a, group in sorted(by_a.items()):
@@ -692,7 +688,7 @@ def _check_c4_1(ctx: _Ctx, budget: Budget):
     return cases, bad, None, {}, None
 
 
-def _check_p4_2(ctx: _Ctx, budget: Budget):
+def _check_p4_2(ctx: _Ctx):
     plane = ctx.plane
     cases, bad = 0, []
     by_a: dict[int, list[Circle]] = {}
@@ -713,7 +709,7 @@ def _check_p4_2(ctx: _Ctx, budget: Budget):
     return cases, bad, None, {}, None
 
 
-def _check_p4_3(ctx: _Ctx, budget: Budget):
+def _check_p4_3(ctx: _Ctx):
     space = ctx.space
     cases, bad = 0, []
     member_heights = {M.c for M in ctx.members}
@@ -734,25 +730,11 @@ def _check_p4_3(ctx: _Ctx, budget: Budget):
     return cases, bad, None, {}, None
 
 
-def _check_l4_1(ctx: _Ctx, budget: Budget):
-    plane = ctx.plane
+def _check_l4_1(ctx: _Ctx):
     cases, bad = 0, []
-    for L in ctx.members:
-        fam = _tangent_family(plane, L)
-        n = len(fam)
-        inter = [0] * n
-        samept = [0] * n
-        for i in range(n):
-            samept[i] |= 1 << i
-            inter[i] |= 1 << i
-            for j in range(i + 1, n):
-                if fam[i][1] == fam[j][1]:
-                    samept[i] |= 1 << j
-                    samept[j] |= 1 << i
-                elif plane.intersection_size(fam[i][0], fam[j][0]) >= 1:
-                    inter[i] |= 1 << j
-                    inter[j] |= 1 << i
-        for qi in range(n):
+    for L, fam in ctx.families.items():
+        inter, samept = fam.inter, fam.samept
+        for qi in range(len(fam.circles)):
             linked = inter[qi] & ~samept[qi]
             others = []
             m = linked
@@ -765,38 +747,37 @@ def _check_l4_1(ctx: _Ctx, budget: Budget):
                 miss = linked & ~inter[pi] & ~samept[pi]
                 if miss:
                     ri = (miss & -miss).bit_length() - 1
-                    bad.append({"member": list(L), "P": list(fam[pi][0]),
-                                "Q": list(fam[qi][0]), "R": list(fam[ri][0])})
+                    bad.append({"member": list(L), "P": list(fam.circles[pi]),
+                                "Q": list(fam.circles[qi]), "R": list(fam.circles[ri])})
     return cases, bad, None, {}, None
 
 
-def _equiv_sweep(ctx: _Ctx, law_filter):
-    """Run thm_equiv_rel over every member, keeping selected law witnesses."""
+def _equiv_sweep(ctx: _Ctx, laws: tuple[str, ...]):
+    """The thm_equiv_rel sweep over every member, keeping the witnesses of
+    the named laws."""
     cases, bad = 0, []
-    for M in ctx.members:
-        _, rep = thm_equiv_rel(ctx.plane, M)
+    for rep in ctx.equiv_reports:
         cases += rep.cases_checked
-        bad.extend(w for w in rep.witnesses if law_filter(w.get("law", "")))
+        bad.extend(w for w in rep.witnesses if w["law"] in laws)
     return cases, bad
 
 
-def _check_p4_4(ctx: _Ctx, budget: Budget):
-    cases, bad = _equiv_sweep(ctx, lambda law: law in
-                              ("reflexive", "symmetric", "transitive"))
+def _check_p4_4(ctx: _Ctx):
+    cases, bad = _equiv_sweep(ctx, ("reflexive", "symmetric", "transitive"))
     return cases, bad, None, {}, None
 
 
-def _check_p4_5(ctx: _Ctx, budget: Budget):
-    cases, bad = _equiv_sweep(ctx, lambda law: law == "single_witness")
+def _check_p4_5(ctx: _Ctx):
+    cases, bad = _equiv_sweep(ctx, ("single_witness",))
     return cases, bad, None, {}, None
 
 
-def _check_p4_6(ctx: _Ctx, budget: Budget):
+def _check_p4_6(ctx: _Ctx):
     plane, space = ctx.plane, ctx.space
     cases, bad = 0, []
-    analyses = {M.c: EquivAnalysis(plane, M) for M in ctx.members}
+    families = {M.c: fam for M, fam in ctx.families.items()}
     for x in space.points:
-        ana = analyses[x.y]
+        fam = families[x.y]
         for y in space.points:
             if y == x or not plane.parallel(x, y):
                 continue
@@ -806,22 +787,21 @@ def _check_p4_6(ctx: _Ctx, budget: Budget):
                 if z == x:
                     continue
                 cases += 1
-                if (z in line_pts) != ana.equivalent(z, y):
+                if (z in line_pts) != fam.equivalent(z, y):
                     bad.append({"x": repr(x), "y": repr(y), "z": repr(z)})
     return cases, bad, None, {}, None
 
 
-def _check_p4_7(ctx: _Ctx, budget: Budget):
-    cases, bad = _equiv_sweep(ctx, lambda law: law == "two_circle_count")
+def _check_p4_7(ctx: _Ctx):
+    cases, bad = _equiv_sweep(ctx, ("two_circle_count",))
     notes = ("the second point ranges over affine points off the member: the "
              "two-circle construction joins it to the ideal point, which "
              "needs the pair nonparallel")
     return cases, bad, notes, {}, None
 
 
-def _check_r4_1(ctx: _Ctx, budget: Budget):
-    cases, bad = _equiv_sweep(ctx, lambda law: law in
-                              ("square_class_rule", "block_count"))
+def _check_r4_1(ctx: _Ctx):
+    cases, bad = _equiv_sweep(ctx, ("square_class_rule", "block_count"))
     return cases, bad, None, {}, None
 
 
@@ -832,7 +812,7 @@ _L42_NOTE = ("reading: an ideal point on the join circle based at x through "
              "plus nonemptiness of every direction class")
 
 
-def _check_l4_2(ctx: _Ctx, budget: Budget):
+def _check_l4_2(ctx: _Ctx):
     plane = ctx.plane
     q = plane.q
     cases, bad = 0, []
@@ -860,28 +840,18 @@ def _check_l4_2(ctx: _Ctx, budget: Budget):
     return cases, bad, _L42_NOTE, {}, None
 
 
-def _locus_sweep(ctx: _Ctx):
-    plane = ctx.plane
-    out = []
-    for beta in range(1, plane.q):
-        for x in ctx.space.points:
-            locus, rep = thm_tangency_locus(plane, ctx.pencil, ideal(beta), x)
-            out.append((beta, x, locus, rep))
-    return out
-
-
-def _check_t4_1(ctx: _Ctx, budget: Budget):
+def _check_t4_1(ctx: _Ctx):
     cases, bad = 0, []
-    for beta, x, locus, rep in _locus_sweep(ctx):
+    for beta, x, locus, rep in ctx.loci:
         cases += rep.cases_checked
         bad.extend(dict(w, beta=beta, x=repr(x)) for w in rep.witnesses)
     return cases, bad, None, {}, None
 
 
-def _check_c4_2(ctx: _Ctx, budget: Budget):
+def _check_c4_2(ctx: _Ctx):
     plane = ctx.plane
     cases, bad = 0, []
-    for beta, x, locus, rep in _locus_sweep(ctx):
+    for beta, x, locus, rep in ctx.loci:
         cases += 1
         qprime = ideal((-beta) % plane.q)
         if not plane.incident(qprime, locus):
@@ -889,34 +859,17 @@ def _check_c4_2(ctx: _Ctx, budget: Budget):
     return cases, bad, None, {}, None
 
 
-def _check_t4_2(ctx: _Ctx, budget: Budget):
+def _check_t4_2(ctx: _Ctx):
     plane = ctx.plane
     cases, bad = 0, []
+    # TangentFamily.common_tangents, equivalent and witness_pair are inlined:
+    # the pair loop runs 345,744 times at q=7, and the calls would add about
+    # a quarter to this check
     for L in plane.circles:
-        fam = _tangent_family(plane, L)
-        n = len(fam)
-        inter = [0] * n
-        samept = [0] * n
-        for i in range(n):
-            inter[i] |= 1 << i
-            samept[i] |= 1 << i
-            for j in range(i + 1, n):
-                if plane.intersection_size(fam[i][0], fam[j][0]) >= 1:
-                    inter[i] |= 1 << j
-                    inter[j] |= 1 << i
-                if fam[i][1] == fam[j][1]:
-                    samept[i] |= 1 << j
-                    samept[j] |= 1 << i
-        lpts = set(plane.circle_points(L))
-        pmask: dict[Point, int] = {}
-        plist: dict[Point, list[int]] = {}
-        for i, (M, t) in enumerate(fam):
-            for pt in plane.circle_points(M):
-                if pt in lpts:
-                    continue
-                pmask[pt] = pmask.get(pt, 0) | (1 << i)
-                plist.setdefault(pt, []).append(i)
-        pts = sorted(pmask)
+        fam = TangentFamily(plane, L)
+        inter, samept = fam.inter, fam.samept
+        pmask, plist = fam.point_mask, fam.point_list
+        pts = fam.off_points
         for ai in range(len(pts)):
             a = pts[ai]
             for b in pts[ai + 1:]:
@@ -949,19 +902,16 @@ _CHECKERS = {
 }
 
 
-def thm_check(check_id: str, q: int, budget: Budget | None = None,
-              seed: int = 0) -> Report:
+def thm_check(check_id: str, q: int) -> Report:
     """Run one catalog check at field size q (canonical pencil)."""
     if check_id not in _CHECKERS:
         raise GeometryError(f"unknown check id {check_id!r}", code="bad_check")
     if q == 2 or q % 2 == 0:
         raise GeometryError("catalog checks need an odd prime q", code="char2_group")
     ctx = _context(q)
-    if budget is None:
-        budget = Budget("exhaustive", 0, seed)
     rep = Report(check_id, q, PASS)
     with timed(rep):
-        cases, witnesses, notes, details, status = _CHECKERS[check_id](ctx, budget)
+        cases, witnesses, notes, details, status = _CHECKERS[check_id](ctx)
         rep.cases_checked = cases
         rep.witnesses = witnesses
         rep.reading_notes = notes
@@ -974,6 +924,5 @@ def thm_check(check_id: str, q: int, budget: Budget | None = None,
     return rep
 
 
-def run_suite(q: int, ids: tuple[str, ...] = CHECK_IDS,
-              budget: Budget | None = None, seed: int = 0) -> list[Report]:
-    return [thm_check(cid, q, budget, seed) for cid in ids]
+def run_suite(q: int, ids: tuple[str, ...] = CHECK_IDS) -> list[Report]:
+    return [thm_check(cid, q) for cid in ids]

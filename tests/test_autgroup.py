@@ -237,6 +237,19 @@ def test_conjugated_group_other_pencils():
             assert ok, wit
 
 
+def test_normalizer_mismatch_is_a_geometry_error(monkeypatch):
+    # a normalizer that is an automorphism but misses the target pencil must
+    # be rejected, also under python -O
+    from laguerre import autgroup
+    real = autgroup.circle_add_map
+    monkeypatch.setattr(autgroup, "circle_add_map",
+                        lambda plane, Q: real(plane, Circle(0, 0, 0)))
+    pl = LaguerrePlane(5)
+    with pytest.raises(GeometryError) as e:
+        DeltaGroup.build(pl, pl.pencil(ideal(2), Circle(2, 1, 3)))
+    assert e.value.code == "normalizer_mismatch"
+
+
 def test_group_json(delta5):
     blob = delta5.to_json()
     assert blob["q"] == 5

@@ -103,12 +103,36 @@ def test_usage_errors(capsys):
 
 def test_bad_budget_is_a_usage_error(capsys):
     for budget in ("bogus", "sample:x", "sample:0"):
-        for argv in (("skewaffine", "verify", "--q", "5", "--axiom", "T"),
-                     ("theorems", "run", "--q", "5", "--id", "P4.6")):
-            code, out, err = run_cli(capsys, *argv, "--budget", budget)
-            assert code == 2, (argv, budget)
-            assert out == ""
-            assert err.startswith("error: ") and err.count("\n") == 1, err
+        argv = ("skewaffine", "verify", "--q", "5", "--axiom", "T")
+        code, out, err = run_cli(capsys, *argv, "--budget", budget)
+        assert code == 2, budget
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    # the catalog is always exhaustive and takes no budget or seed
+    for flag in (("--budget", "sample:5"), ("--seed", "1")):
+        code, out, _ = run_cli(capsys, "theorems", "run", "--q", "5",
+                               "--id", "P4.6", *flag)
+        assert code == 2 and out == "", flag
+
+
+def test_bad_workers_is_a_usage_error(capsys, monkeypatch):
+    for value in ("abc", "0", "-2", "1.5", ""):
+        monkeypatch.setenv("LAGUERRE_WORKERS", value)
+        code, out, err = run_cli(capsys, "theorems", "run", "--q", "3",
+                                 "--id", "P2.2")
+        assert code == 2, value
+        assert out == ""
+        assert err.startswith("error: LAGUERRE_WORKERS") and err.count("\n") == 1, err
+
+
+def test_workers_capped_at_cpu_count(monkeypatch):
+    from laguerre import cli
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    for value, want in (("1", 1), ("2", 2), ("3", 3), ("1000000", 3)):
+        monkeypatch.setenv("LAGUERRE_WORKERS", value)
+        assert cli._workers() == want, value
+    monkeypatch.delenv("LAGUERRE_WORKERS")
+    assert cli._workers() == 1
 
 
 def test_export_plane(tmp_path, capsys):

@@ -1,0 +1,37 @@
+"""Byte-for-byte comparison of CLI output with committed golden files.
+
+Each file under ``tests/golden/`` holds the exact stdout of one command.  A
+refactor that keeps every verdict but changes a case count, a witness, a
+key or the key order shows up here as a diff.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from laguerre.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+SAMPLED = ("--budget", "sample:5000", "--seed", "7", "--json")
+
+CASES = {
+    "theorems_q3.json": ("theorems", "run", "--q", "3", "--json"),
+    "theorems_q5.json": ("theorems", "run", "--q", "5", "--json"),
+    "skewaffine_q5.json": ("skewaffine", "verify", "--q", "5", "--axiom", "all",
+                           "--json"),
+    "skewaffine_q5_exhaustive.json": ("skewaffine", "verify", "--q", "5",
+                                      "--axiom", "all", "--budget", "exhaustive",
+                                      "--json"),
+    **{f"skewaffine_q5_{axiom}_sample5000_seed7.json":
+       ("skewaffine", "verify", "--q", "5", "--axiom", axiom, *SAMPLED)
+       for axiom in ("T", "Des", "Pap")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(name, capsys):
+    code = main(list(CASES[name]))
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (GOLDEN / name).read_text(encoding="utf-8")

@@ -194,6 +194,11 @@ def test_axiom_budget_modes(space5):
     assert len(rep.details["second"]) == 5 + 2  # q + 2 stabilizer orbits
     rep = space5.check_axiom("L1", Budget("orbit", 0, 0))  # nothing to reduce
     assert rep.details == {"mode": "exhaustive"}
+    for axiom in ("L1", "L2", "P1", "P2", "V", "Pgm"):  # no sampled form
+        rep = space5.check_axiom(axiom, Budget("sample", 10, seed=3))
+        assert rep.details == {"mode": "exhaustive"}, axiom
+        assert rep.cases_checked == space5.check_axiom(
+            axiom, Budget("exhaustive", 0, 0)).cases_checked
     with pytest.raises(GeometryError):
         space5.check_axiom("XX")
 
@@ -225,7 +230,30 @@ def test_sampled_reports_deterministic(space5):
     from laguerre import Budget
     r1 = space5.check_axiom("Des", Budget("sample", 5000, seed=7))
     r2 = space5.check_axiom("Des", Budget("sample", 5000, seed=7))
-    assert r1.to_json() == r2.to_json()
+    assert r1.to_dict() == r2.to_dict()
+
+
+def test_sampled_failure_witnesses_are_pinned(plane5, delta5):
+    # three damaged join classes make T, Des and Pap fail; the draw count and
+    # the first failing case depend on every randrange call, so a change to
+    # the draw order or the rejections shows here
+    from laguerre import Budget
+    gs = GroupSpace.build(plane5, canonical_pencil(plane5), delta5,
+                          check_preconditions=False)
+    for i, j in ((2, 5), (5, 2), (7, 11)):
+        gs._joinclass[i][j] = (gs._joinclass[i][j] + 1) % gs.ncls
+    expected = {
+        "T": (24, {"x": "A(3,0)", "y": "A(0,2)", "z": "A(1,0)",
+                   "x'": "A(2,4)", "y'": "A(4,1)"}),
+        "Des": (22, {"u": "A(3,0)", "x": "A(0,2)", "y": "A(1,0)",
+                     "z": "A(2,4)", "x'": "A(4,3)"}),
+        "Pap": (27, {"u": "A(1,1)", "x": "A(0,2)", "y": "A(2,2)",
+                     "z": "A(4,0)", "x'": "A(1,0)"}),
+    }
+    for axiom, (cases, witness) in expected.items():
+        rep = gs.check_axiom(axiom, Budget("sample", 10 ** 6, seed=7))
+        assert rep.status == "fail"
+        assert (rep.cases_checked, rep.witnesses) == (cases, [witness]), axiom
 
 
 def test_noncanonical_space_smoke():
