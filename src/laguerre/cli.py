@@ -41,9 +41,18 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ``UsageError`` where argparse would print usage and exit, so a
+    bad flag gets the same one-line ``error:`` as any other bad input.
+    Subparsers inherit the class."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="laguerre-verify", description=__doc__,
-                                  formatter_class=argparse.RawDescriptionHelpFormatter)
+    top = _Parser(prog="laguerre-verify", description=__doc__,
+                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = top.add_subparsers(dest="command", required=True)
 
     def add_common(p):
@@ -229,12 +238,8 @@ def _cmd_export(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return 2 if e.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         if args.command == "plane":
             return _cmd_plane_verify(args)
         if args.command == "group":
@@ -246,10 +251,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "export":
             return _cmd_export(args)
         raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (FieldError, GeometryError) as e:
+    except SystemExit as e:  # only --help exits; argparse errors raise UsageError
+        return 2 if e.code not in (0, None) else 0
+    except (UsageError, FieldError, GeometryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -7,14 +7,22 @@ parallel points stay inside one generator and pick up only the square-class
 half of it ("special" lines).  Parallelism is the group orbit relation on
 lines.
 
-Line identity.  A line is stored as its sorted point set plus its kind and,
-for special lines, the square class of the offsets measured from the
-basepoint.  The extra label matters only at q = 3, where the two-point sets
-x⊔y and y⊔x coincide while their offset classes differ; keying on the bare
-set there would merge lines from different parallel classes and break both
-the census and the Euclidean axiom.  The label is invariant under the group
-action (offsets scale by k^2), so parallel classes, straightness, and every
-axiom sweep are unaffected for q > 3.
+Point indices.  Inside ``GroupSpace`` a point is its index in the sorted
+list ``points``, and a group element acts only through the index permutation
+``point_perm`` returns; ``line_image`` carries a line along such a
+permutation.  Stabilizers, joins, parallel classes and the orbit sweeps are
+all built on these two.  Named points appear only at the boundary: ``join``,
+``Line.points`` and ``Line.base_points``, witnesses and ``to_json``.
+
+Line identity.  A line is identified by the sorted tuple of its point
+indices, its kind and, for special lines, the square class of the offsets
+measured from the basepoint.  Index order is point order, so lines sort as
+their point sets do.  The offset-class label matters only at q = 3, where the
+two-point sets x⊔y and y⊔x coincide while their offset classes differ;
+keying on the bare set there would merge lines from different parallel
+classes and break both the census and the Euclidean axiom.  The label is
+invariant under the group action (offsets scale by k^2), so parallel
+classes, straightness, and every axiom sweep are unaffected for q > 3.
 
 Every join is computed twice - by orbit enumeration and by the closed-form
 circle/square-class description - and the two must agree.
@@ -38,9 +46,10 @@ exhaustive.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 
-from .plane import Circle, GeometryError, LaguerrePlane, Pencil, Point, affine
+from .plane import GeometryError, LaguerrePlane, Pencil, Point
 from .autgroup import IDENTITY, DeltaGroup, PencilAut
 from .report import Budget, FAIL, PASS, Report, timed
 
@@ -65,37 +74,52 @@ _NOTES = {
 }
 
 
-@dataclass
+@dataclass(eq=False)
 class Line:
     """One line of the group space.
 
-    ``base_points`` is definitional: every x whose join with some other
-    point of the line reproduces the line.  Straight lines have all their
-    points here, proper lines exactly one.
+    ``ids`` are the sorted indices of its points in ``labels``, the point
+    list of its space.  ``bases`` is definitional: every x whose join with some other point of
+    the line reproduces the line.  Straight lines have all their points
+    there, proper lines exactly one.
     """
 
     index: int
-    points: tuple[Point, ...]
+    ids: tuple[int, ...]
     kind: str
     offset_class: str | None
-    base_points: tuple[Point, ...] = ()
+    bases: tuple[int, ...]
+    labels: list[Point] = field(repr=False)
     class_id: int = -1
 
     @property
-    def key(self):
-        return (self.points, self.kind, self.offset_class)
+    def points(self) -> tuple[Point, ...]:
+        return tuple(self.labels[i] for i in self.ids)
 
     @property
-    def straight(self) -> bool:
-        return len(self.base_points) == len(self.points)
+    def base_points(self) -> tuple[Point, ...]:
+        return tuple(self.labels[i] for i in self.bases)
 
     def to_json(self) -> dict:
         return {
-            "base": self.base_points[0].to_json(),
+            "base": self.labels[self.bases[0]].to_json(),
             "kind": self.kind,
             "class": self.class_id,
             "points": [p.to_json() for p in self.points],
         }
+
+
+def _reach(start, moves) -> set:
+    """Everything reachable from ``start`` by repeated ``moves``."""
+    seen, todo = {start}, [start]
+    while todo:
+        here = todo.pop()
+        for move in moves:
+            there = move(here)
+            if there not in seen:
+                seen.add(there)
+                todo.append(there)
+    return seen
 
 
 class GroupSpace:
@@ -133,74 +157,78 @@ class GroupSpace:
             return pt
         return self.delta._norm_inv.apply_point(pt)
 
-    def _pushforward(self, pt: Point) -> Point:
-        if self.delta.normalizer is None:
-            return pt
-        return self.delta.normalizer.apply_point(pt)
+    def point_perm(self, f: PencilAut) -> list[int]:
+        """The permutation of point indices by which ``f`` acts."""
+        index, apply = self.index, self.delta.apply
+        return [index[apply(f, p)] for p in self.points]
 
-    def _join_raw(self, x: Point, y: Point) -> tuple[tuple[Point, ...], str, str | None]:
-        """(points, kind, offset_class) of x⊔y, via both routes."""
-        delta = self.delta
-        orbit = {delta.apply(f, y) for f in self._stab[x]}
-        orbit.add(x)
-        got = tuple(sorted(orbit))
+    def line_image(self, perm: list[int], line: Line) -> Line:
+        """The line that the point permutation ``perm`` carries ``line`` to."""
+        ids = tuple(sorted(perm[i] for i in line.ids))
+        return self._line_by_key[(ids, line.kind, line.offset_class)]
 
-        gf = self.gf
-        cx, cy = self._pullback(x), self._pullback(y)
-        # in canonical coordinates both points are affine
-        if cx.x != cy.x:
-            A = gf.div(cy.y - cx.y, (cy.x - cx.x) ** 2)
-            C = Circle(A, (-2 * A * cx.x) % gf.q, (A * cx.x * cx.x + cx.y) % gf.q)
-            pts = [affine(s, self.plane.evaluate(C, s)) for s in range(gf.q)]
+    def _build(self) -> None:
+        self._gens = self._generators()
+        base_gen = self.delta.base_generator_points()
+        self.points = [p for p in self.plane.points if p not in base_gen]
+        self.n = n = len(self.points)
+        self.index = {p: i for i, p in enumerate(self.points)}
+        # every residual point is affine in canonical coordinates
+        q = self.q
+        canon = [(c.x, c.y) for c in map(self._pullback, self.points)]
+        at = [-1] * (q * q)
+        for i, (cx, cy) in enumerate(canon):
+            at[cx * q + cy] = i
+
+        perms = [self.point_perm(f) for f in self.delta.elements]
+        pairs: dict[tuple, list[tuple[int, int]]] = {}
+        for i in range(n):
+            stab = [perm for perm in perms if perm[i] == i]
+            for j in range(n):
+                if j != i:
+                    key = self._join_key(i, j, stab, canon, at)
+                    pairs.setdefault(key, []).append((i, j))
+        self._stab0 = [perm for perm in perms if perm[0] == 0]
+        self._gen_perms = [self.point_perm(g) for g in self._gens]
+
+        self._joinline = [[-1] * n for _ in range(n)]
+        for ix, key in enumerate(sorted(pairs, key=lambda k: (k[0], k[1], k[2] or ""))):
+            ids, kind, label = key
+            for i, j in pairs[key]:
+                self._joinline[i][j] = ix
+            bases = tuple(sorted({i for i, _ in pairs[key]}))
+            self.lines.append(Line(ix, ids, kind, label, bases, self.points))
+        self._line_by_key = {(l.ids, l.kind, l.offset_class): l for l in self.lines}
+        self._assign_classes()
+        self._build_tables()
+
+    def _join_key(self, x: int, y: int, stab: list[list[int]],
+                  canon: list[tuple[int, int]], at: list[int]) -> tuple:
+        """The identity (ids, kind, offset_class) of x⊔y, via both routes:
+        the orbit of y under ``stab``, the stabilizer of x, and the closed
+        form in the canonical coordinates ``canon`` of each point, mapped
+        back to indices by ``at[cx * q + cy]``."""
+        got = tuple(sorted({perm[y] for perm in stab} | {x}))
+
+        q, gf = self.q, self.gf
+        (x0, y0), (x1, y1) = canon[x], canon[y]
+        if x0 != x1:
+            A = gf.div(y1 - y0, (x1 - x0) ** 2)
+            B, C = (-2 * A * x0) % q, (A * x0 * x0 + y0) % q
+            want = [at[s * q + (A * s * s + B * s + C) % q] for s in range(q)]
             kind = STRAIGHT if A == 0 else CIRCLE_LINE
             label = None
         else:
-            d = (cy.y - cx.y) % gf.q
-            heights = [cx.y] + [(cx.y + s * d) % gf.q for s in sorted(gf.squares)]
-            pts = [affine(cx.x, h) for h in heights]
+            d = (y1 - y0) % q
+            want = [at[x0 * q + y0]] + [at[x0 * q + (y0 + s * d) % q]
+                                        for s in gf.squares]
             kind = SPECIAL
             label = gf.square_class(d)
-        want = tuple(sorted(self._pushforward(p) for p in pts))
-        if want != got:
+        if tuple(sorted(want)) != got:
             raise GeometryError(f"join mismatch between orbit and closed form "
-                                f"at {x}, {y}", code="join_mismatch")
+                                f"at {self.points[x]}, {self.points[y]}",
+                                code="join_mismatch")
         return got, kind, label
-
-    def _build(self) -> None:
-        plane, delta = self.plane, self.delta
-        self._gens = self._generators()
-        base_gen = delta.base_generator_points()
-        self.points = [p for p in plane.points if p not in base_gen]
-        self.n = len(self.points)
-        self.index = {p: i for i, p in enumerate(self.points)}
-        self._stab = {x: delta.stabilizer(x) for x in self.points}
-
-        raw: dict[tuple, set] = {}
-        pair_key: dict[tuple[int, int], tuple] = {}
-        for i, x in enumerate(self.points):
-            for j, y in enumerate(self.points):
-                if i == j:
-                    continue
-                pts, kind, label = self._join_raw(x, y)
-                key = (pts, kind, label)
-                pair_key[(i, j)] = key
-                entry = raw.get(key)
-                if entry is None:
-                    raw[key] = entry = set()
-                entry.add(x)
-
-        keys = sorted(raw, key=lambda k: (k[0], k[1], k[2] or ""))
-        self.lines = [Line(ix, pts, kind, label,
-                           base_points=tuple(sorted(raw[(pts, kind, label)])))
-                      for ix, (pts, kind, label) in enumerate(keys)]
-        self._line_by_key = {line.key: line.index for line in self.lines}
-        n = self.n
-        self._joinline = [[-1] * n for _ in range(n)]
-        for (i, j), key in pair_key.items():
-            self._joinline[i][j] = self._line_by_key[key]
-
-        self._assign_classes()
-        self._build_tables()
 
     def _generators(self) -> list[PencilAut]:
         """A primitive root plus the two unit translations.
@@ -212,17 +240,7 @@ class GroupSpace:
         proot = next(g for g in range(2, q)
                      if len({pow(g, e, q) for e in range(q - 1)}) == q - 1)
         gens = [PencilAut(proot, 0, 0), PencilAut(1, 1, 0), PencilAut(1, 0, 1)]
-        closure = {IDENTITY}
-        frontier = [IDENTITY]
-        while frontier:
-            nxt = []
-            for f in frontier:
-                for g in gens:
-                    h = self.delta.compose(g, f)
-                    if h not in closure:
-                        closure.add(h)
-                        nxt.append(h)
-            frontier = nxt
+        closure = _reach(IDENTITY, [partial(self.delta.compose, g) for g in gens])
         if closure != set(self.delta.elements):
             raise GeometryError(f"the generators close to {len(closure)} elements, "
                                 f"not to the {len(self.delta.elements)} of the group",
@@ -235,27 +253,14 @@ class GroupSpace:
         The generators suffice for the orbit partition.  Their permutations
         of the lines are kept for the equivariance check of the orbit sweeps.
         """
-        def line_image(line: Line, g: PencilAut) -> int:
-            pts = tuple(sorted(self.delta.apply(g, p) for p in line.points))
-            return self._line_by_key[(pts, line.kind, line.offset_class)]
-
-        self._line_perms = [[line_image(line, g) for line in self.lines]
-                            for g in self._gens]
+        self._line_perms = [[self.line_image(perm, line).index for line in self.lines]
+                            for perm in self._gen_perms]
+        moves = [perm.__getitem__ for perm in self._line_perms]
         class_of = [-1] * len(self.lines)
         for start in range(len(self.lines)):
-            if class_of[start] != -1:
-                continue
-            class_of[start] = start
-            frontier = [start]
-            while frontier:
-                nxt = []
-                for li in frontier:
-                    for perm in self._line_perms:
-                        im = perm[li]
-                        if class_of[im] == -1:
-                            class_of[im] = start
-                            nxt.append(im)
-                frontier = nxt
+            if class_of[start] == -1:
+                for li in _reach(start, moves):
+                    class_of[li] = start
         for line in self.lines:
             line.class_id = class_of[line.index]
         self.class_ids = sorted(set(class_of))
@@ -284,8 +289,7 @@ class GroupSpace:
             for j in range(n):
                 if i != j:
                     self._linepts_minus[i][j] = tuple(
-                        self.index[p] for p in self.lines[jl[i][j]].points
-                        if self.index[p] != i)
+                        k for k in self.lines[jl[i][j]].ids if k != i)
 
     # -- public queries -----------------------------------------------------
 
@@ -316,7 +320,7 @@ class GroupSpace:
     def _leading(self, line: Line) -> int:
         if line.kind == STRAIGHT:
             return 0
-        pts = [self._pullback(p) for p in line.points[:3]]
+        pts = [self._pullback(self.points[i]) for i in line.ids[:3]]
         C = self.plane.circle_through(*pts)
         return C.a
 
@@ -325,23 +329,16 @@ class GroupSpace:
         for t in range(self.q):
             for g in range(self.q):
                 f = PencilAut(1, t, g)
-                pts = tuple(sorted(self.delta.apply(f, p) for p in L1.points))
-                if (pts, L1.kind, L1.offset_class) == L2.key:
+                if self.line_image(self.point_perm(f), L1) is L2:
                     return f
         return None
 
     def classify_line(self, line: Line) -> tuple[str, tuple[Point, ...]]:
         """Kind plus the definitional basepoint set (fresh scan)."""
-        bases = []
-        for x in line.points:
-            i = self.index[x]
-            for y in line.points:
-                if y == x:
-                    continue
-                if self._joinline[i][self.index[y]] == line.index:
-                    bases.append(x)
-                    break
-        return line.kind, tuple(sorted(bases))
+        jl = self._joinline
+        return line.kind, tuple(
+            self.points[x] for x in line.ids
+            if any(y != x and jl[x][y] == line.index for y in line.ids))
 
     def census(self) -> dict:
         counts = {CIRCLE_LINE: 0, STRAIGHT: 0, SPECIAL: 0}
@@ -436,14 +433,13 @@ class GroupSpace:
         if self._orbit_plan is None:
             first = 0
             self._check_equivariance(first)
-            stab = self._stab[self.points[first]]
             seen = [False] * self.n
             seen[first] = True
             orbits = []
             for y in range(self.n):
                 if seen[y]:
                     continue
-                orbit = {self.index[self.delta.apply(f, self.points[y])] for f in stab}
+                orbit = {perm[y] for perm in self._stab0}
                 for j in orbit:
                     seen[j] = True
                 orbits.append((y, len(orbit)))
@@ -457,8 +453,7 @@ class GroupSpace:
         must carry ``first`` to every point; then ``first`` alone can stand
         for all first points."""
         n, jl, jc = self.n, self._joinline, self._joinclass
-        perms = [[self.index[self.delta.apply(g, p)] for p in self.points]
-                 for g in self._gens]
+        perms = self._gen_perms
         for g, perm, line_perm in zip(self._gens, perms, self._line_perms):
             for i in range(n):
                 jl_i, jc_i = jl[i], jc[i]
@@ -472,15 +467,7 @@ class GroupSpace:
                             witnesses=[{"generator": list(g),
                                         "x": repr(self.points[i]),
                                         "y": repr(self.points[j])}])
-        reached, frontier = {first}, [first]
-        while frontier:
-            nxt = []
-            for i in frontier:
-                for perm in perms:
-                    if perm[i] not in reached:
-                        reached.add(perm[i])
-                        nxt.append(perm[i])
-            frontier = nxt
+        reached = _reach(first, [perm.__getitem__ for perm in perms])
         if len(reached) != n:
             raise GeometryError(
                 f"the generators carry {self.points[first]!r} to {len(reached)} "
@@ -488,13 +475,13 @@ class GroupSpace:
 
     def _ax_L1(self, budget: Budget):
         cases, witnesses = 0, []
-        for i, x in enumerate(self.points):
-            for j, y in enumerate(self.points):
+        for i in range(self.n):
+            for j in range(self.n):
                 if i == j:
                     continue
                 cases += 1
-                pts = self.lines[self._joinline[i][j]].points
-                if x not in pts or y not in pts:
+                ids = self.lines[self._joinline[i][j]].ids
+                if i not in ids or j not in ids:
                     witnesses.append(self._witness(("x", "y"), i, j))
         return cases, witnesses, {"mode": "exhaustive"}
 

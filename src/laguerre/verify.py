@@ -159,8 +159,8 @@ class _Ctx:
 
     @cached_property
     def equiv_reports(self) -> list[Report]:
-        """``thm_equiv_rel`` per pencil member."""
-        return [thm_equiv_rel(self.plane, M)[1] for M in self.members]
+        """``thm_equiv_rel`` per pencil member, on the memoised families."""
+        return [_equiv_report(self.plane, M, fam)[1] for M, fam in self.families.items()]
 
     @cached_property
     def loci(self) -> list[tuple[int, Point, Circle, Report]]:
@@ -188,6 +188,12 @@ def thm_equiv_rel(plane: LaguerrePlane, member: Circle) -> tuple[EquivPartition,
     if not (member.a == 0 and member.b == 0):
         raise GeometryError("member must belong to the canonical pencil",
                             code="not_canonical_member")
+    return _equiv_report(plane, member, TangentFamily(plane, member))
+
+
+def _equiv_report(plane: LaguerrePlane, member: Circle,
+                  fam: TangentFamily) -> tuple[EquivPartition, Report]:
+    """``thm_equiv_rel`` on the tangent family ``fam`` of ``member``."""
 
     def rule_class(p: Point) -> str:
         """Square class of the height offset (ideal points use their label)."""
@@ -195,7 +201,6 @@ def thm_equiv_rel(plane: LaguerrePlane, member: Circle) -> tuple[EquivPartition,
 
     rep = Report("equiv-rel", plane.q, PASS)
     with timed(rep):
-        fam = TangentFamily(plane, member)
         pts = fam.off_points
         cases = 0
         for a in pts:
@@ -644,14 +649,11 @@ def _check_c3_3(ctx: _Ctx):
 
 def _check_c3_4(ctx: _Ctx):
     space = ctx.space
-    translations = [f for f in ctx.delta.elements if f.k == 1]
+    translations = [space.point_perm(f) for f in ctx.delta.elements if f.k == 1]
     cases, bad = 0, []
     for line in space.lines:
-        imgs = set()
-        for f in translations:
-            cases += 1
-            pts = tuple(sorted(space.delta.apply(f, p) for p in line.points))
-            imgs.add(space._line_by_key[(pts, line.kind, line.offset_class)])
+        cases += len(translations)
+        imgs = {space.line_image(perm, line).index for perm in translations}
         cls = set(space.class_members[line.class_id])
         if imgs != cls:
             bad.append({"line": line.index, "orbit_size": len(imgs),

@@ -115,6 +115,21 @@ def test_bad_budget_is_a_usage_error(capsys):
         assert code == 2 and out == "", flag
 
 
+def test_argparse_errors_are_one_line(capsys):
+    for argv in (("theorems", "run", "--q", "5", "--budget", "sample:5"),
+                 ("theorems", "run"),
+                 ("nonsense",),
+                 ("export", "--q", "5", "--what", "circles", "--out", "x.json"),
+                 ("skewaffine", "verify", "--q", "five", "--axiom", "T")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    code, out, err = run_cli(capsys, "theorems", "run", "--help")
+    assert code == 0
+    assert out.startswith("usage: ") and err == ""
+
+
 def test_bad_workers_is_a_usage_error(capsys, monkeypatch):
     for value in ("abc", "0", "-2", "1.5", ""):
         monkeypatch.setenv("LAGUERRE_WORKERS", value)

@@ -1,8 +1,9 @@
 """Byte-for-byte comparison of CLI output with committed golden files.
 
-Each file under ``tests/golden/`` holds the exact stdout of one command.  A
-refactor that keeps every verdict but changes a case count, a witness, a
-key or the key order shows up here as a diff.
+Each file under ``tests/golden/`` holds the exact stdout of one command, or,
+for a command that takes ``--out OUT``, the file it writes.  A refactor that
+keeps every verdict but changes a case count, a witness, a key or the key
+order shows up here as a diff.
 """
 
 from pathlib import Path
@@ -15,6 +16,8 @@ GOLDEN = Path(__file__).parent / "golden"
 
 SAMPLED = ("--budget", "sample:5000", "--seed", "7", "--json")
 
+OUT = "<out>"  # stands for a file under tmp_path; the case compares that file
+
 CASES = {
     "theorems_q3.json": ("theorems", "run", "--q", "3", "--json"),
     "theorems_q5.json": ("theorems", "run", "--q", "5", "--json"),
@@ -26,12 +29,19 @@ CASES = {
     **{f"skewaffine_q5_{axiom}_sample5000_seed7.json":
        ("skewaffine", "verify", "--q", "5", "--axiom", axiom, *SAMPLED)
        for axiom in ("T", "Des", "Pap")},
+    "export_q5_space.json": ("export", "--q", "5", "--what", "space", "--out", OUT),
+    "export_q5_space_p1_2.json": ("export", "--q", "5", "--what", "space",
+                                  "--pencil", "p:1,2", "--out", OUT),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_cli_output_matches_golden(name, capsys):
-    code = main(list(CASES[name]))
+def test_cli_output_matches_golden(name, capsys, tmp_path):
+    out_file = tmp_path / name
+    argv = [str(out_file) if arg == OUT else arg for arg in CASES[name]]
+    code = main(argv)
     out = capsys.readouterr().out
     assert code == 0
+    if OUT in CASES[name]:
+        out = out_file.read_text(encoding="utf-8")
     assert out == (GOLDEN / name).read_text(encoding="utf-8")

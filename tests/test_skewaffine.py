@@ -2,7 +2,8 @@ import pytest
 
 from laguerre import (Circle, DeltaGroup, GeometryError, GroupSpace,
                       LaguerrePlane, PencilAut, affine, canonical_pencil, ideal)
-from laguerre.skewaffine import CIRCLE_LINE, ORBIT_AXIOMS, SPECIAL, STRAIGHT
+from laguerre.skewaffine import (AXIOMS, CIRCLE_LINE, ORBIT_AXIOMS, SPECIAL,
+                                 STRAIGHT)
 
 
 def test_join_examples(space5):
@@ -168,6 +169,23 @@ def test_build_rejects_generators_not_closed(plane5):
     assert e.value.code == "generators_not_closed"
 
 
+def test_build_rejects_join_mismatch(plane5):
+    # with an extra unit shift in y one element fixes no point any more, so
+    # it leaves every stabilizer and the orbit route misses points
+    pencil = canonical_pencil(plane5)
+    delta = DeltaGroup.build(plane5, pencil)
+    true_apply = delta.apply
+
+    def bent(f, pt):
+        img = true_apply(f, pt)
+        return affine(img.x, (img.y + 1) % 5) if f == PencilAut(4, 0, 0) else img
+
+    delta.apply = bent
+    with pytest.raises(GeometryError) as e:
+        GroupSpace.build(plane5, pencil, delta, check_preconditions=False)
+    assert e.value.code == "join_mismatch"
+
+
 def test_axiom_reports_exhaustive_small(space3):
     from laguerre import Budget
     for axiom in ("L1", "L2", "P1", "P2", "T", "V", "Pgm", "Des", "Pap"):
@@ -272,6 +290,46 @@ def test_noncanonical_space_smoke():
         rep = gs.check_axiom(axiom)
         assert rep.status == "pass", (axiom, rep.witnesses[:2])
         assert rep.details["mode"] == "orbit"
+
+
+@pytest.mark.parametrize("q", (3, 5))
+def test_every_vertex_pencil_matches_canonical(q):
+    # the groups of all pencils are conjugate, so every census and every
+    # default axiom sweep must come out as for the canonical pencil
+    pl = LaguerrePlane(q)
+    pencils = ([pl.pencil(affine(x, y), Circle(0, 0, y))
+                for x in range(q) for y in range(q)]
+               + [pl.pencil(ideal(a), Circle(a, 0, 0)) for a in range(q)])
+    assert len(pencils) == q * q + q
+
+    def outcomes(pencil):
+        gs = GroupSpace.build(pl, pencil, DeltaGroup.build(pl, pencil),
+                              check_preconditions=False)
+        return gs.census(), [(rep.status, rep.cases_checked, rep.details["mode"])
+                             for rep in map(gs.check_axiom, AXIOMS)]
+
+    want = outcomes(canonical_pencil(pl))
+    assert all(status == "pass" for status, _, _ in want[1])
+    for pencil in pencils:
+        assert outcomes(pencil) == want, pencil
+
+
+def test_line_image_matches_point_action(space3, space5):
+    # reference: act on the named points with DeltaGroup.apply and look the
+    # image up by point set, kind and offset class
+    pl = LaguerrePlane(5)
+    pencil = pl.pencil(affine(1, 2), Circle(0, 0, 2))
+    conjugated = GroupSpace.build(pl, pencil, DeltaGroup.build(pl, pencil),
+                                  check_preconditions=False)
+    for gs in (space3, space5, conjugated):
+        by_points = {(line.points, line.kind, line.offset_class): line
+                     for line in gs.lines}
+        for f in gs.delta.elements:
+            perm = gs.point_perm(f)
+            for line in gs.lines:
+                pts = tuple(sorted(gs.delta.apply(f, p) for p in line.points))
+                want = by_points[(pts, line.kind, line.offset_class)]
+                assert gs.line_image(perm, line) is want, (gs.q, f, line.index)
 
 
 def test_space_json(space3):
