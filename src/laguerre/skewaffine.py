@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 from .plane import GeometryError, LaguerrePlane, Pencil, Point
 from .autgroup import IDENTITY, DeltaGroup, PencilAut
@@ -162,8 +162,9 @@ class GroupSpace:
         index, apply = self.index, self.delta.apply
         return [index[apply(f, p)] for p in self.points]
 
-    def line_image(self, perm: list[int], line: Line) -> Line:
-        """The line that the point permutation ``perm`` carries ``line`` to."""
+    def line_image(self, perm: list[int] | dict[int, int], line: Line) -> Line:
+        """The line that the point permutation ``perm`` carries ``line`` to;
+        ``perm`` needs entries only for the line's own points."""
         ids = tuple(sorted(perm[i] for i in line.ids))
         return self._line_by_key[(ids, line.kind, line.offset_class)]
 
@@ -315,21 +316,33 @@ class GroupSpace:
             return False
         if k1 == SPECIAL:
             return L1.offset_class == L2.offset_class
-        return self._leading(L1) == self._leading(L2)
+        return self._leading[L1.index] == self._leading[L2.index]
 
-    def _leading(self, line: Line) -> int:
-        if line.kind == STRAIGHT:
-            return 0
-        pts = [self._pullback(self.points[i]) for i in line.ids[:3]]
-        C = self.plane.circle_through(*pts)
-        return C.a
+    @cached_property
+    def _leading(self) -> list[int | None]:
+        """The leading coefficient of each circle line's circle in canonical
+        coordinates (0 for straight lines, None for special ones), by line
+        index; filled on the first ``parallel_fast`` call."""
+        out: list[int | None] = []
+        for line in self.lines:
+            if line.kind == SPECIAL:
+                out.append(None)
+            elif line.kind == STRAIGHT:
+                out.append(0)
+            else:
+                pts = [self._pullback(self.points[i]) for i in line.ids[:3]]
+                out.append(self.plane.circle_through(*pts).a)
+        return out
 
     def translation_witness(self, L1: Line, L2: Line) -> PencilAut | None:
         """A k=1 element carrying L1 onto L2, if one exists."""
+        index, apply = self.index, self.delta.apply
+        own = [(i, self.points[i]) for i in L1.ids]
         for t in range(self.q):
             for g in range(self.q):
                 f = PencilAut(1, t, g)
-                if self.line_image(self.point_perm(f), L1) is L2:
+                perm = {i: index[apply(f, p)] for i, p in own}
+                if self.line_image(perm, L1) is L2:
                     return f
         return None
 

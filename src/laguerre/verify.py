@@ -75,14 +75,23 @@ class EquivPartition:
 
 
 class TangentFamily:
-    """The circles tangent to one circle L, with bitmask tables.
+    """The circles tangent to one circle L, as incidence bitmasks.
 
-    Circles are grouped by their touch point on L, in point order.  Bit j of
-    ``inter[i]`` is set when circles i and j meet (i itself included), bit j
-    of ``samept[i]`` when they touch L at the same point; ``point_mask[p]``
-    has bit i set when circle i passes through p, for every p off L.  Two
-    points off a pencil member are tangency-equivalent when every pair of
-    tangent circles through them meets.
+    Circles are grouped by their touch point on L, in point order; circle i
+    is bit i.  Every table comes from incidence alone.  Each plane point p,
+    on L or off it, ideal or affine, gets the mask of the circles through
+    it.  Two circles meet exactly when they share a point, so ``inter[i]``
+    (bit j set when circles i and j meet, i itself included) is the OR of
+    those masks over the points of circle i.  ``samept[i]`` (same touch
+    point) is the mask of circle i's touch point, since a tangent circle
+    meets L only there.  ``point_mask[p]`` is the mask of a point p off L.
+
+    Two points a, b off a pencil member are tangency-equivalent when every
+    tangent circle through a meets every one through b.  ``meets[a]``, the
+    AND of ``inter[i]`` over the circles i through a, and ``links[a]``, the
+    OR of ``inter[i] & ~samept[i]`` over the same circles, turn that test
+    and the single-witness test into one mask operation each.  Both are
+    derived from ``inter`` and ``samept`` on first use.
     """
 
     def __init__(self, plane: LaguerrePlane, L: Circle):
@@ -97,36 +106,46 @@ class TangentFamily:
                     touch.append(t)
         self.circles = circles
         self.touch = touch
-        n = len(circles)
-        inter = [1 << i for i in range(n)]
-        samept = [1 << i for i in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                if plane.intersection_size(circles[i], circles[j]) >= 1:
-                    inter[i] |= 1 << j
-                    inter[j] |= 1 << i
-                if touch[i] == touch[j]:
-                    samept[i] |= 1 << j
-                    samept[j] |= 1 << i
+        self._circle_points = cpts = [plane.circle_points(C) for C in circles]
+        through = dict.fromkeys(plane.points, 0)
+        for i, pts in enumerate(cpts):
+            for p in pts:
+                through[p] |= 1 << i
+        inter = []
+        for pts in cpts:
+            m = 0
+            for p in pts:
+                m |= through[p]
+            inter.append(m)
         self.inter = inter
-        self.samept = samept
-        self.point_mask: dict[Point, int] = {p: 0 for p in self.off_points}
-        self.point_list: dict[Point, list[int]] = {p: [] for p in self.off_points}
-        for i, C in enumerate(circles):
-            for p in plane.circle_points(C):
-                if p in self.point_mask:
-                    self.point_mask[p] |= 1 << i
-                    self.point_list[p].append(i)
+        self.samept = [through[t] for t in touch]
+        self.point_mask = {p: through[p] for p in self.off_points}
+
+    @cached_property
+    def meets(self) -> dict[Point, int]:
+        out = dict.fromkeys(self.off_points, (1 << len(self.circles)) - 1)
+        for m, pts in zip(self.inter, self._circle_points):
+            for p in pts:
+                if p in out:
+                    out[p] &= m
+        return out
+
+    @cached_property
+    def links(self) -> dict[Point, int]:
+        out = dict.fromkeys(self.off_points, 0)
+        for m, same, pts in zip(self.inter, self.samept, self._circle_points):
+            for p in pts:
+                if p in out:
+                    out[p] |= m & ~same
+        return out
 
     def equivalent(self, a: Point, b: Point) -> bool:
         """Every tangent circle through a meets every one through b."""
-        mb = self.point_mask[b]
-        return all(not (mb & ~self.inter[i]) for i in self.point_list[a])
+        return not (self.point_mask[b] & ~self.meets[a])
 
     def witness_pair(self, a: Point, b: Point) -> bool:
         """Some tangent pair at distinct points through a, b that meets."""
-        mb = self.point_mask[b]
-        return any(mb & self.inter[i] & ~self.samept[i] for i in self.point_list[a])
+        return bool(self.point_mask[b] & self.links[a])
 
     def common_tangents(self, a: Point, b: Point) -> int:
         return (self.point_mask[a] & self.point_mask[b]).bit_count()
@@ -698,12 +717,10 @@ def _check_p4_2(ctx: _Ctx):
         if M.a != 0:
             by_a.setdefault(M.a, []).append(M)
     for a, group in sorted(by_a.items()):
-        for M, N in itertools.combinations(group, 2):
+        info = [(M, plane.pencil_tangent(M, ctx.pencil)[1],
+                 set(plane.circle_points(M)) - {ideal(a)}) for M in group]
+        for (M, bm, rm), (N, bn, rn) in itertools.combinations(info, 2):
             cases += 1
-            _, bm = plane.pencil_tangent(M, ctx.pencil)
-            _, bn = plane.pencil_tangent(N, ctx.pencil)
-            rm = set(plane.circle_points(M)) - {ideal(a)}
-            rn = set(plane.circle_points(N)) - {ideal(a)}
             disjoint = not (rm & rn)
             base_par = bm != bn and plane.parallel(bm, bn)
             if disjoint != base_par:
@@ -864,24 +881,20 @@ def _check_c4_2(ctx: _Ctx):
 def _check_t4_2(ctx: _Ctx):
     plane = ctx.plane
     cases, bad = 0, []
-    # TangentFamily.common_tangents, equivalent and witness_pair are inlined:
-    # the pair loop runs 345,744 times at q=7, and the calls would add about
-    # a quarter to this check
     for L in plane.circles:
         fam = TangentFamily(plane, L)
-        inter, samept = fam.inter, fam.samept
-        pmask, plist = fam.point_mask, fam.point_list
+        pmask, meets, links = fam.point_mask, fam.meets, fam.links
         pts = fam.off_points
-        for ai in range(len(pts)):
-            a = pts[ai]
+        for ai, a in enumerate(pts):
+            ma, meet, link = pmask[a], meets[a], links[a]
             for b in pts[ai + 1:]:
                 if plane.parallel(a, b):
                     continue
                 cases += 1
-                ma, mb = pmask[a], pmask[b]
+                mb = pmask[b]
                 two = (ma & mb).bit_count() == 2
-                allmeet = all(not (mb & ~inter[i]) for i in plist[a])
-                one = any(mb & inter[i] & ~samept[i] for i in plist[a])
+                allmeet = not (mb & ~meet)
+                one = bool(mb & link)
                 if not (two == allmeet == one):
                     bad.append({"circle": list(L), "x": repr(a), "y": repr(b),
                                 "exactly_two": two, "all_meet": allmeet,

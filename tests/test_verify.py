@@ -2,8 +2,8 @@ import pytest
 
 from laguerre import (Circle, GeometryError, LaguerrePlane, affine,
                       canonical_pencil, ideal, thm_check, thm_equiv_rel,
-                      thm_tangency_locus)
-from laguerre.verify import CHECK_IDS, CHECK_SUMMARIES
+                      thm_tangency_locus, verify)
+from laguerre.verify import CHECK_IDS, CHECK_SUMMARIES, TangentFamily
 
 
 def test_catalog_is_closed():
@@ -144,3 +144,79 @@ def test_p4_x_family_at_q11():
     for cid in ("P4.4", "P4.5", "P4.6", "P4.7", "R4.1"):
         rep = thm_check(cid, 11)
         assert rep.status == "pass", (cid, rep.witnesses[:2])
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_tangent_family_matches_brute_force(q):
+    # every circle L: the incidence-built masks against pairwise
+    # intersection counts, and meets/links against the per-circle all/any
+    # formulas they replace
+    pl = LaguerrePlane(q)
+    for L in pl.circles:
+        fam = TangentFamily(pl, L)
+        tangent = {C: pl.intersection(C, L)[0] for C in pl.circles
+                   if C != L and pl.tangent(C, L)}
+        assert dict(zip(fam.circles, fam.touch)) == tangent
+        assert len(fam.circles) == len(tangent)
+        circles, touch = fam.circles, fam.touch
+        for i, C in enumerate(circles):
+            assert fam.inter[i] == sum(
+                1 << j for j, D in enumerate(circles)
+                if D == C or pl.intersection_size(C, D) >= 1)
+            assert fam.samept[i] == sum(
+                1 << j for j, t in enumerate(touch) if t == touch[i])
+        off = [p for p in pl.points if not pl.incident(p, L)]
+        assert fam.off_points == off
+        through = {p: [i for i, C in enumerate(circles) if pl.incident(p, C)]
+                   for p in off}
+        assert fam.point_mask == {p: sum(1 << i for i in through[p]) for p in off}
+        for a in off:
+            for b in off:
+                mb = fam.point_mask[b]
+                assert fam.equivalent(a, b) == all(
+                    not (mb & ~fam.inter[i]) for i in through[a])
+                assert fam.witness_pair(a, b) == any(
+                    mb & fam.inter[i] & ~fam.samept[i] for i in through[a])
+
+
+def test_t4_2_fails_on_a_flipped_intersection_bit(monkeypatch):
+    target = Circle(0, 0, 0)
+
+    class Flipped(TangentFamily):
+        def __init__(self, plane, L):
+            super().__init__(plane, L)
+            if L == target:
+                # circle 0 now claims to meet the first circle it misses
+                j = next(j for j in range(len(self.circles))
+                         if not self.inter[0] >> j & 1)
+                self.inter[0] ^= 1 << j
+
+    monkeypatch.setattr(verify, "TangentFamily", Flipped)
+    rep = thm_check("T4.2", 5)
+    assert rep.status == "fail"
+    assert rep.cases_checked == 30000
+    assert {tuple(w) for w in rep.witnesses} == {
+        ("circle", "x", "y", "exactly_two", "all_meet", "one_pair")}
+    assert all(w["circle"] == [0, 0, 0] and not w["exactly_two"]
+               and not w["all_meet"] and w["one_pair"] for w in rep.witnesses)
+    assert [(w["x"], w["y"]) for w in rep.witnesses] == [
+        ("A(1,1)", "A(2,2)"), ("A(1,1)", "A(3,3)"), ("A(1,1)", "A(4,3)"),
+        ("A(1,1)", "I(2)"), ("A(2,4)", "A(3,3)"), ("A(2,4)", "A(4,3)"),
+        ("A(2,4)", "I(2)"), ("A(3,4)", "A(4,3)"), ("A(3,4)", "I(2)"),
+        ("A(4,1)", "I(2)")]
+
+
+def test_p4_2_fails_on_a_moved_base_point(monkeypatch):
+    plane = verify._context(5).plane
+    real = plane.pencil_tangent
+
+    def moved(M, pencil):
+        # the base of (1, 0, 0) is A(0,0); claim A(0,1), the base of (1, 0, 1)
+        member, base = real(M, pencil)
+        return (member, affine(0, 1)) if M == Circle(1, 0, 0) else (member, base)
+
+    monkeypatch.setattr(plane, "pencil_tangent", moved)
+    rep = thm_check("P4.2", 5)
+    assert rep.status == "fail"
+    assert rep.cases_checked == 1200
+    assert rep.witnesses == [{"circles": [[1, 0, 0], [1, 0, 1]], "disjoint": True}]
