@@ -14,6 +14,13 @@ fixed quadratic to every y-coordinate, and the x-coordinate inversion
 ``(x, y) -> (1/x, y/x^2)`` that swaps the ideal generator with ``x = 0``.
 Each normalizer is verified to be a plane automorphism by an exhaustive
 circle-image check before it is used.
+
+Point indices.  ``DeltaGroup.image`` is the one point action, on indices
+in ``plane.points`` (affine ``x*q + y``, ideal ``q*q + a``): the closed form
+above, read through the normalizer's forward and back index lists, composed
+once when the group is built.  Stabilizers, orbits, A1/A2 and the residual
+plane read it; ``apply`` is the named Point/Circle boundary over it, and a
+``PermutationMap`` is an index list.
 """
 
 from __future__ import annotations
@@ -21,8 +28,8 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple
 
 from .field import GF
-from .plane import (AFFINE, Circle, GeometryError, IDEAL, LaguerrePlane, Pencil,
-                    Point, affine, canonical_pencil, ideal)
+from .plane import (Circle, GeometryError, IDEAL, LaguerrePlane, Pencil, Point,
+                    affine, canonical_pencil, ideal)
 from .report import FAIL, PASS, Report, timed
 
 
@@ -84,17 +91,16 @@ def classify_aut(gf: GF, f: PencilAut) -> str:
     return "strain"
 
 
-def classify_by_scan(plane: LaguerrePlane, point_map: dict[Point, Point]) -> str:
+def classify_by_scan(plane: LaguerrePlane, perm: list[int]) -> str:
     """Classify an automorphism fixing the ideal generator purely by its
-    fixed points and fixed generators (no parameter knowledge)."""
-    fixed_affine = [p for p in plane.points
-                    if p.kind == AFFINE and point_map[p] == p]
-    gens = [plane.generator_points(g) for g in plane.generators if g.kind == AFFINE]
-    fixed_setwise = [gp for gp in gens
-                     if {point_map[p] for p in gp} == set(gp)]
-    fixed_pointwise = [gp for gp in fixed_setwise
-                       if all(point_map[p] == p for p in gp)]
-    if len(fixed_affine) == plane.q * plane.q:
+    fixed points and fixed generators, given as a permutation of point
+    indices (no parameter knowledge)."""
+    q = plane.q
+    fixed_affine = [i for i in range(q * q) if perm[i] == i]
+    gens = [range(x * q, x * q + q) for x in range(q)]
+    fixed_setwise = [gp for gp in gens if {perm[i] for i in gp} == set(gp)]
+    fixed_pointwise = [gp for gp in fixed_setwise if all(perm[i] == i for i in gp)]
+    if len(fixed_affine) == q * q:
         return "identity"
     if not fixed_affine:
         if len(fixed_setwise) == len(gens):
@@ -108,22 +114,26 @@ def classify_by_scan(plane: LaguerrePlane, point_map: dict[Point, Point]) -> str
 
 
 class PermutationMap:
-    """An explicit point permutation that must carry circles to circles.
+    """An explicit permutation of point indices that must carry circles to
+    circles: ``perm[i]`` is the index of the image of ``plane.points[i]``.
 
     This is the closed-form-free oracle: it knows nothing about parameters,
     only point images, and derives circle images by point-set lookup.
     """
 
-    def __init__(self, plane: LaguerrePlane, point_map: dict[Point, Point]):
+    def __init__(self, plane: LaguerrePlane, perm: list[int]):
         self.plane = plane
-        self.point_map = point_map
+        self.perm = perm
+
+    def _image(self, pts: Iterable[Point]) -> frozenset:
+        points, index, perm = self.plane.points, self.plane.point_index, self.perm
+        return frozenset(points[perm[index[p]]] for p in pts)
 
     def apply_point(self, pt: Point) -> Point:
-        return self.point_map[pt]
+        return self.plane.points[self.perm[self.plane.point_index[pt]]]
 
     def apply_circle(self, C: Circle) -> Circle:
-        img = frozenset(self.point_map[p] for p in self.plane.circle_points(C))
-        out = self.plane.circle_from_point_set(img)
+        out = self.plane.circle_from_point_set(self._image(self.plane.circle_points(C)))
         if out is None:
             raise GeometryError(f"image of {C} is not a circle", code="not_automorphism")
         return out
@@ -132,35 +142,45 @@ class PermutationMap:
         """Bijectivity plus circles-to-circles and generators-to-generators."""
         plane = self.plane
         witnesses = []
-        if set(self.point_map) != set(plane.points) or \
-                set(self.point_map.values()) != set(plane.points):
+        if sorted(self.perm) != list(range(len(plane.points))):
             witnesses.append({"problem": "not_bijective"})
             return False, witnesses
         for C in plane.circles:
-            img = frozenset(self.point_map[p] for p in plane.circle_points(C))
-            if plane.circle_from_point_set(img) is None:
+            if plane.circle_from_point_set(self._image(plane.circle_points(C))) is None:
                 witnesses.append({"problem": "circle_image", "circle": list(C)})
-        for g in plane.generators:
-            img = {self.point_map[p] for p in plane.generator_points(g)}
-            if not any(img == set(plane.generator_points(h)) for h in plane.generators):
+        gen_sets = [frozenset(plane.generator_points(h)) for h in plane.generators]
+        for g, gp in zip(plane.generators, gen_sets):
+            if self._image(gp) not in gen_sets:
                 witnesses.append({"problem": "generator_image", "generator": g.to_json()})
         return not witnesses, witnesses
 
     def compose(self, other: "PermutationMap") -> "PermutationMap":
         """self after other."""
-        return PermutationMap(self.plane,
-                              {p: self.point_map[q] for p, q in other.point_map.items()})
+        return PermutationMap(self.plane, [self.perm[j] for j in other.perm])
 
     def inverse(self) -> "PermutationMap":
-        return PermutationMap(self.plane, {v: k for k, v in self.point_map.items()})
+        back = [0] * len(self.perm)
+        for i, j in enumerate(self.perm):
+            back[j] = i
+        return PermutationMap(self.plane, back)
 
     @classmethod
     def from_aut(cls, plane: LaguerrePlane, f: PencilAut) -> "PermutationMap":
-        return cls(plane, {p: aut_point(plane.gf, f, p) for p in plane.points})
+        return cls(plane, [_canonical_image(plane.q, f, i)
+                           for i in range(len(plane.points))])
 
 
-def _verified_map(plane: LaguerrePlane, point_map: dict[Point, Point]) -> PermutationMap:
-    pm = PermutationMap(plane, point_map)
+def _canonical_image(q: int, f: PencilAut, i: int) -> int:
+    """The closed form on the index of a point in canonical coordinates."""
+    if i >= q * q:
+        return i
+    k, t, g = f
+    x, y = divmod(i, q)
+    return (k * x + t) % q * q + (k * k * y + g) % q
+
+
+def _verified_map(plane: LaguerrePlane, perm: list[int]) -> PermutationMap:
+    pm = PermutationMap(plane, perm)
     ok, wit = pm.verify()
     if not ok:
         raise GeometryError("normalizer primitive is not an automorphism",
@@ -171,33 +191,24 @@ def _verified_map(plane: LaguerrePlane, point_map: dict[Point, Point]) -> Permut
 def circle_add_map(plane: LaguerrePlane, Q: Circle) -> PermutationMap:
     """(x, y) -> (x, y + Q(x)); shifts every circle by the coefficients of Q."""
     q = plane.q
-    point_map: dict[Point, Point] = {}
-    for p in plane.points:
-        if p.kind == IDEAL:
-            point_map[p] = ideal((p.x + Q.a) % q)
-        else:
-            point_map[p] = affine(p.x, (p.y + plane.evaluate(Q, p.x)) % q)
-    return _verified_map(plane, point_map)
+    return _verified_map(plane, [x * q + (y + plane.evaluate(Q, x)) % q
+                                 for x in range(q) for y in range(q)]
+                         + [q * q + (a + Q.a) % q for a in range(q)])
 
 
 def inversion_map(plane: LaguerrePlane) -> PermutationMap:
     """(x, y) -> (1/x, y/x^2), swapping the ideal generator with x = 0."""
-    gf = plane.gf
-    point_map: dict[Point, Point] = {}
-    for p in plane.points:
-        if p.kind == IDEAL:
-            point_map[p] = affine(0, p.x)
-        elif p.x == 0:
-            point_map[p] = ideal(p.y)
-        else:
-            xi = gf.inv(p.x)
-            point_map[p] = affine(xi, (p.y * xi * xi) % gf.q)
-    return _verified_map(plane, point_map)
+    gf, q = plane.gf, plane.q
+    perm = list(range(q * q, q * q + q))  # (0, y) -> (inf, y)
+    for x in range(1, q):
+        xi = gf.inv(x)
+        perm.extend(xi * q + (y * xi * xi) % q for y in range(q))
+    perm.extend(range(q))  # (inf, a) -> (0, a)
+    return _verified_map(plane, perm)
 
 
 def x_shift_map(plane: LaguerrePlane, t: int) -> PermutationMap:
-    return _verified_map(plane, {p: aut_point(plane.gf, PencilAut(1, t, 0), p)
-                                 for p in plane.points})
+    return _verified_map(plane, PermutationMap.from_aut(plane, PencilAut(1, t, 0)).perm)
 
 
 class DeltaGroup:
@@ -209,8 +220,10 @@ class DeltaGroup:
         self.pencil = pencil
         self.elements = elements
         self.normalizer = normalizer
-        self._norm_inv = normalizer.inverse() if normalizer is not None else None
         self.gf = plane.gf
+        # index lists: canonical chart -> this pencil's chart, and back
+        self._fwd = normalizer.perm if normalizer is not None else None
+        self._back = normalizer.inverse().perm if normalizer is not None else None
 
     # -- construction -----------------------------------------------------
 
@@ -236,7 +249,7 @@ class DeltaGroup:
         base = canonical_pencil(plane)
         want = {frozenset(plane.circle_points(M))
                 for M in plane.pencil_members(pencil)}
-        got = {frozenset(norm.apply_point(x) for x in plane.circle_points(M))
+        got = {norm._image(plane.circle_points(M))
                for M in plane.pencil_members(base)}
         carried = (norm.apply_point(base.p) == p
                    and norm.apply_circle(base.base) == K and want == got)
@@ -251,18 +264,28 @@ class DeltaGroup:
 
     # -- the action ---------------------------------------------------------
 
+    def canonical_index(self, i: int) -> int:
+        """The index of plane point ``i`` in canonical coordinates."""
+        return i if self._back is None else self._back[i]
+
+    def image(self, f: PencilAut, i: int) -> int:
+        """The index of the image of plane point ``i`` under ``f``."""
+        c = _canonical_image(self.plane.q, f, self.canonical_index(i))
+        return c if self._fwd is None else self._fwd[c]
+
     def apply(self, f: PencilAut, obj):
-        """Act on a Point or a Circle (conjugated when non-canonical)."""
-        gf = self.gf
-        if isinstance(obj, Circle):
-            if self.normalizer is None:
-                return aut_circle(gf, f, obj)
-            inner = aut_circle(gf, f, self._norm_inv.apply_circle(obj))
-            return self.normalizer.apply_circle(inner)
-        if self.normalizer is None:
-            return aut_point(gf, f, obj)
-        inner = aut_point(gf, f, self._norm_inv.apply_point(obj))
-        return self.normalizer.apply_point(inner)
+        """Act on a Point or a Circle; a circle off the canonical chart goes
+        to the circle through its permuted points."""
+        plane = self.plane
+        if not isinstance(obj, Circle):
+            return plane.points[self.image(f, plane.point_index[obj])]
+        if self._fwd is None:
+            return aut_circle(self.gf, f, obj)
+        out = plane.circle_from_point_set(frozenset(
+            self.apply(f, p) for p in plane.circle_points(obj)))
+        if out is None:
+            raise GeometryError(f"image of {obj} is not a circle", code="not_automorphism")
+        return out
 
     def compose(self, f: PencilAut, h: PencilAut) -> PencilAut:
         return aut_compose(self.gf, f, h)
@@ -270,13 +293,10 @@ class DeltaGroup:
     def inverse(self, f: PencilAut) -> PencilAut:
         return aut_inverse(self.gf, f)
 
-    def classify(self, f: PencilAut) -> str:
-        return classify_aut(self.gf, f)
-
     def census(self) -> dict[str, int]:
         out = {tag: 0 for tag in AUT_CLASSES}
         for f in self.elements:
-            out[self.classify(f)] += 1
+            out[classify_aut(self.gf, f)] += 1
         return out
 
     # -- orbits and stabilizers ---------------------------------------------
@@ -289,12 +309,16 @@ class DeltaGroup:
         bad = self.base_generator_points()
         return [p for p in self.plane.points if p not in bad]
 
-    def stabilizer(self, x: Point) -> list[PencilAut]:
+    def stabilizer(self, x: Point,
+                   elements: list[PencilAut] | None = None) -> list[PencilAut]:
+        """The elements (of the group, or of ``elements``) fixing ``x``."""
         if x in self.base_generator_points():
             raise GeometryError("point lies on the fixed generator; its "
                                 "stabilizer is the whole group",
                                 code="stabilizer_on_base")
-        return [f for f in self.elements if self.apply(f, x) == x]
+        i, image = self.plane.point_index[x], self.image
+        return [f for f in (self.elements if elements is None else elements)
+                if image(f, i) == i]
 
     def orbit(self, subset: Iterable[PencilAut], x: Point) -> set[Point]:
         return {self.apply(f, x) for f in subset}
@@ -308,12 +332,11 @@ class DeltaGroup:
         pts = points if points is not None else self.space_points()
         els = elements if elements is not None else self.elements
         if len(pts) >= 1:
-            reached = {self.apply(f, pts[0]) for f in els}
-            if not set(pts) <= reached:
-                missing = sorted(set(pts) - reached)[0]
+            missing = sorted(set(pts) - self.orbit(els, pts[0]))
+            if missing:
                 return False, {"problem": "not_transitive", "from": repr(pts[0]),
-                               "unreached": repr(missing)}
-        stabs = {x: frozenset(f for f in els if self.apply(f, x) == x) for x in pts}
+                               "unreached": repr(missing[0])}
+        stabs = {x: frozenset(self.stabilizer(x, els)) for x in pts}
         for x in pts:
             for y in pts:
                 if x != y and not (stabs[x] - stabs[y]):
@@ -348,8 +371,9 @@ def verify_a1a2a3(plane: LaguerrePlane, pencil: Pencil,
     transitivity of point stabilizers along the base circle (A2), and the
     one-tangent-member property (A3).
 
-    For q = 2 only A3 is evaluated (and fails, with the full witness list);
-    the parametrized group does not exist there.
+    A2 reports the least target whose stabilizer orbit misses one.  For
+    q = 2 only A3 is evaluated (and fails, with the full witness list); the
+    parametrized group does not exist there.
     """
     rep = Report("A1A2A3", plane.q, PASS)
     with timed(rep):
@@ -365,9 +389,8 @@ def verify_a1a2a3(plane: LaguerrePlane, pencil: Pencil,
             if delta is None:
                 delta = DeltaGroup.build(plane, pencil)
             space = delta.space_points()
-            reached = {delta.apply(f, space[0]) for f in delta.elements}
             cases += len(space)
-            missing = sorted(set(space) - reached)
+            missing = sorted(set(space) - delta.orbit(delta.elements, space[0]))
             if missing:
                 witnesses.append({"axiom": "A1", "unreached": repr(missing[0])})
             details["A1"] = {"points": len(space), "status":
@@ -379,9 +402,9 @@ def verify_a1a2a3(plane: LaguerrePlane, pencil: Pencil,
             for r in kpts:
                 stab = delta.stabilizer(r)
                 targets = set(kpts) - {r}
-                for x in list(targets):
+                for x in sorted(targets):
                     cases += 1
-                    got = {delta.apply(f, x) for f in stab}
+                    got = delta.orbit(stab, x)
                     if not targets <= got:
                         a2_bad.append({"axiom": "A2", "r": repr(r), "x": repr(x),
                                        "missed": sorted(map(repr, targets - got))})

@@ -175,14 +175,13 @@ def _parse_budget(args) -> Budget | None:
 def _cmd_ska_verify(args) -> int:
     _require_odd(args.q)
     budget = _parse_budget(args)
+    if args.axiom != "all" and args.axiom not in AXIOMS:
+        raise UsageError(f"unknown axiom {args.axiom!r}")
+    names = AXIOMS if args.axiom == "all" else (args.axiom,)
     plane = _make_plane(args.q)
     pencil = canonical_pencil(plane)
     space = GroupSpace.build(plane, pencil, DeltaGroup.build(plane, pencil),
                              check_preconditions=False)
-    names = AXIOMS if args.axiom == "all" else (args.axiom,)
-    for name in names:
-        if name not in AXIOMS:
-            raise UsageError(f"unknown axiom {name!r}")
     reports = [space.check_axiom(name, budget) for name in names]
     return _emit(reports, args.json)
 

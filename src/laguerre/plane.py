@@ -41,10 +41,6 @@ class Point(NamedTuple):
     x: int     # affine x coordinate, or the ideal label a
     y: int     # affine y coordinate; always 0 for ideal points
 
-    @property
-    def is_ideal(self) -> bool:
-        return self.kind == IDEAL
-
     def to_json(self) -> dict:
         if self.kind == IDEAL:
             return {"t": "I", "a": self.x}

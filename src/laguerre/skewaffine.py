@@ -8,21 +8,25 @@ half of it ("special" lines).  Parallelism is the group orbit relation on
 lines.
 
 Point indices.  Inside ``GroupSpace`` a point is its index in the sorted
-list ``points``, and a group element acts only through the index permutation
-``point_perm`` returns; ``line_image`` carries a line along such a
-permutation.  Stabilizers, joins, parallel classes and the orbit sweeps are
-all built on these two.  Named points appear only at the boundary: ``join``,
-``Line.points`` and ``Line.base_points``, witnesses and ``to_json``.
+list ``points``.  A group element acts only through ``point_perm``, the
+group's action on plane indices (``DeltaGroup.image``) restricted to these
+points, and ``line_image`` carries a line along it.  Stabilizers are
+``DeltaGroup.stabilizer``'s; the closed-form join route reads canonical
+coordinates through ``DeltaGroup.canonical_index``.  Named points appear
+only at the boundary: ``join``, ``Line.points`` and ``Line.base_points``,
+witnesses and ``to_json``.
 
 Line identity.  A line is identified by the sorted tuple of its point
-indices, its kind and, for special lines, the square class of the offsets
-measured from the basepoint.  Index order is point order, so lines sort as
-their point sets do.  The offset-class label matters only at q = 3, where the
-two-point sets x⊔y and y⊔x coincide while their offset classes differ;
-keying on the bare set there would merge lines from different parallel
-classes and break both the census and the Euclidean axiom.  The label is
-invariant under the group action (offsets scale by k^2), so parallel
-classes, straightness, and every axiom sweep are unaffected for q > 3.
+indices, its kind and its label: for special lines the square class of the
+offsets measured from the basepoint, for the others the leading coefficient
+of its circle in canonical coordinates.  Index order is point order, so
+lines sort as their point sets do.  The label matters for identity only at
+q = 3, where the two-point sets x⊔y and y⊔x coincide while their offset
+classes differ; keying on the bare set there would merge lines from
+different parallel classes and break both the census and the Euclidean
+axiom.  The label is invariant under the group action (offsets scale by
+k^2, leading coefficients are fixed), so it is also the closed-form
+parallelism invariant ``parallel_fast`` compares.
 
 Every join is computed twice - by orbit enumeration and by the closed-form
 circle/square-class description - and the two must agree.
@@ -47,7 +51,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 
 from .plane import GeometryError, LaguerrePlane, Pencil, Point
 from .autgroup import IDENTITY, DeltaGroup, PencilAut
@@ -78,31 +82,32 @@ _NOTES = {
 class Line:
     """One line of the group space.
 
-    ``ids`` are the sorted indices of its points in ``labels``, the point
-    list of its space.  ``bases`` is definitional: every x whose join with some other point of
-    the line reproduces the line.  Straight lines have all their points
-    there, proper lines exactly one.
+    ``ids`` are the sorted indices of its points in ``space_points``, the
+    point list of its space, and ``label`` is its group-invariant label (see
+    "Line identity" above).  ``bases`` is definitional: every x whose join
+    with some other point of the line reproduces the line.  Straight lines
+    have all their points there, proper lines exactly one.
     """
 
     index: int
     ids: tuple[int, ...]
     kind: str
-    offset_class: str | None
+    label: str | int
     bases: tuple[int, ...]
-    labels: list[Point] = field(repr=False)
+    space_points: list[Point] = field(repr=False)
     class_id: int = -1
 
     @property
     def points(self) -> tuple[Point, ...]:
-        return tuple(self.labels[i] for i in self.ids)
+        return tuple(self.space_points[i] for i in self.ids)
 
     @property
     def base_points(self) -> tuple[Point, ...]:
-        return tuple(self.labels[i] for i in self.bases)
+        return tuple(self.space_points[i] for i in self.bases)
 
     def to_json(self) -> dict:
         return {
-            "base": self.labels[self.bases[0]].to_json(),
+            "base": self.space_points[self.bases[0]].to_json(),
             "kind": self.kind,
             "class": self.class_id,
             "points": [p.to_json() for p in self.points],
@@ -152,60 +157,57 @@ class GroupSpace:
         gs._build()
         return gs
 
-    def _pullback(self, pt: Point) -> Point:
-        if self.delta.normalizer is None:
-            return pt
-        return self.delta._norm_inv.apply_point(pt)
-
     def point_perm(self, f: PencilAut) -> list[int]:
-        """The permutation of point indices by which ``f`` acts."""
-        index, apply = self.index, self.delta.apply
-        return [index[apply(f, p)] for p in self.points]
+        """The permutation of point indices by which ``f`` acts: the group's
+        action on plane indices, restricted to the residual points."""
+        local, image = self._local, self.delta.image
+        return [local[image(f, p)] for p in self._plane_ids]
 
     def line_image(self, perm: list[int] | dict[int, int], line: Line) -> Line:
         """The line that the point permutation ``perm`` carries ``line`` to;
         ``perm`` needs entries only for the line's own points."""
         ids = tuple(sorted(perm[i] for i in line.ids))
-        return self._line_by_key[(ids, line.kind, line.offset_class)]
+        return self._line_by_key[(ids, line.kind, line.label)]
 
     def _build(self) -> None:
         self._gens = self._generators()
-        base_gen = self.delta.base_generator_points()
-        self.points = [p for p in self.plane.points if p not in base_gen]
+        delta, plane, q = self.delta, self.plane, self.q
+        self.points = delta.space_points()
         self.n = n = len(self.points)
         self.index = {p: i for i, p in enumerate(self.points)}
+        # plane index of each residual point, and back (-1 off the space)
+        self._plane_ids = [plane.point_index[p] for p in self.points]
+        self._local = [self.index.get(p, -1) for p in plane.points]
         # every residual point is affine in canonical coordinates
-        q = self.q
-        canon = [(c.x, c.y) for c in map(self._pullback, self.points)]
+        canon = [divmod(delta.canonical_index(p), q) for p in self._plane_ids]
         at = [-1] * (q * q)
         for i, (cx, cy) in enumerate(canon):
             at[cx * q + cy] = i
 
-        perms = [self.point_perm(f) for f in self.delta.elements]
         pairs: dict[tuple, list[tuple[int, int]]] = {}
         for i in range(n):
-            stab = [perm for perm in perms if perm[i] == i]
+            stab = [self.point_perm(f) for f in delta.stabilizer(self.points[i])]
             for j in range(n):
                 if j != i:
                     key = self._join_key(i, j, stab, canon, at)
                     pairs.setdefault(key, []).append((i, j))
-        self._stab0 = [perm for perm in perms if perm[0] == 0]
+        self._stab0 = [self.point_perm(f) for f in delta.stabilizer(self.points[0])]
         self._gen_perms = [self.point_perm(g) for g in self._gens]
 
         self._joinline = [[-1] * n for _ in range(n)]
-        for ix, key in enumerate(sorted(pairs, key=lambda k: (k[0], k[1], k[2] or ""))):
+        for ix, key in enumerate(sorted(pairs)):
             ids, kind, label = key
             for i, j in pairs[key]:
                 self._joinline[i][j] = ix
             bases = tuple(sorted({i for i, _ in pairs[key]}))
             self.lines.append(Line(ix, ids, kind, label, bases, self.points))
-        self._line_by_key = {(l.ids, l.kind, l.offset_class): l for l in self.lines}
+        self._line_by_key = {(l.ids, l.kind, l.label): l for l in self.lines}
         self._assign_classes()
         self._build_tables()
 
     def _join_key(self, x: int, y: int, stab: list[list[int]],
                   canon: list[tuple[int, int]], at: list[int]) -> tuple:
-        """The identity (ids, kind, offset_class) of x⊔y, via both routes:
+        """The identity (ids, kind, label) of x⊔y, via both routes:
         the orbit of y under ``stab``, the stabilizer of x, and the closed
         form in the canonical coordinates ``canon`` of each point, mapped
         back to indices by ``at[cx * q + cy]``."""
@@ -218,7 +220,7 @@ class GroupSpace:
             B, C = (-2 * A * x0) % q, (A * x0 * x0 + y0) % q
             want = [at[s * q + (A * s * s + B * s + C) % q] for s in range(q)]
             kind = STRAIGHT if A == 0 else CIRCLE_LINE
-            label = None
+            label = A
         else:
             d = (y1 - y0) % q
             want = [at[x0 * q + y0]] + [at[x0 * q + (y0 + s * d) % q]
@@ -309,39 +311,18 @@ class GroupSpace:
         return L1.class_id == L2.class_id
 
     def parallel_fast(self, L1: Line, L2: Line) -> bool:
-        """Closed-form invariant: leading coefficient / straightness / offset
-        class.  Must agree with the orbit relation (tested exhaustively)."""
-        k1, k2 = L1.kind, L2.kind
-        if (k1 == SPECIAL) != (k2 == SPECIAL):
-            return False
-        if k1 == SPECIAL:
-            return L1.offset_class == L2.offset_class
-        return self._leading[L1.index] == self._leading[L2.index]
-
-    @cached_property
-    def _leading(self) -> list[int | None]:
-        """The leading coefficient of each circle line's circle in canonical
-        coordinates (0 for straight lines, None for special ones), by line
-        index; filled on the first ``parallel_fast`` call."""
-        out: list[int | None] = []
-        for line in self.lines:
-            if line.kind == SPECIAL:
-                out.append(None)
-            elif line.kind == STRAIGHT:
-                out.append(0)
-            else:
-                pts = [self._pullback(self.points[i]) for i in line.ids[:3]]
-                out.append(self.plane.circle_through(*pts).a)
-        return out
+        """Closed-form invariant: equal labels, the leading coefficient or the
+        offset class.  Must agree with the orbit relation (tested exhaustively)."""
+        return (L1.kind == SPECIAL) == (L2.kind == SPECIAL) and L1.label == L2.label
 
     def translation_witness(self, L1: Line, L2: Line) -> PencilAut | None:
         """A k=1 element carrying L1 onto L2, if one exists."""
-        index, apply = self.index, self.delta.apply
-        own = [(i, self.points[i]) for i in L1.ids]
+        local, image = self._local, self.delta.image
+        own = [(i, self._plane_ids[i]) for i in L1.ids]
         for t in range(self.q):
             for g in range(self.q):
                 f = PencilAut(1, t, g)
-                perm = {i: index[apply(f, p)] for i, p in own}
+                perm = {i: local[image(f, p)] for i, p in own}
                 if self.line_image(perm, L1) is L2:
                     return f
         return None

@@ -427,7 +427,7 @@ def _check_c2_1(ctx: _Ctx):
             pm = plane.parallel_point(ctx.pencil.p, C)
             targets = set(plane.circle_points(C)) - {pm, r}
             first = sorted(targets)[0]
-            orbit = {delta.apply(f, first) for f in stab}
+            orbit = delta.orbit(stab, first)
             if not targets <= orbit:
                 bad.append({"r": repr(r), "circle": list(C),
                             "missed": sorted(map(repr, targets - orbit))})
@@ -473,7 +473,7 @@ def _check_t3_1(ctx: _Ctx):
             pm = plane.parallel_point(ctx.pencil.p, M)
             targets = set(plane.circle_points(M)) - {pm, r}
             cases += 1
-            orbit = {delta.apply(f, sorted(targets)[0]) for f in stab}
+            orbit = delta.orbit(stab, sorted(targets)[0])
             if not targets <= orbit:
                 bad.append({"r": repr(r), "member": list(M), "problem": "not_transitive"})
     return cases, bad, None, {}, None
@@ -504,7 +504,7 @@ def _check_p3_1(ctx: _Ctx):
                     "got": sorted(map(list, fixing))})
     for M in ctx.members:
         pts = [p for p in plane.circle_points(M) if p != ctx.pencil.p]
-        orbit = {delta.apply(f, pts[0]) for f in fixing}
+        orbit = delta.orbit(fixing, pts[0])
         cases += 1
         if set(pts) != orbit:
             bad.append({"problem": "not_transitive_along_member", "member": list(M)})
@@ -592,7 +592,7 @@ def _check_p3_2(ctx: _Ctx):
         if not aff:
             continue
         cases += 1
-        orbit = {delta.apply(f, aff[0]) for f in fixing}
+        orbit = delta.orbit(fixing, aff[0])
         if set(aff) != orbit:
             bad.append({"problem": "not_transitive_along_generator",
                         "generator": repr(aff[0])})
@@ -605,7 +605,7 @@ def _check_t3_2(ctx: _Ctx):
     q = plane.q
     cases, bad = 0, []
     translations = [f for f in delta.elements if f.k == 1]
-    orbit = {delta.apply(f, affine(0, 0)) for f in translations}
+    orbit = delta.orbit(translations, affine(0, 0))
     cases += 1
     if orbit != set(ctx.space.points):
         bad.append({"problem": "translations_not_transitive"})

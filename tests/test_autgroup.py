@@ -5,8 +5,8 @@ import pytest
 from laguerre import (Circle, DeltaGroup, GeometryError, LaguerrePlane,
                       PencilAut, PermutationMap, affine, canonical_pencil,
                       classify_by_scan, ideal, verify_a1a2a3)
-from laguerre.autgroup import (aut_circle, aut_compose, aut_inverse, aut_point,
-                               circle_add_map, classify_aut, inversion_map)
+from laguerre.autgroup import (_verified_map, aut_circle, aut_compose, aut_inverse,
+                               aut_point, circle_add_map, classify_aut, inversion_map)
 
 
 def test_group_sizes():
@@ -119,7 +119,7 @@ def test_classification_matches_fixed_point_scan():
         d = DeltaGroup.build(pl, canonical_pencil(pl))
         for f in d.elements:
             pm = PermutationMap.from_aut(pl, f)
-            assert classify_by_scan(pl, pm.point_map) == classify_aut(pl.gf, f)
+            assert classify_by_scan(pl, pm.perm) == classify_aut(pl.gf, f)
 
 
 def test_census_q5(delta5):
@@ -230,11 +230,161 @@ def test_conjugated_group_other_pencils():
         assert len(d.elements) == 100
         rep = d.verify_axioms()
         assert rep.status == "pass", rep.witnesses
-        # spot: conjugated elements really are plane automorphisms
-        for f in d.elements[::17]:
-            pm = PermutationMap(pl, {p: d.apply(f, p) for p in pl.points})
+        # conjugated elements really are plane automorphisms
+        for f in d.elements:
+            pm = PermutationMap(pl, [d.image(f, i) for i in range(len(pl.points))])
             ok, wit = pm.verify()
             assert ok, wit
+
+
+def _pencils(pl):
+    """The canonical pencil, p:1,2 and ideal:2@K:2,1,3 (coefficients mod q)."""
+    q = pl.q
+    return (canonical_pencil(pl), pl.pencil(affine(1, 2), Circle(0, 0, 2)),
+            pl.pencil(ideal(2), Circle(2, 1, 3 % q)))
+
+
+def _reference_normalizer(pl, pencil):
+    """The normalizer as a Point dict, composed step by step: for an affine
+    vertex p the inversion, then the x-shift by p.x, then adding K; for an
+    ideal vertex adding K alone; the identity for the canonical pencil."""
+    gf, q = pl.gf, pl.q
+    p, K = pencil
+    if p == ideal(0) and K.a == 0 and K.b == 0:
+        return {pt: pt for pt in pl.points}
+
+    def add(pt):
+        if pt.kind == "I":
+            return ideal((pt.x + K.a) % q)
+        return affine(pt.x, (pt.y + pl.evaluate(K, pt.x)) % q)
+
+    def shift(pt):
+        return aut_point(gf, PencilAut(1, p.x, 0), pt)
+
+    def invert(pt):
+        if pt.kind == "I":
+            return affine(0, pt.x)
+        if pt.x == 0:
+            return ideal(pt.y)
+        xi = gf.inv(pt.x)
+        return affine(xi, pt.y * xi * xi % q)
+
+    steps = (add,) if p.kind == "I" else (invert, shift, add)
+    out = {}
+    for pt in pl.points:
+        img = pt
+        for step in steps:
+            img = step(img)
+        out[pt] = img
+    return out
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_action_matches_closed_form(q):
+    # reference: aut_point conjugated Point by Point through the normalizer
+    pl = LaguerrePlane(q)
+    for pencil in _pencils(pl):
+        d = DeltaGroup.build(pl, pencil)
+        fwd = _reference_normalizer(pl, pencil)
+        back = {v: k for k, v in fwd.items()}
+        assert len(back) == len(pl.points)
+        for f in d.elements:
+            for i, pt in enumerate(pl.points):
+                want = fwd[aut_point(pl.gf, f, back[pt])]
+                assert pl.points[d.image(f, i)] == want, (pencil, f, pt)
+                assert d.apply(f, pt) == want
+            for C in pl.circles[::7]:
+                img = {fwd[aut_point(pl.gf, f, back[x])] for x in pl.circle_points(C)}
+                assert set(pl.circle_points(d.apply(f, C))) == img, (pencil, f, C)
+
+
+def test_transposition_is_not_an_automorphism(plane5):
+    # swap A(0,0) and A(0,1): generators stay generators, but every circle
+    # through exactly one of the two points loses its image
+    perm = list(range(len(plane5.points)))
+    perm[0], perm[1] = 1, 0
+    ok, wit = PermutationMap(plane5, perm).verify()
+    assert not ok
+    assert {w["problem"] for w in wit} == {"circle_image"}
+    assert sorted(w["circle"] for w in wit) == \
+        sorted([a, b, c] for a in range(5) for b in range(5) for c in (0, 1))
+    with pytest.raises(GeometryError) as e:
+        _verified_map(plane5, perm)
+    assert e.value.code == "not_automorphism"
+    assert e.value.witnesses == wit
+
+
+# A2 witnesses (r, least target x, targets its orbit missed) at q = 5 for
+# subgroups whose stabilizers are too small; k = 1 and the identity alone
+# both have trivial stabilizers on the base circle
+_TRIVIAL = {
+    "canonical": [
+        ("A(0,0)", "A(1,0)", ["A(2,0)", "A(3,0)", "A(4,0)"]),
+        ("A(1,0)", "A(0,0)", ["A(2,0)", "A(3,0)", "A(4,0)"]),
+        ("A(2,0)", "A(0,0)", ["A(1,0)", "A(3,0)", "A(4,0)"]),
+        ("A(3,0)", "A(0,0)", ["A(1,0)", "A(2,0)", "A(4,0)"]),
+        ("A(4,0)", "A(0,0)", ["A(1,0)", "A(2,0)", "A(3,0)"]),
+    ],
+    "p:1,2": [
+        ("A(0,2)", "A(2,2)", ["A(3,2)", "A(4,2)", "I(0)"]),
+        ("A(2,2)", "A(0,2)", ["A(3,2)", "A(4,2)", "I(0)"]),
+        ("A(3,2)", "A(0,2)", ["A(2,2)", "A(4,2)", "I(0)"]),
+        ("A(4,2)", "A(0,2)", ["A(2,2)", "A(3,2)", "I(0)"]),
+        ("I(0)", "A(0,2)", ["A(2,2)", "A(3,2)", "A(4,2)"]),
+    ],
+}
+_PLUS_MINUS_ONE = {
+    "canonical": [
+        ("A(0,0)", "A(1,0)", ["A(2,0)", "A(3,0)"]),
+        ("A(1,0)", "A(0,0)", ["A(3,0)", "A(4,0)"]),
+        ("A(2,0)", "A(0,0)", ["A(1,0)", "A(3,0)"]),
+        ("A(3,0)", "A(0,0)", ["A(2,0)", "A(4,0)"]),
+        ("A(4,0)", "A(0,0)", ["A(1,0)", "A(2,0)"]),
+    ],
+    "p:1,2": [
+        ("A(0,2)", "A(2,2)", ["A(3,2)", "I(0)"]),
+        ("A(2,2)", "A(0,2)", ["A(4,2)", "I(0)"]),
+        ("A(3,2)", "A(0,2)", ["A(2,2)", "I(0)"]),
+        ("A(4,2)", "A(0,2)", ["A(2,2)", "A(3,2)"]),
+        ("I(0)", "A(0,2)", ["A(3,2)", "A(4,2)"]),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", ["canonical", "p:1,2"])
+def test_subgroups_fail_a1_a2(name):
+    # the action and the stabilizers must come from the group's own
+    # elements, not from the closed form of the full group
+    pl = LaguerrePlane(5)
+    pencil = _pencils(pl)[0 if name == "canonical" else 1]
+    full = DeltaGroup.build(pl, pencil)
+    subsets = {
+        "k=1": ([f for f in full.elements if f.k == 1], _TRIVIAL, "pass",
+                "no_separating_element"),
+        "k=+-1": ([f for f in full.elements if f.k in (1, 4)], _PLUS_MINUS_ONE,
+                  "pass", "no_separating_element"),
+        "identity": ([PencilAut(1, 0, 0)], _TRIVIAL, "fail", "not_transitive"),
+    }
+    for label, (elements, a2, a1_status, nt_problem) in subsets.items():
+        d = DeltaGroup(pl, pencil, elements, full.normalizer)
+        rep = d.verify_axioms()
+        assert rep.status == "fail", label
+        assert rep.cases_checked == 130, label
+        assert rep.details == {"A1": {"points": 25, "status": a1_status},
+                               "A2": {"stabilizers": 5, "status": "fail"},
+                               "A3": {"circles": 100, "status": "pass"}}, label
+        want = [{"axiom": "A1", "unreached": "A(0,1)"}] if a1_status == "fail" else []
+        want += [{"axiom": "A2", "r": r, "x": x, "missed": missed}
+                 for r, x, missed in a2[name]]
+        assert rep.witnesses == want, label
+        ok, witness = d.normally_transitive()
+        assert not ok and witness["problem"] == nt_problem, label
+        if nt_problem == "not_transitive":
+            assert witness == {"problem": "not_transitive", "from": "A(0,0)",
+                               "unreached": "A(0,1)"}
+        else:
+            assert witness == {"problem": "no_separating_element",
+                               "x": "A(0,0)", "y": "A(0,1)"}
 
 
 def test_normalizer_mismatch_is_a_geometry_error(monkeypatch):

@@ -130,6 +130,20 @@ def test_argparse_errors_are_one_line(capsys):
     assert out.startswith("usage: ") and err == ""
 
 
+def test_bad_axiom_fails_before_the_build(capsys, monkeypatch):
+    from laguerre import GroupSpace
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("the residual plane was built")
+
+    monkeypatch.setattr(GroupSpace, "build", no_build)
+    code, out, err = run_cli(capsys, "skewaffine", "verify", "--q", "5",
+                             "--axiom", "bogus")
+    assert code == 2
+    assert out == ""
+    assert err == "error: unknown axiom 'bogus'\n"
+
+
 def test_bad_workers_is_a_usage_error(capsys, monkeypatch):
     for value in ("abc", "0", "-2", "1.5", ""):
         monkeypatch.setenv("LAGUERRE_WORKERS", value)

@@ -33,6 +33,13 @@ CASES = {
     "export_q5_space.json": ("export", "--q", "5", "--what", "space", "--out", OUT),
     "export_q5_space_p1_2.json": ("export", "--q", "5", "--what", "space",
                                   "--pencil", "p:1,2", "--out", OUT),
+    "export_q5_group.json": ("export", "--q", "5", "--what", "group", "--out", OUT),
+    "group_q5.json": ("group", "verify", "--q", "5", "--json"),
+    "group_q5_p1_2.json": ("group", "verify", "--q", "5", "--pencil", "p:1,2",
+                           "--json"),
+    "group_q5_ideal2_K2_1_3.json": ("group", "verify", "--q", "5", "--pencil",
+                                    "ideal:2@K:2,1,3", "--json"),
+    "plane_q5.json": ("plane", "verify", "--q", "5", "--json"),
 }
 
 

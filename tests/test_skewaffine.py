@@ -14,7 +14,7 @@ def test_join_examples(space5):
 
     Ls = space5.join(affine(0, 0), affine(0, 1))
     assert set(Ls.points) == {affine(0, 0), affine(0, 1), affine(0, 4)}
-    assert Ls.kind == SPECIAL and Ls.offset_class == "square"
+    assert Ls.kind == SPECIAL and Ls.label == "square"
 
     # the join is not symmetric
     Lr = space5.join(affine(0, 1), affine(0, 0))
@@ -110,7 +110,7 @@ def test_q3_twin_special_lines():
     a = gs.join(affine(0, 0), affine(0, 1))
     b = gs.join(affine(0, 1), affine(0, 0))
     assert set(a.points) == set(b.points)
-    assert a.offset_class != b.offset_class
+    assert a.label != b.label
     assert a.index != b.index
     assert gs.classify_line(a)[1] == (affine(0, 0),)
     assert gs.classify_line(b)[1] == (affine(0, 1),)
@@ -174,13 +174,16 @@ def test_build_rejects_join_mismatch(plane5):
     # it leaves every stabilizer and the orbit route misses points
     pencil = canonical_pencil(plane5)
     delta = DeltaGroup.build(plane5, pencil)
-    true_apply = delta.apply
+    true_image = delta.image
 
-    def bent(f, pt):
-        img = true_apply(f, pt)
-        return affine(img.x, (img.y + 1) % 5) if f == PencilAut(4, 0, 0) else img
+    def bent(f, i):
+        img = true_image(f, i)
+        if f == PencilAut(4, 0, 0) and img < 25:
+            x, y = divmod(img, 5)
+            return x * 5 + (y + 1) % 5
+        return img
 
-    delta.apply = bent
+    delta.image = bent
     with pytest.raises(GeometryError) as e:
         GroupSpace.build(plane5, pencil, delta, check_preconditions=False)
     assert e.value.code == "join_mismatch"
@@ -322,13 +325,13 @@ def test_line_image_matches_point_action(space3, space5):
     conjugated = GroupSpace.build(pl, pencil, DeltaGroup.build(pl, pencil),
                                   check_preconditions=False)
     for gs in (space3, space5, conjugated):
-        by_points = {(line.points, line.kind, line.offset_class): line
+        by_points = {(line.points, line.kind, line.label): line
                      for line in gs.lines}
         for f in gs.delta.elements:
             perm = gs.point_perm(f)
             for line in gs.lines:
                 pts = tuple(sorted(gs.delta.apply(f, p) for p in line.points))
-                want = by_points[(pts, line.kind, line.offset_class)]
+                want = by_points[(pts, line.kind, line.label)]
                 assert gs.line_image(perm, line) is want, (gs.q, f, line.index)
 
 
