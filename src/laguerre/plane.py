@@ -6,7 +6,10 @@ of ``y = a x^2 + b x + c`` plus the ideal point ``(inf, a)``; two points are
 parallel when they share a generator (a vertical line, or the ideal
 generator).  Circles are kept as coefficient triples, never as point sets:
 that makes equality canonical and group actions O(1), while point sets are
-derived on demand.
+derived on demand.  The axiom sweep derives them as bitsets instead
+(``incidence_masks``): a point's bit is its position in ``points`` (affine
+``x*q+y``, ideal ``q*q+a``), a circle's bit its position in ``circles``
+(``a*q*q+b*q+c``).  The masks are built per sweep and never kept.
 
 Tangency is defined set-theoretically (exactly one common point).  For odd
 q the quadratic-discriminant shortcut computes the same counts and the two
@@ -251,15 +254,17 @@ class LaguerrePlane:
     def pencil_members(self, pencil: Pencil, verify: bool = True) -> list[Circle]:
         """All q circles tangent to each other at ``pencil.p`` (base included)."""
         p, K = pencil
-        gf = self.gf
         q = self.q
         if p.kind == IDEAL:
             members = [Circle(K.a, K.b, c) for c in range(q)]
         else:
-            members = sorted(
-                Circle((K.a + m) % q, (K.b - 2 * m * p.x) % q, (K.c + m * p.x * p.x) % q)
-                for m in range(q)
-            )
+            # member m has leading coefficient a = K.a + m; running over a
+            # lists them in sorted order
+            x = p.x
+            members = []
+            for a in range(q):
+                m = a - K.a
+                members.append(Circle(a, (K.b - 2 * m * x) % q, (K.c + m * x * x) % q))
         if verify:
             for M in members:
                 if not self.incident(p, M) or (M != K and self.intersection_size(M, K) != 1):
@@ -331,72 +336,120 @@ class LaguerrePlane:
 
     # -- axiom verification ------------------------------------------------
 
+    def incidence_masks(self) -> tuple[list[int], list[int], list[int]]:
+        """Incidence as bitsets over positions in ``points`` and ``circles``.
+
+        Returns a point mask per circle, a circle mask per point and a point
+        mask per generator, in ``circles``, ``points`` and ``generators``
+        order.  They are read from ``circle_points``, ``generator_points``
+        and ``point_index`` on every call and never cached, so incidence
+        has no other definition in the axiom sweep.
+        """
+        index = self.point_index
+        circle_masks: list[int] = []
+        point_masks = [0] * len(self.points)
+        for ci, C in enumerate(self.circles):
+            m = 0
+            for p in self.circle_points(C):
+                i = index[p]
+                m |= 1 << i
+                point_masks[i] |= 1 << ci
+            circle_masks.append(m)
+        gen_masks = []
+        for g in self.generators:
+            m = 0
+            for p in self.generator_points(g):
+                m |= 1 << index[p]
+            gen_masks.append(m)
+        return circle_masks, point_masks, gen_masks
+
     def verify_axioms(self) -> Report:
         """Exhaustively check the four defining axioms of the plane.
 
-        Join uniqueness is split into existence (interpolation through every
-        admissible triple) plus the pairwise bound |C1 ∩ C2| <= 2, which is
-        equivalent and avoids a cubic scan over circles.
+        Every check reads the incidence masks of ``incidence_masks``, not
+        the closed forms ``circle_through`` and ``intersection_size``.
+        Join uniqueness is split into existence plus uniqueness through
+        every admissible triple (exactly one circle contains all three) and
+        the pairwise bound |C1 ∩ C2| <= 2, which avoids a cubic scan over
+        circles.  The touching axiom takes each pencil from the closed form
+        ``pencil_members``: every member must meet the base circle in the
+        vertex alone, and the members must cover each point off the vertex
+        generator exactly once.  A member that fails the first test raises
+        ``pencil_member_mismatch`` while the join checks have passed, since
+        the closed form is then at fault; once the incidence itself has
+        failed them, it is reported as a ``touch`` witness instead.
         """
         rep = Report("laguerre-axioms", self.q, PASS)
         with timed(rep):
             q = self.q
             witnesses = rep.witnesses
             cases = 0
+            cm, pc, gm = self.incidence_masks()
+            points, index = self.points, self.point_index
+            bit_count = int.bit_count
 
             # pairwise intersection bound (uniqueness half of the join axiom)
-            for i, C1 in enumerate(self.circles):
-                for C2 in self.circles[i + 1:]:
-                    cases += 1
-                    if self.intersection_size(C1, C2) > 2:
-                        witnesses.append({"axiom": "join", "circles": [list(C1), list(C2)]})
+            too_many = (2).__lt__  # n -> 2 < n
+            for i, mi in enumerate(cm):
+                rest = cm[i + 1:]
+                cases += len(rest)
+                for j in itertools.compress(itertools.count(i + 1),
+                                            map(too_many, map(bit_count, map(mi.__and__, rest)))):
+                    witnesses.append({"axiom": "join",
+                                      "circles": [list(self.circles[i]), list(self.circles[j])]})
 
-            # existence half: every pairwise-nonparallel triple interpolates
-            gen_pts = [self.generator_points(g) for g in self.generators]
+            # existence and uniqueness: every pairwise-nonparallel triple
+            # lies on exactly one circle
+            not_one = (1).__ne__  # n -> 1 != n
+            gen_pts = [[index[p] for p in self.generator_points(g)] for g in self.generators]
             for g1, g2, g3 in itertools.combinations(range(q + 1), 3):
-                for p1 in gen_pts[g1]:
-                    for p2 in gen_pts[g2]:
-                        for p3 in gen_pts[g3]:
-                            cases += 1
-                            C = self.circle_through(p1, p2, p3)
-                            if not (self.incident(p1, C) and self.incident(p2, C)
-                                    and self.incident(p3, C)):
-                                witnesses.append({"axiom": "join",
-                                                  "points": [repr(p1), repr(p2), repr(p3)]})
+                third = gen_pts[g3]
+                third_masks = [pc[i] for i in third]
+                for i1 in gen_pts[g1]:
+                    for i2 in gen_pts[g2]:
+                        cases += len(third)
+                        m12 = pc[i1] & pc[i2]
+                        for i3 in itertools.compress(
+                                third, map(not_one, map(bit_count, map(m12.__and__, third_masks)))):
+                            witnesses.append({"axiom": "join", "points": [
+                                repr(points[i1]), repr(points[i2]), repr(points[i3])]})
 
-            # touching axiom via pencil partitioning: the members of every
-            # pencil cover each point off the vertex generator exactly once
-            for K in self.circles:
+            # touching axiom via pencil partitioning: each member meets the
+            # base in the vertex alone, and the members cover each point off
+            # the vertex generator exactly once
+            strict = not witnesses
+            circle_index = {C: i for i, C in enumerate(self.circles)}
+            sizes = list(map(bit_count, cm))
+            for K, mk in zip(self.circles, cm):
                 for p in self.circle_points(K):
                     cases += 1
-                    members = self.pencil_members(self.pencil(p, K))
-                    seen: set[Point] = set()
-                    total = 0
-                    for M in members:
-                        pts = self.circle_points(M)
-                        if p not in pts:
+                    vertex = 1 << index[p]
+                    covered = total = 0
+                    for M in self.pencil_members(Pencil(p, K), verify=False):
+                        mi = circle_index[M]
+                        m = cm[mi]
+                        if M != K and m & mk != vertex:
+                            if strict:
+                                raise GeometryError(f"{M} does not touch {K} at {p}",
+                                                    code="pencil_member_mismatch")
                             witnesses.append({"axiom": "touch", "pencil": [repr(p), list(K)],
                                               "member": list(M)})
-                        seen.update(pts)
-                        total += len(pts) - 1
-                    if len(seen) != q * q + 1 or total != q * q:
+                        covered |= m
+                        total += sizes[mi] - 1
+                    seen = bit_count(covered)
+                    if seen != q * q + 1 or total != q * q:
                         witnesses.append({"axiom": "touch", "pencil": [repr(p), list(K)],
-                                          "covered": len(seen)})
+                                          "covered": seen})
 
             # each generator meets each circle exactly once
-            for C in self.circles:
+            for C, m in zip(self.circles, cm):
                 cases += 1
-                by_gen: dict[Generator, int] = {}
-                for pt in self.circle_points(C):
-                    g = self.generator_of(pt)
-                    by_gen[g] = by_gen.get(g, 0) + 1
-                if len(by_gen) != q + 1 or any(v != 1 for v in by_gen.values()):
+                if any(bit_count(m & g) != 1 for g in gm):
                     witnesses.append({"axiom": "generator_meet", "circle": list(C)})
 
             # a circle with at least three, but not all, points
             cases += 1
-            some = self.circle_points(Circle(0, 0, 0))
-            if not (3 <= len(some) < len(self.points)):
+            if not (3 <= sizes[circle_index[Circle(0, 0, 0)]] < len(points)):
                 witnesses.append({"axiom": "nondegeneracy"})
 
             rep.cases_checked = cases

@@ -171,6 +171,16 @@ class _Ctx:
                                 check_preconditions=False)
 
     @cached_property
+    def fixed_points(self) -> dict[PencilAut, list[Point]]:
+        """The residual points each group element fixes, in residual order:
+        one ``DeltaGroup.image`` call per element and point, shared by P3.1,
+        L3.1 and T3.2."""
+        points, image = self.plane.points, self.delta.image
+        idx = [self.plane.point_index[p] for p in self.space.points]
+        return {f: [points[i] for i in idx if image(f, i) == i]
+                for f in self.delta.elements}
+
+    @cached_property
     def families(self) -> dict[Circle, TangentFamily]:
         """The tangent family of each pencil member (members only: a family
         for every circle would cost memory in proportion to q^3)."""
@@ -484,8 +494,7 @@ def _is_translation(ctx: _Ctx, f: PencilAut) -> bool:
     generator, and preserving every line direction of the derived plane at
     the vertex (slopes of the a = 0 circles)."""
     delta = ctx.delta
-    if f != PencilAut(1, 0, 0) and any(
-            delta.apply(f, p) == p for p in ctx.space.points):
+    if f != PencilAut(1, 0, 0) and ctx.fixed_points[f]:
         return False
     q = ctx.plane.q
     return all(delta.apply(f, Circle(0, b, 0)).b == b for b in range(q))
@@ -537,7 +546,7 @@ def _check_l3_1(ctx: _Ctx):
     translations, glides = [], []
     for f in delta.elements:
         cases += 1
-        if any(delta.apply(f, p) == p for p in ctx.space.points):
+        if ctx.fixed_points[f]:
             continue
         if f.k == 1:
             translations.append(f)
@@ -624,7 +633,7 @@ def _check_t3_2(ctx: _Ctx):
     # fixed-point elements are strains: they fix the vertex pencil at each
     # of their fixed points
     for f in delta.elements:
-        fixed = [p for p in ctx.space.points if delta.apply(f, p) == p]
+        fixed = ctx.fixed_points[f]
         if not fixed or len(fixed) == len(ctx.space.points):
             continue
         for r in fixed:

@@ -40,6 +40,7 @@ CASES = {
     "group_q5_ideal2_K2_1_3.json": ("group", "verify", "--q", "5", "--pencil",
                                     "ideal:2@K:2,1,3", "--json"),
     "plane_q5.json": ("plane", "verify", "--q", "5", "--json"),
+    "plane_q7.json": ("plane", "verify", "--q", "7", "--json"),
 }
 
 

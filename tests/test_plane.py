@@ -204,3 +204,88 @@ def test_plane_json_stable(plane3):
     assert blob["points"][-1] == {"t": "I", "a": 2}
     assert blob["circles"] == sorted(blob["circles"])
     assert blob["generators"][-1] == {"t": "I"}
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_incidence_masks_match_closed_forms(q):
+    # the sweep reads only the masks; circle_through and intersection_size
+    # stay under test against them
+    pl = LaguerrePlane(q)
+    cm, pc, gm = pl.incidence_masks()
+    index = pl.point_index
+    for g, m in zip(pl.generators, gm):
+        assert m == sum(1 << index[p] for p in pl.generator_points(g))
+    gen_pts = [pl.generator_points(g) for g in pl.generators]
+    for g1, g2, g3 in itertools.combinations(gen_pts, 3):
+        for trip in itertools.product(g1, g2, g3):
+            common = pc[index[trip[0]]] & pc[index[trip[1]]] & pc[index[trip[2]]]
+            assert common == 1 << pl.circles.index(pl.circle_through(*trip))
+    for (i, C1), (j, C2) in itertools.combinations(enumerate(pl.circles), 2):
+        assert (cm[i] & cm[j]).bit_count() == pl.intersection_size(C1, C2)
+
+
+class _MovedPoint(LaguerrePlane):
+    """Incidence fault: circle (1,2,3) holds A(0,4) instead of A(0,3), a
+    point moved along its generator."""
+
+    def circle_points(self, C):
+        pts = super().circle_points(C)
+        if C == Circle(1, 2, 3):
+            pts = tuple(sorted(affine(0, 4) if p == affine(0, 3) else p for p in pts))
+        return pts
+
+
+def test_verify_axioms_reports_moved_point_as_join():
+    rep = _MovedPoint(5).verify_axioms()
+    assert rep.status == "fail"
+    pairs = [w for w in rep.witnesses if "circles" in w]
+    triples = [w for w in rep.witnesses if "points" in w]
+    # A(0,4) and any two other points of the circle lie on a second circle
+    assert len(pairs) == 10
+    assert all(w["axiom"] == "join" and [1, 2, 3] in w["circles"] for w in pairs)
+    # two of its other points lie on two circles with A(0,4), none with A(0,3)
+    assert len(triples) == 20
+    assert sum("A(0,3)" in w["points"] for w in triples) == 10
+    assert sum("A(0,4)" in w["points"] for w in triples) == 10
+    assert rep.witnesses[:len(pairs) + len(triples)] == pairs + triples
+    # the incidence already failed, so pencil mismatches are witnesses
+    assert any("member" in w for w in rep.witnesses)
+    assert not any(w["axiom"] == "generator_meet" for w in rep.witnesses)
+
+
+class _WrongMember(LaguerrePlane):
+    """Closed-form fault: the pencil at A(1,0) on y = 0 lists a circle that
+    misses the vertex."""
+
+    def pencil_members(self, pencil, verify=True):
+        members = super().pencil_members(pencil, verify)
+        if pencil == (affine(1, 0), Circle(0, 0, 0)):
+            a, b, c = members[-1]
+            members[-1] = Circle(a, b, (c + 1) % self.q)
+        return members
+
+
+def test_verify_axioms_rejects_wrong_pencil_member():
+    with pytest.raises(GeometryError) as e:
+        _WrongMember(5).verify_axioms()
+    assert e.value.code == "pencil_member_mismatch"
+    assert str(e.value) == ("Circle(a=4, b=2, c=0) does not touch "
+                            "Circle(a=0, b=0, c=0) at A(1,0)")
+
+
+class _DroppedMember(LaguerrePlane):
+    """Closed-form fault: the pencil at A(1,0) on y = 0 lacks one member."""
+
+    def pencil_members(self, pencil, verify=True):
+        members = super().pencil_members(pencil, verify)
+        if pencil == (affine(1, 0), Circle(0, 0, 0)):
+            members = members[:-1]
+        return members
+
+
+def test_verify_axioms_reports_uncovered_pencil():
+    rep = _DroppedMember(5).verify_axioms()
+    assert rep.status == "fail"
+    # the missing member's five points off the vertex stay uncovered
+    assert rep.witnesses == [{"axiom": "touch", "pencil": ["A(1,0)", [0, 0, 0]],
+                              "covered": 21}]
