@@ -25,6 +25,7 @@ plane read it; ``apply`` is the named Point/Circle boundary over it, and a
 
 from __future__ import annotations
 
+from functools import cached_property, partial
 from typing import Iterable, NamedTuple
 
 from .field import GF
@@ -179,6 +180,19 @@ def _canonical_image(q: int, f: PencilAut, i: int) -> int:
     return (k * x + t) % q * q + (k * k * y + g) % q
 
 
+def _reach(start, moves) -> set:
+    """Everything reachable from ``start`` by repeated ``moves``."""
+    seen, todo = {start}, [start]
+    while todo:
+        here = todo.pop()
+        for move in moves:
+            there = move(here)
+            if there not in seen:
+                seen.add(there)
+                todo.append(there)
+    return seen
+
+
 def _verified_map(plane: LaguerrePlane, perm: list[int]) -> PermutationMap:
     pm = PermutationMap(plane, perm)
     ok, wit = pm.verify()
@@ -293,6 +307,29 @@ class DeltaGroup:
     def inverse(self, f: PencilAut) -> PencilAut:
         return aut_inverse(self.gf, f)
 
+    @cached_property
+    def translations(self) -> list[PencilAut]:
+        """The k = 1 elements, in element order."""
+        return [f for f in self.elements if f.k == 1]
+
+    def generators(self) -> list[PencilAut]:
+        """A primitive root plus the two unit translations.
+
+        Parallel classes and the orbit sweeps of the residual plane see the
+        group only through these three, so their closure must be exactly the
+        group.
+        """
+        q = self.plane.q
+        proot = next(g for g in range(2, q)
+                     if len({pow(g, e, q) for e in range(q - 1)}) == q - 1)
+        gens = [PencilAut(proot, 0, 0), PencilAut(1, 1, 0), PencilAut(1, 0, 1)]
+        closure = _reach(IDENTITY, [partial(self.compose, g) for g in gens])
+        if closure != set(self.elements):
+            raise GeometryError(f"the generators close to {len(closure)} elements, "
+                                f"not to the {len(self.elements)} of the group",
+                                code="generators_not_closed")
+        return gens
+
     def census(self) -> dict[str, int]:
         out = {tag: 0 for tag in AUT_CLASSES}
         for f in self.elements:
@@ -346,11 +383,41 @@ class DeltaGroup:
 
     def semidirect_factorization(self, r: Point) -> bool:
         """Every element splits uniquely as (k=1 translation) o (stabilizer of r)."""
-        translations = [f for f in self.elements if f.k == 1]
+        translations = self.translations
         stab = self.stabilizer(r)
         products = {self.compose(t, s) for t in translations for s in stab}
         return len(translations) * len(stab) == len(self.elements) and \
             products == set(self.elements)
+
+    def check_a1a2(self) -> tuple[int, list, dict]:
+        """Transitivity off the vertex generator (A1) and circular
+        transitivity of point stabilizers along the base circle (A2), as
+        (cases, witnesses, details).  A2 reports the least target whose
+        stabilizer orbit misses one."""
+        witnesses: list = []
+        space = self.space_points()
+        cases = len(space)
+        missing = sorted(set(space) - self.orbit(self.elements, space[0]))
+        if missing:
+            witnesses.append({"axiom": "A1", "unreached": repr(missing[0])})
+        details = {"A1": {"points": len(space), "status": "fail" if missing else "pass"}}
+
+        p, K = self.pencil
+        kpts = [x for x in self.plane.circle_points(K) if x != p]
+        a2_bad = []
+        for r in kpts:
+            stab = self.stabilizer(r)
+            targets = set(kpts) - {r}
+            for x in sorted(targets):
+                cases += 1
+                got = self.orbit(stab, x)
+                if not targets <= got:
+                    a2_bad.append({"axiom": "A2", "r": repr(r), "x": repr(x),
+                                   "missed": sorted(map(repr, targets - got))})
+                    break
+        witnesses.extend(a2_bad)
+        details["A2"] = {"stabilizers": len(kpts), "status": "fail" if a2_bad else "pass"}
+        return cases, witnesses, details
 
     def verify_axioms(self) -> Report:
         return verify_a1a2a3(self.plane, self.pencil, self)
@@ -368,19 +435,15 @@ class DeltaGroup:
 def verify_a1a2a3(plane: LaguerrePlane, pencil: Pencil,
                   delta: DeltaGroup | None) -> Report:
     """Check transitivity off the vertex generator (A1), circular
-    transitivity of point stabilizers along the base circle (A2), and the
-    one-tangent-member property (A3).
+    transitivity of point stabilizers along the base circle (A2), both by
+    ``DeltaGroup.check_a1a2``, and the one-tangent-member property (A3).
 
-    A2 reports the least target whose stabilizer orbit misses one.  For
-    q = 2 only A3 is evaluated (and fails, with the full witness list); the
-    parametrized group does not exist there.
+    For q = 2 only A3 is evaluated (and fails, with the full witness list);
+    the parametrized group does not exist there.
     """
     rep = Report("A1A2A3", plane.q, PASS)
     with timed(rep):
-        details = rep.details
-        witnesses = rep.witnesses
         cases = 0
-
         if plane.gf.char2:
             rep.reading_notes = ("characteristic 2: only the tangency-count "
                                  "axiom is evaluated; the parametrized group "
@@ -388,30 +451,7 @@ def verify_a1a2a3(plane: LaguerrePlane, pencil: Pencil,
         else:
             if delta is None:
                 delta = DeltaGroup.build(plane, pencil)
-            space = delta.space_points()
-            cases += len(space)
-            missing = sorted(set(space) - delta.orbit(delta.elements, space[0]))
-            if missing:
-                witnesses.append({"axiom": "A1", "unreached": repr(missing[0])})
-            details["A1"] = {"points": len(space), "status":
-                             "fail" if missing else "pass"}
-
-            K = pencil.base
-            kpts = [x for x in plane.circle_points(K) if x != pencil.p]
-            a2_bad = []
-            for r in kpts:
-                stab = delta.stabilizer(r)
-                targets = set(kpts) - {r}
-                for x in sorted(targets):
-                    cases += 1
-                    got = delta.orbit(stab, x)
-                    if not targets <= got:
-                        a2_bad.append({"axiom": "A2", "r": repr(r), "x": repr(x),
-                                       "missed": sorted(map(repr, targets - got))})
-                        break
-            witnesses.extend(a2_bad)
-            details["A2"] = {"stabilizers": len(kpts),
-                             "status": "fail" if a2_bad else "pass"}
+            cases, rep.witnesses, rep.details = delta.check_a1a2()
 
         # A3: every circle avoiding the vertex has exactly one tangent member
         a3_bad = []
@@ -424,11 +464,11 @@ def verify_a1a2a3(plane: LaguerrePlane, pencil: Pencil,
             if len(hits) != 1:
                 a3_bad.append({"axiom": "A3", "circle": list(M),
                                "tangent_members": sorted(list(L) for L, _ in hits)})
-        witnesses.extend(sorted(a3_bad, key=lambda w: w["circle"]))
-        details["A3"] = {"circles": a3_cases, "status": "fail" if a3_bad else "pass"}
+        rep.witnesses.extend(sorted(a3_bad, key=lambda w: w["circle"]))
+        rep.details["A3"] = {"circles": a3_cases, "status": "fail" if a3_bad else "pass"}
         cases += a3_cases
 
         rep.cases_checked = cases
-        if witnesses:
+        if rep.witnesses:
             rep.status = FAIL
     return rep

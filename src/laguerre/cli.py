@@ -16,16 +16,13 @@ circle through the vertex is chosen (y = y0 resp. y = a x^2).
 
 Exit codes: 0 all checks pass or are report-only, 1 some check failed,
 2 usage or configuration error.  ``--json`` emits one stable JSON array;
-timing is excluded so identical runs are byte-identical.  Set
-LAGUERRE_WORKERS > 1 to run catalog checks in worker processes, at most one
-per CPU (output order is unaffected).
+timing is excluded so identical runs are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .field import DEFAULT_MAX_Q, FieldError, GF, is_prime
@@ -34,7 +31,7 @@ from .plane import (Circle, GeometryError, LaguerrePlane, Pencil, affine,
 from .autgroup import DeltaGroup, verify_a1a2a3
 from .skewaffine import AXIOMS, GroupSpace
 from .report import Budget, Report
-from .verify import CHECK_IDS, run_suite, thm_check
+from .verify import CHECK_IDS, run_suite
 
 
 class UsageError(Exception):
@@ -186,34 +183,14 @@ def _cmd_ska_verify(args) -> int:
     return _emit(reports, args.json)
 
 
-def _workers() -> int:
-    """LAGUERRE_WORKERS (default 1), capped at the CPU count."""
-    text = os.environ.get("LAGUERRE_WORKERS", "1")
-    try:
-        workers = int(text)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise UsageError(f"LAGUERRE_WORKERS must be a positive integer, not {text!r}")
-    return min(workers, os.cpu_count() or 1)
-
-
 def _cmd_theorems_run(args) -> int:
     _require_odd(args.q)
-    _make_plane(args.q)  # validates the bound
+    GF(args.q, max_q=DEFAULT_MAX_Q)  # the bound, before the catalog builds its plane
     ids = CHECK_IDS if args.id == "all" else (args.id,)
     for cid in ids:
         if cid not in CHECK_IDS:
             raise UsageError(f"unknown check id {cid!r}")
-    workers = _workers()
-    if workers > 1 and len(ids) > 1:
-        import concurrent.futures
-
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(thm_check, ids, [args.q] * len(ids)))
-    else:
-        reports = run_suite(args.q, ids)
-    return _emit(reports, args.json)
+    return _emit(run_suite(args.q, ids), args.json)
 
 
 def _cmd_export(args) -> int:

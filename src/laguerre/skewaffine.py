@@ -51,10 +51,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import partial
 
 from .plane import GeometryError, LaguerrePlane, Pencil, Point
-from .autgroup import IDENTITY, DeltaGroup, PencilAut
+from .autgroup import DeltaGroup, PencilAut, _reach
 from .report import Budget, FAIL, PASS, Report, timed
 
 CIRCLE_LINE = "circle_line"
@@ -114,19 +113,6 @@ class Line:
         }
 
 
-def _reach(start, moves) -> set:
-    """Everything reachable from ``start`` by repeated ``moves``."""
-    seen, todo = {start}, [start]
-    while todo:
-        here = todo.pop()
-        for move in moves:
-            there = move(here)
-            if there not in seen:
-                seen.add(there)
-                todo.append(there)
-    return seen
-
-
 class GroupSpace:
     """Points, lines, and parallel classes of the residual plane."""
 
@@ -147,13 +133,10 @@ class GroupSpace:
               check_preconditions: bool = True) -> "GroupSpace":
         gs = cls(plane, pencil, delta)
         if check_preconditions:
-            rep = delta.verify_axioms()
-            bad = [w for w in rep.witnesses if w.get("axiom") in ("A1", "A2")]
+            _, bad, _ = delta.check_a1a2()
             if bad:
-                err = GeometryError("transitivity axioms fail for this group",
+                raise GeometryError("transitivity axioms fail for this group",
                                     code="a1a2_failed", witnesses=bad)
-                err.report = rep
-                raise err
         gs._build()
         return gs
 
@@ -170,7 +153,7 @@ class GroupSpace:
         return self._line_by_key[(ids, line.kind, line.label)]
 
     def _build(self) -> None:
-        self._gens = self._generators()
+        self._gens = self.delta.generators()
         delta, plane, q = self.delta, self.plane, self.q
         self.points = delta.space_points()
         self.n = n = len(self.points)
@@ -232,23 +215,6 @@ class GroupSpace:
                                 f"at {self.points[x]}, {self.points[y]}",
                                 code="join_mismatch")
         return got, kind, label
-
-    def _generators(self) -> list[PencilAut]:
-        """A primitive root plus the two unit translations.
-
-        Parallel classes and the orbit sweeps see the group only through
-        these three, so their closure must be exactly the group.
-        """
-        q = self.q
-        proot = next(g for g in range(2, q)
-                     if len({pow(g, e, q) for e in range(q - 1)}) == q - 1)
-        gens = [PencilAut(proot, 0, 0), PencilAut(1, 1, 0), PencilAut(1, 0, 1)]
-        closure = _reach(IDENTITY, [partial(self.delta.compose, g) for g in gens])
-        if closure != set(self.delta.elements):
-            raise GeometryError(f"the generators close to {len(closure)} elements, "
-                                f"not to the {len(self.delta.elements)} of the group",
-                                code="generators_not_closed")
-        return gens
 
     def _assign_classes(self) -> None:
         """Parallel classes = orbits of the group acting on lines.
@@ -319,12 +285,10 @@ class GroupSpace:
         """A k=1 element carrying L1 onto L2, if one exists."""
         local, image = self._local, self.delta.image
         own = [(i, self._plane_ids[i]) for i in L1.ids]
-        for t in range(self.q):
-            for g in range(self.q):
-                f = PencilAut(1, t, g)
-                perm = {i: local[image(f, p)] for i, p in own}
-                if self.line_image(perm, L1) is L2:
-                    return f
+        for f in self.delta.translations:
+            perm = {i: local[image(f, p)] for i, p in own}
+            if self.line_image(perm, L1) is L2:
+                return f
         return None
 
     def classify_line(self, line: Line) -> tuple[str, tuple[Point, ...]]:

@@ -1,11 +1,14 @@
 """One machine check per statement in the checking catalog.
 
-Every entry of ``CHECK_IDS`` maps to a checker that sweeps the statement's
-quantifiers over the canonical pencil of the plane of the requested size,
-always exhaustively.  Checks verify conclusions, not intermediate
-constructions.  ``L3.1`` is deliberately report-only: it publishes the
-census of fixed-point-free group elements and asserts only the restricted
-claims that hold in this model (see its reading notes).
+``_CATALOG`` lists the checks in report order, each with its checker and
+summary; ``CHECK_IDS`` and ``CHECK_SUMMARIES`` are read off it.  A checker
+sweeps the statement's quantifiers over the canonical pencil of the plane
+of the requested size, always exhaustively, and returns (cases, witnesses,
+details), as the residual-plane axiom checkers do.  Checks verify
+conclusions, not intermediate constructions.  ``L3.1`` is deliberately
+report-only: it publishes the census of fixed-point-free group elements and
+asserts only the restricted claims that hold in this model (see its reading
+notes).
 """
 
 from __future__ import annotations
@@ -16,48 +19,36 @@ from functools import cached_property
 
 from .plane import (Circle, GeometryError, IDEAL, LaguerrePlane, Pencil, Point,
                     affine, canonical_pencil, ideal)
-from .autgroup import DeltaGroup, PencilAut, aut_compose
+from .autgroup import IDENTITY, DeltaGroup, PencilAut, aut_compose
 from .skewaffine import GroupSpace, SPECIAL, STRAIGHT
 from .report import Budget, FAIL, PASS, REPORT_ONLY, Report, timed
 
-CHECK_IDS = (
-    "P2.1", "P2.2", "P2.3", "P2.4", "P2.5", "P2.6", "C2.1",
-    "T3.1", "P3.1", "C3.1", "L3.1", "P3.2", "T3.2", "C3.3", "C3.4",
-    "P4.1", "C4.1", "P4.2", "P4.3", "L4.1",
-    "P4.4", "P4.5", "P4.6", "P4.7", "L4.2", "T4.1", "C4.2", "T4.2", "R4.1",
-)
-
-CHECK_SUMMARIES = {
-    "P2.1": "joins of nonparallel points are circle remnants based at the first point; parallel joins stay inside one generator",
-    "P2.2": "lines carried by pencil members are straight",
-    "P2.3": "parallel circle remnants share their ideal point",
-    "P2.4": "a circle avoiding the vertex is the line based at its tangency point, whichever second point is used",
-    "P2.5": "straight circle remnants come only from pencil members",
-    "P2.6": "circle remnants with equal ideal points are parallel",
-    "C2.1": "stabilizer-invariant circles through the fixed point carry a transitive stabilizer action off the fixed and vertex-parallel points",
-    "T3.1": "point stabilizers fix the vertex pencil at their point, contain the two-generator symmetry, and act transitively on invariant remnants",
-    "P3.1": "the member-fixing translations act transitively along each pencil member",
-    "C3.1": "any two points of a pencil member are swapped by a symmetry based on that member",
-    "L3.1": "census of fixed-point-free elements (report-only; restricted claims asserted)",
-    "P3.2": "the generator-fixing translations act transitively along each generator",
-    "T3.2": "translations form a normal transitive subgroup, the translation/stabilizer factorization is bijective, and fixed-point elements are strains",
-    "C3.3": "the residual plane satisfies the parallelogram condition and the translation subgroup is commutative",
-    "C3.4": "line parallelism coincides with translation reachability",
-    "P4.1": "circles tangent to one member at distinct points never meet only on the vertex generator",
-    "C4.1": "parallel circle lines based on one straight line always meet",
-    "P4.2": "parallel proper circle lines are disjoint exactly when their base points are distinct and parallel",
-    "P4.3": "a straight circle line meeting one of two base-aligned parallel lines meets the other",
-    "L4.1": "intersection with a middle tangent circle propagates to the outer pair",
-    "P4.4": "the tangency relation is an equivalence off each member",
-    "P4.5": "one intersecting tangent pair at distinct points already forces equivalence",
-    "P4.6": "special-line membership matches the tangency equivalence",
-    "P4.7": "equivalence of an ideal point to an affine point means exactly two common tangent circles",
-    "L4.2": "reversing a join sends its ideal direction to a unique opposite ideal point",
-    "T4.1": "the base points of a vertical joining pencil sweep exactly one circle",
-    "C4.2": "the swept circle passes through the opposite ideal point",
-    "T4.2": "two-tangent-circles existence, all-pairs intersection, and one intersecting distinct-tangency pair are equivalent",
-    "R4.1": "the tangency equivalence is the square-class partition of height offsets",
+# reading notes that travel with a check's report
+_NOTES = {
+    "C2.1": ("scoped to invariant circles through the fixed point, the only "
+             "configuration the surrounding statements use; at q = 3 the "
+             "two-element stabilizers also leave circles missing the fixed "
+             "point invariant, and transitivity is impossible there"),
+    "L3.1": ("report-only: the unrestricted claim 'fixed-point-free implies "
+             "translation' fails in this model for the reflected elements "
+             "(k = -1, g != 0), which move no point of the residual set yet "
+             "reverse line directions on every derived plane at the vertex "
+             "generator; asserted instead: every fixed-point-free element "
+             "has k = 1 or k = -1, and every fixed-point-free k = 1 element "
+             "is a translation"),
+    "P4.7": ("the second point ranges over affine points off the member: the "
+             "two-circle construction joins it to the ideal point, which "
+             "needs the pair nonparallel"),
+    "L4.2": ("reading: an ideal point on the join circle based at x through "
+             "y forces its unique opposite on the join circle based at y "
+             "through x; verified by sweeping all ordered nonparallel affine "
+             "pairs and checking the two leading coefficients are negatives, "
+             "plus nonemptiness of every direction class"),
 }
+
+# checks that pass as report-only: they publish a census and assert only
+# restricted claims (see their reading notes)
+_REPORT_ONLY_IDS = frozenset({"L3.1"})
 
 
 @dataclass
@@ -304,7 +295,7 @@ def thm_tangency_locus(plane: LaguerrePlane, pencil: Pencil, q_ideal: Point,
 
 
 # ---------------------------------------------------------------------------
-# individual checkers; each returns (cases, witnesses, notes, details, status)
+# individual checkers; each returns (cases, witnesses, details)
 # ---------------------------------------------------------------------------
 
 
@@ -337,7 +328,7 @@ def _check_p2_1(ctx: _Ctx):
             if base != x:
                 bad.append({"x": repr(x), "y": repr(y), "problem": "base_mismatch",
                             "base": repr(base)})
-    return cases, bad, None, {}, None
+    return cases, bad, {}
 
 
 def _check_p2_2(ctx: _Ctx):
@@ -350,7 +341,7 @@ def _check_p2_2(ctx: _Ctx):
         cases += len(line.points)
         if kind != STRAIGHT or bases != line.points:
             bad.append({"member": list(M), "bases": sorted(map(repr, bases))})
-    return cases, bad, None, {}, None
+    return cases, bad, {}
 
 
 def _circle_kind_lines(space: GroupSpace):
@@ -372,7 +363,7 @@ def _check_p2_3(ctx: _Ctx):
         cases += len(lines) * (len(lines) - 1) // 2
         if len(ideals) != 1:
             bad.append({"class": cid, "ideal_points": sorted(ideals)})
-    return cases, bad, None, {}, None
+    return cases, bad, {}
 
 
 def _check_p2_4(ctx: _Ctx):
@@ -389,7 +380,7 @@ def _check_p2_4(ctx: _Ctx):
             cases += 1
             if set(space.join(base, y).points) != remnant:
                 bad.append({"circle": list(M), "y": repr(y)})
-    return cases, bad, None, {}, None
+    return cases, bad, {}
 
 
 def _check_p2_5(ctx: _Ctx):
@@ -402,7 +393,7 @@ def _check_p2_5(ctx: _Ctx):
         straight = bases == line.points
         if straight != (_line_circle(ctx, line) in members):
             bad.append({"line": line.index, "straight": straight})
-    return cases, bad, None, {}, None
+    return cases, bad, {}
 
 
 def _check_p2_6(ctx: _Ctx):
@@ -418,7 +409,7 @@ def _check_p2_6(ctx: _Ctx):
             cases += 1
             if L1.class_id != L2.class_id:
                 bad.append({"a": a, "lines": [L1.index, L2.index]})
-    return cases, bad, None, {}, None
+    return cases, bad, {}
 
 
 def _check_c2_1(ctx: _Ctx):
@@ -441,11 +432,7 @@ def _check_c2_1(ctx: _Ctx):
             if not targets <= orbit:
                 bad.append({"r": repr(r), "circle": list(C),
                             "missed": sorted(map(repr, targets - orbit))})
-    notes = ("scoped to invariant circles through the fixed point, the only "
-             "configuration the surrounding statements use; at q = 3 the "
-             "two-element stabilizers also leave circles missing the fixed "
-             "point invariant, and transitivity is impossible there")
-    return cases, bad, notes, {"invariant_missing_fixed_point": off_vertex_invariant}, None
+    return cases, bad, {"invariant_missing_fixed_point": off_vertex_invariant}
 
 
 def _member_through(ctx: _Ctx, r: Point) -> Circle:
@@ -473,7 +460,7 @@ def _check_t3_1(ctx: _Ctx):
         gen_pts = plane.generator_points(plane.generator_of(r))
         kpts = plane.circle_points(K)
         ok = (sym in stab
-              and aut_compose(gf, sym, sym) == PencilAut(1, 0, 0)
+              and aut_compose(gf, sym, sym) == IDENTITY
               and all(delta.apply(sym, p) == p for p in gen_pts)
               and delta.apply(sym, K) == K
               and any(delta.apply(sym, p) != p for p in kpts))
@@ -486,7 +473,7 @@ def _check_t3_1(ctx: _Ctx):
             orbit = delta.orbit(stab, sorted(targets)[0])
             if not targets <= orbit:
                 bad.append({"r": repr(r), "member": list(M), "problem": "not_transitive"})
-    return cases, bad, None, {}, None
+    return cases, bad, {}
 
 
 def _is_translation(ctx: _Ctx, f: PencilAut) -> bool:
@@ -494,7 +481,7 @@ def _is_translation(ctx: _Ctx, f: PencilAut) -> bool:
     generator, and preserving every line direction of the derived plane at
     the vertex (slopes of the a = 0 circles)."""
     delta = ctx.delta
-    if f != PencilAut(1, 0, 0) and ctx.fixed_points[f]:
+    if f != IDENTITY and ctx.fixed_points[f]:
         return False
     q = ctx.plane.q
     return all(delta.apply(f, Circle(0, b, 0)).b == b for b in range(q))
@@ -517,7 +504,7 @@ def _check_p3_1(ctx: _Ctx):
         cases += 1
         if set(pts) != orbit:
             bad.append({"problem": "not_transitive_along_member", "member": list(M)})
-    return cases, bad, None, {}, None
+    return cases, bad, {}
 
 
 def _check_c3_1(ctx: _Ctx):
@@ -536,7 +523,7 @@ def _check_c3_1(ctx: _Ctx):
                     break
             if hit is None:
                 bad.append({"member": list(R), "x": repr(x), "y": repr(y)})
-    return cases, bad, None, {}, None
+    return cases, bad, {}
 
 
 def _check_l3_1(ctx: _Ctx):
@@ -566,22 +553,17 @@ def _check_l3_1(ctx: _Ctx):
                         "element": list(f)})
     # the reflected ones are not translations of any derived plane at a
     # vertex-generator point: some line direction always flips
-    glide_ok = all(
-        any(delta.apply(f, Circle(alpha, b, 0)).b != b for b in range(q))
-        for f in glides for alpha in range(q)
-    )
-    cases += len(glides) * q
+    glide_ok = True
+    for f in glides:
+        for alpha in range(q):
+            cases += 1
+            if all(delta.apply(f, Circle(alpha, b, 0)).b == b for b in range(q)):
+                glide_ok = False
+                bad.append({"problem": "glide_preserves_directions",
+                            "element": list(f), "alpha": alpha})
     details = {"translation_count": len(translations), "glide_count": len(glides),
                "glides_never_translations": glide_ok}
-    notes = ("report-only: the unrestricted claim 'fixed-point-free implies "
-             "translation' fails in this model for the reflected elements "
-             "(k = -1, g != 0), which move no point of the residual set yet "
-             "reverse line directions on every derived plane at the vertex "
-             "generator; asserted instead: every fixed-point-free element "
-             "has k = 1 or k = -1, and every fixed-point-free k = 1 element "
-             "is a translation")
-    status = REPORT_ONLY if not bad and glide_ok else FAIL
-    return cases, bad, notes, details, status
+    return cases, bad, details
 
 
 def _check_p3_2(ctx: _Ctx):
@@ -605,7 +587,7 @@ def _check_p3_2(ctx: _Ctx):
         if set(aff) != orbit:
             bad.append({"problem": "not_transitive_along_generator",
                         "generator": repr(aff[0])})
-    return cases, bad, None, {}, None
+    return cases, bad, {}
 
 
 def _check_t3_2(ctx: _Ctx):
@@ -613,7 +595,7 @@ def _check_t3_2(ctx: _Ctx):
     gf = plane.gf
     q = plane.q
     cases, bad = 0, []
-    translations = [f for f in delta.elements if f.k == 1]
+    translations = delta.translations
     orbit = delta.orbit(translations, affine(0, 0))
     cases += 1
     if orbit != set(ctx.space.points):
@@ -645,7 +627,7 @@ def _check_t3_2(ctx: _Ctx):
                                 "element": list(f), "r": repr(r)})
     # fixed-point-free k=1 elements fix a line pencil through the vertex
     for f in translations:
-        if f == PencilAut(1, 0, 0):
+        if f == IDENTITY:
             continue
         cases += 1
         if f.t == 0:
@@ -657,12 +639,12 @@ def _check_t3_2(ctx: _Ctx):
                      for c in range(q))
         if not ok:
             bad.append({"problem": "translation_without_direction", "element": list(f)})
-    return cases, bad, None, {}, None
+    return cases, bad, {}
 
 
 def _check_c3_3(ctx: _Ctx):
     gf = ctx.plane.gf
-    translations = [f for f in ctx.delta.elements if f.k == 1]
+    translations = ctx.delta.translations
     cases, bad = 0, []
     for t1, t2 in itertools.combinations(translations, 2):
         cases += 1
@@ -672,12 +654,12 @@ def _check_c3_3(ctx: _Ctx):
     rep = ctx.space.check_axiom("Pgm", Budget("exhaustive", 0, 0))
     cases += rep.cases_checked
     bad.extend(rep.witnesses)
-    return cases, bad, None, {}, None
+    return cases, bad, {}
 
 
 def _check_c3_4(ctx: _Ctx):
     space = ctx.space
-    translations = [space.point_perm(f) for f in ctx.delta.elements if f.k == 1]
+    translations = [space.point_perm(f) for f in ctx.delta.translations]
     cases, bad = 0, []
     for line in space.lines:
         cases += len(translations)
@@ -686,7 +668,7 @@ def _check_c3_4(ctx: _Ctx):
         if imgs != cls:
             bad.append({"line": line.index, "orbit_size": len(imgs),
                         "class_size": len(cls)})
-    return cases, bad, None, {}, None
+    return cases, bad, {}
 
 
 def _check_p4_1(ctx: _Ctx):
@@ -698,7 +680,7 @@ def _check_p4_1(ctx: _Ctx):
             cases += 1
             if M.a == N.a and M.b == N.b:
                 bad.append({"member": list(L), "circles": [list(M), list(N)]})
-    return cases, bad, None, {}, None
+    return cases, bad, {}
 
 
 def _check_c4_1(ctx: _Ctx):
@@ -715,7 +697,7 @@ def _check_c4_1(ctx: _Ctx):
                 common = [p for p in plane.intersection(M, N) if p.kind != IDEAL]
                 if not common:
                     bad.append({"member": list(L), "circles": [list(M), list(N)]})
-    return cases, bad, None, {}, None
+    return cases, bad, {}
 
 
 def _check_p4_2(ctx: _Ctx):
@@ -734,7 +716,7 @@ def _check_p4_2(ctx: _Ctx):
             base_par = bm != bn and plane.parallel(bm, bn)
             if disjoint != base_par:
                 bad.append({"circles": [list(M), list(N)], "disjoint": disjoint})
-    return cases, bad, None, {}, None
+    return cases, bad, {}
 
 
 def _check_p4_3(ctx: _Ctx):
@@ -755,7 +737,7 @@ def _check_p4_3(ctx: _Ctx):
                 cases += 1
                 if (e in yvals[i]) != (e in yvals[j]):
                     bad.append({"lines": [i, j], "straight_height": e})
-    return cases, bad, None, {}, None
+    return cases, bad, {}
 
 
 def _check_l4_1(ctx: _Ctx):
@@ -777,7 +759,7 @@ def _check_l4_1(ctx: _Ctx):
                     ri = (miss & -miss).bit_length() - 1
                     bad.append({"member": list(L), "P": list(fam.circles[pi]),
                                 "Q": list(fam.circles[qi]), "R": list(fam.circles[ri])})
-    return cases, bad, None, {}, None
+    return cases, bad, {}
 
 
 def _equiv_sweep(ctx: _Ctx, laws: tuple[str, ...]):
@@ -787,17 +769,15 @@ def _equiv_sweep(ctx: _Ctx, laws: tuple[str, ...]):
     for rep in ctx.equiv_reports:
         cases += rep.cases_checked
         bad.extend(w for w in rep.witnesses if w["law"] in laws)
-    return cases, bad
+    return cases, bad, {}
 
 
 def _check_p4_4(ctx: _Ctx):
-    cases, bad = _equiv_sweep(ctx, ("reflexive", "symmetric", "transitive"))
-    return cases, bad, None, {}, None
+    return _equiv_sweep(ctx, ("reflexive", "symmetric", "transitive"))
 
 
 def _check_p4_5(ctx: _Ctx):
-    cases, bad = _equiv_sweep(ctx, ("single_witness",))
-    return cases, bad, None, {}, None
+    return _equiv_sweep(ctx, ("single_witness",))
 
 
 def _check_p4_6(ctx: _Ctx):
@@ -817,27 +797,15 @@ def _check_p4_6(ctx: _Ctx):
                 cases += 1
                 if (z in line_pts) != fam.equivalent(z, y):
                     bad.append({"x": repr(x), "y": repr(y), "z": repr(z)})
-    return cases, bad, None, {}, None
+    return cases, bad, {}
 
 
 def _check_p4_7(ctx: _Ctx):
-    cases, bad = _equiv_sweep(ctx, ("two_circle_count",))
-    notes = ("the second point ranges over affine points off the member: the "
-             "two-circle construction joins it to the ideal point, which "
-             "needs the pair nonparallel")
-    return cases, bad, notes, {}, None
+    return _equiv_sweep(ctx, ("two_circle_count",))
 
 
 def _check_r4_1(ctx: _Ctx):
-    cases, bad = _equiv_sweep(ctx, ("square_class_rule", "block_count"))
-    return cases, bad, None, {}, None
-
-
-_L42_NOTE = ("reading: an ideal point on the join circle based at x through "
-             "y forces its unique opposite on the join circle based at y "
-             "through x; verified by sweeping all ordered nonparallel affine "
-             "pairs and checking the two leading coefficients are negatives, "
-             "plus nonemptiness of every direction class")
+    return _equiv_sweep(ctx, ("square_class_rule", "block_count"))
 
 
 def _check_l4_2(ctx: _Ctx):
@@ -865,7 +833,7 @@ def _check_l4_2(ctx: _Ctx):
         cases += 1
         if beta not in seen_dirs:
             bad.append({"problem": "direction_class_empty", "beta": beta})
-    return cases, bad, _L42_NOTE, {}, None
+    return cases, bad, {}
 
 
 def _check_t4_1(ctx: _Ctx):
@@ -873,7 +841,7 @@ def _check_t4_1(ctx: _Ctx):
     for beta, x, locus, rep in ctx.loci:
         cases += rep.cases_checked
         bad.extend(dict(w, beta=beta, x=repr(x)) for w in rep.witnesses)
-    return cases, bad, None, {}, None
+    return cases, bad, {}
 
 
 def _check_c4_2(ctx: _Ctx):
@@ -884,7 +852,7 @@ def _check_c4_2(ctx: _Ctx):
         qprime = ideal((-beta) % plane.q)
         if not plane.incident(qprime, locus):
             bad.append({"beta": beta, "x": repr(x), "locus": list(locus)})
-    return cases, bad, None, {}, None
+    return cases, bad, {}
 
 
 def _check_t4_2(ctx: _Ctx):
@@ -908,43 +876,64 @@ def _check_t4_2(ctx: _Ctx):
                     bad.append({"circle": list(L), "x": repr(a), "y": repr(b),
                                 "exactly_two": two, "all_meet": allmeet,
                                 "one_pair": one})
-    return cases, bad, None, {}, None
+    return cases, bad, {}
 
 
-_CHECKERS = {
-    "P2.1": _check_p2_1, "P2.2": _check_p2_2, "P2.3": _check_p2_3,
-    "P2.4": _check_p2_4, "P2.5": _check_p2_5, "P2.6": _check_p2_6,
-    "C2.1": _check_c2_1,
-    "T3.1": _check_t3_1, "P3.1": _check_p3_1, "C3.1": _check_c3_1,
-    "L3.1": _check_l3_1, "P3.2": _check_p3_2, "T3.2": _check_t3_2,
-    "C3.3": _check_c3_3, "C3.4": _check_c3_4,
-    "P4.1": _check_p4_1, "C4.1": _check_c4_1, "P4.2": _check_p4_2,
-    "P4.3": _check_p4_3, "L4.1": _check_l4_1,
-    "P4.4": _check_p4_4, "P4.5": _check_p4_5, "P4.6": _check_p4_6,
-    "P4.7": _check_p4_7, "L4.2": _check_l4_2, "T4.1": _check_t4_1,
-    "C4.2": _check_c4_2, "T4.2": _check_t4_2, "R4.1": _check_r4_1,
+# The catalog in report order: each check's checker and summary.  The only
+# source of the check ids, their order, their summaries and dispatch.
+_CATALOG = {
+    "P2.1": (_check_p2_1, "joins of nonparallel points are circle remnants based at the first point; parallel joins stay inside one generator"),
+    "P2.2": (_check_p2_2, "lines carried by pencil members are straight"),
+    "P2.3": (_check_p2_3, "parallel circle remnants share their ideal point"),
+    "P2.4": (_check_p2_4, "a circle avoiding the vertex is the line based at its tangency point, whichever second point is used"),
+    "P2.5": (_check_p2_5, "straight circle remnants come only from pencil members"),
+    "P2.6": (_check_p2_6, "circle remnants with equal ideal points are parallel"),
+    "C2.1": (_check_c2_1, "stabilizer-invariant circles through the fixed point carry a transitive stabilizer action off the fixed and vertex-parallel points"),
+    "T3.1": (_check_t3_1, "point stabilizers fix the vertex pencil at their point, contain the two-generator symmetry, and act transitively on invariant remnants"),
+    "P3.1": (_check_p3_1, "the member-fixing translations act transitively along each pencil member"),
+    "C3.1": (_check_c3_1, "any two points of a pencil member are swapped by a symmetry based on that member"),
+    "L3.1": (_check_l3_1, "census of fixed-point-free elements (report-only; restricted claims asserted)"),
+    "P3.2": (_check_p3_2, "the generator-fixing translations act transitively along each generator"),
+    "T3.2": (_check_t3_2, "translations form a normal transitive subgroup, the translation/stabilizer factorization is bijective, and fixed-point elements are strains"),
+    "C3.3": (_check_c3_3, "the residual plane satisfies the parallelogram condition and the translation subgroup is commutative"),
+    "C3.4": (_check_c3_4, "line parallelism coincides with translation reachability"),
+    "P4.1": (_check_p4_1, "circles tangent to one member at distinct points never meet only on the vertex generator"),
+    "C4.1": (_check_c4_1, "parallel circle lines based on one straight line always meet"),
+    "P4.2": (_check_p4_2, "parallel proper circle lines are disjoint exactly when their base points are distinct and parallel"),
+    "P4.3": (_check_p4_3, "a straight circle line meeting one of two base-aligned parallel lines meets the other"),
+    "L4.1": (_check_l4_1, "intersection with a middle tangent circle propagates to the outer pair"),
+    "P4.4": (_check_p4_4, "the tangency relation is an equivalence off each member"),
+    "P4.5": (_check_p4_5, "one intersecting tangent pair at distinct points already forces equivalence"),
+    "P4.6": (_check_p4_6, "special-line membership matches the tangency equivalence"),
+    "P4.7": (_check_p4_7, "equivalence of an ideal point to an affine point means exactly two common tangent circles"),
+    "L4.2": (_check_l4_2, "reversing a join sends its ideal direction to a unique opposite ideal point"),
+    "T4.1": (_check_t4_1, "the base points of a vertical joining pencil sweep exactly one circle"),
+    "C4.2": (_check_c4_2, "the swept circle passes through the opposite ideal point"),
+    "T4.2": (_check_t4_2, "two-tangent-circles existence, all-pairs intersection, and one intersecting distinct-tangency pair are equivalent"),
+    "R4.1": (_check_r4_1, "the tangency equivalence is the square-class partition of height offsets"),
 }
+
+CHECK_IDS = tuple(_CATALOG)
+CHECK_SUMMARIES = {cid: summary for cid, (_, summary) in _CATALOG.items()}
 
 
 def thm_check(check_id: str, q: int) -> Report:
     """Run one catalog check at field size q (canonical pencil)."""
-    if check_id not in _CHECKERS:
+    if check_id not in _CATALOG:
         raise GeometryError(f"unknown check id {check_id!r}", code="bad_check")
     if q == 2 or q % 2 == 0:
         raise GeometryError("catalog checks need an odd prime q", code="char2_group")
+    checker, summary = _CATALOG[check_id]
     ctx = _context(q)
     rep = Report(check_id, q, PASS)
     with timed(rep):
-        cases, witnesses, notes, details, status = _CHECKERS[check_id](ctx)
-        rep.cases_checked = cases
-        rep.witnesses = witnesses
-        rep.reading_notes = notes
-        rep.details = dict(details)
-        rep.details.setdefault("summary", CHECK_SUMMARIES[check_id])
-        if status is not None:
-            rep.status = status
-        elif witnesses:
+        rep.cases_checked, rep.witnesses, rep.details = checker(ctx)
+        rep.details["summary"] = summary
+        rep.reading_notes = _NOTES.get(check_id)
+        if rep.witnesses:
             rep.status = FAIL
+        elif check_id in _REPORT_ONLY_IDS:
+            rep.status = REPORT_ONLY
     return rep
 
 

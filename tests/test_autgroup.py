@@ -165,6 +165,21 @@ def test_semidirect_factorization_every_point(delta5):
         assert delta5.semidirect_factorization(r)
 
 
+def test_translations_and_generators(delta5, plane5):
+    assert delta5.translations == [PencilAut(1, t, g) for t in range(5)
+                                   for g in range(5)]
+    assert delta5.generators() == [PencilAut(2, 0, 0), PencilAut(1, 1, 0),
+                                   PencilAut(1, 0, 1)]
+    # a subgroup holds only its own translations, and the three generators
+    # close to more than it
+    pencil = canonical_pencil(plane5)
+    sub = DeltaGroup(plane5, pencil, delta5.elements[::2], None)
+    assert sub.translations == delta5.translations[::2]
+    with pytest.raises(GeometryError) as e:
+        sub.generators()
+    assert e.value.code == "generators_not_closed"
+
+
 def test_translations_normal_and_commutative(delta5, plane5):
     gf = plane5.gf
     T = [f for f in delta5.elements if f.k == 1]

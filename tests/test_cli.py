@@ -144,24 +144,28 @@ def test_bad_axiom_fails_before_the_build(capsys, monkeypatch):
     assert err == "error: unknown axiom 'bogus'\n"
 
 
-def test_bad_workers_is_a_usage_error(capsys, monkeypatch):
-    for value in ("abc", "0", "-2", "1.5", ""):
-        monkeypatch.setenv("LAGUERRE_WORKERS", value)
-        code, out, err = run_cli(capsys, "theorems", "run", "--q", "3",
-                                 "--id", "P2.2")
-        assert code == 2, value
-        assert out == ""
-        assert err.startswith("error: LAGUERRE_WORKERS") and err.count("\n") == 1, err
+def test_theorems_run_builds_one_plane(capsys, monkeypatch):
+    # the catalog's context builds the only plane; the bound on q is checked
+    # on the field alone
+    from laguerre import LaguerrePlane, verify
 
+    monkeypatch.setattr(verify, "_CTX_CACHE", {})
+    real_init = LaguerrePlane.__init__
+    built = []
 
-def test_workers_capped_at_cpu_count(monkeypatch):
-    from laguerre import cli
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
-    for value, want in (("1", 1), ("2", 2), ("3", 3), ("1000000", 3)):
-        monkeypatch.setenv("LAGUERRE_WORKERS", value)
-        assert cli._workers() == want, value
-    monkeypatch.delenv("LAGUERRE_WORKERS")
-    assert cli._workers() == 1
+    def counting_init(self, gf):
+        built.append(gf)
+        real_init(self, gf)
+
+    monkeypatch.setattr(LaguerrePlane, "__init__", counting_init)
+    code, out, _ = run_cli(capsys, "theorems", "run", "--q", "5", "--id", "P2.2")
+    assert code == 0 and "P2.2" in out
+    assert len(built) == 1
+    code, out, err = run_cli(capsys, "theorems", "run", "--q", "103")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert len(built) == 1
 
 
 def test_export_plane(tmp_path, capsys):

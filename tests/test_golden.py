@@ -22,6 +22,7 @@ CASES = {
     "theorems_q3.json": ("theorems", "run", "--q", "3", "--json"),
     "theorems_q5.json": ("theorems", "run", "--q", "5", "--json"),
     "theorems_q7.json": ("theorems", "run", "--q", "7", "--json"),
+    "theorems_q5.txt": ("theorems", "run", "--q", "5"),
     "skewaffine_q5.json": ("skewaffine", "verify", "--q", "5", "--axiom", "all",
                            "--json"),
     "skewaffine_q5_exhaustive.json": ("skewaffine", "verify", "--q", "5",

@@ -159,6 +159,19 @@ def test_build_rejects_non_transitive_group(plane5):
     assert e.value.code == "a1a2_failed"
 
 
+def test_build_checks_only_a1_a2(monkeypatch):
+    # the precondition reads A1 and A2; A3, the sweep over every circle
+    # through tangent_members, is not part of it
+    def no_a3(*args, **kwargs):
+        raise AssertionError("A3 was evaluated")
+
+    monkeypatch.setattr(LaguerrePlane, "tangent_members", no_a3)
+    plane = LaguerrePlane(5)
+    pencil = canonical_pencil(plane)
+    space = GroupSpace.build(plane, pencil, DeltaGroup.build(plane, pencil))
+    assert len(space.lines) == 155
+
+
 def test_build_rejects_generators_not_closed(plane5):
     pencil = canonical_pencil(plane5)
     full = DeltaGroup.build(plane5, pencil)

@@ -1,6 +1,6 @@
 import pytest
 
-from laguerre import (Circle, GeometryError, LaguerrePlane, affine,
+from laguerre import (Circle, GeometryError, LaguerrePlane, PencilAut, affine,
                       canonical_pencil, ideal, thm_check, thm_equiv_rel,
                       thm_tangency_locus, verify)
 from laguerre.verify import CHECK_IDS, CHECK_SUMMARIES, TangentFamily
@@ -10,6 +10,14 @@ def test_catalog_is_closed():
     assert len(CHECK_IDS) == 29
     assert len(set(CHECK_IDS)) == 29
     assert set(CHECK_SUMMARIES) == set(CHECK_IDS)
+    # report order, and one checker per id
+    assert CHECK_IDS == (
+        "P2.1", "P2.2", "P2.3", "P2.4", "P2.5", "P2.6", "C2.1",
+        "T3.1", "P3.1", "C3.1", "L3.1", "P3.2", "T3.2", "C3.3", "C3.4",
+        "P4.1", "C4.1", "P4.2", "P4.3", "L4.1",
+        "P4.4", "P4.5", "P4.6", "P4.7", "L4.2", "T4.1", "C4.2", "T4.2", "R4.1")
+    assert list(verify._CATALOG) == list(CHECK_IDS)
+    assert all(callable(checker) for checker, _ in verify._CATALOG.values())
 
 
 def test_unknown_id_rejected():
@@ -129,6 +137,28 @@ def test_l3_1_report_only():
         assert rep.details["glides_never_translations"] is True
         assert rep.reading_notes and "report-only" in rep.reading_notes
         assert not rep.witnesses
+
+
+def test_l3_1_fails_with_a_witness_when_a_glide_keeps_directions(monkeypatch):
+    # a fresh context whose action leaves every slope of the a = 0 circles
+    # fixed under one glide: the check must fail and name the element
+    monkeypatch.setattr(verify, "_CTX_CACHE", {})
+    delta = verify._context(5).delta
+    real = delta.apply
+    glide = PencilAut(4, 0, 1)
+
+    def bent(f, obj):
+        if f == glide and isinstance(obj, Circle) and obj.a == 0:
+            return obj
+        return real(f, obj)
+
+    monkeypatch.setattr(delta, "apply", bent)
+    rep = thm_check("L3.1", 5)
+    assert rep.status == "fail"
+    assert rep.cases_checked == 224
+    assert rep.witnesses == [{"problem": "glide_preserves_directions",
+                              "element": [4, 0, 1], "alpha": 0}]
+    assert rep.details["glides_never_translations"] is False
 
 
 def test_c2_1_reports_scope(plane3):
