@@ -45,12 +45,27 @@ the brute-force oracle for the reduction; ``sample:K`` draws K seeded cases
 of T, Des and Pap.  The other axioms have no sampled form and are swept
 exhaustively under ``sample:K``; L1, L2, P1 and P2 are quadratic and always
 exhaustive.
+
+Row sweeps.  The orbit and exhaustive sweeps of T, Des and Pap decide a row
+of cases at once, as C-level ``map``/``and_`` passes over int bitsets: for T
+the (x', y') pairs of one (x, y, z), for Des the z of one (u, x, y, x'), for
+Pap the x' of one (u, x, y, z).  A row may only accept.  Every case it does
+not accept goes to the axiom's case predicate (``_t_case_holds``,
+``_des_case_holds``, ``_pap_case``) in the sweep's loop order, so the case
+count, the witnesses and their order are those of a case-by-case sweep.  A
+row reads only what its predicate reads: T the ``_witmask``, ``_byclass``
+and ``_joinclass`` tables; Des and Pap the bitsets ``_row_masks`` derives at
+the start of each sweep from ``_joinclass`` and ``_linepts_minus``, never
+the stored ``_witmask``.  A damaged table therefore fails a row exactly
+where it fails the predicate.  Sampled sweeps decide each draw with the
+predicate.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from operator import and_, neg, or_
 
 from .plane import GeometryError, LaguerrePlane, Pencil, Point
 from .autgroup import DeltaGroup, PencilAut, _reach
@@ -253,12 +268,18 @@ class GroupSpace:
                 c = jc[i][j]
                 self._byclass[i][c].append(j)
                 self._witmask[i][c] |= 1 << j
+        # one tuple per base point i and line through it, shared by every j
+        # whose join with i is that line
         self._linepts_minus = [[None] * n for _ in range(n)]
         for i in range(n):
+            minus = {}
+            row = self._linepts_minus[i]
             for j in range(n):
                 if i != j:
-                    self._linepts_minus[i][j] = tuple(
-                        k for k in self.lines[jl[i][j]].ids if k != i)
+                    lid = jl[i][j]
+                    if lid not in minus:
+                        minus[lid] = tuple(k for k in self.lines[lid].ids if k != i)
+                    row[j] = minus[lid]
 
     # -- public queries -----------------------------------------------------
 
@@ -431,6 +452,32 @@ class GroupSpace:
                 f"the generators carry {self.points[first]!r} to {len(reached)} "
                 f"of the {n} points", code="not_equivariant")
 
+    def _row_masks(self) -> tuple[list[list[int]], list[list[int]]]:
+        """Bitsets for the Des and Pap row sweeps, derived from the tables
+        their predicates read: ``cls[i][c]`` holds the points j != i with
+        ``_joinclass[i][j] == c``, and ``off[u][z]`` the points of
+        ``_linepts_minus[u][z]`` (0 for z = u).  ``cls[i]`` has one spare
+        last slot, so that the class -1 of the diagonal reads the points
+        that carry it, as the predicates' comparisons do."""
+        n, jc = self.n, self._joinclass
+        cls = [[0] * (self.ncls + 1) for _ in range(n)]
+        for i in range(n):
+            row, jc_i = cls[i], jc[i]
+            for j in range(n):
+                if j != i:
+                    row[jc_i[j]] |= 1 << j
+        bits: dict[int, int] = {}   # by tuple identity: the tuples are shared
+        off = []
+        for lpm_u in self._linepts_minus:
+            masks = []
+            for pts in lpm_u:
+                key = id(pts)
+                if key not in bits:
+                    bits[key] = sum(1 << k for k in pts or ())
+                masks.append(bits[key])
+            off.append(masks)
+        return cls, off
+
     def _ax_L1(self, budget: Budget):
         cases, witnesses = 0, []
         for i in range(self.n):
@@ -534,12 +581,28 @@ class GroupSpace:
         jc, byc = self._joinclass, self._byclass
         n = self.n
         holds = self._t_case_holds
+        # the (x', y') pairs of each class in loop order, and cols[c][x'],
+        # the witness mask of x' in class c
+        flat = [([], []) for _ in range(self.ncls)]
+        for x2 in range(n):
+            for (xs, ys), partners in zip(flat, byc[x2]):
+                xs.extend([x2] * len(partners))
+                ys.extend(partners)
+        cols = [list(col) for col in zip(*self._witmask)]
 
         def pair(x, y, fail):
             cases = 0
             cxy = jc[x][y]
+            xs, ys = flat[cxy]
+            # per class c, the masks of the x' and of the y' of those pairs;
+            # the row of z is every pair against the classes of x⊔z and y⊔z
+            of_x = [list(map(col.__getitem__, xs)) for col in cols]
+            of_y = [list(map(col.__getitem__, ys)) for col in cols]
             for z in range(n):
                 if z == x or z == y:
+                    continue
+                if all(map(and_, of_x[jc[x][z]], of_y[jc[y][z]])):
+                    cases += len(xs)
                     continue
                 for x2 in range(n):
                     for y2 in byc[x2][cxy]:
@@ -573,18 +636,41 @@ class GroupSpace:
 
     def _ax_Des(self, budget: Budget):
         n = self.n
-        lpm = self._linepts_minus
+        jc, lpm = self._joinclass, self._linepts_minus
         holds = self._des_case_holds
+        cls, off = self._row_masks()
 
         def pair(u, x, fail):
             cases = 0
+            off_u, jc_x, line = off[u], jc[x], lpm[u][x]
+            # per x', the z' candidates for every z: off u⊔z, in class(x⊔z) from x'
+            reach = [list(map(and_, off_u, map(cls[x2].__getitem__, jc_x)))
+                     for x2 in line]
             for y in range(n):
                 if y in (u, x):
+                    continue
+                jc_y, cxy = jc[y], jc_x[y]
+                # a row is (y, x') over every z; it holds where some y' off
+                # u⊔y in class(x⊔y) from x' leaves a z' in class(y⊔z) from y'
+                rejected = []
+                for x2, row in zip(line, reach):
+                    hit = [0] * n
+                    y2s = off_u[y] & cls[x2][cxy]
+                    while y2s:
+                        low = y2s & -y2s
+                        y2s ^= low
+                        y2_cls = cls[low.bit_length() - 1].__getitem__
+                        hit = list(map(or_, hit, map(and_, row, map(y2_cls, jc_y))))
+                    hit[u] = hit[x] = hit[y] = 1
+                    if not all(hit):
+                        rejected.append(x2)
+                cases += (n - 3) * (len(line) - len(rejected))
+                if not rejected:
                     continue
                 for z in range(n):
                     if z in (u, x, y):
                         continue
-                    for x2 in lpm[u][x]:
+                    for x2 in rejected:
                         cases += 1
                         if not holds(u, x, y, z, x2):
                             fail(u, x, y, z, x2)
@@ -618,21 +704,46 @@ class GroupSpace:
 
     def _ax_Pap(self, budget: Budget):
         n = self.n
-        lpm = self._linepts_minus
+        jc, lpm = self._joinclass, self._linepts_minus
         jl = self._joinline
         holds = self._pap_case
+        cls, off = self._row_masks()
 
         def pair(u, x, fail):
             cases = 0
             online = lpm[u][x]
             lid = jl[u][x]
+            offline = [x2 for x2 in range(n)
+                       if x2 != u and x2 != x and jl[u][x2] != lid]
+            jc_x = jc[x]
+            # per x': the points of u⊔x' and those of them other than x,
+            # and class(x⊔x')
+            on_x2 = [off[u][x2] for x2 in offline]
+            y2_pool = [m & ~(1 << x) for m in on_x2]
+            want1 = [jc_x[x2] for x2 in offline]
             for y in online:
+                jc_y_x2 = list(map(jc[y].__getitem__, offline))
+                # z' candidates for the y' at bit k - 1, at index k (0: none)
+                z2_for = [0] + list(map(cls[y].__getitem__, jc_x))
                 for z in online:
-                    for x2 in range(n):
-                        if x2 == u or x2 == x or jl[u][x2] == lid:
-                            continue
+                    cls_z = cls[z].__getitem__
+                    # a row is (y, z) over every x'.  A case holds where a y'
+                    # on u⊔x' in class(y⊔x') from z leaves a z' on u⊔x' in
+                    # class(x⊔x') from z and in class(x⊔y') from y; the row
+                    # tries the highest and the lowest y', so a third one
+                    # goes to the predicate
+                    y2s = list(map(and_, y2_pool, map(cls_z, jc_y_x2)))
+                    top = map(int.bit_length, y2s)
+                    low = map(int.bit_length, map(and_, y2s, map(neg, y2s)))
+                    ok = list(map(and_, map(and_, on_x2, map(cls_z, want1)),
+                                  map(or_, map(z2_for.__getitem__, top),
+                                      map(z2_for.__getitem__, low))))
+                    if all(ok):
+                        cases += len(offline)
+                        continue
+                    for x2, accepted in zip(offline, ok):
                         cases += 1
-                        if not holds(u, x, y, z, x2):
+                        if not accepted and not holds(u, x, y, z, x2):
                             fail(u, x, y, z, x2)
             return cases
 

@@ -267,15 +267,28 @@ def test_sampled_reports_deterministic(space5):
     assert r1.to_dict() == r2.to_dict()
 
 
+def _damaged_space5(plane5, delta5, consistent):
+    # consistent: one join class changed, and _byclass/_witmask rebuilt from
+    # it; stale: three join classes changed alone
+    gs = GroupSpace.build(plane5, canonical_pencil(plane5), delta5,
+                          check_preconditions=False)
+    jc = gs._joinclass
+    for i, j in ((3, 8),) if consistent else ((2, 5), (5, 2), (7, 11)):
+        jc[i][j] = (jc[i][j] + 1) % gs.ncls
+    if consistent:
+        gs._byclass = [[[j for j in range(gs.n) if j != i and jc[i][j] == c]
+                        for c in range(gs.ncls)] for i in range(gs.n)]
+        gs._witmask = [[sum(1 << j for j in members) for members in row]
+                       for row in gs._byclass]
+    return gs
+
+
 def test_sampled_failure_witnesses_are_pinned(plane5, delta5):
     # three damaged join classes make T, Des and Pap fail; the draw count and
     # the first failing case depend on every randrange call, so a change to
     # the draw order or the rejections shows here
     from laguerre import Budget
-    gs = GroupSpace.build(plane5, canonical_pencil(plane5), delta5,
-                          check_preconditions=False)
-    for i, j in ((2, 5), (5, 2), (7, 11)):
-        gs._joinclass[i][j] = (gs._joinclass[i][j] + 1) % gs.ncls
+    gs = _damaged_space5(plane5, delta5, consistent=False)
     expected = {
         "T": (24, {"x": "A(3,0)", "y": "A(0,2)", "z": "A(1,0)",
                    "x'": "A(2,4)", "y'": "A(4,1)"}),
@@ -288,6 +301,83 @@ def test_sampled_failure_witnesses_are_pinned(plane5, delta5):
         rep = gs.check_axiom(axiom, Budget("sample", 10 ** 6, seed=7))
         assert rep.status == "fail"
         assert (rep.cases_checked, rep.witnesses) == (cases, [witness]), axiom
+
+
+def test_exhaustive_failure_witnesses_are_pinned(plane5, delta5):
+    # every failing case of T, Des and Pap at q = 5, in sweep order: the
+    # case count, the witness count, the first three witnesses and a digest
+    # of the whole list stay as the per-case sweep reported them
+    import hashlib
+    import json
+    from laguerre import Budget
+    expected = {
+        True: {
+            "T": (1265046, 8091, [
+                ("A(0,0)", "A(0,3)", "A(1,3)", "A(0,0)", "A(0,2)"),
+                ("A(0,0)", "A(0,3)", "A(1,3)", "A(0,1)", "A(0,3)"),
+                ("A(0,0)", "A(0,3)", "A(1,3)", "A(0,1)", "A(0,4)")],
+                "c15271129a573d1a296e7e23fa675419c6eefa1bffe310d3a0a9a7875f1e978e"),
+            "Des": (1113200, 6774, [
+                ("A(0,0)", "A(0,1)", "A(0,3)", "A(1,3)", "A(0,4)"),
+                ("A(0,0)", "A(0,2)", "A(0,3)", "A(1,3)", "A(0,3)"),
+                ("A(0,0)", "A(0,2)", "A(2,2)", "A(3,2)", "A(0,3)")],
+                "cd27754793989d5df851a6dadaf0c17f612cf84a1ba49d6fd9a045eeecf9eb60"),
+            "Pap": (168800, 466, [
+                ("A(0,0)", "A(0,2)", "A(0,3)", "A(0,2)", "A(1,3)"),
+                ("A(0,0)", "A(0,3)", "A(0,2)", "A(0,2)", "A(1,3)"),
+                ("A(0,0)", "A(0,3)", "A(0,3)", "A(0,2)", "A(1,3)")],
+                "03896c5c75a1049594964e5539de2b09e0b2a01a52554703b8ad1b375ad86174"),
+        },
+        False: {
+            "T": (1263850, 13950, [
+                ("A(0,0)", "A(0,2)", "A(1,0)", "A(0,0)", "A(0,2)"),
+                ("A(0,0)", "A(0,2)", "A(1,0)", "A(0,0)", "A(0,3)"),
+                ("A(0,0)", "A(0,2)", "A(1,0)", "A(0,1)", "A(0,3)")],
+                "e08d59dd2a8c862fe0cdc61ac2ef0cc6e6b72a6fc5912bd3e98cb58f4405ed8d"),
+            "Des": (1113200, 22097, [
+                ("A(0,0)", "A(0,1)", "A(0,2)", "A(1,0)", "A(0,4)"),
+                ("A(0,0)", "A(0,1)", "A(1,0)", "A(0,2)", "A(0,4)"),
+                ("A(0,0)", "A(0,1)", "A(1,2)", "A(2,1)", "A(0,4)")],
+                "b2b93e3597d7fd2578d6b9f6865d90c8f45048dc59c60736b00e7844d9068661"),
+            "Pap": (168800, 2446, [
+                ("A(0,0)", "A(0,2)", "A(0,2)", "A(0,3)", "A(1,0)"),
+                ("A(0,0)", "A(0,2)", "A(0,3)", "A(0,3)", "A(1,0)"),
+                ("A(0,0)", "A(0,3)", "A(0,2)", "A(0,3)", "A(1,0)")],
+                "b58d4abea4ed3def9a80aae9b2d11e7113feb57e094288817d1aac9dc0092f35"),
+        },
+    }
+    names = {"T": ("x", "y", "z", "x'", "y'"), "Des": ("u", "x", "y", "z", "x'"),
+             "Pap": ("u", "x", "y", "z", "x'")}
+    for consistent, by_axiom in expected.items():
+        gs = _damaged_space5(plane5, delta5, consistent)
+        for axiom, (cases, count, first, digest) in by_axiom.items():
+            rep = gs.check_axiom(axiom, Budget("exhaustive", 0, 0))
+            got = rep.witnesses
+            assert rep.cases_checked == cases, (consistent, axiom)
+            assert len(got) == count, (consistent, axiom)
+            assert got[:3] == [dict(zip(names[axiom], w)) for w in first]
+            assert hashlib.sha256(json.dumps(got).encode()).hexdigest() == digest
+
+
+def test_row_sweeps_decide_passing_spaces(space3, space5, monkeypatch):
+    # the bitset rows accept every case of a passing space, so its orbit and
+    # exhaustive sweeps of T, Des and Pap call no case predicate; the sampled
+    # sweeps still decide each draw with one, which shows the count is live
+    from laguerre import Budget
+    calls = []
+    for name in ("_t_case_holds", "_des_case_holds", "_pap_case"):
+        def counted(self, *case, _predicate=getattr(GroupSpace, name)):
+            calls.append(case)
+            return _predicate(self, *case)
+        monkeypatch.setattr(GroupSpace, name, counted)
+    for gs in (space3, space5):
+        for axiom in ("T", "Des", "Pap"):
+            for budget in (Budget("orbit", 0, 0), Budget("exhaustive", 0, 0)):
+                assert gs.check_axiom(axiom, budget).status == "pass"
+    assert calls == []
+    for axiom in ("T", "Des", "Pap"):
+        assert space5.check_axiom(axiom, Budget("sample", 10, seed=1)).status == "pass"
+    assert len(calls) == 30
 
 
 def test_noncanonical_space_smoke():
