@@ -31,7 +31,7 @@ from typing import Iterable, NamedTuple
 from .field import GF
 from .plane import (Circle, GeometryError, IDEAL, LaguerrePlane, Pencil, Point,
                     affine, canonical_pencil, ideal)
-from .report import FAIL, PASS, Report, timed
+from .report import Report, run_check
 
 
 class PencilAut(NamedTuple):
@@ -432,6 +432,10 @@ class DeltaGroup:
         }
 
 
+_CHAR2_NOTE = ("characteristic 2: only the tangency-count axiom is evaluated; "
+               "the parametrized group requires odd q")
+
+
 def verify_a1a2a3(plane: LaguerrePlane, pencil: Pencil,
                   delta: DeltaGroup | None) -> Report:
     """Check transitivity off the vertex generator (A1), circular
@@ -441,17 +445,12 @@ def verify_a1a2a3(plane: LaguerrePlane, pencil: Pencil,
     For q = 2 only A3 is evaluated (and fails, with the full witness list);
     the parametrized group does not exist there.
     """
-    rep = Report("A1A2A3", plane.q, PASS)
-    with timed(rep):
-        cases = 0
-        if plane.gf.char2:
-            rep.reading_notes = ("characteristic 2: only the tangency-count "
-                                 "axiom is evaluated; the parametrized group "
-                                 "requires odd q")
-        else:
-            if delta is None:
-                delta = DeltaGroup.build(plane, pencil)
-            cases, rep.witnesses, rep.details = delta.check_a1a2()
+    char2 = plane.gf.char2
+    if delta is None and not char2:
+        delta = DeltaGroup.build(plane, pencil)
+
+    def sweep():
+        cases, witnesses, details = (0, [], {}) if char2 else delta.check_a1a2()
 
         # A3: every circle avoiding the vertex has exactly one tangent member
         a3_bad = []
@@ -464,11 +463,8 @@ def verify_a1a2a3(plane: LaguerrePlane, pencil: Pencil,
             if len(hits) != 1:
                 a3_bad.append({"axiom": "A3", "circle": list(M),
                                "tangent_members": sorted(list(L) for L, _ in hits)})
-        rep.witnesses.extend(sorted(a3_bad, key=lambda w: w["circle"]))
-        rep.details["A3"] = {"circles": a3_cases, "status": "fail" if a3_bad else "pass"}
-        cases += a3_cases
+        witnesses.extend(sorted(a3_bad, key=lambda w: w["circle"]))
+        details["A3"] = {"circles": a3_cases, "status": "fail" if a3_bad else "pass"}
+        return cases + a3_cases, witnesses, details
 
-        rep.cases_checked = cases
-        if rep.witnesses:
-            rep.status = FAIL
-    return rep
+    return run_check("A1A2A3", plane.q, sweep, _CHAR2_NOTE if char2 else None)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from .field import DEFAULT_MAX_Q, FieldError, GF, is_prime
 from .plane import (Circle, GeometryError, LaguerrePlane, Pencil, affine,
@@ -194,6 +195,11 @@ def _cmd_theorems_run(args) -> int:
 
 
 def _cmd_export(args) -> int:
+    out = Path(args.out)
+    if out.is_dir():
+        raise UsageError(f"output path {args.out!r} is a directory")
+    if not out.parent.is_dir():
+        raise UsageError(f"output directory {str(out.parent)!r} does not exist")
     plane = _make_plane(args.q)
     pencil = _parse_pencil(plane, args.pencil)
     if args.what == "plane":

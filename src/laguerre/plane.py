@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .field import GF, SQUARE, ZERO
-from .report import FAIL, PASS, Report, timed
+from .report import Report, run_check
 
 AFFINE = "A"
 IDEAL = "I"
@@ -379,10 +379,9 @@ class LaguerrePlane:
         the closed form is then at fault; once the incidence itself has
         failed them, it is reported as a ``touch`` witness instead.
         """
-        rep = Report("laguerre-axioms", self.q, PASS)
-        with timed(rep):
+        def sweep():
             q = self.q
-            witnesses = rep.witnesses
+            witnesses = []
             cases = 0
             cm, pc, gm = self.incidence_masks()
             points, index = self.points, self.point_index
@@ -451,11 +450,9 @@ class LaguerrePlane:
             cases += 1
             if not (3 <= sizes[circle_index[Circle(0, 0, 0)]] < len(points)):
                 witnesses.append({"axiom": "nondegeneracy"})
+            return cases, witnesses, {}
 
-            rep.cases_checked = cases
-            if witnesses:
-                rep.status = FAIL
-        return rep
+        return run_check("laguerre-axioms", self.q, sweep)
 
     # -- derived affine plane ----------------------------------------------
 
@@ -470,19 +467,15 @@ class LaguerrePlane:
             gp = self.generator_points(g)
             if p not in gp:
                 lines.append(frozenset(gp))
-        report = self._verify_affine(p, pts, lines)
-        return DerivedAffine(p, pts, sorted(lines, key=sorted), report)
 
-    def _verify_affine(self, p: Point, pts: list[Point], lines: list[frozenset]) -> Report:
-        rep = Report("derived-affine", self.q, PASS)
-        with timed(rep):
-            cases = 0
+        def sweep():
+            cases, witnesses = 0, []
             for u, v in itertools.combinations(pts, 2):
                 cases += 1
                 n = sum(1 for L in lines if u in L and v in L)
                 if n != 1:
-                    rep.witnesses.append({"axiom": "two_point_join", "points": [repr(u), repr(v)],
-                                          "lines": n})
+                    witnesses.append({"axiom": "two_point_join", "points": [repr(u), repr(v)],
+                                      "lines": n})
             for L in lines:
                 for x in pts:
                     if x in L:
@@ -490,19 +483,19 @@ class LaguerrePlane:
                     cases += 1
                     n = sum(1 for M in lines if x in M and not (M & L))
                     if n != 1:
-                        rep.witnesses.append({"axiom": "playfair", "point": repr(x),
-                                              "line": sorted(map(repr, L)), "parallels": n})
+                        witnesses.append({"axiom": "playfair", "point": repr(x),
+                                          "line": sorted(map(repr, L)), "parallels": n})
             cases += 1
             triangle = any(
                 not any(set((a, b, c)) <= L for L in lines)
                 for a, b, c in itertools.combinations(pts[: min(len(pts), 12)], 3)
             )
             if not triangle:
-                rep.witnesses.append({"axiom": "triangle"})
-            rep.cases_checked = cases
-            if rep.witnesses:
-                rep.status = FAIL
-        return rep
+                witnesses.append({"axiom": "triangle"})
+            return cases, witnesses, {}
+
+        report = run_check("derived-affine", self.q, sweep)
+        return DerivedAffine(p, pts, sorted(lines, key=sorted), report)
 
     # -- export -------------------------------------------------------------
 

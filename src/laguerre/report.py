@@ -3,6 +3,13 @@
 A ``Report`` is the single unit of output: one check, one field size, one
 status, and deterministic witness content.  JSON rendering deliberately
 omits ``elapsed_ms`` so identical runs are byte-identical.
+
+Every verifier is a sweep returning ``(cases, witnesses, details)``, and
+``run_check`` alone turns a sweep into a report: it times the sweep and
+applies the one status rule, ``FAIL`` exactly when the sweep found a
+witness, and otherwise the check's clean status (``PASS``, or
+``REPORT_ONLY`` for a check that publishes a census and asserts only
+restricted claims).
 """
 
 from __future__ import annotations
@@ -10,6 +17,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 PASS = "pass"
 FAIL = "fail"
@@ -83,16 +91,12 @@ class Budget:
                          f"or 'sample:K' with K > 0")
 
 
-class timed:
-    """Context manager stamping elapsed milliseconds onto a report."""
-
-    def __init__(self, report: Report):
-        self.report = report
-
-    def __enter__(self):
-        self._t0 = time.perf_counter()
-        return self.report
-
-    def __exit__(self, *exc):
-        self.report.elapsed_ms = int((time.perf_counter() - self._t0) * 1000)
-        return False
+def run_check(check_id: str, q: int, sweep: Callable[[], tuple[int, list, dict]],
+              notes: str | None = None, clean: str = PASS) -> Report:
+    """Run ``sweep()`` and report it: the one place a status or an elapsed
+    time is set."""
+    t0 = time.perf_counter()
+    cases, witnesses, details = sweep()
+    elapsed_ms = int((time.perf_counter() - t0) * 1000)
+    return Report(check_id, q, FAIL if witnesses else clean, cases, elapsed_ms,
+                  witnesses, notes, details)

@@ -69,7 +69,7 @@ from operator import and_, neg, or_
 
 from .plane import GeometryError, LaguerrePlane, Pencil, Point
 from .autgroup import DeltaGroup, PencilAut, _reach
-from .report import Budget, FAIL, PASS, Report, timed
+from .report import Budget, Report, run_check
 
 CIRCLE_LINE = "circle_line"
 STRAIGHT = "straight_pencil"
@@ -185,11 +185,12 @@ class GroupSpace:
         pairs: dict[tuple, list[tuple[int, int]]] = {}
         for i in range(n):
             stab = [self.point_perm(f) for f in delta.stabilizer(self.points[i])]
+            if i == 0:
+                self._stab0 = stab
             for j in range(n):
                 if j != i:
                     key = self._join_key(i, j, stab, canon, at)
                     pairs.setdefault(key, []).append((i, j))
-        self._stab0 = [self.point_perm(f) for f in delta.stabilizer(self.points[0])]
         self._gen_perms = [self.point_perm(g) for g in self._gens]
 
         self._joinline = [[-1] * n for _ in range(n)]
@@ -312,13 +313,6 @@ class GroupSpace:
                 return f
         return None
 
-    def classify_line(self, line: Line) -> tuple[str, tuple[Point, ...]]:
-        """Kind plus the definitional basepoint set (fresh scan)."""
-        jl = self._joinline
-        return line.kind, tuple(
-            self.points[x] for x in line.ids
-            if any(y != x and jl[x][y] == line.index for y in line.ids))
-
     def census(self) -> dict:
         counts = {CIRCLE_LINE: 0, STRAIGHT: 0, SPECIAL: 0}
         for line in self.lines:
@@ -345,14 +339,8 @@ class GroupSpace:
             raise GeometryError(f"unknown axiom {axiom!r}", code="bad_axiom")
         if budget is None:
             budget = Budget("orbit")
-        rep = Report(axiom, self.q, PASS)
-        with timed(rep):
-            checker = getattr(self, f"_ax_{axiom}")
-            rep.cases_checked, rep.witnesses, rep.details = checker(budget)
-            rep.reading_notes = _NOTES.get(axiom)
-            if rep.witnesses:
-                rep.status = FAIL
-        return rep
+        checker = getattr(self, f"_ax_{axiom}")
+        return run_check(axiom, self.q, lambda: checker(budget), _NOTES.get(axiom))
 
     def _witness(self, names: tuple[str, ...], *idx: int) -> dict:
         return {name: repr(self.points[i]) for name, i in zip(names, idx)}

@@ -21,7 +21,7 @@ from .plane import (Circle, GeometryError, IDEAL, LaguerrePlane, Pencil, Point,
                     affine, canonical_pencil, ideal)
 from .autgroup import IDENTITY, DeltaGroup, PencilAut, aut_compose
 from .skewaffine import GroupSpace, SPECIAL, STRAIGHT
-from .report import Budget, FAIL, PASS, REPORT_ONLY, Report, timed
+from .report import Budget, PASS, REPORT_ONLY, Report, run_check
 
 # reading notes that travel with a check's report
 _NOTES = {
@@ -219,44 +219,42 @@ def _equiv_report(plane: LaguerrePlane, member: Circle,
         """Square class of the height offset (ideal points use their label)."""
         return plane.gf.square_class(p.x if p.kind == IDEAL else p.y - member.c)
 
-    rep = Report("equiv-rel", plane.q, PASS)
-    with timed(rep):
-        pts = fam.off_points
-        cases = 0
+    pts = fam.off_points
+    classes = {p: rule_class(p) for p in pts}
+
+    def sweep():
+        cases, witnesses = 0, []
         for a in pts:
             cases += 1
             if not fam.equivalent(a, a):
-                rep.witnesses.append({"law": "reflexive", "a": repr(a)})
+                witnesses.append({"law": "reflexive", "a": repr(a)})
         rel = {}
         for a, b in itertools.combinations(pts, 2):
             cases += 1
             e1, e2 = fam.equivalent(a, b), fam.equivalent(b, a)
             if e1 != e2:
-                rep.witnesses.append({"law": "symmetric", "a": repr(a), "b": repr(b)})
+                witnesses.append({"law": "symmetric", "a": repr(a), "b": repr(b)})
             rel[(a, b)] = e1
             if e1 != fam.witness_pair(a, b):
-                rep.witnesses.append({"law": "single_witness", "a": repr(a), "b": repr(b)})
-            if (rule_class(a) == rule_class(b)) != e1:
-                rep.witnesses.append({"law": "square_class_rule", "a": repr(a), "b": repr(b)})
+                witnesses.append({"law": "single_witness", "a": repr(a), "b": repr(b)})
+            if (classes[a] == classes[b]) != e1:
+                witnesses.append({"law": "square_class_rule", "a": repr(a), "b": repr(b)})
             if a.kind == IDEAL and b.kind != IDEAL:
                 cnt = fam.common_tangents(a, b)
                 if (cnt == 2) != e1:
-                    rep.witnesses.append({"law": "two_circle_count", "a": repr(a),
-                                          "b": repr(b), "count": cnt})
+                    witnesses.append({"law": "two_circle_count", "a": repr(a),
+                                      "b": repr(b), "count": cnt})
         # transitivity via block consistency
-        classes = {p: rule_class(p) for p in pts}
         for (a, b), e in rel.items():
             cases += 1
             if e != (classes[a] == classes[b]):
-                rep.witnesses.append({"law": "transitive", "a": repr(a), "b": repr(b)})
+                witnesses.append({"law": "transitive", "a": repr(a), "b": repr(b)})
         nblocks = len(set(classes.values()))
-        rep.details = {"blocks": nblocks}
         if nblocks != 2:
-            rep.witnesses.append({"law": "block_count", "blocks": nblocks})
-        rep.cases_checked = cases
-        if rep.witnesses:
-            rep.status = FAIL
-    return EquivPartition(member, classes), rep
+            witnesses.append({"law": "block_count", "blocks": nblocks})
+        return cases, witnesses, {"blocks": nblocks}
+
+    return EquivPartition(member, classes), run_check("equiv-rel", plane.q, sweep)
 
 
 def thm_tangency_locus(plane: LaguerrePlane, pencil: Pencil, q_ideal: Point,
@@ -269,29 +267,23 @@ def thm_tangency_locus(plane: LaguerrePlane, pencil: Pencil, q_ideal: Point,
                             "the pencil vertex", code="bad_vertex")
     if x.kind == IDEAL:
         raise GeometryError("x must be affine", code="bad_vertex")
-    rep = Report("tangency-locus", plane.q, PASS)
-    with timed(rep):
-        beta = q_ideal.x
-        bases = []
-        for N in plane.joining_pencil(q_ideal, x):
-            _, base = plane.pencil_tangent(N, pencil)
-            bases.append(base)
-        cases = len(bases)
-        locus = plane.circle_through(*bases[:3])
+    beta = q_ideal.x
+    bases = [plane.pencil_tangent(N, pencil)[1] for N in plane.joining_pencil(q_ideal, x)]
+    locus = plane.circle_through(*bases[:3])
+    qprime = ideal((-beta) % plane.q)
+
+    def sweep():
+        witnesses = []
         expect = set(plane.circle_points(locus)) - {ideal(locus.a)}
         if set(bases) != expect or len(bases) != len(set(bases)):
-            rep.witnesses.append({"problem": "not_a_circle",
-                                  "bases": sorted(map(repr, bases))})
-        qprime = ideal((-beta) % plane.q)
-        cases += 1
+            witnesses.append({"problem": "not_a_circle",
+                              "bases": sorted(map(repr, bases))})
         if not plane.incident(qprime, locus):
-            rep.witnesses.append({"problem": "missing_opposite_ideal_point",
-                                  "locus": list(locus), "q_prime": repr(qprime)})
-        rep.cases_checked = cases
-        rep.details = {"locus": list(locus), "q_prime": qprime.to_json()}
-        if rep.witnesses:
-            rep.status = FAIL
-    return locus, rep
+            witnesses.append({"problem": "missing_opposite_ideal_point",
+                              "locus": list(locus), "q_prime": repr(qprime)})
+        return len(bases) + 1, witnesses, {"locus": list(locus), "q_prime": qprime.to_json()}
+
+    return locus, run_check("tangency-locus", plane.q, sweep)
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +329,9 @@ def _check_p2_2(ctx: _Ctx):
     for M in ctx.members:
         pts = [p for p in ctx.plane.circle_points(M) if p.kind != IDEAL]
         line = space.join(pts[0], pts[1])
-        kind, bases = space.classify_line(line)
+        bases = line.base_points
         cases += len(line.points)
-        if kind != STRAIGHT or bases != line.points:
+        if line.kind != STRAIGHT or bases != line.points:
             bad.append({"member": list(M), "bases": sorted(map(repr, bases))})
     return cases, bad, {}
 
@@ -389,8 +381,7 @@ def _check_p2_5(ctx: _Ctx):
     cases, bad = 0, []
     for line in _circle_kind_lines(space):
         cases += 1
-        kind, bases = space.classify_line(line)
-        straight = bases == line.points
+        straight = line.base_points == line.points
         if straight != (_line_circle(ctx, line) in members):
             bad.append({"line": line.index, "straight": straight})
     return cases, bad, {}
@@ -925,15 +916,9 @@ def thm_check(check_id: str, q: int) -> Report:
         raise GeometryError("catalog checks need an odd prime q", code="char2_group")
     checker, summary = _CATALOG[check_id]
     ctx = _context(q)
-    rep = Report(check_id, q, PASS)
-    with timed(rep):
-        rep.cases_checked, rep.witnesses, rep.details = checker(ctx)
-        rep.details["summary"] = summary
-        rep.reading_notes = _NOTES.get(check_id)
-        if rep.witnesses:
-            rep.status = FAIL
-        elif check_id in _REPORT_ONLY_IDS:
-            rep.status = REPORT_ONLY
+    rep = run_check(check_id, q, lambda: checker(ctx), _NOTES.get(check_id),
+                    REPORT_ONLY if check_id in _REPORT_ONLY_IDS else PASS)
+    rep.details["summary"] = summary
     return rep
 
 

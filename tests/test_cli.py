@@ -200,3 +200,21 @@ def test_export_space(tmp_path, capsys):
     assert len(blob["lines"]) == 39
     kinds = {entry["kind"] for entry in blob["lines"]}
     assert kinds == {"circle_line", "straight_pencil", "special"}
+
+
+def test_export_into_missing_directory_fails_before_the_build(tmp_path, capsys,
+                                                              monkeypatch):
+    from laguerre import GroupSpace
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("the residual plane was built")
+
+    monkeypatch.setattr(GroupSpace, "build", no_build)
+    missing = tmp_path / "nodir"
+    for out in (missing / "x.json", tmp_path):
+        code, stdout, err = run_cli(capsys, "export", "--q", "5", "--what", "space",
+                                    "--out", str(out))
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not missing.exists()

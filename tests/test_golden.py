@@ -6,6 +6,9 @@ keeps every verdict but changes a case count, a witness, a key or the key
 order shows up here as a diff.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +16,7 @@ import pytest
 from laguerre.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).parent.parent / "src"
 
 SAMPLED = ("--budget", "sample:5000", "--seed", "7", "--json")
 
@@ -55,3 +59,14 @@ def test_cli_output_matches_golden(name, capsys, tmp_path):
     if OUT in CASES[name]:
         out = out_file.read_text(encoding="utf-8")
     assert out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", ["theorems_q3.json", "skewaffine_q5.json"])
+def test_cli_output_matches_golden_under_python_O(name):
+    # python -O strips assert statements; every invariant the verdicts rest
+    # on must be a raised error, so the output may not change
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    run = subprocess.run([sys.executable, "-O", "-m", "laguerre", *CASES[name]],
+                         capture_output=True, env=env, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == (GOLDEN / name).read_bytes()

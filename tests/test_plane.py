@@ -253,6 +253,15 @@ def test_verify_axioms_reports_moved_point_as_join():
     assert not any(w["axiom"] == "generator_meet" for w in rep.witnesses)
 
 
+def test_derived_affine_reports_moved_point():
+    rep = _MovedPoint(5).derived_affine(ideal(1)).report
+    assert rep.status == "fail"
+    assert rep.cases_checked == 901
+    assert len(rep.witnesses) == 52
+    assert rep.witnesses[0] == {"axiom": "two_point_join",
+                                "points": ["A(0,3)", "A(1,1)"], "lines": 0}
+
+
 class _WrongMember(LaguerrePlane):
     """Closed-form fault: the pencil at A(1,0) on y = 0 lists a circle that
     misses the vertex."""

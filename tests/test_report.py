@@ -1,0 +1,27 @@
+import time
+
+from laguerre.report import FAIL, PASS, REPORT_ONLY, run_check
+
+
+def test_run_check_status_follows_the_witnesses():
+    details = {"mode": "exhaustive"}
+    rep = run_check("X", 5, lambda: (3, [], details), "a note")
+    assert (rep.check_id, rep.q, rep.status, rep.cases_checked) == ("X", 5, PASS, 3)
+    assert rep.reading_notes == "a note" and rep.details is details
+    assert run_check("X", 5, lambda: (3, [], {}), clean=REPORT_ONLY).status == REPORT_ONLY
+    for clean in (PASS, REPORT_ONLY):
+        rep = run_check("X", 5, lambda: (3, [{"w": 1}], {}), clean=clean)
+        assert rep.status == FAIL and rep.witnesses == [{"w": 1}]
+        assert not rep.ok
+
+
+def test_run_check_times_the_sweep():
+    def sweep():
+        t0 = time.perf_counter()
+        while time.perf_counter() - t0 < 0.02:
+            pass
+        return 0, [], {}
+
+    rep = run_check("X", 5, sweep)
+    assert rep.elapsed_ms >= 20
+    assert "elapsed_ms" not in rep.to_dict()

@@ -79,7 +79,7 @@ def test_straight_lines_are_exactly_the_members():
                               check_preconditions=False)
         member_sets = {frozenset(affine(x, c) for x in range(q)) for c in range(q)}
         for line in gs.lines:
-            kind, bases = gs.classify_line(line)
+            kind, bases = line.kind, line.base_points
             straight = bases == line.points
             assert straight == (frozenset(line.points) in member_sets)
             if not straight:
@@ -88,15 +88,15 @@ def test_straight_lines_are_exactly_the_members():
 
 def test_classify_line_examples(space5):
     member_line = space5.join(affine(0, 2), affine(1, 2))
-    kind, bases = space5.classify_line(member_line)
+    kind, bases = member_line.kind, member_line.base_points
     assert kind == STRAIGHT and len(bases) == 5
 
     circle_line = space5.join(affine(0, 0), affine(1, 1))
-    kind, bases = space5.classify_line(circle_line)
+    kind, bases = circle_line.kind, circle_line.base_points
     assert kind == CIRCLE_LINE and bases == (affine(0, 0),)
 
     special = space5.join(affine(0, 0), affine(0, 1))
-    kind, bases = space5.classify_line(special)
+    kind, bases = special.kind, special.base_points
     assert kind == SPECIAL and bases == (affine(0, 0),)
 
 
@@ -112,8 +112,8 @@ def test_q3_twin_special_lines():
     assert set(a.points) == set(b.points)
     assert a.label != b.label
     assert a.index != b.index
-    assert gs.classify_line(a)[1] == (affine(0, 0),)
-    assert gs.classify_line(b)[1] == (affine(0, 1),)
+    assert a.base_points == (affine(0, 0),)
+    assert b.base_points == (affine(0, 1),)
 
 
 def test_parallel_examples(space5):

@@ -77,6 +77,22 @@ def test_equiv_rel_rejects_bad_input(plane5, plane2):
         thm_equiv_rel(plane2, Circle(0, 0, 0))
 
 
+def test_equiv_rel_fails_on_a_flipped_pair(monkeypatch):
+    flip = (affine(0, 1), affine(0, 2))
+
+    class Flipped(TangentFamily):
+        def equivalent(self, a, b):
+            return super().equivalent(a, b) != ((a, b) == flip)
+
+    monkeypatch.setattr(verify, "TangentFamily", Flipped)
+    _, rep = thm_equiv_rel(LaguerrePlane(5), Circle(0, 0, 0))
+    assert rep.status == "fail"
+    assert rep.cases_checked == 576
+    assert [(w["law"], w["a"], w["b"]) for w in rep.witnesses] == [
+        (law, "A(0,1)", "A(0,2)")
+        for law in ("symmetric", "single_witness", "square_class_rule", "transitive")]
+
+
 def test_tangency_locus_examples(plane5, plane7):
     pencil5 = canonical_pencil(plane5)
     locus, rep = thm_tangency_locus(plane5, pencil5, ideal(1), affine(0, 0))
@@ -108,6 +124,24 @@ def test_tangency_locus_brute_base_points(plane5):
     locus, _ = thm_tangency_locus(plane5, pencil, q_ideal, x)
     assert set(bases) == {p for p in plane5.circle_points(locus)
                           if p.kind != "I"}
+
+
+def test_tangency_locus_fails_on_a_moved_base(monkeypatch):
+    plane = LaguerrePlane(5)
+    real = plane.pencil_tangent
+
+    def moved(N, pencil):
+        # the fourth base of the joining pencil of I(1) and A(0,0) is A(1,4)
+        member, base = real(N, pencil)
+        return member, affine(1, 0) if base == affine(1, 4) else base
+
+    monkeypatch.setattr(plane, "pencil_tangent", moved)
+    locus, rep = thm_tangency_locus(plane, canonical_pencil(plane), ideal(1),
+                                    affine(0, 0))
+    assert locus == Circle(4, 0, 0)
+    assert rep.status == "fail"
+    assert rep.witnesses == [{"problem": "not_a_circle", "bases": [
+        "A(0,0)", "A(1,0)", "A(2,1)", "A(3,1)", "A(4,4)"]}]
 
 
 def test_tangency_locus_rejects_bad_vertex(plane5):
