@@ -193,6 +193,15 @@ def _reach(start, moves) -> set:
     return seen
 
 
+def _require_transitive(start, moves, total: int, code: str, name: str, noun: str):
+    """Raise ``code`` unless ``moves`` carry ``start`` (``name``) to all
+    ``total`` of its ``noun``: then ``start`` may stand for every one."""
+    reached = len(_reach(start, moves))
+    if reached != total:
+        raise GeometryError(f"the generators carry {name} to {reached} of the "
+                            f"{total} {noun}", code=code)
+
+
 def _verified_map(plane: LaguerrePlane, perm: list[int]) -> PermutationMap:
     pm = PermutationMap(plane, perm)
     ok, wit = pm.verify()

@@ -68,7 +68,7 @@ from dataclasses import dataclass, field
 from operator import and_, neg, or_
 
 from .plane import GeometryError, LaguerrePlane, Pencil, Point
-from .autgroup import DeltaGroup, PencilAut, _reach
+from .autgroup import DeltaGroup, PencilAut, _reach, _require_transitive
 from .report import Budget, Report, run_check
 
 CIRCLE_LINE = "circle_line"
@@ -434,11 +434,8 @@ class GroupSpace:
                             witnesses=[{"generator": list(g),
                                         "x": repr(self.points[i]),
                                         "y": repr(self.points[j])}])
-        reached = _reach(first, [perm.__getitem__ for perm in perms])
-        if len(reached) != n:
-            raise GeometryError(
-                f"the generators carry {self.points[first]!r} to {len(reached)} "
-                f"of the {n} points", code="not_equivariant")
+        _require_transitive(first, [perm.__getitem__ for perm in perms], n,
+                            "not_equivariant", repr(self.points[first]), "points")
 
     def _row_masks(self) -> tuple[list[list[int]], list[list[int]]]:
         """Bitsets for the Des and Pap row sweeps, derived from the tables

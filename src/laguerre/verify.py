@@ -3,12 +3,13 @@
 ``_CATALOG`` lists the checks in report order, each with its checker and
 summary; ``CHECK_IDS`` and ``CHECK_SUMMARIES`` are read off it.  A checker
 sweeps the statement's quantifiers over the canonical pencil of the plane
-of the requested size, always exhaustively, and returns (cases, witnesses,
-details), as the residual-plane axiom checkers do.  Checks verify
-conclusions, not intermediate constructions.  ``L3.1`` is deliberately
-report-only: it publishes the census of fixed-point-free group elements and
-asserts only the restricted claims that hold in this model (see its reading
-notes).
+of the requested size and returns (cases, witnesses, details), as the
+residual-plane axiom checkers do.  Every check is exhaustive except T4.2,
+which evaluates one circle after verifying that shifts carry it to all q³
+circles (``_check_t4_2``).  Checks verify conclusions, not intermediate
+constructions.  ``L3.1`` is deliberately report-only: it publishes the
+census of fixed-point-free group elements and asserts only the restricted
+claims that hold in this model (see its reading notes).
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from functools import cached_property
 
 from .plane import (Circle, GeometryError, IDEAL, LaguerrePlane, Pencil, Point,
                     affine, canonical_pencil, ideal)
-from .autgroup import IDENTITY, DeltaGroup, PencilAut, aut_compose
+from .autgroup import (IDENTITY, DeltaGroup, PencilAut, _require_transitive,
+                       _verified_map, aut_compose, circle_add_map)
 from .skewaffine import GroupSpace, SPECIAL, STRAIGHT
 from .report import Budget, PASS, REPORT_ONLY, Report, run_check
 
@@ -57,12 +59,6 @@ class EquivPartition:
 
     member: Circle
     classes: dict[Point, str]
-
-    def blocks(self) -> dict[str, list[Point]]:
-        out: dict[str, list[Point]] = {}
-        for p, tag in self.classes.items():
-            out.setdefault(tag, []).append(p)
-        return {tag: sorted(pts) for tag, pts in out.items()}
 
 
 class TangentFamily:
@@ -258,10 +254,12 @@ def _equiv_report(plane: LaguerrePlane, member: Circle,
 
 
 def thm_tangency_locus(plane: LaguerrePlane, pencil: Pencil, q_ideal: Point,
-                       x: Point) -> tuple[Circle, Report]:
+                       x: Point) -> tuple[Circle | None, Report]:
     """Sweep the joining pencil of ``q_ideal`` and ``x``; the base points of
     its members must fill the affine part of exactly one circle, and that
-    circle must contain the opposite ideal point."""
+    circle must contain the opposite ideal point.  The circle is fitted
+    through the first three pairwise nonparallel bases; without such a
+    triple it is None, and the bases fail as ``not_a_circle``."""
     if q_ideal.kind != IDEAL or q_ideal.x == 0:
         raise GeometryError("second vertex must be ideal and distinct from "
                             "the pencil vertex", code="bad_vertex")
@@ -269,19 +267,23 @@ def thm_tangency_locus(plane: LaguerrePlane, pencil: Pencil, q_ideal: Point,
         raise GeometryError("x must be affine", code="bad_vertex")
     beta = q_ideal.x
     bases = [plane.pencil_tangent(N, pencil)[1] for N in plane.joining_pencil(q_ideal, x)]
-    locus = plane.circle_through(*bases[:3])
+    fit = next((t for t in itertools.combinations(bases, 3)
+                if not any(itertools.starmap(plane.parallel,
+                                             itertools.combinations(t, 2)))), None)
+    locus = None if fit is None else plane.circle_through(*fit)
     qprime = ideal((-beta) % plane.q)
 
     def sweep():
         witnesses = []
-        expect = set(plane.circle_points(locus)) - {ideal(locus.a)}
+        expect = set(plane.circle_points(locus)) - {ideal(locus.a)} if locus else set()
         if set(bases) != expect or len(bases) != len(set(bases)):
             witnesses.append({"problem": "not_a_circle",
                               "bases": sorted(map(repr, bases))})
-        if not plane.incident(qprime, locus):
+        if locus is not None and not plane.incident(qprime, locus):
             witnesses.append({"problem": "missing_opposite_ideal_point",
                               "locus": list(locus), "q_prime": repr(qprime)})
-        return len(bases) + 1, witnesses, {"locus": list(locus), "q_prime": qprime.to_json()}
+        return len(bases) + 1, witnesses, {"locus": locus and list(locus),
+                                           "q_prime": qprime.to_json()}
 
     return locus, run_check("tangency-locus", plane.q, sweep)
 
@@ -841,33 +843,42 @@ def _check_c4_2(ctx: _Ctx):
     for beta, x, locus, rep in ctx.loci:
         cases += 1
         qprime = ideal((-beta) % plane.q)
-        if not plane.incident(qprime, locus):
-            bad.append({"beta": beta, "x": repr(x), "locus": list(locus)})
+        if locus is None or not plane.incident(qprime, locus):
+            bad.append({"beta": beta, "x": repr(x), "locus": locus and list(locus)})
     return cases, bad, {}
 
 
 def _check_t4_2(ctx: _Ctx):
-    plane = ctx.plane
+    """T4.2 at (0, 0, 0) for all q³ circles: its predicates are incidence
+    properties, and the verified shifts carry (0, 0, 0) to every circle.  This
+    route cannot see a fault in another circle's ``TangentFamily``; the
+    all-circles loop in the tests is its oracle."""
+    plane, L = ctx.plane, Circle(0, 0, 0)
+    # y += x², x, 1; verified here, whatever circle_add_map checked itself
+    maps = [_verified_map(plane, circle_add_map(plane, Q).perm)
+            for Q in (Circle(1, 0, 0), Circle(0, 1, 0), Circle(0, 0, 1))]
+    _require_transitive(L, [m.apply_circle for m in maps], len(plane.circles),
+                        "not_transitive", str(list(L)), "circles")
+    fam = TangentFamily(plane, L)
+    pmask, meets, links = fam.point_mask, fam.meets, fam.links
+    pts = fam.off_points
     cases, bad = 0, []
-    for L in plane.circles:
-        fam = TangentFamily(plane, L)
-        pmask, meets, links = fam.point_mask, fam.meets, fam.links
-        pts = fam.off_points
-        for ai, a in enumerate(pts):
-            ma, meet, link = pmask[a], meets[a], links[a]
-            for b in pts[ai + 1:]:
-                if plane.parallel(a, b):
-                    continue
-                cases += 1
-                mb = pmask[b]
-                two = (ma & mb).bit_count() == 2
-                allmeet = not (mb & ~meet)
-                one = bool(mb & link)
-                if not (two == allmeet == one):
-                    bad.append({"circle": list(L), "x": repr(a), "y": repr(b),
-                                "exactly_two": two, "all_meet": allmeet,
-                                "one_pair": one})
-    return cases, bad, {}
+    for ai, a in enumerate(pts):
+        ma, meet, link = pmask[a], meets[a], links[a]
+        for b in pts[ai + 1:]:
+            if plane.parallel(a, b):
+                continue
+            cases += 1
+            mb = pmask[b]
+            two = (ma & mb).bit_count() == 2
+            allmeet = not (mb & ~meet)
+            one = bool(mb & link)
+            if not (two == allmeet == one):
+                bad.append({"circle": list(L), "x": repr(a), "y": repr(b),
+                            "exactly_two": two, "all_meet": allmeet,
+                            "one_pair": one})
+    return cases, bad, {"mode": "orbit", "representative": list(L),
+                        "cases_represented": len(plane.circles) * cases}
 
 
 # The catalog in report order: each check's checker and summary.  The only

@@ -359,6 +359,46 @@ def test_exhaustive_failure_witnesses_are_pinned(plane5, delta5):
             assert hashlib.sha256(json.dumps(got).encode()).hexdigest() == digest
 
 
+def _pap_cases(gs, pairs):
+    """Every Pap case whose (u, x) is in ``pairs``, in the sweep's loop order."""
+    jl, lpm = gs._joinline, gs._linepts_minus
+    for u, x in pairs:
+        offline = [x2 for x2 in range(gs.n)
+                   if x2 != u and x2 != x and jl[u][x2] != jl[u][x]]
+        for y in lpm[u][x]:
+            for z in lpm[u][x]:
+                for x2 in offline:
+                    yield u, x, y, z, x2
+
+
+def test_pap_rows_keep_x_out_of_the_y_prime_pool(plane5, delta5):
+    # u = A(0,0), x = A(0,1), x' = A(0,2): the _linepts_minus tuple of u⊔x'
+    # gets its point A(0,2) moved onto x, so x enters the y' pool of the
+    # rows at (u, x).  With class 0 read as the diagonal's -1, a y' = x
+    # there finds a z', as the case predicate, which skips y' = x, does
+    # not; the rows must drop x too, or they accept a failing case
+    from laguerre import Budget
+    gs = GroupSpace.build(plane5, canonical_pencil(plane5), delta5,
+                          check_preconditions=False)
+    row = gs._linepts_minus[0]
+    assert row[2] == (2, 3)
+    row[2] = (1, 3)
+    gs._joinclass = [[-1 if c == 0 else c for c in jc_i] for jc_i in gs._joinclass]
+    names = ("u", "x", "y", "z", "x'")
+    first, orbits = gs._orbit_reps()
+    every = [(u, x) for u in range(gs.n) for x in range(gs.n) if u != x]
+    expected = {"orbit": ([(first, y) for y, _ in orbits], 1776, 125),
+                "exhaustive": (every, 168800, 307)}
+    for mode, (pairs, cases, count) in expected.items():
+        rep = gs.check_axiom("Pap", Budget(mode, 0, 0))
+        want = [gs._witness(names, *case) for case in _pap_cases(gs, pairs)
+                if not gs._pap_case(*case)]
+        assert (rep.cases_checked, len(want)) == (cases, count), mode
+        assert rep.witnesses == want, mode
+        assert want[0] == dict(zip(names, ("A(0,0)", "A(0,1)", "A(0,1)",
+                                           "A(0,1)", "A(0,2)")))
+
+
 def test_row_sweeps_decide_passing_spaces(space3, space5, monkeypatch):
     # the bitset rows accept every case of a passing space, so its orbit and
     # exhaustive sweeps of T, Des and Pap call no case predicate; the sampled

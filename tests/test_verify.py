@@ -1,8 +1,8 @@
 import pytest
 
-from laguerre import (Circle, GeometryError, LaguerrePlane, PencilAut, affine,
-                      canonical_pencil, ideal, thm_check, thm_equiv_rel,
-                      thm_tangency_locus, verify)
+from laguerre import (Circle, GeometryError, LaguerrePlane, PencilAut,
+                      PermutationMap, affine, canonical_pencil, ideal, thm_check,
+                      thm_equiv_rel, thm_tangency_locus, verify)
 from laguerre.verify import CHECK_IDS, CHECK_SUMMARIES, TangentFamily
 
 
@@ -36,7 +36,7 @@ def test_equiv_rel_examples(plane5):
     assert cls[affine(0, 1)] == cls[affine(3, 4)]          # 4/1 is a square
     assert cls[affine(0, 1)] != cls[affine(0, 2)]          # 2 is a nonsquare
     assert cls[ideal(1)] == cls[affine(2, 4)]
-    assert len(partition.blocks()) == 2
+    assert len(set(partition.classes.values())) == 2
 
 
 def test_equiv_two_circle_count(plane5):
@@ -142,6 +142,60 @@ def test_tangency_locus_fails_on_a_moved_base(monkeypatch):
     assert rep.status == "fail"
     assert rep.witnesses == [{"problem": "not_a_circle", "bases": [
         "A(0,0)", "A(1,0)", "A(2,1)", "A(3,1)", "A(4,4)"]}]
+
+
+def test_tangency_locus_fits_nonparallel_bases(monkeypatch):
+    # moving the first base A(0,0) to A(2,0) makes it parallel to the second
+    # base A(2,1): the circle is fitted through A(2,0), A(4,4), A(1,4)
+    # instead, and the bases fail against it
+    plane = LaguerrePlane(5)
+    real = plane.pencil_tangent
+
+    def moved(N, pencil):
+        member, base = real(N, pencil)
+        return member, affine(2, 0) if base == affine(0, 0) else base
+
+    monkeypatch.setattr(plane, "pencil_tangent", moved)
+    locus, rep = thm_tangency_locus(plane, canonical_pencil(plane), ideal(1),
+                                    affine(0, 0))
+    assert locus == Circle(2, 0, 2)
+    assert rep.status == "fail"
+    assert rep.witnesses == [
+        {"problem": "not_a_circle",
+         "bases": ["A(1,4)", "A(2,0)", "A(2,1)", "A(3,1)", "A(4,4)"]},
+        {"problem": "missing_opposite_ideal_point", "locus": [2, 0, 2],
+         "q_prime": "I(4)"}]
+
+    def two_generators(N, pencil):
+        member, base = real(N, pencil)
+        return member, affine(base.x % 2, base.y)
+
+    # no three bases are pairwise nonparallel: there is no circle to fit
+    monkeypatch.setattr(plane, "pencil_tangent", two_generators)
+    locus, rep = thm_tangency_locus(plane, canonical_pencil(plane), ideal(1),
+                                    affine(0, 0))
+    assert locus is None
+    assert rep.details["locus"] is None
+    assert rep.witnesses == [{"problem": "not_a_circle", "bases": [
+        "A(0,0)", "A(0,1)", "A(0,4)", "A(1,1)", "A(1,4)"]}]
+
+
+def test_c4_2_fails_without_a_swept_circle(monkeypatch):
+    # every base moved onto the generators x = 0, 1: no locus is fitted, and
+    # T4.1 and C4.2 fail at every direction and point instead of raising
+    monkeypatch.setattr(verify, "_CTX_CACHE", {})
+    plane = verify._context(5).plane
+    real = plane.pencil_tangent
+
+    def two_generators(N, pencil):
+        member, base = real(N, pencil)
+        return member, affine(base.x % 2, base.y)
+
+    monkeypatch.setattr(plane, "pencil_tangent", two_generators)
+    t41, c42 = thm_check("T4.1", 5), thm_check("C4.2", 5)
+    assert (t41.status, len(t41.witnesses)) == ("fail", 100)
+    assert (c42.status, c42.cases_checked, len(c42.witnesses)) == ("fail", 100, 100)
+    assert c42.witnesses[0] == {"beta": 1, "x": "A(0,0)", "locus": None}
 
 
 def test_tangency_locus_rejects_bad_vertex(plane5):
@@ -258,7 +312,8 @@ def test_t4_2_fails_on_a_flipped_intersection_bit(monkeypatch):
     monkeypatch.setattr(verify, "TangentFamily", Flipped)
     rep = thm_check("T4.2", 5)
     assert rep.status == "fail"
-    assert rep.cases_checked == 30000
+    assert rep.cases_checked == 240
+    assert rep.details["cases_represented"] == 30000
     assert {tuple(w) for w in rep.witnesses} == {
         ("circle", "x", "y", "exactly_two", "all_meet", "one_pair")}
     assert all(w["circle"] == [0, 0, 0] and not w["exactly_two"]
@@ -284,3 +339,83 @@ def test_p4_2_fails_on_a_moved_base_point(monkeypatch):
     assert rep.status == "fail"
     assert rep.cases_checked == 1200
     assert rep.witnesses == [{"circles": [[1, 0, 0], [1, 0, 1]], "disjoint": True}]
+
+
+def _t4_2_all_circles(plane):
+    """T4.2 at every circle, as the catalog swept it before the orbit
+    reduction: the differential oracle of that route.  Returns the case count
+    and the failing (circle, x, y)."""
+    cases, bad = 0, []
+    for L in plane.circles:
+        fam = verify.TangentFamily(plane, L)
+        pts, pmask = fam.off_points, fam.point_mask
+        for ai, a in enumerate(pts):
+            for b in pts[ai + 1:]:
+                if plane.parallel(a, b):
+                    continue
+                cases += 1
+                two = (pmask[a] & pmask[b]).bit_count() == 2
+                allmeet = not (pmask[b] & ~fam.meets[a])
+                one = bool(pmask[b] & fam.links[a])
+                if not (two == allmeet == one):
+                    bad.append((L, a, b))
+    return cases, bad
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_t4_2_orbit_route_matches_all_circles(q):
+    rep = thm_check("T4.2", q)
+    cases, bad = _t4_2_all_circles(LaguerrePlane(q))
+    assert not bad and rep.status == "pass"  # the same verdict on both routes
+    assert rep.details["mode"] == "orbit"
+    assert rep.details["representative"] == [0, 0, 0]
+    assert rep.details["cases_represented"] == cases == q ** 3 * rep.cases_checked
+
+
+def test_t4_2_orbit_route_misses_a_fault_off_the_representative(monkeypatch):
+    # a family damaged at another circle than (0, 0, 0): only the
+    # all-circles oracle evaluates it
+    target = Circle(1, 2, 3)
+
+    class Flipped(TangentFamily):
+        def __init__(self, plane, L):
+            super().__init__(plane, L)
+            if L == target:
+                j = next(j for j in range(len(self.circles))
+                         if not self.inter[0] >> j & 1)
+                self.inter[0] ^= 1 << j
+
+    monkeypatch.setattr(verify, "TangentFamily", Flipped)
+    _, bad = _t4_2_all_circles(LaguerrePlane(5))
+    assert bad and {L for L, _, _ in bad} == {target}
+    assert thm_check("T4.2", 5).status == "pass"
+
+
+def test_t4_2_rejects_a_shift_that_is_not_an_automorphism(monkeypatch):
+    def collapsed(plane, Q):
+        # A(0,1) goes where A(0,0) goes: no circle holds both, so every
+        # circle keeps q + 1 image points, but the map is not a bijection
+        perm = list(range(len(plane.points)))
+        perm[1] = perm[0]
+        return PermutationMap(plane, perm)
+
+    monkeypatch.setattr(verify, "circle_add_map", collapsed)
+    with pytest.raises(GeometryError) as e:
+        thm_check("T4.2", 5)
+    assert e.value.code == "not_automorphism"
+    assert e.value.witnesses == [{"problem": "not_bijective"}]
+
+
+def test_t4_2_rejects_shifts_that_are_not_transitive(monkeypatch):
+    # y -> y + 1 replaced by the identity: the shifts reach only the q^2
+    # circles with c = 0
+    real = verify.circle_add_map
+
+    def no_constant(plane, Q):
+        return real(plane, Circle(0, 0, 0) if Q == Circle(0, 0, 1) else Q)
+
+    monkeypatch.setattr(verify, "circle_add_map", no_constant)
+    with pytest.raises(GeometryError) as e:
+        thm_check("T4.2", 5)
+    assert e.value.code == "not_transitive"
+    assert "to 25 of the 125 circles" in str(e.value)
