@@ -7,8 +7,8 @@ from .plane import (Circle, GeometryError, Generator, LaguerrePlane, Pencil,
 from .autgroup import (DeltaGroup, PencilAut, PermutationMap, classify_aut,
                        classify_by_scan, verify_a1a2a3)
 from .skewaffine import AXIOMS, GroupSpace, Line
-from .verify import (CHECK_IDS, EquivPartition, run_suite, thm_check,
-                     thm_equiv_rel, thm_tangency_locus)
+from .verify import (CHECK_IDS, run_suite, thm_check, thm_equiv_rel,
+                     thm_tangency_locus)
 from .report import Budget, Report
 
 __version__ = "0.1.0"
@@ -20,7 +20,7 @@ __all__ = [
     "DeltaGroup", "PencilAut", "PermutationMap", "classify_aut",
     "classify_by_scan", "verify_a1a2a3",
     "GroupSpace", "Line", "AXIOMS",
-    "CHECK_IDS", "EquivPartition", "run_suite", "thm_check",
+    "CHECK_IDS", "run_suite", "thm_check",
     "thm_equiv_rel", "thm_tangency_locus",
     "Budget", "Report",
 ]

@@ -30,7 +30,7 @@ from typing import Iterable, NamedTuple
 
 from .field import GF
 from .plane import (Circle, GeometryError, IDEAL, LaguerrePlane, Pencil, Point,
-                    affine, canonical_pencil, ideal)
+                    _not_a_point, canonical_pencil, ideal)
 from .report import Report, run_check
 
 
@@ -51,13 +51,6 @@ AUT_CLASSES = (
     "symmetry",
     "glide",
 )
-
-
-def aut_point(gf: GF, f: PencilAut, pt: Point) -> Point:
-    if pt.kind == IDEAL:
-        return pt
-    q = gf.q
-    return affine((f.k * pt.x + f.t) % q, (f.k * f.k * pt.y + f.g) % q)
 
 
 def aut_circle(gf: GF, f: PencilAut, C: Circle) -> Circle:
@@ -301,7 +294,11 @@ class DeltaGroup:
         to the circle through its permuted points."""
         plane = self.plane
         if not isinstance(obj, Circle):
-            return plane.points[self.image(f, plane.point_index[obj])]
+            try:
+                i = plane.point_index[obj]
+            except KeyError:
+                raise _not_a_point(obj) from None
+            return plane.points[self.image(f, i)]
         if self._fwd is None:
             return aut_circle(self.gf, f, obj)
         out = plane.circle_from_point_set(frozenset(
@@ -309,12 +306,6 @@ class DeltaGroup:
         if out is None:
             raise GeometryError(f"image of {obj} is not a circle", code="not_automorphism")
         return out
-
-    def compose(self, f: PencilAut, h: PencilAut) -> PencilAut:
-        return aut_compose(self.gf, f, h)
-
-    def inverse(self, f: PencilAut) -> PencilAut:
-        return aut_inverse(self.gf, f)
 
     @cached_property
     def translations(self) -> list[PencilAut]:
@@ -332,7 +323,7 @@ class DeltaGroup:
         proot = next(g for g in range(2, q)
                      if len({pow(g, e, q) for e in range(q - 1)}) == q - 1)
         gens = [PencilAut(proot, 0, 0), PencilAut(1, 1, 0), PencilAut(1, 0, 1)]
-        closure = _reach(IDENTITY, [partial(self.compose, g) for g in gens])
+        closure = _reach(IDENTITY, [partial(aut_compose, self.gf, g) for g in gens])
         if closure != set(self.elements):
             raise GeometryError(f"the generators close to {len(closure)} elements, "
                                 f"not to the {len(self.elements)} of the group",
@@ -355,34 +346,33 @@ class DeltaGroup:
         bad = self.base_generator_points()
         return [p for p in self.plane.points if p not in bad]
 
-    def stabilizer(self, x: Point,
-                   elements: list[PencilAut] | None = None) -> list[PencilAut]:
-        """The elements (of the group, or of ``elements``) fixing ``x``."""
+    def stabilizer(self, x: Point) -> list[PencilAut]:
+        """The elements fixing ``x``."""
         if x in self.base_generator_points():
             raise GeometryError("point lies on the fixed generator; its "
                                 "stabilizer is the whole group",
                                 code="stabilizer_on_base")
-        i, image = self.plane.point_index[x], self.image
-        return [f for f in (self.elements if elements is None else elements)
-                if image(f, i) == i]
+        try:
+            i = self.plane.point_index[x]
+        except KeyError:
+            raise _not_a_point(x) from None
+        image = self.image
+        return [f for f in self.elements if image(f, i) == i]
 
     def orbit(self, subset: Iterable[PencilAut], x: Point) -> set[Point]:
         return {self.apply(f, x) for f in subset}
 
     # -- structure checks -----------------------------------------------
 
-    def normally_transitive(self, points: list[Point] | None = None,
-                            elements: list[PencilAut] | None = None
-                            ) -> tuple[bool, dict | None]:
-        """Transitive, and every ordered pair has a stabilizer separator."""
-        pts = points if points is not None else self.space_points()
-        els = elements if elements is not None else self.elements
-        if len(pts) >= 1:
-            missing = sorted(set(pts) - self.orbit(els, pts[0]))
-            if missing:
-                return False, {"problem": "not_transitive", "from": repr(pts[0]),
-                               "unreached": repr(missing[0])}
-        stabs = {x: frozenset(self.stabilizer(x, els)) for x in pts}
+    def normally_transitive(self) -> tuple[bool, dict | None]:
+        """Transitive off the vertex generator, and every ordered pair of
+        those points has a stabilizer separator."""
+        pts = self.space_points()
+        missing = sorted(set(pts) - self.orbit(self.elements, pts[0]))
+        if missing:
+            return False, {"problem": "not_transitive", "from": repr(pts[0]),
+                           "unreached": repr(missing[0])}
+        stabs = {x: frozenset(self.stabilizer(x)) for x in pts}
         for x in pts:
             for y in pts:
                 if x != y and not (stabs[x] - stabs[y]):
@@ -394,7 +384,7 @@ class DeltaGroup:
         """Every element splits uniquely as (k=1 translation) o (stabilizer of r)."""
         translations = self.translations
         stab = self.stabilizer(r)
-        products = {self.compose(t, s) for t in translations for s in stab}
+        products = {aut_compose(self.gf, t, s) for t in translations for s in stab}
         return len(translations) * len(stab) == len(self.elements) and \
             products == set(self.elements)
 

@@ -26,7 +26,7 @@ import json
 import sys
 from pathlib import Path
 
-from .field import DEFAULT_MAX_Q, FieldError, GF, is_prime
+from .field import FieldError, GF, is_prime
 from .plane import (Circle, GeometryError, LaguerrePlane, Pencil, affine,
                     canonical_pencil, ideal)
 from .autgroup import DeltaGroup, verify_a1a2a3
@@ -91,13 +91,14 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--q", type=int, required=True)
     exp.add_argument("--what", required=True, choices=("plane", "group", "space"))
     exp.add_argument("--out", required=True, help="output file path")
-    exp.add_argument("--pencil", default="canonical")
+    exp.add_argument("--pencil", default=None,
+                     help="as for group verify (default canonical); not for --what plane")
     return top
 
 
 def _make_plane(q: int) -> LaguerrePlane:
     try:
-        return LaguerrePlane(GF(q, max_q=DEFAULT_MAX_Q))
+        return LaguerrePlane(q)
     except FieldError as e:
         raise UsageError(str(e))
 
@@ -186,7 +187,7 @@ def _cmd_ska_verify(args) -> int:
 
 def _cmd_theorems_run(args) -> int:
     _require_odd(args.q)
-    GF(args.q, max_q=DEFAULT_MAX_Q)  # the bound, before the catalog builds its plane
+    GF(args.q)  # the bound, before the catalog builds its plane
     ids = CHECK_IDS if args.id == "all" else (args.id,)
     for cid in ids:
         if cid not in CHECK_IDS:
@@ -195,13 +196,15 @@ def _cmd_theorems_run(args) -> int:
 
 
 def _cmd_export(args) -> int:
+    if args.what == "plane" and args.pencil is not None:
+        raise UsageError("--pencil does not apply to --what plane")
     out = Path(args.out)
     if out.is_dir():
         raise UsageError(f"output path {args.out!r} is a directory")
     if not out.parent.is_dir():
         raise UsageError(f"output directory {str(out.parent)!r} does not exist")
     plane = _make_plane(args.q)
-    pencil = _parse_pencil(plane, args.pencil)
+    pencil = _parse_pencil(plane, args.pencil or "canonical")
     if args.what == "plane":
         payload = plane.to_json()
     else:

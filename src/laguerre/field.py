@@ -2,14 +2,14 @@
 
 Only prime moduli are supported.  q = 2 is allowed (it is needed as a
 negative-test field elsewhere) but carries a ``char2`` flag and offers no
-square classes.  Internally every value is a plain int in ``[0, q)``; the
-``GF`` object performs all reductions, so values can be shared freely
-between workers.
+square classes.  Every value is a plain int in ``[0, q)``; the ``GF``
+object holds the inverse and square-root tables, and callers reduce their
+own sums and products mod ``q``.  Fields larger than ``MAX_Q`` are refused.
 """
 
 from __future__ import annotations
 
-DEFAULT_MAX_Q = 101
+MAX_Q = 101
 
 # square-class tags
 ZERO = "zero"
@@ -41,11 +41,11 @@ class GF:
 
     __slots__ = ("q", "char2", "_inv", "_sqrt", "squares")
 
-    def __init__(self, q: int, max_q: int = DEFAULT_MAX_Q):
+    def __init__(self, q: int):
         if not isinstance(q, int) or isinstance(q, bool) or not is_prime(q):
             raise FieldError(f"{q!r} is not prime", code="not_prime")
-        if q > max_q:
-            raise FieldError(f"q={q} exceeds the configured bound {max_q}", code="out_of_range")
+        if q > MAX_Q:
+            raise FieldError(f"q={q} exceeds the configured bound {MAX_Q}", code="out_of_range")
         self.q = q
         self.char2 = q == 2
         self._inv = [0] * q
@@ -59,17 +59,8 @@ class GF:
 
     # -- arithmetic on ints -------------------------------------------------
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.q
-
     def sub(self, a: int, b: int) -> int:
         return (a - b) % self.q
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.q
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.q
 
     def inv(self, a: int) -> int:
         a %= self.q
@@ -79,11 +70,6 @@ class GF:
 
     def div(self, a: int, b: int) -> int:
         return (a * self.inv(b)) % self.q
-
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return pow(self.inv(a), -e, self.q)
-        return pow(a % self.q, e, self.q)
 
     # -- quadratic structure ------------------------------------------------
 

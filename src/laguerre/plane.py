@@ -39,6 +39,11 @@ class GeometryError(ValueError):
         self.witnesses = witnesses or []
 
 
+def _not_a_point(pt) -> GeometryError:
+    """The error for a lookup of something that is not a plane point."""
+    return GeometryError(f"{pt!r} is not a point of the plane", code="not_a_point")
+
+
 class Point(NamedTuple):
     kind: str  # AFFINE or IDEAL
     x: int     # affine x coordinate, or the ideal label a
@@ -85,9 +90,8 @@ class Pencil(NamedTuple):
 class LaguerrePlane:
     """Full enumeration of the plane over GF(q), plus incidence machinery."""
 
-    def __init__(self, gf: GF | int):
-        self.gf = gf if isinstance(gf, GF) else GF(gf)
-        q = self.gf.q
+    def __init__(self, q: int):
+        self.gf = GF(q)
         self.q = q
         self.points: list[Point] = sorted(
             [affine(x, y) for x in range(q) for y in range(q)] + [ideal(a) for a in range(q)]
@@ -209,9 +213,6 @@ class LaguerrePlane:
         if cls == ZERO:
             return 1
         return 2 if cls == SQUARE else 0
-
-    def tangent(self, C1: Circle, C2: Circle) -> bool:
-        return self.intersection_size(C1, C2) == 1
 
     def touching_circle(self, p: Point, K: Circle, r: Point) -> Circle:
         """The unique circle through ``r`` tangent to ``K`` at ``p``."""

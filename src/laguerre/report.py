@@ -25,6 +25,8 @@ REPORT_ONLY = "report_only"
 
 MAX_WITNESSES_SHOWN = 20
 
+_EXPECTED = "expected 'orbit', 'exhaustive' or 'sample:K' with K > 0"
+
 
 @dataclass
 class Report:
@@ -70,25 +72,27 @@ class Report:
 @dataclass(frozen=True)
 class Budget:
     """Quantifier budget: exhaustive sweep, orbit-reduced exhaustive sweep,
-    or deterministic seeded sampling."""
+    or deterministic seeded sampling of at least one case.  Any other mode
+    raises ``ValueError`` at construction."""
 
     mode: str = "exhaustive"  # "exhaustive" | "orbit" | "sample"
     samples: int = 0
     seed: int = 0
 
+    def __post_init__(self):
+        if self.mode not in ("exhaustive", "orbit", "sample") or \
+                (self.mode == "sample" and self.samples <= 0):
+            raise ValueError(f"bad budget {self}; {_EXPECTED}")
+
     @staticmethod
     def parse(text: str, seed: int = 0) -> "Budget":
-        if text in ("exhaustive", "orbit"):
-            return Budget(text, 0, seed)
-        if text.startswith("sample:"):
+        mode, colon, k = text.partition(":")
+        if (mode == "sample") == bool(colon):  # a count after sample only
             try:
-                n = int(text.split(":", 1)[1])
+                return Budget(mode, int(k) if colon else 0, seed)
             except ValueError:
-                n = 0
-            if n > 0:
-                return Budget("sample", n, seed)
-        raise ValueError(f"bad budget {text!r}; expected 'orbit', 'exhaustive' "
-                         f"or 'sample:K' with K > 0")
+                pass
+        raise ValueError(f"bad budget {text!r}; {_EXPECTED}")
 
 
 def run_check(check_id: str, q: int, sweep: Callable[[], tuple[int, list, dict]],

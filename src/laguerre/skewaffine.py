@@ -67,7 +67,7 @@ import random
 from dataclasses import dataclass, field
 from operator import and_, neg, or_
 
-from .plane import GeometryError, LaguerrePlane, Pencil, Point
+from .plane import GeometryError, LaguerrePlane, Pencil, Point, _not_a_point
 from .autgroup import DeltaGroup, PencilAut, _reach, _require_transitive
 from .report import Budget, Report, run_check
 
@@ -161,9 +161,8 @@ class GroupSpace:
         local, image = self._local, self.delta.image
         return [local[image(f, p)] for p in self._plane_ids]
 
-    def line_image(self, perm: list[int] | dict[int, int], line: Line) -> Line:
-        """The line that the point permutation ``perm`` carries ``line`` to;
-        ``perm`` needs entries only for the line's own points."""
+    def line_image(self, perm: list[int], line: Line) -> Line:
+        """The line that the point permutation ``perm`` carries ``line`` to."""
         ids = tuple(sorted(perm[i] for i in line.ids))
         return self._line_by_key[(ids, line.kind, line.label)]
 
@@ -287,31 +286,19 @@ class GroupSpace:
     def join(self, x: Point, y: Point) -> Line:
         if x == y:
             raise GeometryError("join needs two distinct points", code="join_degenerate")
-        i = self.index.get(x)
-        j = self.index.get(y)
-        if i is None or j is None:
+        try:
+            return self.lines[self._joinline[self.index[x]][self.index[y]]]
+        except KeyError:
+            off = x if x not in self.index else y
+            if off not in self.plane.point_index:
+                raise _not_a_point(off) from None
             raise GeometryError("point lies on the vertex generator",
-                                code="point_on_base_generator")
-        return self.lines[self._joinline[i][j]]
-
-    def parallel(self, L1: Line, L2: Line) -> bool:
-        """Orbit parallelism (classes are group orbits on lines)."""
-        return L1.class_id == L2.class_id
+                                code="point_on_base_generator") from None
 
     def parallel_fast(self, L1: Line, L2: Line) -> bool:
         """Closed-form invariant: equal labels, the leading coefficient or the
-        offset class.  Must agree with the orbit relation (tested exhaustively)."""
+        offset class.  Must agree with equal ``class_id`` (tested exhaustively)."""
         return (L1.kind == SPECIAL) == (L2.kind == SPECIAL) and L1.label == L2.label
-
-    def translation_witness(self, L1: Line, L2: Line) -> PencilAut | None:
-        """A k=1 element carrying L1 onto L2, if one exists."""
-        local, image = self._local, self.delta.image
-        own = [(i, self._plane_ids[i]) for i in L1.ids]
-        for f in self.delta.translations:
-            perm = {i: local[image(f, p)] for i, p in own}
-            if self.line_image(perm, L1) is L2:
-                return f
-        return None
 
     def census(self) -> dict:
         counts = {CIRCLE_LINE: 0, STRAIGHT: 0, SPECIAL: 0}

@@ -15,13 +15,12 @@ claims that hold in this model (see its reading notes).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 
 from .plane import (Circle, GeometryError, IDEAL, LaguerrePlane, Pencil, Point,
                     affine, canonical_pencil, ideal)
 from .autgroup import (IDENTITY, DeltaGroup, PencilAut, _require_transitive,
-                       _verified_map, aut_compose, circle_add_map)
+                       _verified_map, aut_compose, aut_inverse, circle_add_map)
 from .skewaffine import GroupSpace, SPECIAL, STRAIGHT
 from .report import Budget, PASS, REPORT_ONLY, Report, run_check
 
@@ -51,14 +50,6 @@ _NOTES = {
 # checks that pass as report-only: they publish a census and assert only
 # restricted claims (see their reading notes)
 _REPORT_ONLY_IDS = frozenset({"L3.1"})
-
-
-@dataclass
-class EquivPartition:
-    """Square-class blocks of the points off one pencil member."""
-
-    member: Circle
-    classes: dict[Point, str]
 
 
 class TangentFamily:
@@ -195,10 +186,11 @@ def _context(q: int) -> _Ctx:
     return ctx
 
 
-def thm_equiv_rel(plane: LaguerrePlane, member: Circle) -> tuple[EquivPartition, Report]:
+def thm_equiv_rel(plane: LaguerrePlane, member: Circle) -> tuple[dict[Point, str], Report]:
     """Brute-force the equivalence off ``member`` and verify its shape:
     equivalence laws, the single-witness characterization, the two-circle
-    count against ideal points, and the square-class partition rule."""
+    count against ideal points, and the square-class partition rule.
+    Returns the square class of each point off ``member`` with the report."""
     if plane.gf.char2:
         raise GeometryError("needs odd q", code="char2_group")
     if not (member.a == 0 and member.b == 0):
@@ -208,7 +200,7 @@ def thm_equiv_rel(plane: LaguerrePlane, member: Circle) -> tuple[EquivPartition,
 
 
 def _equiv_report(plane: LaguerrePlane, member: Circle,
-                  fam: TangentFamily) -> tuple[EquivPartition, Report]:
+                  fam: TangentFamily) -> tuple[dict[Point, str], Report]:
     """``thm_equiv_rel`` on the tangent family ``fam`` of ``member``."""
 
     def rule_class(p: Point) -> str:
@@ -250,7 +242,7 @@ def _equiv_report(plane: LaguerrePlane, member: Circle,
             witnesses.append({"law": "block_count", "blocks": nblocks})
         return cases, witnesses, {"blocks": nblocks}
 
-    return EquivPartition(member, classes), run_check("equiv-rel", plane.q, sweep)
+    return classes, run_check("equiv-rel", plane.q, sweep)
 
 
 def thm_tangency_locus(plane: LaguerrePlane, pencil: Pencil, q_ideal: Point,
@@ -595,7 +587,7 @@ def _check_t3_2(ctx: _Ctx):
         bad.append({"problem": "translations_not_transitive"})
     tset = set(translations)
     for f in delta.elements:
-        fi = delta.inverse(f)
+        fi = aut_inverse(gf, f)
         for tau in translations:
             cases += 1
             if aut_compose(gf, aut_compose(gf, f, tau), fi) not in tset:

@@ -145,9 +145,9 @@ def test_criterion_7_equivalence_partition():
     for q in (5, 7, 11):
         pl = LaguerrePlane(q)
         for member in pl.pencil_members(canonical_pencil(pl)):
-            partition, rep = thm_equiv_rel(pl, member)
+            classes, rep = thm_equiv_rel(pl, member)
             assert rep.status == "pass", (q, member, rep.witnesses[:2])
-            assert len(set(partition.classes.values())) == 2
+            assert len(set(classes.values())) == 2
     _verdict(7, True, "brute-force relation equals the square-class partition "
                       "with 2 blocks for every member, q in (5,7,11); "
                       "two-tangent-circle counts exact")

@@ -6,7 +6,15 @@ from laguerre import (Circle, DeltaGroup, GeometryError, LaguerrePlane,
                       PencilAut, PermutationMap, affine, canonical_pencil,
                       classify_by_scan, ideal, verify_a1a2a3)
 from laguerre.autgroup import (_verified_map, aut_circle, aut_compose, aut_inverse,
-                               aut_point, circle_add_map, classify_aut, inversion_map)
+                               circle_add_map, classify_aut, inversion_map)
+
+
+def aut_point(gf, f, pt):
+    """The oracle: the closed form of the canonical action on one Point."""
+    if pt.kind == "I":
+        return pt
+    q = gf.q
+    return affine((f.k * pt.x + f.t) % q, (f.k * f.k * pt.y + f.g) % q)
 
 
 def test_group_sizes():
@@ -192,14 +200,16 @@ def test_translations_normal_and_commutative(delta5, plane5):
         assert aut_compose(gf, t1, t2) == aut_compose(gf, t2, t1)
 
 
-def test_normally_transitive(delta5):
+def test_normally_transitive(delta5, plane5):
     ok, witness = delta5.normally_transitive()
     assert ok and witness is None
     # translations alone have trivial stabilizers
-    T = [f for f in delta5.elements if f.k == 1]
-    ok, witness = delta5.normally_transitive(elements=T)
+    pencil = canonical_pencil(plane5)
+    T = DeltaGroup(plane5, pencil, [f for f in delta5.elements if f.k == 1], None)
+    ok, witness = T.normally_transitive()
     assert not ok and witness["problem"] == "no_separating_element"
-    ok, witness = delta5.normally_transitive(elements=[PencilAut(1, 0, 0)])
+    identity = DeltaGroup(plane5, pencil, [PencilAut(1, 0, 0)], None)
+    ok, witness = identity.normally_transitive()
     assert not ok and witness["problem"] == "not_transitive"
 
 

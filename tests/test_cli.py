@@ -180,6 +180,21 @@ def test_export_plane(tmp_path, capsys):
     assert blob["points"][0] == {"t": "A", "x": 0, "y": 0}
 
 
+def test_export_plane_refuses_pencil(tmp_path, capsys, monkeypatch):
+    from laguerre import LaguerrePlane
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("the plane was built")
+
+    monkeypatch.setattr(LaguerrePlane, "__init__", no_build)
+    out_file = tmp_path / "plane.json"
+    code, out, err = run_cli(capsys, "export", "--q", "5", "--what", "plane",
+                             "--pencil", "p:1,2", "--out", str(out_file))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out_file.exists()
+
+
 def test_export_group_round_trip(tmp_path, capsys):
     out_file = tmp_path / "group.json"
     code, _, _ = run_cli(capsys, "export", "--q", "5", "--what", "group",

@@ -1,6 +1,8 @@
 import time
 
-from laguerre.report import FAIL, PASS, REPORT_ONLY, run_check
+import pytest
+
+from laguerre.report import FAIL, PASS, REPORT_ONLY, Budget, run_check
 
 
 def test_run_check_status_follows_the_witnesses():
@@ -25,3 +27,13 @@ def test_run_check_times_the_sweep():
     rep = run_check("X", 5, sweep)
     assert rep.elapsed_ms >= 20
     assert "elapsed_ms" not in rep.to_dict()
+
+
+def test_budget_rejects_unknown_mode_and_empty_sample():
+    # a mistyped mode would otherwise sweep exhaustively, and zero samples
+    # would pass after checking nothing
+    for args in (("orbits",), ("sample", 0, 0), ("sample", -1, 0)):
+        with pytest.raises(ValueError, match="bad budget"):
+            Budget(*args)
+    assert Budget.parse("sample:5", 7) == Budget("sample", 5, 7)
+    assert Budget.parse("orbit") == Budget("orbit")

@@ -30,6 +30,17 @@ def test_join_errors(space5):
     assert e.value.code == "point_on_base_generator"
 
 
+def test_point_outside_the_plane_is_a_geometry_error(space5):
+    delta, outside = space5.delta, affine(7, 7)
+    for call in (lambda: delta.stabilizer(outside),
+                 lambda: delta.apply(PencilAut(2, 1, 3), outside),
+                 lambda: space5.join(outside, affine(0, 0)),
+                 lambda: space5.join(affine(0, 0), outside)):
+        with pytest.raises(GeometryError) as e:
+            call()
+        assert e.value.code == "not_a_point"
+
+
 def test_census_counts():
     expected = {
         3: (9, 39, 18, 3, 18, 5),
@@ -120,15 +131,13 @@ def test_parallel_examples(space5):
     l1 = space5.join(affine(0, 0), affine(1, 1))   # remnant of (1,0,0)
     l2 = space5.join(affine(1, 0), affine(0, 1))   # remnant of (1,3,1)
     assert set(l2.points) == {affine(x, (x * x + 3 * x + 1) % 5) for x in range(5)}
-    assert space5.parallel(l1, l2)
-    assert space5.translation_witness(l1, l2) is not None
+    assert l1.class_id == l2.class_id
     m2 = space5.join(affine(0, 0), affine(1, 2))   # remnant of (2,0,0)
-    assert not space5.parallel(l1, m2)
-    assert space5.translation_witness(l1, m2) is None
+    assert l1.class_id != m2.class_id
     s1 = space5.join(affine(0, 0), affine(0, 1))
     s2 = space5.join(affine(1, 2), affine(1, 3))
-    assert space5.parallel(s1, s2)                 # square offsets both
-    assert space5.translation_witness(s1, s2) == PencilAut(1, 1, 2)
+    assert s1.class_id == s2.class_id              # square offsets both
+    assert space5.line_image(space5.point_perm(PencilAut(1, 1, 2)), s1) is s2
 
 
 def test_parallel_fast_agrees_with_orbit_relation():
@@ -139,14 +148,7 @@ def test_parallel_fast_agrees_with_orbit_relation():
                               check_preconditions=False)
         for L1 in gs.lines:
             for L2 in gs.lines:
-                assert gs.parallel(L1, L2) == gs.parallel_fast(L1, L2)
-
-
-def test_translation_witness_iff_parallel(space3):
-    for L1 in space3.lines:
-        for L2 in space3.lines:
-            wit = space3.translation_witness(L1, L2)
-            assert (wit is not None) == space3.parallel(L1, L2)
+                assert (L1.class_id == L2.class_id) == gs.parallel_fast(L1, L2)
 
 
 def test_build_rejects_non_transitive_group(plane5):

@@ -30,13 +30,12 @@ def test_unknown_id_rejected():
 
 def test_equiv_rel_examples(plane5):
     member = Circle(0, 0, 0)
-    partition, rep = thm_equiv_rel(plane5, member)
+    cls, rep = thm_equiv_rel(plane5, member)
     assert rep.status == "pass"
-    cls = partition.classes
     assert cls[affine(0, 1)] == cls[affine(3, 4)]          # 4/1 is a square
     assert cls[affine(0, 1)] != cls[affine(0, 2)]          # 2 is a nonsquare
     assert cls[ideal(1)] == cls[affine(2, 4)]
-    assert len(set(partition.classes.values())) == 2
+    assert len(set(cls.values())) == 2
 
 
 def test_equiv_two_circle_count(plane5):
@@ -44,7 +43,7 @@ def test_equiv_two_circle_count(plane5):
     member = Circle(0, 0, 0)
     hits = [C for C in plane5.circles
             if plane5.incident(ideal(1), C) and plane5.incident(affine(2, 4), C)
-            and C != member and plane5.tangent(C, member)]
+            and C != member and plane5.intersection_size(C, member) == 1]
     assert sorted(hits) == [Circle(1, 0, 0), Circle(1, 2, 1)]
 
 
@@ -52,7 +51,7 @@ def test_equiv_rel_brute_force_agrees_with_rule():
     # independent of the mask machinery: quantify the definition directly
     pl = LaguerrePlane(5)
     member = Circle(0, 0, 1)
-    tangents = [C for C in pl.circles if C != member and pl.tangent(C, member)]
+    tangents = [C for C in pl.circles if C != member and pl.intersection_size(C, member) == 1]
     off = [p for p in pl.points if not pl.incident(p, member)]
 
     def equivalent(a, b):
@@ -61,13 +60,13 @@ def test_equiv_rel_brute_force_agrees_with_rule():
         return all(C1 == C2 or pl.intersection_size(C1, C2) >= 1
                    for C1 in ps for C2 in qs)
 
-    partition, rep = thm_equiv_rel(pl, member)
+    cls, rep = thm_equiv_rel(pl, member)
     assert rep.status == "pass"
     for a in off:
         for b in off:
             if a == b:
                 continue
-            assert equivalent(a, b) == (partition.classes[a] == partition.classes[b])
+            assert equivalent(a, b) == (cls[a] == cls[b])
 
 
 def test_equiv_rel_rejects_bad_input(plane5, plane2):
@@ -273,7 +272,7 @@ def test_tangent_family_matches_brute_force(q):
     for L in pl.circles:
         fam = TangentFamily(pl, L)
         tangent = {C: pl.intersection(C, L)[0] for C in pl.circles
-                   if C != L and pl.tangent(C, L)}
+                   if C != L and pl.intersection_size(C, L) == 1}
         assert dict(zip(fam.circles, fam.touch)) == tangent
         assert len(fam.circles) == len(tangent)
         circles, touch = fam.circles, fam.touch
