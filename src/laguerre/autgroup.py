@@ -299,6 +299,8 @@ class DeltaGroup:
             except KeyError:
                 raise _not_a_point(obj) from None
             return plane.points[self.image(f, i)]
+        if not all(0 <= v < plane.q for v in obj):
+            raise GeometryError(f"{obj!r} is not a circle of the plane", code="not_a_circle")
         if self._fwd is None:
             return aut_circle(self.gf, f, obj)
         out = plane.circle_from_point_set(frozenset(

@@ -338,20 +338,20 @@ class GroupSpace:
         return (cases, witnesses, details).
 
         ``pair(first, second, fail)`` evaluates every case with those two
-        points, passes each failing case to ``fail``, and returns how many
-        cases it evaluated.  ``orbit`` evaluates one first point and one
-        second point per orbit of its stabilizer, and reports how many cases
-        of the full sweep these stand for.  ``sample:K`` needs
-        ``draw(randrange)``, which returns one case or ``None`` for a
-        rejected draw, and the case predicate ``holds``; it stops at the
-        first failing case.  Any other budget, and ``sample:K`` for an axiom
-        without ``draw``, runs all ordered pairs of distinct points, first
-        point outermost.
+        points, passes each failing case to ``fail`` (keywords become extra
+        witness fields), and returns how many cases it evaluated.  ``orbit``
+        evaluates one first point and one second point per orbit of its
+        stabilizer, and reports how many cases of the full sweep these stand
+        for.  ``sample:K`` needs ``draw(randrange)``, which returns one case
+        or ``None`` for a rejected draw, and the case predicate ``holds``; it
+        stops at the first failing case.  Any other budget, and ``sample:K``
+        for an axiom without ``draw``, runs all ordered pairs of distinct
+        points, first point outermost.
         """
         witnesses = []
 
-        def fail(*case):
-            witnesses.append(self._witness(names, *case))
+        def fail(*case, **extra):
+            witnesses.append(dict(self._witness(names, *case), **extra))
 
         n = self.n
         if budget.mode == "sample" and draw is not None:
@@ -451,30 +451,25 @@ class GroupSpace:
         return cls, off
 
     def _ax_L1(self, budget: Budget):
-        cases, witnesses = 0, []
-        for i in range(self.n):
-            for j in range(self.n):
-                if i == j:
-                    continue
-                cases += 1
-                ids = self.lines[self._joinline[i][j]].ids
-                if i not in ids or j not in ids:
-                    witnesses.append(self._witness(("x", "y"), i, j))
-        return cases, witnesses, {"mode": "exhaustive"}
+        def pair(i, j, fail):
+            ids = self.lines[self._joinline[i][j]].ids
+            if i not in ids or j not in ids:
+                fail(i, j)
+            return 1
+
+        return self._sweep(Budget(), ("x", "y"), pair)
 
     def _ax_L2(self, budget: Budget):
-        cases, witnesses = 0, []
         jl = self._joinline
-        for i in range(self.n):
-            for j in range(self.n):
-                if i == j:
-                    continue
-                lid = jl[i][j]
-                for k in self._linepts_minus[i][j]:
-                    cases += 1
-                    if jl[i][k] != lid:
-                        witnesses.append(self._witness(("x", "y", "z"), i, j, k))
-        return cases, witnesses, {"mode": "exhaustive"}
+
+        def pair(i, j, fail):
+            others = self._linepts_minus[i][j]
+            for k in others:
+                if jl[i][k] != jl[i][j]:
+                    fail(i, j, k)
+            return len(others)
+
+        return self._sweep(Budget(), ("x", "y", "z"), pair)
 
     def _ax_P1(self, budget: Budget):
         # lines from x in one parallel class, per (x, class): must be exactly 1
@@ -494,20 +489,16 @@ class GroupSpace:
     def _ax_P2(self, budget: Budget):
         # direction-reversal must be class-functional; that single pass is
         # logically the full quantifier over pairs of parallel ordered pairs
-        cases, witnesses = 0, []
         rev: dict[int, int] = {}
         jc = self._joinclass
-        for i in range(self.n):
-            for j in range(self.n):
-                if i == j:
-                    continue
-                cases += 1
-                fwd, bwd = jc[i][j], jc[j][i]
-                if rev.setdefault(fwd, bwd) != bwd:
-                    witnesses.append(dict(self._witness(("x", "y"), i, j),
-                                          fwd_class=fwd, bwd_class=bwd,
-                                          expected_bwd=rev[fwd]))
-        return cases, witnesses, {"mode": "exhaustive"}
+
+        def pair(i, j, fail):
+            fwd, bwd = jc[i][j], jc[j][i]
+            if rev.setdefault(fwd, bwd) != bwd:
+                fail(i, j, fwd_class=fwd, bwd_class=bwd, expected_bwd=rev[fwd])
+            return 1
+
+        return self._sweep(Budget(), ("x", "y"), pair)
 
     def _ax_Pgm(self, budget: Budget):
         jc, wm = self._joinclass, self._witmask

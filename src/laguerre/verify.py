@@ -10,6 +10,12 @@ circles (``_check_t4_2``).  Checks verify conclusions, not intermediate
 constructions.  ``L3.1`` is deliberately report-only: it publishes the
 census of fixed-point-free group elements and asserts only the restricted
 claims that hold in this model (see its reading notes).
+
+Plane facts that several checks read are derived once per q, in tables of
+``_Ctx``: ``bases``, circle -> tangency point (P2.1, P2.4, P4.2, T4.1);
+``line_circles``, line -> circle (P2.1, P2.3, P2.5, P2.6); ``member_of``,
+point -> pencil member (T3.1, T3.2, L4.2, P4.6).  The first check to read
+a table builds it, and its ``elapsed_ms`` includes the build.
 """
 
 from __future__ import annotations
@@ -130,8 +136,8 @@ class TangentFamily:
 
 
 class _Ctx:
-    """Per-q lazily built plane, group and residual plane, plus the
-    per-member artifacts that several checks read."""
+    """Per-q lazily built plane, group and residual plane, plus the tables
+    and per-member artifacts that several checks read."""
 
     def __init__(self, q: int):
         self.q = q
@@ -147,6 +153,26 @@ class _Ctx:
     def space(self) -> GroupSpace:
         return GroupSpace.build(self.plane, self.pencil, self.delta,
                                 check_preconditions=False)
+
+    @cached_property
+    def bases(self) -> dict[Circle, Point]:
+        """The tangency point of each circle off the vertex, in circle order."""
+        plane, pencil = self.plane, self.pencil
+        return {M: plane.pencil_tangent(M, pencil)[1] for M in plane.circles
+                if not plane.incident(pencil.p, M)}
+
+    @cached_property
+    def line_circles(self) -> list[Circle | None]:
+        """The circle through each line's first three points; None for a special line."""
+        return [None if line.kind == SPECIAL else self.plane.circle_through(*line.points[:3])
+                for line in self.space.lines]
+
+    @cached_property
+    def member_of(self) -> dict[Point, Circle]:
+        """The pencil member through each point off the vertex that lies on
+        one: ``members`` are verified to meet only at the vertex."""
+        return {p: M for M in self.members for p in self.plane.circle_points(M)
+                if p != self.pencil.p}
 
     @cached_property
     def fixed_points(self) -> dict[PencilAut, list[Point]]:
@@ -172,7 +198,7 @@ class _Ctx:
     @cached_property
     def loci(self) -> list[tuple[int, Point, Circle, Report]]:
         """``thm_tangency_locus`` per ideal direction and residual point."""
-        return [(beta, x, *thm_tangency_locus(self.plane, self.pencil, ideal(beta), x))
+        return [(beta, x, *_locus_report(self.plane, ideal(beta), x, self.bases.__getitem__))
                 for beta in range(1, self.q) for x in self.space.points]
 
 
@@ -257,8 +283,14 @@ def thm_tangency_locus(plane: LaguerrePlane, pencil: Pencil, q_ideal: Point,
                             "the pencil vertex", code="bad_vertex")
     if x.kind == IDEAL:
         raise GeometryError("x must be affine", code="bad_vertex")
+    return _locus_report(plane, q_ideal, x, lambda N: plane.pencil_tangent(N, pencil)[1])
+
+
+def _locus_report(plane: LaguerrePlane, q_ideal: Point, x: Point,
+                  base_of) -> tuple[Circle | None, Report]:
+    """``thm_tangency_locus`` with ``base_of``, circle -> tangency point."""
     beta = q_ideal.x
-    bases = [plane.pencil_tangent(N, pencil)[1] for N in plane.joining_pencil(q_ideal, x)]
+    bases = list(map(base_of, plane.joining_pencil(q_ideal, x)))
     fit = next((t for t in itertools.combinations(bases, 3)
                 if not any(itertools.starmap(plane.parallel,
                                              itertools.combinations(t, 2)))), None)
@@ -300,18 +332,16 @@ def _check_p2_1(ctx: _Ctx):
                 if line.kind != SPECIAL or len(gens) != 1 or gens != {x.x}:
                     bad.append({"x": repr(x), "y": repr(y), "problem": "not_in_generator"})
                 continue
-            M = plane.circle_through(*line.points[:3])
-            remnant = set(plane.circle_points(M)) - {ideal(M.a)}
-            if set(line.points) != remnant:
+            M = ctx.line_circles[line.index]
+            if M is None or set(line.points) != set(plane.circle_points(M)) - {ideal(M.a)}:
                 bad.append({"x": repr(x), "y": repr(y), "problem": "not_a_remnant"})
                 continue
             if M in members:
                 continue
-            if plane.incident(ctx.pencil.p, M):
+            base = ctx.bases.get(M)  # None: M passes through the vertex
+            if base is None:
                 bad.append({"x": repr(x), "y": repr(y), "problem": "circle_through_vertex"})
-                continue
-            member, base = plane.pencil_tangent(M, ctx.pencil)
-            if base != x:
+            elif base != x:
                 bad.append({"x": repr(x), "y": repr(y), "problem": "base_mismatch",
                             "base": repr(base)})
     return cases, bad, {}
@@ -330,24 +360,13 @@ def _check_p2_2(ctx: _Ctx):
     return cases, bad, {}
 
 
-def _circle_kind_lines(space: GroupSpace):
-    return [line for line in space.lines if line.kind != SPECIAL]
-
-
-def _line_circle(ctx: _Ctx, line) -> Circle:
-    return ctx.plane.circle_through(*line.points[:3])
-
-
 def _check_p2_3(ctx: _Ctx):
-    space = ctx.space
     cases, bad = 0, []
-    by_class: dict[int, list] = {}
-    for line in _circle_kind_lines(space):
-        by_class.setdefault(line.class_id, []).append(line)
-    for cid, lines in sorted(by_class.items()):
-        ideals = {_line_circle(ctx, line).a for line in lines}
-        cases += len(lines) * (len(lines) - 1) // 2
-        if len(ideals) != 1:
+    for cid, ids in ctx.space.class_members.items():
+        circles = [C for C in map(ctx.line_circles.__getitem__, ids) if C is not None]
+        ideals = {C.a for C in circles}
+        cases += len(circles) * (len(circles) - 1) // 2
+        if len(ideals) > 1:
             bad.append({"class": cid, "ideal_points": sorted(ideals)})
     return cases, bad, {}
 
@@ -355,10 +374,7 @@ def _check_p2_3(ctx: _Ctx):
 def _check_p2_4(ctx: _Ctx):
     plane, space = ctx.plane, ctx.space
     cases, bad = 0, []
-    for M in plane.circles:
-        if plane.incident(ctx.pencil.p, M):
-            continue
-        _, base = plane.pencil_tangent(M, ctx.pencil)
+    for M, base in ctx.bases.items():
         remnant = set(plane.circle_points(M)) - {ideal(M.a)}
         for y in sorted(remnant):
             if y == base:
@@ -373,10 +389,12 @@ def _check_p2_5(ctx: _Ctx):
     space = ctx.space
     members = set(ctx.members)
     cases, bad = 0, []
-    for line in _circle_kind_lines(space):
+    for line, C in zip(space.lines, ctx.line_circles):
+        if C is None:
+            continue
         cases += 1
         straight = line.base_points == line.points
-        if straight != (_line_circle(ctx, line) in members):
+        if straight != (C in members):
             bad.append({"line": line.index, "straight": straight})
     return cases, bad, {}
 
@@ -385,11 +403,10 @@ def _check_p2_6(ctx: _Ctx):
     space = ctx.space
     cases, bad = 0, []
     lines_by_a: dict[int, list] = {}
-    for line in _circle_kind_lines(space):
-        lines_by_a.setdefault(_line_circle(ctx, line).a, []).append(line)
+    for line, C in zip(space.lines, ctx.line_circles):
+        if C is not None and C.a != 0:  # a = 0: the circle passes through the vertex
+            lines_by_a.setdefault(C.a, []).append(line)
     for a, lines in sorted(lines_by_a.items()):
-        if a == 0:
-            continue  # those circles pass through the vertex
         for L1, L2 in itertools.combinations(lines, 2):
             cases += 1
             if L1.class_id != L2.class_id:
@@ -410,20 +427,18 @@ def _check_c2_1(ctx: _Ctx):
                 off_vertex_invariant += 1
                 continue
             cases += 1
-            pm = plane.parallel_point(ctx.pencil.p, C)
-            targets = set(plane.circle_points(C)) - {pm, r}
-            first = sorted(targets)[0]
-            orbit = delta.orbit(stab, first)
-            if not targets <= orbit:
+            missed = _remnant_missed(ctx, stab, r, C)
+            if missed:
                 bad.append({"r": repr(r), "circle": list(C),
-                            "missed": sorted(map(repr, targets - orbit))})
+                            "missed": sorted(map(repr, missed))})
     return cases, bad, {"invariant_missing_fixed_point": off_vertex_invariant}
 
 
-def _member_through(ctx: _Ctx, r: Point) -> Circle:
-    """The unique pencil member through r: the touching circle when r is off
-    the base circle, the base circle itself otherwise."""
-    return next(M for M in ctx.members if ctx.plane.incident(r, M))
+def _remnant_missed(ctx: _Ctx, stab: list[PencilAut], r: Point, C: Circle) -> set[Point]:
+    """The points of C, other than r and the one on the vertex generator,
+    that ``stab``, the stabilizer of r, does not carry the least of them to."""
+    targets = set(ctx.plane.circle_points(C)) - {ctx.plane.parallel_point(ctx.pencil.p, C), r}
+    return targets - ctx.delta.orbit(stab, min(targets))
 
 
 def _check_t3_1(ctx: _Ctx):
@@ -433,8 +448,7 @@ def _check_t3_1(ctx: _Ctx):
     cases, bad = 0, []
     for r in ctx.space.points:
         stab = delta.stabilizer(r)
-        L = _member_through(ctx, r)
-        vertex_members = plane.pencil_members(plane.pencil(r, L), verify=False)
+        vertex_members = plane.pencil_members(plane.pencil(r, ctx.member_of[r]), verify=False)
         for f in stab:
             for M in vertex_members:
                 cases += 1
@@ -452,11 +466,8 @@ def _check_t3_1(ctx: _Ctx):
         if not ok:
             bad.append({"r": repr(r), "problem": "symmetry_missing"})
         for M in vertex_members:
-            pm = plane.parallel_point(ctx.pencil.p, M)
-            targets = set(plane.circle_points(M)) - {pm, r}
             cases += 1
-            orbit = delta.orbit(stab, sorted(targets)[0])
-            if not targets <= orbit:
+            if _remnant_missed(ctx, stab, r, M):
                 bad.append({"r": repr(r), "member": list(M), "problem": "not_transitive"})
     return cases, bad, {}
 
@@ -465,11 +476,13 @@ def _is_translation(ctx: _Ctx, f: PencilAut) -> bool:
     """Behavioral test: identity or fixed-point free off the vertex
     generator, and preserving every line direction of the derived plane at
     the vertex (slopes of the a = 0 circles)."""
-    delta = ctx.delta
-    if f != IDENTITY and ctx.fixed_points[f]:
-        return False
-    q = ctx.plane.q
-    return all(delta.apply(f, Circle(0, b, 0)).b == b for b in range(q))
+    return (f == IDENTITY or not ctx.fixed_points[f]) and _keeps_slopes(ctx, f)
+
+
+def _keeps_slopes(ctx: _Ctx, f: PencilAut, alpha: int = 0, heights=(0,)) -> bool:
+    """``f`` keeps the slope b of every circle (alpha, b, c), c in ``heights``."""
+    apply = ctx.delta.apply
+    return all(apply(f, Circle(alpha, b, c)).b == b for b in range(ctx.q) for c in heights)
 
 
 def _check_p3_1(ctx: _Ctx):
@@ -531,9 +544,7 @@ def _check_l3_1(ctx: _Ctx):
     # plane at the vertex (both line directions preserved classwise)
     for f in translations:
         cases += 1
-        ok = all(delta.apply(f, Circle(0, b, c)).b == b
-                 for b in range(q) for c in range(q))
-        if not ok:
+        if not _keeps_slopes(ctx, f, heights=range(q)):
             bad.append({"problem": "translation_not_direction_preserving",
                         "element": list(f)})
     # the reflected ones are not translations of any derived plane at a
@@ -542,7 +553,7 @@ def _check_l3_1(ctx: _Ctx):
     for f in glides:
         for alpha in range(q):
             cases += 1
-            if all(delta.apply(f, Circle(alpha, b, 0)).b == b for b in range(q)):
+            if _keeps_slopes(ctx, f, alpha):
                 glide_ok = False
                 bad.append({"problem": "glide_preserves_directions",
                             "element": list(f), "alpha": alpha})
@@ -604,8 +615,7 @@ def _check_t3_2(ctx: _Ctx):
         if not fixed or len(fixed) == len(ctx.space.points):
             continue
         for r in fixed:
-            L = _member_through(ctx, r)
-            for M in plane.pencil_members(plane.pencil(r, L), verify=False):
+            for M in plane.pencil_members(plane.pencil(r, ctx.member_of[r]), verify=False):
                 cases += 1
                 if delta.apply(f, M) != M:
                     bad.append({"problem": "fixed_point_element_not_strain",
@@ -616,8 +626,7 @@ def _check_t3_2(ctx: _Ctx):
             continue
         cases += 1
         if f.t == 0:
-            ok = all(delta.apply(f, Circle(0, b, c)).b == b
-                     for b in range(q) for c in range(q))
+            ok = _keeps_slopes(ctx, f, heights=range(q))
         else:
             b0 = gf.div(f.g, f.t)
             ok = all(delta.apply(f, Circle(0, b0, c)) == Circle(0, b0, c)
@@ -688,13 +697,10 @@ def _check_c4_1(ctx: _Ctx):
 def _check_p4_2(ctx: _Ctx):
     plane = ctx.plane
     cases, bad = 0, []
-    by_a: dict[int, list[Circle]] = {}
-    for M in plane.circles:
-        if M.a != 0:
-            by_a.setdefault(M.a, []).append(M)
-    for a, group in sorted(by_a.items()):
-        info = [(M, plane.pencil_tangent(M, ctx.pencil)[1],
-                 set(plane.circle_points(M)) - {ideal(a)}) for M in group]
+    by_a: dict[int, list] = {}
+    for M, base in ctx.bases.items():
+        by_a.setdefault(M.a, []).append((M, base, set(plane.circle_points(M)) - {ideal(M.a)}))
+    for info in by_a.values():
         for (M, bm, rm), (N, bn, rn) in itertools.combinations(info, 2):
             cases += 1
             disjoint = not (rm & rn)
@@ -710,10 +716,7 @@ def _check_p4_3(ctx: _Ctx):
     member_heights = {M.c for M in ctx.members}
     yvals = [frozenset(p.y for p in line.points) for line in space.lines]
     base_y = [frozenset(p.y for p in line.base_points) for line in space.lines]
-    by_class: dict[int, list[int]] = {}
-    for line in space.lines:
-        by_class.setdefault(line.class_id, []).append(line.index)
-    for cid, ids in sorted(by_class.items()):
+    for ids in space.class_members.values():
         for i, j in itertools.combinations(ids, 2):
             aligned = base_y[i] | base_y[j]
             if len(aligned) != 1 or next(iter(aligned)) not in member_heights:
@@ -768,9 +771,8 @@ def _check_p4_5(ctx: _Ctx):
 def _check_p4_6(ctx: _Ctx):
     plane, space = ctx.plane, ctx.space
     cases, bad = 0, []
-    families = {M.c: fam for M, fam in ctx.families.items()}
     for x in space.points:
-        fam = families[x.y]
+        fam = ctx.families[ctx.member_of[x]]
         for y in space.points:
             if y == x or not plane.parallel(x, y):
                 continue
@@ -800,7 +802,7 @@ def _check_l4_2(ctx: _Ctx):
     seen_dirs: set[int] = set()
     def join_circle(x: Point, y: Point) -> Circle:
         # the circle carrying the line based at x through y
-        Lx = _member_through(ctx, x)
+        Lx = ctx.member_of[x]
         return Lx if plane.incident(y, Lx) else plane.touching_circle(x, Lx, y)
 
     for x in ctx.space.points:
@@ -852,19 +854,16 @@ def _check_t4_2(ctx: _Ctx):
     _require_transitive(L, [m.apply_circle for m in maps], len(plane.circles),
                         "not_transitive", str(list(L)), "circles")
     fam = TangentFamily(plane, L)
-    pmask, meets, links = fam.point_mask, fam.meets, fam.links
     pts = fam.off_points
     cases, bad = 0, []
     for ai, a in enumerate(pts):
-        ma, meet, link = pmask[a], meets[a], links[a]
         for b in pts[ai + 1:]:
             if plane.parallel(a, b):
                 continue
             cases += 1
-            mb = pmask[b]
-            two = (ma & mb).bit_count() == 2
-            allmeet = not (mb & ~meet)
-            one = bool(mb & link)
+            two = fam.common_tangents(a, b) == 2
+            allmeet = fam.equivalent(a, b)
+            one = fam.witness_pair(a, b)
             if not (two == allmeet == one):
                 bad.append({"circle": list(L), "x": repr(a), "y": repr(b),
                             "exactly_two": two, "all_meet": allmeet,

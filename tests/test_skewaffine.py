@@ -32,13 +32,19 @@ def test_join_errors(space5):
 
 def test_point_outside_the_plane_is_a_geometry_error(space5):
     delta, outside = space5.delta, affine(7, 7)
-    for call in (lambda: delta.stabilizer(outside),
-                 lambda: delta.apply(PencilAut(2, 1, 3), outside),
-                 lambda: space5.join(outside, affine(0, 0)),
-                 lambda: space5.join(affine(0, 0), outside)):
+    plane = space5.plane
+    off_chart = DeltaGroup.build(plane, plane.pencil(affine(1, 2), Circle(0, 0, 2)))
+    for call, code in ((lambda: delta.stabilizer(outside), "not_a_point"),
+                       (lambda: delta.apply(PencilAut(2, 1, 3), outside), "not_a_point"),
+                       (lambda: space5.join(outside, affine(0, 0)), "not_a_point"),
+                       (lambda: space5.join(affine(0, 0), outside), "not_a_point"),
+                       (lambda: delta.apply(PencilAut(2, 1, 3), Circle(7, 7, 7)),
+                        "not_a_circle"),
+                       (lambda: off_chart.apply(PencilAut(2, 1, 3), Circle(7, 7, 7)),
+                        "not_a_circle")):
         with pytest.raises(GeometryError) as e:
             call()
-        assert e.value.code == "not_a_point"
+        assert e.value.code == code
 
 
 def test_census_counts():

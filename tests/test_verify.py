@@ -3,6 +3,7 @@ import pytest
 from laguerre import (Circle, GeometryError, LaguerrePlane, PencilAut,
                       PermutationMap, affine, canonical_pencil, ideal, thm_check,
                       thm_equiv_rel, thm_tangency_locus, verify)
+from laguerre.skewaffine import SPECIAL
 from laguerre.verify import CHECK_IDS, CHECK_SUMMARIES, TangentFamily
 
 
@@ -325,6 +326,7 @@ def test_t4_2_fails_on_a_flipped_intersection_bit(monkeypatch):
 
 
 def test_p4_2_fails_on_a_moved_base_point(monkeypatch):
+    monkeypatch.setattr(verify, "_CTX_CACHE", {})
     plane = verify._context(5).plane
     real = plane.pencil_tangent
 
@@ -338,6 +340,41 @@ def test_p4_2_fails_on_a_moved_base_point(monkeypatch):
     assert rep.status == "fail"
     assert rep.cases_checked == 1200
     assert rep.witnesses == [{"circles": [[1, 0, 0], [1, 0, 1]], "disjoint": True}]
+
+
+def test_run_suite_derives_each_plane_fact_once(monkeypatch):
+    # q^3 - q^2 circles avoid the vertex; 105 lines carry a circle, and each
+    # of the (q - 1) q^2 loci fits one more
+    monkeypatch.setattr(verify, "_CTX_CACHE", {})
+    plane = verify._context(5).plane
+    calls = {"pencil_tangent": 0, "circle_through": 0}
+    for name in calls:
+        real = getattr(plane, name)
+
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(plane, name, counted)
+    assert all(rep.ok for rep in verify.run_suite(5))
+    assert calls == {"pencil_tangent": 100, "circle_through": 205}
+
+
+def test_p2_1_fails_on_a_special_nonparallel_join(monkeypatch):
+    # the join of A(0,0) and A(1,0) replaced by a special line: no circle
+    # carries it, and P2.1 names the pair instead of raising
+    monkeypatch.setattr(verify, "_CTX_CACHE", {})
+    space = verify._context(5).space
+    special = next(line for line in space.lines if line.kind == SPECIAL)
+    real = space.join
+
+    def damaged(x, y):
+        return special if (x, y) == (affine(0, 0), affine(1, 0)) else real(x, y)
+
+    monkeypatch.setattr(space, "join", damaged)
+    rep = thm_check("P2.1", 5)
+    assert rep.status == "fail"
+    assert rep.witnesses == [{"x": "A(0,0)", "y": "A(1,0)", "problem": "not_a_remnant"}]
 
 
 def _t4_2_all_circles(plane):
