@@ -10,11 +10,16 @@ lines.
 Point indices.  Inside ``GroupSpace`` a point is its index in the sorted
 list ``points``.  A group element acts only through ``point_perm``, the
 group's action on plane indices (``DeltaGroup.image``) restricted to these
-points, and ``line_image`` carries a line along it.  Stabilizers are
-``DeltaGroup.stabilizer``'s; the closed-form join route reads canonical
-coordinates through ``DeltaGroup.canonical_index``.  Named points appear
-only at the boundary: ``join``, ``Line.points`` and ``Line.base_points``,
-witnesses and ``to_json``.
+points, and ``line_image`` carries a line along it.  Only point 0's
+stabilizer comes from a scan of the group (``DeltaGroup.stabilizer``).  The
+group is the translations times that stabilizer, so the stabilizer of point
+i is T_i Stab(0) T_i⁻¹, where T_i, ``translation_perms[i]``, is the
+translation carrying point 0 to point i; the build raises
+``translations_not_regular`` unless exactly one translation does, for every
+i.  The closed-form join route reads canonical coordinates through
+``DeltaGroup.canonical_index``.  Named points appear only at the boundary:
+``join``, ``Line.points`` and ``Line.base_points``, witnesses and
+``to_json``.
 
 Line identity.  A line is identified by the sorted tuple of its point
 indices, its kind and its label: for special lines the square class of the
@@ -28,8 +33,11 @@ axiom.  The label is invariant under the group action (offsets scale by
 k^2, leading coefficients are fixed), so it is also the closed-form
 parallelism invariant ``parallel_fast`` compares.
 
-Every join is computed twice - by orbit enumeration and by the closed-form
-circle/square-class description - and the two must agree.
+Every join is computed twice, and for every ordered pair the two must agree
+(``join_mismatch``).  The orbit route takes x_i ⊔ x_j to be {i} together
+with T_i applied to the Stab(0)-orbit of T_i⁻¹(j), once per point i and
+orbit.  The closed form is the circle or square-class description, once per
+base point, kind and label.
 
 Axiom budgets.  T, V, Pgm, Des and Pap quantify first over two points, and
 every case is decided by the join-line and join-class tables, which the
@@ -181,14 +189,29 @@ class GroupSpace:
         for i, (cx, cy) in enumerate(canon):
             at[cx * q + cy] = i
 
+        self.translation_perms = self._translation_perms()
+        # the orbit of each point under the stabilizer of point 0, numbered
+        # in order of least point; the first is point 0's own
+        stab0 = [self.point_perm(f) for f in delta.stabilizer(self.points[0])]
+        orbit_ids: dict[tuple[int, ...], int] = {}
+        orbit_of = [orbit_ids.setdefault(tuple(sorted({perm[k] for perm in stab0})),
+                                         len(orbit_ids)) for k in range(n)]
+        self._orbits0 = orbits = list(orbit_ids)
+
         pairs: dict[tuple, list[tuple[int, int]]] = {}
-        for i in range(n):
-            stab = [self.point_perm(f) for f in delta.stabilizer(self.points[i])]
-            if i == 0:
-                self._stab0 = stab
+        for i, trans in enumerate(self.translation_perms):
+            back = [0] * n
+            for k, m in enumerate(trans):
+                back[m] = k
+            moved: dict[int, tuple[int, ...]] = {}
+            closed: dict[tuple, tuple[int, ...]] = {}
             for j in range(n):
                 if j != i:
-                    key = self._join_key(i, j, stab, canon, at)
+                    o = orbit_of[back[j]]
+                    got = moved.get(o)
+                    if got is None:
+                        got = moved[o] = tuple(sorted({trans[m] for m in orbits[o]} | {i}))
+                    key = self._join_key(i, j, got, closed, canon, at)
                     pairs.setdefault(key, []).append((i, j))
         self._gen_perms = [self.point_perm(g) for g in self._gens]
 
@@ -203,33 +226,56 @@ class GroupSpace:
         self._assign_classes()
         self._build_tables()
 
-    def _join_key(self, x: int, y: int, stab: list[list[int]],
-                  canon: list[tuple[int, int]], at: list[int]) -> tuple:
-        """The identity (ids, kind, label) of x⊔y, via both routes:
-        the orbit of y under ``stab``, the stabilizer of x, and the closed
-        form in the canonical coordinates ``canon`` of each point, mapped
-        back to indices by ``at[cx * q + cy]``."""
-        got = tuple(sorted({perm[y] for perm in stab} | {x}))
+    def _translation_perms(self) -> list[list[int]]:
+        """The translations' point permutations, the i-th carrying point 0
+        to point i.  The translations must act regularly on the points, or
+        the build raises ``translations_not_regular``."""
+        reach: list[list[PencilAut]] = [[] for _ in range(self.n)]
+        perms = {}
+        for f in self.delta.translations:
+            perms[f] = perm = self.point_perm(f)
+            if perm[0] >= 0:
+                reach[perm[0]].append(f)
+        bad = [{"point": repr(self.points[i]), "translations": [list(f) for f in fs]}
+               for i, fs in enumerate(reach) if len(fs) != 1]
+        if bad or len(self.delta.translations) != self.n:
+            raise GeometryError("the translations do not carry point 0 to every "
+                                "point exactly once", code="translations_not_regular",
+                                witnesses=bad[:1])
+        return [perms[f] for f, in reach]
 
+    def _join_key(self, x: int, y: int, got: tuple[int, ...],
+                  closed: dict[tuple, tuple[int, ...]],
+                  canon: list[tuple[int, int]], at: list[int]) -> tuple:
+        """The identity (ids, kind, label) of x⊔y, whose sorted point indices
+        by the orbit route are ``got``.  The canonical coordinates ``canon``
+        of the pair give the kind and label: the leading coefficient A of
+        the circle through both with its vertex at x, or the square class
+        of the height offset d of a parallel pair.  ``closed`` holds x's
+        closed-form lines by (kind, label), mapped back to indices by
+        ``at[cx * q + cy]``; the first pair with that label fills it in,
+        and every pair's ``got`` must equal it."""
         q, gf = self.q, self.gf
         (x0, y0), (x1, y1) = canon[x], canon[y]
         if x0 != x1:
             A = gf.div(y1 - y0, (x1 - x0) ** 2)
-            B, C = (-2 * A * x0) % q, (A * x0 * x0 + y0) % q
-            want = [at[s * q + (A * s * s + B * s + C) % q] for s in range(q)]
-            kind = STRAIGHT if A == 0 else CIRCLE_LINE
-            label = A
+            key = (STRAIGHT if A == 0 else CIRCLE_LINE, A)
         else:
             d = (y1 - y0) % q
-            want = [at[x0 * q + y0]] + [at[x0 * q + (y0 + s * d) % q]
-                                        for s in gf.squares]
-            kind = SPECIAL
-            label = gf.square_class(d)
-        if tuple(sorted(want)) != got:
+            key = (SPECIAL, gf.square_class(d))
+        want = closed.get(key)
+        if want is None:
+            if key[0] == SPECIAL:
+                pts = [x] + [at[x0 * q + (y0 + s * d) % q] for s in gf.squares]
+            else:
+                B, C = (-2 * A * x0) % q, (A * x0 * x0 + y0) % q
+                pts = [at[s * q + (A * s * s + B * s + C) % q] for s in range(q)]
+            want = closed[key] = tuple(sorted(pts))
+        if want != got:
             raise GeometryError(f"join mismatch between orbit and closed form "
                                 f"at {self.points[x]}, {self.points[y]}",
                                 code="join_mismatch")
-        return got, kind, label
+        return (got, *key)
 
     def _assign_classes(self) -> None:
         """Parallel classes = orbits of the group acting on lines.
@@ -387,16 +433,8 @@ class GroupSpace:
         if self._orbit_plan is None:
             first = 0
             self._check_equivariance(first)
-            seen = [False] * self.n
-            seen[first] = True
-            orbits = []
-            for y in range(self.n):
-                if seen[y]:
-                    continue
-                orbit = {perm[y] for perm in self._stab0}
-                for j in orbit:
-                    seen[j] = True
-                orbits.append((y, len(orbit)))
+            # _orbits0[0] is the orbit of point 0 itself
+            orbits = [(orbit[0], len(orbit)) for orbit in self._orbits0[1:]]
             self._orbit_plan = (first, orbits)
         return self._orbit_plan
 

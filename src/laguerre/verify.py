@@ -14,8 +14,10 @@ claims that hold in this model (see its reading notes).
 Plane facts that several checks read are derived once per q, in tables of
 ``_Ctx``: ``bases``, circle -> tangency point (P2.1, P2.4, P4.2, T4.1);
 ``line_circles``, line -> circle (P2.1, P2.3, P2.5, P2.6); ``member_of``,
-point -> pencil member (T3.1, T3.2, L4.2, P4.6).  The first check to read
-a table builds it, and its ``elapsed_ms`` includes the build.
+point -> pencil member (L4.2, P4.6, and ``vertex_members``);
+``vertex_members``, point -> the members of the vertex pencil there (T3.1,
+T3.2).  The first check to read a table builds it, and its ``elapsed_ms``
+includes the build.
 """
 
 from __future__ import annotations
@@ -173,6 +175,14 @@ class _Ctx:
         one: ``members`` are verified to meet only at the vertex."""
         return {p: M for M in self.members for p in self.plane.circle_points(M)
                 if p != self.pencil.p}
+
+    @cached_property
+    def vertex_members(self) -> dict[Point, list[Circle]]:
+        """The members of the vertex pencil at each residual point, through
+        its ``member_of`` member."""
+        plane = self.plane
+        return {r: plane.pencil_members(plane.pencil(r, self.member_of[r]), verify=False)
+                for r in self.space.points}
 
     @cached_property
     def fixed_points(self) -> dict[PencilAut, list[Point]]:
@@ -448,7 +458,7 @@ def _check_t3_1(ctx: _Ctx):
     cases, bad = 0, []
     for r in ctx.space.points:
         stab = delta.stabilizer(r)
-        vertex_members = plane.pencil_members(plane.pencil(r, ctx.member_of[r]), verify=False)
+        vertex_members = ctx.vertex_members[r]
         for f in stab:
             for M in vertex_members:
                 cases += 1
@@ -615,7 +625,7 @@ def _check_t3_2(ctx: _Ctx):
         if not fixed or len(fixed) == len(ctx.space.points):
             continue
         for r in fixed:
-            for M in plane.pencil_members(plane.pencil(r, ctx.member_of[r]), verify=False):
+            for M in ctx.vertex_members[r]:
                 cases += 1
                 if delta.apply(f, M) != M:
                     bad.append({"problem": "fixed_point_element_not_strain",
@@ -653,7 +663,7 @@ def _check_c3_3(ctx: _Ctx):
 
 def _check_c3_4(ctx: _Ctx):
     space = ctx.space
-    translations = [space.point_perm(f) for f in ctx.delta.translations]
+    translations = space.translation_perms
     cases, bad = 0, []
     for line in space.lines:
         cases += len(translations)

@@ -3,7 +3,9 @@
 Each file under ``tests/golden/`` holds the exact stdout of one command, or,
 for a command that takes ``--out OUT``, the file it writes.  A refactor that
 keeps every verdict but changes a case count, a witness, a key or the key
-order shows up here as a diff.
+order shows up here as a diff.  CI checks the q=11 goldens outside this
+module, and ``export_q13_space.sha256``, which holds only the sha256 of the
+file that ``export --q 13 --what space`` writes.
 """
 
 import os

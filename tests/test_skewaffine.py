@@ -210,6 +210,123 @@ def test_build_rejects_join_mismatch(plane5):
     assert e.value.code == "join_mismatch"
 
 
+def _fresh(q, pencil=None):
+    plane = LaguerrePlane(q)
+    pencil = pencil(plane) if pencil else canonical_pencil(plane)
+    return plane, pencil, DeltaGroup.build(plane, pencil)
+
+
+def test_build_rejects_translations_that_are_not_regular(monkeypatch):
+    # two translations carry point 0 to one point and none reaches another;
+    # the build stops before it joins any pair
+    plane, pencil, delta = _fresh(5)
+    doubled = list(delta.translations)
+    doubled[1] = doubled[2]
+    monkeypatch.setattr(delta, "translations", doubled)
+
+    def no_join(*args):
+        raise AssertionError("a join was computed")
+
+    monkeypatch.setattr(GroupSpace, "_join_key", no_join)
+    with pytest.raises(GeometryError) as e:
+        GroupSpace.build(plane, pencil, delta, check_preconditions=False)
+    assert e.value.code == "translations_not_regular"
+    assert e.value.witnesses == [{"point": "A(0,1)", "translations": []}]
+
+
+def test_build_rejects_a_translation_bent_off_point_0(monkeypatch):
+    # the bent translation still carries point 0 where it should, so the
+    # translations stay regular, but it moves the joins it transports
+    plane, pencil, delta = _fresh(5)
+    true_image = delta.image
+    bent_at = {plane.point_index[affine(1, 1)]: plane.point_index[affine(1, 2)],
+               plane.point_index[affine(1, 2)]: plane.point_index[affine(1, 1)]}
+
+    def bent(f, i):
+        return true_image(f, bent_at.get(i, i) if f == PencilAut(1, 2, 3) else i)
+
+    monkeypatch.setattr(delta, "image", bent)
+    with pytest.raises(GeometryError) as e:
+        GroupSpace.build(plane, pencil, delta, check_preconditions=False)
+    assert e.value.code == "join_mismatch"
+
+
+def test_closed_form_lines_are_kept_apart_by_kind(monkeypatch):
+    # with square-class labels that are field elements too, the special
+    # line of class 1 and the circle line with A = 1 share a label; each
+    # base point's closed-form lines are told apart by kind as well, so the
+    # build gives the same lines under the new labels
+    plane, pencil, delta = _fresh(5)
+    want = GroupSpace.build(plane, pencil, delta, check_preconditions=False)
+    true_class = type(plane.gf).square_class
+    monkeypatch.setattr(type(plane.gf), "square_class",
+                        lambda gf, a: 1 if true_class(gf, a) == "square" else 2)
+    got = GroupSpace.build(plane, pencil, delta, check_preconditions=False)
+    assert [(l.ids, l.kind, l.bases) for l in got.lines] == \
+        [(l.ids, l.kind, l.bases) for l in want.lines]
+    assert got._joinline == want._joinline
+
+
+def _per_point_route(gs):
+    """The residual build as it was before point 0's stabilizer orbits were
+    moved along the translations: every point's stabilizer by a scan of the
+    whole group, each join {x} plus the orbit of y under it, the kind and
+    label from canonical coordinates, and the parallel classes as orbits of
+    every group element on the lines.  Returns the join table, the lines as
+    (ids, kind, label, bases, class) and nothing else of the space."""
+    q, gf, n, delta = gs.q, gs.gf, gs.n, gs.delta
+    canon = [divmod(delta.canonical_index(gs.plane.point_index[p]), q)
+             for p in gs.points]
+    join = {}
+    for i, x in enumerate(gs.points):
+        stab = [gs.point_perm(f) for f in delta.stabilizer(x)]
+        for j in range(n):
+            if j == i:
+                continue
+            (x0, y0), (x1, y1) = canon[i], canon[j]
+            if x0 == x1:
+                kind, label = SPECIAL, gf.square_class(y1 - y0)
+            else:
+                label = gf.div(y1 - y0, (x1 - x0) ** 2)
+                kind = STRAIGHT if label == 0 else CIRCLE_LINE
+            join[i, j] = (tuple(sorted({perm[j] for perm in stab} | {i})), kind, label)
+    keys = sorted(set(join.values()))
+    index = {key: ix for ix, key in enumerate(keys)}
+    bases = {key: set() for key in keys}
+    for (i, _), key in join.items():
+        bases[key].add(i)
+    perms = [gs.point_perm(f) for f in delta.elements]
+    class_of = {}
+    for key in keys:
+        if key not in class_of:
+            ids, kind, label = key
+            for perm in perms:
+                class_of[(tuple(sorted(perm[i] for i in ids)), kind, label)] = index[key]
+    lines = [(*key, tuple(sorted(bases[key])), class_of[key]) for key in keys]
+    return {pair: index[key] for pair, key in join.items()}, lines
+
+
+@pytest.mark.parametrize("q, pencil", [
+    (3, None), (5, None), (7, None),
+    (5, lambda pl: pl.pencil(affine(1, 2), Circle(0, 0, 2))),
+    (5, lambda pl: pl.pencil(ideal(3), Circle(3, 0, 0))),
+])
+def test_transported_orbits_match_the_per_point_route(q, pencil):
+    plane, pencil, delta = _fresh(q, pencil)
+    gs = GroupSpace.build(plane, pencil, delta, check_preconditions=False)
+    join, lines = _per_point_route(gs)
+    assert {(i, j): gs._joinline[i][j] for i in range(gs.n)
+            for j in range(gs.n) if i != j} == join
+    assert [(l.ids, l.kind, l.label, l.bases, l.class_id) for l in gs.lines] == lines
+
+
+def test_translation_perms_carry_point_0_to_each_point(space5):
+    for i, perm in enumerate(space5.translation_perms):
+        assert perm[0] == i
+    want = {tuple(space5.point_perm(f)) for f in space5.delta.translations}
+    assert set(map(tuple, space5.translation_perms)) == want
+
+
 def test_axiom_reports_exhaustive_small(space3):
     from laguerre import Budget
     for axiom in ("L1", "L2", "P1", "P2", "T", "V", "Pgm", "Des", "Pap"):

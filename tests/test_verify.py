@@ -344,20 +344,25 @@ def test_p4_2_fails_on_a_moved_base_point(monkeypatch):
 
 def test_run_suite_derives_each_plane_fact_once(monkeypatch):
     # q^3 - q^2 circles avoid the vertex; 105 lines carry a circle, and each
-    # of the (q - 1) q^2 loci fits one more
+    # of the (q - 1) q^2 loci fits one more.  The vertex pencil at each of
+    # the q^2 residual points is built once, for T3.1 and T3.2 together
+    # (T3.2 alone rebuilt it for each of the 75 elements with one fixed
+    # point).  The other 136 calls are one per tangency base (100) and six
+    # for each of the six tangent families (the q members and T4.2's circle).
     monkeypatch.setattr(verify, "_CTX_CACHE", {})
     plane = verify._context(5).plane
-    calls = {"pencil_tangent": 0, "circle_through": 0}
+    calls = {"pencil_tangent": 0, "circle_through": 0, "pencil_members": 0}
     for name in calls:
         real = getattr(plane, name)
 
-        def counted(*args, name=name, real=real):
+        def counted(*args, name=name, real=real, **kwargs):
             calls[name] += 1
-            return real(*args)
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(plane, name, counted)
     assert all(rep.ok for rep in verify.run_suite(5))
-    assert calls == {"pencil_tangent": 100, "circle_through": 205}
+    assert calls == {"pencil_tangent": 100, "circle_through": 205,
+                     "pencil_members": 25 + 136}
 
 
 def test_p2_1_fails_on_a_special_nonparallel_join(monkeypatch):
