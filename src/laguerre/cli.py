@@ -96,13 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _make_plane(q: int) -> LaguerrePlane:
-    try:
-        return LaguerrePlane(q)
-    except FieldError as e:
-        raise UsageError(str(e))
-
-
 def _parse_pencil(plane: LaguerrePlane, spec: str) -> Pencil:
     if spec == "canonical":
         return canonical_pencil(plane)
@@ -129,10 +122,14 @@ def _parse_pencil(plane: LaguerrePlane, spec: str) -> Pencil:
         raise UsageError(f"invalid pencil: {e}")
 
 
+def _json(payload) -> str:
+    """The one JSON encoding of every payload the CLI writes."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
 def _emit(reports: list[Report], as_json: bool) -> int:
     if as_json:
-        payload = [r.to_dict() for r in reports]
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        print(_json([r.to_dict() for r in reports]))
     else:
         for r in reports:
             print(r.text())
@@ -142,12 +139,12 @@ def _emit(reports: list[Report], as_json: bool) -> int:
 
 
 def _cmd_plane_verify(args) -> int:
-    plane = _make_plane(args.q)
+    plane = LaguerrePlane(args.q)
     return _emit([plane.verify_axioms()], args.json)
 
 
 def _cmd_group_verify(args) -> int:
-    plane = _make_plane(args.q)
+    plane = LaguerrePlane(args.q)
     pencil = _parse_pencil(plane, args.pencil)
     if plane.gf.char2:
         return _emit([verify_a1a2a3(plane, pencil, None)], args.json)
@@ -177,7 +174,7 @@ def _cmd_ska_verify(args) -> int:
     if args.axiom != "all" and args.axiom not in AXIOMS:
         raise UsageError(f"unknown axiom {args.axiom!r}")
     names = AXIOMS if args.axiom == "all" else (args.axiom,)
-    plane = _make_plane(args.q)
+    plane = LaguerrePlane(args.q)
     pencil = canonical_pencil(plane)
     space = GroupSpace.build(plane, pencil, DeltaGroup.build(plane, pencil),
                              check_preconditions=False)
@@ -203,7 +200,7 @@ def _cmd_export(args) -> int:
         raise UsageError(f"output path {args.out!r} is a directory")
     if not out.parent.is_dir():
         raise UsageError(f"output directory {str(out.parent)!r} does not exist")
-    plane = _make_plane(args.q)
+    plane = LaguerrePlane(args.q)
     pencil = _parse_pencil(plane, args.pencil or "canonical")
     if args.what == "plane":
         payload = plane.to_json()
@@ -215,9 +212,9 @@ def _cmd_export(args) -> int:
         else:
             payload = GroupSpace.build(plane, pencil, delta,
                                        check_preconditions=False).to_json()
+    text = _json(payload) + "\n"
     with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(text)
     print(f"wrote {args.what} for q={args.q} to {args.out}")
     return 0
 

@@ -19,7 +19,8 @@ translation carrying point 0 to point i; the build raises
 i.  The closed-form join route reads canonical coordinates through
 ``DeltaGroup.canonical_index``.  Named points appear only at the boundary:
 ``join``, ``Line.points`` and ``Line.base_points``, witnesses and
-``to_json``.
+``to_json``, which encodes each point once: every line's ``base`` and
+``points`` are those same dicts, so treat its payload as read-only.
 
 Line identity.  A line is identified by the sorted tuple of its point
 indices, its kind and its label: for special lines the square class of the
@@ -30,8 +31,9 @@ q = 3, where the two-point sets x⊔y and y⊔x coincide while their offset
 classes differ; keying on the bare set there would merge lines from
 different parallel classes and break both the census and the Euclidean
 axiom.  The label is invariant under the group action (offsets scale by
-k^2, leading coefficients are fixed), so it is also the closed-form
-parallelism invariant ``parallel_fast`` compares.
+k^2, leading coefficients are fixed), so two lines are parallel exactly
+when both or neither are special and their labels agree (tested
+exhaustively).
 
 Every join is computed twice, and for every ordered pair the two must agree
 (``join_mismatch``).  The orbit route takes x_i ⊔ x_j to be {i} together
@@ -126,14 +128,6 @@ class Line:
     @property
     def base_points(self) -> tuple[Point, ...]:
         return tuple(self.space_points[i] for i in self.bases)
-
-    def to_json(self) -> dict:
-        return {
-            "base": self.space_points[self.bases[0]].to_json(),
-            "kind": self.kind,
-            "class": self.class_id,
-            "points": [p.to_json() for p in self.points],
-        }
 
 
 class GroupSpace:
@@ -341,11 +335,6 @@ class GroupSpace:
             raise GeometryError("point lies on the vertex generator",
                                 code="point_on_base_generator") from None
 
-    def parallel_fast(self, L1: Line, L2: Line) -> bool:
-        """Closed-form invariant: equal labels, the leading coefficient or the
-        offset class.  Must agree with equal ``class_id`` (tested exhaustively)."""
-        return (L1.kind == SPECIAL) == (L2.kind == SPECIAL) and L1.label == L2.label
-
     def census(self) -> dict:
         counts = {CIRCLE_LINE: 0, STRAIGHT: 0, SPECIAL: 0}
         for line in self.lines:
@@ -358,10 +347,13 @@ class GroupSpace:
         }
 
     def to_json(self) -> dict:
+        points = [p.to_json() for p in self.points]
         return {
             "q": self.q,
-            "points": [p.to_json() for p in self.points],
-            "lines": [line.to_json() for line in self.lines],
+            "points": points,
+            "lines": [{"base": points[line.bases[0]], "kind": line.kind,
+                       "class": line.class_id, "points": [points[i] for i in line.ids]}
+                      for line in self.lines],
         }
 
     # -- axiom checking -----------------------------------------------------

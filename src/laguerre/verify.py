@@ -185,14 +185,20 @@ class _Ctx:
                 for r in self.space.points}
 
     @cached_property
+    def stabilizers(self) -> dict[Point, list[PencilAut]]:
+        """The stabilizer of each residual point, in residual order, shared
+        by C2.1, T3.1 and ``fixed_points``."""
+        return {r: self.delta.stabilizer(r) for r in self.space.points}
+
+    @cached_property
     def fixed_points(self) -> dict[PencilAut, list[Point]]:
-        """The residual points each group element fixes, in residual order:
-        one ``DeltaGroup.image`` call per element and point, shared by P3.1,
-        L3.1 and T3.2."""
-        points, image = self.plane.points, self.delta.image
-        idx = [self.plane.point_index[p] for p in self.space.points]
-        return {f: [points[i] for i in idx if image(f, i) == i]
-                for f in self.delta.elements}
+        """The residual points each group element fixes, in residual order,
+        read off ``stabilizers``; shared by P3.1, L3.1 and T3.2."""
+        fixed = {f: [] for f in self.delta.elements}
+        for r, stab in self.stabilizers.items():
+            for f in stab:
+                fixed[f].append(r)
+        return fixed
 
     @cached_property
     def families(self) -> dict[Circle, TangentFamily]:
@@ -428,8 +434,7 @@ def _check_c2_1(ctx: _Ctx):
     plane, delta = ctx.plane, ctx.delta
     cases, bad = 0, []
     off_vertex_invariant = 0
-    for r in ctx.space.points:
-        stab = delta.stabilizer(r)
+    for r, stab in ctx.stabilizers.items():
         for C in plane.circles:
             if not all(delta.apply(f, C) == C for f in stab):
                 continue
@@ -456,8 +461,7 @@ def _check_t3_1(ctx: _Ctx):
     gf = plane.gf
     K = ctx.pencil.base
     cases, bad = 0, []
-    for r in ctx.space.points:
-        stab = delta.stabilizer(r)
+    for r, stab in ctx.stabilizers.items():
         vertex_members = ctx.vertex_members[r]
         for f in stab:
             for M in vertex_members:

@@ -96,8 +96,10 @@ def test_usage_errors(capsys):
     assert run_cli(capsys, "theorems", "run", "--q", "5", "--id", "NOPE")[0] == 2
     assert run_cli(capsys, "skewaffine", "verify", "--q", "5",
                    "--axiom", "Q9")[0] == 2
-    assert run_cli(capsys, "plane", "verify", "--q", "9")[0] == 2
-    assert run_cli(capsys, "plane", "verify", "--q", "211")[0] == 2
+    assert run_cli(capsys, "plane", "verify", "--q", "9") == \
+        (2, "", "error: 9 is not prime\n")
+    assert run_cli(capsys, "plane", "verify", "--q", "211") == \
+        (2, "", "error: q=211 exceeds the configured bound 101\n")
     assert run_cli(capsys, "nonsense")[0] == 2
 
 

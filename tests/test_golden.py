@@ -4,8 +4,8 @@ Each file under ``tests/golden/`` holds the exact stdout of one command, or,
 for a command that takes ``--out OUT``, the file it writes.  A refactor that
 keeps every verdict but changes a case count, a witness, a key or the key
 order shows up here as a diff.  CI checks the q=11 goldens outside this
-module, and ``export_q13_space.sha256``, which holds only the sha256 of the
-file that ``export --q 13 --what space`` writes.
+module, and the ``export_q13_*.sha256`` files, each of which holds only the
+sha256 of the file that one q=13 ``export`` writes.
 """
 
 import os
@@ -41,6 +41,8 @@ CASES = {
     "export_q5_space_p1_2.json": ("export", "--q", "5", "--what", "space",
                                   "--pencil", "p:1,2", "--out", OUT),
     "export_q5_group.json": ("export", "--q", "5", "--what", "group", "--out", OUT),
+    "export_q3_space.json": ("export", "--q", "3", "--what", "space", "--out", OUT),
+    "export_q3_plane.json": ("export", "--q", "3", "--what", "plane", "--out", OUT),
     "group_q5.json": ("group", "verify", "--q", "5", "--json"),
     "group_q5_p1_2.json": ("group", "verify", "--q", "5", "--pencil", "p:1,2",
                            "--json"),

@@ -147,6 +147,11 @@ def test_parallel_examples(space5):
 
 
 def test_parallel_fast_agrees_with_orbit_relation():
+    # the closed-form invariant: both or neither special, and equal labels
+    # (the leading coefficient or the offset class)
+    def parallel_fast(L1, L2):
+        return (L1.kind == SPECIAL) == (L2.kind == SPECIAL) and L1.label == L2.label
+
     for q in (3, 5, 7):
         pl = LaguerrePlane(q)
         gs = GroupSpace.build(pl, canonical_pencil(pl),
@@ -154,7 +159,7 @@ def test_parallel_fast_agrees_with_orbit_relation():
                               check_preconditions=False)
         for L1 in gs.lines:
             for L2 in gs.lines:
-                assert (L1.class_id == L2.class_id) == gs.parallel_fast(L1, L2)
+                assert (L1.class_id == L2.class_id) == parallel_fast(L1, L2)
 
 
 def test_build_rejects_non_transitive_group(plane5):
@@ -610,3 +615,8 @@ def test_space_json(space3):
     assert len(blob["lines"]) == 39
     for entry in blob["lines"]:
         assert set(entry) == {"base", "kind", "class", "points"}
+    # each point is encoded once: the lines hold the very dicts of "points"
+    encoded = {id(p) for p in blob["points"]}
+    for entry in blob["lines"]:
+        assert id(entry["base"]) in encoded
+        assert all(id(p) in encoded for p in entry["points"])
