@@ -382,10 +382,10 @@ class DeltaGroup:
                                    "x": repr(x), "y": repr(y)}
         return True, None
 
-    def semidirect_factorization(self, r: Point) -> bool:
-        """Every element splits uniquely as (k=1 translation) o (stabilizer of r)."""
+    def semidirect_factorization(self, stab: list[PencilAut]) -> bool:
+        """Every element splits uniquely as (k=1 translation) o (an element
+        of ``stab``, the stabilizer of a point)."""
         translations = self.translations
-        stab = self.stabilizer(r)
         products = {aut_compose(self.gf, t, s) for t in translations for s in stab}
         return len(translations) * len(stab) == len(self.elements) and \
             products == set(self.elements)

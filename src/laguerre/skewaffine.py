@@ -22,24 +22,25 @@ i.  The closed-form join route reads canonical coordinates through
 ``to_json``, which encodes each point once: every line's ``base`` and
 ``points`` are those same dicts, so treat its payload as read-only.
 
-Line identity.  A line is identified by the sorted tuple of its point
-indices, its kind and its label: for special lines the square class of the
-offsets measured from the basepoint, for the others the leading coefficient
-of its circle in canonical coordinates.  Index order is point order, so
-lines sort as their point sets do.  The label matters for identity only at
-q = 3, where the two-point sets x⊔y and y⊔x coincide while their offset
-classes differ; keying on the bare set there would merge lines from
-different parallel classes and break both the census and the Euclidean
-axiom.  The label is invariant under the group action (offsets scale by
-k^2, leading coefficients are fixed), so two lines are parallel exactly
-when both or neither are special and their labels agree (tested
-exhaustively).
+Line identity.  The join x_i ⊔ x_j is {i} together with T_i applied to o,
+the Stab(0)-orbit of T_i⁻¹(j), and a line is identified by the sorted tuple
+of its point indices and that orbit.  Index order is point order, so lines
+sort as their point sets do, and then by orbit, numbered in order of least
+point.  The orbit matters for identity only at q = 3, where the two-point
+sets x⊔y and y⊔x coincide while their orbits differ; keying on the bare set
+there would merge lines from different parallel classes and break both the
+census and the Euclidean axiom.  The orbit is the parallel class: g carries
+the line (i, o) to the line (g(i), o), because T_{g(i)}⁻¹ g T_i fixes point
+0, and the translations carry (0, o) to every (i, o).  So ``class_id`` is
+the least index of a line with that orbit, and a line's kind is its orbit's.
 
-Every join is computed twice, and for every ordered pair the two must agree
-(``join_mismatch``).  The orbit route takes x_i ⊔ x_j to be {i} together
-with T_i applied to the Stab(0)-orbit of T_i⁻¹(j), once per point i and
-orbit.  The closed form is the circle or square-class description, once per
-base point, kind and label.
+Every join is computed twice.  The orbit route above gives every pair's
+line.  The closed form, the circle through x and y with its vertex at x or
+the square-class offsets of a parallel pair, runs once per base point and
+orbit, when that orbit is first moved to the point; its point set must
+equal the orbit route's, and its kind the orbit's, or the build raises
+``join_mismatch``.  Any other y of the same orbit lies on that line, and its
+closed-form line is the same.
 
 Axiom budgets.  T, V, Pgm, Des and Pap quantify first over two points, and
 every case is decided by the join-line and join-class tables, which the
@@ -78,7 +79,7 @@ from dataclasses import dataclass, field
 from operator import and_, neg, or_
 
 from .plane import GeometryError, LaguerrePlane, Pencil, Point, _not_a_point
-from .autgroup import DeltaGroup, PencilAut, _reach, _require_transitive
+from .autgroup import DeltaGroup, PencilAut, _require_transitive
 from .report import Budget, Report, run_check
 
 CIRCLE_LINE = "circle_line"
@@ -107,19 +108,19 @@ class Line:
     """One line of the group space.
 
     ``ids`` are the sorted indices of its points in ``space_points``, the
-    point list of its space, and ``label`` is its group-invariant label (see
-    "Line identity" above).  ``bases`` is definitional: every x whose join
+    point list of its space.  ``bases`` is definitional: every x whose join
     with some other point of the line reproduces the line.  Straight lines
-    have all their points there, proper lines exactly one.
+    have all their points there, proper lines exactly one.  ``class_id``,
+    the least line index of its parallel class, tells it apart from a line
+    with the same points (see "Line identity" above).
     """
 
     index: int
     ids: tuple[int, ...]
     kind: str
-    label: str | int
     bases: tuple[int, ...]
     space_points: list[Point] = field(repr=False)
-    class_id: int = -1
+    class_id: int
 
     @property
     def points(self) -> tuple[Point, ...]:
@@ -166,7 +167,7 @@ class GroupSpace:
     def line_image(self, perm: list[int], line: Line) -> Line:
         """The line that the point permutation ``perm`` carries ``line`` to."""
         ids = tuple(sorted(perm[i] for i in line.ids))
-        return self._line_by_key[(ids, line.kind, line.label)]
+        return self._line_by_key[(ids, line.class_id)]
 
     def _build(self) -> None:
         self._gens = self.delta.generators()
@@ -193,31 +194,41 @@ class GroupSpace:
         self._orbits0 = orbits = list(orbit_ids)
 
         pairs: dict[tuple, list[tuple[int, int]]] = {}
+        kinds: dict[int, str] = {}
         for i, trans in enumerate(self.translation_perms):
             back = [0] * n
             for k, m in enumerate(trans):
                 back[m] = k
             moved: dict[int, tuple[int, ...]] = {}
-            closed: dict[tuple, tuple[int, ...]] = {}
             for j in range(n):
                 if j != i:
                     o = orbit_of[back[j]]
                     got = moved.get(o)
                     if got is None:
                         got = moved[o] = tuple(sorted({trans[m] for m in orbits[o]} | {i}))
-                    key = self._join_key(i, j, got, closed, canon, at)
-                    pairs.setdefault(key, []).append((i, j))
+                        kind, want = self._closed_form(i, j, canon, at)
+                        if want != got or kinds.setdefault(o, kind) != kind:
+                            raise GeometryError(
+                                f"join mismatch between orbit and closed form "
+                                f"at {self.points[i]}, {self.points[j]}",
+                                code="join_mismatch")
+                    pairs.setdefault((got, o), []).append((i, j))
         self._gen_perms = [self.point_perm(g) for g in self._gens]
 
+        # a parallel class is a Stab(0)-orbit; its id is its least line index
         self._joinline = [[-1] * n for _ in range(n)]
+        self.class_members: dict[int, list[int]] = {}
+        class_of: dict[int, int] = {}
         for ix, key in enumerate(sorted(pairs)):
-            ids, kind, label = key
+            ids, o = key
             for i, j in pairs[key]:
                 self._joinline[i][j] = ix
             bases = tuple(sorted({i for i, _ in pairs[key]}))
-            self.lines.append(Line(ix, ids, kind, label, bases, self.points))
-        self._line_by_key = {(l.ids, l.kind, l.label): l for l in self.lines}
-        self._assign_classes()
+            cid = class_of.setdefault(o, ix)
+            self.class_members.setdefault(cid, []).append(ix)
+            self.lines.append(Line(ix, ids, kinds[o], bases, self.points, cid))
+        self.class_ids = list(self.class_members)
+        self._line_by_key = {(l.ids, l.class_id): l for l in self.lines}
         self._build_tables()
 
     def _translation_perms(self) -> list[list[int]]:
@@ -238,58 +249,24 @@ class GroupSpace:
                                 witnesses=bad[:1])
         return [perms[f] for f, in reach]
 
-    def _join_key(self, x: int, y: int, got: tuple[int, ...],
-                  closed: dict[tuple, tuple[int, ...]],
-                  canon: list[tuple[int, int]], at: list[int]) -> tuple:
-        """The identity (ids, kind, label) of x⊔y, whose sorted point indices
-        by the orbit route are ``got``.  The canonical coordinates ``canon``
-        of the pair give the kind and label: the leading coefficient A of
-        the circle through both with its vertex at x, or the square class
-        of the height offset d of a parallel pair.  ``closed`` holds x's
-        closed-form lines by (kind, label), mapped back to indices by
-        ``at[cx * q + cy]``; the first pair with that label fills it in,
-        and every pair's ``got`` must equal it."""
+    def _closed_form(self, x: int, y: int, canon: list[tuple[int, int]],
+                     at: list[int]) -> tuple[str, tuple[int, ...]]:
+        """The kind and sorted point indices of x⊔y in closed form, the
+        oracle for the orbit route.  From the canonical coordinates
+        ``canon`` of the pair: the circle through both with its vertex at x,
+        or, for a parallel pair, x and its offsets by the height offset d
+        times each nonzero square.  ``at[cx * q + cy]`` maps coordinates
+        back to indices."""
         q, gf = self.q, self.gf
         (x0, y0), (x1, y1) = canon[x], canon[y]
-        if x0 != x1:
-            A = gf.div(y1 - y0, (x1 - x0) ** 2)
-            key = (STRAIGHT if A == 0 else CIRCLE_LINE, A)
-        else:
-            d = (y1 - y0) % q
-            key = (SPECIAL, gf.square_class(d))
-        want = closed.get(key)
-        if want is None:
-            if key[0] == SPECIAL:
-                pts = [x] + [at[x0 * q + (y0 + s * d) % q] for s in gf.squares]
-            else:
-                B, C = (-2 * A * x0) % q, (A * x0 * x0 + y0) % q
-                pts = [at[s * q + (A * s * s + B * s + C) % q] for s in range(q)]
-            want = closed[key] = tuple(sorted(pts))
-        if want != got:
-            raise GeometryError(f"join mismatch between orbit and closed form "
-                                f"at {self.points[x]}, {self.points[y]}",
-                                code="join_mismatch")
-        return (got, *key)
-
-    def _assign_classes(self) -> None:
-        """Parallel classes = orbits of the group acting on lines.
-
-        The generators suffice for the orbit partition.  Their permutations
-        of the lines are kept for the equivariance check of the orbit sweeps.
-        """
-        self._line_perms = [[self.line_image(perm, line).index for line in self.lines]
-                            for perm in self._gen_perms]
-        moves = [perm.__getitem__ for perm in self._line_perms]
-        class_of = [-1] * len(self.lines)
-        for start in range(len(self.lines)):
-            if class_of[start] == -1:
-                for li in _reach(start, moves):
-                    class_of[li] = start
-        for line in self.lines:
-            line.class_id = class_of[line.index]
-        self.class_ids = sorted(set(class_of))
-        self.class_members = {cid: [l.index for l in self.lines if l.class_id == cid]
-                              for cid in self.class_ids}
+        if x0 == x1:
+            d = y1 - y0
+            pts = [x] + [at[x0 * q + (y0 + s * d) % q] for s in gf.squares]
+            return SPECIAL, tuple(sorted(pts))
+        A = gf.div(y1 - y0, (x1 - x0) ** 2)
+        B, C = (-2 * A * x0) % q, (A * x0 * x0 + y0) % q
+        pts = [at[s * q + (A * s * s + B * s + C) % q] for s in range(q)]
+        return STRAIGHT if A == 0 else CIRCLE_LINE, tuple(sorted(pts))
 
     def _build_tables(self) -> None:
         n = self.n
@@ -438,7 +415,9 @@ class GroupSpace:
         for all first points."""
         n, jl, jc = self.n, self._joinline, self._joinclass
         perms = self._gen_perms
-        for g, perm, line_perm in zip(self._gens, perms, self._line_perms):
+        line_perms = [[self.line_image(perm, line).index for line in self.lines]
+                      for perm in perms]
+        for g, perm, line_perm in zip(self._gens, perms, line_perms):
             for i in range(n):
                 jl_i, jc_i = jl[i], jc[i]
                 jl_gi, jc_gi = jl[perm[i]], jc[perm[i]]

@@ -187,7 +187,7 @@ class _Ctx:
     @cached_property
     def stabilizers(self) -> dict[Point, list[PencilAut]]:
         """The stabilizer of each residual point, in residual order, shared
-        by C2.1, T3.1 and ``fixed_points``."""
+        by C2.1, T3.1, T3.2's factorization and ``fixed_points``."""
         return {r: self.delta.stabilizer(r) for r in self.space.points}
 
     @cached_property
@@ -618,9 +618,9 @@ def _check_t3_2(ctx: _Ctx):
             if aut_compose(gf, aut_compose(gf, f, tau), fi) not in tset:
                 bad.append({"problem": "not_normal", "element": list(f),
                             "translation": list(tau)})
-    for r in ctx.space.points:
+    for r, stab in ctx.stabilizers.items():
         cases += 1
-        if not delta.semidirect_factorization(r):
+        if not delta.semidirect_factorization(stab):
             bad.append({"problem": "factorization_not_bijective", "r": repr(r)})
     # fixed-point elements are strains: they fix the vertex pencil at each
     # of their fixed points

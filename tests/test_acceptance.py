@@ -61,7 +61,7 @@ def test_criterion_3_group_census_q5():
     assert census["symmetry"] == 5
     assert census["glide"] == 20
     for r in delta.space_points():
-        assert delta.semidirect_factorization(r), r
+        assert delta.semidirect_factorization(delta.stabilizer(r)), r
     _verdict(3, True, "group census 1+24+50+5+20=100 exact; factorization "
                       "bijective at all 25 points")
 

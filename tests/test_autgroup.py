@@ -170,7 +170,7 @@ def test_symmetries_are_involutions_fixing_two_generators(delta5, plane5):
 
 def test_semidirect_factorization_every_point(delta5):
     for r in delta5.space_points():
-        assert delta5.semidirect_factorization(r)
+        assert delta5.semidirect_factorization(delta5.stabilizer(r))
 
 
 def test_translations_and_generators(delta5, plane5):

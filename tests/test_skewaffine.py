@@ -14,7 +14,7 @@ def test_join_examples(space5):
 
     Ls = space5.join(affine(0, 0), affine(0, 1))
     assert set(Ls.points) == {affine(0, 0), affine(0, 1), affine(0, 4)}
-    assert Ls.kind == SPECIAL and Ls.label == "square"
+    assert Ls.kind == SPECIAL
 
     # the join is not symmetric
     Lr = space5.join(affine(0, 1), affine(0, 0))
@@ -119,7 +119,8 @@ def test_classify_line_examples(space5):
 
 def test_q3_twin_special_lines():
     # at q = 3 the two orientations of a two-point special line share the
-    # point set but not the offset class; they are distinct proper lines
+    # point set but not the offset class; they are distinct proper lines,
+    # in different parallel classes
     pl = LaguerrePlane(3)
     gs = GroupSpace.build(pl, canonical_pencil(pl),
                           DeltaGroup.build(pl, canonical_pencil(pl)),
@@ -127,7 +128,7 @@ def test_q3_twin_special_lines():
     a = gs.join(affine(0, 0), affine(0, 1))
     b = gs.join(affine(0, 1), affine(0, 0))
     assert set(a.points) == set(b.points)
-    assert a.label != b.label
+    assert a.class_id != b.class_id
     assert a.index != b.index
     assert a.base_points == (affine(0, 0),)
     assert b.base_points == (affine(0, 1),)
@@ -146,20 +147,42 @@ def test_parallel_examples(space5):
     assert space5.line_image(space5.point_perm(PencilAut(1, 1, 2)), s1) is s2
 
 
+def _closed_form_label(gs, canon, i, j):
+    """The kind and group-invariant label of the join of points i and j from
+    canonical coordinates: the leading coefficient A of the circle through
+    both with its vertex at i, or the square class of the height offset of a
+    parallel pair (offsets scale by k^2, leading coefficients are fixed)."""
+    (x0, y0), (x1, y1) = canon[i], canon[j]
+    if x0 == x1:
+        return SPECIAL, gs.gf.square_class(y1 - y0)
+    A = gs.gf.div(y1 - y0, (x1 - x0) ** 2)
+    return STRAIGHT if A == 0 else CIRCLE_LINE, A
+
+
+def _canonical_coordinates(gs):
+    return [divmod(gs.delta.canonical_index(gs.plane.point_index[p]), gs.q)
+            for p in gs.points]
+
+
 def test_parallel_fast_agrees_with_orbit_relation():
     # the closed-form invariant: both or neither special, and equal labels
-    # (the leading coefficient or the offset class)
-    def parallel_fast(L1, L2):
-        return (L1.kind == SPECIAL) == (L2.kind == SPECIAL) and L1.label == L2.label
-
+    # (the leading coefficient or the offset class), read off a base point
+    # and another point of each line
     for q in (3, 5, 7):
         pl = LaguerrePlane(q)
         gs = GroupSpace.build(pl, canonical_pencil(pl),
                               DeltaGroup.build(pl, canonical_pencil(pl)),
                               check_preconditions=False)
-        for L1 in gs.lines:
-            for L2 in gs.lines:
-                assert (L1.class_id == L2.class_id) == parallel_fast(L1, L2)
+        canon = _canonical_coordinates(gs)
+        labels = []
+        for L in gs.lines:
+            other = next(j for j in L.ids if j != L.bases[0])
+            kind, label = _closed_form_label(gs, canon, L.bases[0], other)
+            assert kind == L.kind
+            labels.append((kind == SPECIAL, label))
+        for L1, key1 in zip(gs.lines, labels):
+            for L2, key2 in zip(gs.lines, labels):
+                assert (L1.class_id == L2.class_id) == (key1 == key2)
 
 
 def test_build_rejects_non_transitive_group(plane5):
@@ -215,6 +238,37 @@ def test_build_rejects_join_mismatch(plane5):
     assert e.value.code == "join_mismatch"
 
 
+@pytest.mark.parametrize("q", (5, 7))
+def test_build_rejects_a_stabilizer_cut_to_plus_minus_one(q, monkeypatch):
+    # with k = ±1 alone point 0's stabilizer orbits split each circle line
+    # into halves, so the orbit route's point sets fall short of the
+    # closed-form circles
+    plane, pencil, delta = _fresh(q)
+    true_stabilizer = delta.stabilizer
+    monkeypatch.setattr(delta, "stabilizer", lambda x: [
+        f for f in true_stabilizer(x) if f.k in (1, q - 1)])
+    with pytest.raises(GeometryError) as e:
+        GroupSpace.build(plane, pencil, delta, check_preconditions=False)
+    assert e.value.code == "join_mismatch"
+
+
+def test_build_rejects_a_kind_that_differs_along_an_orbit(monkeypatch):
+    # a closed form that calls the pencil member through point 1 a circle
+    # line still matches its point set, but not the kind that the same
+    # stabilizer orbit has at point 0
+    true_closed_form = GroupSpace._closed_form
+
+    def relabelled(self, x, y, canon, at):
+        kind, pts = true_closed_form(self, x, y, canon, at)
+        return CIRCLE_LINE if kind == STRAIGHT and x == 1 else kind, pts
+
+    monkeypatch.setattr(GroupSpace, "_closed_form", relabelled)
+    plane, pencil, delta = _fresh(5)
+    with pytest.raises(GeometryError) as e:
+        GroupSpace.build(plane, pencil, delta, check_preconditions=False)
+    assert e.value.code == "join_mismatch"
+
+
 def _fresh(q, pencil=None):
     plane = LaguerrePlane(q)
     pencil = pencil(plane) if pencil else canonical_pencil(plane)
@@ -232,7 +286,7 @@ def test_build_rejects_translations_that_are_not_regular(monkeypatch):
     def no_join(*args):
         raise AssertionError("a join was computed")
 
-    monkeypatch.setattr(GroupSpace, "_join_key", no_join)
+    monkeypatch.setattr(GroupSpace, "_closed_form", no_join)
     with pytest.raises(GeometryError) as e:
         GroupSpace.build(plane, pencil, delta, check_preconditions=False)
     assert e.value.code == "translations_not_regular"
@@ -256,16 +310,17 @@ def test_build_rejects_a_translation_bent_off_point_0(monkeypatch):
     assert e.value.code == "join_mismatch"
 
 
-def test_closed_form_lines_are_kept_apart_by_kind(monkeypatch):
-    # with square-class labels that are field elements too, the special
-    # line of class 1 and the circle line with A = 1 share a label; each
-    # base point's closed-form lines are told apart by kind as well, so the
-    # build gives the same lines under the new labels
-    plane, pencil, delta = _fresh(5)
+@pytest.mark.parametrize("q", (3, 5))
+def test_build_never_calls_square_class(q, monkeypatch):
+    # a line is its point set and its stabilizer orbit: the build derives no
+    # square class, and the closed form enumerates the square offsets itself
+    plane, pencil, delta = _fresh(q)
     want = GroupSpace.build(plane, pencil, delta, check_preconditions=False)
-    true_class = type(plane.gf).square_class
-    monkeypatch.setattr(type(plane.gf), "square_class",
-                        lambda gf, a: 1 if true_class(gf, a) == "square" else 2)
+
+    def no_square_class(*args):
+        raise AssertionError("square_class was called")
+
+    monkeypatch.setattr(type(plane.gf), "square_class", no_square_class)
     got = GroupSpace.build(plane, pencil, delta, check_preconditions=False)
     assert [(l.ids, l.kind, l.bases) for l in got.lines] == \
         [(l.ids, l.kind, l.bases) for l in want.lines]
@@ -277,38 +332,27 @@ def _per_point_route(gs):
     moved along the translations: every point's stabilizer by a scan of the
     whole group, each join {x} plus the orbit of y under it, the kind and
     label from canonical coordinates, and the parallel classes as orbits of
-    every group element on the lines.  Returns the join table, the lines as
-    (ids, kind, label, bases, class) and nothing else of the space."""
-    q, gf, n, delta = gs.q, gs.gf, gs.n, gs.delta
-    canon = [divmod(delta.canonical_index(gs.plane.point_index[p]), q)
-             for p in gs.points]
+    every group element on the lines.  A line is (ids, kind, bases); returns
+    the join table by line, the lines and the classes as sets of lines, and
+    nothing else of the space."""
+    n, delta = gs.n, gs.delta
+    canon = _canonical_coordinates(gs)
     join = {}
     for i, x in enumerate(gs.points):
         stab = [gs.point_perm(f) for f in delta.stabilizer(x)]
         for j in range(n):
-            if j == i:
-                continue
-            (x0, y0), (x1, y1) = canon[i], canon[j]
-            if x0 == x1:
-                kind, label = SPECIAL, gf.square_class(y1 - y0)
-            else:
-                label = gf.div(y1 - y0, (x1 - x0) ** 2)
-                kind = STRAIGHT if label == 0 else CIRCLE_LINE
-            join[i, j] = (tuple(sorted({perm[j] for perm in stab} | {i})), kind, label)
-    keys = sorted(set(join.values()))
-    index = {key: ix for ix, key in enumerate(keys)}
-    bases = {key: set() for key in keys}
+            if j != i:
+                ids = tuple(sorted({perm[j] for perm in stab} | {i}))
+                join[i, j] = (ids, *_closed_form_label(gs, canon, i, j))
+    bases = {key: set() for key in join.values()}
     for (i, _), key in join.items():
         bases[key].add(i)
+    line = {key: (key[0], key[1], tuple(sorted(bases[key]))) for key in bases}
     perms = [gs.point_perm(f) for f in delta.elements]
-    class_of = {}
-    for key in keys:
-        if key not in class_of:
-            ids, kind, label = key
-            for perm in perms:
-                class_of[(tuple(sorted(perm[i] for i in ids)), kind, label)] = index[key]
-    lines = [(*key, tuple(sorted(bases[key])), class_of[key]) for key in keys]
-    return {pair: index[key] for pair, key in join.items()}, lines
+    classes = {frozenset(line[(tuple(sorted(perm[i] for i in ids)), kind, label)]
+                         for perm in perms)
+               for ids, kind, label in line}
+    return {pair: line[key] for pair, key in join.items()}, set(line.values()), classes
 
 
 @pytest.mark.parametrize("q, pencil", [
@@ -319,10 +363,15 @@ def _per_point_route(gs):
 def test_transported_orbits_match_the_per_point_route(q, pencil):
     plane, pencil, delta = _fresh(q, pencil)
     gs = GroupSpace.build(plane, pencil, delta, check_preconditions=False)
-    join, lines = _per_point_route(gs)
-    assert {(i, j): gs._joinline[i][j] for i in range(gs.n)
+    join, lines, classes = _per_point_route(gs)
+    content = [(l.ids, l.kind, l.bases) for l in gs.lines]
+    assert {(i, j): content[gs._joinline[i][j]] for i in range(gs.n)
             for j in range(gs.n) if i != j} == join
-    assert [(l.ids, l.kind, l.label, l.bases, l.class_id) for l in gs.lines] == lines
+    assert len(content) == len(lines) and set(content) == lines
+    assert {frozenset(content[ix] for ix in members)
+            for members in gs.class_members.values()} == classes
+    assert all(gs.lines[ix].class_id == cid
+               for cid, members in gs.class_members.items() for ix in members)
 
 
 def test_translation_perms_carry_point_0_to_each_point(space5):
@@ -592,19 +641,21 @@ def test_every_vertex_pencil_matches_canonical(q):
 
 def test_line_image_matches_point_action(space3, space5):
     # reference: act on the named points with DeltaGroup.apply and look the
-    # image up by point set, kind and offset class
+    # image up by point set and base-point set, which tell the q = 3 twin
+    # lines apart
     pl = LaguerrePlane(5)
     pencil = pl.pencil(affine(1, 2), Circle(0, 0, 2))
     conjugated = GroupSpace.build(pl, pencil, DeltaGroup.build(pl, pencil),
                                   check_preconditions=False)
     for gs in (space3, space5, conjugated):
-        by_points = {(line.points, line.kind, line.label): line
-                     for line in gs.lines}
+        by_points = {(line.points, line.base_points): line for line in gs.lines}
+        assert len(by_points) == len(gs.lines)
         for f in gs.delta.elements:
             perm = gs.point_perm(f)
             for line in gs.lines:
                 pts = tuple(sorted(gs.delta.apply(f, p) for p in line.points))
-                want = by_points[(pts, line.kind, line.label)]
+                bases = tuple(sorted(gs.delta.apply(f, p) for p in line.base_points))
+                want = by_points[(pts, bases)]
                 assert gs.line_image(perm, line) is want, (gs.q, f, line.index)
 
 

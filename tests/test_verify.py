@@ -349,9 +349,9 @@ def test_run_suite_derives_each_plane_fact_once(monkeypatch):
     # (T3.2 alone rebuilt it for each of the 75 elements with one fixed
     # point).  The other 136 calls are one per tangency base (100) and six
     # for each of the six tangent families (the q members and T4.2's circle).
-    # Each residual point's stabilizer is scanned once for C2.1, T3.1 and the
-    # fixed points together, once more by T3.2's factorization, and point
-    # 0's once by the space build.
+    # Each residual point's stabilizer is scanned once for C2.1, T3.1, T3.2's
+    # factorization and the fixed points together, and point 0's once by the
+    # space build.
     monkeypatch.setattr(verify, "_CTX_CACHE", {})
     ctx = verify._context(5)
     calls = {"pencil_tangent": 0, "circle_through": 0, "pencil_members": 0,
@@ -367,7 +367,7 @@ def test_run_suite_derives_each_plane_fact_once(monkeypatch):
         monkeypatch.setattr(owner, name, counted)
     assert all(rep.ok for rep in verify.run_suite(5))
     assert calls == {"pencil_tangent": 100, "circle_through": 205,
-                     "pencil_members": 25 + 136, "stabilizer": 25 + 25 + 1}
+                     "pencil_members": 25 + 136, "stabilizer": 25 + 1}
 
 
 def test_p2_1_fails_on_a_special_nonparallel_join(monkeypatch):
