@@ -13,7 +13,7 @@ group's action on plane indices (``DeltaGroup.image``) restricted to these
 points, and ``line_image`` carries a line along it.  Only point 0's
 stabilizer comes from a scan of the group (``DeltaGroup.stabilizer``).  The
 group is the translations times that stabilizer, so the stabilizer of point
-i is T_i Stab(0) T_i⁻¹, where T_i, ``translation_perms[i]``, is the
+i is T_i Stab(0) T_i⁻¹, where T_i, ``translations[i]``, is the
 translation carrying point 0 to point i; the build raises
 ``translations_not_regular`` unless exactly one translation does, for every
 i.  The closed-form join route reads canonical coordinates through
@@ -165,9 +165,13 @@ class GroupSpace:
         return [local[image(f, p)] for p in self._plane_ids]
 
     def line_image(self, perm: list[int], line: Line) -> Line:
-        """The line that the point permutation ``perm`` carries ``line`` to."""
+        """The line ``perm`` carries ``line`` to (``not_equivariant`` if none)."""
         ids = tuple(sorted(perm[i] for i in line.ids))
-        return self._line_by_key[(ids, line.class_id)]
+        try:
+            return self._line_by_key[(ids, line.class_id)]
+        except KeyError:
+            raise GeometryError(f"the permutation carries line {line.index} onto no line",
+                                code="not_equivariant") from None
 
     def _build(self) -> None:
         self._gens = self.delta.generators()
@@ -184,7 +188,7 @@ class GroupSpace:
         for i, (cx, cy) in enumerate(canon):
             at[cx * q + cy] = i
 
-        self.translation_perms = self._translation_perms()
+        self.translations, self.translation_perms = self._translation_perms()
         # the orbit of each point under the stabilizer of point 0, numbered
         # in order of least point; the first is point 0's own
         stab0 = [self.point_perm(f) for f in delta.stabilizer(self.points[0])]
@@ -231,10 +235,10 @@ class GroupSpace:
         self._line_by_key = {(l.ids, l.class_id): l for l in self.lines}
         self._build_tables()
 
-    def _translation_perms(self) -> list[list[int]]:
-        """The translations' point permutations, the i-th carrying point 0
-        to point i.  The translations must act regularly on the points, or
-        the build raises ``translations_not_regular``."""
+    def _translation_perms(self) -> tuple[list[PencilAut], list[list[int]]]:
+        """The translations and their point permutations, the i-th carrying
+        point 0 to point i.  The translations must act regularly on the
+        points, or the build raises ``translations_not_regular``."""
         reach: list[list[PencilAut]] = [[] for _ in range(self.n)]
         perms = {}
         for f in self.delta.translations:
@@ -247,7 +251,7 @@ class GroupSpace:
             raise GeometryError("the translations do not carry point 0 to every "
                                 "point exactly once", code="translations_not_regular",
                                 witnesses=bad[:1])
-        return [perms[f] for f, in reach]
+        return [f for f, in reach], [perms[f] for f, in reach]
 
     def _closed_form(self, x: int, y: int, canon: list[tuple[int, int]],
                      at: list[int]) -> tuple[str, tuple[int, ...]]:

@@ -4,33 +4,42 @@
 summary; ``CHECK_IDS`` and ``CHECK_SUMMARIES`` are read off it.  A checker
 sweeps the statement's quantifiers over the canonical pencil of the plane
 of the requested size and returns (cases, witnesses, details), as the
-residual-plane axiom checkers do.  Every check is exhaustive except T4.2,
-which evaluates one circle after verifying that shifts carry it to all q³
-circles (``_check_t4_2``).  Checks verify conclusions, not intermediate
-constructions.  ``L3.1`` is deliberately report-only: it publishes the
-census of fixed-point-free group elements and asserts only the restricted
-claims that hold in this model (see its reading notes).
+residual-plane axiom checkers do.  Checks verify conclusions, not
+intermediate constructions.  Every check is exhaustive except five, which
+evaluate a representative and move it along a symmetry checked first: T4.2
+the circle (0, 0, 0), along shifts checked to be automorphisms transitive
+on circles; C2.1 the invariant circles at point 0, along the translations,
+each re-checked where it lands; T3.2 normality on the generators, checked
+to close to Δ, and the factorization at point 0, the unit translations
+checked to close to T; C3.3 Pgm at the ``orbit`` budget, the join tables
+checked equivariant; C3.4 one line per class, the classes checked to
+partition the lines.  C3.3, C3.4 and T4.2 report ``mode: "orbit"`` and
+``cases_represented``; the tests keep each retired loop as an oracle.
+``L3.1`` is deliberately report-only: it publishes the census of
+fixed-point-free group elements and asserts only the restricted claims that
+hold in this model (see its reading notes).
 
 Plane facts that several checks read are derived once per q, in tables of
 ``_Ctx``: ``bases``, circle -> tangency point (P2.1, P2.4, P4.2, T4.1);
 ``line_circles``, line -> circle (P2.1, P2.3, P2.5, P2.6); ``member_of``,
 point -> pencil member (L4.2, P4.6, and ``vertex_members``);
 ``vertex_members``, point -> the members of the vertex pencil there (T3.1,
-T3.2).  The first check to read a table builds it, and its ``elapsed_ms``
-includes the build.
+T3.2); ``stabilizers``, point -> its stabilizer (C2.1, T3.1, T3.2, and
+``fixed_points``).  The first check to read a table builds it, and its
+``elapsed_ms`` includes the build.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
+from functools import cached_property, partial
 
 from .plane import (Circle, GeometryError, IDEAL, LaguerrePlane, Pencil, Point,
                     affine, canonical_pencil, ideal)
-from .autgroup import (IDENTITY, DeltaGroup, PencilAut, _require_transitive,
+from .autgroup import (IDENTITY, DeltaGroup, PencilAut, _reach, _require_transitive,
                        _verified_map, aut_compose, aut_inverse, circle_add_map)
 from .skewaffine import GroupSpace, SPECIAL, STRAIGHT
-from .report import Budget, PASS, REPORT_ONLY, Report, run_check
+from .report import PASS, REPORT_ONLY, Report, run_check
 
 # reading notes that travel with a check's report
 _NOTES = {
@@ -186,9 +195,30 @@ class _Ctx:
 
     @cached_property
     def stabilizers(self) -> dict[Point, list[PencilAut]]:
-        """The stabilizer of each residual point, in residual order, shared
-        by C2.1, T3.1, T3.2's factorization and ``fixed_points``."""
-        return {r: self.delta.stabilizer(r) for r in self.space.points}
+        """Each point's stabilizer, in residual and (k, t, g) order: Stab(0)
+        conjugated by T_r.  Δ is transitive, so |Δ|/q² elements fixing r are
+        Stab(r); anything else raises ``stabilizer_mismatch``."""
+        gf, delta, space = self.plane.gf, self.delta, self.space
+        stab0, out = delta.stabilizer(space.points[0]), {}
+        for r, T in zip(space.points, space.translations):
+            Ti, i = aut_inverse(gf, T), self.plane.point_index[r]
+            stab = sorted({aut_compose(gf, aut_compose(gf, T, s), Ti) for s in stab0})
+            if len(stab) * self.q ** 2 != len(delta.elements) or any(
+                    delta.image(f, i) != i for f in stab):
+                raise GeometryError(f"Stab(0) conjugated to {r!r} is not its stabilizer",
+                                    code="stabilizer_mismatch")
+            out[r] = stab
+        return out
+
+    @cached_property
+    def unit_translations(self) -> list[PencilAut]:
+        """(1, 1, 0) and (1, 0, 1), checked to close to all q² translations."""
+        units = [PencilAut(1, 1, 0), PencilAut(1, 0, 1)]
+        if _reach(IDENTITY, [partial(aut_compose, self.plane.gf, u) for u in units]) \
+                != set(self.delta.translations):
+            raise GeometryError("the unit translations do not close to the translations",
+                                code="translations_not_closed")
+        return units
 
     @cached_property
     def fixed_points(self) -> dict[PencilAut, list[Point]]:
@@ -431,13 +461,16 @@ def _check_p2_6(ctx: _Ctx):
 
 
 def _check_c2_1(ctx: _Ctx):
-    plane, delta = ctx.plane, ctx.delta
+    """T_r carries Stab(0)'s invariant circles onto Stab(r) = T_r Stab(0) T_r⁻¹'s."""
+    plane, apply, space = ctx.plane, ctx.delta.apply, ctx.space
+    stab0 = ctx.stabilizers[space.points[0]]
+    invariant0 = [C for C in plane.circles if all(apply(f, C) == C for f in stab0)]
     cases, bad = 0, []
     off_vertex_invariant = 0
-    for r, stab in ctx.stabilizers.items():
-        for C in plane.circles:
-            if not all(delta.apply(f, C) == C for f in stab):
-                continue
+    for (r, stab), T in zip(ctx.stabilizers.items(), space.translations):
+        for C in sorted(apply(T, C0) for C0 in invariant0):  # circle order
+            if not all(apply(f, C) == C for f in stab):
+                raise GeometryError(f"{list(C)} is not invariant at {r!r}", code="not_equivariant")
             if not plane.incident(r, C):
                 off_vertex_invariant += 1
                 continue
@@ -527,13 +560,8 @@ def _check_c3_1(ctx: _Ctx):
         pts = [p for p in plane.circle_points(R) if p.kind != IDEAL]
         for x, y in itertools.permutations(pts, 2):
             cases += 1
-            hit = None
-            for r in pts:
-                sym = PencilAut(gf.q - 1, (2 * r.x) % gf.q, 0)
-                if delta.apply(sym, x) == y:
-                    hit = r
-                    break
-            if hit is None:
+            if not any(delta.apply(PencilAut(gf.q - 1, 2 * r.x % gf.q, 0), x) == y
+                       for r in pts):
                 bad.append({"member": list(R), "x": repr(x), "y": repr(y)})
     return cases, bad, {}
 
@@ -601,9 +629,10 @@ def _check_p3_2(ctx: _Ctx):
 
 
 def _check_t3_2(ctx: _Ctx):
-    plane, delta = ctx.plane, ctx.delta
-    gf = plane.gf
-    q = plane.q
+    """The normalizer of T is a group, so the generators suffice.  T is a
+    group and |T| |Stab(r)| = |Δ|, so the factorization at point 0 gives it
+    at r: T·Stab(r) = T·T_r·Stab(0)·T_r⁻¹ = T·Stab(0)·T_r⁻¹ = Δ·T_r⁻¹ = Δ."""
+    delta, gf, q = ctx.delta, ctx.plane.gf, ctx.q
     cases, bad = 0, []
     translations = delta.translations
     orbit = delta.orbit(translations, affine(0, 0))
@@ -611,17 +640,18 @@ def _check_t3_2(ctx: _Ctx):
     if orbit != set(ctx.space.points):
         bad.append({"problem": "translations_not_transitive"})
     tset = set(translations)
-    for f in delta.elements:
-        fi = aut_inverse(gf, f)
+    for g in delta.generators():
+        gi = aut_inverse(gf, g)
         for tau in translations:
             cases += 1
-            if aut_compose(gf, aut_compose(gf, f, tau), fi) not in tset:
-                bad.append({"problem": "not_normal", "element": list(f),
+            if aut_compose(gf, aut_compose(gf, g, tau), gi) not in tset:
+                bad.append({"problem": "not_normal", "element": list(g),
                             "translation": list(tau)})
-    for r, stab in ctx.stabilizers.items():
-        cases += 1
-        if not delta.semidirect_factorization(stab):
-            bad.append({"problem": "factorization_not_bijective", "r": repr(r)})
+    ctx.unit_translations  # raises unless T is closed
+    p0 = ctx.space.points[0]
+    cases += 2
+    if not delta.semidirect_factorization(ctx.stabilizers[p0]):
+        bad.append({"problem": "factorization_not_bijective", "r": repr(p0)})
     # fixed-point elements are strains: they fix the vertex pencil at each
     # of their fixed points
     for f in delta.elements:
@@ -659,24 +689,28 @@ def _check_c3_3(ctx: _Ctx):
         if aut_compose(gf, t1, t2) != aut_compose(gf, t2, t1):
             bad.append({"problem": "translations_not_commutative",
                         "pair": [list(t1), list(t2)]})
-    rep = ctx.space.check_axiom("Pgm", Budget("exhaustive", 0, 0))
-    cases += rep.cases_checked
+    rep = ctx.space.check_axiom("Pgm")
     bad.extend(rep.witnesses)
-    return cases, bad, {}
+    return cases + rep.cases_checked, bad, {
+        "mode": "orbit", "cases_represented": cases + rep.details["cases_represented"]}
 
 
 def _check_c3_4(ctx: _Ctx):
+    """One line per class stands for all: a class's lines share their T-orbit."""
     space = ctx.space
-    translations = space.translation_perms
+    moves = [[space.line_image(perm, line).index for line in space.lines].__getitem__
+             for perm in map(space.point_perm, ctx.unit_translations)]
+    nt = len(space.translations)
     cases, bad = 0, []
-    for line in space.lines:
-        cases += len(translations)
-        imgs = {space.line_image(perm, line).index for perm in translations}
-        cls = set(space.class_members[line.class_id])
-        if imgs != cls:
-            bad.append({"line": line.index, "orbit_size": len(imgs),
-                        "class_size": len(cls)})
-    return cases, bad, {}
+    if sorted(itertools.chain(*space.class_members.values())) != list(range(len(space.lines))):
+        bad.append({"problem": "classes_not_a_partition"})
+    for ids in space.class_members.values():
+        cases += nt
+        reached = _reach(ids[0], moves)
+        if reached != set(ids):
+            bad.append({"line": ids[0], "orbit_size": len(reached),
+                        "class_size": len(ids)})
+    return cases, bad, {"mode": "orbit", "cases_represented": nt * len(space.lines)}
 
 
 def _check_p4_1(ctx: _Ctx):

@@ -4,8 +4,9 @@ Each file under ``tests/golden/`` holds the exact stdout of one command, or,
 for a command that takes ``--out OUT``, the file it writes.  A refactor that
 keeps every verdict but changes a case count, a witness, a key or the key
 order shows up here as a diff.  CI checks the q=11 goldens outside this
-module, and the ``export_q13_*.sha256`` files, each of which holds only the
-sha256 of the file that one q=13 ``export`` writes.
+module, and the q=13 ``*.sha256`` files, each of which holds only the
+sha256 of the file that one q=13 ``export`` writes or of the stdout of
+``theorems run --q 13 --json``.
 """
 
 import os

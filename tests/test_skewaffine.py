@@ -439,6 +439,18 @@ def test_orbit_sweep_rejects_non_equivariant_tables(plane5, delta5):
     assert e.value.code == "not_equivariant"
 
 
+def test_orbit_sweep_rejects_a_generator_that_breaks_a_line(plane5, delta5):
+    # two points swapped by the first generator's permutation: some line is
+    # carried onto a point set that is no line, a typed error, not a KeyError
+    gs = GroupSpace.build(plane5, canonical_pencil(plane5), delta5,
+                          check_preconditions=False)
+    perm = gs._gen_perms[0]
+    perm[0], perm[1] = perm[1], perm[0]
+    with pytest.raises(GeometryError) as e:
+        gs.check_axiom("T")
+    assert e.value.code == "not_equivariant"
+
+
 def test_sampled_reports_deterministic(space5):
     from laguerre import Budget
     r1 = space5.check_axiom("Des", Budget("sample", 5000, seed=7))

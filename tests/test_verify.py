@@ -1,8 +1,9 @@
 import pytest
 
-from laguerre import (Circle, GeometryError, LaguerrePlane, PencilAut,
+from laguerre import (Budget, Circle, GeometryError, LaguerrePlane, PencilAut,
                       PermutationMap, affine, canonical_pencil, ideal, thm_check,
                       thm_equiv_rel, thm_tangency_locus, verify)
+from laguerre.autgroup import IDENTITY, aut_compose, aut_inverse
 from laguerre.skewaffine import SPECIAL
 from laguerre.verify import CHECK_IDS, CHECK_SUMMARIES, TangentFamily
 
@@ -349,9 +350,9 @@ def test_run_suite_derives_each_plane_fact_once(monkeypatch):
     # (T3.2 alone rebuilt it for each of the 75 elements with one fixed
     # point).  The other 136 calls are one per tangency base (100) and six
     # for each of the six tangent families (the q members and T4.2's circle).
-    # Each residual point's stabilizer is scanned once for C2.1, T3.1, T3.2's
-    # factorization and the fixed points together, and point 0's once by the
-    # space build.
+    # Only point 0's stabilizer is scanned: once for the context, which
+    # conjugates it along the translations to every other point (C2.1, T3.1,
+    # T3.2 and the fixed points read those), and once by the space build.
     monkeypatch.setattr(verify, "_CTX_CACHE", {})
     ctx = verify._context(5)
     calls = {"pencil_tangent": 0, "circle_through": 0, "pencil_members": 0,
@@ -367,7 +368,7 @@ def test_run_suite_derives_each_plane_fact_once(monkeypatch):
         monkeypatch.setattr(owner, name, counted)
     assert all(rep.ok for rep in verify.run_suite(5))
     assert calls == {"pencil_tangent": 100, "circle_through": 205,
-                     "pencil_members": 25 + 136, "stabilizer": 25 + 1}
+                     "pencil_members": 25 + 136, "stabilizer": 1 + 1}
 
 
 def test_p2_1_fails_on_a_special_nonparallel_join(monkeypatch):
@@ -465,3 +466,201 @@ def test_t4_2_rejects_shifts_that_are_not_transitive(monkeypatch):
         thm_check("T4.2", 5)
     assert e.value.code == "not_transitive"
     assert "to 25 of the 125 circles" in str(e.value)
+
+
+# C2.1, T3.2, C3.3 and C3.4 evaluate point 0, or one line per class, and move
+# the result along the translations.  The loops they retired are the oracles
+# below, each over every point, element, line or pair.
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_stabilizers_match_the_per_point_scan(q):
+    ctx = verify._context(q)
+    scan = [(r, ctx.delta.stabilizer(r)) for r in ctx.space.points]
+    assert list(ctx.stabilizers.items()) == scan
+
+
+def _c2_1_every_point(ctx):
+    """C2.1 as an all-circles scan under each point's scanned stabilizer."""
+    plane, delta = ctx.plane, ctx.delta
+    cases, bad, off_vertex_invariant = 0, [], 0
+    for r in ctx.space.points:
+        stab = delta.stabilizer(r)
+        for C in plane.circles:
+            if not all(delta.apply(f, C) == C for f in stab):
+                continue
+            if not plane.incident(r, C):
+                off_vertex_invariant += 1
+                continue
+            cases += 1
+            missed = verify._remnant_missed(ctx, stab, r, C)
+            if missed:
+                bad.append({"r": repr(r), "circle": list(C),
+                            "missed": sorted(map(repr, missed))})
+    return cases, bad, {"invariant_missing_fixed_point": off_vertex_invariant}
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_c2_1_transport_matches_every_point(q):
+    rep = thm_check("C2.1", q)
+    details = {k: v for k, v in rep.details.items() if k != "summary"}
+    assert (rep.cases_checked, rep.witnesses, details) == _c2_1_every_point(verify._context(q))
+    assert rep.status == "pass"
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_t3_2_matches_all_elements_and_every_point(q):
+    # normality under every element, and the factorization at every point
+    # with its scanned stabilizer
+    ctx = verify._context(q)
+    gf, delta = ctx.plane.gf, ctx.delta
+    tset = set(delta.translations)
+    bad = [(f, tau) for f in delta.elements for tau in delta.translations
+           if aut_compose(gf, aut_compose(gf, f, tau), aut_inverse(gf, f)) not in tset]
+    bad += [r for r in ctx.space.points
+            if not delta.semidirect_factorization(delta.stabilizer(r))]
+    assert not bad and thm_check("T3.2", q).status == "pass"
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_c3_3_orbit_matches_exhaustive_pgm(q):
+    ctx = verify._context(q)
+    pairs = len(ctx.delta.translations) * (len(ctx.delta.translations) - 1) // 2
+    pgm = ctx.space.check_axiom("Pgm", Budget("exhaustive"))
+    rep = thm_check("C3.3", q)
+    assert pgm.status == rep.status == "pass"
+    assert rep.details["mode"] == "orbit"
+    assert rep.details["cases_represented"] == pairs + pgm.cases_checked
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_c3_4_orbit_matches_every_line_and_translation(q):
+    space = verify._context(q).space
+    cases, bad = 0, []
+    for line in space.lines:
+        cases += len(space.translation_perms)
+        imgs = {space.line_image(perm, line).index for perm in space.translation_perms}
+        if imgs != set(space.class_members[line.class_id]):
+            bad.append(line.index)
+    rep = thm_check("C3.4", q)
+    assert not bad and rep.status == "pass"
+    assert rep.details["mode"] == "orbit"
+    assert rep.details["cases_represented"] == cases
+
+
+def test_c2_1_applies_the_group_at_point_0_only(monkeypatch):
+    # on a warm context: 260 images for point 0's scan of the 125 circles,
+    # then 45 at each of the 25 points (5 moved circles, 20 invariance
+    # re-checks, 20 remnant-orbit images); the scan at every point made 7,000
+    monkeypatch.setattr(verify, "_CTX_CACHE", {})
+    ctx = verify._context(5)
+    ctx.stabilizers
+    real, calls = ctx.delta.apply, []
+
+    def counted(f, obj):
+        calls.append(f)
+        return real(f, obj)
+
+    monkeypatch.setattr(ctx.delta, "apply", counted)
+    assert thm_check("C2.1", 5).status == "pass"
+    assert len(calls) == 1385
+
+
+def test_stabilizers_reject_a_conjugate_that_moves_the_point(monkeypatch):
+    # the translations to points 1 and 2 swapped: Stab(0) conjugated by the
+    # wrong one fixes point 2, not point 1
+    monkeypatch.setattr(verify, "_CTX_CACHE", {})
+    space = verify._context(5).space
+    swapped = list(space.translations)
+    swapped[1], swapped[2] = swapped[2], swapped[1]
+    monkeypatch.setattr(space, "translations", swapped)
+    with pytest.raises(GeometryError) as e:
+        thm_check("C2.1", 5)
+    assert e.value.code == "stabilizer_mismatch"
+    assert "A(0,1)" in str(e.value)
+
+
+def test_c2_1_rejects_a_moved_circle_that_is_not_invariant(monkeypatch):
+    # a strain fixing only A(0,1) moves one circle through it: the circle
+    # moved there from point 0 fails its re-check
+    monkeypatch.setattr(verify, "_CTX_CACHE", {})
+    ctx = verify._context(5)
+    r = ctx.space.points[1]
+    strain = next(f for f in ctx.stabilizers[r] if f.k == 2)
+    target = next(C for C in ctx.plane.circles if ctx.plane.incident(r, C)
+                  and all(ctx.delta.apply(f, C) == C for f in ctx.stabilizers[r]))
+    real = ctx.delta.apply
+
+    def bent(f, obj):
+        if (f, obj) == (strain, target):
+            return Circle(obj.a, obj.b, (obj.c + 1) % 5)
+        return real(f, obj)
+
+    monkeypatch.setattr(ctx.delta, "apply", bent)
+    with pytest.raises(GeometryError) as e:
+        thm_check("C2.1", 5)
+    assert e.value.code == "not_equivariant"
+
+
+def test_t3_2_fails_on_a_generator_conjugate_outside_the_translations(monkeypatch):
+    monkeypatch.setattr(verify, "_CTX_CACHE", {})
+    ctx = verify._context(5)
+    ctx.stabilizers, ctx.unit_translations  # built before the fault
+    gen, tau = ctx.delta.generators()[0], PencilAut(1, 1, 0)
+    real = verify.aut_compose
+
+    def leaky(gf, f, h):
+        # g·τ taken as the identity, so g·τ·g⁻¹ is g⁻¹, not a translation
+        return IDENTITY if (f, h) == (gen, tau) else real(gf, f, h)
+
+    monkeypatch.setattr(verify, "aut_compose", leaky)
+    rep = thm_check("T3.2", 5)
+    assert rep.status == "fail"
+    assert rep.witnesses == [{"problem": "not_normal", "element": list(gen),
+                              "translation": [1, 1, 0]}]
+
+
+def test_unit_translations_must_close_to_the_translations(monkeypatch):
+    monkeypatch.setattr(verify, "_CTX_CACHE", {})
+    delta = verify._context(5).delta
+    monkeypatch.setattr(delta, "translations", delta.translations + [PencilAut(2, 0, 0)])
+    with pytest.raises(GeometryError) as e:
+        verify._context(5).unit_translations
+    assert e.value.code == "translations_not_closed"
+
+
+def test_c3_3_rejects_a_flipped_join_class(monkeypatch):
+    # an entry off point 0's row: the orbit sweep never reads it, so only
+    # the equivariance check sees it
+    monkeypatch.setattr(verify, "_CTX_CACHE", {})
+    space = verify._context(5).space
+    space._joinclass[1][2] = (space._joinclass[1][2] + 1) % space.ncls
+    with pytest.raises(GeometryError) as e:
+        thm_check("C3.3", 5)
+    assert e.value.code == "not_equivariant"
+
+
+def test_c3_4_fails_on_merged_classes(monkeypatch):
+    monkeypatch.setattr(verify, "_CTX_CACHE", {})
+    space = verify._context(5).space
+    first, second = space.class_ids[:2]
+    merged = dict(space.class_members)
+    merged[first] = sorted(merged[first] + merged.pop(second))
+    monkeypatch.setattr(space, "class_members", merged)
+    rep = thm_check("C3.4", 5)
+    assert rep.status == "fail"
+    # line 0 reaches only its own class of 25 lines
+    assert rep.witnesses == [{"line": 0, "orbit_size": 25, "class_size": 50}]
+
+
+def test_c3_4_fails_on_a_dropped_class(monkeypatch):
+    # the lines of a dropped class belong to no class, which one line per
+    # class cannot see: the classes must partition the lines
+    monkeypatch.setattr(verify, "_CTX_CACHE", {})
+    space = verify._context(5).space
+    dropped = dict(space.class_members)
+    dropped.pop(space.class_ids[1])
+    monkeypatch.setattr(space, "class_members", dropped)
+    rep = thm_check("C3.4", 5)
+    assert rep.status == "fail"
+    assert rep.witnesses == [{"problem": "classes_not_a_partition"}]
