@@ -58,25 +58,33 @@ exhaustively under ``sample:K``; L1, L2, P1 and P2 are quadratic and always
 exhaustive.
 
 Row sweeps.  The orbit and exhaustive sweeps of T, Des and Pap decide a row
-of cases at once, as C-level ``map``/``and_`` passes over int bitsets: for T
-the (x', y') pairs of one (x, y, z), for Des the z of one (u, x, y, x'), for
-Pap the x' of one (u, x, y, z).  A row may only accept.  Every case it does
-not accept goes to the axiom's case predicate (``_t_case_holds``,
-``_des_case_holds``, ``_pap_case``) in the sweep's loop order, so the case
-count, the witnesses and their order are those of a case-by-case sweep.  A
-row reads only what its predicate reads: T the ``_witmask``, ``_byclass``
-and ``_joinclass`` tables; Des and Pap the bitsets ``_row_masks`` derives at
-the start of each sweep from ``_joinclass`` and ``_linepts_minus``, never
-the stored ``_witmask``.  A damaged table therefore fails a row exactly
-where it fails the predicate.  Sampled sweeps decide each draw with the
-predicate.
+of cases at once: for T the (x', y') pairs of one (x, y, z), for Des the z
+of one (u, x, y, x'), for Pap the x' of one (u, x, y, z).  A row may only
+accept.  Every case it does not accept goes to the axiom's case predicate
+(``_t_case_holds``, ``_des_case_holds``, ``_pap_case``) in the sweep's loop
+order, so the case count, the witnesses and their order are those of a
+case-by-case sweep.  T and Pap decide a row by C-level ``map``/``and_``
+passes over int bitsets, which read only what their predicates read: T the
+``_witmask``, ``_byclass`` and ``_joinclass`` tables; Pap the bitsets
+``_row_masks`` derives at the start of each sweep from ``_joinclass`` and
+``_linepts_minus``, never the stored ``_witmask``.  A damaged table
+therefore fails a row exactly where it fails the predicate.  Des accepts a
+row by a witness.  Each line through u is an orbit of Stab(u), so for each
+x' on u⊔x some g in Stab(u) carries x to x', and y' = g(y), z' = g(z) are
+the points the axiom asks for.  ``_des_witnesses`` takes g from ``_stab0``
+conjugated along the translations and checks it once per x' against
+``_linepts_minus`` and ``_joinclass``; the row (y, x') is accepted when
+also jc[g(y)][g(z)] == jc[y][z] for every z.  These checks are the
+predicate's clauses in the tables it reads, so an accepted row holds
+whatever g is, and the group decides only how many rows reach the
+predicate.  Sampled sweeps decide each draw with the predicate.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from operator import and_, neg, or_
+from operator import and_, contains, neg, or_
 
 from .plane import GeometryError, LaguerrePlane, Pencil, Point, _not_a_point
 from .autgroup import DeltaGroup, PencilAut, _require_transitive
@@ -191,7 +199,7 @@ class GroupSpace:
         self.translations, self.translation_perms = self._translation_perms()
         # the orbit of each point under the stabilizer of point 0, numbered
         # in order of least point; the first is point 0's own
-        stab0 = [self.point_perm(f) for f in delta.stabilizer(self.points[0])]
+        self._stab0 = stab0 = [self.point_perm(f) for f in delta.stabilizer(self.points[0])]
         orbit_ids: dict[tuple[int, ...], int] = {}
         orbit_of = [orbit_ids.setdefault(tuple(sorted({perm[k] for perm in stab0})),
                                          len(orbit_ids)) for k in range(n)]
@@ -438,12 +446,12 @@ class GroupSpace:
                             "not_equivariant", repr(self.points[first]), "points")
 
     def _row_masks(self) -> tuple[list[list[int]], list[list[int]]]:
-        """Bitsets for the Des and Pap row sweeps, derived from the tables
-        their predicates read: ``cls[i][c]`` holds the points j != i with
+        """Bitsets for the Pap row sweep, derived from the tables its
+        predicate reads: ``cls[i][c]`` holds the points j != i with
         ``_joinclass[i][j] == c``, and ``off[u][z]`` the points of
         ``_linepts_minus[u][z]`` (0 for z = u).  ``cls[i]`` has one spare
         last slot, so that the class -1 of the diagonal reads the points
-        that carry it, as the predicates' comparisons do."""
+        that carry it, as the predicate's comparisons do."""
         n, jc = self.n, self._joinclass
         cls = [[0] * (self.ncls + 1) for _ in range(n)]
         for i in range(n):
@@ -610,36 +618,56 @@ class GroupSpace:
                     return True
         return False
 
+    def _des_witnesses(self, u: int, x: int) -> list[list[int] | None]:
+        """Per x' of ``_linepts_minus[u][x]``, a checked map g of point
+        indices, or ``None``.  g is T_u s T_u⁻¹ for the first s in
+        ``_stab0`` that carries T_u⁻¹(x) to T_u⁻¹(x'), a dilatation fixing u
+        with g(x) = x'.  It is kept only if, over the points z other than u
+        and x, the images g(z) are distinct and miss x', and each lies in
+        ``_linepts_minus[u][z]`` with ``_joinclass[x'][g(z)]`` equal to
+        ``_joinclass[x][z]``: the clauses of ``_des_case_holds`` that do not
+        pair y' with z'."""
+        n, jc, lpm_u = self.n, self._joinclass, self._linepts_minus[u]
+        trans = self.translation_perms[u]
+        back = [0] * n
+        for k, m in enumerate(trans):
+            back[m] = k
+        by_image: dict[int, list[int]] = {}
+        for s in self._stab0:
+            by_image.setdefault(s[back[x]], s)
+        others = [z for z in range(n) if z != u and z != x]
+        lines = list(map(lpm_u.__getitem__, others))
+        classes = list(map(jc[x].__getitem__, others))
+        witnesses = []
+        for x2 in lpm_u[x]:
+            g, s = None, by_image.get(back[x2])
+            if s is not None:
+                conj = list(map(trans.__getitem__, map(s.__getitem__, back)))
+                images = list(map(conj.__getitem__, others))
+                if (len({x2, *images}) == n - 1 and all(map(contains, lines, images))
+                        and list(map(jc[x2].__getitem__, images)) == classes):
+                    g = conj
+            witnesses.append(g)
+        return witnesses
+
     def _ax_Des(self, budget: Budget):
         n = self.n
         jc, lpm = self._joinclass, self._linepts_minus
         holds = self._des_case_holds
-        cls, off = self._row_masks()
 
         def pair(u, x, fail):
             cases = 0
-            off_u, jc_x, line = off[u], jc[x], lpm[u][x]
-            # per x', the z' candidates for every z: off u⊔z, in class(x⊔z) from x'
-            reach = [list(map(and_, off_u, map(cls[x2].__getitem__, jc_x)))
-                     for x2 in line]
+            line = lpm[u][x]
+            witnesses = self._des_witnesses(u, x)
             for y in range(n):
                 if y in (u, x):
                     continue
-                jc_y, cxy = jc[y], jc_x[y]
-                # a row is (y, x') over every z; it holds where some y' off
-                # u⊔y in class(x⊔y) from x' leaves a z' in class(y⊔z) from y'
-                rejected = []
-                for x2, row in zip(line, reach):
-                    hit = [0] * n
-                    y2s = off_u[y] & cls[x2][cxy]
-                    while y2s:
-                        low = y2s & -y2s
-                        y2s ^= low
-                        y2_cls = cls[low.bit_length() - 1].__getitem__
-                        hit = list(map(or_, hit, map(and_, row, map(y2_cls, jc_y))))
-                    hit[u] = hit[x] = hit[y] = 1
-                    if not all(hit):
-                        rejected.append(x2)
+                # a row is (y, x') over every z.  With its witness g, the
+                # y' = g(y) and z' = g(z) meet the predicate at z once
+                # jc[y'][z'] == jc[y][z]; one list compares every z
+                jc_y = jc[y]
+                rejected = [x2 for x2, g in zip(line, witnesses)
+                            if g is None or list(map(jc[g[y]].__getitem__, g)) != jc_y]
                 cases += (n - 3) * (len(line) - len(rejected))
                 if not rejected:
                     continue

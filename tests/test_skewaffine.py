@@ -590,8 +590,18 @@ def test_pap_rows_keep_x_out_of_the_y_prime_pool(plane5, delta5):
                                            "A(0,1)", "A(0,2)")))
 
 
-def test_row_sweeps_decide_passing_spaces(space3, space5, monkeypatch):
-    # the bitset rows accept every case of a passing space, so its orbit and
+def _p1_2(pl):
+    return pl.pencil(affine(1, 2), Circle(0, 0, 2))
+
+
+@pytest.fixture(scope="module")
+def space5_p1_2():
+    return GroupSpace.build(*_fresh(5, _p1_2), check_preconditions=False)
+
+
+def test_row_sweeps_decide_passing_spaces(space3, space5, space7, space5_p1_2,
+                                          monkeypatch):
+    # the rows accept every case of a passing space, so its orbit and
     # exhaustive sweeps of T, Des and Pap call no case predicate; the sampled
     # sweeps still decide each draw with one, which shows the count is live
     from laguerre import Budget
@@ -601,14 +611,213 @@ def test_row_sweeps_decide_passing_spaces(space3, space5, monkeypatch):
             calls.append(case)
             return _predicate(self, *case)
         monkeypatch.setattr(GroupSpace, name, counted)
-    for gs in (space3, space5):
+    orbit, exhaustive = Budget("orbit", 0, 0), Budget("exhaustive", 0, 0)
+    for gs, budgets in ((space3, (orbit, exhaustive)), (space5, (orbit, exhaustive)),
+                        (space7, (orbit,)), (space5_p1_2, (orbit, exhaustive))):
         for axiom in ("T", "Des", "Pap"):
-            for budget in (Budget("orbit", 0, 0), Budget("exhaustive", 0, 0)):
+            for budget in budgets:
                 assert gs.check_axiom(axiom, budget).status == "pass"
     assert calls == []
     for axiom in ("T", "Des", "Pap"):
         assert space5.check_axiom(axiom, Budget("sample", 10, seed=1)).status == "pass"
     assert len(calls) == 30
+
+
+def _sweep_pairs(gs, mode):
+    """The (first, second) point pairs that a sweep in ``mode`` evaluates."""
+    if mode == "orbit":
+        first, orbits = gs._orbit_reps()
+        return [(first, y) for y, _ in orbits]
+    return [(u, x) for u in range(gs.n) for x in range(gs.n) if u != x]
+
+
+def _des_cases(gs, pairs):
+    """Every Des case whose (u, x) is in ``pairs``, in the sweep's loop order."""
+    lpm = gs._linepts_minus
+    for u, x in pairs:
+        for y in range(gs.n):
+            if y != u and y != x:
+                for z in range(gs.n):
+                    if z not in (u, x, y):
+                        for x2 in lpm[u][x]:
+                            yield u, x, y, z, x2
+
+
+def _bitset_des(gs, budget):
+    """Des as its row sweep decided it before the dilatation witnesses: a row
+    (y, x') holds at z where some y' of u⊔y in class(x⊔y) from x' leaves a z'
+    of u⊔z in class(x⊔z) from x' and in class(y⊔z) from y', all as ANDs of
+    the bitsets ``_row_masks`` derives; every rejected row goes to the
+    predicate.  Kept as the oracle of the witness rows."""
+    from operator import and_, or_
+    n, jc, lpm = gs.n, gs._joinclass, gs._linepts_minus
+    cls, off = gs._row_masks()
+
+    def pair(u, x, fail):
+        cases = 0
+        off_u, jc_x, line = off[u], jc[x], lpm[u][x]
+        reach = [list(map(and_, off_u, map(cls[x2].__getitem__, jc_x)))
+                 for x2 in line]
+        for y in range(n):
+            if y in (u, x):
+                continue
+            jc_y, cxy = jc[y], jc_x[y]
+            rejected = []
+            for x2, row in zip(line, reach):
+                hit = [0] * n
+                y2s = off_u[y] & cls[x2][cxy]
+                while y2s:
+                    low = y2s & -y2s
+                    y2s ^= low
+                    y2_cls = cls[low.bit_length() - 1].__getitem__
+                    hit = list(map(or_, hit, map(and_, row, map(y2_cls, jc_y))))
+                hit[u] = hit[x] = hit[y] = 1
+                if not all(hit):
+                    rejected.append(x2)
+            cases += (n - 3) * (len(line) - len(rejected))
+            for z in range(n):
+                if rejected and z not in (u, x, y):
+                    for x2 in rejected:
+                        cases += 1
+                        if not gs._des_case_holds(u, x, y, z, x2):
+                            fail(u, x, y, z, x2)
+        return cases
+
+    return gs._sweep(budget, ("u", "x", "y", "z", "x'"), pair)
+
+
+def _des_with_calls(gs, budget, monkeypatch):
+    """Des on ``gs`` under ``budget``, and the cases it passed to the
+    predicate."""
+    sent = []
+    predicate = gs._des_case_holds
+
+    def recording(*case):
+        sent.append(case)
+        return predicate(*case)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(gs, "_des_case_holds", recording)
+        got = gs._ax_Des(budget)
+    return got, sent
+
+
+def test_des_witness_rows_accept_only_holding_cases(space3, space5, space5_p1_2,
+                                                     monkeypatch):
+    # a row the witness accepts is not shown to the predicate; each of its
+    # cases must hold under the predicate, and the report must be the
+    # retired bitset row's
+    from itertools import repeat
+    from laguerre import Budget
+    for gs in (space3, space5, space5_p1_2):
+        n, lpm, holds = gs.n, gs._linepts_minus, gs._des_case_holds
+        for mode in ("orbit", "exhaustive"):
+            budget = Budget(mode, 0, 0)
+            got, sent = _des_with_calls(gs, budget, monkeypatch)
+            assert got == _bitset_des(gs, budget), (gs.q, mode)
+            sent = {(u, x, y, x2) for u, x, y, _, x2 in sent}
+            for u, x in _sweep_pairs(gs, mode):
+                for y in range(n):
+                    if y == u or y == x:
+                        continue
+                    zs = [z for z in range(n) if z not in (u, x, y)]
+                    for x2 in lpm[u][x]:
+                        if (u, x, y, x2) not in sent:
+                            assert all(map(holds, repeat(u), repeat(x), repeat(y),
+                                           zs, repeat(x2))), (gs.q, mode, u, x, y, x2)
+
+
+def test_des_reports_match_the_bitset_rows_on_damaged_spaces(plane5, delta5):
+    # the damaged tables are not equivariant, so only the exhaustive sweep
+    # runs on them
+    from laguerre import Budget
+    budget = Budget("exhaustive", 0, 0)
+    for consistent in (True, False):
+        gs = _damaged_space5(plane5, delta5, consistent)
+        got = gs._ax_Des(budget)
+        assert got[1], consistent
+        assert got == _bitset_des(gs, budget), consistent
+
+
+def _lpm_damaged_space5(plane5, delta5):
+    # u = A(0,0): the _linepts_minus entry of u and A(0,2) is moved from
+    # (2, 3) to (1, 3), so a y' = A(0,2) for y = A(0,2) no longer counts
+    gs = GroupSpace.build(plane5, canonical_pencil(plane5), delta5,
+                          check_preconditions=False)
+    row = gs._linepts_minus[0]
+    assert row[2] == (2, 3)
+    row[2] = (1, 3)
+    return gs
+
+
+def test_des_reports_do_not_rest_on_the_stabilizer(plane5, delta5, monkeypatch):
+    # _stab0 replaced by permutations that are no dilatations: no witness
+    # survives its check, so rows go to the predicate and every report stays
+    # as it was
+    import random
+    from laguerre import Budget
+    rng = random.Random(5)
+    for gs, modes in ((GroupSpace.build(*_fresh(3), check_preconditions=False),
+                       ("orbit", "exhaustive")),
+                      (GroupSpace.build(plane5, canonical_pencil(plane5), delta5,
+                                        check_preconditions=False), ("orbit",)),
+                      (_lpm_damaged_space5(plane5, delta5), ("orbit",))):
+        want = {mode: _des_with_calls(gs, Budget(mode, 0, 0), monkeypatch)
+                for mode in modes}
+        gs._stab0 = [rng.sample(range(gs.n), gs.n) for _ in range(4 * gs.n)]
+        gs._stab0 += gs.translation_perms[1:]
+        for mode, (report, sent) in want.items():
+            got, sent_now = _des_with_calls(gs, Budget(mode, 0, 0), monkeypatch)
+            assert got == report, (gs.q, mode)
+            assert len(sent_now) > len(sent), (gs.q, mode)
+
+
+def test_des_witnesses_check_the_line_tables(plane5, delta5):
+    # every witness g with g(A(0,2)) = A(0,2) still carries the join classes
+    # as a dilatation does; only its check against the line table keeps its
+    # rows from accepting the cases that the predicate now fails
+    from laguerre import Budget
+    gs = _lpm_damaged_space5(plane5, delta5)
+    names = ("u", "x", "y", "z", "x'")
+    expected = {"orbit": (12144, 990), "exhaustive": (1113200, 2398)}
+    for mode, (cases, count) in expected.items():
+        rep = gs.check_axiom("Des", Budget(mode, 0, 0))
+        want = [gs._witness(names, *case)
+                for case in _des_cases(gs, _sweep_pairs(gs, mode))
+                if not gs._des_case_holds(*case)]
+        assert (rep.cases_checked, len(want)) == (cases, count), mode
+        assert rep.witnesses == want, mode
+        assert want[0] == dict(zip(names, ("A(0,0)", "A(0,1)", "A(0,2)",
+                                           "A(0,3)", "A(0,1)")))
+
+
+def test_des_witnesses_are_injective_and_miss_x_prime(plane5, delta5):
+    # on the straight line L = {A(k,0)} through u = A(0,0), the dilatation
+    # g0 = stab0[1] (k = 2) carries x = A(1,0) to x' = A(2,0).  Sending
+    # z = A(4,0) instead to g0(A(3,0)) = A(1,0), or to x' itself where the
+    # diagonal class of x' is damaged to L's, keeps every image on its line
+    # of u and in its join class from x'; z' = y' and z' = x' still forbid
+    # the map as a witness
+    gs = GroupSpace.build(plane5, canonical_pencil(plane5), delta5,
+                          check_preconditions=False)
+    u, x, x2, y, z = (gs.index[affine(k, 0)] for k in range(5))
+    assert gs.translation_perms[u] == list(range(gs.n))  # g is s itself at u
+    g0 = gs._stab0[1]
+    assert (g0[x], g0[y]) == (x2, x)
+    slot = gs._linepts_minus[u][x].index(x2)
+
+    def witness(g):
+        gs._stab0 = [g]
+        return gs._des_witnesses(u, x)[slot]
+
+    assert witness(g0) == g0
+    twice = list(g0)
+    twice[z] = g0[y]
+    assert witness(twice) is None
+    gs._joinclass[x2][x2] = gs._joinclass[x][z]
+    onto_x2 = list(g0)
+    onto_x2[z] = x2
+    assert witness(onto_x2) is None
 
 
 def test_noncanonical_space_smoke():
