@@ -11,7 +11,8 @@ Point indices.  Inside ``GroupSpace`` a point is its index in the sorted
 list ``points``.  A group element acts only through ``point_perm``, the
 group's action on plane indices (``DeltaGroup.image``) restricted to these
 points, and ``line_image`` carries a line along it.  Only point 0's
-stabilizer comes from a scan of the group (``DeltaGroup.stabilizer``).  The
+stabilizer comes from a scan of the group (``DeltaGroup.stabilizer``); the
+space keeps its elements, ``stabilizer0``, and their permutations.  The
 group is the translations times that stabilizer, so the stabilizer of point
 i is T_i Stab(0) T_i⁻¹, where T_i, ``translations[i]``, is the
 translation carrying point 0 to point i; the build raises
@@ -34,13 +35,22 @@ the line (i, o) to the line (g(i), o), because T_{g(i)}⁻¹ g T_i fixes point
 0, and the translations carry (0, o) to every (i, o).  So ``class_id`` is
 the least index of a line with that orbit, and a line's kind is its orbit's.
 
+Tables.  The whole incidence structure is point 0's orbits moved along the
+translations, so every table is derived once per (i, o), and row i of each
+is point 0's row moved along T_i: entry j reads the orbit o of T_i⁻¹(j).
+``_joinline[i][j]`` is the index of the line (i, o); ``_joinclass[i][j]``
+the position of its class in ``class_ids`` (not o: the two orders differ);
+``_linepts_minus[i][j]`` the points of that line other than i, one tuple
+per (i, o), which ``_byclass[i][c]`` shares for the class at position c
+and whose bits are ``_witmask[i][c]``.  The diagonal, point 0's own orbit,
+reads -1 in the first two tables and ``None`` in the third.
+
 Every join is computed twice.  The orbit route above gives every pair's
 line.  The closed form, the circle through x and y with its vertex at x or
-the square-class offsets of a parallel pair, runs once per base point and
-orbit, when that orbit is first moved to the point; its point set must
-equal the orbit route's, and its kind the orbit's, or the build raises
-``join_mismatch``.  Any other y of the same orbit lies on that line, and its
-closed-form line is the same.
+the square-class offsets of a parallel pair, runs once per (i, o), on i and
+the least point of T_i(o); its point set must equal the orbit route's, and
+its kind the orbit's, or the build raises ``join_mismatch``.  Any other y
+of the same orbit lies on that line, and its closed-form line is the same.
 
 Axiom budgets.  T, V, Pgm, Des and Pap quantify first over two points, and
 every case is decided by the join-line and join-class tables, which the
@@ -199,49 +209,62 @@ class GroupSpace:
         self.translations, self.translation_perms = self._translation_perms()
         # the orbit of each point under the stabilizer of point 0, numbered
         # in order of least point; the first is point 0's own
-        self._stab0 = stab0 = [self.point_perm(f) for f in delta.stabilizer(self.points[0])]
+        self.stabilizer0 = delta.stabilizer(self.points[0])
+        self._stab0 = stab0 = [self.point_perm(f) for f in self.stabilizer0]
         orbit_ids: dict[tuple[int, ...], int] = {}
         orbit_of = [orbit_ids.setdefault(tuple(sorted({perm[k] for perm in stab0})),
                                          len(orbit_ids)) for k in range(n)]
         self._orbits0 = orbits = list(orbit_ids)
 
-        pairs: dict[tuple, list[tuple[int, int]]] = {}
+        # the key of the line (i, o), for every orbit o but point 0's own
+        keys: list[list[tuple]] = []
+        bases: dict[tuple, list[int]] = {}
         kinds: dict[int, str] = {}
         for i, trans in enumerate(self.translation_perms):
-            back = [0] * n
-            for k, m in enumerate(trans):
-                back[m] = k
-            moved: dict[int, tuple[int, ...]] = {}
-            for j in range(n):
-                if j != i:
-                    o = orbit_of[back[j]]
-                    got = moved.get(o)
-                    if got is None:
-                        got = moved[o] = tuple(sorted({trans[m] for m in orbits[o]} | {i}))
-                        kind, want = self._closed_form(i, j, canon, at)
-                        if want != got or kinds.setdefault(o, kind) != kind:
-                            raise GeometryError(
-                                f"join mismatch between orbit and closed form "
-                                f"at {self.points[i]}, {self.points[j]}",
-                                code="join_mismatch")
-                    pairs.setdefault((got, o), []).append((i, j))
+            row = []
+            for o in range(1, len(orbits)):
+                moved = {trans[m] for m in orbits[o]}
+                ids, j = tuple(sorted(moved | {i})), min(moved)
+                kind, want = self._closed_form(i, j, canon, at)
+                if want != ids or kinds.setdefault(o, kind) != kind:
+                    raise GeometryError(
+                        f"join mismatch between orbit and closed form "
+                        f"at {self.points[i]}, {self.points[j]}",
+                        code="join_mismatch")
+                bases.setdefault((ids, o), []).append(i)
+                row.append((ids, o))
+            keys.append(row)
         self._gen_perms = [self.point_perm(g) for g in self._gens]
 
         # a parallel class is a Stab(0)-orbit; its id is its least line index
-        self._joinline = [[-1] * n for _ in range(n)]
+        line_index: dict[tuple, int] = {}
         self.class_members: dict[int, list[int]] = {}
         class_of: dict[int, int] = {}
-        for ix, key in enumerate(sorted(pairs)):
+        for ix, key in enumerate(sorted(bases)):
             ids, o = key
-            for i, j in pairs[key]:
-                self._joinline[i][j] = ix
-            bases = tuple(sorted({i for i, _ in pairs[key]}))
+            line_index[key] = ix
             cid = class_of.setdefault(o, ix)
             self.class_members.setdefault(cid, []).append(ix)
-            self.lines.append(Line(ix, ids, kinds[o], bases, self.points, cid))
+            self.lines.append(Line(ix, ids, kinds[o], tuple(bases[key]), self.points, cid))
         self.class_ids = list(self.class_members)
+        self.ncls = len(self.class_ids)
         self._line_by_key = {(l.ids, l.class_id): l for l in self.lines}
-        self._build_tables()
+
+        # each orbit's class position in class_ids (see "Tables" above)
+        position = [-1] + [self.class_ids.index(class_of[o]) for o in range(1, len(orbits))]
+        by_position = sorted(range(1, len(orbits)), key=position.__getitem__)
+        self._joinline, self._joinclass, self._linepts_minus = [], [], []
+        self._byclass, self._witmask = [], []
+        for i, (trans, row) in enumerate(zip(self.translation_perms, keys)):
+            # the orbit of T_i⁻¹(j) for each j; sorting by image inverts T_i
+            r = list(map(orbit_of.__getitem__, sorted(range(n), key=trans.__getitem__)))
+            lids = [-1] + [line_index[key] for key in row]
+            minus = [None] + [tuple(k for k in ids if k != i) for ids, _ in row]
+            self._joinline.append(list(map(lids.__getitem__, r)))
+            self._joinclass.append(list(map(position.__getitem__, r)))
+            self._linepts_minus.append(list(map(minus.__getitem__, r)))
+            self._byclass.append([minus[o] for o in by_position])
+            self._witmask.append([sum(map((1).__lshift__, minus[o])) for o in by_position])
 
     def _translation_perms(self) -> tuple[list[PencilAut], list[list[int]]]:
         """The translations and their point permutations, the i-th carrying
@@ -279,36 +302,6 @@ class GroupSpace:
         B, C = (-2 * A * x0) % q, (A * x0 * x0 + y0) % q
         pts = [at[s * q + (A * s * s + B * s + C) % q] for s in range(q)]
         return STRAIGHT if A == 0 else CIRCLE_LINE, tuple(sorted(pts))
-
-    def _build_tables(self) -> None:
-        n = self.n
-        cls_index = {cid: i for i, cid in enumerate(self.class_ids)}
-        self.ncls = len(self.class_ids)
-        jl = self._joinline
-        self._joinclass = [[cls_index[self.lines[jl[i][j]].class_id] if i != j else -1
-                            for j in range(n)] for i in range(n)]
-        jc = self._joinclass
-        self._byclass = [[[] for _ in range(self.ncls)] for _ in range(n)]
-        self._witmask = [[0] * self.ncls for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                c = jc[i][j]
-                self._byclass[i][c].append(j)
-                self._witmask[i][c] |= 1 << j
-        # one tuple per base point i and line through it, shared by every j
-        # whose join with i is that line
-        self._linepts_minus = [[None] * n for _ in range(n)]
-        for i in range(n):
-            minus = {}
-            row = self._linepts_minus[i]
-            for j in range(n):
-                if i != j:
-                    lid = jl[i][j]
-                    if lid not in minus:
-                        minus[lid] = tuple(k for k in self.lines[lid].ids if k != i)
-                    row[j] = minus[lid]
 
     # -- public queries -----------------------------------------------------
 

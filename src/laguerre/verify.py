@@ -195,11 +195,11 @@ class _Ctx:
 
     @cached_property
     def stabilizers(self) -> dict[Point, list[PencilAut]]:
-        """Each point's stabilizer, in residual and (k, t, g) order: Stab(0)
-        conjugated by T_r.  Δ is transitive, so |Δ|/q² elements fixing r are
-        Stab(r); anything else raises ``stabilizer_mismatch``."""
+        """Each point's stabilizer, in residual and (k, t, g) order: the space's
+        Stab(0) conjugated by T_r.  Δ is transitive, so |Δ|/q² elements fixing
+        r are Stab(r); anything else raises ``stabilizer_mismatch``."""
         gf, delta, space = self.plane.gf, self.delta, self.space
-        stab0, out = delta.stabilizer(space.points[0]), {}
+        stab0, out = space.stabilizer0, {}
         for r, T in zip(space.points, space.translations):
             Ti, i = aut_inverse(gf, T), self.plane.point_index[r]
             stab = sorted({aut_compose(gf, aut_compose(gf, T, s), Ti) for s in stab0})

@@ -355,10 +355,33 @@ def _per_point_route(gs):
     return {pair: line[key] for pair, key in join.items()}, set(line.values()), classes
 
 
+def _per_pair_tables(gs):
+    """The residual tables as they were derived before each row became
+    point 0's row moved along T_i: passes over every ordered pair, from the
+    join-line table, the lines and ``class_ids``.  Returns the join-class,
+    by-class, witness-mask and line-minus-base tables."""
+    n, ncls, jl = gs.n, len(gs.class_ids), gs._joinline
+    cls_index = {cid: i for i, cid in enumerate(gs.class_ids)}
+    jc = [[cls_index[gs.lines[jl[i][j]].class_id] if i != j else -1
+           for j in range(n)] for i in range(n)]
+    byclass = [[[] for _ in range(ncls)] for _ in range(n)]
+    witmask = [[0] * ncls for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                byclass[i][jc[i][j]].append(j)
+                witmask[i][jc[i][j]] |= 1 << j
+    minus = [[None if i == j else tuple(k for k in gs.lines[jl[i][j]].ids if k != i)
+              for j in range(n)] for i in range(n)]
+    return jc, byclass, witmask, minus
+
+
 @pytest.mark.parametrize("q, pencil", [
     (3, None), (5, None), (7, None),
     (5, lambda pl: pl.pencil(affine(1, 2), Circle(0, 0, 2))),
     (5, lambda pl: pl.pencil(ideal(3), Circle(3, 0, 0))),
+    (7, lambda pl: pl.pencil(affine(1, 2), Circle(0, 0, 2))),
+    (7, lambda pl: pl.pencil(ideal(3), Circle(3, 0, 0))),
 ])
 def test_transported_orbits_match_the_per_point_route(q, pencil):
     plane, pencil, delta = _fresh(q, pencil)
@@ -372,6 +395,23 @@ def test_transported_orbits_match_the_per_point_route(q, pencil):
             for members in gs.class_members.values()} == classes
     assert all(gs.lines[ix].class_id == cid
                for cid, members in gs.class_members.items() for ix in members)
+    # every other table against the per-pair passes; a class is numbered by
+    # its position in class_ids, not by its orbit
+    jc, byclass, witmask, minus = _per_pair_tables(gs)
+    assert gs.ncls == len(gs.class_ids)
+    assert gs._joinclass == jc
+    assert [[list(members) for members in row] for row in gs._byclass] == byclass
+    assert gs._witmask == witmask
+    assert gs._linepts_minus == minus
+    # one tuple per base point and line through it, shared by every entry
+    # of its row and by its class
+    for i in range(gs.n):
+        shared = {}
+        for j in range(gs.n):
+            if j != i:
+                assert gs._byclass[i][jc[i][j]] is gs._linepts_minus[i][j]
+                assert shared.setdefault(gs._joinline[i][j],
+                                         gs._linepts_minus[i][j]) is gs._linepts_minus[i][j]
 
 
 def test_translation_perms_carry_point_0_to_each_point(space5):

@@ -350,9 +350,9 @@ def test_run_suite_derives_each_plane_fact_once(monkeypatch):
     # (T3.2 alone rebuilt it for each of the 75 elements with one fixed
     # point).  The other 136 calls are one per tangency base (100) and six
     # for each of the six tangent families (the q members and T4.2's circle).
-    # Only point 0's stabilizer is scanned: once for the context, which
-    # conjugates it along the translations to every other point (C2.1, T3.1,
-    # T3.2 and the fixed points read those), and once by the space build.
+    # Only point 0's stabilizer is scanned, once, by the space build; the
+    # context conjugates the space's copy along the translations to every
+    # other point (C2.1, T3.1, T3.2 and the fixed points read those).
     monkeypatch.setattr(verify, "_CTX_CACHE", {})
     ctx = verify._context(5)
     calls = {"pencil_tangent": 0, "circle_through": 0, "pencil_members": 0,
@@ -368,7 +368,7 @@ def test_run_suite_derives_each_plane_fact_once(monkeypatch):
         monkeypatch.setattr(owner, name, counted)
     assert all(rep.ok for rep in verify.run_suite(5))
     assert calls == {"pencil_tangent": 100, "circle_through": 205,
-                     "pencil_members": 25 + 136, "stabilizer": 1 + 1}
+                     "pencil_members": 25 + 136, "stabilizer": 1}
 
 
 def test_p2_1_fails_on_a_special_nonparallel_join(monkeypatch):
