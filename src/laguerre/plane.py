@@ -9,7 +9,10 @@ that makes equality canonical and group actions O(1), while point sets are
 derived on demand.  The axiom sweep derives them as bitsets instead
 (``incidence_masks``): a point's bit is its position in ``points`` (affine
 ``x*q+y``, ideal ``q*q+a``), a circle's bit its position in ``circles``
-(``a*q*q+b*q+c``).  The masks are built per sweep and never kept.
+(``a*q*q+b*q+c``).  The masks are built per sweep and never kept.  The
+sweep counts incidences by OR-ing masks into saturating counters (a bit set
+in ``threes`` lies in at least three of the masks), and reads the closed form
+``pencil_members`` once per pencil, not once per flag.
 
 Tangency is defined set-theoretically (exactly one common point).  For odd
 q the quadratic-discriminant shortcut computes the same counts and the two
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple
 
 from .field import GF, SQUARE, ZERO
@@ -28,6 +32,16 @@ from .report import Report, run_check
 
 AFFINE = "A"
 IDEAL = "I"
+
+
+def _bits(m: int) -> list[int]:
+    """The positions of the set bits of ``m >= 0``, ascending."""
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return out
 
 
 class GeometryError(ValueError):
@@ -372,77 +386,139 @@ class LaguerrePlane:
         Join uniqueness is split into existence plus uniqueness through
         every admissible triple (exactly one circle contains all three) and
         the pairwise bound |C1 ∩ C2| <= 2, which avoids a cubic scan over
-        circles.  The touching axiom takes each pencil from the closed form
+        circles.  Both run on saturating counters: OR-ing the masks of a
+        family into ``ones``, ``twos`` and ``threes`` marks every bit that
+        at least one, two or three of them hold.  Over the circle masks of
+        a circle's points, ``threes`` holds the circles meeting it in three
+        points or more; over the point masks of the circles through two
+        nonparallel points, a later point off ``ones ^ twos`` lies on no
+        circle or on two of them.
+
+        The touching axiom takes each pencil from the closed form
         ``pencil_members``: every member must meet the base circle in the
         vertex alone, and the members must cover each point off the vertex
-        generator exactly once.  A member that fails the first test raises
+        generator exactly once.  The closed form is called once per pencil,
+        at the pencil's first circle in ``circles`` order; when that flag
+        passes, its list serves every other member as base at the same
+        vertex (the touch test runs again, and coverage, which does not
+        depend on the base, is not), so a closed-form fault at a pencil's
+        other bases is not seen here; ``pencil_members`` is tested at every
+        base on its own.  A member that fails the first test raises
         ``pencil_member_mismatch`` while the join checks have passed, since
         the closed form is then at fault; once the incidence itself has
-        failed them, it is reported as a ``touch`` witness instead.
+        failed them, it is reported as a ``touch`` witness instead.  A
+        member that is not a circle of the plane always raises.  Findings
+        are reported, and the least of them raised, in flag order (circle,
+        then vertex, then member), as when each flag was swept on its own.
         """
         def sweep():
             q = self.q
             witnesses = []
             cases = 0
             cm, pc, gm = self.incidence_masks()
-            points, index = self.points, self.point_index
+            points, circles = self.points, self.circles
             bit_count = int.bit_count
 
-            # pairwise intersection bound (uniqueness half of the join axiom)
-            too_many = (2).__lt__  # n -> 2 < n
+            # pairwise intersection bound (uniqueness half of the join axiom):
+            # the circles through three or more points of circle i
+            n = len(circles)
             for i, mi in enumerate(cm):
-                rest = cm[i + 1:]
-                cases += len(rest)
-                for j in itertools.compress(itertools.count(i + 1),
-                                            map(too_many, map(bit_count, map(mi.__and__, rest)))):
+                cases += n - 1 - i
+                ones = twos = threes = 0
+                for k in _bits(mi):
+                    m = pc[k]
+                    threes |= twos & m
+                    twos |= ones & m
+                    ones |= m
+                for j in _bits(threes >> (i + 1)):
                     witnesses.append({"axiom": "join",
-                                      "circles": [list(self.circles[i]), list(self.circles[j])]})
+                                      "circles": [list(circles[i]), list(circles[i + 1 + j])]})
 
             # existence and uniqueness: every pairwise-nonparallel triple
-            # lies on exactly one circle
-            not_one = (1).__ne__  # n -> 1 != n
-            gen_pts = [[index[p] for p in self.generator_points(g)] for g in self.generators]
-            for g1, g2, g3 in itertools.combinations(range(q + 1), 3):
-                third = gen_pts[g3]
-                third_masks = [pc[i] for i in third]
+            # lies on exactly one circle.  For each pair on generators
+            # g1 < g2 < q the points of later generators are counted at
+            # once; a block's witnesses are ordered by g3, then by the pair
+            gen_pts = [[self.point_index[p] for p in self.generator_points(g)]
+                       for g in self.generators]
+            later = [0] * (q + 1)
+            for g in range(q, 0, -1):
+                later[g - 1] = later[g] | gm[g]
+            for g1, g2 in itertools.combinations(range(q), 2):
+                rest = later[g2]
+                cases += len(gen_pts[g1]) * len(gen_pts[g2]) * sum(
+                    map(len, gen_pts[g2 + 1:]))
+                block = []
                 for i1 in gen_pts[g1]:
                     for i2 in gen_pts[g2]:
-                        cases += len(third)
-                        m12 = pc[i1] & pc[i2]
-                        for i3 in itertools.compress(
-                                third, map(not_one, map(bit_count, map(m12.__and__, third_masks)))):
-                            witnesses.append({"axiom": "join", "points": [
-                                repr(points[i1]), repr(points[i2]), repr(points[i3])]})
+                        ones = twos = 0
+                        for k in _bits(pc[i1] & pc[i2]):
+                            m = cm[k]
+                            twos |= ones & m
+                            ones |= m
+                        bad = rest & ~(ones ^ twos)
+                        if not bad:
+                            continue
+                        for g3 in range(g2 + 1, q + 1):
+                            for i3 in gen_pts[g3]:
+                                if bad >> i3 & 1:
+                                    block.append((g3, {"axiom": "join", "points": [
+                                        repr(points[i1]), repr(points[i2]), repr(points[i3])]}))
+                block.sort(key=itemgetter(0))
+                witnesses.extend(w for _, w in block)
 
             # touching axiom via pencil partitioning: each member meets the
             # base in the vertex alone, and the members cover each point off
             # the vertex generator exactly once
             strict = not witnesses
-            circle_index = {C: i for i, C in enumerate(self.circles)}
+            circle_index = {C: i for i, C in enumerate(circles)}
             sizes = list(map(bit_count, cm))
-            for K, mk in zip(self.circles, cm):
-                for p in self.circle_points(K):
+            findings = []    # ((circle, vertex, member position), witness)
+            mismatches = []  # ((circle, vertex, member position), message)
+            for pi, (p, at_p) in enumerate(zip(points, pc)):
+                vertex = 1 << pi
+                kept = {}  # circle -> member indices of its passing pencil at p
+                for ki in _bits(at_p):
                     cases += 1
-                    vertex = 1 << index[p]
-                    covered = total = 0
-                    for M in self.pencil_members(Pencil(p, K), verify=False):
-                        mi = circle_index[M]
-                        m = cm[mi]
-                        if M != K and m & mk != vertex:
+                    K, mk = circles[ki], cm[ki]
+                    mis = kept.get(ki)
+                    first = mis is None
+                    if first:
+                        members = self.pencil_members(Pencil(p, K), verify=False)
+                        mis = [circle_index.get(M) for M in members]
+                    failed = False
+                    for pos, mi in enumerate(mis):
+                        if mi is None:
+                            failed = True
+                            mismatches.append(((ki, pi, pos), f"{members[pos]} does not touch "
+                                               f"{K} at {p}: not a circle of the plane"))
+                        elif mi != ki and cm[mi] & mk != vertex:
+                            failed = True
+                            M = circles[mi]
                             if strict:
-                                raise GeometryError(f"{M} does not touch {K} at {p}",
-                                                    code="pencil_member_mismatch")
-                            witnesses.append({"axiom": "touch", "pencil": [repr(p), list(K)],
-                                              "member": list(M)})
-                        covered |= m
-                        total += sizes[mi] - 1
+                                mismatches.append(((ki, pi, pos),
+                                                   f"{M} does not touch {K} at {p}"))
+                            findings.append(((ki, pi, pos), {
+                                "axiom": "touch", "pencil": [repr(p), list(K)],
+                                "member": list(M)}))
+                    if not first or None in mis:  # coverage does not depend on the base
+                        continue
+                    covered = 0
+                    for mi in mis:
+                        covered |= cm[mi]
                     seen = bit_count(covered)
-                    if seen != q * q + 1 or total != q * q:
-                        witnesses.append({"axiom": "touch", "pencil": [repr(p), list(K)],
-                                          "covered": seen})
+                    if seen != q * q + 1 or sum(sizes[mi] - 1 for mi in mis) != q * q:
+                        findings.append(((ki, pi, len(mis)), {
+                            "axiom": "touch", "pencil": [repr(p), list(K)], "covered": seen}))
+                    elif not failed:
+                        for mi in mis:
+                            kept[mi] = mis
+            if mismatches:
+                raise GeometryError(min(mismatches)[1], code="pencil_member_mismatch")
+            findings.sort(key=itemgetter(0))
+            witnesses.extend(w for _, w in findings)
 
             # each generator meets each circle exactly once
-            for C, m in zip(self.circles, cm):
+            for C, m in zip(circles, cm):
                 cases += 1
                 if any(bit_count(m & g) != 1 for g in gm):
                     witnesses.append({"axiom": "generator_meet", "circle": list(C)})

@@ -4,11 +4,14 @@ Each file under ``tests/golden/`` holds the exact stdout of one command, or,
 for a command that takes ``--out OUT``, the file it writes.  A refactor that
 keeps every verdict but changes a case count, a witness, a key or the key
 order shows up here as a diff.  CI checks the q=11 goldens outside this
-module, and the q=13 ``*.sha256`` files, each of which holds only the
+module (the stdout of ``theorems run``, ``skewaffine verify --axiom all``,
+``plane verify`` and ``group verify --pencil p:1,2``, each with ``--q 11
+--json``), and the q=13 ``*.sha256`` files, each of which holds only the
 sha256 of the file that one q=13 ``export`` writes (the space, the space
 on the pencil ``p:1,2`` in ``export_q13_space_p1_2.sha256``, the plane,
 and the group on ``p:1,2``) or of the stdout of ``theorems run --q 13
---json`` or ``skewaffine verify --q 13 --axiom all --json``.
+--json``, ``skewaffine verify --q 13 --axiom all --json`` or ``plane
+verify --q 13 --json``.
 """
 
 import os

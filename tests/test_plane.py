@@ -4,6 +4,8 @@ import pytest
 
 from laguerre import (Circle, GeometryError, LaguerrePlane, affine,
                       canonical_pencil, ideal)
+from laguerre.plane import Pencil
+from laguerre.report import run_check
 
 
 def test_build_counts():
@@ -281,6 +283,25 @@ def test_verify_axioms_rejects_wrong_pencil_member():
                             "Circle(a=0, b=0, c=0) at A(1,0)")
 
 
+class _TwoWrongMembers(_WrongMember):
+    """Closed-form fault: as ``_WrongMember``, and the pencil at A(0,0) on
+    y = x, at an earlier vertex but a later circle, lists a wrong member too."""
+
+    def pencil_members(self, pencil, verify=True):
+        members = super().pencil_members(pencil, verify)
+        if pencil == (affine(0, 0), Circle(0, 1, 0)):
+            a, b, c = members[-1]
+            members[-1] = Circle(a, b, (c + 1) % self.q)
+        return members
+
+
+def test_verify_axioms_raises_the_first_mismatch_in_circle_order():
+    with pytest.raises(GeometryError) as e:
+        _TwoWrongMembers(5).verify_axioms()
+    assert str(e.value) == ("Circle(a=4, b=2, c=0) does not touch "
+                            "Circle(a=0, b=0, c=0) at A(1,0)")
+
+
 class _DroppedMember(LaguerrePlane):
     """Closed-form fault: the pencil at A(1,0) on y = 0 lacks one member."""
 
@@ -297,3 +318,178 @@ def test_verify_axioms_reports_uncovered_pencil():
     # the missing member's five points off the vertex stay uncovered
     assert rep.witnesses == [{"axiom": "touch", "pencil": ["A(1,0)", [0, 0, 0]],
                               "covered": 21}]
+
+
+class _NotACircle(LaguerrePlane):
+    """Closed-form fault: the pencil at A(1,0) on y = 0 lists a triple that
+    is not a circle of the plane."""
+
+    def pencil_members(self, pencil, verify=True):
+        members = super().pencil_members(pencil, verify)
+        if pencil == (affine(1, 0), Circle(0, 0, 0)):
+            members[-1] = Circle(4, 0, 7)
+        return members
+
+
+def test_verify_axioms_rejects_member_outside_the_plane():
+    with pytest.raises(GeometryError) as e:
+        _NotACircle(5).verify_axioms()
+    assert e.value.code == "pencil_member_mismatch"
+    assert str(e.value) == ("Circle(a=4, b=0, c=7) does not touch Circle(a=0, b=0, c=0) "
+                            "at A(1,0): not a circle of the plane")
+
+
+def test_verify_axioms_calls_pencil_members_once_per_pencil(monkeypatch):
+    # q pencils at each of the q^2 + q vertices; a pencil's list serves all
+    # of its q members as base (one call per flag made q^3 (q + 1) = 750)
+    pl = LaguerrePlane(5)
+    calls = 0
+    real = pl.pencil_members
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pl, "pencil_members", counted)
+    assert pl.verify_axioms().status == "pass"
+    assert calls == 150
+
+
+def _retired_sweep(pl):
+    """The plane sweep before incidence counters, kept as the oracle: the
+    O(n^2) pair scan, a loop per generator triple, and one closed-form call
+    per flag."""
+    def sweep():
+        q = pl.q
+        witnesses = []
+        cases = 0
+        cm, pc, gm = pl.incidence_masks()
+        points, index = pl.points, pl.point_index
+        for i, mi in enumerate(cm):
+            for j in range(i + 1, len(cm)):
+                cases += 1
+                if (mi & cm[j]).bit_count() > 2:
+                    witnesses.append({"axiom": "join",
+                                      "circles": [list(pl.circles[i]), list(pl.circles[j])]})
+        gen_pts = [[index[p] for p in pl.generator_points(g)] for g in pl.generators]
+        for g1, g2, g3 in itertools.combinations(range(q + 1), 3):
+            for i1 in gen_pts[g1]:
+                for i2 in gen_pts[g2]:
+                    m12 = pc[i1] & pc[i2]
+                    for i3 in gen_pts[g3]:
+                        cases += 1
+                        if (m12 & pc[i3]).bit_count() != 1:
+                            witnesses.append({"axiom": "join", "points": [
+                                repr(points[i1]), repr(points[i2]), repr(points[i3])]})
+        strict = not witnesses
+        circle_index = {C: i for i, C in enumerate(pl.circles)}
+        sizes = [m.bit_count() for m in cm]
+        for K, mk in zip(pl.circles, cm):
+            for p in pl.circle_points(K):
+                cases += 1
+                vertex = 1 << index[p]
+                covered = total = 0
+                for M in pl.pencil_members(Pencil(p, K), verify=False):
+                    mi = circle_index[M]
+                    if M != K and cm[mi] & mk != vertex:
+                        if strict:
+                            raise GeometryError(f"{M} does not touch {K} at {p}",
+                                                code="pencil_member_mismatch")
+                        witnesses.append({"axiom": "touch", "pencil": [repr(p), list(K)],
+                                          "member": list(M)})
+                    covered |= cm[mi]
+                    total += sizes[mi] - 1
+                seen = covered.bit_count()
+                if seen != q * q + 1 or total != q * q:
+                    witnesses.append({"axiom": "touch", "pencil": [repr(p), list(K)],
+                                      "covered": seen})
+        for C, m in zip(pl.circles, cm):
+            cases += 1
+            if any((m & g).bit_count() != 1 for g in gm):
+                witnesses.append({"axiom": "generator_meet", "circle": list(C)})
+        cases += 1
+        if not 3 <= sizes[circle_index[Circle(0, 0, 0)]] < len(points):
+            witnesses.append({"axiom": "nondegeneracy"})
+        return cases, witnesses, {}
+
+    return run_check("laguerre-axioms", pl.q, sweep)
+
+
+class _Moved(LaguerrePlane):
+    """Incidence fault: ``circle`` holds the point ``new`` instead of ``old``."""
+
+    circle = old = new = None
+
+    def circle_points(self, C):
+        pts = super().circle_points(C)
+        if C == self.circle:
+            pts = tuple(sorted(self.new if p == self.old else p for p in pts))
+        return pts
+
+
+class _SharedThird(_Moved):
+    """y = x^2 holds A(0,1) for A(0,0), so it shares exactly three points
+    with y = 1."""
+
+    circle, old, new = Circle(1, 0, 0), affine(0, 0), affine(0, 1)
+
+
+class _CrossedJoin(_Moved):
+    """y = x^2 holds A(1,3) for A(3,4): the circles through A(0,0) and A(1,1)
+    miss A(3,4), and those through A(0,0) and A(1,3) hit A(2,4) twice, so
+    in that block the later pair has the earlier third generator."""
+
+    circle, old, new = Circle(1, 0, 0), affine(3, 4), affine(1, 3)
+
+
+class _NonFirstMember(_Moved):
+    """y = 2 holds A(1,1) for A(1,2), so it meets y = 1 in A(1,1) besides
+    I(0): the canonical pencil passes the touch test at its first base
+    y = 0 only."""
+
+    circle, old, new = Circle(0, 0, 2), affine(1, 2), affine(1, 1)
+
+
+def _outcome(sweep):
+    try:
+        return sweep().to_dict()
+    except GeometryError as e:
+        return {"raised": e.code, "message": str(e)}
+
+
+@pytest.mark.parametrize("cls, q", [
+    (LaguerrePlane, 2), (LaguerrePlane, 3), (LaguerrePlane, 5), (LaguerrePlane, 7),
+    (_MovedPoint, 5), (_WrongMember, 5), (_TwoWrongMembers, 5), (_DroppedMember, 5),
+    (_SharedThird, 5), (_CrossedJoin, 5), (_NonFirstMember, 5),
+], ids=lambda v: v.__name__.lstrip("_") if isinstance(v, type) else f"q{v}")
+def test_verify_axioms_matches_retired_sweep(cls, q):
+    plane = cls(q)
+    assert _outcome(plane.verify_axioms) == _outcome(lambda: _retired_sweep(plane))
+
+
+def test_shared_third_point_is_a_join_witness():
+    rep = _SharedThird(5).verify_axioms()
+    assert {"axiom": "join", "circles": [[0, 0, 1], [1, 0, 0]]} in rep.witnesses
+
+
+def test_crossed_join_orders_triples_by_third_generator():
+    rep = _CrossedJoin(5).verify_axioms()
+    block = [w["points"] for w in rep.witnesses
+             if "points" in w and w["points"][0] == "A(0,0)" and w["points"][1][2] == "1"]
+    assert block == [["A(0,0)", "A(1,3)", "A(2,4)"], ["A(0,0)", "A(1,1)", "A(3,4)"],
+                     ["A(0,0)", "A(1,3)", "A(4,1)"], ["A(0,0)", "A(1,3)", "I(1)"]]
+
+
+def test_non_first_member_fault_reported_at_every_base():
+    rep = _NonFirstMember(5).verify_axioms()
+    at_vertex = [w for w in rep.witnesses if w.get("pencil", [None])[0] == "I(0)"]
+    assert at_vertex == [
+        {"axiom": "touch", "pencil": ["I(0)", [0, 0, 0]], "covered": 25},
+        {"axiom": "touch", "pencil": ["I(0)", [0, 0, 1]], "member": [0, 0, 2]},
+        {"axiom": "touch", "pencil": ["I(0)", [0, 0, 1]], "covered": 25},
+        {"axiom": "touch", "pencil": ["I(0)", [0, 0, 2]], "member": [0, 0, 1]},
+        {"axiom": "touch", "pencil": ["I(0)", [0, 0, 2]], "covered": 25},
+        {"axiom": "touch", "pencil": ["I(0)", [0, 0, 3]], "covered": 25},
+        {"axiom": "touch", "pencil": ["I(0)", [0, 0, 4]], "covered": 25},
+    ]
