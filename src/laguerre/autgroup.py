@@ -30,7 +30,7 @@ from typing import Iterable, NamedTuple
 
 from .field import GF
 from .plane import (Circle, GeometryError, IDEAL, LaguerrePlane, Pencil, Point,
-                    _not_a_point, canonical_pencil, ideal)
+                    canonical_pencil, ideal, not_a_point)
 from .report import Report, run_check
 
 
@@ -148,6 +148,14 @@ class PermutationMap:
                 witnesses.append({"problem": "generator_image", "generator": g.to_json()})
         return not witnesses, witnesses
 
+    def verified(self) -> "PermutationMap":
+        """This map, once ``verify`` passes; else ``not_automorphism``."""
+        ok, wit = self.verify()
+        if not ok:
+            raise GeometryError("the permutation is not a plane automorphism",
+                                code="not_automorphism", witnesses=wit)
+        return self
+
     def compose(self, other: "PermutationMap") -> "PermutationMap":
         """self after other."""
         return PermutationMap(self.plane, [self.perm[j] for j in other.perm])
@@ -173,7 +181,7 @@ def _canonical_image(q: int, f: PencilAut, i: int) -> int:
     return (k * x + t) % q * q + (k * k * y + g) % q
 
 
-def _reach(start, moves) -> set:
+def reach(start, moves) -> set:
     """Everything reachable from ``start`` by repeated ``moves``."""
     seen, todo = {start}, [start]
     while todo:
@@ -186,22 +194,17 @@ def _reach(start, moves) -> set:
     return seen
 
 
-def _require_transitive(start, moves, total: int, code: str, name: str, noun: str):
-    """Raise ``code`` unless ``moves`` carry ``start`` (``name``) to all
-    ``total`` of its ``noun``: then ``start`` may stand for every one."""
-    reached = len(_reach(start, moves))
-    if reached != total:
-        raise GeometryError(f"the generators carry {name} to {reached} of the "
-                            f"{total} {noun}", code=code)
+def require_reach(start, moves, domain, code: str, name: str, noun: str) -> None:
+    """Raise ``code`` unless ``moves`` carry ``start`` (``name``) to exactly
+    the ``domain`` of its ``noun``: then ``start`` may stand for every one."""
+    reached, domain = reach(start, moves), set(domain)
+    if reached != domain:
+        raise GeometryError(f"the generators carry {name} to {len(reached & domain)} of the "
+                            f"{len(domain)} {noun} and {len(reached - domain)} more", code=code)
 
 
 def _verified_map(plane: LaguerrePlane, perm: list[int]) -> PermutationMap:
-    pm = PermutationMap(plane, perm)
-    ok, wit = pm.verify()
-    if not ok:
-        raise GeometryError("normalizer primitive is not an automorphism",
-                            code="not_automorphism", witnesses=wit)
-    return pm
+    return PermutationMap(plane, perm).verified()
 
 
 def circle_add_map(plane: LaguerrePlane, Q: Circle) -> PermutationMap:
@@ -297,7 +300,7 @@ class DeltaGroup:
             try:
                 i = plane.point_index[obj]
             except KeyError:
-                raise _not_a_point(obj) from None
+                raise not_a_point(obj) from None
             return plane.points[self.image(f, i)]
         if not all(0 <= v < plane.q for v in obj):
             raise GeometryError(f"{obj!r} is not a circle of the plane", code="not_a_circle")
@@ -325,11 +328,8 @@ class DeltaGroup:
         proot = next(g for g in range(2, q)
                      if len({pow(g, e, q) for e in range(q - 1)}) == q - 1)
         gens = [PencilAut(proot, 0, 0), PencilAut(1, 1, 0), PencilAut(1, 0, 1)]
-        closure = _reach(IDENTITY, [partial(aut_compose, self.gf, g) for g in gens])
-        if closure != set(self.elements):
-            raise GeometryError(f"the generators close to {len(closure)} elements, "
-                                f"not to the {len(self.elements)} of the group",
-                                code="generators_not_closed")
+        require_reach(IDENTITY, [partial(aut_compose, self.gf, g) for g in gens],
+                      self.elements, "generators_not_closed", "the identity", "elements")
         return gens
 
     def census(self) -> dict[str, int]:
@@ -357,7 +357,7 @@ class DeltaGroup:
         try:
             i = self.plane.point_index[x]
         except KeyError:
-            raise _not_a_point(x) from None
+            raise not_a_point(x) from None
         image = self.image
         return [f for f in self.elements if image(f, i) == i]
 
@@ -369,8 +369,7 @@ class DeltaGroup:
     def normally_transitive(self) -> tuple[bool, dict | None]:
         """Transitive off the vertex generator, and every ordered pair of
         those points has a stabilizer separator."""
-        pts = self.space_points()
-        missing = sorted(set(pts) - self.orbit(self.elements, pts[0]))
+        pts, missing = self._a1()
         if missing:
             return False, {"problem": "not_transitive", "from": repr(pts[0]),
                            "unreached": repr(missing[0])}
@@ -381,6 +380,11 @@ class DeltaGroup:
                     return False, {"problem": "no_separating_element",
                                    "x": repr(x), "y": repr(y)}
         return True, None
+
+    def _a1(self) -> tuple[list[Point], list[Point]]:
+        """The residual points, and those the first is not carried to (A1)."""
+        space = self.space_points()
+        return space, sorted(set(space) - self.orbit(self.elements, space[0]))
 
     def semidirect_factorization(self, stab: list[PencilAut]) -> bool:
         """Every element splits uniquely as (k=1 translation) o (an element
@@ -395,12 +399,9 @@ class DeltaGroup:
         transitivity of point stabilizers along the base circle (A2), as
         (cases, witnesses, details).  A2 reports the least target whose
         stabilizer orbit misses one."""
-        witnesses: list = []
-        space = self.space_points()
+        space, missing = self._a1()
         cases = len(space)
-        missing = sorted(set(space) - self.orbit(self.elements, space[0]))
-        if missing:
-            witnesses.append({"axiom": "A1", "unreached": repr(missing[0])})
+        witnesses = [{"axiom": "A1", "unreached": repr(missing[0])}] if missing else []
         details = {"A1": {"points": len(space), "status": "fail" if missing else "pass"}}
 
         p, K = self.pencil

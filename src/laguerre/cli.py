@@ -7,7 +7,8 @@ group verify       --q N [--pencil SPEC]       transitivity + tangency axioms
 skewaffine verify  --q N --axiom ID|all        residual-plane axioms, at the
                    [--budget B] [--seed S]     default or the given budget
 theorems run       --q N [--id ID|all]         the named-check catalog,
-                                               exhaustively (T4.2 up to symmetry)
+                                               exhaustively (five checks up to
+                                               a machine-checked symmetry)
 export             --q N --what W --out FILE   plane/group/space JSON
 
 Pencil SPEC is ``canonical`` (default), ``p:x,y[@K:a,b,c]`` for an affine

@@ -53,7 +53,7 @@ class GeometryError(ValueError):
         self.witnesses = witnesses or []
 
 
-def _not_a_point(pt) -> GeometryError:
+def not_a_point(pt) -> GeometryError:
     """The error for a lookup of something that is not a plane point."""
     return GeometryError(f"{pt!r} is not a point of the plane", code="not_a_point")
 
@@ -398,18 +398,19 @@ class LaguerrePlane:
         ``pencil_members``: every member must meet the base circle in the
         vertex alone, and the members must cover each point off the vertex
         generator exactly once.  The closed form is called once per pencil,
-        at the pencil's first circle in ``circles`` order; when that flag
-        passes, its list serves every other member as base at the same
-        vertex (the touch test runs again, and coverage, which does not
-        depend on the base, is not), so a closed-form fault at a pencil's
-        other bases is not seen here; ``pencil_members`` is tested at every
-        base on its own.  A member that fails the first test raises
-        ``pencil_member_mismatch`` while the join checks have passed, since
-        the closed form is then at fault; once the incidence itself has
-        failed them, it is reported as a ``touch`` witness instead.  A
-        member that is not a circle of the plane always raises.  Findings
-        are reported, and the least of them raised, in flag order (circle,
-        then vertex, then member), as when each flag was swept on its own.
+        at the pencil's first circle in ``circles`` order.  When that flag
+        passes, its members pass through the vertex, and their other points
+        number q² and cover q², so any two meet in the vertex alone: each
+        member's flag as base there is counted and holds untested.  A
+        closed-form fault at a pencil's other bases is not seen here, and
+        ``pencil_members`` is tested at every base on its own.  A member
+        that fails the first test raises ``pencil_member_mismatch`` while
+        the join checks have passed, since the closed form is then at fault;
+        once the incidence itself has failed them, it is reported as a
+        ``touch`` witness instead.  A member that is not a circle of the
+        plane always raises.  Findings are reported, and the least of them
+        raised, in flag order (circle, then vertex, then member), as when
+        each flag was swept on its own.
         """
         def sweep():
             q = self.q
@@ -466,9 +467,7 @@ class LaguerrePlane:
                 block.sort(key=itemgetter(0))
                 witnesses.extend(w for _, w in block)
 
-            # touching axiom via pencil partitioning: each member meets the
-            # base in the vertex alone, and the members cover each point off
-            # the vertex generator exactly once
+            # touching axiom: each pencil partitions the points off its vertex generator
             strict = not witnesses
             circle_index = {C: i for i, C in enumerate(circles)}
             sizes = list(map(bit_count, cm))
@@ -476,15 +475,14 @@ class LaguerrePlane:
             mismatches = []  # ((circle, vertex, member position), message)
             for pi, (p, at_p) in enumerate(zip(points, pc)):
                 vertex = 1 << pi
-                kept = {}  # circle -> member indices of its passing pencil at p
+                kept = set()  # the members of the pencils at p that passed
                 for ki in _bits(at_p):
                     cases += 1
+                    if ki in kept:
+                        continue
                     K, mk = circles[ki], cm[ki]
-                    mis = kept.get(ki)
-                    first = mis is None
-                    if first:
-                        members = self.pencil_members(Pencil(p, K), verify=False)
-                        mis = [circle_index.get(M) for M in members]
+                    members = self.pencil_members(Pencil(p, K), verify=False)
+                    mis = [circle_index.get(M) for M in members]
                     failed = False
                     for pos, mi in enumerate(mis):
                         if mi is None:
@@ -500,7 +498,7 @@ class LaguerrePlane:
                             findings.append(((ki, pi, pos), {
                                 "axiom": "touch", "pencil": [repr(p), list(K)],
                                 "member": list(M)}))
-                    if not first or None in mis:  # coverage does not depend on the base
+                    if None in mis:
                         continue
                     covered = 0
                     for mi in mis:
@@ -510,8 +508,7 @@ class LaguerrePlane:
                         findings.append(((ki, pi, len(mis)), {
                             "axiom": "touch", "pencil": [repr(p), list(K)], "covered": seen}))
                     elif not failed:
-                        for mi in mis:
-                            kept[mi] = mis
+                        kept.update(mis)
             if mismatches:
                 raise GeometryError(min(mismatches)[1], code="pencil_member_mismatch")
             findings.sort(key=itemgetter(0))

@@ -60,12 +60,13 @@ stabilizer (q + 2 orbits); this is McKay's isomorph rejection ("Isomorph-free
 exhaustive generation", J. Algorithms 26, 1998).  The reduction is
 machine-checked once per space, before its first orbit sweep: both tables
 must be equivariant under the three generators of the group, and the
-generators must carry the representative to every point, or the sweep
-raises ``not_equivariant``.  ``exhaustive`` sweeps every ordered pair and is
-the brute-force oracle for the reduction; ``sample:K`` draws K seeded cases
-of T, Des and Pap.  The other axioms have no sampled form and are swept
-exhaustively under ``sample:K``; L1, L2, P1 and P2 are quadratic and always
-exhaustive.
+generators must carry the representative to every point
+(``autgroup.require_reach``, which with ``PermutationMap.verified`` states
+every reduction's group), or the sweep raises ``not_equivariant``.
+``exhaustive`` sweeps every ordered pair and is the brute-force oracle for
+the reduction; ``sample:K`` draws K seeded cases of T, Des and Pap.  The
+other axioms have no sampled form and are swept exhaustively under
+``sample:K``; L1, L2, P1 and P2 are quadratic and always exhaustive.
 
 Row sweeps.  The orbit and exhaustive sweeps of T, Des and Pap decide a row
 of cases at once: for T the (x', y') pairs of one (x, y, z), for Des the z
@@ -96,8 +97,8 @@ import random
 from dataclasses import dataclass, field
 from operator import and_, contains, neg, or_
 
-from .plane import GeometryError, LaguerrePlane, Pencil, Point, _not_a_point
-from .autgroup import DeltaGroup, PencilAut, _require_transitive
+from .plane import GeometryError, LaguerrePlane, Pencil, Point, not_a_point
+from .autgroup import DeltaGroup, PencilAut, require_reach
 from .report import Budget, Report, run_check
 
 CIRCLE_LINE = "circle_line"
@@ -313,7 +314,7 @@ class GroupSpace:
         except KeyError:
             off = x if x not in self.index else y
             if off not in self.plane.point_index:
-                raise _not_a_point(off) from None
+                raise not_a_point(off) from None
             raise GeometryError("point lies on the vertex generator",
                                 code="point_on_base_generator") from None
 
@@ -405,19 +406,17 @@ class GroupSpace:
         """Point 0 and, per orbit of its stabilizer on the other points, the
         least point index with the orbit size.  Checked once per space."""
         if self._orbit_plan is None:
-            first = 0
-            self._check_equivariance(first)
+            self._check_equivariance()
             # _orbits0[0] is the orbit of point 0 itself
-            orbits = [(orbit[0], len(orbit)) for orbit in self._orbits0[1:]]
-            self._orbit_plan = (first, orbits)
+            self._orbit_plan = (0, [(orbit[0], len(orbit)) for orbit in self._orbits0[1:]])
         return self._orbit_plan
 
-    def _check_equivariance(self, first: int) -> None:
+    def _check_equivariance(self) -> None:
         """Every axiom case is decided by the join-line and join-class
         tables.  Each generator must carry the join line of (x, y) to the
         join line of the image pair and keep its class, and the generators
-        must carry ``first`` to every point; then ``first`` alone can stand
-        for all first points."""
+        must carry point 0 to every point; then point 0 alone can stand for
+        all first points."""
         n, jl, jc = self.n, self._joinline, self._joinclass
         perms = self._gen_perms
         line_perms = [[self.line_image(perm, line).index for line in self.lines]
@@ -435,8 +434,8 @@ class GroupSpace:
                             witnesses=[{"generator": list(g),
                                         "x": repr(self.points[i]),
                                         "y": repr(self.points[j])}])
-        _require_transitive(first, [perm.__getitem__ for perm in perms], n,
-                            "not_equivariant", repr(self.points[first]), "points")
+        require_reach(0, [perm.__getitem__ for perm in perms], range(n),
+                      "not_equivariant", repr(self.points[0]), "points")
 
     def _row_masks(self) -> tuple[list[list[int]], list[list[int]]]:
         """Bitsets for the Pap row sweep, derived from the tables its

@@ -6,14 +6,15 @@ sweeps the statement's quantifiers over the canonical pencil of the plane
 of the requested size and returns (cases, witnesses, details), as the
 residual-plane axiom checkers do.  Checks verify conclusions, not
 intermediate constructions.  Every check is exhaustive except five, which
-evaluate a representative and move it along a symmetry checked first: T4.2
-the circle (0, 0, 0), along shifts checked to be automorphisms transitive
-on circles; C2.1 the invariant circles at point 0, along the translations,
-each re-checked where it lands; T3.2 normality on the generators, checked
-to close to Δ, and the factorization at point 0, the unit translations
-checked to close to T; C3.3 Pgm at the ``orbit`` budget, the join tables
-checked equivariant; C3.4 one line per class, the classes checked to
-partition the lines.  C3.3, C3.4 and T4.2 report ``mode: "orbit"`` and
+evaluate a representative and move it along a symmetry checked first, each
+generator orbit by ``autgroup.require_reach``: T4.2 the circle (0, 0, 0),
+along shifts that pass ``PermutationMap.verified``; C2.1 the invariant
+circles at point 0, along the translations, each re-checked where it lands;
+T3.2 normality on the generators, checked to close to Δ, and the
+factorization at point 0, the unit translations checked to close to T;
+C3.3 Pgm at the ``orbit`` budget, the join tables checked equivariant; C3.4
+one line per class, the classes checked to partition the lines and each
+reached by ``reach``.  C3.3, C3.4 and T4.2 report ``mode: "orbit"`` and
 ``cases_represented``; the tests keep each retired loop as an oracle.
 ``L3.1`` is deliberately report-only: it publishes the census of
 fixed-point-free group elements and asserts only the restricted claims that
@@ -36,8 +37,8 @@ from functools import cached_property, partial
 
 from .plane import (Circle, GeometryError, IDEAL, LaguerrePlane, Pencil, Point,
                     affine, canonical_pencil, ideal)
-from .autgroup import (IDENTITY, DeltaGroup, PencilAut, _reach, _require_transitive,
-                       _verified_map, aut_compose, aut_inverse, circle_add_map)
+from .autgroup import (IDENTITY, DeltaGroup, PencilAut, aut_compose, aut_inverse,
+                       circle_add_map, reach, require_reach)
 from .skewaffine import GroupSpace, SPECIAL, STRAIGHT
 from .report import PASS, REPORT_ONLY, Report, run_check
 
@@ -214,10 +215,9 @@ class _Ctx:
     def unit_translations(self) -> list[PencilAut]:
         """(1, 1, 0) and (1, 0, 1), checked to close to all q² translations."""
         units = [PencilAut(1, 1, 0), PencilAut(1, 0, 1)]
-        if _reach(IDENTITY, [partial(aut_compose, self.plane.gf, u) for u in units]) \
-                != set(self.delta.translations):
-            raise GeometryError("the unit translations do not close to the translations",
-                                code="translations_not_closed")
+        require_reach(IDENTITY, [partial(aut_compose, self.plane.gf, u) for u in units],
+                      self.delta.translations, "translations_not_closed", "the identity",
+                      "translations")
         return units
 
     @cached_property
@@ -706,7 +706,7 @@ def _check_c3_4(ctx: _Ctx):
         bad.append({"problem": "classes_not_a_partition"})
     for ids in space.class_members.values():
         cases += nt
-        reached = _reach(ids[0], moves)
+        reached = reach(ids[0], moves)
         if reached != set(ids):
             bad.append({"line": ids[0], "orbit_size": len(reached),
                         "class_size": len(ids)})
@@ -897,10 +897,10 @@ def _check_t4_2(ctx: _Ctx):
     all-circles loop in the tests is its oracle."""
     plane, L = ctx.plane, Circle(0, 0, 0)
     # y += x², x, 1; verified here, whatever circle_add_map checked itself
-    maps = [_verified_map(plane, circle_add_map(plane, Q).perm)
+    maps = [circle_add_map(plane, Q).verified()
             for Q in (Circle(1, 0, 0), Circle(0, 1, 0), Circle(0, 0, 1))]
-    _require_transitive(L, [m.apply_circle for m in maps], len(plane.circles),
-                        "not_transitive", str(list(L)), "circles")
+    require_reach(L, [m.apply_circle for m in maps], plane.circles,
+                  "not_transitive", str(list(L)), "circles")
     fam = TangentFamily(plane, L)
     pts = fam.off_points
     cases, bad = 0, []

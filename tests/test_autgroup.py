@@ -6,7 +6,8 @@ from laguerre import (Circle, DeltaGroup, GeometryError, LaguerrePlane,
                       PencilAut, PermutationMap, affine, canonical_pencil,
                       classify_by_scan, ideal, verify_a1a2a3)
 from laguerre.autgroup import (_verified_map, aut_circle, aut_compose, aut_inverse,
-                               circle_add_map, classify_aut, inversion_map)
+                               circle_add_map, classify_aut, inversion_map, reach,
+                               require_reach)
 
 
 def aut_point(gf, f, pt):
@@ -410,6 +411,20 @@ def test_subgroups_fail_a1_a2(name):
         else:
             assert witness == {"problem": "no_separating_element",
                                "x": "A(0,0)", "y": "A(0,1)"}
+
+
+def test_require_reach_compares_the_reached_set_not_its_size():
+    # i -> i + 2 (mod 6) carries 1 to {1, 3, 5}: three elements, as many as
+    # {0, 2, 4} has, and none of them
+    moves = [lambda i: (i + 2) % 6]
+    assert reach(1, moves) == {1, 3, 5}
+    with pytest.raises(GeometryError) as e:
+        require_reach(1, moves, {0, 2, 4}, "not_transitive", "1", "points")
+    assert e.value.code == "not_transitive"
+    assert "to 0 of the 3 points and 3 more" in str(e.value)
+    # a true orbit passes, in any order and with repeats in the domain
+    require_reach(1, moves, [5, 3, 1, 3], "not_transitive", "1", "points")
+    assert reach(0, [lambda i: (i + 1) % 6]) == set(range(6))
 
 
 def test_normalizer_mismatch_is_a_geometry_error(monkeypatch):

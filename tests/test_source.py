@@ -15,3 +15,14 @@ def test_invariants_raise_typed_errors_not_asserts():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_no_module_imports_another_modules_private_name():
+    # a name another module of the package needs is public; a leading
+    # underscore marks what only its own module may use
+    found = [f"{path.name}:{node.lineno} {alias.name}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.ImportFrom) and node.level >= 1
+             for alias in node.names if alias.name.startswith("_")]
+    assert found == []
