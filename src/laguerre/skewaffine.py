@@ -62,11 +62,16 @@ machine-checked once per space, before its first orbit sweep: both tables
 must be equivariant under the three generators of the group, and the
 generators must carry the representative to every point
 (``autgroup.require_reach``, which with ``PermutationMap.verified`` states
-every reduction's group), or the sweep raises ``not_equivariant``.
-``exhaustive`` sweeps every ordered pair and is the brute-force oracle for
-the reduction; ``sample:K`` draws K seeded cases of T, Des and Pap.  The
-other axioms have no sampled form and are swept exhaustively under
-``sample:K``; L1, L2, P1 and P2 are quadratic and always exhaustive.
+every reduction's group), or the sweep raises ``not_equivariant``.  T, V
+and Pgm also read the classes of pairs through ``_byclass`` and
+``_witmask``, so their orbit sweeps first check that these class tables
+agree with ``_joinclass`` (``_check_class_tables``), or raise
+``not_equivariant`` as well.  Each check runs lazily, at most once per
+space once it passes, never in the build.  ``exhaustive`` sweeps every
+ordered pair and is the brute-force oracle for the reduction;
+``sample:K`` draws K seeded cases of T, Des and Pap.  The other axioms
+have no sampled form and are swept exhaustively under ``sample:K``; L1,
+L2, P1 and P2 are quadratic and always exhaustive.
 
 Row sweeps.  The orbit and exhaustive sweeps of T, Des and Pap decide a row
 of cases at once: for T the (x', y') pairs of one (x, y, z), for Des the z
@@ -74,21 +79,29 @@ of one (u, x, y, x'), for Pap the x' of one (u, x, y, z).  A row may only
 accept.  Every case it does not accept goes to the axiom's case predicate
 (``_t_case_holds``, ``_des_case_holds``, ``_pap_case``) in the sweep's loop
 order, so the case count, the witnesses and their order are those of a
-case-by-case sweep.  T and Pap decide a row by C-level ``map``/``and_``
-passes over int bitsets, which read only what their predicates read: T the
-``_witmask``, ``_byclass`` and ``_joinclass`` tables; Pap the bitsets
+case-by-case sweep.  T decides a row by transport.  Its cases are the pairs
+(x', y') of the class c of x⊔y, each read as
+``_witmask[x'][c1] & _witmask[y'][c2]`` for the classes c1, c2 of x⊔z and
+y⊔z.  Once the join classes are equivariant, the class tables agree with
+them and the generators carry one pair (x0, y0) of each class to every
+pair of it (``_check_class_pairs``), a witness for (x0, y0) moves along
+the group to one for every pair of the class, so the one AND at (x0, y0)
+accepts the row.  An orbit sweep of an uncertified space raises
+``not_equivariant``; an exhaustive one sends every row to the predicate.
+Pap decides a row by C-level ``map``/``and_`` passes over the int bitsets
 ``_row_masks`` derives at the start of each sweep from ``_joinclass`` and
-``_linepts_minus``, never the stored ``_witmask``.  A damaged table
-therefore fails a row exactly where it fails the predicate.  Des accepts a
-row by a witness.  Each line through u is an orbit of Stab(u), so for each
-x' on u⊔x some g in Stab(u) carries x to x', and y' = g(y), z' = g(z) are
-the points the axiom asks for.  ``_des_witnesses`` takes g from ``_stab0``
-conjugated along the translations and checks it once per x' against
-``_linepts_minus`` and ``_joinclass``; the row (y, x') is accepted when
-also jc[g(y)][g(z)] == jc[y][z] for every z.  These checks are the
-predicate's clauses in the tables it reads, so an accepted row holds
-whatever g is, and the group decides only how many rows reach the
-predicate.  Sampled sweeps decide each draw with the predicate.
+``_linepts_minus``, the tables its predicate reads, never the stored
+``_witmask``; a damaged table therefore fails a row exactly where it fails
+the predicate.  Des accepts a row by a witness.  Each line through u is an
+orbit of Stab(u), so for each x' on u⊔x some g in Stab(u) carries x to x',
+and y' = g(y), z' = g(z) are the points the axiom asks for.
+``_des_witnesses`` takes g from ``_stab0`` conjugated along the
+translations and checks it once per x' against ``_linepts_minus`` and
+``_joinclass``; the row (y, x') is accepted when also jc[g(y)][g(z)] ==
+jc[y][z] for every z.  These checks are the predicate's clauses in the
+tables it reads, so an accepted row holds whatever g is, and the group
+decides only how many rows reach the predicate.  Sampled sweeps decide
+each draw with the predicate.
 """
 
 from __future__ import annotations
@@ -161,7 +174,7 @@ class GroupSpace:
         self.q = plane.q
         self.points: list[Point] = []
         self.lines: list[Line] = []
-        self._orbit_plan: tuple[int, list[tuple[int, int]]] | None = None
+        self._certificates: dict[str, object] = {}
 
     # -- construction -----------------------------------------------------
 
@@ -402,14 +415,21 @@ class GroupSpace:
         return cases, witnesses, {"mode": "orbit", "first": repr(self.points[first]),
                                   "second": second, "cases_represented": represented}
 
+    def _certificate(self, check):
+        """What the symmetry check ``check`` returns, run once per space.
+        A failing check raises ``not_equivariant`` and is run again at the
+        next call."""
+        name = check.__name__
+        if name not in self._certificates:
+            self._certificates[name] = check()
+        return self._certificates[name]
+
     def _orbit_reps(self) -> tuple[int, list[tuple[int, int]]]:
         """Point 0 and, per orbit of its stabilizer on the other points, the
-        least point index with the orbit size.  Checked once per space."""
-        if self._orbit_plan is None:
-            self._check_equivariance()
-            # _orbits0[0] is the orbit of point 0 itself
-            self._orbit_plan = (0, [(orbit[0], len(orbit)) for orbit in self._orbits0[1:]])
-        return self._orbit_plan
+        least point index with the orbit size."""
+        self._certificate(self._check_equivariance)
+        # _orbits0[0] is the orbit of point 0 itself
+        return 0, [(orbit[0], len(orbit)) for orbit in self._orbits0[1:]]
 
     def _check_equivariance(self) -> None:
         """Every axiom case is decided by the join-line and join-class
@@ -436,6 +456,49 @@ class GroupSpace:
                                         "y": repr(self.points[j])}])
         require_reach(0, [perm.__getitem__ for perm in perms], range(n),
                       "not_equivariant", repr(self.points[0]), "points")
+
+    def _check_class_tables(self) -> None:
+        """V, Pgm and T read the classes of pairs through ``_byclass`` and
+        ``_witmask`` as well as ``_joinclass``, and the equivariance check
+        reads only the last.  So ``_byclass[i][c]``, in index order, and the
+        bits of ``_witmask[i][c]`` must be exactly the points j != i with
+        ``_joinclass[i][j] == c``, and the diagonal must read -1."""
+        n, ncls = self.n, self.ncls
+        for i, (jc_i, byc_i, wm_i) in enumerate(zip(self._joinclass, self._byclass,
+                                                     self._witmask)):
+            members: list[list[int]] = [[] for _ in range(ncls)]
+            for j, c in enumerate(jc_i):
+                if j != i and 0 <= c < ncls:
+                    members[c].append(j)
+            if (jc_i[i] != -1 or sum(map(len, members)) != n - 1
+                    or list(map(tuple, byc_i)) != list(map(tuple, members))
+                    or wm_i != [sum(map((1).__lshift__, m)) for m in members]):
+                raise GeometryError(
+                    "the by-class and witness-mask tables disagree with the join classes",
+                    code="not_equivariant", witnesses=[{"x": repr(self.points[i])}])
+
+    def _check_class_pairs(self) -> list[tuple[int, int, int]]:
+        """Per parallel class c: its first ordered pair (x0, y0) in
+        ``_byclass`` order, (0, ``_byclass[0][c][0]``) in a built space, and
+        its number of pairs.  The generators must carry (x0, y0) to every
+        pair of the class.  With equivariant join classes and class tables
+        that agree with them, every pair of class c then decides a T case
+        as (x0, y0) does.  One class's pairs are held at a time."""
+        n, byc = self.n, self._byclass
+        moves = [lambda p, perm=perm: perm[p // n] * n + perm[p % n]
+                 for perm in self._gen_perms]
+        plan = []
+        for c in range(self.ncls):
+            pairs = [x * n + y for x, row in enumerate(byc) for y in row[c]]
+            if not pairs:
+                raise GeometryError(f"parallel class {c} has no pair of points",
+                                    code="not_equivariant")
+            x0, y0 = divmod(pairs[0], n)
+            require_reach(pairs[0], moves, pairs, "not_equivariant",
+                          f"({self.points[x0]!r}, {self.points[y0]!r})",
+                          f"pairs of class {c}")
+            plan.append((x0, y0, len(pairs)))
+        return plan
 
     def _row_masks(self) -> tuple[list[list[int]], list[list[int]]]:
         """Bitsets for the Pap row sweep, derived from the tables its
@@ -516,6 +579,8 @@ class GroupSpace:
     def _ax_Pgm(self, budget: Budget):
         jc, wm = self._joinclass, self._witmask
         n = self.n
+        if budget.mode == "orbit":
+            self._certificate(self._check_class_tables)
 
         def pair(x, y, fail):
             cases = 0
@@ -532,6 +597,8 @@ class GroupSpace:
     def _ax_V(self, budget: Budget):
         jc, wm, byc = self._joinclass, self._witmask, self._byclass
         n = self.n
+        if budget.mode == "orbit":
+            self._certificate(self._check_class_tables)
 
         def pair(x, y, fail):
             cases = 0
@@ -554,31 +621,36 @@ class GroupSpace:
         return bool(wm[x2][jc[x][z]] & wm[y2][jc[y][z]])
 
     def _ax_T(self, budget: Budget):
-        jc, byc = self._joinclass, self._byclass
+        jc, wm, byc = self._joinclass, self._witmask, self._byclass
         n = self.n
         holds = self._t_case_holds
-        # the (x', y') pairs of each class in loop order, and cols[c][x'],
-        # the witness mask of x' in class c
-        flat = [([], []) for _ in range(self.ncls)]
-        for x2 in range(n):
-            for (xs, ys), partners in zip(flat, byc[x2]):
-                xs.extend([x2] * len(partners))
-                ys.extend(partners)
-        cols = [list(col) for col in zip(*self._witmask)]
+        # the transport plan, once certified; an uncertified space fails an
+        # orbit sweep and sends every row of an exhaustive one to ``holds``
+        plan = None
+        if budget.mode != "sample":
+            try:
+                self._certificate(self._check_equivariance)
+                self._certificate(self._check_class_tables)
+                plan = self._certificate(self._check_class_pairs)
+            except GeometryError:
+                if budget.mode == "orbit":
+                    raise
 
         def pair(x, y, fail):
             cases = 0
             cxy = jc[x][y]
-            xs, ys = flat[cxy]
-            # per class c, the masks of the x' and of the y' of those pairs;
-            # the row of z is every pair against the classes of x⊔z and y⊔z
-            of_x = [list(map(col.__getitem__, xs)) for col in cols]
-            of_y = [list(map(col.__getitem__, ys)) for col in cols]
+            # the row of z is every (x', y') of class cxy against the classes
+            # of x⊔z and y⊔z; with a plan, its representative pair decides it
+            accepted = [0] * n
+            if plan is not None:
+                x0, y0, count = plan[cxy]
+                accepted = list(map(and_, map(wm[x0].__getitem__, jc[x]),
+                                    map(wm[y0].__getitem__, jc[y])))
             for z in range(n):
                 if z == x or z == y:
                     continue
-                if all(map(and_, of_x[jc[x][z]], of_y[jc[y][z]])):
-                    cases += len(xs)
+                if accepted[z]:
+                    cases += count
                     continue
                 for x2 in range(n):
                     for y2 in byc[x2][cxy]:

@@ -726,20 +726,25 @@ def _bitset_des(gs, budget):
     return gs._sweep(budget, ("u", "x", "y", "z", "x'"), pair)
 
 
-def _des_with_calls(gs, budget, monkeypatch):
-    """Des on ``gs`` under ``budget``, and the cases it passed to the
-    predicate."""
+def _with_calls(gs, axiom, budget, monkeypatch):
+    """``axiom`` (T or Des) on ``gs`` under ``budget``, and the cases it
+    passed to its case predicate."""
+    name = {"T": "_t_case_holds", "Des": "_des_case_holds"}[axiom]
     sent = []
-    predicate = gs._des_case_holds
+    predicate = getattr(gs, name)
 
     def recording(*case):
         sent.append(case)
         return predicate(*case)
 
     with monkeypatch.context() as patch:
-        patch.setattr(gs, "_des_case_holds", recording)
-        got = gs._ax_Des(budget)
+        patch.setattr(gs, name, recording)
+        got = getattr(gs, f"_ax_{axiom}")(budget)
     return got, sent
+
+
+def _des_with_calls(gs, budget, monkeypatch):
+    return _with_calls(gs, "Des", budget, monkeypatch)
 
 
 def test_des_witness_rows_accept_only_holding_cases(space3, space5, space5_p1_2,
@@ -858,6 +863,137 @@ def test_des_witnesses_are_injective_and_miss_x_prime(plane5, delta5):
     onto_x2 = list(g0)
     onto_x2[z] = x2
     assert witness(onto_x2) is None
+
+
+def _bitset_t(gs, budget):
+    """T as its row sweep decided it before transport: the row of (x, y, z)
+    holds where every (x', y') of class(x⊔y) ANDs the witness masks of x'
+    in class(x⊔z) and of y' in class(y⊔z) to nonzero, one C-level pass over
+    all the pairs; every rejected row goes to the predicate.  Kept as the
+    oracle of the transported rows."""
+    from operator import and_
+    n, jc, byc = gs.n, gs._joinclass, gs._byclass
+    flat = [([], []) for _ in range(gs.ncls)]
+    for x2 in range(n):
+        for (xs, ys), partners in zip(flat, byc[x2]):
+            xs.extend([x2] * len(partners))
+            ys.extend(partners)
+    cols = [list(col) for col in zip(*gs._witmask)]
+
+    def pair(x, y, fail):
+        cases = 0
+        cxy = jc[x][y]
+        xs, ys = flat[cxy]
+        of_x = [list(map(col.__getitem__, xs)) for col in cols]
+        of_y = [list(map(col.__getitem__, ys)) for col in cols]
+        for z in range(n):
+            if z == x or z == y:
+                continue
+            if all(map(and_, of_x[jc[x][z]], of_y[jc[y][z]])):
+                cases += len(xs)
+                continue
+            for x2 in range(n):
+                for y2 in byc[x2][cxy]:
+                    cases += 1
+                    if not gs._t_case_holds(x, y, z, x2, y2):
+                        fail(x, y, z, x2, y2)
+        return cases
+
+    return gs._sweep(budget, ("x", "y", "z", "x'", "y'"), pair)
+
+
+def test_t_transport_rows_match_the_bitset_rows(space3, space5, space5_p1_2):
+    from laguerre import Budget
+    for gs in (space3, space5, space5_p1_2):
+        for mode in ("orbit", "exhaustive"):
+            budget = Budget(mode, 0, 0)
+            assert gs._ax_T(budget) == _bitset_t(gs, budget), (gs.q, mode)
+
+
+def test_t_reports_match_the_bitset_rows_on_damaged_spaces(plane5, delta5,
+                                                           monkeypatch):
+    # the damaged join classes are not equivariant, so the space is not
+    # certified and every row goes to the predicate
+    from laguerre import Budget
+    budget = Budget("exhaustive", 0, 0)
+    for consistent in (True, False):
+        gs = _damaged_space5(plane5, delta5, consistent)
+        got, sent = _with_calls(gs, "T", budget, monkeypatch)
+        assert got[1], consistent
+        assert got == _bitset_t(gs, budget), consistent
+        assert len(sent) == got[0], consistent
+
+
+def _unit_translations(gs):
+    gs._gen_perms = [gs.point_perm(PencilAut(1, 1, 0)), gs.point_perm(PencilAut(1, 0, 1))]
+
+
+def _stale_witmask(gs):
+    mask = gs._witmask[7][2]
+    gs._witmask[7][2] = mask & (mask - 1)
+
+
+def _short_byclass(gs):
+    gs._byclass[7][2] = gs._byclass[7][2][1:]
+
+
+@pytest.mark.parametrize("damage", (_stale_witmask, _short_byclass, _unit_translations))
+def test_t_transport_needs_each_certificate_clause(plane5, delta5, damage, monkeypatch):
+    # a witness mask off point 0 that lost a bit, a by-class list that lost a
+    # point, or generators that move every point but not every pair of a
+    # class (the translations keep every table): each leaves the space
+    # uncertified, so the exhaustive rows all go to the predicate and the
+    # orbit sweep refuses to run
+    from laguerre import Budget
+    gs = GroupSpace.build(plane5, canonical_pencil(plane5), delta5,
+                          check_preconditions=False)
+    damage(gs)
+    budget = Budget("exhaustive", 0, 0)
+    got, sent = _with_calls(gs, "T", budget, monkeypatch)
+    assert got == _bitset_t(gs, budget)
+    assert len(sent) == got[0]
+    with pytest.raises(GeometryError) as e:
+        gs.check_axiom("T")
+    assert e.value.code == "not_equivariant"
+
+
+def test_orbit_pgm_and_v_reject_a_stale_witness_mask(plane5, delta5):
+    # with one bit dropped from a witness mask the join tables stay
+    # equivariant; the orbit sweeps of Pgm and V read the mask and must not
+    # report from it (Pgm would pass, V find 1 of the 64 failing cases)
+    from laguerre import Budget
+    gs = GroupSpace.build(plane5, canonical_pencil(plane5), delta5,
+                          check_preconditions=False)
+    _stale_witmask(gs)
+    for axiom, count in (("Pgm", 16), ("V", 64)):
+        rep = gs.check_axiom(axiom, Budget("exhaustive", 0, 0))
+        assert (rep.status, len(rep.witnesses)) == ("fail", count), axiom
+        with pytest.raises(GeometryError) as e:
+            gs.check_axiom(axiom)
+        assert e.value.code == "not_equivariant", axiom
+
+
+def test_certificates_are_checked_lazily_and_only_where_read():
+    # the build checks no symmetry; Pgm and V check the class tables, not
+    # the pair reach that only T reads
+    gs = GroupSpace.build(*_fresh(3), check_preconditions=False)
+    assert gs._certificates == {}
+    gs.check_axiom("Pgm")
+    gs.check_axiom("V")
+    assert set(gs._certificates) == {"_check_equivariance", "_check_class_tables"}
+    gs.check_axiom("T")
+    plan = gs._certificates["_check_class_pairs"]
+    assert [(x0, y0) for x0, y0, _ in plan] == [(0, row[0]) for row in gs._byclass[0]]
+    assert sum(count for _, _, count in plan) == gs.n * (gs.n - 1)
+
+
+def test_t_orbit_matches_exhaustive_q7(space7):
+    from laguerre import Budget
+    for gs in (space7, GroupSpace.build(*_fresh(7, _p1_2), check_preconditions=False)):
+        orbit = gs.check_axiom("T", Budget("orbit", 0, 0))
+        brute = gs.check_axiom("T", Budget("exhaustive", 0, 0))
+        assert orbit.status == brute.status == "pass"
+        assert orbit.details["cases_represented"] == brute.cases_checked == 30468690
 
 
 def test_noncanonical_space_smoke():
