@@ -100,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _parse_pencil(plane: LaguerrePlane, spec: str) -> Pencil:
     if spec == "canonical":
         return canonical_pencil(plane)
-    body, _, ktext = spec.partition("@K:")
+    body, at_k, ktext = spec.partition("@K:")
     try:
         if body.startswith("p:"):
             x, y = (int(v) % plane.q for v in body[2:].split(","))
@@ -112,7 +112,7 @@ def _parse_pencil(plane: LaguerrePlane, spec: str) -> Pencil:
             K = Circle(a, 0, 0)
         else:
             raise UsageError(f"bad pencil spec {spec!r}")
-        if ktext:
+        if at_k:
             a, b, c = (int(v) % plane.q for v in ktext.split(","))
             K = Circle(a, b, c)
     except (ValueError, IndexError):

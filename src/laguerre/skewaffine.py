@@ -58,20 +58,19 @@ group permutes.  Their default ``orbit`` budget therefore fixes the first
 point to one representative and takes one second point per orbit of its
 stabilizer (q + 2 orbits); this is McKay's isomorph rejection ("Isomorph-free
 exhaustive generation", J. Algorithms 26, 1998).  The reduction is
-machine-checked once per space, before its first orbit sweep: both tables
-must be equivariant under the three generators of the group, and the
-generators must carry the representative to every point
-(``autgroup.require_reach``, which with ``PermutationMap.verified`` states
-every reduction's group), or the sweep raises ``not_equivariant``.  T, V
-and Pgm also read the classes of pairs through ``_byclass`` and
-``_witmask``, so their orbit sweeps first check that these class tables
-agree with ``_joinclass`` (``_check_class_tables``), or raise
-``not_equivariant`` as well.  Each check runs lazily, at most once per
-space once it passes, never in the build.  ``exhaustive`` sweeps every
-ordered pair and is the brute-force oracle for the reduction;
-``sample:K`` draws K seeded cases of T, Des and Pap.  The other axioms
-have no sampled form and are swept exhaustively under ``sample:K``; L1,
-L2, P1 and P2 are quadratic and always exhaustive.
+machine-checked once per space, before its first orbit sweep, by one
+certificate, ``_check_tables``: both tables must be equivariant under the
+three generators of the group, and the generators must carry the
+representative to every point (``autgroup.require_reach``, which with
+``PermutationMap.verified`` states every reduction's group); the sweeps
+also read ``_byclass``, ``_witmask`` and ``_linepts_minus``, so these must
+agree with ``_joinclass`` row by row.  Otherwise the sweep raises
+``not_equivariant``.  The check runs lazily, at most once per space once
+it passes, never in the build.  ``exhaustive`` sweeps every ordered pair
+and is the brute-force oracle for the reduction; ``sample:K`` draws K
+seeded cases of T, Des and Pap.  The other axioms have no sampled form and
+are swept exhaustively under ``sample:K``; L1, L2, P1 and P2 are quadratic
+and always exhaustive.
 
 Row sweeps.  The orbit and exhaustive sweeps of T, Des and Pap decide a row
 of cases at once: for T the (x', y') pairs of one (x, y, z), for Des the z
@@ -82,17 +81,14 @@ order, so the case count, the witnesses and their order are those of a
 case-by-case sweep.  T decides a row by transport.  Its cases are the pairs
 (x', y') of the class c of x⊔y, each read as
 ``_witmask[x'][c1] & _witmask[y'][c2]`` for the classes c1, c2 of x⊔z and
-y⊔z.  Once the join classes are equivariant, the class tables agree with
-them and the generators carry one pair (x0, y0) of each class to every
-pair of it (``_check_class_pairs``), a witness for (x0, y0) moves along
-the group to one for every pair of the class, so the one AND at (x0, y0)
-accepts the row.  An orbit sweep of an uncertified space raises
-``not_equivariant``; an exhaustive one sends every row to the predicate.
-Pap decides a row by C-level ``map``/``and_`` passes over the int bitsets
-``_row_masks`` derives at the start of each sweep from ``_joinclass`` and
-``_linepts_minus``, the tables its predicate reads, never the stored
-``_witmask``; a damaged table therefore fails a row exactly where it fails
-the predicate.  Des accepts a row by a witness.  Each line through u is an
+y⊔z.  Once the tables are certified and the generators carry one pair
+(x0, y0) of each class to every pair of it (``_check_class_pairs``), a
+witness for (x0, y0) moves along the group to one for every pair of the
+class, so the one AND at (x0, y0) accepts the row.  Pap decides a row by
+C-level ``map``/``and_`` passes over the certified ``_witmask``.  T and Pap
+rows run only on a certified space: an orbit sweep of an uncertified space
+raises ``not_equivariant``, and an exhaustive one sends every row to the
+predicate.  Des accepts a row by a witness.  Each line through u is an
 orbit of Stab(u), so for each x' on u⊔x some g in Stab(u) carries x to x',
 and y' = g(y), z' = g(z) are the points the axiom asks for.
 ``_des_witnesses`` takes g from ``_stab0`` conjugated along the
@@ -427,63 +423,81 @@ class GroupSpace:
     def _orbit_reps(self) -> tuple[int, list[tuple[int, int]]]:
         """Point 0 and, per orbit of its stabilizer on the other points, the
         least point index with the orbit size."""
-        self._certificate(self._check_equivariance)
+        self._certificate(self._check_tables)
         # _orbits0[0] is the orbit of point 0 itself
         return 0, [(orbit[0], len(orbit)) for orbit in self._orbits0[1:]]
 
-    def _check_equivariance(self) -> None:
-        """Every axiom case is decided by the join-line and join-class
-        tables.  Each generator must carry the join line of (x, y) to the
-        join line of the image pair and keep its class, and the generators
-        must carry point 0 to every point; then point 0 alone can stand for
-        all first points."""
-        n, jl, jc = self.n, self._joinline, self._joinclass
-        perms = self._gen_perms
-        line_perms = [[self.line_image(perm, line).index for line in self.lines]
-                      for perm in perms]
-        for g, perm, line_perm in zip(self._gens, perms, line_perms):
-            for i in range(n):
-                jl_i, jc_i = jl[i], jc[i]
-                jl_gi, jc_gi = jl[perm[i]], jc[perm[i]]
-                for j in range(n):
-                    if j != i and (jl_gi[perm[j]] != line_perm[jl_i[j]]
-                                   or jc_gi[perm[j]] != jc_i[j]):
-                        raise GeometryError(
-                            "join tables are not equivariant under the group",
-                            code="not_equivariant",
-                            witnesses=[{"generator": list(g),
-                                        "x": repr(self.points[i]),
-                                        "y": repr(self.points[j])}])
-        require_reach(0, [perm.__getitem__ for perm in perms], range(n),
-                      "not_equivariant", repr(self.points[0]), "points")
+    def _row_certificate(self, budget: Budget, check):
+        """What ``check`` returns, when the rows of a T or Pap sweep may rest
+        on it, or ``None``: a sampled sweep reads no rows, and an exhaustive
+        sweep of a space that fails ``check`` sends every row to the case
+        predicate.  An orbit sweep re-raises."""
+        if budget.mode == "sample":
+            return None
+        try:
+            return self._certificate(check)
+        except GeometryError:
+            if budget.mode == "orbit":
+                raise
+            return None
 
-    def _check_class_tables(self) -> None:
-        """V, Pgm and T read the classes of pairs through ``_byclass`` and
-        ``_witmask`` as well as ``_joinclass``, and the equivariance check
-        reads only the last.  So ``_byclass[i][c]``, in index order, and the
-        bits of ``_witmask[i][c]`` must be exactly the points j != i with
-        ``_joinclass[i][j] == c``, and the diagonal must read -1."""
-        n, ncls = self.n, self.ncls
-        for i, (jc_i, byc_i, wm_i) in enumerate(zip(self._joinclass, self._byclass,
-                                                     self._witmask)):
+    def _check_tables(self) -> list[list[int]]:
+        """The certificate of every orbit sweep and every T and Pap row;
+        returns the witness masks.  Every axiom case is decided by the
+        join-line and join-class tables.  Each generator must carry the join
+        line of (x, y) to the join line of the image pair and keep its
+        class, and the generators must carry point 0 to every point; then
+        point 0 alone can stand for all first points.  The sweeps also read the classes
+        through ``_byclass``, ``_witmask`` and ``_linepts_minus``.  So
+        ``_byclass[i][c]``, in index order, and the bits of ``_witmask[i][c]``
+        must be exactly the points j != i with ``_joinclass[i][j] == c``,
+        ``_linepts_minus[i][j]`` must be ``_byclass[i][_joinclass[i][j]]``,
+        and the diagonal must read -1 and ``None``."""
+        n, ncls, jl, jc = self.n, self.ncls, self._joinline, self._joinclass
+        perms = self._gen_perms
+        # each generator's line permutation; the diagonal's -1 stays -1
+        line_perms = [[self.line_image(perm, line).index for line in self.lines] + [-1]
+                      for perm in perms]
+        for i, (jl_i, jc_i, byc_i, wm_i, lpm_i) in enumerate(zip(
+                jl, jc, self._byclass, self._witmask, self._linepts_minus)):
+            for g, perm, line_perm in zip(self._gens, perms, line_perms):
+                jl_gi, jc_gi = jl[perm[i]], jc[perm[i]]
+                if (list(map(jl_gi.__getitem__, perm)) != list(map(line_perm.__getitem__, jl_i))
+                        or list(map(jc_gi.__getitem__, perm)) != jc_i):
+                    j = next(j for j in range(n) if jl_gi[perm[j]] != line_perm[jl_i[j]]
+                             or jc_gi[perm[j]] != jc_i[j])
+                    raise GeometryError(
+                        "join tables are not equivariant under the group",
+                        code="not_equivariant",
+                        witnesses=[{"generator": list(g), "x": repr(self.points[i]),
+                                    "y": repr(self.points[j])}])
             members: list[list[int]] = [[] for _ in range(ncls)]
             for j, c in enumerate(jc_i):
                 if j != i and 0 <= c < ncls:
                     members[c].append(j)
+            # in a built space these are the tuples _linepts_minus shares;
+            # the diagonal's class -1 reads None
+            lines = list(map(tuple, byc_i)) + [None]
             if (jc_i[i] != -1 or sum(map(len, members)) != n - 1
-                    or list(map(tuple, byc_i)) != list(map(tuple, members))
-                    or wm_i != [sum(map((1).__lshift__, m)) for m in members]):
+                    or lines != list(map(tuple, members)) + [None]
+                    or wm_i != [sum(map((1).__lshift__, m)) for m in members]
+                    or lpm_i != list(map(lines.__getitem__, jc_i))):
                 raise GeometryError(
-                    "the by-class and witness-mask tables disagree with the join classes",
-                    code="not_equivariant", witnesses=[{"x": repr(self.points[i])}])
+                    "the by-class, witness-mask and line tables disagree with "
+                    "the join classes", code="not_equivariant",
+                    witnesses=[{"x": repr(self.points[i])}])
+        require_reach(0, [perm.__getitem__ for perm in perms], range(n),
+                      "not_equivariant", repr(self.points[0]), "points")
+        return self._witmask
 
     def _check_class_pairs(self) -> list[tuple[int, int, int]]:
         """Per parallel class c: its first ordered pair (x0, y0) in
         ``_byclass`` order, (0, ``_byclass[0][c][0]``) in a built space, and
         its number of pairs.  The generators must carry (x0, y0) to every
-        pair of the class.  With equivariant join classes and class tables
-        that agree with them, every pair of class c then decides a T case
-        as (x0, y0) does.  One class's pairs are held at a time."""
+        pair of the class.  With certified tables (``_check_tables``, run
+        first), every pair of class c then decides a T case as (x0, y0)
+        does.  One class's pairs are held at a time."""
+        self._certificate(self._check_tables)
         n, byc = self.n, self._byclass
         moves = [lambda p, perm=perm: perm[p // n] * n + perm[p % n]
                  for perm in self._gen_perms]
@@ -499,32 +513,6 @@ class GroupSpace:
                           f"pairs of class {c}")
             plan.append((x0, y0, len(pairs)))
         return plan
-
-    def _row_masks(self) -> tuple[list[list[int]], list[list[int]]]:
-        """Bitsets for the Pap row sweep, derived from the tables its
-        predicate reads: ``cls[i][c]`` holds the points j != i with
-        ``_joinclass[i][j] == c``, and ``off[u][z]`` the points of
-        ``_linepts_minus[u][z]`` (0 for z = u).  ``cls[i]`` has one spare
-        last slot, so that the class -1 of the diagonal reads the points
-        that carry it, as the predicate's comparisons do."""
-        n, jc = self.n, self._joinclass
-        cls = [[0] * (self.ncls + 1) for _ in range(n)]
-        for i in range(n):
-            row, jc_i = cls[i], jc[i]
-            for j in range(n):
-                if j != i:
-                    row[jc_i[j]] |= 1 << j
-        bits: dict[int, int] = {}   # by tuple identity: the tuples are shared
-        off = []
-        for lpm_u in self._linepts_minus:
-            masks = []
-            for pts in lpm_u:
-                key = id(pts)
-                if key not in bits:
-                    bits[key] = sum(1 << k for k in pts or ())
-                masks.append(bits[key])
-            off.append(masks)
-        return cls, off
 
     def _ax_L1(self, budget: Budget):
         def pair(i, j, fail):
@@ -579,8 +567,6 @@ class GroupSpace:
     def _ax_Pgm(self, budget: Budget):
         jc, wm = self._joinclass, self._witmask
         n = self.n
-        if budget.mode == "orbit":
-            self._certificate(self._check_class_tables)
 
         def pair(x, y, fail):
             cases = 0
@@ -597,8 +583,6 @@ class GroupSpace:
     def _ax_V(self, budget: Budget):
         jc, wm, byc = self._joinclass, self._witmask, self._byclass
         n = self.n
-        if budget.mode == "orbit":
-            self._certificate(self._check_class_tables)
 
         def pair(x, y, fail):
             cases = 0
@@ -624,17 +608,7 @@ class GroupSpace:
         jc, wm, byc = self._joinclass, self._witmask, self._byclass
         n = self.n
         holds = self._t_case_holds
-        # the transport plan, once certified; an uncertified space fails an
-        # orbit sweep and sends every row of an exhaustive one to ``holds``
-        plan = None
-        if budget.mode != "sample":
-            try:
-                self._certificate(self._check_equivariance)
-                self._certificate(self._check_class_tables)
-                plan = self._certificate(self._check_class_pairs)
-            except GeometryError:
-                if budget.mode == "orbit":
-                    raise
+        plan = self._row_certificate(budget, self._check_class_pairs)
 
         def pair(x, y, fail):
             cases = 0
@@ -775,7 +749,9 @@ class GroupSpace:
         jc, lpm = self._joinclass, self._linepts_minus
         jl = self._joinline
         holds = self._pap_case
-        cls, off = self._row_masks()
+        # the certified witness masks; an uncertified space reads empty ones,
+        # so that every row goes to ``holds``
+        wm = self._row_certificate(budget, self._check_tables) or [[0] * self.ncls] * n
 
         def pair(u, x, fail):
             cases = 0
@@ -786,24 +762,27 @@ class GroupSpace:
             jc_x = jc[x]
             # per x': the points of u⊔x' and those of them other than x,
             # and class(x⊔x')
-            on_x2 = [off[u][x2] for x2 in offline]
+            on_x2 = [wm[u][jc[u][x2]] for x2 in offline]
             y2_pool = [m & ~(1 << x) for m in on_x2]
             want1 = [jc_x[x2] for x2 in offline]
             for y in online:
                 jc_y_x2 = list(map(jc[y].__getitem__, offline))
-                # z' candidates for the y' at bit k - 1, at index k (0: none)
-                z2_for = [0] + list(map(cls[y].__getitem__, jc_x))
+                # z' candidates for the y' at bit k - 1, at index k (0: none).
+                # Class -1 reads the last class's mask: at k = x + 1 it is
+                # never read, as x is out of the y' pool, and a case with
+                # y or z = x' is vacuous
+                z2_for = [0] + list(map(wm[y].__getitem__, jc_x))
                 for z in online:
-                    cls_z = cls[z].__getitem__
+                    wm_z = wm[z].__getitem__
                     # a row is (y, z) over every x'.  A case holds where a y'
                     # on u⊔x' in class(y⊔x') from z leaves a z' on u⊔x' in
                     # class(x⊔x') from z and in class(x⊔y') from y; the row
                     # tries the highest and the lowest y', so a third one
                     # goes to the predicate
-                    y2s = list(map(and_, y2_pool, map(cls_z, jc_y_x2)))
+                    y2s = list(map(and_, y2_pool, map(wm_z, jc_y_x2)))
                     top = map(int.bit_length, y2s)
                     low = map(int.bit_length, map(and_, y2s, map(neg, y2s)))
-                    ok = list(map(and_, map(and_, on_x2, map(cls_z, want1)),
+                    ok = list(map(and_, map(and_, on_x2, map(wm_z, want1)),
                                   map(or_, map(z2_for.__getitem__, top),
                                       map(z2_for.__getitem__, low))))
                     if all(ok):

@@ -12,8 +12,8 @@ along shifts that pass ``PermutationMap.verified``; C2.1 the invariant
 circles at point 0, along the translations, each re-checked where it lands;
 T3.2 normality on the generators, checked to close to Δ, and the
 factorization at point 0, the unit translations checked to close to T;
-C3.3 Pgm at the ``orbit`` budget, the join tables checked equivariant and
-the class tables against them; C3.4 one line per class, the classes
+C3.3 Pgm at the ``orbit`` budget, the join tables certified equivariant and
+the class and line tables against them; C3.4 one line per class, the classes
 checked to partition the lines and each reached by ``reach``.  C3.3, C3.4 and T4.2 report ``mode: "orbit"`` and
 ``cases_represented``; the tests keep each retired loop as an oracle.
 ``L3.1`` is deliberately report-only: it publishes the census of

@@ -42,6 +42,20 @@ def test_group_verify_invalid_pencil(capsys):
     assert "invalid pencil" in err
 
 
+def test_empty_k_is_a_bad_pencil_spec(tmp_path, capsys):
+    # an "@K:" with nothing after it names no circle; it must not fall back
+    # to the default K
+    for spec in ("p:1,2@K:", "ideal:2@K:"):
+        out_file = tmp_path / "space.json"
+        for argv in (("group", "verify", "--q", "5", "--pencil", spec),
+                     ("export", "--q", "5", "--what", "space", "--pencil", spec,
+                      "--out", str(out_file))):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2 and out == "", (argv, out)
+            assert err == f"error: bad pencil spec {spec!r}\n", (argv, err)
+        assert not out_file.exists()
+
+
 def test_skewaffine_verify(capsys):
     code, out, _ = run_cli(capsys, "skewaffine", "verify", "--q", "3",
                            "--axiom", "all")

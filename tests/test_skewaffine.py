@@ -607,7 +607,9 @@ def test_pap_rows_keep_x_out_of_the_y_prime_pool(plane5, delta5):
     # gets its point A(0,2) moved onto x, so x enters the y' pool of the
     # rows at (u, x).  With class 0 read as the diagonal's -1, a y' = x
     # there finds a z', as the case predicate, which skips y' = x, does
-    # not; the rows must drop x too, or they accept a failing case
+    # not; the rows must drop x too, or they accept a failing case.  The
+    # damaged tables fail the table certificate, so the orbit sweep refuses
+    # to run and the exhaustive one sends every row to the predicate
     from laguerre import Budget
     gs = GroupSpace.build(plane5, canonical_pencil(plane5), delta5,
                           check_preconditions=False)
@@ -616,18 +618,17 @@ def test_pap_rows_keep_x_out_of_the_y_prime_pool(plane5, delta5):
     row[2] = (1, 3)
     gs._joinclass = [[-1 if c == 0 else c for c in jc_i] for jc_i in gs._joinclass]
     names = ("u", "x", "y", "z", "x'")
-    first, orbits = gs._orbit_reps()
+    with pytest.raises(GeometryError) as e:
+        gs.check_axiom("Pap", Budget("orbit", 0, 0))
+    assert e.value.code == "not_equivariant"
     every = [(u, x) for u in range(gs.n) for x in range(gs.n) if u != x]
-    expected = {"orbit": ([(first, y) for y, _ in orbits], 1776, 125),
-                "exhaustive": (every, 168800, 307)}
-    for mode, (pairs, cases, count) in expected.items():
-        rep = gs.check_axiom("Pap", Budget(mode, 0, 0))
-        want = [gs._witness(names, *case) for case in _pap_cases(gs, pairs)
-                if not gs._pap_case(*case)]
-        assert (rep.cases_checked, len(want)) == (cases, count), mode
-        assert rep.witnesses == want, mode
-        assert want[0] == dict(zip(names, ("A(0,0)", "A(0,1)", "A(0,1)",
-                                           "A(0,1)", "A(0,2)")))
+    rep = gs.check_axiom("Pap", Budget("exhaustive", 0, 0))
+    want = [gs._witness(names, *case) for case in _pap_cases(gs, every)
+            if not gs._pap_case(*case)]
+    assert (rep.cases_checked, len(want)) == (168800, 307)
+    assert rep.witnesses == want
+    assert want[0] == dict(zip(names, ("A(0,0)", "A(0,1)", "A(0,1)",
+                                       "A(0,1)", "A(0,2)")))
 
 
 def _p1_2(pl):
@@ -683,6 +684,25 @@ def _des_cases(gs, pairs):
                             yield u, x, y, z, x2
 
 
+def _row_masks(gs):
+    """Bitsets for the retired Des and Pap rows, derived from the tables
+    their predicates read: ``cls[i][c]`` holds the points j != i with
+    ``_joinclass[i][j] == c``, and ``off[u][z]`` the points of
+    ``_linepts_minus[u][z]`` (0 for z = u).  ``cls[i]`` has one spare last
+    slot, so that the class -1 of the diagonal reads the points that carry
+    it, as the predicates' comparisons do."""
+    n, jc = gs.n, gs._joinclass
+    cls = [[0] * (gs.ncls + 1) for _ in range(n)]
+    for i in range(n):
+        row, jc_i = cls[i], jc[i]
+        for j in range(n):
+            if j != i:
+                row[jc_i[j]] |= 1 << j
+    off = [[sum(1 << k for k in pts or ()) for pts in lpm_u]
+           for lpm_u in gs._linepts_minus]
+    return cls, off
+
+
 def _bitset_des(gs, budget):
     """Des as its row sweep decided it before the dilatation witnesses: a row
     (y, x') holds at z where some y' of u⊔y in class(x⊔y) from x' leaves a z'
@@ -691,7 +711,7 @@ def _bitset_des(gs, budget):
     predicate.  Kept as the oracle of the witness rows."""
     from operator import and_, or_
     n, jc, lpm = gs.n, gs._joinclass, gs._linepts_minus
-    cls, off = gs._row_masks()
+    cls, off = _row_masks(gs)
 
     def pair(u, x, fail):
         cases = 0
@@ -724,6 +744,62 @@ def _bitset_des(gs, budget):
         return cases
 
     return gs._sweep(budget, ("u", "x", "y", "z", "x'"), pair)
+
+
+def _bitset_pap(gs, budget):
+    """Pap as its row sweep decided it before the table certificate: the
+    row (y, z) over every x', as ANDs of the bitsets ``_row_masks`` derives
+    at the start of each sweep from the tables the predicate reads, on any
+    space; every case a row does not accept goes to the predicate.  Kept as
+    the oracle of the certified rows."""
+    from operator import and_, neg, or_
+    n, jc, jl, lpm = gs.n, gs._joinclass, gs._joinline, gs._linepts_minus
+    cls, off = _row_masks(gs)
+
+    def pair(u, x, fail):
+        cases = 0
+        online = lpm[u][x]
+        offline = [x2 for x2 in range(n)
+                   if x2 != u and x2 != x and jl[u][x2] != jl[u][x]]
+        jc_x = jc[x]
+        on_x2 = [off[u][x2] for x2 in offline]
+        y2_pool = [m & ~(1 << x) for m in on_x2]
+        want1 = [jc_x[x2] for x2 in offline]
+        for y in online:
+            jc_y_x2 = list(map(jc[y].__getitem__, offline))
+            z2_for = [0] + list(map(cls[y].__getitem__, jc_x))
+            for z in online:
+                cls_z = cls[z].__getitem__
+                y2s = list(map(and_, y2_pool, map(cls_z, jc_y_x2)))
+                top = map(int.bit_length, y2s)
+                low = map(int.bit_length, map(and_, y2s, map(neg, y2s)))
+                ok = list(map(and_, map(and_, on_x2, map(cls_z, want1)),
+                              map(or_, map(z2_for.__getitem__, top),
+                                  map(z2_for.__getitem__, low))))
+                for x2, accepted in zip(offline, ok):
+                    cases += 1
+                    if not accepted and not gs._pap_case(u, x, y, z, x2):
+                        fail(u, x, y, z, x2)
+        return cases
+
+    return gs._sweep(budget, ("u", "x", "y", "z", "x'"), pair)
+
+
+def test_pap_rows_match_the_bitset_rows(space3, space5, space5_p1_2, plane5, delta5):
+    # on a certified space the rows read the stored witness masks; on the
+    # damaged spaces, which fail the certificate, every row goes to the
+    # predicate; the reports are the retired bitset rows' either way
+    from laguerre import Budget
+    for gs in (space3, space5, space5_p1_2):
+        for mode in ("orbit", "exhaustive"):
+            budget = Budget(mode, 0, 0)
+            assert gs._ax_Pap(budget) == _bitset_pap(gs, budget), (gs.q, mode)
+    budget = Budget("exhaustive", 0, 0)
+    for consistent in (True, False):
+        gs = _damaged_space5(plane5, delta5, consistent)
+        got = gs._ax_Pap(budget)
+        assert got[1], consistent
+        assert got == _bitset_pap(gs, budget), consistent
 
 
 def _with_calls(gs, axiom, budget, monkeypatch):
@@ -805,8 +881,7 @@ def test_des_reports_do_not_rest_on_the_stabilizer(plane5, delta5, monkeypatch):
     for gs, modes in ((GroupSpace.build(*_fresh(3), check_preconditions=False),
                        ("orbit", "exhaustive")),
                       (GroupSpace.build(plane5, canonical_pencil(plane5), delta5,
-                                        check_preconditions=False), ("orbit",)),
-                      (_lpm_damaged_space5(plane5, delta5), ("orbit",))):
+                                        check_preconditions=False), ("orbit",))):
         want = {mode: _des_with_calls(gs, Budget(mode, 0, 0), monkeypatch)
                 for mode in modes}
         gs._stab0 = [rng.sample(range(gs.n), gs.n) for _ in range(4 * gs.n)]
@@ -820,20 +895,40 @@ def test_des_reports_do_not_rest_on_the_stabilizer(plane5, delta5, monkeypatch):
 def test_des_witnesses_check_the_line_tables(plane5, delta5):
     # every witness g with g(A(0,2)) = A(0,2) still carries the join classes
     # as a dilatation does; only its check against the line table keeps its
-    # rows from accepting the cases that the predicate now fails
+    # rows from accepting the cases that the predicate now fails.  The line
+    # table fails the table certificate, so the orbit sweep refuses to run
     from laguerre import Budget
     gs = _lpm_damaged_space5(plane5, delta5)
     names = ("u", "x", "y", "z", "x'")
-    expected = {"orbit": (12144, 990), "exhaustive": (1113200, 2398)}
-    for mode, (cases, count) in expected.items():
-        rep = gs.check_axiom("Des", Budget(mode, 0, 0))
-        want = [gs._witness(names, *case)
-                for case in _des_cases(gs, _sweep_pairs(gs, mode))
-                if not gs._des_case_holds(*case)]
-        assert (rep.cases_checked, len(want)) == (cases, count), mode
-        assert rep.witnesses == want, mode
-        assert want[0] == dict(zip(names, ("A(0,0)", "A(0,1)", "A(0,2)",
-                                           "A(0,3)", "A(0,1)")))
+    with pytest.raises(GeometryError) as e:
+        gs.check_axiom("Des", Budget("orbit", 0, 0))
+    assert e.value.code == "not_equivariant"
+    rep = gs.check_axiom("Des", Budget("exhaustive", 0, 0))
+    want = [gs._witness(names, *case)
+            for case in _des_cases(gs, _sweep_pairs(gs, "exhaustive"))
+            if not gs._des_case_holds(*case)]
+    assert (rep.cases_checked, len(want)) == (1113200, 2398)
+    assert rep.witnesses == want
+    assert want[0] == dict(zip(names, ("A(0,0)", "A(0,1)", "A(0,2)",
+                                       "A(0,3)", "A(0,1)")))
+
+
+def test_orbit_des_and_pap_reject_a_short_line_table(plane5, delta5):
+    # _linepts_minus off point 0 with its first point dropped: orbit Des and
+    # Pap read only point 0's row, and passed; the table certificate now
+    # compares every row with the by-class table, while the exhaustive
+    # sweeps report the failing cases as before
+    from laguerre import Budget
+    gs = GroupSpace.build(plane5, canonical_pencil(plane5), delta5,
+                          check_preconditions=False)
+    gs._linepts_minus[7][0] = gs._linepts_minus[7][0][1:]
+    for axiom, cases, count in (("Des", 1112694, 780), ("Pap", 168660, 104)):
+        with pytest.raises(GeometryError) as e:
+            gs.check_axiom(axiom)
+        assert e.value.code == "not_equivariant", axiom
+        rep = gs.check_axiom(axiom, Budget("exhaustive", 0, 0))
+        assert (rep.status, rep.cases_checked, len(rep.witnesses)) == (
+            "fail", cases, count), axiom
 
 
 def test_des_witnesses_are_injective_and_miss_x_prime(plane5, delta5):
@@ -974,13 +1069,13 @@ def test_orbit_pgm_and_v_reject_a_stale_witness_mask(plane5, delta5):
 
 
 def test_certificates_are_checked_lazily_and_only_where_read():
-    # the build checks no symmetry; Pgm and V check the class tables, not
-    # the pair reach that only T reads
+    # the build checks no symmetry; Pgm and V check the tables, not the
+    # pair reach that only T reads
     gs = GroupSpace.build(*_fresh(3), check_preconditions=False)
     assert gs._certificates == {}
     gs.check_axiom("Pgm")
     gs.check_axiom("V")
-    assert set(gs._certificates) == {"_check_equivariance", "_check_class_tables"}
+    assert set(gs._certificates) == {"_check_tables"}
     gs.check_axiom("T")
     plan = gs._certificates["_check_class_pairs"]
     assert [(x0, y0) for x0, y0, _ in plan] == [(0, row[0]) for row in gs._byclass[0]]
