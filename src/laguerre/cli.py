@@ -197,10 +197,13 @@ def _cmd_export(args) -> int:
     if args.what == "plane" and args.pencil is not None:
         raise UsageError("--pencil does not apply to --what plane")
     out = Path(args.out)
-    if out.is_dir():
-        raise UsageError(f"output path {args.out!r} is a directory")
-    if not out.parent.is_dir():
-        raise UsageError(f"output directory {str(out.parent)!r} does not exist")
+    try:
+        if out.is_dir():
+            raise UsageError(f"output path {args.out!r} is a directory")
+        if not out.parent.is_dir():
+            raise UsageError(f"output directory {str(out.parent)!r} does not exist")
+    except OSError as e:
+        raise UsageError(f"cannot write {args.out!r}: {e.strerror}") from None
     plane = LaguerrePlane(args.q)
     pencil = _parse_pencil(plane, args.pencil or "canonical")
     if args.what == "plane":
@@ -214,8 +217,11 @@ def _cmd_export(args) -> int:
             payload = GroupSpace.build(plane, pencil, delta,
                                        check_preconditions=False).to_json()
     text = _json(payload) + "\n"
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise UsageError(f"cannot write {args.out!r}: {e.strerror}") from None
     print(f"wrote {args.what} for q={args.q} to {args.out}")
     return 0
 

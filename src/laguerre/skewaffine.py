@@ -12,13 +12,12 @@ list ``points``.  A group element acts only through ``point_perm``, the
 group's action on plane indices (``DeltaGroup.image``) restricted to these
 points, and ``line_image`` carries a line along it.  Only point 0's
 stabilizer comes from a scan of the group (``DeltaGroup.stabilizer``); the
-space keeps its elements, ``stabilizer0``, and their permutations.  The
-group is the translations times that stabilizer, so the stabilizer of point
-i is T_i Stab(0) T_i⁻¹, where T_i, ``translations[i]``, is the
-translation carrying point 0 to point i; the build raises
-``translations_not_regular`` unless exactly one translation does, for every
-i.  The closed-form join route reads canonical coordinates through
-``DeltaGroup.canonical_index``.  Named points appear only at the boundary:
+space keeps its elements, ``stabilizer0``.  The group is the translations
+times that stabilizer, so the stabilizer of point i is T_i Stab(0) T_i⁻¹,
+where T_i, ``translations[i]``, is the translation carrying point 0 to
+point i; the build raises ``translations_not_regular`` unless exactly one
+translation does, for every i.  The closed-form join route reads canonical
+coordinates through ``DeltaGroup.canonical_index``.  Named points appear only at the boundary:
 ``join``, ``Line.points`` and ``Line.base_points``, witnesses and
 ``to_json``, which encodes each point once: every line's ``base`` and
 ``points`` are those same dicts, so treat its payload as read-only.
@@ -73,8 +72,8 @@ are swept exhaustively under ``sample:K``; L1, L2, P1 and P2 are quadratic
 and always exhaustive.
 
 Row sweeps.  The orbit and exhaustive sweeps of T, Des and Pap decide a row
-of cases at once: for T the (x', y') pairs of one (x, y, z), for Des the z
-of one (u, x, y, x'), for Pap the x' of one (u, x, y, z).  A row may only
+of cases at once: for T the (x', y') pairs of one (x, y, z), for Des every
+case of one (u, x), for Pap the x' of one (u, x, y, z).  A row may only
 accept.  Every case it does not accept goes to the axiom's case predicate
 (``_t_case_holds``, ``_des_case_holds``, ``_pap_case``) in the sweep's loop
 order, so the case count, the witnesses and their order are those of a
@@ -84,19 +83,16 @@ case-by-case sweep.  T decides a row by transport.  Its cases are the pairs
 y⊔z.  Once the tables are certified and the generators carry one pair
 (x0, y0) of each class to every pair of it (``_check_class_pairs``), a
 witness for (x0, y0) moves along the group to one for every pair of the
-class, so the one AND at (x0, y0) accepts the row.  Pap decides a row by
-C-level ``map``/``and_`` passes over the certified ``_witmask``.  T and Pap
-rows run only on a certified space: an orbit sweep of an uncertified space
-raises ``not_equivariant``, and an exhaustive one sends every row to the
-predicate.  Des accepts a row by a witness.  Each line through u is an
-orbit of Stab(u), so for each x' on u⊔x some g in Stab(u) carries x to x',
-and y' = g(y), z' = g(z) are the points the axiom asks for.
-``_des_witnesses`` takes g from ``_stab0`` conjugated along the
-translations and checks it once per x' against ``_linepts_minus`` and
-``_joinclass``; the row (y, x') is accepted when also jc[g(y)][g(z)] ==
-jc[y][z] for every z.  These checks are the predicate's clauses in the
-tables it reads, so an accepted row holds whatever g is, and the group
-decides only how many rows reach the predicate.  Sampled sweeps decide
+class, so the one AND at (x0, y0) accepts the row.  It decides Des too: x'
+on u⊔x puts (u, x), (u, x') in one class, so some g has g(u) = u, g(x) = x'.
+g keeps ``_joinclass``, and ``_linepts_minus[u][j]`` is its class's
+``_byclass`` entry, so y' = g(y) on u⊔y and z' = g(z) on u⊔z, apart from
+each other and x' as g permutes, keep the three join classes: the clauses
+of ``_des_case_holds``.  No normal transitivity is used; q = 3 passes too.
+Pap decides a row by C-level ``map``/``and_`` passes over the certified
+``_witmask``.  T, Des and Pap rows run only on a certified space: an orbit
+sweep of an uncertified space raises ``not_equivariant``, and an
+exhaustive one sends every case to the predicate.  Sampled sweeps decide
 each draw with the predicate.
 """
 
@@ -104,7 +100,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from operator import and_, contains, neg, or_
+from operator import and_, neg, or_
 
 from .plane import GeometryError, LaguerrePlane, Pencil, Point, not_a_point
 from .autgroup import DeltaGroup, PencilAut, require_reach
@@ -220,7 +216,7 @@ class GroupSpace:
         # the orbit of each point under the stabilizer of point 0, numbered
         # in order of least point; the first is point 0's own
         self.stabilizer0 = delta.stabilizer(self.points[0])
-        self._stab0 = stab0 = [self.point_perm(f) for f in self.stabilizer0]
+        stab0 = [self.point_perm(f) for f in self.stabilizer0]
         orbit_ids: dict[tuple[int, ...], int] = {}
         orbit_of = [orbit_ids.setdefault(tuple(sorted({perm[k] for perm in stab0})),
                                          len(orbit_ids)) for k in range(n)]
@@ -428,10 +424,10 @@ class GroupSpace:
         return 0, [(orbit[0], len(orbit)) for orbit in self._orbits0[1:]]
 
     def _row_certificate(self, budget: Budget, check):
-        """What ``check`` returns, when the rows of a T or Pap sweep may rest
-        on it, or ``None``: a sampled sweep reads no rows, and an exhaustive
-        sweep of a space that fails ``check`` sends every row to the case
-        predicate.  An orbit sweep re-raises."""
+        """What ``check`` returns, when the rows of a T, Des or Pap sweep may
+        rest on it, or ``None``: a sampled sweep reads no rows, and an
+        exhaustive sweep of a space that fails ``check`` sends every row to
+        the case predicate.  An orbit sweep re-raises."""
         if budget.mode == "sample":
             return None
         try:
@@ -442,7 +438,7 @@ class GroupSpace:
             return None
 
     def _check_tables(self) -> list[list[int]]:
-        """The certificate of every orbit sweep and every T and Pap row;
+        """The certificate of every orbit sweep and every T, Des and Pap row;
         returns the witness masks.  Every axiom case is decided by the
         join-line and join-class tables.  Each generator must carry the join
         line of (x, y) to the join line of the image pair and keep its
@@ -496,7 +492,8 @@ class GroupSpace:
         its number of pairs.  The generators must carry (x0, y0) to every
         pair of the class.  With certified tables (``_check_tables``, run
         first), every pair of class c then decides a T case as (x0, y0)
-        does.  One class's pairs are held at a time."""
+        does, and any two pairs of one class are one group element apart,
+        which decides Des.  One class's pairs are held at a time."""
         self._certificate(self._check_tables)
         n, byc = self.n, self._byclass
         moves = [lambda p, perm=perm: perm[p // n] * n + perm[p % n]
@@ -656,63 +653,24 @@ class GroupSpace:
                     return True
         return False
 
-    def _des_witnesses(self, u: int, x: int) -> list[list[int] | None]:
-        """Per x' of ``_linepts_minus[u][x]``, a checked map g of point
-        indices, or ``None``.  g is T_u s T_u⁻¹ for the first s in
-        ``_stab0`` that carries T_u⁻¹(x) to T_u⁻¹(x'), a dilatation fixing u
-        with g(x) = x'.  It is kept only if, over the points z other than u
-        and x, the images g(z) are distinct and miss x', and each lies in
-        ``_linepts_minus[u][z]`` with ``_joinclass[x'][g(z)]`` equal to
-        ``_joinclass[x][z]``: the clauses of ``_des_case_holds`` that do not
-        pair y' with z'."""
-        n, jc, lpm_u = self.n, self._joinclass, self._linepts_minus[u]
-        trans = self.translation_perms[u]
-        back = [0] * n
-        for k, m in enumerate(trans):
-            back[m] = k
-        by_image: dict[int, list[int]] = {}
-        for s in self._stab0:
-            by_image.setdefault(s[back[x]], s)
-        others = [z for z in range(n) if z != u and z != x]
-        lines = list(map(lpm_u.__getitem__, others))
-        classes = list(map(jc[x].__getitem__, others))
-        witnesses = []
-        for x2 in lpm_u[x]:
-            g, s = None, by_image.get(back[x2])
-            if s is not None:
-                conj = list(map(trans.__getitem__, map(s.__getitem__, back)))
-                images = list(map(conj.__getitem__, others))
-                if (len({x2, *images}) == n - 1 and all(map(contains, lines, images))
-                        and list(map(jc[x2].__getitem__, images)) == classes):
-                    g = conj
-            witnesses.append(g)
-        return witnesses
-
     def _ax_Des(self, budget: Budget):
         n = self.n
-        jc, lpm = self._joinclass, self._linepts_minus
+        lpm = self._linepts_minus
         holds = self._des_case_holds
+        # certified class pairs make every case hold (see "Row sweeps")
+        plan = self._row_certificate(budget, self._check_class_pairs)
 
         def pair(u, x, fail):
+            if plan is not None:
+                return (n - 2) * (n - 3) * len(lpm[u][x])
             cases = 0
-            line = lpm[u][x]
-            witnesses = self._des_witnesses(u, x)
             for y in range(n):
                 if y in (u, x):
-                    continue
-                # a row is (y, x') over every z.  With its witness g, the
-                # y' = g(y) and z' = g(z) meet the predicate at z once
-                # jc[y'][z'] == jc[y][z]; one list compares every z
-                jc_y = jc[y]
-                rejected = [x2 for x2, g in zip(line, witnesses)
-                            if g is None or list(map(jc[g[y]].__getitem__, g)) != jc_y]
-                cases += (n - 3) * (len(line) - len(rejected))
-                if not rejected:
                     continue
                 for z in range(n):
                     if z in (u, x, y):
                         continue
-                    for x2 in rejected:
+                    for x2 in lpm[u][x]:
                         cases += 1
                         if not holds(u, x, y, z, x2):
                             fail(u, x, y, z, x2)

@@ -249,3 +249,19 @@ def test_export_into_missing_directory_fails_before_the_build(tmp_path, capsys,
         assert stdout == ""
         assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not missing.exists()
+
+
+def test_export_to_a_path_the_os_rejects_is_a_usage_error(tmp_path, capsys):
+    # a file name longer than the OS allows fails in the path checks, /dev/full
+    # in the write; neither is a failed check, so both exit 2 with one line
+    import os
+    outs = [tmp_path / ("x" * 300)]
+    if os.path.exists("/dev/full"):
+        outs.append("/dev/full")
+    for out in outs:
+        code, stdout, err = run_cli(capsys, "export", "--q", "3", "--what", "plane",
+                                    "--out", str(out))
+        assert code == 2, out
+        assert stdout == ""
+        assert err.startswith("error: cannot write ") and err.count("\n") == 1, err
+        assert "Traceback" not in err

@@ -708,7 +708,7 @@ def _bitset_des(gs, budget):
     (y, x') holds at z where some y' of u⊔y in class(x⊔y) from x' leaves a z'
     of u⊔z in class(x⊔z) from x' and in class(y⊔z) from y', all as ANDs of
     the bitsets ``_row_masks`` derives; every rejected row goes to the
-    predicate.  Kept as the oracle of the witness rows."""
+    predicate.  Kept as the oracle of the certified Des sweep."""
     from operator import and_, or_
     n, jc, lpm = gs.n, gs._joinclass, gs._linepts_minus
     cls, off = _row_masks(gs)
@@ -871,27 +871,6 @@ def _lpm_damaged_space5(plane5, delta5):
     return gs
 
 
-def test_des_reports_do_not_rest_on_the_stabilizer(plane5, delta5, monkeypatch):
-    # _stab0 replaced by permutations that are no dilatations: no witness
-    # survives its check, so rows go to the predicate and every report stays
-    # as it was
-    import random
-    from laguerre import Budget
-    rng = random.Random(5)
-    for gs, modes in ((GroupSpace.build(*_fresh(3), check_preconditions=False),
-                       ("orbit", "exhaustive")),
-                      (GroupSpace.build(plane5, canonical_pencil(plane5), delta5,
-                                        check_preconditions=False), ("orbit",))):
-        want = {mode: _des_with_calls(gs, Budget(mode, 0, 0), monkeypatch)
-                for mode in modes}
-        gs._stab0 = [rng.sample(range(gs.n), gs.n) for _ in range(4 * gs.n)]
-        gs._stab0 += gs.translation_perms[1:]
-        for mode, (report, sent) in want.items():
-            got, sent_now = _des_with_calls(gs, Budget(mode, 0, 0), monkeypatch)
-            assert got == report, (gs.q, mode)
-            assert len(sent_now) > len(sent), (gs.q, mode)
-
-
 def test_des_witnesses_check_the_line_tables(plane5, delta5):
     # every witness g with g(A(0,2)) = A(0,2) still carries the join classes
     # as a dilatation does; only its check against the line table keeps its
@@ -929,35 +908,6 @@ def test_orbit_des_and_pap_reject_a_short_line_table(plane5, delta5):
         rep = gs.check_axiom(axiom, Budget("exhaustive", 0, 0))
         assert (rep.status, rep.cases_checked, len(rep.witnesses)) == (
             "fail", cases, count), axiom
-
-
-def test_des_witnesses_are_injective_and_miss_x_prime(plane5, delta5):
-    # on the straight line L = {A(k,0)} through u = A(0,0), the dilatation
-    # g0 = stab0[1] (k = 2) carries x = A(1,0) to x' = A(2,0).  Sending
-    # z = A(4,0) instead to g0(A(3,0)) = A(1,0), or to x' itself where the
-    # diagonal class of x' is damaged to L's, keeps every image on its line
-    # of u and in its join class from x'; z' = y' and z' = x' still forbid
-    # the map as a witness
-    gs = GroupSpace.build(plane5, canonical_pencil(plane5), delta5,
-                          check_preconditions=False)
-    u, x, x2, y, z = (gs.index[affine(k, 0)] for k in range(5))
-    assert gs.translation_perms[u] == list(range(gs.n))  # g is s itself at u
-    g0 = gs._stab0[1]
-    assert (g0[x], g0[y]) == (x2, x)
-    slot = gs._linepts_minus[u][x].index(x2)
-
-    def witness(g):
-        gs._stab0 = [g]
-        return gs._des_witnesses(u, x)[slot]
-
-    assert witness(g0) == g0
-    twice = list(g0)
-    twice[z] = g0[y]
-    assert witness(twice) is None
-    gs._joinclass[x2][x2] = gs._joinclass[x][z]
-    onto_x2 = list(g0)
-    onto_x2[z] = x2
-    assert witness(onto_x2) is None
 
 
 def _bitset_t(gs, budget):
@@ -1032,23 +982,29 @@ def _short_byclass(gs):
     gs._byclass[7][2] = gs._byclass[7][2][1:]
 
 
-@pytest.mark.parametrize("damage", (_stale_witmask, _short_byclass, _unit_translations))
-def test_t_transport_needs_each_certificate_clause(plane5, delta5, damage, monkeypatch):
+@pytest.mark.parametrize("damage, axiom", [
+    pytest.param(damage, axiom, id=damage.__name__ + ("" if axiom == "T" else "-Des"))
+    for axiom in ("T", "Des")
+    for damage in (_stale_witmask, _short_byclass, _unit_translations)])
+def test_t_transport_needs_each_certificate_clause(plane5, delta5, damage, axiom,
+                                                   monkeypatch):
     # a witness mask off point 0 that lost a bit, a by-class list that lost a
     # point, or generators that move every point but not every pair of a
     # class (the translations keep every table): each leaves the space
-    # uncertified, so the exhaustive rows all go to the predicate and the
-    # orbit sweep refuses to run
+    # uncertified, so the exhaustive T and Des sweeps send every case to the
+    # predicate and their orbit sweeps refuse to run
     from laguerre import Budget
     gs = GroupSpace.build(plane5, canonical_pencil(plane5), delta5,
                           check_preconditions=False)
     damage(gs)
     budget = Budget("exhaustive", 0, 0)
-    got, sent = _with_calls(gs, "T", budget, monkeypatch)
-    assert got == _bitset_t(gs, budget)
+    got, sent = _with_calls(gs, axiom, budget, monkeypatch)
+    assert got == {"T": _bitset_t, "Des": _bitset_des}[axiom](gs, budget)
     assert len(sent) == got[0]
+    if axiom == "Des":
+        assert got[0] == 1113200
     with pytest.raises(GeometryError) as e:
-        gs.check_axiom("T")
+        gs.check_axiom(axiom)
     assert e.value.code == "not_equivariant"
 
 
@@ -1070,9 +1026,12 @@ def test_orbit_pgm_and_v_reject_a_stale_witness_mask(plane5, delta5):
 
 def test_certificates_are_checked_lazily_and_only_where_read():
     # the build checks no symmetry; Pgm and V check the tables, not the
-    # pair reach that only T reads
+    # pair reach that only T and Des read
     gs = GroupSpace.build(*_fresh(3), check_preconditions=False)
     assert gs._certificates == {}
+    gs.check_axiom("Des")
+    assert set(gs._certificates) == {"_check_tables", "_check_class_pairs"}
+    gs = GroupSpace.build(*_fresh(3), check_preconditions=False)
     gs.check_axiom("Pgm")
     gs.check_axiom("V")
     assert set(gs._certificates) == {"_check_tables"}
