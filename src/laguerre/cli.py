@@ -6,9 +6,9 @@ plane verify       --q N                       Laguerre axioms, exhaustively
 group verify       --q N [--pencil SPEC]       transitivity + tangency axioms
 skewaffine verify  --q N --axiom ID|all        residual-plane axioms, at the
                    [--budget B] [--seed S]     default or the given budget
-theorems run       --q N [--id ID|all]         the named-check catalog,
-                                               exhaustively (five checks up to
-                                               a machine-checked symmetry)
+theorems run       --q N [--id ID|all]         the named-check catalog:
+                                               nine checks exhaustive, twenty
+                                               up to a machine-checked symmetry
 export             --q N --what W --out FILE   plane/group/space JSON
 
 Pencil SPEC is ``canonical`` (default), ``p:x,y[@K:a,b,c]`` for an affine

@@ -355,6 +355,13 @@ class GroupSpace:
         checker = getattr(self, f"_ax_{axiom}")
         return run_check(axiom, self.q, lambda: checker(budget), _NOTES.get(axiom))
 
+    def certify(self) -> None:
+        """Raise ``not_equivariant`` unless the join tables pass the
+        certificate every orbit sweep rests on (``_check_tables``): then the
+        group's generators, the unit translations among them, carry every
+        join to the join of the image pair.  It runs once per space."""
+        self._certificate(self._check_tables)
+
     def _witness(self, names: tuple[str, ...], *idx: int) -> dict:
         return {name: repr(self.points[i]) for name, i in zip(names, idx)}
 
@@ -419,7 +426,7 @@ class GroupSpace:
     def _orbit_reps(self) -> tuple[int, list[tuple[int, int]]]:
         """Point 0 and, per orbit of its stabilizer on the other points, the
         least point index with the orbit size."""
-        self._certificate(self._check_tables)
+        self.certify()
         # _orbits0[0] is the orbit of point 0 itself
         return 0, [(orbit[0], len(orbit)) for orbit in self._orbits0[1:]]
 
@@ -494,7 +501,7 @@ class GroupSpace:
         first), every pair of class c then decides a T case as (x0, y0)
         does, and any two pairs of one class are one group element apart,
         which decides Des.  One class's pairs are held at a time."""
-        self._certificate(self._check_tables)
+        self.certify()
         n, byc = self.n, self._byclass
         moves = [lambda p, perm=perm: perm[p // n] * n + perm[p % n]
                  for perm in self._gen_perms]

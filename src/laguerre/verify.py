@@ -5,17 +5,35 @@ summary; ``CHECK_IDS`` and ``CHECK_SUMMARIES`` are read off it.  A checker
 sweeps the statement's quantifiers over the canonical pencil of the plane
 of the requested size and returns (cases, witnesses, details), as the
 residual-plane axiom checkers do.  Checks verify conclusions, not
-intermediate constructions.  Every check is exhaustive except five, which
-evaluate a representative and move it along a symmetry checked first, each
-generator orbit by ``autgroup.require_reach``: T4.2 the circle (0, 0, 0),
+intermediate constructions.
+
+Nine checks are exhaustive (P2.2, P2.3, P2.5, P2.6, P3.1, C3.1, L3.1, P3.2,
+P4.3).  The other twenty evaluate a representative and move it along a
+symmetry checked first, each generator orbit by ``autgroup.require_reach``
+(Kaski and Östergård's isomorph rejection): T4.2 the circle (0, 0, 0),
 along shifts that pass ``PermutationMap.verified``; C2.1 the invariant
 circles at point 0, along the translations, each re-checked where it lands;
 T3.2 normality on the generators, checked to close to Δ, and the
 factorization at point 0, the unit translations checked to close to T;
 C3.3 Pgm at the ``orbit`` budget, the join tables certified equivariant and
 the class and line tables against them; C3.4 one line per class, the classes
-checked to partition the lines and each reached by ``reach``.  C3.3, C3.4 and T4.2 report ``mode: "orbit"`` and
-``cases_represented``; the tests keep each retired loop as an oracle.
+checked to partition the lines and each reached by ``reach``.  The other
+fifteen rest on one certificate, ``_Ctx.transport``: the unit translations
+(1, 1, 0) and (1, 0, 1), as point permutations that pass
+``PermutationMap.verified``, fix the vertex generator pointwise, permute the
+pencil members, carry point 0 to every residual point and are the group's
+own action, and ``GroupSpace.certify`` passes.  They then carry point 0 to
+every residual point, the member y = 0 to every member (each residual point
+lies on one) and the circle (a, 0, 0) to every circle (a, b, c), a != 0,
+keeping every plane, pencil and join fact.  So P2.1, L4.2 and P4.6 run the
+ordered residual pairs at x = point 0; P2.4 the circles based at point 0;
+T3.1 point 0's stabilizer; T4.1 and C4.2 the loci at x = point 0; P4.2 the
+circle (a, 0, 0) paired with every circle of equal a; and P4.1, C4.1, L4.1,
+P4.4, P4.5, P4.7 and R4.1 the tangent family of the member y = 0.  A
+reduced check reports ``mode: "orbit"``, its ``representative`` (C3.3 and
+C3.4 name none) and ``cases_represented``, the case count of the full sweep
+(``_orbit``).  The tests keep each retired loop as an oracle; a reduced
+check, by design, cannot see a fault off its representative.
 ``L3.1`` is deliberately report-only: it publishes the census of
 fixed-point-free group elements and asserts only the restricted claims that
 hold in this model (see its reading notes).
@@ -23,11 +41,12 @@ hold in this model (see its reading notes).
 Plane facts that several checks read are derived once per q, in tables of
 ``_Ctx``: ``bases``, circle -> tangency point (P2.1, P2.4, P4.2, T4.1);
 ``line_circles``, line -> circle (P2.1, P2.3, P2.5, P2.6); ``member_of``,
-point -> pencil member (L4.2, P4.6, and ``vertex_members``);
-``vertex_members``, point -> the members of the vertex pencil there (T3.1,
-T3.2); ``stabilizers``, point -> its stabilizer (C2.1, T3.1, T3.2, and
-``fixed_points``).  The first check to read a table builds it, and its
-``elapsed_ms`` includes the build.
+point -> pencil member (L4.2 and ``vertex_members``); ``vertex_members``,
+point -> the members of the vertex pencil there (T3.1, T3.2);
+``stabilizers``, point -> its stabilizer (C2.1, T3.1, T3.2, and
+``fixed_points``); ``family0``, the tangent family of the member y = 0, the
+only one built (T4.2 and the family checks).  The first check to read a
+table builds it, and its ``elapsed_ms`` includes the build.
 """
 
 from __future__ import annotations
@@ -37,8 +56,8 @@ from functools import cached_property, partial
 
 from .plane import (Circle, GeometryError, IDEAL, LaguerrePlane, Pencil, Point,
                     affine, canonical_pencil, ideal)
-from .autgroup import (IDENTITY, DeltaGroup, PencilAut, aut_compose, aut_inverse,
-                       circle_add_map, reach, require_reach)
+from .autgroup import (IDENTITY, DeltaGroup, PencilAut, PermutationMap, aut_compose,
+                       aut_inverse, circle_add_map, reach, require_reach)
 from .skewaffine import GroupSpace, SPECIAL, STRAIGHT
 from .report import PASS, REPORT_ONLY, Report, run_check
 
@@ -149,7 +168,7 @@ class TangentFamily:
 
 class _Ctx:
     """Per-q lazily built plane, group and residual plane, plus the tables
-    and per-member artifacts that several checks read."""
+    and the transport certificate that several checks read."""
 
     def __init__(self, q: int):
         self.q = q
@@ -231,21 +250,55 @@ class _Ctx:
         return fixed
 
     @cached_property
-    def families(self) -> dict[Circle, TangentFamily]:
-        """The tangent family of each pencil member (members only: a family
-        for every circle would cost memory in proportion to q^3)."""
-        return {M: TangentFamily(self.plane, M) for M in self.members}
+    def unit_maps(self) -> list[PermutationMap]:
+        """The unit translations (1, 1, 0) and (1, 0, 1) as point
+        permutations, verified here, whatever ``circle_add_map`` checked
+        itself: x ↦ x + 1, and y ↦ y + 1, T4.2's ``Circle(0, 0, 1)`` shift."""
+        plane = self.plane
+        return [PermutationMap.from_aut(plane, PencilAut(1, 1, 0)).verified(),
+                circle_add_map(plane, Circle(0, 0, 1)).verified()]
 
     @cached_property
-    def equiv_reports(self) -> list[Report]:
-        """``thm_equiv_rel`` per pencil member, on the memoised families."""
-        return [_equiv_report(self.plane, M, fam)[1] for M, fam in self.families.items()]
+    def family0(self) -> TangentFamily:
+        """The tangent family of the member y = 0, the pencil's base."""
+        return TangentFamily(self.plane, self.pencil.base)
 
     @cached_property
-    def loci(self) -> list[tuple[int, Point, Circle, Report]]:
-        """``thm_tangency_locus`` per ideal direction and residual point."""
-        return [(beta, x, *_locus_report(self.plane, ideal(beta), x, self.bases.__getitem__))
-                for beta in range(1, self.q) for x in self.space.points]
+    def transport(self) -> Point:
+        """Point 0, once ``unit_maps`` are certified to carry the cases at
+        point 0 or on the member y = 0 to every case: each must fix the
+        vertex generator pointwise and permute ``members``
+        (``pencil_not_fixed``), together they must carry point 0 to every
+        residual point (``not_transitive``), each must be the group's action
+        of its unit translation (``not_equivariant``), and the join tables
+        must pass ``GroupSpace.certify``, which makes them equivariant under
+        the group's generators, the unit translations among them."""
+        plane, space, delta = self.plane, self.space, self.delta
+        generator, members = delta.base_generator_points(), set(self.members)
+        for u, m in zip(self.unit_translations, self.unit_maps):
+            if (any(m.apply_point(p) != p for p in generator)
+                    or set(map(m.apply_circle, self.members)) != members):
+                raise GeometryError(f"the unit translation {list(u)} does not fix the "
+                                    "pencil", code="pencil_not_fixed")
+        p0 = space.points[0]
+        require_reach(p0, [m.apply_point for m in self.unit_maps], space.points,
+                      "not_transitive", repr(p0), "residual points")
+        for u, m in zip(self.unit_translations, self.unit_maps):
+            if m.perm != [delta.image(u, i) for i in range(len(plane.points))]:
+                raise GeometryError(f"the unit translation {list(u)} is not the "
+                                    "group's", code="not_equivariant")
+        space.certify()
+        return p0
+
+    @cached_property
+    def equiv_report(self) -> Report:
+        """``thm_equiv_rel`` on ``family0``."""
+        return _equiv_report(self.plane, self.pencil.base, self.family0)[1]
+
+    @cached_property
+    def loci(self) -> list[tuple[int, Circle | None, Report]]:
+        """``thm_tangency_locus`` per ideal direction, at point 0."""
+        return _loci_at(self, self.transport)
 
 
 _CTX_CACHE: dict[int, _Ctx] = {}
@@ -363,34 +416,66 @@ def _locus_report(plane: LaguerrePlane, q_ideal: Point, x: Point,
 # ---------------------------------------------------------------------------
 
 
-def _check_p2_1(ctx: _Ctx):
+def _orbit(cases_represented: int, representative=None) -> dict:
+    """The orbit part of a reduced check's details: ``mode``, the
+    ``representative`` where the check names one, and ``cases_represented``,
+    the case count of the full sweep."""
+    details = {"mode": "orbit"}
+    if representative is not None:
+        details["representative"] = representative
+    details["cases_represented"] = cases_represented
+    return details
+
+
+def _at_point0(ctx: _Ctx, at, *args):
+    """``at(ctx, x, *args)``, the (cases, witnesses) with first point x, at
+    point 0 only: the transport carries them to every residual point."""
+    x0 = ctx.transport
+    cases, bad = at(ctx, x0, *args)
+    return cases, bad, _orbit(len(ctx.space.points) * cases, repr(x0))
+
+
+def _on_member0(ctx: _Ctx, on):
+    """``on(ctx, L, fam)``, the (cases, witnesses) of the member L with
+    tangent family fam, on the member y = 0 only: the transport carries
+    them to every member."""
+    ctx.transport  # raises unless the transport is certified
+    L = ctx.pencil.base
+    cases, bad = on(ctx, L, ctx.family0)
+    return cases, bad, _orbit(len(ctx.members) * cases, list(L))
+
+
+def _p2_1_at(ctx: _Ctx, x: Point):
     plane, space = ctx.plane, ctx.space
     members = set(ctx.members)
     cases, bad = 0, []
-    for x in space.points:
-        for y in space.points:
-            if x == y:
-                continue
-            cases += 1
-            line = space.join(x, y)
-            if plane.parallel(x, y):
-                gens = {p.x for p in line.points}
-                if line.kind != SPECIAL or len(gens) != 1 or gens != {x.x}:
-                    bad.append({"x": repr(x), "y": repr(y), "problem": "not_in_generator"})
-                continue
-            M = ctx.line_circles[line.index]
-            if M is None or set(line.points) != set(plane.circle_points(M)) - {ideal(M.a)}:
-                bad.append({"x": repr(x), "y": repr(y), "problem": "not_a_remnant"})
-                continue
-            if M in members:
-                continue
-            base = ctx.bases.get(M)  # None: M passes through the vertex
-            if base is None:
-                bad.append({"x": repr(x), "y": repr(y), "problem": "circle_through_vertex"})
-            elif base != x:
-                bad.append({"x": repr(x), "y": repr(y), "problem": "base_mismatch",
-                            "base": repr(base)})
-    return cases, bad, {}
+    for y in space.points:
+        if x == y:
+            continue
+        cases += 1
+        line = space.join(x, y)
+        if plane.parallel(x, y):
+            gens = {p.x for p in line.points}
+            if line.kind != SPECIAL or len(gens) != 1 or gens != {x.x}:
+                bad.append({"x": repr(x), "y": repr(y), "problem": "not_in_generator"})
+            continue
+        M = ctx.line_circles[line.index]
+        if M is None or set(line.points) != set(plane.circle_points(M)) - {ideal(M.a)}:
+            bad.append({"x": repr(x), "y": repr(y), "problem": "not_a_remnant"})
+            continue
+        if M in members:
+            continue
+        base = ctx.bases.get(M)  # None: M passes through the vertex
+        if base is None:
+            bad.append({"x": repr(x), "y": repr(y), "problem": "circle_through_vertex"})
+        elif base != x:
+            bad.append({"x": repr(x), "y": repr(y), "problem": "base_mismatch",
+                        "base": repr(base)})
+    return cases, bad
+
+
+def _check_p2_1(ctx: _Ctx):
+    return _at_point0(ctx, _p2_1_at)
 
 
 def _check_p2_2(ctx: _Ctx):
@@ -417,10 +502,13 @@ def _check_p2_3(ctx: _Ctx):
     return cases, bad, {}
 
 
-def _check_p2_4(ctx: _Ctx):
+def _p2_4_at(ctx: _Ctx, r: Point):
+    """P2.4's cases on the circles based at r."""
     plane, space = ctx.plane, ctx.space
     cases, bad = 0, []
     for M, base in ctx.bases.items():
+        if base != r:
+            continue
         remnant = set(plane.circle_points(M)) - {ideal(M.a)}
         for y in sorted(remnant):
             if y == base:
@@ -428,7 +516,11 @@ def _check_p2_4(ctx: _Ctx):
             cases += 1
             if set(space.join(base, y).points) != remnant:
                 bad.append({"circle": list(M), "y": repr(y)})
-    return cases, bad, {}
+    return cases, bad
+
+
+def _check_p2_4(ctx: _Ctx):
+    return _at_point0(ctx, _p2_4_at)
 
 
 def _check_p2_5(ctx: _Ctx):
@@ -489,34 +581,40 @@ def _remnant_missed(ctx: _Ctx, stab: list[PencilAut], r: Point, C: Circle) -> se
     return targets - ctx.delta.orbit(stab, min(targets))
 
 
-def _check_t3_1(ctx: _Ctx):
+def _t3_1_at(ctx: _Ctx, r: Point):
+    """T3.1's cases at r.  Stab(r) is T_r Stab(0) T_r⁻¹ (``stabilizers``)
+    and the symmetry at r is T_r sym(0) T_r⁻¹, so the transport carries
+    point 0's cases to r's."""
     plane, delta = ctx.plane, ctx.delta
     gf = plane.gf
     K = ctx.pencil.base
+    stab, vertex_members = ctx.stabilizers[r], ctx.vertex_members[r]
     cases, bad = 0, []
-    for r, stab in ctx.stabilizers.items():
-        vertex_members = ctx.vertex_members[r]
-        for f in stab:
-            for M in vertex_members:
-                cases += 1
-                if delta.apply(f, M) != M:
-                    bad.append({"r": repr(r), "element": list(f), "member": list(M)})
-        sym = PencilAut(gf.q - 1, (2 * r.x) % gf.q, 0)
-        cases += 1
-        gen_pts = plane.generator_points(plane.generator_of(r))
-        kpts = plane.circle_points(K)
-        ok = (sym in stab
-              and aut_compose(gf, sym, sym) == IDENTITY
-              and all(delta.apply(sym, p) == p for p in gen_pts)
-              and delta.apply(sym, K) == K
-              and any(delta.apply(sym, p) != p for p in kpts))
-        if not ok:
-            bad.append({"r": repr(r), "problem": "symmetry_missing"})
+    for f in stab:
         for M in vertex_members:
             cases += 1
-            if _remnant_missed(ctx, stab, r, M):
-                bad.append({"r": repr(r), "member": list(M), "problem": "not_transitive"})
-    return cases, bad, {}
+            if delta.apply(f, M) != M:
+                bad.append({"r": repr(r), "element": list(f), "member": list(M)})
+    sym = PencilAut(gf.q - 1, (2 * r.x) % gf.q, 0)
+    cases += 1
+    gen_pts = plane.generator_points(plane.generator_of(r))
+    kpts = plane.circle_points(K)
+    ok = (sym in stab
+          and aut_compose(gf, sym, sym) == IDENTITY
+          and all(delta.apply(sym, p) == p for p in gen_pts)
+          and delta.apply(sym, K) == K
+          and any(delta.apply(sym, p) != p for p in kpts))
+    if not ok:
+        bad.append({"r": repr(r), "problem": "symmetry_missing"})
+    for M in vertex_members:
+        cases += 1
+        if _remnant_missed(ctx, stab, r, M):
+            bad.append({"r": repr(r), "member": list(M), "problem": "not_transitive"})
+    return cases, bad
+
+
+def _check_t3_1(ctx: _Ctx):
+    return _at_point0(ctx, _t3_1_at)
 
 
 def _is_translation(ctx: _Ctx, f: PencilAut) -> bool:
@@ -691,8 +789,7 @@ def _check_c3_3(ctx: _Ctx):
                         "pair": [list(t1), list(t2)]})
     rep = ctx.space.check_axiom("Pgm")
     bad.extend(rep.witnesses)
-    return cases + rep.cases_checked, bad, {
-        "mode": "orbit", "cases_represented": cases + rep.details["cases_represented"]}
+    return cases + rep.cases_checked, bad, _orbit(cases + rep.details["cases_represented"])
 
 
 def _check_c3_4(ctx: _Ctx):
@@ -710,52 +807,77 @@ def _check_c3_4(ctx: _Ctx):
         if reached != set(ids):
             bad.append({"line": ids[0], "orbit_size": len(reached),
                         "class_size": len(ids)})
-    return cases, bad, {"mode": "orbit", "cases_represented": nt * len(space.lines)}
+    return cases, bad, _orbit(nt * len(space.lines))
+
+
+def _p4_1_on(ctx: _Ctx, L: Circle, fam: TangentFamily):
+    cases, bad = 0, []
+    for (M, tm), (N, tn) in itertools.combinations(zip(fam.circles, fam.touch), 2):
+        if tm == tn:
+            continue
+        cases += 1
+        if M.a == N.a and M.b == N.b:
+            bad.append({"member": list(L), "circles": [list(M), list(N)]})
+    return cases, bad
 
 
 def _check_p4_1(ctx: _Ctx):
+    return _on_member0(ctx, _p4_1_on)
+
+
+def _c4_1_on(ctx: _Ctx, L: Circle, fam: TangentFamily):
+    plane = ctx.plane
     cases, bad = 0, []
-    for L, fam in ctx.families.items():
-        for (M, tm), (N, tn) in itertools.combinations(zip(fam.circles, fam.touch), 2):
-            if tm == tn:
-                continue
+    by_a: dict[int, list[Circle]] = {}
+    for M in fam.circles:
+        if M.a != 0:
+            by_a.setdefault(M.a, []).append(M)
+    for a, group in sorted(by_a.items()):
+        for M, N in itertools.combinations(group, 2):
             cases += 1
-            if M.a == N.a and M.b == N.b:
+            common = [p for p in plane.intersection(M, N) if p.kind != IDEAL]
+            if not common:
                 bad.append({"member": list(L), "circles": [list(M), list(N)]})
-    return cases, bad, {}
+    return cases, bad
 
 
 def _check_c4_1(ctx: _Ctx):
-    plane = ctx.plane
+    return _on_member0(ctx, _c4_1_on)
+
+
+def _p4_2_pairs(ctx: _Ctx, M: Circle, others: list[Circle]):
+    """P4.2's cases pairing M with each circle of ``others`` but M, all of
+    M's a, so the ideal point M's remnant leaves out is on both."""
+    plane, bases = ctx.plane, ctx.bases
+    rm, bm = set(plane.circle_points(M)) - {ideal(M.a)}, bases[M]
     cases, bad = 0, []
-    for L, fam in ctx.families.items():
-        by_a: dict[int, list[Circle]] = {}
-        for M in fam.circles:
-            if M.a != 0:
-                by_a.setdefault(M.a, []).append(M)
-        for a, group in sorted(by_a.items()):
-            for M, N in itertools.combinations(group, 2):
-                cases += 1
-                common = [p for p in plane.intersection(M, N) if p.kind != IDEAL]
-                if not common:
-                    bad.append({"member": list(L), "circles": [list(M), list(N)]})
-    return cases, bad, {}
+    for N in others:
+        if N == M:
+            continue
+        cases += 1
+        disjoint = rm.isdisjoint(plane.circle_points(N))
+        bn = bases[N]
+        base_par = bm != bn and plane.parallel(bm, bn)
+        if disjoint != base_par:
+            bad.append({"circles": [list(M), list(N)], "disjoint": disjoint})
+    return cases, bad
 
 
 def _check_p4_2(ctx: _Ctx):
-    plane = ctx.plane
-    cases, bad = 0, []
-    by_a: dict[int, list] = {}
-    for M, base in ctx.bases.items():
-        by_a.setdefault(M.a, []).append((M, base, set(plane.circle_points(M)) - {ideal(M.a)}))
-    for info in by_a.values():
-        for (M, bm, rm), (N, bn, rn) in itertools.combinations(info, 2):
-            cases += 1
-            disjoint = not (rm & rn)
-            base_par = bm != bn and plane.parallel(bm, bn)
-            if disjoint != base_par:
-                bad.append({"circles": [list(M), list(N)], "disjoint": disjoint})
-    return cases, bad, {}
+    """The translations keep a and carry (a, 0, 0) to every circle of equal
+    a != 0, so it is paired with each of them; every unordered pair is a
+    translate of two of these ordered ones."""
+    ctx.transport  # raises unless the transport is certified
+    by_a: dict[int, list[Circle]] = {}
+    for M in ctx.bases:
+        by_a.setdefault(M.a, []).append(M)
+    cases, bad, reps = 0, [], []
+    for a, circles in sorted(by_a.items()):
+        reps.append(Circle(a, 0, 0))
+        got, wit = _p4_2_pairs(ctx, reps[-1], circles)
+        cases += got
+        bad.extend(wit)
+    return cases, bad, _orbit(len(ctx.space.points) * cases // 2, list(map(list, reps)))
 
 
 def _check_p4_3(ctx: _Ctx):
@@ -776,36 +898,38 @@ def _check_p4_3(ctx: _Ctx):
     return cases, bad, {}
 
 
-def _check_l4_1(ctx: _Ctx):
+def _l4_1_on(ctx: _Ctx, L: Circle, fam: TangentFamily):
     cases, bad = 0, []
-    for L, fam in ctx.families.items():
-        inter, samept = fam.inter, fam.samept
-        for qi in range(len(fam.circles)):
-            linked = inter[qi] & ~samept[qi]
-            others = []
-            m = linked
-            while m:
-                low = m & -m
-                others.append(low.bit_length() - 1)
-                m ^= low
-            for pi in others:
-                cases += len(others)
-                miss = linked & ~inter[pi] & ~samept[pi]
-                if miss:
-                    ri = (miss & -miss).bit_length() - 1
-                    bad.append({"member": list(L), "P": list(fam.circles[pi]),
-                                "Q": list(fam.circles[qi]), "R": list(fam.circles[ri])})
-    return cases, bad, {}
+    inter, samept = fam.inter, fam.samept
+    for qi in range(len(fam.circles)):
+        linked = inter[qi] & ~samept[qi]
+        others = []
+        m = linked
+        while m:
+            low = m & -m
+            others.append(low.bit_length() - 1)
+            m ^= low
+        for pi in others:
+            cases += len(others)
+            miss = linked & ~inter[pi] & ~samept[pi]
+            if miss:
+                ri = (miss & -miss).bit_length() - 1
+                bad.append({"member": list(L), "P": list(fam.circles[pi]),
+                            "Q": list(fam.circles[qi]), "R": list(fam.circles[ri])})
+    return cases, bad
+
+
+def _check_l4_1(ctx: _Ctx):
+    return _on_member0(ctx, _l4_1_on)
+
+
+def _equiv_laws(rep: Report, laws: tuple[str, ...]):
+    """A thm_equiv_rel report's cases and its witnesses of the named laws."""
+    return rep.cases_checked, [w for w in rep.witnesses if w["law"] in laws]
 
 
 def _equiv_sweep(ctx: _Ctx, laws: tuple[str, ...]):
-    """The thm_equiv_rel sweep over every member, keeping the witnesses of
-    the named laws."""
-    cases, bad = 0, []
-    for rep in ctx.equiv_reports:
-        cases += rep.cases_checked
-        bad.extend(w for w in rep.witnesses if w["law"] in laws)
-    return cases, bad, {}
+    return _on_member0(ctx, lambda ctx, L, fam: _equiv_laws(ctx.equiv_report, laws))
 
 
 def _check_p4_4(ctx: _Ctx):
@@ -816,23 +940,27 @@ def _check_p4_5(ctx: _Ctx):
     return _equiv_sweep(ctx, ("single_witness",))
 
 
-def _check_p4_6(ctx: _Ctx):
+def _p4_6_at(ctx: _Ctx, x: Point, fam: TangentFamily):
+    """P4.6's cases with first point x; ``fam`` is the tangent family of
+    x's member."""
     plane, space = ctx.plane, ctx.space
     cases, bad = 0, []
-    for x in space.points:
-        fam = ctx.families[ctx.member_of[x]]
-        for y in space.points:
-            if y == x or not plane.parallel(x, y):
+    for y in space.points:
+        if y == x or not plane.parallel(x, y):
+            continue
+        line_pts = set(space.join(x, y).points)
+        for w in range(plane.q):
+            z = affine(x.x, w)
+            if z == x:
                 continue
-            line_pts = set(space.join(x, y).points)
-            for w in range(plane.q):
-                z = affine(x.x, w)
-                if z == x:
-                    continue
-                cases += 1
-                if (z in line_pts) != fam.equivalent(z, y):
-                    bad.append({"x": repr(x), "y": repr(y), "z": repr(z)})
-    return cases, bad, {}
+            cases += 1
+            if (z in line_pts) != fam.equivalent(z, y):
+                bad.append({"x": repr(x), "y": repr(y), "z": repr(z)})
+    return cases, bad
+
+
+def _check_p4_6(ctx: _Ctx):
+    return _at_point0(ctx, _p4_6_at, ctx.family0)
 
 
 def _check_p4_7(ctx: _Ctx):
@@ -843,65 +971,96 @@ def _check_r4_1(ctx: _Ctx):
     return _equiv_sweep(ctx, ("square_class_rule", "block_count"))
 
 
-def _check_l4_2(ctx: _Ctx):
+def _l4_2_at(ctx: _Ctx, x: Point):
+    """L4.2's pair cases with first point x, and the set of ideal
+    directions of their joins."""
     plane = ctx.plane
     q = plane.q
     cases, bad = 0, []
     seen_dirs: set[int] = set()
+
     def join_circle(x: Point, y: Point) -> Circle:
         # the circle carrying the line based at x through y
         Lx = ctx.member_of[x]
         return Lx if plane.incident(y, Lx) else plane.touching_circle(x, Lx, y)
 
-    for x in ctx.space.points:
-        for y in ctx.space.points:
-            if y == x or plane.parallel(x, y):
-                continue
-            cases += 1
-            fwd = join_circle(x, y)
-            bwd = join_circle(y, x)
-            if (fwd.a + bwd.a) % q != 0:
-                bad.append({"x": repr(x), "y": repr(y),
-                            "fwd": list(fwd), "bwd": list(bwd)})
-            seen_dirs.add(fwd.a)
-    for beta in range(1, q):
+    for y in ctx.space.points:
+        if y == x or plane.parallel(x, y):
+            continue
         cases += 1
-        if beta not in seen_dirs:
-            bad.append({"problem": "direction_class_empty", "beta": beta})
-    return cases, bad, {}
+        fwd = join_circle(x, y)
+        bwd = join_circle(y, x)
+        if (fwd.a + bwd.a) % q != 0:
+            bad.append({"x": repr(x), "y": repr(y),
+                        "fwd": list(fwd), "bwd": list(bwd)})
+        seen_dirs.add(fwd.a)
+    return cases, bad, seen_dirs
+
+
+def _direction_classes(q: int, seen_dirs: set[int]):
+    """L4.2's nonemptiness cases: one per direction class."""
+    return q - 1, [{"problem": "direction_class_empty", "beta": beta}
+                   for beta in range(1, q) if beta not in seen_dirs]
+
+
+def _check_l4_2(ctx: _Ctx):
+    """The translations keep every ideal point, so the joins at point 0
+    show every direction that the joins at any point show."""
+    x0 = ctx.transport
+    cases, bad, seen_dirs = _l4_2_at(ctx, x0)
+    dcases, dbad = _direction_classes(ctx.q, seen_dirs)
+    return cases + dcases, bad + dbad, _orbit(
+        len(ctx.space.points) * cases + dcases, repr(x0))
+
+
+def _loci_at(ctx: _Ctx, x: Point) -> list[tuple[int, Circle | None, Report]]:
+    """``thm_tangency_locus`` at x, per ideal direction."""
+    return [(beta, *_locus_report(ctx.plane, ideal(beta), x, ctx.bases.__getitem__))
+            for beta in range(1, ctx.q)]
+
+
+def _t4_1_at(ctx: _Ctx, x: Point, loci):
+    cases, bad = 0, []
+    for beta, locus, rep in loci:
+        cases += rep.cases_checked
+        bad.extend(dict(w, beta=beta, x=repr(x)) for w in rep.witnesses)
+    return cases, bad
 
 
 def _check_t4_1(ctx: _Ctx):
-    cases, bad = 0, []
-    for beta, x, locus, rep in ctx.loci:
-        cases += rep.cases_checked
-        bad.extend(dict(w, beta=beta, x=repr(x)) for w in rep.witnesses)
-    return cases, bad, {}
+    """Δ fixes every ideal point, so the transport carries the loci at point
+    0 to those at every point."""
+    return _at_point0(ctx, _t4_1_at, ctx.loci)
 
 
-def _check_c4_2(ctx: _Ctx):
+def _c4_2_at(ctx: _Ctx, x: Point, loci):
     plane = ctx.plane
     cases, bad = 0, []
-    for beta, x, locus, rep in ctx.loci:
+    for beta, locus, rep in loci:
         cases += 1
         qprime = ideal((-beta) % plane.q)
         if locus is None or not plane.incident(qprime, locus):
             bad.append({"beta": beta, "x": repr(x), "locus": locus and list(locus)})
-    return cases, bad, {}
+    return cases, bad
+
+
+def _check_c4_2(ctx: _Ctx):
+    return _at_point0(ctx, _c4_2_at, ctx.loci)
 
 
 def _check_t4_2(ctx: _Ctx):
     """T4.2 at (0, 0, 0) for all q³ circles: its predicates are incidence
-    properties, and the verified shifts carry (0, 0, 0) to every circle.  This
-    route cannot see a fault in another circle's ``TangentFamily``; the
-    all-circles loop in the tests is its oracle."""
-    plane, L = ctx.plane, Circle(0, 0, 0)
-    # y += x², x, 1; verified here, whatever circle_add_map checked itself
-    maps = [circle_add_map(plane, Q).verified()
-            for Q in (Circle(1, 0, 0), Circle(0, 1, 0), Circle(0, 0, 1))]
+    properties, and the verified shifts carry (0, 0, 0) to every circle.
+    (0, 0, 0) is the member y = 0, so its family and the shift y += 1 are
+    the context's.  This route cannot see a fault in another circle's
+    ``TangentFamily``; the all-circles loop in the tests is its oracle."""
+    plane, L = ctx.plane, ctx.pencil.base
+    # y += x², x; verified here, whatever circle_add_map checked itself
+    maps = [circle_add_map(plane, Q).verified() for Q in (Circle(1, 0, 0), Circle(0, 1, 0))]
+    maps.append(ctx.unit_maps[1])
     require_reach(L, [m.apply_circle for m in maps], plane.circles,
                   "not_transitive", str(list(L)), "circles")
-    fam = TangentFamily(plane, L)
+    fam = ctx.family0
     pts = fam.off_points
     cases, bad = 0, []
     for ai, a in enumerate(pts):
@@ -916,8 +1075,7 @@ def _check_t4_2(ctx: _Ctx):
                 bad.append({"circle": list(L), "x": repr(a), "y": repr(b),
                             "exactly_two": two, "all_meet": allmeet,
                             "one_pair": one})
-    return cases, bad, {"mode": "orbit", "representative": list(L),
-                        "cases_represented": len(plane.circles) * cases}
+    return cases, bad, _orbit(len(plane.circles) * cases, list(L))
 
 
 # The catalog in report order: each check's checker and summary.  The only

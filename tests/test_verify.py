@@ -194,9 +194,14 @@ def test_c4_2_fails_without_a_swept_circle(monkeypatch):
 
     monkeypatch.setattr(plane, "pencil_tangent", two_generators)
     t41, c42 = thm_check("T4.1", 5), thm_check("C4.2", 5)
-    assert (t41.status, len(t41.witnesses)) == ("fail", 100)
-    assert (c42.status, c42.cases_checked, len(c42.witnesses)) == ("fail", 100, 100)
+    # the catalog evaluates point 0, one locus per direction; the retired
+    # loop over every point finds the same fault at all 100 loci
+    assert (t41.status, len(t41.witnesses)) == ("fail", 4)
+    assert (c42.status, c42.cases_checked, len(c42.witnesses)) == ("fail", 4, 4)
+    assert c42.details["cases_represented"] == 100
     assert c42.witnesses[0] == {"beta": 1, "x": "A(0,0)", "locus": None}
+    ctx = verify._context(5)
+    assert [len(RETIRED[cid](ctx)[1]) for cid in ("T4.1", "C4.2")] == [100, 100]
 
 
 def test_tangency_locus_rejects_bad_vertex(plane5):
@@ -299,6 +304,8 @@ def test_tangent_family_matches_brute_force(q):
 
 
 def test_t4_2_fails_on_a_flipped_intersection_bit(monkeypatch):
+    # a fresh context builds the family of (0, 0, 0) from the flipped class
+    monkeypatch.setattr(verify, "_CTX_CACHE", {})
     target = Circle(0, 0, 0)
 
     class Flipped(TangentFamily):
@@ -339,20 +346,23 @@ def test_p4_2_fails_on_a_moved_base_point(monkeypatch):
     monkeypatch.setattr(plane, "pencil_tangent", moved)
     rep = thm_check("P4.2", 5)
     assert rep.status == "fail"
-    assert rep.cases_checked == 1200
+    # (1, 0, 0) is the representative of a = 1, paired with its 24 translates
+    assert (rep.cases_checked, rep.details["cases_represented"]) == (96, 1200)
     assert rep.witnesses == [{"circles": [[1, 0, 0], [1, 0, 1]], "disjoint": True}]
+    assert RETIRED["P4.2"](verify._context(5)) == (1200, rep.witnesses)
 
 
 def test_run_suite_derives_each_plane_fact_once(monkeypatch):
     # q^3 - q^2 circles avoid the vertex; 105 lines carry a circle, and each
-    # of the (q - 1) q^2 loci fits one more.  The vertex pencil at each of
-    # the q^2 residual points is built once, for T3.1 and T3.2 together
+    # of the q - 1 loci at point 0 fits one more.  The vertex pencil at each
+    # of the q^2 residual points is built once, for T3.1 and T3.2 together
     # (T3.2 alone rebuilt it for each of the 75 elements with one fixed
-    # point).  The other 136 calls are one per tangency base (100) and six
-    # for each of the six tangent families (the q members and T4.2's circle).
-    # Only point 0's stabilizer is scanned, once, by the space build; the
-    # context conjugates the space's copy along the translations to every
-    # other point (C2.1, T3.1, T3.2 and the fixed points read those).
+    # point).  The other 106 calls are one per tangency base (100) and six
+    # for the one tangent family, of the member y = 0, which T4.2 and the
+    # family checks share.  Only point 0's stabilizer is scanned, once, by
+    # the space build; the context conjugates the space's copy along the
+    # translations to every other point (C2.1, T3.2 and the fixed points
+    # read those).
     monkeypatch.setattr(verify, "_CTX_CACHE", {})
     ctx = verify._context(5)
     calls = {"pencil_tangent": 0, "circle_through": 0, "pencil_members": 0,
@@ -366,9 +376,18 @@ def test_run_suite_derives_each_plane_fact_once(monkeypatch):
             return real(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counted)
+    families = []
+
+    class Counted(TangentFamily):
+        def __init__(self, plane, L):
+            families.append(L)
+            super().__init__(plane, L)
+
+    monkeypatch.setattr(verify, "TangentFamily", Counted)
     assert all(rep.ok for rep in verify.run_suite(5))
-    assert calls == {"pencil_tangent": 100, "circle_through": 205,
-                     "pencil_members": 25 + 136, "stabilizer": 1}
+    assert calls == {"pencil_tangent": 100, "circle_through": 109,
+                     "pencil_members": 25 + 106, "stabilizer": 1}
+    assert families == [Circle(0, 0, 0)]
 
 
 def test_p2_1_fails_on_a_special_nonparallel_join(monkeypatch):
@@ -455,7 +474,8 @@ def test_t4_2_rejects_a_shift_that_is_not_an_automorphism(monkeypatch):
 
 def test_t4_2_rejects_shifts_that_are_not_transitive(monkeypatch):
     # y -> y + 1 replaced by the identity: the shifts reach only the q^2
-    # circles with c = 0
+    # circles with c = 0 (a fresh context builds its shift from the patch)
+    monkeypatch.setattr(verify, "_CTX_CACHE", {})
     real = verify.circle_add_map
 
     def no_constant(plane, Q):
@@ -664,3 +684,247 @@ def test_c3_4_fails_on_a_dropped_class(monkeypatch):
     rep = thm_check("C3.4", 5)
     assert rep.status == "fail"
     assert rep.witnesses == [{"problem": "classes_not_a_partition"}]
+
+
+# The fifteen checks that rest on ``_Ctx.transport`` evaluate point 0, the
+# member y = 0, or the circle (a, 0, 0) per a.  The loops they retired run
+# the same per-point, per-member or per-circle body over every point, member
+# or circle; each returns (cases, witnesses) as the parent's check did.
+
+
+def _summed(results):
+    cases, bad = 0, []
+    for got, wit in results:
+        cases += got
+        bad += wit
+    return cases, bad
+
+
+def _every_point(at):
+    return lambda ctx: _summed(at(ctx, x) for x in ctx.space.points)
+
+
+def _every_member(on):
+    return lambda ctx: _summed(on(ctx, M, verify.TangentFamily(ctx.plane, M))
+                               for M in ctx.members)
+
+
+def _every_member_equiv(laws):
+    return _every_member(lambda ctx, M, fam: verify._equiv_laws(
+        verify._equiv_report(ctx.plane, M, fam)[1], laws))
+
+
+def _every_point_p4_6(ctx):
+    return _summed(verify._p4_6_at(ctx, x, verify.TangentFamily(ctx.plane, ctx.member_of[x]))
+                   for x in ctx.space.points)
+
+
+def _every_point_l4_2(ctx):
+    cases, bad, seen = 0, [], set()
+    for x in ctx.space.points:
+        got, wit, dirs = verify._l4_2_at(ctx, x)
+        cases, bad, seen = cases + got, bad + wit, seen | dirs
+    dcases, dbad = verify._direction_classes(ctx.q, seen)
+    return cases + dcases, bad + dbad
+
+
+def _every_point_loci(at):
+    return lambda ctx: _summed(at(ctx, x, verify._loci_at(ctx, x)) for x in ctx.space.points)
+
+
+def _every_circle_pair_p4_2(ctx):
+    by_a = {}
+    for M in ctx.bases:
+        by_a.setdefault(M.a, []).append(M)
+    return _summed(verify._p4_2_pairs(ctx, M, circles[i + 1:])
+                   for _, circles in sorted(by_a.items()) for i, M in enumerate(circles))
+
+
+RETIRED = {
+    "P2.1": _every_point(verify._p2_1_at),
+    "P2.4": _every_point(verify._p2_4_at),
+    "T3.1": _every_point(verify._t3_1_at),
+    "P4.1": _every_member(verify._p4_1_on),
+    "C4.1": _every_member(verify._c4_1_on),
+    "P4.2": _every_circle_pair_p4_2,
+    "L4.1": _every_member(verify._l4_1_on),
+    "P4.4": _every_member_equiv(("reflexive", "symmetric", "transitive")),
+    "P4.5": _every_member_equiv(("single_witness",)),
+    "P4.6": _every_point_p4_6,
+    "P4.7": _every_member_equiv(("two_circle_count",)),
+    "L4.2": _every_point_l4_2,
+    "T4.1": _every_point_loci(verify._t4_1_at),
+    "C4.2": _every_point_loci(verify._c4_2_at),
+    "R4.1": _every_member_equiv(("square_class_rule", "block_count")),
+}
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_moved_checks_represent_the_retired_loops(q):
+    # the same verdict on both routes, and the representative stands for
+    # exactly the retired loop's cases
+    ctx = verify._context(q)
+    for cid, retired in RETIRED.items():
+        rep = thm_check(cid, q)
+        cases, bad = retired(ctx)
+        assert not bad and rep.status == "pass", cid
+        assert rep.details["mode"] == "orbit", cid
+        assert rep.details["cases_represented"] == cases, cid
+
+
+def test_moved_checks_name_their_representative():
+    reps = {cid: thm_check(cid, 5).details["representative"] for cid in RETIRED}
+    assert reps["P4.2"] == [[a, 0, 0] for a in range(1, 5)]
+    assert {cid: r for cid, r in reps.items() if cid != "P4.2"} == {
+        cid: [0, 0, 0] if cid in ("P4.1", "C4.1", "L4.1", "P4.4", "P4.5", "P4.7", "R4.1")
+        else "A(0,0)" for cid in RETIRED if cid != "P4.2"}
+
+
+def test_family_checks_miss_a_fault_off_the_member_y_0(monkeypatch):
+    # the family of the member y = 1 claims A(0,2) and A(0,3) inequivalent:
+    # only the retired loop over every member builds it
+    monkeypatch.setattr(verify, "_CTX_CACHE", {})
+    target, flip = Circle(0, 0, 1), (affine(0, 2), affine(0, 3))
+
+    class Flipped(TangentFamily):
+        def __init__(self, plane, L):
+            super().__init__(plane, L)
+            self.damaged = L == target
+
+        def equivalent(self, a, b):
+            return super().equivalent(a, b) != (self.damaged and (a, b) == flip)
+
+    monkeypatch.setattr(verify, "TangentFamily", Flipped)
+    ctx = verify._context(5)
+    for cid in ("P4.4", "P4.5", "R4.1"):
+        assert RETIRED[cid](ctx)[1], cid
+        assert thm_check(cid, 5).status == "pass", cid
+
+
+def test_ordered_pair_checks_miss_a_fault_off_point_0(monkeypatch):
+    # joins and a touching circle damaged at first point A(1,0): P2.1, P2.4,
+    # P4.6 and L4.2 evaluate first point A(0,0) only
+    monkeypatch.setattr(verify, "_CTX_CACHE", {})
+    ctx = verify._context(5)
+    space, plane = ctx.space, ctx.plane
+    special = next(line for line in space.lines if line.kind == SPECIAL
+                   and line.points[0].x == 3)
+    real_join, real_touching = space.join, plane.touching_circle
+    x = affine(1, 0)
+
+    def damaged_join(a, b):
+        return special if a == x and b in (affine(2, 1), affine(1, 1)) else real_join(a, b)
+
+    def damaged_touching(p, K, r):
+        return Circle(2, 0, 0) if (p, r) == (x, affine(2, 1)) else real_touching(p, K, r)
+
+    monkeypatch.setattr(space, "join", damaged_join)
+    monkeypatch.setattr(plane, "touching_circle", damaged_touching)
+    for cid in ("P2.1", "P2.4", "P4.6", "L4.2"):
+        bad = RETIRED[cid](ctx)[1]
+        assert bad and all("A(1,0)" in w.values() or w.get("circle") == [1, 3, 1]
+                           for w in bad), cid
+        assert thm_check(cid, 5).status == "pass", cid
+
+
+def test_t3_1_misses_a_fault_off_point_0(monkeypatch):
+    # a circle no stabilizer element fixes, listed in the vertex pencil at
+    # A(0,1) only
+    monkeypatch.setattr(verify, "_CTX_CACHE", {})
+    ctx = verify._context(5)
+    r = affine(0, 1)
+    monkeypatch.setitem(ctx.vertex_members, r, ctx.vertex_members[r] + [Circle(1, 2, 3)])
+    bad = RETIRED["T3.1"](ctx)[1]
+    assert bad and {w["r"] for w in bad} == {"A(0,1)"}
+    assert thm_check("T3.1", 5).status == "pass"
+
+
+def test_loci_checks_miss_a_fault_off_point_0(monkeypatch):
+    # the base of (1, 3, 1), a circle through I(1) and A(1,0) but not A(0,0),
+    # moved: only the loci at A(1,0) and the other points on it read it
+    monkeypatch.setattr(verify, "_CTX_CACHE", {})
+    ctx = verify._context(5)
+    monkeypatch.setitem(ctx.bases, Circle(1, 3, 1), affine(3, 3))
+    bad = RETIRED["T4.1"](ctx)[1]
+    assert bad and "A(1,0)" in {w["x"] for w in bad}
+    assert "A(0,0)" not in {w["x"] for w in bad}
+    assert thm_check("T4.1", 5).status == "pass"
+
+
+def test_p4_2_misses_a_fault_between_two_translates(monkeypatch):
+    # the base of (1, 1, 1), A(2,2), moved to A(2,3), the base of (1, 1, 2):
+    # against (1, 0, 0), based at A(0,0), both bases read the same, so only
+    # the retired loop's pair of those two sees the fault
+    monkeypatch.setattr(verify, "_CTX_CACHE", {})
+    ctx = verify._context(5)
+    assert (ctx.bases[Circle(1, 1, 1)], ctx.bases[Circle(1, 1, 2)]) == (affine(2, 2), affine(2, 3))
+    monkeypatch.setitem(ctx.bases, Circle(1, 1, 1), affine(2, 3))
+    bad = RETIRED["P4.2"](ctx)[1]
+    assert {"circles": [[1, 1, 1], [1, 1, 2]], "disjoint": True} in bad
+    assert thm_check("P4.2", 5).status == "pass"
+
+
+# the transport certificate, clause by clause
+
+
+def _transport_with(monkeypatch, shift):
+    """The error P2.1 raises on a fresh q=5 context whose unit translation
+    y -> y + 1 is ``shift(plane)``."""
+    monkeypatch.setattr(verify, "_CTX_CACHE", {})
+    real = verify.circle_add_map
+
+    def patched(plane, Q):
+        return shift(plane) if Q == Circle(0, 0, 1) else real(plane, Q)
+
+    monkeypatch.setattr(verify, "circle_add_map", patched)
+    with pytest.raises(GeometryError) as e:
+        thm_check("P2.1", 5)
+    return e.value
+
+
+def test_transport_rejects_a_unit_translation_that_is_not_an_automorphism(monkeypatch):
+    def collapsed(plane):
+        perm = list(range(len(plane.points)))
+        perm[1] = perm[0]
+        return PermutationMap(plane, perm)
+
+    e = _transport_with(monkeypatch, collapsed)
+    assert e.code == "not_automorphism"
+    assert e.witnesses == [{"problem": "not_bijective"}]
+
+
+def test_transport_rejects_a_map_that_does_not_permute_the_members(monkeypatch):
+    # y -> y + x: an automorphism fixing every ideal point, but it carries
+    # the member y = c onto the circle y = x + c
+    e = _transport_with(monkeypatch, lambda plane: PermutationMap(plane, [
+        x * 5 + (y + x) % 5 for x in range(5) for y in range(5)] + list(range(25, 30))))
+    assert e.code == "pencil_not_fixed"
+    assert "[1, 0, 1]" in str(e)
+
+
+def test_transport_rejects_units_that_miss_a_point(monkeypatch):
+    # y -> y + 1 replaced by the identity: x -> x + 1 alone reaches 5 points
+    e = _transport_with(monkeypatch, lambda plane: PermutationMap(plane, list(range(30))))
+    assert e.code == "not_transitive"
+    assert "to 5 of the 25 residual points" in str(e)
+
+
+def test_transport_rejects_a_shift_that_is_not_the_groups(monkeypatch):
+    # y -> y + 2 fixes the pencil and reaches every point, but it is not the
+    # group's (1, 0, 1), under which the join tables are certified
+    e = _transport_with(monkeypatch, lambda plane: PermutationMap(plane, [
+        x * 5 + (y + 2) % 5 for x in range(5) for y in range(5)] + list(range(25, 30))))
+    assert e.code == "not_equivariant"
+    assert "[1, 0, 1] is not the group's" in str(e)
+
+
+def test_transport_rejects_an_uncertified_space(monkeypatch):
+    # a join-class entry off point 0's row: the reduced checks never read
+    # it, but the certificate does
+    monkeypatch.setattr(verify, "_CTX_CACHE", {})
+    space = verify._context(5).space
+    space._joinclass[1][2] = (space._joinclass[1][2] + 1) % space.ncls
+    for cid in ("P2.1", "P4.4", "T4.1", "P4.2"):
+        with pytest.raises(GeometryError) as e:
+            thm_check(cid, 5)
+        assert e.value.code == "not_equivariant", cid
