@@ -16,11 +16,14 @@ space keeps its elements, ``stabilizer0``.  The group is the translations
 times that stabilizer, so the stabilizer of point i is T_i Stab(0) T_i⁻¹,
 where T_i, ``translations[i]``, is the translation carrying point 0 to
 point i; the build raises ``translations_not_regular`` unless exactly one
-translation does, for every i.  The closed-form join route reads canonical
-coordinates through ``DeltaGroup.canonical_index``.  Named points appear only at the boundary:
-``join``, ``Line.points`` and ``Line.base_points``, witnesses and
-``to_json``, which encodes each point once: every line's ``base`` and
-``points`` are those same dicts, so treat its payload as read-only.
+translation does, for every i.  Stab(0) is cyclic, so one of its elements,
+c, turns every line through point 0 as one cycle, and T_i c T_i⁻¹ does so
+at point i (see "Row sweeps").  The closed-form join route reads canonical
+coordinates through ``DeltaGroup.canonical_index``.  Named points appear
+only at the boundary: ``join``, ``Line.points`` and ``Line.base_points``,
+witnesses and ``to_json``, which encodes each point once: every line's
+``base`` and ``points`` are those same dicts, so treat its payload as
+read-only.
 
 Line identity.  The join x_i ⊔ x_j is {i} together with T_i applied to o,
 the Stab(0)-orbit of T_i⁻¹(j), and a line is identified by the sorted tuple
@@ -72,35 +75,43 @@ are swept exhaustively under ``sample:K``; L1, L2, P1 and P2 are quadratic
 and always exhaustive.
 
 Row sweeps.  The orbit and exhaustive sweeps of T, Des and Pap decide a row
-of cases at once: for T the (x', y') pairs of one (x, y, z), for Des every
-case of one (u, x), for Pap the x' of one (u, x, y, z).  A row may only
-accept.  Every case it does not accept goes to the axiom's case predicate
-(``_t_case_holds``, ``_des_case_holds``, ``_pap_case``) in the sweep's loop
-order, so the case count, the witnesses and their order are those of a
-case-by-case sweep.  T decides a row by transport.  Its cases are the pairs
-(x', y') of the class c of x⊔y, each read as
-``_witmask[x'][c1] & _witmask[y'][c2]`` for the classes c1, c2 of x⊔z and
-y⊔z.  Once the tables are certified and the generators carry one pair
-(x0, y0) of each class to every pair of it (``_check_class_pairs``), a
-witness for (x0, y0) moves along the group to one for every pair of the
-class, so the one AND at (x0, y0) accepts the row.  It decides Des too: x'
-on u⊔x puts (u, x), (u, x') in one class, so some g has g(u) = u, g(x) = x'.
-g keeps ``_joinclass``, and ``_linepts_minus[u][j]`` is its class's
-``_byclass`` entry, so y' = g(y) on u⊔y and z' = g(z) on u⊔z, apart from
-each other and x' as g permutes, keep the three join classes: the clauses
-of ``_des_case_holds``.  No normal transitivity is used; q = 3 passes too.
-Pap decides a row by C-level ``map``/``and_`` passes over the certified
-``_witmask``.  T, Des and Pap rows run only on a certified space: an orbit
-sweep of an uncertified space raises ``not_equivariant``, and an
-exhaustive one sends every case to the predicate.  Sampled sweeps decide
-each draw with the predicate.
+of cases at once: for T the (x', y') pairs of one (x, y, z), for Des and
+Pap every case of one (u, x).  A row may only accept.  Every case it does
+not accept goes to the axiom's case predicate (``_t_case_holds``,
+``_des_case_holds``, ``_pap_case``) in the sweep's loop order, so the case
+count, the witnesses and their order are those of a case-by-case sweep.
+The rows rest on one dilatation at point 0, c, checked once per space
+after the tables (``_check_dilatation``): c is the first element of
+``stabilizer0`` whose cycles on the other points are exactly the lines
+through point 0, the sets ``_linepts_minus[0][x]``; it keeps
+``_joinclass``; and ``_joinline[0]`` and ``_joinclass[0]`` partition the
+other points alike, one line per class through point 0.  Stab(0) is
+GF(q)* acting by dilatation, a cyclic group, so a generator passes.  The
+generators carry point 0 to any u, say by a; the powers of a c a⁻¹ then fix
+u, turn each line through u as one cycle, keep the classes and commute.
+T: the cases of a row are the pairs of one class k, and some a cʲ carries
+(0, y0), y0 = ``_byclass[0][k][0]``, to each of them, and a witness z' of
+(0, y0) with it; so the one AND ``_witmask[0][c1] & _witmask[y0][c2]``, for
+the classes c1, c2 of x⊔z and y⊔z, accepts the row, which has
+n·|``_byclass[0][k]``| cases.  Des: x' on u⊔x is g(x) for one of the powers
+g at u, and y' = g(y), z' = g(z) meet every clause of ``_des_case_holds``.
+Pap: with powers m, h at u with m(x) = y and h(y) = z, set y' = h(x') and
+z' = hm(x'); then z⊔z' = hm(x⊔x'), y⊔z' = m(x⊔y') as hm = mh, and
+z⊔y' = h(y⊔x'), in the classes ``_pap_case`` asks for, and one line per
+class keeps y' and z' off u⊔x.  So every Des and Pap case holds, and
+their rows count their cases without a predicate call.  No normal
+transitivity is used; q = 3 passes too.  T, Des and Pap rows run only on
+a certified space: an orbit sweep of a space that fails either
+certificate raises ``not_equivariant``, and an exhaustive one sends every
+case to the predicate.  Sampled sweeps decide each draw with the
+predicate.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from operator import and_, neg, or_
+from operator import and_
 
 from .plane import GeometryError, LaguerrePlane, Pencil, Point, not_a_point
 from .autgroup import DeltaGroup, PencilAut, require_reach
@@ -430,27 +441,30 @@ class GroupSpace:
         # _orbits0[0] is the orbit of point 0 itself
         return 0, [(orbit[0], len(orbit)) for orbit in self._orbits0[1:]]
 
-    def _row_certificate(self, budget: Budget, check):
-        """What ``check`` returns, when the rows of a T, Des or Pap sweep may
-        rest on it, or ``None``: a sampled sweep reads no rows, and an
-        exhaustive sweep of a space that fails ``check`` sends every row to
-        the case predicate.  An orbit sweep re-raises."""
+    def _row_certificate(self, budget: Budget) -> bool:
+        """Whether the rows of a T, Des or Pap sweep may rest on the
+        dilatation (``_check_dilatation``): a sampled sweep reads no rows,
+        and an exhaustive sweep of a space that fails the certificate sends
+        every case to the case predicate.  An orbit sweep re-raises."""
         if budget.mode == "sample":
-            return None
+            return False
         try:
-            return self._certificate(check)
+            self._certificate(self._check_dilatation)
         except GeometryError:
             if budget.mode == "orbit":
                 raise
-            return None
+            return False
+        return True
 
-    def _check_tables(self) -> list[list[int]]:
-        """The certificate of every orbit sweep and every T, Des and Pap row;
-        returns the witness masks.  Every axiom case is decided by the
-        join-line and join-class tables.  Each generator must carry the join
-        line of (x, y) to the join line of the image pair and keep its
-        class, and the generators must carry point 0 to every point; then
-        point 0 alone can stand for all first points.  The sweeps also read the classes
+    def _check_tables(self) -> None:
+        """The certificate of every orbit sweep, and the first half of the
+        one every T, Des and Pap row rests on (``_check_dilatation`` runs
+        it first).  Every axiom case is decided by the join-line and
+        join-class tables.  Each generator must carry the join line of
+        (x, y) to the join line of the image pair and keep its class, and
+        the generators must carry point 0 to every point; then point 0
+        alone can stand for all first points, and carries the dilatation
+        at point 0 to every point.  The sweeps also read the classes
         through ``_byclass``, ``_witmask`` and ``_linepts_minus``.  So
         ``_byclass[i][c]``, in index order, and the bits of ``_witmask[i][c]``
         must be exactly the points j != i with ``_joinclass[i][j] == c``,
@@ -491,32 +505,45 @@ class GroupSpace:
                     witnesses=[{"x": repr(self.points[i])}])
         require_reach(0, [perm.__getitem__ for perm in perms], range(n),
                       "not_equivariant", repr(self.points[0]), "points")
-        return self._witmask
 
-    def _check_class_pairs(self) -> list[tuple[int, int, int]]:
-        """Per parallel class c: its first ordered pair (x0, y0) in
-        ``_byclass`` order, (0, ``_byclass[0][c][0]``) in a built space, and
-        its number of pairs.  The generators must carry (x0, y0) to every
-        pair of the class.  With certified tables (``_check_tables``, run
-        first), every pair of class c then decides a T case as (x0, y0)
-        does, and any two pairs of one class are one group element apart,
-        which decides Des.  One class's pairs are held at a time."""
+    def _check_dilatation(self) -> list[int]:
+        """The second half of the certificate of every T, Des and Pap row,
+        after ``_check_tables``; returns c, a dilatation at point 0 (see
+        "Row sweeps").  (a) c is the point permutation of the first element
+        of ``stabilizer0`` that fixes point 0 and whose cycles on the other
+        points are exactly the lines through it, the sets
+        ``_linepts_minus[0][x]``; (b) c keeps ``_joinclass``; (c)
+        ``_joinline[0]`` and ``_joinclass[0]`` partition the other points
+        alike, so one line of each class passes through point 0."""
         self.certify()
-        n, byc = self.n, self._byclass
-        moves = [lambda p, perm=perm: perm[p // n] * n + perm[p % n]
-                 for perm in self._gen_perms]
-        plan = []
-        for c in range(self.ncls):
-            pairs = [x * n + y for x, row in enumerate(byc) for y in row[c]]
-            if not pairs:
-                raise GeometryError(f"parallel class {c} has no pair of points",
-                                    code="not_equivariant")
-            x0, y0 = divmod(pairs[0], n)
-            require_reach(pairs[0], moves, pairs, "not_equivariant",
-                          f"({self.points[x0]!r}, {self.points[y0]!r})",
-                          f"pairs of class {c}")
-            plan.append((x0, y0, len(pairs)))
-        return plan
+        n, jl, jc = self.n, self._joinline, self._joinclass
+        lines = set(self._linepts_minus[0][1:])
+
+        def turns(perm):
+            # from its first point, |line| steps visit the line and return
+            for line in lines:
+                k, seen = line[0], []
+                for _ in line:
+                    seen.append(k)
+                    k = perm[k]
+                if k != line[0] or tuple(sorted(seen)) != line:
+                    return False
+            return perm[0] == 0
+
+        c = next(filter(turns, map(self.point_perm, self.stabilizer0)), None)
+        if c is None:
+            raise GeometryError("no element of the stabilizer of point 0 turns "
+                                "each line through it", code="not_equivariant")
+        for i in range(n):
+            if list(map(jc[c[i]].__getitem__, c)) != jc[i]:
+                raise GeometryError("the dilatation does not keep the join classes",
+                                    code="not_equivariant",
+                                    witnesses=[{"x": repr(self.points[i])}])
+        if not (len(set(zip(jl[0][1:], jc[0][1:])))
+                == len(set(jl[0][1:])) == len(set(jc[0][1:]))):
+            raise GeometryError("the lines and the classes through point 0 differ",
+                                code="not_equivariant")
+        return c
 
     def _ax_L1(self, budget: Budget):
         def pair(i, j, fail):
@@ -612,17 +639,17 @@ class GroupSpace:
         jc, wm, byc = self._joinclass, self._witmask, self._byclass
         n = self.n
         holds = self._t_case_holds
-        plan = self._row_certificate(budget, self._check_class_pairs)
+        certified = self._row_certificate(budget)
 
         def pair(x, y, fail):
             cases = 0
             cxy = jc[x][y]
             # the row of z is every (x', y') of class cxy against the classes
-            # of x⊔z and y⊔z; with a plan, its representative pair decides it
+            # of x⊔z and y⊔z; certified, the class's pair (0, y0) decides it
             accepted = [0] * n
-            if plan is not None:
-                x0, y0, count = plan[cxy]
-                accepted = list(map(and_, map(wm[x0].__getitem__, jc[x]),
+            if certified:
+                y0, count = byc[0][cxy][0], n * len(byc[0][cxy])
+                accepted = list(map(and_, map(wm[0].__getitem__, jc[x]),
                                     map(wm[y0].__getitem__, jc[y])))
             for z in range(n):
                 if z == x or z == y:
@@ -664,11 +691,11 @@ class GroupSpace:
         n = self.n
         lpm = self._linepts_minus
         holds = self._des_case_holds
-        # certified class pairs make every case hold (see "Row sweeps")
-        plan = self._row_certificate(budget, self._check_class_pairs)
+        # a certified dilatation makes every case hold (see "Row sweeps")
+        certified = self._row_certificate(budget)
 
         def pair(u, x, fail):
-            if plan is not None:
+            if certified:
                 return (n - 2) * (n - 3) * len(lpm[u][x])
             cases = 0
             for y in range(n):
@@ -711,51 +738,24 @@ class GroupSpace:
 
     def _ax_Pap(self, budget: Budget):
         n = self.n
-        jc, lpm = self._joinclass, self._linepts_minus
-        jl = self._joinline
+        lpm, jl = self._linepts_minus, self._joinline
         holds = self._pap_case
-        # the certified witness masks; an uncertified space reads empty ones,
-        # so that every row goes to ``holds``
-        wm = self._row_certificate(budget, self._check_tables) or [[0] * self.ncls] * n
+        # a certified dilatation makes every case hold (see "Row sweeps")
+        certified = self._row_certificate(budget)
 
         def pair(u, x, fail):
-            cases = 0
             online = lpm[u][x]
             lid = jl[u][x]
             offline = [x2 for x2 in range(n)
                        if x2 != u and x2 != x and jl[u][x2] != lid]
-            jc_x = jc[x]
-            # per x': the points of u⊔x' and those of them other than x,
-            # and class(x⊔x')
-            on_x2 = [wm[u][jc[u][x2]] for x2 in offline]
-            y2_pool = [m & ~(1 << x) for m in on_x2]
-            want1 = [jc_x[x2] for x2 in offline]
+            if certified:
+                return len(online) ** 2 * len(offline)
+            cases = 0
             for y in online:
-                jc_y_x2 = list(map(jc[y].__getitem__, offline))
-                # z' candidates for the y' at bit k - 1, at index k (0: none).
-                # Class -1 reads the last class's mask: at k = x + 1 it is
-                # never read, as x is out of the y' pool, and a case with
-                # y or z = x' is vacuous
-                z2_for = [0] + list(map(wm[y].__getitem__, jc_x))
                 for z in online:
-                    wm_z = wm[z].__getitem__
-                    # a row is (y, z) over every x'.  A case holds where a y'
-                    # on u⊔x' in class(y⊔x') from z leaves a z' on u⊔x' in
-                    # class(x⊔x') from z and in class(x⊔y') from y; the row
-                    # tries the highest and the lowest y', so a third one
-                    # goes to the predicate
-                    y2s = list(map(and_, y2_pool, map(wm_z, jc_y_x2)))
-                    top = map(int.bit_length, y2s)
-                    low = map(int.bit_length, map(and_, y2s, map(neg, y2s)))
-                    ok = list(map(and_, map(and_, on_x2, map(wm_z, want1)),
-                                  map(or_, map(z2_for.__getitem__, top),
-                                      map(z2_for.__getitem__, low))))
-                    if all(ok):
-                        cases += len(offline)
-                        continue
-                    for x2, accepted in zip(offline, ok):
+                    for x2 in offline:
                         cases += 1
-                        if not accepted and not holds(u, x, y, z, x2):
+                        if not holds(u, x, y, z, x2):
                             fail(u, x, y, z, x2)
             return cases
 

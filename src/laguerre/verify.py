@@ -341,27 +341,25 @@ def _equiv_report(plane: LaguerrePlane, member: Circle,
             cases += 1
             if not fam.equivalent(a, a):
                 witnesses.append({"law": "reflexive", "a": repr(a)})
-        rel = {}
+        # transitivity via block consistency, one case per pair, reported
+        # after the pair laws
+        transitive = []
         for a, b in itertools.combinations(pts, 2):
-            cases += 1
+            cases += 2
             e1, e2 = fam.equivalent(a, b), fam.equivalent(b, a)
             if e1 != e2:
                 witnesses.append({"law": "symmetric", "a": repr(a), "b": repr(b)})
-            rel[(a, b)] = e1
             if e1 != fam.witness_pair(a, b):
                 witnesses.append({"law": "single_witness", "a": repr(a), "b": repr(b)})
             if (classes[a] == classes[b]) != e1:
                 witnesses.append({"law": "square_class_rule", "a": repr(a), "b": repr(b)})
+                transitive.append({"law": "transitive", "a": repr(a), "b": repr(b)})
             if a.kind == IDEAL and b.kind != IDEAL:
                 cnt = fam.common_tangents(a, b)
                 if (cnt == 2) != e1:
                     witnesses.append({"law": "two_circle_count", "a": repr(a),
                                       "b": repr(b), "count": cnt})
-        # transitivity via block consistency
-        for (a, b), e in rel.items():
-            cases += 1
-            if e != (classes[a] == classes[b]):
-                witnesses.append({"law": "transitive", "a": repr(a), "b": repr(b)})
+        witnesses += transitive
         nblocks = len(set(classes.values()))
         if nblocks != 2:
             witnesses.append({"law": "block_count", "blocks": nblocks})

@@ -803,9 +803,9 @@ def test_pap_rows_match_the_bitset_rows(space3, space5, space5_p1_2, plane5, del
 
 
 def _with_calls(gs, axiom, budget, monkeypatch):
-    """``axiom`` (T or Des) on ``gs`` under ``budget``, and the cases it
+    """``axiom`` (T, Des or Pap) on ``gs`` under ``budget``, and the cases it
     passed to its case predicate."""
-    name = {"T": "_t_case_holds", "Des": "_des_case_holds"}[axiom]
+    name = {"T": "_t_case_holds", "Des": "_des_case_holds", "Pap": "_pap_case"}[axiom]
     sent = []
     predicate = getattr(gs, name)
 
@@ -819,10 +819,6 @@ def _with_calls(gs, axiom, budget, monkeypatch):
     return got, sent
 
 
-def _des_with_calls(gs, budget, monkeypatch):
-    return _with_calls(gs, "Des", budget, monkeypatch)
-
-
 def test_des_witness_rows_accept_only_holding_cases(space3, space5, space5_p1_2,
                                                      monkeypatch):
     # a row the witness accepts is not shown to the predicate; each of its
@@ -834,7 +830,7 @@ def test_des_witness_rows_accept_only_holding_cases(space3, space5, space5_p1_2,
         n, lpm, holds = gs.n, gs._linepts_minus, gs._des_case_holds
         for mode in ("orbit", "exhaustive"):
             budget = Budget(mode, 0, 0)
-            got, sent = _des_with_calls(gs, budget, monkeypatch)
+            got, sent = _with_calls(gs, "Des", budget, monkeypatch)
             assert got == _bitset_des(gs, budget), (gs.q, mode)
             sent = {(u, x, y, x2) for u, x, y, _, x2 in sent}
             for u, x in _sweep_pairs(gs, mode):
@@ -988,11 +984,12 @@ def _short_byclass(gs):
     for damage in (_stale_witmask, _short_byclass, _unit_translations)])
 def test_t_transport_needs_each_certificate_clause(plane5, delta5, damage, axiom,
                                                    monkeypatch):
-    # a witness mask off point 0 that lost a bit, a by-class list that lost a
-    # point, or generators that move every point but not every pair of a
-    # class (the translations keep every table): each leaves the space
-    # uncertified, so the exhaustive T and Des sweeps send every case to the
-    # predicate and their orbit sweeps refuse to run
+    # a witness mask off point 0 that lost a bit or a by-class list that lost
+    # a point leaves the space uncertified, so the exhaustive T and Des
+    # sweeps send every case to the predicate and their orbit sweeps refuse
+    # to run.  Generators cut to the unit translations still reach every
+    # point, and the dilatation supplies the motion within each class, so
+    # that space is certified and its reports are the oracles'
     from laguerre import Budget
     gs = GroupSpace.build(plane5, canonical_pencil(plane5), delta5,
                           check_preconditions=False)
@@ -1000,9 +997,65 @@ def test_t_transport_needs_each_certificate_clause(plane5, delta5, damage, axiom
     budget = Budget("exhaustive", 0, 0)
     got, sent = _with_calls(gs, axiom, budget, monkeypatch)
     assert got == {"T": _bitset_t, "Des": _bitset_des}[axiom](gs, budget)
-    assert len(sent) == got[0]
     if axiom == "Des":
         assert got[0] == 1113200
+    if damage is _unit_translations:
+        assert sent == []
+        orbit = gs.check_axiom(axiom)
+        assert orbit.details["cases_represented"] == got[0]
+        return
+    assert len(sent) == got[0]
+    with pytest.raises(GeometryError) as e:
+        gs.check_axiom(axiom)
+    assert e.value.code == "not_equivariant"
+
+
+def _cut_stabilizer(gs):
+    # (a) no element turns each line through point 0
+    gs.stabilizer0 = [PencilAut(1, 0, 0)]
+
+
+def _rotate_lines(gs):
+    # (b) every element of stabilizer0 acts as the rotation of each line
+    # through point 0 in index order: the right cycles, the wrong classes
+    rotation = list(range(gs.n))
+    for line in set(gs._linepts_minus[0][1:]):
+        for k, j in enumerate(line):
+            rotation[j] = line[(k + 1) % len(line)]
+    gs.point_perm = lambda f: rotation
+
+
+def _split_a_line(gs):
+    # (c) the generators cut to the unit translations, and one point of a
+    # circle line through point 0 moved onto the straight line through it,
+    # along every translation, so the join lines stay equivariant
+    _unit_translations(gs)
+    j, j2 = gs._byclass[0][3][0], gs._byclass[0][2][0]
+    for i, trans in enumerate(gs.translation_perms):
+        gs._joinline[i][trans[j]] = gs._joinline[i][trans[j2]]
+
+
+@pytest.mark.parametrize("damage", [_cut_stabilizer, _rotate_lines, _split_a_line])
+@pytest.mark.parametrize("axiom", ["T", "Des", "Pap"])
+def test_rows_need_each_dilatation_clause(plane5, delta5, damage, axiom, monkeypatch):
+    """Each damage passes the table certificate and fails one clause of the
+    dilatation's, so the exhaustive sweeps send every case to the predicate
+    and report as the oracles do, and the orbit sweeps refuse to run.  The
+    tables are intact in the first two, and every case holds.  In the third,
+    one class through each point u lies on two lines, and 300 Pap cases
+    fail, each with x' of the class of u⊔x but off its line; certified rows
+    would accept them."""
+    from laguerre import Budget
+    gs = GroupSpace.build(plane5, canonical_pencil(plane5), delta5,
+                          check_preconditions=False)
+    damage(gs)
+    gs.certify()
+    budget = Budget("exhaustive", 0, 0)
+    got, sent = _with_calls(gs, axiom, budget, monkeypatch)
+    oracle = {"T": _bitset_t, "Des": _bitset_des, "Pap": _bitset_pap}[axiom]
+    assert got == oracle(gs, budget)
+    assert len(sent) == got[0]
+    assert len(got[1]) == (300 if (damage, axiom) == (_split_a_line, "Pap") else 0)
     with pytest.raises(GeometryError) as e:
         gs.check_axiom(axiom)
     assert e.value.code == "not_equivariant"
@@ -1026,28 +1079,32 @@ def test_orbit_pgm_and_v_reject_a_stale_witness_mask(plane5, delta5):
 
 def test_certificates_are_checked_lazily_and_only_where_read():
     # the build checks no symmetry; Pgm and V check the tables, not the
-    # pair reach that only T and Des read
+    # dilatation that only the T, Des and Pap rows read
     gs = GroupSpace.build(*_fresh(3), check_preconditions=False)
     assert gs._certificates == {}
     gs.check_axiom("Des")
-    assert set(gs._certificates) == {"_check_tables", "_check_class_pairs"}
+    assert set(gs._certificates) == {"_check_tables", "_check_dilatation"}
     gs = GroupSpace.build(*_fresh(3), check_preconditions=False)
     gs.check_axiom("Pgm")
     gs.check_axiom("V")
     assert set(gs._certificates) == {"_check_tables"}
-    gs.check_axiom("T")
-    plan = gs._certificates["_check_class_pairs"]
-    assert [(x0, y0) for x0, y0, _ in plan] == [(0, row[0]) for row in gs._byclass[0]]
-    assert sum(count for _, _, count in plan) == gs.n * (gs.n - 1)
+    gs.check_axiom("Pap")
+    c = gs._certificates["_check_dilatation"]
+    assert c in list(map(gs.point_perm, gs.stabilizer0))
+    # at q = 3 a line through point 0 has one or two other points
+    assert {tuple(sorted({j, c[j]})) for j in range(1, gs.n)} == set(gs._linepts_minus[0][1:])
 
 
 def test_t_orbit_matches_exhaustive_q7(space7):
     from laguerre import Budget
     for gs in (space7, GroupSpace.build(*_fresh(7, _p1_2), check_preconditions=False)):
-        orbit = gs.check_axiom("T", Budget("orbit", 0, 0))
-        brute = gs.check_axiom("T", Budget("exhaustive", 0, 0))
-        assert orbit.status == brute.status == "pass"
-        assert orbit.details["cases_represented"] == brute.cases_checked == 30468690
+        for axiom in ("T", "Des", "Pap"):
+            orbit = gs.check_axiom(axiom, Budget("orbit", 0, 0))
+            brute = gs.check_axiom(axiom, Budget("exhaustive", 0, 0))
+            assert orbit.status == brute.status == "pass", axiom
+            assert orbit.details["cases_represented"] == brute.cases_checked, axiom
+            if axiom == "T":
+                assert brute.cases_checked == 30468690
 
 
 def test_noncanonical_space_smoke():
