@@ -12,25 +12,27 @@ among themselves.  Any other pencil is handled by conjugating with a
 normalizing plane automorphism assembled from two primitives: adding a
 fixed quadratic to every y-coordinate, and the x-coordinate inversion
 ``(x, y) -> (1/x, y/x^2)`` that swaps the ideal generator with ``x = 0``.
-Each normalizer is verified to be a plane automorphism by an exhaustive
-circle-image check before it is used.
+The composed normalizer is verified to be a plane automorphism by an
+exhaustive circle-image check before it is used.
 
 Point indices.  ``DeltaGroup.image`` is the one point action, on indices
 in ``plane.points`` (affine ``x*q + y``, ideal ``q*q + a``): the closed form
 above, read through the normalizer's forward and back index lists, composed
 once when the group is built.  Stabilizers, orbits, A1/A2 and the residual
 plane read it; ``apply`` is the named Point/Circle boundary over it, and a
-``PermutationMap`` is an index list.
+``PermutationMap`` is an index list.  Either carries a circle by mapping its
+point mask (``plane.circle_masks``) and looking the image up in
+``plane.mask_positions``.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, partial
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .field import GF
 from .plane import (Circle, GeometryError, IDEAL, LaguerrePlane, Pencil, Point,
-                    canonical_pencil, ideal, not_a_point)
+                    bits, canonical_pencil, ideal, not_a_point)
 from .report import Report, run_check
 
 
@@ -107,45 +109,56 @@ def classify_by_scan(plane: LaguerrePlane, perm: list[int]) -> str:
     raise GeometryError("unclassifiable automorphism", code="unclassifiable")
 
 
+def mask_image(image: Callable[[int], int], m: int) -> int:
+    """The mask of the images under ``image``, a map on point indices, of the
+    points in mask ``m``."""
+    out = 0
+    for i in bits(m):
+        out |= 1 << image(i)
+    return out
+
+
+def circle_image(plane: LaguerrePlane, image: Callable[[int], int], C: Circle) -> Circle:
+    """The circle holding the images of ``C``'s points under ``image``:
+    ``not_a_circle`` if ``C`` is none, ``not_automorphism`` if that is none."""
+    m = mask_image(image, plane.circle_masks[plane.circle_position(C)])
+    i = plane.mask_positions.get(m)
+    if i is None:
+        raise GeometryError(f"image of {C} is not a circle", code="not_automorphism")
+    return plane.circles[i]
+
+
 class PermutationMap:
     """An explicit permutation of point indices that must carry circles to
     circles: ``perm[i]`` is the index of the image of ``plane.points[i]``.
 
     This is the closed-form-free oracle: it knows nothing about parameters,
-    only point images, and derives circle images by point-set lookup.
+    only point images, and derives circle images by mapping the point mask
+    of each circle and looking it up in ``plane.mask_positions``.
     """
 
     def __init__(self, plane: LaguerrePlane, perm: list[int]):
         self.plane = plane
         self.perm = perm
 
-    def _image(self, pts: Iterable[Point]) -> frozenset:
-        points, index, perm = self.plane.points, self.plane.point_index, self.perm
-        return frozenset(points[perm[index[p]]] for p in pts)
-
     def apply_point(self, pt: Point) -> Point:
         return self.plane.points[self.perm[self.plane.point_index[pt]]]
 
     def apply_circle(self, C: Circle) -> Circle:
-        out = self.plane.circle_from_point_set(self._image(self.plane.circle_points(C)))
-        if out is None:
-            raise GeometryError(f"image of {C} is not a circle", code="not_automorphism")
-        return out
+        return circle_image(self.plane, self.perm.__getitem__, C)
 
     def verify(self) -> tuple[bool, list]:
         """Bijectivity plus circles-to-circles and generators-to-generators."""
         plane = self.plane
-        witnesses = []
         if sorted(self.perm) != list(range(len(plane.points))):
-            witnesses.append({"problem": "not_bijective"})
-            return False, witnesses
-        for C in plane.circles:
-            if plane.circle_from_point_set(self._image(plane.circle_points(C))) is None:
-                witnesses.append({"problem": "circle_image", "circle": list(C)})
-        gen_sets = [frozenset(plane.generator_points(h)) for h in plane.generators]
-        for g, gp in zip(plane.generators, gen_sets):
-            if self._image(gp) not in gen_sets:
-                witnesses.append({"problem": "generator_image", "generator": g.to_json()})
+            return False, [{"problem": "not_bijective"}]
+        image, at = self.perm.__getitem__, plane.mask_positions
+        witnesses = [{"problem": "circle_image", "circle": list(C)}
+                     for C, m in zip(plane.circles, plane.circle_masks)
+                     if mask_image(image, m) not in at]
+        gens = [plane.mask(plane.generator_points(h)) for h in plane.generators]
+        witnesses += [{"problem": "generator_image", "generator": g.to_json()}
+                      for g, m in zip(plane.generators, gens) if mask_image(image, m) not in gens]
         return not witnesses, witnesses
 
     def verified(self) -> "PermutationMap":
@@ -203,16 +216,12 @@ def require_reach(start, moves, domain, code: str, name: str, noun: str) -> None
                             f"{len(domain)} {noun} and {len(reached - domain)} more", code=code)
 
 
-def _verified_map(plane: LaguerrePlane, perm: list[int]) -> PermutationMap:
-    return PermutationMap(plane, perm).verified()
-
-
 def circle_add_map(plane: LaguerrePlane, Q: Circle) -> PermutationMap:
     """(x, y) -> (x, y + Q(x)); shifts every circle by the coefficients of Q."""
     q = plane.q
-    return _verified_map(plane, [x * q + (y + plane.evaluate(Q, x)) % q
-                                 for x in range(q) for y in range(q)]
-                         + [q * q + (a + Q.a) % q for a in range(q)])
+    return PermutationMap(plane, [x * q + (y + plane.evaluate(Q, x)) % q
+                                  for x in range(q) for y in range(q)]
+                          + [q * q + (a + Q.a) % q for a in range(q)])
 
 
 def inversion_map(plane: LaguerrePlane) -> PermutationMap:
@@ -223,11 +232,7 @@ def inversion_map(plane: LaguerrePlane) -> PermutationMap:
         xi = gf.inv(x)
         perm.extend(xi * q + (y * xi * xi) % q for y in range(q))
     perm.extend(range(q))  # (inf, a) -> (0, a)
-    return _verified_map(plane, perm)
-
-
-def x_shift_map(plane: LaguerrePlane, t: int) -> PermutationMap:
-    return _verified_map(plane, PermutationMap.from_aut(plane, PencilAut(1, t, 0)).perm)
+    return PermutationMap(plane, perm)
 
 
 class DeltaGroup:
@@ -262,16 +267,15 @@ class DeltaGroup:
             norm = circle_add_map(plane, K)
         else:
             norm = circle_add_map(plane, K).compose(
-                x_shift_map(plane, p.x)).compose(inversion_map(plane))
+                PermutationMap.from_aut(plane, PencilAut(1, p.x, 0))).compose(
+                inversion_map(plane))
+        norm = norm.verified()
         group = cls(plane, pencil, elements, norm)
         # the normalizer must carry the canonical pencil onto the target one
         base = canonical_pencil(plane)
-        want = {frozenset(plane.circle_points(M))
-                for M in plane.pencil_members(pencil)}
-        got = {norm._image(plane.circle_points(M))
-               for M in plane.pencil_members(base)}
-        carried = (norm.apply_point(base.p) == p
-                   and norm.apply_circle(base.base) == K and want == got)
+        carried = (norm.apply_point(base.p) == p and norm.apply_circle(base.base) == K
+                   and set(map(norm.apply_circle, plane.pencil_members(base)))
+                   == set(plane.pencil_members(pencil)))
         if not carried:
             raise GeometryError("the normalizer does not carry the canonical "
                                 f"pencil onto {pencil}", code="normalizer_mismatch")
@@ -294,7 +298,7 @@ class DeltaGroup:
 
     def apply(self, f: PencilAut, obj):
         """Act on a Point or a Circle; a circle off the canonical chart goes
-        to the circle through its permuted points."""
+        to the circle whose point mask is the image of its own."""
         plane = self.plane
         if not isinstance(obj, Circle):
             try:
@@ -302,15 +306,10 @@ class DeltaGroup:
             except KeyError:
                 raise not_a_point(obj) from None
             return plane.points[self.image(f, i)]
-        if not all(0 <= v < plane.q for v in obj):
-            raise GeometryError(f"{obj!r} is not a circle of the plane", code="not_a_circle")
         if self._fwd is None:
+            plane.circle_position(obj)  # not_a_circle off the plane
             return aut_circle(self.gf, f, obj)
-        out = plane.circle_from_point_set(frozenset(
-            self.apply(f, p) for p in plane.circle_points(obj)))
-        if out is None:
-            raise GeometryError(f"image of {obj} is not a circle", code="not_automorphism")
-        return out
+        return circle_image(plane, partial(self.image, f), obj)
 
     @cached_property
     def translations(self) -> list[PencilAut]:

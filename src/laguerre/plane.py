@@ -6,10 +6,10 @@ of ``y = a x^2 + b x + c`` plus the ideal point ``(inf, a)``; two points are
 parallel when they share a generator (a vertical line, or the ideal
 generator).  Circles are kept as coefficient triples, never as point sets:
 that makes equality canonical and group actions O(1), while point sets are
-derived on demand.  The axiom sweep derives them as bitsets instead
-(``incidence_masks``): a point's bit is its position in ``points`` (affine
-``x*q+y``, ideal ``q*q+a``), a circle's bit its position in ``circles``
-(``a*q*q+b*q+c``).  The masks are built per sweep and never kept.  The
+derived on demand.  The one stored incidence is a point bitset per circle
+(``circle_masks``, read from ``circle_points`` on first use, and keyed back
+to circle positions ``a*q*q+b*q+c`` by ``mask_positions``): a point's bit is
+its position in ``points`` (affine ``x*q+y``, ideal ``q*q+a``).  The axiom
 sweep counts incidences by OR-ing masks into saturating counters (a bit set
 in ``threes`` lies in at least three of the masks), and reads the closed form
 ``pencil_members`` once per pencil, not once per flag.
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -34,7 +35,7 @@ AFFINE = "A"
 IDEAL = "I"
 
 
-def _bits(m: int) -> list[int]:
+def bits(m: int) -> list[int]:
     """The positions of the set bits of ``m >= 0``, ascending."""
     out = []
     while m:
@@ -117,8 +118,6 @@ class LaguerrePlane:
         self.generators: list[Generator] = [Generator(AFFINE, x) for x in range(q)] + [
             Generator(IDEAL, 0)
         ]
-        self._circle_points: dict[Circle, tuple[Point, ...]] = {}
-        self._circle_by_set: dict[frozenset, Circle] | None = None
 
     # -- incidence basics -----------------------------------------------
 
@@ -144,20 +143,35 @@ class LaguerrePlane:
         return tuple(affine(gen.x, y) for y in range(self.q))
 
     def circle_points(self, C: Circle) -> tuple[Point, ...]:
-        pts = self._circle_points.get(C)
-        if pts is None:
-            pts = tuple(sorted(
-                [affine(x, self.evaluate(C, x)) for x in range(self.q)] + [ideal(C.a)]
-            ))
-            self._circle_points[C] = pts
-        return pts
+        """The points of ``C`` in ``points`` order, built on every call."""
+        return tuple([affine(x, self.evaluate(C, x)) for x in range(self.q)] + [ideal(C.a)])
 
-    def circle_from_point_set(self, pts: frozenset) -> Circle | None:
-        if self._circle_by_set is None:
-            self._circle_by_set = {
-                frozenset(self.circle_points(C)): C for C in self.circles
-            }
-        return self._circle_by_set.get(pts)
+    def mask(self, pts) -> int:
+        """The bitset of ``pts`` over positions in ``points``."""
+        index, m = self.point_index, 0
+        for p in pts:
+            m |= 1 << index[p]
+        return m
+
+    def circle_position(self, C) -> int:
+        """The position of ``C`` in ``circles``; ``not_a_circle`` for a
+        triple that is not a circle of the plane."""
+        q = self.q
+        if not all(0 <= v < q for v in C):
+            raise GeometryError(f"{C!r} is not a circle of the plane", code="not_a_circle")
+        a, b, c = C
+        return (a * q + b) * q + c
+
+    @cached_property
+    def circle_masks(self) -> list[int]:
+        """The point mask of each circle, in ``circles`` order, read from
+        ``circle_points`` on first use."""
+        return [self.mask(self.circle_points(C)) for C in self.circles]
+
+    @cached_property
+    def mask_positions(self) -> dict[int, int]:
+        """Circle position by point mask: the circle with exactly these points."""
+        return {m: i for i, m in enumerate(self.circle_masks)}
 
     # -- joins, intersections, tangency ---------------------------------
 
@@ -356,26 +370,16 @@ class LaguerrePlane:
 
         Returns a point mask per circle, a circle mask per point and a point
         mask per generator, in ``circles``, ``points`` and ``generators``
-        order.  They are read from ``circle_points``, ``generator_points``
-        and ``point_index`` on every call and never cached, so incidence
+        order.  The first is the plane's ``circle_masks``; the other two are
+        derived from it and ``generator_points`` on every call, so incidence
         has no other definition in the axiom sweep.
         """
-        index = self.point_index
-        circle_masks: list[int] = []
+        circle_masks = self.circle_masks
         point_masks = [0] * len(self.points)
-        for ci, C in enumerate(self.circles):
-            m = 0
-            for p in self.circle_points(C):
-                i = index[p]
-                m |= 1 << i
+        for ci, m in enumerate(circle_masks):
+            for i in bits(m):
                 point_masks[i] |= 1 << ci
-            circle_masks.append(m)
-        gen_masks = []
-        for g in self.generators:
-            m = 0
-            for p in self.generator_points(g):
-                m |= 1 << index[p]
-            gen_masks.append(m)
+        gen_masks = [self.mask(self.generator_points(g)) for g in self.generators]
         return circle_masks, point_masks, gen_masks
 
     def verify_axioms(self) -> Report:
@@ -426,12 +430,12 @@ class LaguerrePlane:
             for i, mi in enumerate(cm):
                 cases += n - 1 - i
                 ones = twos = threes = 0
-                for k in _bits(mi):
+                for k in bits(mi):
                     m = pc[k]
                     threes |= twos & m
                     twos |= ones & m
                     ones |= m
-                for j in _bits(threes >> (i + 1)):
+                for j in bits(threes >> (i + 1)):
                     witnesses.append({"axiom": "join",
                                       "circles": [list(circles[i]), list(circles[i + 1 + j])]})
 
@@ -452,7 +456,7 @@ class LaguerrePlane:
                 for i1 in gen_pts[g1]:
                     for i2 in gen_pts[g2]:
                         ones = twos = 0
-                        for k in _bits(pc[i1] & pc[i2]):
+                        for k in bits(pc[i1] & pc[i2]):
                             m = cm[k]
                             twos |= ones & m
                             ones |= m
@@ -476,7 +480,7 @@ class LaguerrePlane:
             for pi, (p, at_p) in enumerate(zip(points, pc)):
                 vertex = 1 << pi
                 kept = set()  # the members of the pencils at p that passed
-                for ki in _bits(at_p):
+                for ki in bits(at_p):
                     cases += 1
                     if ki in kept:
                         continue

@@ -55,7 +55,7 @@ import itertools
 from functools import cached_property, partial
 
 from .plane import (Circle, GeometryError, IDEAL, LaguerrePlane, Pencil, Point,
-                    affine, canonical_pencil, ideal)
+                    affine, bits, canonical_pencil, ideal)
 from .autgroup import (IDENTITY, DeltaGroup, PencilAut, PermutationMap, aut_compose,
                        aut_inverse, circle_add_map, reach, require_reach)
 from .skewaffine import GroupSpace, SPECIAL, STRAIGHT
@@ -121,7 +121,7 @@ class TangentFamily:
                     touch.append(t)
         self.circles = circles
         self.touch = touch
-        self._circle_points = cpts = [plane.circle_points(C) for C in circles]
+        self._pts = cpts = [plane.circle_points(C) for C in circles]
         through = dict.fromkeys(plane.points, 0)
         for i, pts in enumerate(cpts):
             for p in pts:
@@ -139,7 +139,7 @@ class TangentFamily:
     @cached_property
     def meets(self) -> dict[Point, int]:
         out = dict.fromkeys(self.off_points, (1 << len(self.circles)) - 1)
-        for m, pts in zip(self.inter, self._circle_points):
+        for m, pts in zip(self.inter, self._pts):
             for p in pts:
                 if p in out:
                     out[p] &= m
@@ -148,7 +148,7 @@ class TangentFamily:
     @cached_property
     def links(self) -> dict[Point, int]:
         out = dict.fromkeys(self.off_points, 0)
-        for m, same, pts in zip(self.inter, self.samept, self._circle_points):
+        for m, same, pts in zip(self.inter, self.samept, self._pts):
             for p in pts:
                 if p in out:
                     out[p] |= m & ~same
@@ -252,8 +252,8 @@ class _Ctx:
     @cached_property
     def unit_maps(self) -> list[PermutationMap]:
         """The unit translations (1, 1, 0) and (1, 0, 1) as point
-        permutations, verified here, whatever ``circle_add_map`` checked
-        itself: x ↦ x + 1, and y ↦ y + 1, T4.2's ``Circle(0, 0, 1)`` shift."""
+        permutations, verified here: x ↦ x + 1, and y ↦ y + 1, T4.2's
+        ``Circle(0, 0, 1)`` shift."""
         plane = self.plane
         return [PermutationMap.from_aut(plane, PencilAut(1, 1, 0)).verified(),
                 circle_add_map(plane, Circle(0, 0, 1)).verified()]
@@ -901,12 +901,7 @@ def _l4_1_on(ctx: _Ctx, L: Circle, fam: TangentFamily):
     inter, samept = fam.inter, fam.samept
     for qi in range(len(fam.circles)):
         linked = inter[qi] & ~samept[qi]
-        others = []
-        m = linked
-        while m:
-            low = m & -m
-            others.append(low.bit_length() - 1)
-            m ^= low
+        others = bits(linked)
         for pi in others:
             cases += len(others)
             miss = linked & ~inter[pi] & ~samept[pi]
@@ -1053,7 +1048,7 @@ def _check_t4_2(ctx: _Ctx):
     the context's.  This route cannot see a fault in another circle's
     ``TangentFamily``; the all-circles loop in the tests is its oracle."""
     plane, L = ctx.plane, ctx.pencil.base
-    # y += x², x; verified here, whatever circle_add_map checked itself
+    # y += x², x; verified here
     maps = [circle_add_map(plane, Q).verified() for Q in (Circle(1, 0, 0), Circle(0, 1, 0))]
     maps.append(ctx.unit_maps[1])
     require_reach(L, [m.apply_circle for m in maps], plane.circles,

@@ -5,7 +5,7 @@ import pytest
 from laguerre import (Circle, DeltaGroup, GeometryError, LaguerrePlane,
                       PencilAut, PermutationMap, affine, canonical_pencil,
                       classify_by_scan, ideal, verify_a1a2a3)
-from laguerre.autgroup import (_verified_map, aut_circle, aut_compose, aut_inverse,
+from laguerre.autgroup import (aut_circle, aut_compose, aut_inverse,
                                circle_add_map, classify_aut, inversion_map, reach,
                                require_reach)
 
@@ -335,9 +335,96 @@ def test_transposition_is_not_an_automorphism(plane5):
     assert sorted(w["circle"] for w in wit) == \
         sorted([a, b, c] for a in range(5) for b in range(5) for c in (0, 1))
     with pytest.raises(GeometryError) as e:
-        _verified_map(plane5, perm)
+        PermutationMap(plane5, perm).verified()
     assert e.value.code == "not_automorphism"
     assert e.value.witnesses == wit
+
+
+def _swap(pl, u, v):
+    """The bijection of ``pl.points`` that exchanges ``u`` and ``v``."""
+    perm = list(range(len(pl.points)))
+    i, j = pl.point_index[u], pl.point_index[v]
+    perm[i], perm[j] = j, i
+    return perm
+
+
+def test_swap_across_generators_breaks_both_generators(plane5):
+    # A(0,0) and A(1,0) lie on different generators, so both generators lose
+    # their image, after the 40 circles through exactly one of the two
+    # points (c = 0, or a + b + c = 0), in circles order
+    ok, wit = PermutationMap(plane5, _swap(plane5, affine(0, 0), affine(1, 0))).verify()
+    assert not ok
+    assert wit == [{"problem": "circle_image", "circle": [a, b, c]}
+                   for a in range(5) for b in range(5) for c in range(5)
+                   if (c == 0) != ((a + b + c) % 5 == 0)] + [
+        {"problem": "generator_image", "generator": {"t": "A", "x": 0}},
+        {"problem": "generator_image", "generator": {"t": "A", "x": 1}}]
+
+
+def _point_set_image(pl, by_set, perm, C):
+    """The retired point-set route: the circle whose point set is the image
+    of ``C``'s, or None."""
+    return by_set.get(frozenset(pl.points[perm[pl.point_index[p]]]
+                                for p in pl.circle_points(C)))
+
+
+def _point_set_verify(pl, perm):
+    """``PermutationMap.verify`` as it was before circle masks, kept as the
+    oracle of the mask route."""
+    if sorted(perm) != list(range(len(pl.points))):
+        return False, [{"problem": "not_bijective"}]
+    by_set = {frozenset(pl.circle_points(C)): C for C in pl.circles}
+    witnesses = [{"problem": "circle_image", "circle": list(C)} for C in pl.circles
+                 if _point_set_image(pl, by_set, perm, C) is None]
+    gen_sets = [frozenset(pl.generator_points(h)) for h in pl.generators]
+    for g, gp in zip(pl.generators, gen_sets):
+        if frozenset(pl.points[perm[pl.point_index[p]]] for p in gp) not in gen_sets:
+            witnesses.append({"problem": "generator_image", "generator": g.to_json()})
+    return not witnesses, witnesses
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_mask_route_matches_point_set_route(q):
+    # the unit translations, two transpositions (along and across a
+    # generator) and the normalizer of each non-canonical pencil
+    pl = LaguerrePlane(q)
+    maps = [PermutationMap.from_aut(pl, PencilAut(1, 1, 0)),
+            circle_add_map(pl, Circle(0, 0, 1)),
+            PermutationMap(pl, _swap(pl, affine(0, 0), affine(0, 1))),
+            PermutationMap(pl, _swap(pl, affine(0, 0), affine(1, 0)))]
+    maps += [DeltaGroup.build(pl, pencil).normalizer for pencil in _pencils(pl)[1:]]
+    by_set = {frozenset(pl.circle_points(C)): C for C in pl.circles}
+    for pm in maps:
+        assert pm.verify() == _point_set_verify(pl, pm.perm)
+        for C in pl.circles:
+            want = _point_set_image(pl, by_set, pm.perm, C)
+            if want is None:
+                with pytest.raises(GeometryError) as e:
+                    pm.apply_circle(C)
+                assert e.value.code == "not_automorphism"
+            else:
+                assert pm.apply_circle(C) == want, (pm.perm, C)
+
+
+@pytest.mark.parametrize("C", [Circle(9, 9, 9), Circle(-1, 0, 0)])
+def test_a_triple_off_the_plane_is_not_a_circle(plane5, delta5, C):
+    # (-1, 0, 0) would read the mask of circle (4, 0, 0) if positions were
+    # not range-checked
+    off_chart = DeltaGroup.build(plane5, _pencils(plane5)[1])
+    calls = (lambda: PermutationMap.from_aut(plane5, PencilAut(2, 1, 3)).apply_circle(C),
+             lambda: off_chart.normalizer.apply_circle(C),
+             lambda: delta5.apply(PencilAut(2, 1, 3), C),
+             lambda: off_chart.apply(PencilAut(2, 1, 3), C))
+    for call in calls:
+        with pytest.raises(GeometryError) as e:
+            call()
+        assert e.value.code == "not_a_circle"
+
+
+def test_the_plane_builds_no_masks_until_read():
+    pl = LaguerrePlane(5)
+    assert "circle_masks" not in vars(pl) and "mask_positions" not in vars(pl)
+    assert pl.mask_positions[pl.circle_masks[7]] == 7
 
 
 # A2 witnesses (r, least target x, targets its orbit missed) at q = 5 for

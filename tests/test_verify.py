@@ -1,6 +1,6 @@
 import pytest
 
-from laguerre import (Budget, Circle, GeometryError, LaguerrePlane, PencilAut,
+from laguerre import (Budget, Circle, DeltaGroup, GeometryError, LaguerrePlane, PencilAut,
                       PermutationMap, affine, canonical_pencil, ideal, thm_check,
                       thm_equiv_rel, thm_tangency_locus, verify)
 from laguerre.autgroup import IDENTITY, aut_compose, aut_inverse
@@ -388,6 +388,27 @@ def test_run_suite_derives_each_plane_fact_once(monkeypatch):
     assert calls == {"pencil_tangent": 100, "circle_through": 109,
                      "pencil_members": 25 + 106, "stabilizer": 1}
     assert families == [Circle(0, 0, 0)]
+
+
+def test_each_automorphism_is_verified_once_where_it_is_used(monkeypatch):
+    # the catalog verifies its two unit translations and T4.2's two shifts
+    # y += x² and y += x; a group at an affine vertex verifies its composed
+    # normalizer alone
+    passes = []
+    real = PermutationMap.verify
+
+    def spy(self):
+        passes.append(self.perm)
+        return real(self)
+
+    monkeypatch.setattr(PermutationMap, "verify", spy)
+    monkeypatch.setattr(verify, "_CTX_CACHE", {})
+    assert all(rep.ok for rep in verify.run_suite(5))
+    assert len(passes) == 4
+    passes.clear()
+    pl = LaguerrePlane(5)
+    DeltaGroup.build(pl, pl.pencil(affine(1, 2), Circle(0, 0, 2)))
+    assert len(passes) == 1
 
 
 def test_p2_1_fails_on_a_special_nonparallel_join(monkeypatch):
