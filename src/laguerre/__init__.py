@@ -3,9 +3,8 @@ residual skewaffine planes built from them, with exhaustive verification."""
 
 from .field import GF, FieldError, NONSQUARE, SQUARE, ZERO
 from .plane import (Circle, GeometryError, Generator, LaguerrePlane, Pencil,
-                    Point, affine, canonical_pencil, ideal)
-from .autgroup import (DeltaGroup, PencilAut, PermutationMap, classify_aut,
-                       classify_by_scan, verify_a1a2a3)
+                    PencilAut, PermutationMap, Point, affine, canonical_pencil, ideal)
+from .autgroup import DeltaGroup, classify_aut, classify_by_scan, verify_a1a2a3
 from .skewaffine import AXIOMS, GroupSpace, Line
 from .verify import (CHECK_IDS, run_suite, thm_check, thm_equiv_rel,
                      thm_tangency_locus)

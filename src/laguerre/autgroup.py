@@ -9,38 +9,33 @@ group is parametrized by triples ``(k, t, g)`` with ``k != 0`` acting as
 
 so it fixes the ideal generator pointwise and permutes the pencil members
 among themselves.  Any other pencil is handled by conjugating with a
-normalizing plane automorphism assembled from two primitives: adding a
-fixed quadratic to every y-coordinate, and the x-coordinate inversion
-``(x, y) -> (1/x, y/x^2)`` that swaps the ideal generator with ``x = 0``.
-The composed normalizer is verified to be a plane automorphism by an
-exhaustive circle-image check before it is used.
+normalizing plane automorphism assembled from two primitives of ``plane``:
+adding a fixed quadratic to every y-coordinate (``circle_add_map``), and
+the x-coordinate inversion ``(x, y) -> (1/x, y/x^2)`` that swaps the ideal
+generator with ``x = 0`` (``inversion_map``).  The composed normalizer is
+verified to be a plane automorphism by an exhaustive circle-image check
+before it is used.
 
 Point indices.  ``DeltaGroup.image`` is the one point action, on indices
 in ``plane.points`` (affine ``x*q + y``, ideal ``q*q + a``): the closed form
-above, read through the normalizer's forward and back index lists, composed
-once when the group is built.  Stabilizers, orbits, A1/A2 and the residual
-plane read it; ``apply`` is the named Point/Circle boundary over it, and a
-``PermutationMap`` is an index list.  Either carries a circle by mapping its
-point mask (``plane.circle_masks``) and looking the image up in
-``plane.mask_positions``.
+above (``plane.aut_index``), read through the normalizer's forward and back
+index lists, composed once when the group is built.  Stabilizers, orbits,
+A1/A2 and the residual plane read it; ``apply`` is the named Point/Circle
+boundary over it, and a ``PermutationMap`` is an index list.  Either
+carries a circle by mapping its point mask (``plane.circle_masks``) and
+looking the image up in ``plane.mask_positions``.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, partial
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable
 
 from .field import GF
-from .plane import (Circle, GeometryError, IDEAL, LaguerrePlane, Pencil, Point,
-                    bits, canonical_pencil, ideal, not_a_point)
+from .plane import (Circle, GeometryError, IDEAL, LaguerrePlane, Pencil, PencilAut,
+                    PermutationMap, Point, aut_index, canonical_pencil, circle_add_map,
+                    circle_image, ideal, inversion_map, not_a_point, reach)
 from .report import Report, run_check
-
-
-class PencilAut(NamedTuple):
-    k: int
-    t: int
-    g: int
-
 
 IDENTITY = PencilAut(1, 0, 0)
 
@@ -109,104 +104,6 @@ def classify_by_scan(plane: LaguerrePlane, perm: list[int]) -> str:
     raise GeometryError("unclassifiable automorphism", code="unclassifiable")
 
 
-def mask_image(image: Callable[[int], int], m: int) -> int:
-    """The mask of the images under ``image``, a map on point indices, of the
-    points in mask ``m``."""
-    out = 0
-    for i in bits(m):
-        out |= 1 << image(i)
-    return out
-
-
-def circle_image(plane: LaguerrePlane, image: Callable[[int], int], C: Circle) -> Circle:
-    """The circle holding the images of ``C``'s points under ``image``:
-    ``not_a_circle`` if ``C`` is none, ``not_automorphism`` if that is none."""
-    m = mask_image(image, plane.circle_masks[plane.circle_position(C)])
-    i = plane.mask_positions.get(m)
-    if i is None:
-        raise GeometryError(f"image of {C} is not a circle", code="not_automorphism")
-    return plane.circles[i]
-
-
-class PermutationMap:
-    """An explicit permutation of point indices that must carry circles to
-    circles: ``perm[i]`` is the index of the image of ``plane.points[i]``.
-
-    This is the closed-form-free oracle: it knows nothing about parameters,
-    only point images, and derives circle images by mapping the point mask
-    of each circle and looking it up in ``plane.mask_positions``.
-    """
-
-    def __init__(self, plane: LaguerrePlane, perm: list[int]):
-        self.plane = plane
-        self.perm = perm
-
-    def apply_point(self, pt: Point) -> Point:
-        return self.plane.points[self.perm[self.plane.point_index[pt]]]
-
-    def apply_circle(self, C: Circle) -> Circle:
-        return circle_image(self.plane, self.perm.__getitem__, C)
-
-    def verify(self) -> tuple[bool, list]:
-        """Bijectivity plus circles-to-circles and generators-to-generators."""
-        plane = self.plane
-        if sorted(self.perm) != list(range(len(plane.points))):
-            return False, [{"problem": "not_bijective"}]
-        image, at = self.perm.__getitem__, plane.mask_positions
-        witnesses = [{"problem": "circle_image", "circle": list(C)}
-                     for C, m in zip(plane.circles, plane.circle_masks)
-                     if mask_image(image, m) not in at]
-        gens = [plane.mask(plane.generator_points(h)) for h in plane.generators]
-        witnesses += [{"problem": "generator_image", "generator": g.to_json()}
-                      for g, m in zip(plane.generators, gens) if mask_image(image, m) not in gens]
-        return not witnesses, witnesses
-
-    def verified(self) -> "PermutationMap":
-        """This map, once ``verify`` passes; else ``not_automorphism``."""
-        ok, wit = self.verify()
-        if not ok:
-            raise GeometryError("the permutation is not a plane automorphism",
-                                code="not_automorphism", witnesses=wit)
-        return self
-
-    def compose(self, other: "PermutationMap") -> "PermutationMap":
-        """self after other."""
-        return PermutationMap(self.plane, [self.perm[j] for j in other.perm])
-
-    def inverse(self) -> "PermutationMap":
-        back = [0] * len(self.perm)
-        for i, j in enumerate(self.perm):
-            back[j] = i
-        return PermutationMap(self.plane, back)
-
-    @classmethod
-    def from_aut(cls, plane: LaguerrePlane, f: PencilAut) -> "PermutationMap":
-        return cls(plane, [_canonical_image(plane.q, f, i)
-                           for i in range(len(plane.points))])
-
-
-def _canonical_image(q: int, f: PencilAut, i: int) -> int:
-    """The closed form on the index of a point in canonical coordinates."""
-    if i >= q * q:
-        return i
-    k, t, g = f
-    x, y = divmod(i, q)
-    return (k * x + t) % q * q + (k * k * y + g) % q
-
-
-def reach(start, moves) -> set:
-    """Everything reachable from ``start`` by repeated ``moves``."""
-    seen, todo = {start}, [start]
-    while todo:
-        here = todo.pop()
-        for move in moves:
-            there = move(here)
-            if there not in seen:
-                seen.add(there)
-                todo.append(there)
-    return seen
-
-
 def require_reach(start, moves, domain, code: str, name: str, noun: str) -> None:
     """Raise ``code`` unless ``moves`` carry ``start`` (``name``) to exactly
     the ``domain`` of its ``noun``: then ``start`` may stand for every one."""
@@ -214,25 +111,6 @@ def require_reach(start, moves, domain, code: str, name: str, noun: str) -> None
     if reached != domain:
         raise GeometryError(f"the generators carry {name} to {len(reached & domain)} of the "
                             f"{len(domain)} {noun} and {len(reached - domain)} more", code=code)
-
-
-def circle_add_map(plane: LaguerrePlane, Q: Circle) -> PermutationMap:
-    """(x, y) -> (x, y + Q(x)); shifts every circle by the coefficients of Q."""
-    q = plane.q
-    return PermutationMap(plane, [x * q + (y + plane.evaluate(Q, x)) % q
-                                  for x in range(q) for y in range(q)]
-                          + [q * q + (a + Q.a) % q for a in range(q)])
-
-
-def inversion_map(plane: LaguerrePlane) -> PermutationMap:
-    """(x, y) -> (1/x, y/x^2), swapping the ideal generator with x = 0."""
-    gf, q = plane.gf, plane.q
-    perm = list(range(q * q, q * q + q))  # (0, y) -> (inf, y)
-    for x in range(1, q):
-        xi = gf.inv(x)
-        perm.extend(xi * q + (y * xi * xi) % q for y in range(q))
-    perm.extend(range(q))  # (inf, a) -> (0, a)
-    return PermutationMap(plane, perm)
 
 
 class DeltaGroup:
@@ -293,7 +171,7 @@ class DeltaGroup:
 
     def image(self, f: PencilAut, i: int) -> int:
         """The index of the image of plane point ``i`` under ``f``."""
-        c = _canonical_image(self.plane.q, f, self.canonical_index(i))
+        c = aut_index(self.plane.q, f, self.canonical_index(i))
         return c if self._fwd is None else self._fwd[c]
 
     def apply(self, f: PencilAut, obj):
@@ -323,10 +201,8 @@ class DeltaGroup:
         group only through these three, so their closure must be exactly the
         group.
         """
-        q = self.plane.q
-        proot = next(g for g in range(2, q)
-                     if len({pow(g, e, q) for e in range(q - 1)}) == q - 1)
-        gens = [PencilAut(proot, 0, 0), PencilAut(1, 1, 0), PencilAut(1, 0, 1)]
+        gens = [PencilAut(self.gf.primitive_root(), 0, 0), PencilAut(1, 1, 0),
+                PencilAut(1, 0, 1)]
         require_reach(IDENTITY, [partial(aut_compose, self.gf, g) for g in gens],
                       self.elements, "generators_not_closed", "the identity", "elements")
         return gens
@@ -433,6 +309,26 @@ class DeltaGroup:
         }
 
 
+def _check_a3(plane: LaguerrePlane, pencil: Pencil) -> tuple[int, list, dict]:
+    """A3, every circle avoiding the vertex has exactly one tangent member,
+    as (cases, witnesses, details).  It reads the circle masks: the members
+    come from one ``pencil_members`` call, and a circle M off the vertex is
+    tangent to the member L exactly when their masks share one bit."""
+    cm, position = plane.circle_masks, plane.circle_position
+    members = [(L, cm[position(L)]) for L in plane.pencil_members(pencil, verify=False)]
+    vertex = 1 << plane.point_index[pencil.p]
+    cases, bad = 0, []
+    for M, m in zip(plane.circles, cm):
+        if m & vertex:
+            continue
+        cases += 1
+        hits = [L for L, ml in members if (m & ml).bit_count() == 1]
+        if len(hits) != 1:
+            bad.append({"axiom": "A3", "circle": list(M),
+                        "tangent_members": sorted(map(list, hits))})
+    return cases, bad, {"circles": cases, "status": "fail" if bad else "pass"}
+
+
 _CHAR2_NOTE = ("characteristic 2: only the tangency-count axiom is evaluated; "
                "the parametrized group requires odd q")
 
@@ -441,7 +337,8 @@ def verify_a1a2a3(plane: LaguerrePlane, pencil: Pencil,
                   delta: DeltaGroup | None) -> Report:
     """Check transitivity off the vertex generator (A1), circular
     transitivity of point stabilizers along the base circle (A2), both by
-    ``DeltaGroup.check_a1a2``, and the one-tangent-member property (A3).
+    ``DeltaGroup.check_a1a2``, and the one-tangent-member property (A3),
+    on circle masks (``_check_a3``).
 
     For q = 2 only A3 is evaluated (and fails, with the full witness list);
     the parametrized group does not exist there.
@@ -452,20 +349,8 @@ def verify_a1a2a3(plane: LaguerrePlane, pencil: Pencil,
 
     def sweep():
         cases, witnesses, details = (0, [], {}) if char2 else delta.check_a1a2()
-
-        # A3: every circle avoiding the vertex has exactly one tangent member
-        a3_bad = []
-        a3_cases = 0
-        for M in plane.circles:
-            if plane.incident(pencil.p, M):
-                continue
-            a3_cases += 1
-            hits = plane.tangent_members(pencil, M)
-            if len(hits) != 1:
-                a3_bad.append({"axiom": "A3", "circle": list(M),
-                               "tangent_members": sorted(list(L) for L, _ in hits)})
-        witnesses.extend(sorted(a3_bad, key=lambda w: w["circle"]))
-        details["A3"] = {"circles": a3_cases, "status": "fail" if a3_bad else "pass"}
+        a3_cases, a3_bad, details["A3"] = _check_a3(plane, pencil)
+        witnesses.extend(a3_bad)
         return cases + a3_cases, witnesses, details
 
     return run_check("A1A2A3", plane.q, sweep, _CHAR2_NOTE if char2 else None)

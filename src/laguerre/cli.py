@@ -2,7 +2,8 @@
 
 Subcommands
 -----------
-plane verify       --q N                       Laguerre axioms, exhaustively
+plane verify       --q N                       Laguerre axioms, at orbit
+                                               representatives of verified maps
 group verify       --q N [--pencil SPEC]       transitivity + tangency axioms
 skewaffine verify  --q N --axiom ID|all        residual-plane axioms, at the
                    [--budget B] [--seed S]     default or the given budget

@@ -71,6 +71,12 @@ class GF:
     def div(self, a: int, b: int) -> int:
         return (a * self.inv(b)) % self.q
 
+    def primitive_root(self) -> int:
+        """The least generator of the multiplicative group (1 for q = 2)."""
+        q = self.q
+        return next(g for g in range(1, q)
+                    if len({pow(g, e, q) for e in range(q - 1)}) == q - 1)
+
     # -- quadratic structure ------------------------------------------------
 
     def square_class(self, a: int) -> str:

@@ -9,10 +9,19 @@ that makes equality canonical and group actions O(1), while point sets are
 derived on demand.  The one stored incidence is a point bitset per circle
 (``circle_masks``, read from ``circle_points`` on first use, and keyed back
 to circle positions ``a*q*q+b*q+c`` by ``mask_positions``): a point's bit is
-its position in ``points`` (affine ``x*q+y``, ideal ``q*q+a``).  The axiom
-sweep counts incidences by OR-ing masks into saturating counters (a bit set
-in ``threes`` lies in at least three of the masks), and reads the closed form
-``pencil_members`` once per pencil, not once per flag.
+its position in ``points`` (affine ``x*q+y``, ideal ``q*q+a``).
+
+Plane automorphisms live here too: ``PermutationMap``, a list of point
+indices that carries a circle by mapping its mask (``mask_image``,
+``circle_image``) and is verified against the masks, and the maps built
+from closed forms, ``PermutationMap.from_aut`` (``PencilAut``),
+``circle_add_map`` and ``inversion_map``.  ``autgroup`` assembles its
+normalizers from them, and the axiom sweep transports along them: it
+verifies six of them, takes orbit representatives by ``reach``, and checks
+circles, nonparallel point pairs and flags at those representatives only,
+reading the closed form ``pencil_members`` at the representative flags.  A
+plane whose maps fail verification is swept over every case, on saturating
+counters (a bit set in ``threes`` lies in at least three of the masks).
 
 Tangency is defined set-theoretically (exactly one common point).  For odd
 q the quadratic-discriminant shortcut computes the same counts and the two
@@ -26,7 +35,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .field import GF, SQUARE, ZERO
 from .report import Report, run_check
@@ -144,7 +153,9 @@ class LaguerrePlane:
 
     def circle_points(self, C: Circle) -> tuple[Point, ...]:
         """The points of ``C`` in ``points`` order, built on every call."""
-        return tuple([affine(x, self.evaluate(C, x)) for x in range(self.q)] + [ideal(C.a)])
+        q, (a, b, c) = self.q, C
+        return tuple([Point(AFFINE, x, ((a * x + b) * x + c) % q) for x in range(q)]
+                     + [Point(IDEAL, a, 0)])
 
     def mask(self, pts) -> int:
         """The bitset of ``pts`` over positions in ``points``."""
@@ -383,154 +394,288 @@ class LaguerrePlane:
         return circle_masks, point_masks, gen_masks
 
     def verify_axioms(self) -> Report:
-        """Exhaustively check the four defining axioms of the plane.
+        """Check the four defining axioms of the plane, at representatives
+        under a machine-checked symmetry, or exhaustively.
 
-        Every check reads the incidence masks of ``incidence_masks``, not
-        the closed forms ``circle_through`` and ``intersection_size``.
-        Join uniqueness is split into existence plus uniqueness through
-        every admissible triple (exactly one circle contains all three) and
-        the pairwise bound |C1 ∩ C2| <= 2, which avoids a cubic scan over
-        circles.  Both run on saturating counters: OR-ing the masks of a
-        family into ``ones``, ``twos`` and ``threes`` marks every bit that
-        at least one, two or three of them hold.  Over the circle masks of
-        a circle's points, ``threes`` holds the circles meeting it in three
-        points or more; over the point masks of the circles through two
-        nonparallel points, a later point off ``ones ^ twos`` lies on no
-        circle or on two of them.
+        Every check reads the incidence masks, not the closed forms
+        ``circle_through`` and ``intersection_size``.  Join uniqueness is
+        split into existence plus uniqueness through every admissible triple
+        (exactly one circle contains all three) and the pairwise bound
+        |C1 ∩ C2| <= 2.  The touching axiom takes each pencil from the closed
+        form ``pencil_members`` (``_touch_flag``).
 
-        The touching axiom takes each pencil from the closed form
-        ``pencil_members``: every member must meet the base circle in the
-        vertex alone, and the members must cover each point off the vertex
-        generator exactly once.  The closed form is called once per pencil,
-        at the pencil's first circle in ``circles`` order.  When that flag
-        passes, its members pass through the vertex, and their other points
-        number q² and cover q², so any two meet in the vertex alone: each
-        member's flag as base there is counted and holds untested.  A
-        closed-form fault at a pencil's other bases is not seen here, and
-        ``pencil_members`` is tested at every base on its own.  A member
-        that fails the first test raises ``pencil_member_mismatch`` while
-        the join checks have passed, since the closed form is then at fault;
-        once the incidence itself has failed them, it is reported as a
-        ``touch`` witness instead.  A member that is not a circle of the
-        plane always raises.  Findings are reported, and the least of them
-        raised, in flag order (circle, then vertex, then member), as when
-        each flag was swept on its own.
+        Certificate.  Six plane maps: adding x², x and 1 to every
+        y-coordinate (``circle_add_map``), the x-shift ``PencilAut(1, 1, 0)``,
+        the scaling ``PencilAut(g, 0, 0)`` by the least primitive root g and
+        ``inversion_map``.  Each must pass ``PermutationMap.verify`` against
+        this plane's own masks, and no two circles may share a mask; each
+        map's ``circle_images`` is then a permutation of the circles.  Every
+        stage's predicate is kept by a map that carries points, circles and
+        generators to points, circles and generators, so a representative of
+        each orbit stands for its orbit.  Representatives come from ``reach``
+        over the maps, never from an assumed orbit count:
+
+        - circles: each orbit's least circle is checked against every other
+          circle for the pair bound, and for meeting each generator once;
+        - points u, from the orbits of the points; the maps that fix u give
+          representatives v among the points nonparallel to u, and each
+          pair (u, v) is checked against every third point off the
+          generators of u and v (exactly one circle through all three);
+        - flags (u, K): the maps that fix u give representatives K among the
+          circles through u.  ``pencil_members`` is read only there, so a
+          closed-form fault at another flag is not seen (it is tested on
+          its own at every base).
+
+        The report then has ``mode: "orbit"``, the ``representative`` circles,
+        pairs and flags, and ``cases_represented``, the case count of the
+        exhaustive sweep; ``stages`` gives both counts per stage.
+
+        Fallback.  A plane whose maps fail the certificate is swept over
+        every case (``_sweep_every_case``, ``mode: "exhaustive"``), so a
+        fault in the incidence itself keeps its full witness list.
         """
         def sweep():
-            q = self.q
-            witnesses = []
-            cases = 0
-            cm, pc, gm = self.incidence_masks()
-            points, circles = self.points, self.circles
-            bit_count = int.bit_count
-
-            # pairwise intersection bound (uniqueness half of the join axiom):
-            # the circles through three or more points of circle i
-            n = len(circles)
-            for i, mi in enumerate(cm):
-                cases += n - 1 - i
-                ones = twos = threes = 0
-                for k in bits(mi):
-                    m = pc[k]
-                    threes |= twos & m
-                    twos |= ones & m
-                    ones |= m
-                for j in bits(threes >> (i + 1)):
-                    witnesses.append({"axiom": "join",
-                                      "circles": [list(circles[i]), list(circles[i + 1 + j])]})
-
-            # existence and uniqueness: every pairwise-nonparallel triple
-            # lies on exactly one circle.  For each pair on generators
-            # g1 < g2 < q the points of later generators are counted at
-            # once; a block's witnesses are ordered by g3, then by the pair
-            gen_pts = [[self.point_index[p] for p in self.generator_points(g)]
-                       for g in self.generators]
-            later = [0] * (q + 1)
-            for g in range(q, 0, -1):
-                later[g - 1] = later[g] | gm[g]
-            for g1, g2 in itertools.combinations(range(q), 2):
-                rest = later[g2]
-                cases += len(gen_pts[g1]) * len(gen_pts[g2]) * sum(
-                    map(len, gen_pts[g2 + 1:]))
-                block = []
-                for i1 in gen_pts[g1]:
-                    for i2 in gen_pts[g2]:
-                        ones = twos = 0
-                        for k in bits(pc[i1] & pc[i2]):
-                            m = cm[k]
-                            twos |= ones & m
-                            ones |= m
-                        bad = rest & ~(ones ^ twos)
-                        if not bad:
-                            continue
-                        for g3 in range(g2 + 1, q + 1):
-                            for i3 in gen_pts[g3]:
-                                if bad >> i3 & 1:
-                                    block.append((g3, {"axiom": "join", "points": [
-                                        repr(points[i1]), repr(points[i2]), repr(points[i3])]}))
-                block.sort(key=itemgetter(0))
-                witnesses.extend(w for _, w in block)
-
-            # touching axiom: each pencil partitions the points off its vertex generator
-            strict = not witnesses
-            circle_index = {C: i for i, C in enumerate(circles)}
-            sizes = list(map(bit_count, cm))
-            findings = []    # ((circle, vertex, member position), witness)
-            mismatches = []  # ((circle, vertex, member position), message)
-            for pi, (p, at_p) in enumerate(zip(points, pc)):
-                vertex = 1 << pi
-                kept = set()  # the members of the pencils at p that passed
-                for ki in bits(at_p):
-                    cases += 1
-                    if ki in kept:
-                        continue
-                    K, mk = circles[ki], cm[ki]
-                    members = self.pencil_members(Pencil(p, K), verify=False)
-                    mis = [circle_index.get(M) for M in members]
-                    failed = False
-                    for pos, mi in enumerate(mis):
-                        if mi is None:
-                            failed = True
-                            mismatches.append(((ki, pi, pos), f"{members[pos]} does not touch "
-                                               f"{K} at {p}: not a circle of the plane"))
-                        elif mi != ki and cm[mi] & mk != vertex:
-                            failed = True
-                            M = circles[mi]
-                            if strict:
-                                mismatches.append(((ki, pi, pos),
-                                                   f"{M} does not touch {K} at {p}"))
-                            findings.append(((ki, pi, pos), {
-                                "axiom": "touch", "pencil": [repr(p), list(K)],
-                                "member": list(M)}))
-                    if None in mis:
-                        continue
-                    covered = 0
-                    for mi in mis:
-                        covered |= cm[mi]
-                    seen = bit_count(covered)
-                    if seen != q * q + 1 or sum(sizes[mi] - 1 for mi in mis) != q * q:
-                        findings.append(((ki, pi, len(mis)), {
-                            "axiom": "touch", "pencil": [repr(p), list(K)], "covered": seen}))
-                    elif not failed:
-                        kept.update(mis)
-            if mismatches:
-                raise GeometryError(min(mismatches)[1], code="pencil_member_mismatch")
-            findings.sort(key=itemgetter(0))
-            witnesses.extend(w for _, w in findings)
-
-            # each generator meets each circle exactly once
-            for C, m in zip(circles, cm):
-                cases += 1
-                if any(bit_count(m & g) != 1 for g in gm):
-                    witnesses.append({"axiom": "generator_meet", "circle": list(C)})
-
-            # a circle with at least three, but not all, points
-            cases += 1
-            if not (3 <= sizes[circle_index[Circle(0, 0, 0)]] < len(points)):
-                witnesses.append({"axiom": "nondegeneracy"})
-            return cases, witnesses, {}
+            maps = self._certified_maps()
+            if maps is None:
+                witnesses, stages = self._sweep_every_case()
+                details = {"mode": "exhaustive"}
+            else:
+                witnesses, stages, representative = self._sweep_representatives(maps)
+                details = {"mode": "orbit", "representative": representative,
+                           "cases_represented": sum(s["cases_represented"]
+                                                    for s in stages.values())}
+            details["stages"] = stages
+            return sum(s["cases"] for s in stages.values()), witnesses, details
 
         return run_check("laguerre-axioms", self.q, sweep)
+
+    def _certified_maps(self) -> list[PermutationMap] | None:
+        """The six maps of ``verify_axioms``'s certificate, each verified, or
+        None when one fails or two circles share a mask."""
+        if len(self.mask_positions) != len(self.circles):
+            return None
+        maps = [circle_add_map(self, Q)
+                for Q in (Circle(1, 0, 0), Circle(0, 1, 0), Circle(0, 0, 1))]
+        maps += [PermutationMap.from_aut(self, PencilAut(1, 1, 0)),
+                 PermutationMap.from_aut(self, PencilAut(self.gf.primitive_root(), 0, 0)),
+                 inversion_map(self)]
+        return maps if all(m.verify()[0] for m in maps) else None
+
+    def _touch_flag(self, pi: int, ki: int, strict: bool, findings: list,
+                    mismatches: list) -> list[int]:
+        """The touch test of the flag (point ``pi``, circle ``ki``) on the
+        closed form ``pencil_members``: every member must meet the base
+        circle in the vertex alone, and the members must cover each point
+        off the vertex generator exactly once.  A member that is not a
+        circle of the plane, or (when ``strict``, the join checks having
+        passed, so the closed form is at fault) that fails the first test,
+        goes to ``mismatches``; what the incidence fails goes to
+        ``findings``.  Both are keyed (circle, vertex, member position), the
+        flag order.  Returns the member positions if the flag passes."""
+        q, cm = self.q, self.circle_masks
+        p, K, mk = self.points[pi], self.circles[ki], cm[ki]
+        vertex = 1 << pi
+        members = self.pencil_members(Pencil(p, K), verify=False)
+
+        def position(M):
+            try:
+                return self.circle_position(M)
+            except GeometryError:
+                return None
+
+        mis = list(map(position, members))
+        failed = False
+        for pos, mi in enumerate(mis):
+            if mi is None:
+                failed = True
+                mismatches.append(((ki, pi, pos), f"{members[pos]} does not touch "
+                                   f"{K} at {p}: not a circle of the plane"))
+            elif mi != ki and cm[mi] & mk != vertex:
+                failed = True
+                M = self.circles[mi]
+                if strict:
+                    mismatches.append(((ki, pi, pos), f"{M} does not touch {K} at {p}"))
+                findings.append(((ki, pi, pos), {
+                    "axiom": "touch", "pencil": [repr(p), list(K)], "member": list(M)}))
+        if None in mis:
+            return []
+        covered = 0
+        for mi in mis:
+            covered |= cm[mi]
+        seen = covered.bit_count()
+        if seen != q * q + 1 or sum(cm[mi].bit_count() - 1 for mi in mis) != q * q:
+            findings.append(((ki, pi, len(mis)), {
+                "axiom": "touch", "pencil": [repr(p), list(K)], "covered": seen}))
+            return []
+        return [] if failed else mis
+
+    @staticmethod
+    def _touch_witnesses(findings: list, mismatches: list) -> list:
+        """The touch witnesses in flag order; the least mismatch raises."""
+        if mismatches:
+            raise GeometryError(min(mismatches)[1], code="pencil_member_mismatch")
+        return [w for _, w in sorted(findings, key=itemgetter(0))]
+
+    def _meet_and_nondegeneracy(self, reps: list[int], gm: list[int]) -> list:
+        """The generator-meet witnesses of the circles ``reps`` (each meets
+        each generator once), then the nondegeneracy witness (the circle
+        y = 0 has at least three, but not all, points)."""
+        cm = self.circle_masks
+        witnesses = [{"axiom": "generator_meet", "circle": list(self.circles[c])}
+                     for c in reps if any((cm[c] & g).bit_count() != 1 for g in gm)]
+        size = cm[self.circle_position(Circle(0, 0, 0))].bit_count()
+        if not 3 <= size < len(self.points):
+            witnesses.append({"axiom": "nondegeneracy"})
+        return witnesses
+
+    def _sweep_every_case(self) -> tuple[list, dict]:
+        """The witnesses and per-stage case counts of every case.
+
+        Both join checks run on saturating counters: OR-ing the masks of a
+        family into ``ones``, ``twos`` and ``threes`` marks every bit that at
+        least one, two or three of them hold.  Over the circle masks of a
+        circle's points, ``threes`` holds the circles meeting it in three
+        points or more; over the point masks of the circles through two
+        nonparallel points, a later point off ``ones ^ twos`` lies on no
+        circle or on two of them.  The touch test runs once per pencil, at
+        its first circle in ``circles`` order.  When that flag passes, its
+        members pass through the vertex, and their other points number q²
+        and cover q², so any two meet in the vertex alone: each member's
+        flag as base there is counted and holds untested.  Findings are
+        reported, and the least mismatch raised, in flag order (circle, then
+        vertex, then member), as when each flag was swept on its own.
+        """
+        q = self.q
+        witnesses = []
+        cm, pc, gm = self.incidence_masks()
+        points, circles = self.points, self.circles
+
+        # pairwise intersection bound (uniqueness half of the join axiom):
+        # the circles through three or more points of circle i
+        n = len(circles)
+        for i, mi in enumerate(cm):
+            ones = twos = threes = 0
+            for k in bits(mi):
+                m = pc[k]
+                threes |= twos & m
+                twos |= ones & m
+                ones |= m
+            for j in bits(threes >> (i + 1)):
+                witnesses.append({"axiom": "join",
+                                  "circles": [list(circles[i]), list(circles[i + 1 + j])]})
+
+        # existence and uniqueness: every pairwise-nonparallel triple
+        # lies on exactly one circle.  For each pair on generators
+        # g1 < g2 < q the points of later generators are counted at
+        # once; a block's witnesses are ordered by g3, then by the pair
+        gen_pts = [[self.point_index[p] for p in self.generator_points(g)]
+                   for g in self.generators]
+        later = [0] * (q + 1)
+        for g in range(q, 0, -1):
+            later[g - 1] = later[g] | gm[g]
+        triples = 0
+        for g1, g2 in itertools.combinations(range(q), 2):
+            rest = later[g2]
+            triples += len(gen_pts[g1]) * len(gen_pts[g2]) * sum(map(len, gen_pts[g2 + 1:]))
+            block = []
+            for i1 in gen_pts[g1]:
+                for i2 in gen_pts[g2]:
+                    ones = twos = 0
+                    for k in bits(pc[i1] & pc[i2]):
+                        m = cm[k]
+                        twos |= ones & m
+                        ones |= m
+                    bad = rest & ~(ones ^ twos)
+                    if not bad:
+                        continue
+                    for g3 in range(g2 + 1, q + 1):
+                        for i3 in gen_pts[g3]:
+                            if bad >> i3 & 1:
+                                block.append((g3, {"axiom": "join", "points": [
+                                    repr(points[i1]), repr(points[i2]), repr(points[i3])]}))
+            block.sort(key=itemgetter(0))
+            witnesses.extend(w for _, w in block)
+
+        # touching axiom: each pencil partitions the points off its vertex generator
+        strict = not witnesses
+        findings, mismatches = [], []
+        for pi, at_p in enumerate(pc):
+            kept = set()  # the members of the pencils at p that passed
+            for ki in bits(at_p):
+                if ki not in kept:
+                    kept.update(self._touch_flag(pi, ki, strict, findings, mismatches))
+        witnesses += self._touch_witnesses(findings, mismatches)
+
+        witnesses += self._meet_and_nondegeneracy(range(n), gm)
+        counts = {"circle_pairs": n * (n - 1) // 2, "triples": triples,
+                  "flags": sum(map(int.bit_count, pc)), "generator_meet": n,
+                  "nondegeneracy": 1}
+        return witnesses, {stage: {"cases": c} for stage, c in counts.items()}
+
+    def _sweep_representatives(self, maps: list[PermutationMap]) -> tuple[list, dict, dict]:
+        """The witnesses, per-stage case counts and representatives of the
+        sweep at the representatives of the orbits of ``maps``."""
+        points, circles, cm = self.points, self.circles, self.circle_masks
+        gm = [self.mask(self.generator_points(g)) for g in self.generators]
+        npts, n = len(points), len(circles)
+        gen_mask = dict(zip(self.generators, gm))
+        gen_at = [gen_mask[self.generator_of(p)] for p in points]
+        point_moves = [m.perm.__getitem__ for m in maps]
+        circle_moves = [m.circle_images.__getitem__ for m in maps]
+        circle_reps = _representatives(range(n), circle_moves)
+        pairs, flags = [], []
+        for u in _representatives(range(npts), point_moves):
+            fixing = [i for i, move in enumerate(point_moves) if move(u) == u]
+            off_u = [v for v in range(npts) if not gen_at[u] >> v & 1]
+            pairs += [(u, v) for v in _representatives(off_u, [point_moves[i] for i in fixing])]
+            on_u = [k for k in range(n) if cm[k] >> u & 1]
+            flags += [(u, k) for k in _representatives(on_u, [circle_moves[i] for i in fixing])]
+        witnesses = []
+
+        # the pair bound: each representative against every other circle
+        for c in circle_reps:
+            mc = cm[c]
+            witnesses += [{"axiom": "join",
+                           "circles": sorted([list(circles[c]), list(circles[j])])}
+                          for j, m in enumerate(cm) if j != c and (mc & m).bit_count() > 2]
+
+        # triples: a point off the generators of u and v lies on exactly one
+        # of the circles through u and v
+        triples = 0
+        for u, v in pairs:
+            uv = 1 << u | 1 << v
+            ones = twos = 0
+            for m in cm:
+                if m & uv == uv:
+                    twos |= ones & m
+                    ones |= m
+            off = ((1 << npts) - 1) & ~(gen_at[u] | gen_at[v])
+            triples += off.bit_count()
+            witnesses += [{"axiom": "join", "points": [repr(points[i]) for i in sorted((u, v, w))]}
+                          for w in bits(off & ~(ones ^ twos))]
+
+        strict = not witnesses
+        findings, mismatches = [], []
+        for u, k in flags:
+            self._touch_flag(u, k, strict, findings, mismatches)
+        witnesses += self._touch_witnesses(findings, mismatches)
+
+        witnesses += self._meet_and_nondegeneracy(circle_reps, gm)
+        sizes = [g.bit_count() for g in gm]
+        represented = {
+            "circle_pairs": (len(circle_reps) * (n - 1), n * (n - 1) // 2),
+            "triples": (triples, sum(a * b * c for a, b, c in itertools.combinations(sizes, 3))),
+            "flags": (len(flags), sum(map(int.bit_count, cm))),
+            "generator_meet": (len(circle_reps), n),
+            "nondegeneracy": (1, 1),
+        }
+        representative = {
+            "circles": [list(circles[c]) for c in circle_reps],
+            "pairs": [[repr(points[u]), repr(points[v])] for u, v in pairs],
+            "flags": [[repr(points[u]), list(circles[k])] for u, k in flags],
+        }
+        return witnesses, {stage: {"cases": c, "cases_represented": r}
+                           for stage, (c, r) in represented.items()}, representative
 
     # -- derived affine plane ----------------------------------------------
 
@@ -599,3 +744,151 @@ class DerivedAffine:
 def canonical_pencil(plane: LaguerrePlane) -> Pencil:
     """The reference pencil: vertex ``(inf, 0)`` on the circle y = 0."""
     return plane.pencil(ideal(0), Circle(0, 0, 0))
+
+
+# -- plane automorphisms ------------------------------------------------------
+
+
+class PencilAut(NamedTuple):
+    """The map (x, y) -> (k x + t, k^2 y + g) fixing every ideal point: the
+    elements of the canonical pencil's group (``autgroup``), and the x-shift
+    and scaling that the axiom sweep transports along."""
+
+    k: int
+    t: int
+    g: int
+
+
+def aut_index(q: int, f: PencilAut, i: int) -> int:
+    """The closed form of ``f`` on the index of a point in canonical coordinates."""
+    if i >= q * q:
+        return i
+    k, t, g = f
+    x, y = divmod(i, q)
+    return (k * x + t) % q * q + (k * k * y + g) % q
+
+
+def mask_image(image: Callable[[int], int], m: int) -> int:
+    """The mask of the images under ``image``, a map on point indices, of the
+    points in mask ``m``."""
+    out = 0
+    while m:
+        low = m & -m
+        out |= 1 << image(low.bit_length() - 1)
+        m ^= low
+    return out
+
+
+def circle_image(plane: LaguerrePlane, image: Callable[[int], int], C: Circle) -> Circle:
+    """The circle holding the images of ``C``'s points under ``image``:
+    ``not_a_circle`` if ``C`` is none, ``not_automorphism`` if that is none."""
+    m = mask_image(image, plane.circle_masks[plane.circle_position(C)])
+    i = plane.mask_positions.get(m)
+    if i is None:
+        raise GeometryError(f"image of {C} is not a circle", code="not_automorphism")
+    return plane.circles[i]
+
+
+class PermutationMap:
+    """An explicit permutation of point indices that must carry circles to
+    circles: ``perm[i]`` is the index of the image of ``plane.points[i]``.
+
+    This is the closed-form-free oracle: it knows nothing about parameters,
+    only point images, and derives circle images by mapping the point mask
+    of each circle and looking it up in ``plane.mask_positions``.
+    """
+
+    def __init__(self, plane: LaguerrePlane, perm: list[int]):
+        self.plane = plane
+        self.perm = perm
+
+    def apply_point(self, pt: Point) -> Point:
+        return self.plane.points[self.perm[self.plane.point_index[pt]]]
+
+    def apply_circle(self, C: Circle) -> Circle:
+        return circle_image(self.plane, self.perm.__getitem__, C)
+
+    @cached_property
+    def circle_images(self) -> list[int | None]:
+        """Per circle position, the position of the circle holding the images
+        of its points, or None where no circle holds them."""
+        image, at = self.perm.__getitem__, self.plane.mask_positions
+        return [at.get(mask_image(image, m)) for m in self.plane.circle_masks]
+
+    def verify(self) -> tuple[bool, list]:
+        """Bijectivity plus circles-to-circles and generators-to-generators."""
+        plane = self.plane
+        if sorted(self.perm) != list(range(len(plane.points))):
+            return False, [{"problem": "not_bijective"}]
+        witnesses = [{"problem": "circle_image", "circle": list(C)}
+                     for C, i in zip(plane.circles, self.circle_images) if i is None]
+        image = self.perm.__getitem__
+        gens = [plane.mask(plane.generator_points(h)) for h in plane.generators]
+        witnesses += [{"problem": "generator_image", "generator": g.to_json()}
+                      for g, m in zip(plane.generators, gens) if mask_image(image, m) not in gens]
+        return not witnesses, witnesses
+
+    def verified(self) -> "PermutationMap":
+        """This map, once ``verify`` passes; else ``not_automorphism``."""
+        ok, wit = self.verify()
+        if not ok:
+            raise GeometryError("the permutation is not a plane automorphism",
+                                code="not_automorphism", witnesses=wit)
+        return self
+
+    def compose(self, other: "PermutationMap") -> "PermutationMap":
+        """self after other."""
+        return PermutationMap(self.plane, [self.perm[j] for j in other.perm])
+
+    def inverse(self) -> "PermutationMap":
+        back = [0] * len(self.perm)
+        for i, j in enumerate(self.perm):
+            back[j] = i
+        return PermutationMap(self.plane, back)
+
+    @classmethod
+    def from_aut(cls, plane: LaguerrePlane, f: PencilAut) -> "PermutationMap":
+        return cls(plane, [aut_index(plane.q, f, i) for i in range(len(plane.points))])
+
+
+def circle_add_map(plane: LaguerrePlane, Q: Circle) -> PermutationMap:
+    """(x, y) -> (x, y + Q(x)); shifts every circle by the coefficients of Q."""
+    q = plane.q
+    return PermutationMap(plane, [x * q + (y + plane.evaluate(Q, x)) % q
+                                  for x in range(q) for y in range(q)]
+                          + [q * q + (a + Q.a) % q for a in range(q)])
+
+
+def inversion_map(plane: LaguerrePlane) -> PermutationMap:
+    """(x, y) -> (1/x, y/x^2), swapping the ideal generator with x = 0."""
+    gf, q = plane.gf, plane.q
+    perm = list(range(q * q, q * q + q))  # (0, y) -> (inf, y)
+    for x in range(1, q):
+        xi = gf.inv(x)
+        perm.extend(xi * q + (y * xi * xi) % q for y in range(q))
+    perm.extend(range(q))  # (inf, a) -> (0, a)
+    return PermutationMap(plane, perm)
+
+
+def reach(start, moves) -> set:
+    """Everything reachable from ``start`` by repeated ``moves``."""
+    seen, todo = {start}, [start]
+    while todo:
+        here = todo.pop()
+        for move in moves:
+            there = move(here)
+            if there not in seen:
+                seen.add(there)
+                todo.append(there)
+    return seen
+
+
+def _representatives(domain, moves) -> list:
+    """The least element of each orbit of ``moves`` on ``domain``, ascending;
+    the moves keep ``domain``."""
+    left, reps = set(domain), []
+    for x in sorted(left):
+        if x in left:
+            reps.append(x)
+            left -= reach(x, moves)
+    return reps

@@ -113,8 +113,8 @@ import random
 from dataclasses import dataclass, field
 from operator import and_
 
-from .plane import GeometryError, LaguerrePlane, Pencil, Point, not_a_point
-from .autgroup import DeltaGroup, PencilAut, require_reach
+from .plane import GeometryError, LaguerrePlane, Pencil, PencilAut, Point, not_a_point
+from .autgroup import DeltaGroup, require_reach
 from .report import Budget, Report, run_check
 
 CIRCLE_LINE = "circle_line"
@@ -567,19 +567,19 @@ class GroupSpace:
         return self._sweep(Budget(), ("x", "y", "z"), pair)
 
     def _ax_P1(self, budget: Budget):
-        # lines from x in one parallel class, per (x, class): must be exactly 1
-        counts = [[len({self._joinline[i][j] for j in self._byclass[i][c]})
-                   for c in range(self.ncls)] for i in range(self.n)]
-        cases, witnesses = 0, []
-        for line in self.lines:
-            c = self.class_ids.index(line.class_id)
-            for i in range(self.n):
-                cases += 1
-                hit = counts[i][c] if self._byclass[i][c] else 0
+        # lines from x in one parallel class, per (x, class): must be exactly
+        # 1.  Each case (line, x) reads the count of x in the line's class,
+        # so only the points whose count is not 1 are listed, per class
+        off = [[] for _ in range(self.ncls)]
+        for i, (row, by_class) in enumerate(zip(self._joinline, self._byclass)):
+            for c in range(self.ncls):
+                hit = len({row[j] for j in by_class[c]})
                 if hit != 1:
-                    witnesses.append(dict(self._witness(("x",), i),
-                                          line=line.index, count=hit))
-        return cases, witnesses, {"mode": "exhaustive"}
+                    off[c].append((i, hit))
+        class_of = {cid: c for c, cid in enumerate(self.class_ids)}
+        witnesses = [dict(self._witness(("x",), i), line=line.index, count=hit)
+                     for line in self.lines for i, hit in off[class_of[line.class_id]]]
+        return len(self.lines) * self.n, witnesses, {"mode": "exhaustive"}
 
     def _ax_P2(self, budget: Budget):
         # direction-reversal must be class-functional; that single pass is

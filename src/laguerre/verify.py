@@ -54,10 +54,10 @@ from __future__ import annotations
 import itertools
 from functools import cached_property, partial
 
-from .plane import (Circle, GeometryError, IDEAL, LaguerrePlane, Pencil, Point,
-                    affine, bits, canonical_pencil, ideal)
-from .autgroup import (IDENTITY, DeltaGroup, PencilAut, PermutationMap, aut_compose,
-                       aut_inverse, circle_add_map, reach, require_reach)
+from .plane import (Circle, GeometryError, IDEAL, LaguerrePlane, Pencil, PencilAut,
+                    PermutationMap, Point, affine, bits, canonical_pencil, circle_add_map,
+                    ideal, reach)
+from .autgroup import IDENTITY, DeltaGroup, aut_compose, aut_inverse, require_reach
 from .skewaffine import GroupSpace, SPECIAL, STRAIGHT
 from .report import PASS, REPORT_ONLY, Report, run_check
 

@@ -5,9 +5,10 @@ import pytest
 from laguerre import (Circle, DeltaGroup, GeometryError, LaguerrePlane,
                       PencilAut, PermutationMap, affine, canonical_pencil,
                       classify_by_scan, ideal, verify_a1a2a3)
-from laguerre.autgroup import (aut_circle, aut_compose, aut_inverse,
-                               circle_add_map, classify_aut, inversion_map, reach,
+from laguerre import autgroup
+from laguerre.autgroup import (aut_circle, aut_compose, aut_inverse, classify_aut,
                                require_reach)
+from laguerre.plane import circle_add_map, inversion_map, reach
 
 
 def aut_point(gf, f, pt):
@@ -229,6 +230,36 @@ def test_a1a2a3_canonical():
         d = DeltaGroup.build(pl, canonical_pencil(pl))
         rep = d.verify_axioms()
         assert rep.status == "pass", rep.witnesses
+
+
+def _a3_by_tangent_members(plane, pencil):
+    """A3 as it was before circle masks, kept as the oracle: one
+    ``tangent_members`` call, with the closed-form intersection, per circle
+    off the vertex."""
+    bad, cases = [], 0
+    for M in plane.circles:
+        if plane.incident(pencil.p, M):
+            continue
+        cases += 1
+        hits = plane.tangent_members(pencil, M)
+        if len(hits) != 1:
+            bad.append({"axiom": "A3", "circle": list(M),
+                        "tangent_members": sorted(list(L) for L, _ in hits)})
+    bad.sort(key=lambda w: w["circle"])
+    return cases, bad, {"circles": cases, "status": "fail" if bad else "pass"}
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_a3_on_masks_matches_tangent_members(q):
+    # the canonical pencil, p:1,2 and ideal:2@K:2,1,3, reduced mod q; the
+    # failing set is empty except at q = 2, where the two must agree too
+    pl = LaguerrePlane(q)
+    pencils = [canonical_pencil(pl), pl.pencil(affine(1 % q, 2 % q), Circle(0, 0, 2 % q)),
+               pl.pencil(ideal(2 % q), Circle(2 % q, 1 % q, 3 % q))]
+    for pencil in pencils:
+        got = autgroup._check_a3(pl, pencil)
+        assert got == _a3_by_tangent_members(pl, pencil), pencil
+        assert bool(got[1]) == (q == 2), pencil
 
 
 def test_a1a2a3_char2_a3_fails(plane2):
@@ -517,7 +548,6 @@ def test_require_reach_compares_the_reached_set_not_its_size():
 def test_normalizer_mismatch_is_a_geometry_error(monkeypatch):
     # a normalizer that is an automorphism but misses the target pencil must
     # be rejected, also under python -O
-    from laguerre import autgroup
     real = autgroup.circle_add_map
     monkeypatch.setattr(autgroup, "circle_add_map",
                         lambda plane, Q: real(plane, Circle(0, 0, 0)))

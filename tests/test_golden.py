@@ -11,9 +11,10 @@ sha256 of the file that one q=13 ``export`` writes (the space, the space
 on the pencil ``p:1,2`` in ``export_q13_space_p1_2.sha256``, the plane,
 and the group on ``p:1,2``) or of the stdout of ``theorems run --q 13
 --json``, ``skewaffine verify --q 13 --axiom all --json`` or ``plane
-verify --q 13 --json``; ``theorems_q17.sha256`` and
-``skewaffine_q17.sha256`` pin the stdout of ``theorems run --q 17 --json``
-and ``skewaffine verify --q 17 --axiom all --json`` the same way.
+verify --q 13 --json``; ``theorems_q17.sha256``, ``skewaffine_q17.sha256``
+and ``group_q17_p1_2.sha256`` pin the stdout of ``theorems run --q 17
+--json``, ``skewaffine verify --q 17 --axiom all --json`` and ``group verify
+--q 17 --pencil p:1,2 --json`` the same way.
 """
 
 import os

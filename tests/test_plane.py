@@ -2,8 +2,9 @@ import itertools
 
 import pytest
 
-from laguerre import (Circle, GeometryError, LaguerrePlane, affine,
+from laguerre import (Circle, GeometryError, LaguerrePlane, PermutationMap, affine,
                       canonical_pencil, ideal)
+from laguerre import plane as plane_module
 from laguerre.plane import Pencil
 from laguerre.report import run_check
 
@@ -263,24 +264,41 @@ def test_derived_affine_reports_moved_point():
                                 "points": ["A(0,3)", "A(1,1)"], "lines": 0}
 
 
+# the flag the orbit route reads pencil_members at: point 0 on circle 0
+_REP = Pencil(affine(0, 0), Circle(0, 0, 0))
+
+
 class _WrongMember(LaguerrePlane):
     """Closed-form fault: the pencil at A(1,0) on y = 0 lists a circle that
     misses the vertex."""
 
+    at = Pencil(affine(1, 0), Circle(0, 0, 0))
+
     def pencil_members(self, pencil, verify=True):
         members = super().pencil_members(pencil, verify)
-        if pencil == (affine(1, 0), Circle(0, 0, 0)):
+        if pencil == self.at:
             a, b, c = members[-1]
             members[-1] = Circle(a, b, (c + 1) % self.q)
         return members
 
 
+class _WrongMemberAtRep(_WrongMember):
+    """As ``_WrongMember``, at the representative's pencil."""
+
+    at = _REP
+
+
 def test_verify_axioms_rejects_wrong_pencil_member():
     with pytest.raises(GeometryError) as e:
-        _WrongMember(5).verify_axioms()
+        _retired_sweep(_WrongMember(5))
     assert e.value.code == "pencil_member_mismatch"
     assert str(e.value) == ("Circle(a=4, b=2, c=0) does not touch "
                             "Circle(a=0, b=0, c=0) at A(1,0)")
+    with pytest.raises(GeometryError) as e:
+        _WrongMemberAtRep(5).verify_axioms()
+    assert e.value.code == "pencil_member_mismatch"
+    assert str(e.value) == ("Circle(a=4, b=0, c=1) does not touch "
+                            "Circle(a=0, b=0, c=0) at A(0,0)")
 
 
 class _TwoWrongMembers(_WrongMember):
@@ -295,28 +313,56 @@ class _TwoWrongMembers(_WrongMember):
         return members
 
 
+class _TwoWrongMembersAtRep(_WrongMemberAtRep):
+    """As ``_WrongMemberAtRep``, and the member y = x^2, earlier in the same
+    list, is wrong too."""
+
+    def pencil_members(self, pencil, verify=True):
+        members = super().pencil_members(pencil, verify)
+        if pencil == self.at:
+            a, b, c = members[1]
+            members[1] = Circle(a, b, (c + 1) % self.q)
+        return members
+
+
 def test_verify_axioms_raises_the_first_mismatch_in_circle_order():
     with pytest.raises(GeometryError) as e:
-        _TwoWrongMembers(5).verify_axioms()
+        _retired_sweep(_TwoWrongMembers(5))
     assert str(e.value) == ("Circle(a=4, b=2, c=0) does not touch "
                             "Circle(a=0, b=0, c=0) at A(1,0)")
+    with pytest.raises(GeometryError) as e:
+        _TwoWrongMembersAtRep(5).verify_axioms()
+    assert str(e.value) == ("Circle(a=1, b=0, c=1) does not touch "
+                            "Circle(a=0, b=0, c=0) at A(0,0)")
 
 
 class _DroppedMember(LaguerrePlane):
     """Closed-form fault: the pencil at A(1,0) on y = 0 lacks one member."""
 
+    at = Pencil(affine(1, 0), Circle(0, 0, 0))
+
     def pencil_members(self, pencil, verify=True):
         members = super().pencil_members(pencil, verify)
-        if pencil == (affine(1, 0), Circle(0, 0, 0)):
+        if pencil == self.at:
             members = members[:-1]
         return members
 
 
+class _DroppedMemberAtRep(_DroppedMember):
+    """As ``_DroppedMember``, at the representative's pencil."""
+
+    at = _REP
+
+
 def test_verify_axioms_reports_uncovered_pencil():
-    rep = _DroppedMember(5).verify_axioms()
-    assert rep.status == "fail"
     # the missing member's five points off the vertex stay uncovered
+    rep = _retired_sweep(_DroppedMember(5))
+    assert rep.status == "fail"
     assert rep.witnesses == [{"axiom": "touch", "pencil": ["A(1,0)", [0, 0, 0]],
+                              "covered": 21}]
+    rep = _DroppedMemberAtRep(5).verify_axioms()
+    assert rep.status == "fail"
+    assert rep.witnesses == [{"axiom": "touch", "pencil": ["A(0,0)", [0, 0, 0]],
                               "covered": 21}]
 
 
@@ -324,36 +370,93 @@ class _NotACircle(LaguerrePlane):
     """Closed-form fault: the pencil at A(1,0) on y = 0 lists a triple that
     is not a circle of the plane."""
 
+    at = Pencil(affine(1, 0), Circle(0, 0, 0))
+
     def pencil_members(self, pencil, verify=True):
         members = super().pencil_members(pencil, verify)
-        if pencil == (affine(1, 0), Circle(0, 0, 0)):
+        if pencil == self.at:
             members[-1] = Circle(4, 0, 7)
         return members
 
 
+class _NotACircleAtRep(_NotACircle):
+    """As ``_NotACircle``, at the representative's pencil."""
+
+    at = _REP
+
+
 def test_verify_axioms_rejects_member_outside_the_plane():
-    with pytest.raises(GeometryError) as e:
-        _NotACircle(5).verify_axioms()
-    assert e.value.code == "pencil_member_mismatch"
-    assert str(e.value) == ("Circle(a=4, b=0, c=7) does not touch Circle(a=0, b=0, c=0) "
-                            "at A(1,0): not a circle of the plane")
+    for sweep, vertex in ((lambda: _retired_sweep(_NotACircle(5)), "A(1,0)"),
+                          (_NotACircleAtRep(5).verify_axioms, "A(0,0)")):
+        with pytest.raises(GeometryError) as e:
+            sweep()
+        assert e.value.code == "pencil_member_mismatch"
+        assert str(e.value) == ("Circle(a=4, b=0, c=7) does not touch Circle(a=0, b=0, c=0) "
+                                f"at {vertex}: not a circle of the plane")
 
 
-def test_verify_axioms_calls_pencil_members_once_per_pencil(monkeypatch):
-    # q pencils at each of the q^2 + q vertices; a pencil's list serves all
-    # of its q members as base (one call per flag made q^3 (q + 1) = 750)
-    pl = LaguerrePlane(5)
-    calls = 0
+def _uncertified(monkeypatch):
+    """Send ``verify_axioms`` down its exhaustive path: the inversion is
+    replaced by a swap of A(0,0) and A(0,1), which fails its certificate."""
+    def swapped(pl):
+        perm = list(range(len(pl.points)))
+        perm[0], perm[1] = perm[1], perm[0]
+        return PermutationMap(pl, perm)
+
+    monkeypatch.setattr(plane_module, "inversion_map", swapped)
+
+
+def _counted_pencil_members(monkeypatch, pl):
+    calls = []
     real = pl.pencil_members
 
     def counted(*args, **kwargs):
-        nonlocal calls
-        calls += 1
+        calls.append(args)
         return real(*args, **kwargs)
 
     monkeypatch.setattr(pl, "pencil_members", counted)
-    assert pl.verify_axioms().status == "pass"
-    assert calls == 150
+    return calls
+
+
+def test_verify_axioms_calls_pencil_members_once_per_pencil(monkeypatch):
+    # exhaustive path: q pencils at each of the q^2 + q vertices; a pencil's
+    # list serves all of its q members as base (one call per flag made
+    # q^3 (q + 1) = 750)
+    _uncertified(monkeypatch)
+    pl = LaguerrePlane(5)
+    calls = _counted_pencil_members(monkeypatch, pl)
+    rep = pl.verify_axioms()
+    assert (rep.status, rep.details["mode"]) == ("pass", "exhaustive")
+    assert len(calls) == 150
+
+
+def test_orbit_route_calls_pencil_members_at_the_representative_only(monkeypatch):
+    pl = LaguerrePlane(5)
+    calls = _counted_pencil_members(monkeypatch, pl)
+    rep = pl.verify_axioms()
+    assert (rep.status, rep.details["mode"]) == ("pass", "orbit")
+    assert calls == [(_REP,)]
+    assert rep.details["representative"]["flags"] == [["A(0,0)", [0, 0, 0]]]
+
+
+def test_orbit_route_misses_a_fault_off_the_representative():
+    # the pencil at A(1,0) on y = 0 is damaged, a flag the certificate
+    # carries onto the representative's: only the oracle evaluates it
+    pl = _WrongMember(5)
+    with pytest.raises(GeometryError) as e:
+        _retired_sweep(pl)
+    assert e.value.code == "pencil_member_mismatch"
+    rep = pl.verify_axioms()
+    assert (rep.status, rep.details["mode"]) == ("pass", "orbit")
+
+
+@pytest.mark.parametrize("q, cases", [(5, 11_126), (7, 80_949), (11, 1_195_239)])
+def test_cases_represented_equal_the_exhaustive_counts(q, cases):
+    # the case counts of the exhaustive sweep before the orbit route
+    details = LaguerrePlane(q).verify_axioms().details
+    assert details["mode"] == "orbit"
+    assert details["cases_represented"] == cases
+    assert sum(s["cases_represented"] for s in details["stages"].values()) == cases
 
 
 def _retired_sweep(pl):
@@ -391,7 +494,10 @@ def _retired_sweep(pl):
                 vertex = 1 << index[p]
                 covered = total = 0
                 for M in pl.pencil_members(Pencil(p, K), verify=False):
-                    mi = circle_index[M]
+                    mi = circle_index.get(M)
+                    if mi is None:
+                        raise GeometryError(f"{M} does not touch {K} at {p}: not a circle "
+                                            "of the plane", code="pencil_member_mismatch")
                     if M != K and cm[mi] & mk != vertex:
                         if strict:
                             raise GeometryError(f"{M} does not touch {K} at {p}",
@@ -452,20 +558,38 @@ class _NonFirstMember(_Moved):
 
 
 def _outcome(sweep):
+    """A sweep's status and witnesses, or the error it raised."""
     try:
-        return sweep().to_dict()
+        rep = sweep()
     except GeometryError as e:
-        return {"raised": e.code, "message": str(e)}
+        return {"raised": e.code, "message": str(e)}, None
+    return {"status": rep.status, "witnesses": rep.witnesses}, rep
+
+
+# closed-form faults the orbit route does not read: compared on the
+# exhaustive path, which a failed certificate selects
+_OFF_REPRESENTATIVE = (_WrongMember, _TwoWrongMembers, _DroppedMember)
 
 
 @pytest.mark.parametrize("cls, q", [
     (LaguerrePlane, 2), (LaguerrePlane, 3), (LaguerrePlane, 5), (LaguerrePlane, 7),
     (_MovedPoint, 5), (_WrongMember, 5), (_TwoWrongMembers, 5), (_DroppedMember, 5),
     (_SharedThird, 5), (_CrossedJoin, 5), (_NonFirstMember, 5),
+    (_WrongMemberAtRep, 5), (_TwoWrongMembersAtRep, 5), (_DroppedMemberAtRep, 5),
 ], ids=lambda v: v.__name__.lstrip("_") if isinstance(v, type) else f"q{v}")
-def test_verify_axioms_matches_retired_sweep(cls, q):
+def test_verify_axioms_matches_retired_sweep(cls, q, monkeypatch):
     plane = cls(q)
-    assert _outcome(plane.verify_axioms) == _outcome(lambda: _retired_sweep(plane))
+    oracle, oracle_rep = _outcome(lambda: _retired_sweep(plane))
+    if cls in _OFF_REPRESENTATIVE:
+        _uncertified(monkeypatch)
+    got, rep = _outcome(plane.verify_axioms)
+    assert got == oracle
+    if rep is not None:
+        incidence_fault = issubclass(cls, (_MovedPoint, _Moved))
+        exhaustive = incidence_fault or cls in _OFF_REPRESENTATIVE
+        assert rep.details["mode"] == ("exhaustive" if exhaustive else "orbit")
+        full = rep.cases_checked if exhaustive else rep.details["cases_represented"]
+        assert full == oracle_rep.cases_checked
 
 
 def test_shared_third_point_is_a_join_witness():

@@ -1,6 +1,6 @@
 import pytest
 
-from laguerre import (Circle, DeltaGroup, GeometryError, GroupSpace,
+from laguerre import (Circle, DeltaGroup, GeometryError, GroupSpace, autgroup,
                       LaguerrePlane, PencilAut, affine, canonical_pencil, ideal)
 from laguerre.skewaffine import (AXIOMS, CIRCLE_LINE, ORBIT_AXIOMS, SPECIAL,
                                  STRAIGHT)
@@ -197,15 +197,19 @@ def test_build_rejects_non_transitive_group(plane5):
 
 def test_build_checks_only_a1_a2(monkeypatch):
     # the precondition reads A1 and A2; A3, the sweep over every circle
-    # through tangent_members, is not part of it
+    # (autgroup._check_a3), is not part of it
     def no_a3(*args, **kwargs):
         raise AssertionError("A3 was evaluated")
 
-    monkeypatch.setattr(LaguerrePlane, "tangent_members", no_a3)
+    monkeypatch.setattr(autgroup, "_check_a3", no_a3)
     plane = LaguerrePlane(5)
     pencil = canonical_pencil(plane)
-    space = GroupSpace.build(plane, pencil, DeltaGroup.build(plane, pencil))
+    delta = DeltaGroup.build(plane, pencil)
+    space = GroupSpace.build(plane, pencil, delta)
     assert len(space.lines) == 155
+    # the spy is live: the full report does evaluate A3
+    with pytest.raises(AssertionError, match="A3 was evaluated"):
+        delta.verify_axioms()
 
 
 def test_build_rejects_generators_not_closed(plane5):
@@ -1105,6 +1109,41 @@ def test_t_orbit_matches_exhaustive_q7(space7):
             assert orbit.details["cases_represented"] == brute.cases_checked, axiom
             if axiom == "T":
                 assert brute.cases_checked == 30468690
+
+
+def _p1_every_line_and_point(gs):
+    """``_ax_P1`` as it was before its class lists, kept as the oracle: one
+    case per (line, point), re-reading the per-(point, class) count."""
+    counts = [[len({gs._joinline[i][j] for j in gs._byclass[i][c]})
+               for c in range(gs.ncls)] for i in range(gs.n)]
+    cases, witnesses = 0, []
+    for line in gs.lines:
+        c = gs.class_ids.index(line.class_id)
+        for i in range(gs.n):
+            cases += 1
+            hit = counts[i][c] if gs._byclass[i][c] else 0
+            if hit != 1:
+                witnesses.append(dict(gs._witness(("x",), i), line=line.index, count=hit))
+    return cases, witnesses, {"mode": "exhaustive"}
+
+
+def test_p1_class_lists_match_every_line_and_point(space5):
+    from laguerre import Budget
+    assert space5._ax_P1(Budget()) == _p1_every_line_and_point(space5)
+    # a damaged copy: point 3 sees two lines in the class of its join with
+    # point 7, and point 4 none in the first class
+    plane = LaguerrePlane(5)
+    pencil = canonical_pencil(plane)
+    gs = GroupSpace.build(plane, pencil, DeltaGroup.build(plane, pencil),
+                          check_preconditions=False)
+    c = gs._joinclass[3][7]
+    other = next(j for j in gs._byclass[3][c] if j != 7)
+    gs._joinline[3][7] = next(ix for ix in gs.class_members[gs.class_ids[c]]
+                              if ix != gs._joinline[3][other])
+    gs._byclass[4] = [()] + gs._byclass[4][1:]
+    got = gs._ax_P1(Budget())
+    assert got == _p1_every_line_and_point(gs)
+    assert {(w["x"], w["count"]) for w in got[1]} == {("A(0,3)", 2), ("A(0,4)", 0)}
 
 
 def test_noncanonical_space_smoke():
