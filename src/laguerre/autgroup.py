@@ -34,7 +34,7 @@ from typing import Iterable
 from .field import GF
 from .plane import (Circle, GeometryError, IDEAL, LaguerrePlane, Pencil, PencilAut,
                     PermutationMap, Point, aut_index, canonical_pencil, circle_add_map,
-                    circle_image, ideal, inversion_map, not_a_point, reach)
+                    circle_image, ideal, inversion_map, reach)
 from .report import Report, run_check
 
 IDENTITY = PencilAut(1, 0, 0)
@@ -179,11 +179,7 @@ class DeltaGroup:
         to the circle whose point mask is the image of its own."""
         plane = self.plane
         if not isinstance(obj, Circle):
-            try:
-                i = plane.point_index[obj]
-            except KeyError:
-                raise not_a_point(obj) from None
-            return plane.points[self.image(f, i)]
+            return plane.points[self.image(f, plane.point_index[obj])]
         if self._fwd is None:
             plane.circle_position(obj)  # not_a_circle off the plane
             return aut_circle(self.gf, f, obj)
@@ -229,11 +225,7 @@ class DeltaGroup:
             raise GeometryError("point lies on the fixed generator; its "
                                 "stabilizer is the whole group",
                                 code="stabilizer_on_base")
-        try:
-            i = self.plane.point_index[x]
-        except KeyError:
-            raise not_a_point(x) from None
-        image = self.image
+        i, image = self.plane.point_index[x], self.image
         return [f for f in self.elements if image(f, i) == i]
 
     def orbit(self, subset: Iterable[PencilAut], x: Point) -> set[Point]:

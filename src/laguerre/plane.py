@@ -16,12 +16,12 @@ indices that carries a circle by mapping its mask (``mask_image``,
 ``circle_image``) and is verified against the masks, and the maps built
 from closed forms, ``PermutationMap.from_aut`` (``PencilAut``),
 ``circle_add_map`` and ``inversion_map``.  ``autgroup`` assembles its
-normalizers from them, and the axiom sweep transports along them: it
-verifies six of them, takes orbit representatives by ``reach``, and checks
-circles, nonparallel point pairs and flags at those representatives only,
-reading the closed form ``pencil_members`` at the representative flags.  A
-plane whose maps fail verification is swept over every case, on saturating
-counters (a bit set in ``threes`` lies in at least three of the masks).
+normalizers from them, and the axiom sweep transports along them: one
+sweep runs its four stages over a list of circles, of point pairs and of
+flags.  When six maps pass verification the lists hold orbit
+representatives picked by ``reach``; when they fail, every case is its own
+representative.  The closed form ``pencil_members`` is read at the listed
+flags.
 
 Tangency is defined set-theoretically (exactly one common point).  For odd
 q the quadratic-discriminant shortcut computes the same counts and the two
@@ -66,6 +66,14 @@ class GeometryError(ValueError):
 def not_a_point(pt) -> GeometryError:
     """The error for a lookup of something that is not a plane point."""
     return GeometryError(f"{pt!r} is not a point of the plane", code="not_a_point")
+
+
+class PointIndex(dict):
+    """Position by point: looking up anything that is not a point of the
+    plane raises ``not_a_point``."""
+
+    def __missing__(self, pt):
+        raise not_a_point(pt)
 
 
 class Point(NamedTuple):
@@ -120,7 +128,7 @@ class LaguerrePlane:
         self.points: list[Point] = sorted(
             [affine(x, y) for x in range(q) for y in range(q)] + [ideal(a) for a in range(q)]
         )
-        self.point_index = {p: i for i, p in enumerate(self.points)}
+        self.point_index = PointIndex((p, i) for i, p in enumerate(self.points))
         self.circles: list[Circle] = [
             Circle(a, b, c) for a in range(q) for b in range(q) for c in range(q)
         ]
@@ -183,6 +191,11 @@ class LaguerrePlane:
     def mask_positions(self) -> dict[int, int]:
         """Circle position by point mask: the circle with exactly these points."""
         return {m: i for i, m in enumerate(self.circle_masks)}
+
+    @cached_property
+    def generator_masks(self) -> list[int]:
+        """The point mask of each generator, in ``generators`` order."""
+        return [self.mask(self.generator_points(g)) for g in self.generators]
 
     # -- joins, intersections, tangency ---------------------------------
 
@@ -376,26 +389,9 @@ class LaguerrePlane:
 
     # -- axiom verification ------------------------------------------------
 
-    def incidence_masks(self) -> tuple[list[int], list[int], list[int]]:
-        """Incidence as bitsets over positions in ``points`` and ``circles``.
-
-        Returns a point mask per circle, a circle mask per point and a point
-        mask per generator, in ``circles``, ``points`` and ``generators``
-        order.  The first is the plane's ``circle_masks``; the other two are
-        derived from it and ``generator_points`` on every call, so incidence
-        has no other definition in the axiom sweep.
-        """
-        circle_masks = self.circle_masks
-        point_masks = [0] * len(self.points)
-        for ci, m in enumerate(circle_masks):
-            for i in bits(m):
-                point_masks[i] |= 1 << ci
-        gen_masks = [self.mask(self.generator_points(g)) for g in self.generators]
-        return circle_masks, point_masks, gen_masks
-
     def verify_axioms(self) -> Report:
-        """Check the four defining axioms of the plane, at representatives
-        under a machine-checked symmetry, or exhaustively.
+        """Check the four defining axioms of the plane in one sweep, at
+        representatives under a machine-checked symmetry or at every case.
 
         Every check reads the incidence masks, not the closed forms
         ``circle_through`` and ``intersection_size``.  Join uniqueness is
@@ -412,15 +408,17 @@ class LaguerrePlane:
         map's ``circle_images`` is then a permutation of the circles.  Every
         stage's predicate is kept by a map that carries points, circles and
         generators to points, circles and generators, so a representative of
-        each orbit stands for its orbit.  Representatives come from ``reach``
-        over the maps, never from an assumed orbit count:
+        each orbit stands for its orbit.
 
-        - circles: each orbit's least circle is checked against every other
-          circle for the pair bound, and for meeting each generator once;
-        - points u, from the orbits of the points; the maps that fix u give
-          representatives v among the points nonparallel to u, and each
-          pair (u, v) is checked against every third point off the
-          generators of u and v (exactly one circle through all three);
+        The sweep (``_sweep``) runs over a list of circles, of point pairs
+        (u, v) each with its third points, and of flags.  Certified, the
+        lists hold representatives from ``reach`` over the maps, never from
+        an assumed orbit count:
+
+        - circles: each orbit's least circle;
+        - pairs: u from the orbits of the points, v from the orbits of the
+          maps fixing u on the points nonparallel to u; the third points are
+          every point off the generators of u and v;
         - flags (u, K): the maps that fix u give representatives K among the
           circles through u.  ``pencil_members`` is read only there, so a
           closed-form fault at another flag is not seen (it is tested on
@@ -430,24 +428,13 @@ class LaguerrePlane:
         pairs and flags, and ``cases_represented``, the case count of the
         exhaustive sweep; ``stages`` gives both counts per stage.
 
-        Fallback.  A plane whose maps fail the certificate is swept over
-        every case (``_sweep_every_case``, ``mode: "exhaustive"``), so a
-        fault in the incidence itself keeps its full witness list.
+        Uncertified, every case is its own representative (``mode:
+        "exhaustive"``), so a fault in the incidence itself keeps its full
+        witness list: every circle, every pair with u on an earlier generator
+        than v, its third points on the generators after v's, and every flag.
         """
-        def sweep():
-            maps = self._certified_maps()
-            if maps is None:
-                witnesses, stages = self._sweep_every_case()
-                details = {"mode": "exhaustive"}
-            else:
-                witnesses, stages, representative = self._sweep_representatives(maps)
-                details = {"mode": "orbit", "representative": representative,
-                           "cases_represented": sum(s["cases_represented"]
-                                                    for s in stages.values())}
-            details["stages"] = stages
-            return sum(s["cases"] for s in stages.values()), witnesses, details
-
-        return run_check("laguerre-axioms", self.q, sweep)
+        return run_check("laguerre-axioms", self.q,
+                         lambda: self._sweep(self._certified_maps()))
 
     def _certified_maps(self) -> list[PermutationMap] | None:
         """The six maps of ``verify_axioms``'s certificate, each verified, or
@@ -509,173 +496,107 @@ class LaguerrePlane:
             return []
         return [] if failed else mis
 
-    @staticmethod
-    def _touch_witnesses(findings: list, mismatches: list) -> list:
-        """The touch witnesses in flag order; the least mismatch raises."""
-        if mismatches:
-            raise GeometryError(min(mismatches)[1], code="pencil_member_mismatch")
-        return [w for _, w in sorted(findings, key=itemgetter(0))]
+    def _sweep(self, maps: list[PermutationMap] | None) -> tuple[int, list, dict]:
+        """The case count, witnesses and details of the four stages at the
+        representatives of the orbits of ``maps``, or at every case when
+        ``maps`` is None.
 
-    def _meet_and_nondegeneracy(self, reps: list[int], gm: list[int]) -> list:
-        """The generator-meet witnesses of the circles ``reps`` (each meets
-        each generator once), then the nondegeneracy witness (the circle
-        y = 0 has at least three, but not all, points)."""
-        cm = self.circle_masks
-        witnesses = [{"axiom": "generator_meet", "circle": list(self.circles[c])}
-                     for c in reps if any((cm[c] & g).bit_count() != 1 for g in gm)]
-        size = cm[self.circle_position(Circle(0, 0, 0))].bit_count()
-        if not 3 <= size < len(self.points):
-            witnesses.append({"axiom": "nondegeneracy"})
-        return witnesses
-
-    def _sweep_every_case(self) -> tuple[list, dict]:
-        """The witnesses and per-stage case counts of every case.
-
-        Both join checks run on saturating counters: OR-ing the masks of a
-        family into ``ones``, ``twos`` and ``threes`` marks every bit that at
-        least one, two or three of them hold.  Over the circle masks of a
-        circle's points, ``threes`` holds the circles meeting it in three
-        points or more; over the point masks of the circles through two
-        nonparallel points, a later point off ``ones ^ twos`` lies on no
-        circle or on two of them.  The touch test runs once per pencil, at
-        its first circle in ``circles`` order.  When that flag passes, its
-        members pass through the vertex, and their other points number q²
-        and cover q², so any two meet in the vertex alone: each member's
-        flag as base there is counted and holds untested.  Findings are
-        reported, and the least mismatch raised, in flag order (circle, then
-        vertex, then member), as when each flag was swept on its own.
+        - Pair bound: each listed circle against every circle except itself
+          and the listed circles before it.
+        - Triples: OR-ing the masks of the circles through u and v into
+          ``ones`` and ``twos`` marks the points on at least one and on at
+          least two of them, so a third point off ``ones ^ twos`` lies on no
+          circle or on two.  Witnesses are sorted by generator triple, then
+          by points.
+        - Touch: a flag is skipped when a pencil that passed at its vertex
+          holds its circle.  Those members pass through the vertex, and their
+          other points number q² and cover q², so any two meet in the vertex
+          alone: the flag holds untested and is counted.  Findings are
+          reported, and the least mismatch raised, in flag order (circle,
+          then vertex, then member).
+        - Generator meet at each listed circle (it meets each generator
+          once), then nondegeneracy (y = 0 has at least three, but not all,
+          points).
         """
-        q = self.q
-        witnesses = []
-        cm, pc, gm = self.incidence_masks()
-        points, circles = self.points, self.circles
-
-        # pairwise intersection bound (uniqueness half of the join axiom):
-        # the circles through three or more points of circle i
-        n = len(circles)
-        for i, mi in enumerate(cm):
-            ones = twos = threes = 0
-            for k in bits(mi):
-                m = pc[k]
-                threes |= twos & m
-                twos |= ones & m
-                ones |= m
-            for j in bits(threes >> (i + 1)):
-                witnesses.append({"axiom": "join",
-                                  "circles": [list(circles[i]), list(circles[i + 1 + j])]})
-
-        # existence and uniqueness: every pairwise-nonparallel triple
-        # lies on exactly one circle.  For each pair on generators
-        # g1 < g2 < q the points of later generators are counted at
-        # once; a block's witnesses are ordered by g3, then by the pair
-        gen_pts = [[self.point_index[p] for p in self.generator_points(g)]
-                   for g in self.generators]
-        later = [0] * (q + 1)
-        for g in range(q, 0, -1):
+        points, circles, cm, gm = self.points, self.circles, self.circle_masks, self.generator_masks
+        npts, n, every = len(points), len(circles), (1 << len(points)) - 1
+        gen = {g: i for i, g in enumerate(self.generators)}
+        gi = [gen[self.generator_of(p)] for p in points]
+        later = [0] * len(gm)  # the points of the generators after each
+        for g in range(len(gm) - 1, 0, -1):
             later[g - 1] = later[g] | gm[g]
-        triples = 0
-        for g1, g2 in itertools.combinations(range(q), 2):
-            rest = later[g2]
-            triples += len(gen_pts[g1]) * len(gen_pts[g2]) * sum(map(len, gen_pts[g2 + 1:]))
-            block = []
-            for i1 in gen_pts[g1]:
-                for i2 in gen_pts[g2]:
-                    ones = twos = 0
-                    for k in bits(pc[i1] & pc[i2]):
-                        m = cm[k]
-                        twos |= ones & m
-                        ones |= m
-                    bad = rest & ~(ones ^ twos)
-                    if not bad:
-                        continue
-                    for g3 in range(g2 + 1, q + 1):
-                        for i3 in gen_pts[g3]:
-                            if bad >> i3 & 1:
-                                block.append((g3, {"axiom": "join", "points": [
-                                    repr(points[i1]), repr(points[i2]), repr(points[i3])]}))
-            block.sort(key=itemgetter(0))
-            witnesses.extend(w for _, w in block)
-
-        # touching axiom: each pencil partitions the points off its vertex generator
-        strict = not witnesses
-        findings, mismatches = [], []
-        for pi, at_p in enumerate(pc):
-            kept = set()  # the members of the pencils at p that passed
-            for ki in bits(at_p):
-                if ki not in kept:
-                    kept.update(self._touch_flag(pi, ki, strict, findings, mismatches))
-        witnesses += self._touch_witnesses(findings, mismatches)
-
-        witnesses += self._meet_and_nondegeneracy(range(n), gm)
-        counts = {"circle_pairs": n * (n - 1) // 2, "triples": triples,
-                  "flags": sum(map(int.bit_count, pc)), "generator_meet": n,
-                  "nondegeneracy": 1}
-        return witnesses, {stage: {"cases": c} for stage, c in counts.items()}
-
-    def _sweep_representatives(self, maps: list[PermutationMap]) -> tuple[list, dict, dict]:
-        """The witnesses, per-stage case counts and representatives of the
-        sweep at the representatives of the orbits of ``maps``."""
-        points, circles, cm = self.points, self.circles, self.circle_masks
-        gm = [self.mask(self.generator_points(g)) for g in self.generators]
-        npts, n = len(points), len(circles)
-        gen_mask = dict(zip(self.generators, gm))
-        gen_at = [gen_mask[self.generator_of(p)] for p in points]
-        point_moves = [m.perm.__getitem__ for m in maps]
-        circle_moves = [m.circle_images.__getitem__ for m in maps]
+        point_moves = [m.perm.__getitem__ for m in maps or ()]
+        circle_moves = [m.circle_images.__getitem__ for m in maps or ()]
         circle_reps = _representatives(range(n), circle_moves)
-        pairs, flags = [], []
+        through, pairs, flags = {}, [], []
         for u in _representatives(range(npts), point_moves):
             fixing = [i for i, move in enumerate(point_moves) if move(u) == u]
-            off_u = [v for v in range(npts) if not gen_at[u] >> v & 1]
-            pairs += [(u, v) for v in _representatives(off_u, [point_moves[i] for i in fixing])]
-            on_u = [k for k in range(n) if cm[k] >> u & 1]
+            through[u] = on_u = [k for k, m in enumerate(cm) if m >> u & 1]
             flags += [(u, k) for k in _representatives(on_u, [circle_moves[i] for i in fixing])]
-        witnesses = []
+            if maps is None:
+                pairs += [(u, v, later[gi[v]]) for v in range(u + 1, npts)
+                          if gi[u] < gi[v] and later[gi[v]]]
+            else:
+                off_u = [v for v in range(npts) if gi[v] != gi[u]]
+                pairs += [(u, v, every & ~(gm[gi[u]] | gm[gi[v]]))
+                          for v in _representatives(off_u, [point_moves[i] for i in fixing])]
 
-        # the pair bound: each representative against every other circle
+        witnesses, done = [], 0
         for c in circle_reps:
-            mc = cm[c]
+            mc, done = cm[c], done | 1 << c
             witnesses += [{"axiom": "join",
                            "circles": sorted([list(circles[c]), list(circles[j])])}
-                          for j, m in enumerate(cm) if j != c and (mc & m).bit_count() > 2]
+                          for j, m in enumerate(cm)
+                          if not done >> j & 1 and (mc & m).bit_count() > 2]
 
-        # triples: a point off the generators of u and v lies on exactly one
-        # of the circles through u and v
-        triples = 0
-        for u, v in pairs:
-            uv = 1 << u | 1 << v
+        triples, found = 0, []
+        for u, v, rest in pairs:
             ones = twos = 0
-            for m in cm:
-                if m & uv == uv:
+            for k in through[u]:
+                m = cm[k]
+                if m >> v & 1:
                     twos |= ones & m
                     ones |= m
-            off = ((1 << npts) - 1) & ~(gen_at[u] | gen_at[v])
-            triples += off.bit_count()
-            witnesses += [{"axiom": "join", "points": [repr(points[i]) for i in sorted((u, v, w))]}
-                          for w in bits(off & ~(ones ^ twos))]
+            triples += rest.bit_count()
+            for w in bits(rest & ~(ones ^ twos)):
+                t = tuple(sorted((u, v, w)))
+                found.append((tuple(gi[i] for i in t), t))
+        witnesses += [{"axiom": "join", "points": [repr(points[i]) for i in t]}
+                      for _, t in sorted(found)]
 
-        strict = not witnesses
-        findings, mismatches = [], []
+        strict, findings, mismatches, passed = not witnesses, [], [], set()
         for u, k in flags:
-            self._touch_flag(u, k, strict, findings, mismatches)
-        witnesses += self._touch_witnesses(findings, mismatches)
+            if (u, k) not in passed:
+                passed.update((u, m) for m in self._touch_flag(u, k, strict, findings, mismatches))
+        if mismatches:
+            raise GeometryError(min(mismatches)[1], code="pencil_member_mismatch")
+        witnesses += [w for _, w in sorted(findings, key=itemgetter(0))]
 
-        witnesses += self._meet_and_nondegeneracy(circle_reps, gm)
+        witnesses += [{"axiom": "generator_meet", "circle": list(circles[c])}
+                      for c in circle_reps if any((cm[c] & g).bit_count() != 1 for g in gm)]
+        if not 3 <= cm[self.circle_position(Circle(0, 0, 0))].bit_count() < npts:
+            witnesses.append({"axiom": "nondegeneracy"})
+
+        r = len(circle_reps)
+        cases = {"circle_pairs": r * n - r * (r + 1) // 2, "triples": triples,
+                 "flags": len(flags), "generator_meet": r, "nondegeneracy": 1}
+        if maps is None:
+            return sum(cases.values()), witnesses, {
+                "mode": "exhaustive", "stages": {s: {"cases": c} for s, c in cases.items()}}
         sizes = [g.bit_count() for g in gm]
         represented = {
-            "circle_pairs": (len(circle_reps) * (n - 1), n * (n - 1) // 2),
-            "triples": (triples, sum(a * b * c for a, b, c in itertools.combinations(sizes, 3))),
-            "flags": (len(flags), sum(map(int.bit_count, cm))),
-            "generator_meet": (len(circle_reps), n),
-            "nondegeneracy": (1, 1),
-        }
-        representative = {
-            "circles": [list(circles[c]) for c in circle_reps],
-            "pairs": [[repr(points[u]), repr(points[v])] for u, v in pairs],
-            "flags": [[repr(points[u]), list(circles[k])] for u, k in flags],
-        }
-        return witnesses, {stage: {"cases": c, "cases_represented": r}
-                           for stage, (c, r) in represented.items()}, representative
+            "circle_pairs": n * (n - 1) // 2,
+            "triples": sum(a * b * c for a, b, c in itertools.combinations(sizes, 3)),
+            "flags": sum(map(int.bit_count, cm)), "generator_meet": n, "nondegeneracy": 1}
+        return sum(cases.values()), witnesses, {
+            "mode": "orbit",
+            "representative": {
+                "circles": [list(circles[c]) for c in circle_reps],
+                "pairs": [[repr(points[u]), repr(points[v])] for u, v, _ in pairs],
+                "flags": [[repr(points[u]), list(circles[k])] for u, k in flags]},
+            "cases_represented": sum(represented.values()),
+            "stages": {s: {"cases": c, "cases_represented": represented[s]}
+                       for s, c in cases.items()}}
 
     # -- derived affine plane ----------------------------------------------
 
@@ -823,7 +744,7 @@ class PermutationMap:
         witnesses = [{"problem": "circle_image", "circle": list(C)}
                      for C, i in zip(plane.circles, self.circle_images) if i is None]
         image = self.perm.__getitem__
-        gens = [plane.mask(plane.generator_points(h)) for h in plane.generators]
+        gens = plane.generator_masks
         witnesses += [{"problem": "generator_image", "generator": g.to_json()}
                       for g, m in zip(plane.generators, gens) if mask_image(image, m) not in gens]
         return not witnesses, witnesses

@@ -208,12 +208,20 @@ def test_plane_json_stable(plane3):
     assert blob["generators"][-1] == {"t": "I"}
 
 
+def _incidence_masks(pl):
+    """The plane's circle masks, a circle mask per point derived from them,
+    and its generator masks."""
+    cm = pl.circle_masks
+    pc = [sum(1 << ci for ci, m in enumerate(cm) if m >> i & 1) for i in range(len(pl.points))]
+    return cm, pc, pl.generator_masks
+
+
 @pytest.mark.parametrize("q", [3, 5, 7])
 def test_incidence_masks_match_closed_forms(q):
     # the sweep reads only the masks; circle_through and intersection_size
     # stay under test against them
     pl = LaguerrePlane(q)
-    cm, pc, gm = pl.incidence_masks()
+    cm, pc, gm = _incidence_masks(pl)
     index = pl.point_index
     for g, m in zip(pl.generators, gm):
         assert m == sum(1 << index[p] for p in pl.generator_points(g))
@@ -467,7 +475,7 @@ def _retired_sweep(pl):
         q = pl.q
         witnesses = []
         cases = 0
-        cm, pc, gm = pl.incidence_masks()
+        cm, pc, gm = _incidence_masks(pl)
         points, index = pl.points, pl.point_index
         for i, mi in enumerate(cm):
             for j in range(i + 1, len(cm)):
@@ -617,3 +625,47 @@ def test_non_first_member_fault_reported_at_every_base():
         {"axiom": "touch", "pencil": ["I(0)", [0, 0, 3]], "covered": 25},
         {"axiom": "touch", "pencil": ["I(0)", [0, 0, 4]], "covered": 25},
     ]
+
+
+class _OffThePlane(_Moved):
+    """Incidence fault: y = 0 lists A(0,9), which is not a point of the
+    plane, for A(0,0)."""
+
+    circle, old, new = Circle(0, 0, 0), affine(0, 0), affine(0, 9)
+
+
+def test_a_circle_listing_a_point_off_the_plane_is_not_a_point():
+    with pytest.raises(GeometryError) as e:
+        _OffThePlane(5).verify_axioms()
+    assert (e.value.code, str(e.value)) == ("not_a_point", "A(0,9) is not a point of the plane")
+
+
+def test_a_map_applied_off_the_plane_is_not_a_point(plane5):
+    identity = PermutationMap(plane5, list(range(len(plane5.points))))
+    assert identity.apply_point(affine(4, 4)) == affine(4, 4)
+    with pytest.raises(GeometryError) as e:
+        identity.apply_point(affine(0, 9))
+    assert (e.value.code, str(e.value)) == ("not_a_point", "A(0,9) is not a point of the plane")
+
+
+@pytest.mark.parametrize("kept", [0, 1, 3])
+@pytest.mark.parametrize("q", [3, 5])
+def test_fewer_certified_maps_leave_more_orbits_and_the_same_report(q, kept, monkeypatch):
+    # the first 0, 1 and 3 maps leave several orbits per stage: every
+    # circle and flag, the orbits of y -> y + x^2, and the q + 1 generators
+    full = LaguerrePlane(q).verify_axioms().details["stages"]
+    certified = LaguerrePlane._certified_maps
+    monkeypatch.setattr(LaguerrePlane, "_certified_maps", lambda self: certified(self)[:kept])
+    rep = LaguerrePlane(q).verify_axioms()
+    assert (rep.status, rep.witnesses, rep.details["mode"]) == ("pass", [], "orbit")
+    stages = rep.details["stages"]
+    assert ({s: c["cases_represented"] for s, c in stages.items()}
+            == {s: c["cases_represented"] for s, c in full.items()})
+    representative = rep.details["representative"]
+    assert len(representative["flags"]) > 1
+    assert len(representative["circles"]) == {0: q ** 3, 1: q * q, 3: 1}[kept]
+    if kept == 0:
+        # each circle pair once: a representative skips the lower ones
+        for stage in ("circle_pairs", "flags", "generator_meet"):
+            assert stages[stage]["cases"] == stages[stage]["cases_represented"]
+        assert stages["circle_pairs"]["cases"] == {3: 351, 5: 7_750}[q]
