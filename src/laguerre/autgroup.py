@@ -16,14 +16,17 @@ generator with ``x = 0`` (``inversion_map``).  The composed normalizer is
 verified to be a plane automorphism by an exhaustive circle-image check
 before it is used.
 
-Point indices.  ``DeltaGroup.image`` is the one point action, on indices
-in ``plane.points`` (affine ``x*q + y``, ideal ``q*q + a``): the closed form
-above (``plane.aut_index``), read through the normalizer's forward and back
-index lists, composed once when the group is built.  Stabilizers, orbits,
-A1/A2 and the residual plane read it; ``apply`` is the named Point/Circle
-boundary over it, and a ``PermutationMap`` is an index list.  Either
-carries a circle by mapping its point mask (``plane.circle_masks``) and
-looking the image up in ``plane.mask_positions``.
+Point indices.  The group acts on indices in ``plane.points`` (affine
+``x*q + y``, ideal ``q*q + a``) by the closed form above, read through the
+normalizer's forward and back index lists, composed once when the group is
+built.  ``DeltaGroup.perm`` gives an element's whole permutation
+(``plane.aut_perm``, one list); the residual plane's point permutations and
+the catalog's transport read it.  ``DeltaGroup.image`` gives one point's
+image (``plane.aut_index``); stabilizers, orbits and A1/A2 read it, and
+``apply`` is the named Point/Circle boundary over it.  A ``PermutationMap``
+is an index list.  Either carries a circle by mapping its point mask
+(``plane.circle_masks``) and looking the image up in
+``plane.mask_positions``.
 """
 
 from __future__ import annotations
@@ -33,8 +36,8 @@ from typing import Iterable
 
 from .field import GF
 from .plane import (Circle, GeometryError, IDEAL, LaguerrePlane, Pencil, PencilAut,
-                    PermutationMap, Point, aut_index, canonical_pencil, circle_add_map,
-                    circle_image, ideal, inversion_map, reach)
+                    PermutationMap, Point, aut_index, aut_perm, canonical_pencil,
+                    circle_add_map, circle_image, ideal, inversion_map, reach)
 from .report import Report, run_check
 
 IDENTITY = PencilAut(1, 0, 0)
@@ -173,6 +176,13 @@ class DeltaGroup:
         """The index of the image of plane point ``i`` under ``f``."""
         c = aut_index(self.plane.q, f, self.canonical_index(i))
         return c if self._fwd is None else self._fwd[c]
+
+    def perm(self, f: PencilAut) -> list[int]:
+        """``image`` at every plane index at once: the permutation of ``f``."""
+        p = aut_perm(self.plane.q, f)
+        if self._fwd is None:
+            return p
+        return list(map(self._fwd.__getitem__, map(p.__getitem__, self._back)))
 
     def apply(self, f: PencilAut, obj):
         """Act on a Point or a Circle; a circle off the canonical chart goes

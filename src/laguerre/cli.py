@@ -125,8 +125,26 @@ def _parse_pencil(plane: LaguerrePlane, spec: str) -> Pencil:
 
 
 def _json(payload) -> str:
-    """The one JSON encoding of every payload the CLI writes."""
+    """The one JSON encoding of every payload the CLI writes.  A space
+    export is composed by ``_space_json`` from ``_json`` of each point, to
+    the same bytes."""
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def _space_json(payload: dict) -> str:
+    """``_json(payload)`` for a ``GroupSpace.to_json`` payload, with each
+    point encoded once.  Every line's ``base`` and ``points`` are dicts of
+    ``payload["points"]`` (a KeyError otherwise), so a line record is joined
+    from their texts, keys in sorted order; class ids are ints."""
+    text = {id(p): _json(p) for p in payload["points"]}
+    kinds = {kind: _json(kind) for kind in {line["kind"] for line in payload["lines"]}}
+    lines = ",".join([
+        '{"base":%s,"class":%d,"kind":%s,"points":[%s]}'
+        % (text[id(line["base"])], line["class"], kinds[line["kind"]],
+           ",".join(map(text.__getitem__, map(id, line["points"]))))
+        for line in payload["lines"]])
+    points = ",".join(map(text.__getitem__, map(id, payload["points"])))
+    return '{"lines":[%s],"points":[%s],"q":%d}' % (lines, points, payload["q"])
 
 
 def _emit(reports: list[Report], as_json: bool) -> int:
@@ -208,16 +226,16 @@ def _cmd_export(args) -> int:
     plane = LaguerrePlane(args.q)
     pencil = _parse_pencil(plane, args.pencil or "canonical")
     if args.what == "plane":
-        payload = plane.to_json()
+        text = _json(plane.to_json())
     else:
         _require_odd(args.q)
         delta = DeltaGroup.build(plane, pencil)
         if args.what == "group":
-            payload = delta.to_json()
+            text = _json(delta.to_json())
         else:
-            payload = GroupSpace.build(plane, pencil, delta,
-                                       check_preconditions=False).to_json()
-    text = _json(payload) + "\n"
+            text = _space_json(GroupSpace.build(plane, pencil, delta,
+                                                check_preconditions=False).to_json())
+    text += "\n"
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

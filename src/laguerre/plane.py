@@ -14,7 +14,8 @@ its position in ``points`` (affine ``x*q+y``, ideal ``q*q+a``).
 Plane automorphisms live here too: ``PermutationMap``, a list of point
 indices that carries a circle by mapping its mask (``mask_image``,
 ``circle_image``) and is verified against the masks, and the maps built
-from closed forms, ``PermutationMap.from_aut`` (``PencilAut``),
+from closed forms, ``PermutationMap.from_aut`` (``PencilAut``: its whole
+permutation is ``aut_perm``, its single-point form ``aut_index``),
 ``circle_add_map`` and ``inversion_map``.  ``autgroup`` assembles its
 normalizers from them, and the axiom sweep transports along them: one
 sweep runs its four stages over a list of circles, of point pairs and of
@@ -300,6 +301,7 @@ class LaguerrePlane:
     # -- pencils ----------------------------------------------------------
 
     def pencil(self, p: Point, K: Circle) -> Pencil:
+        self.point_index[p]  # not_a_point off the plane
         if not self.incident(p, K):
             raise GeometryError(f"{p} not on {K}", code="not_on_circle")
         return Pencil(p, K)
@@ -602,6 +604,7 @@ class LaguerrePlane:
 
     def derived_affine(self, p: Point) -> "DerivedAffine":
         """The affine plane living on the points nonparallel to ``p``."""
+        self.point_index[p]  # not_a_point off the plane
         pts = [x for x in self.points if not self.parallel(x, p)]
         lines: list[frozenset] = []
         for C in self.circles:
@@ -689,6 +692,14 @@ def aut_index(q: int, f: PencilAut, i: int) -> int:
     return (k * x + t) % q * q + (k * k * y + g) % q
 
 
+def aut_perm(q: int, f: PencilAut) -> list[int]:
+    """``aut_index`` at every canonical index at once: the permutation of ``f``."""
+    k, t, g = f
+    rows = [(k * x + t) % q * q for x in range(q)]
+    cols = [(k * k * y + g) % q for y in range(q)]
+    return [r + c for r in rows for c in cols] + list(range(q * q, q * q + q))
+
+
 def mask_image(image: Callable[[int], int], m: int) -> int:
     """The mask of the images under ``image``, a map on point indices, of the
     points in mask ``m``."""
@@ -769,7 +780,7 @@ class PermutationMap:
 
     @classmethod
     def from_aut(cls, plane: LaguerrePlane, f: PencilAut) -> "PermutationMap":
-        return cls(plane, [aut_index(plane.q, f, i) for i in range(len(plane.points))])
+        return cls(plane, aut_perm(plane.q, f))
 
 
 def circle_add_map(plane: LaguerrePlane, Q: Circle) -> PermutationMap:

@@ -8,12 +8,13 @@ half of it ("special" lines).  Parallelism is the group orbit relation on
 lines.
 
 Point indices.  Inside ``GroupSpace`` a point is its index in the sorted
-list ``points``.  A group element acts only through ``point_perm``, the
-group's action on plane indices (``DeltaGroup.image``) restricted to these
+list ``points``.  A group element acts only through ``point_perm``, its
+whole permutation of plane indices (``DeltaGroup.perm``) restricted to these
 points, and ``line_image`` carries a line along it.  Only point 0's
-stabilizer comes from a scan of the group (``DeltaGroup.stabilizer``); the
-space keeps its elements, ``stabilizer0``.  The group is the translations
-times that stabilizer, so the stabilizer of point i is T_i Stab(0) T_i⁻¹,
+stabilizer comes from a scan of the group (``DeltaGroup.stabilizer``, which
+reads single points through ``DeltaGroup.image``); the space keeps its
+elements, ``stabilizer0``.  The group is the translations times that
+stabilizer, so the stabilizer of point i is T_i Stab(0) T_i⁻¹,
 where T_i, ``translations[i]``, is the translation carrying point 0 to
 point i; the build raises ``translations_not_regular`` unless exactly one
 translation does, for every i.  Stab(0) is cyclic, so one of its elements,
@@ -21,18 +22,19 @@ c, turns every line through point 0 as one cycle, and T_i c T_i⁻¹ does so
 at point i (see "Row sweeps").  The closed-form join route reads canonical
 coordinates through ``DeltaGroup.canonical_index``.  Named points appear
 only at the boundary: ``join``, ``Line.points`` and ``Line.base_points``,
-witnesses and ``to_json``, which encodes each point once: every line's
-``base`` and ``points`` are those same dicts, so treat its payload as
-read-only.
+witnesses and ``to_json``, which builds each point's dict once: every
+line's ``base`` and ``points`` are those same dicts, so the export encodes
+each point once (``cli``), and its payload is read-only.
 
 Line identity.  The join x_i ⊔ x_j is {i} together with T_i applied to o,
-the Stab(0)-orbit of T_i⁻¹(j), and a line is identified by the sorted tuple
-of its point indices and that orbit.  Index order is point order, so lines
-sort as their point sets do, and then by orbit, numbered in order of least
-point.  The orbit matters for identity only at q = 3, where the two-point
-sets x⊔y and y⊔x coincide while their orbits differ; keying on the bare set
-there would merge lines from different parallel classes and break both the
-census and the Euclidean axiom.  The orbit is the parallel class: g carries
+the Stab(0)-orbit of T_i⁻¹(j), so T_i carries the line (0, o), point 0
+with o, onto it.  A line is identified by the sorted tuple of its point
+indices and that orbit.  Index order is point order, so lines sort as their
+point sets do, and then by orbit, numbered in order of least point.  The
+orbit matters for identity only at q = 3, where the two-point sets x⊔y and
+y⊔x coincide while their orbits differ; keying on the bare set there would
+merge lines from different parallel classes and break both the census and
+the Euclidean axiom.  The orbit is the parallel class: g carries
 the line (i, o) to the line (g(i), o), because T_{g(i)}⁻¹ g T_i fixes point
 0, and the translations carry (0, o) to every (i, o).  So ``class_id`` is
 the least index of a line with that orbit, and a line's kind is its orbit's.
@@ -196,12 +198,12 @@ class GroupSpace:
     def point_perm(self, f: PencilAut) -> list[int]:
         """The permutation of point indices by which ``f`` acts: the group's
         action on plane indices, restricted to the residual points."""
-        local, image = self._local, self.delta.image
-        return [local[image(f, p)] for p in self._plane_ids]
+        return list(map(self._local.__getitem__,
+                        map(self.delta.perm(f).__getitem__, self._plane_ids)))
 
     def line_image(self, perm: list[int], line: Line) -> Line:
         """The line ``perm`` carries ``line`` to (``not_equivariant`` if none)."""
-        ids = tuple(sorted(perm[i] for i in line.ids))
+        ids = tuple(sorted(map(perm.__getitem__, line.ids)))
         try:
             return self._line_by_key[(ids, line.class_id)]
         except KeyError:
@@ -233,24 +235,31 @@ class GroupSpace:
                                          len(orbit_ids)) for k in range(n)]
         self._orbits0 = orbits = list(orbit_ids)
 
-        # the key of the line (i, o), for every orbit o but point 0's own
+        # the key of the line (i, o), for every orbit o but point 0's own,
+        # and its points other than i: T_i carries the line (0, o), point 0
+        # and the orbit o, to it
+        lines0 = [(0,) + orbit for orbit in orbits[1:]]
         keys: list[list[tuple]] = []
+        minus_rows: list[list[tuple | None]] = []
         bases: dict[tuple, list[int]] = {}
         kinds: dict[int, str] = {}
         for i, trans in enumerate(self.translation_perms):
-            row = []
-            for o in range(1, len(orbits)):
-                moved = {trans[m] for m in orbits[o]}
-                ids, j = tuple(sorted(moved | {i})), min(moved)
-                kind, want = self._closed_form(i, j, canon, at)
+            row, minus = [], [None]
+            for o, line0 in enumerate(lines0, 1):
+                ids = tuple(sorted(map(trans.__getitem__, line0)))
+                at_i = ids.index(i)
+                rest = ids[:at_i] + ids[at_i + 1:]
+                kind, want = self._closed_form(i, rest[0], canon, at)
                 if want != ids or kinds.setdefault(o, kind) != kind:
                     raise GeometryError(
                         f"join mismatch between orbit and closed form "
-                        f"at {self.points[i]}, {self.points[j]}",
+                        f"at {self.points[i]}, {self.points[rest[0]]}",
                         code="join_mismatch")
                 bases.setdefault((ids, o), []).append(i)
                 row.append((ids, o))
+                minus.append(rest)
             keys.append(row)
+            minus_rows.append(minus)
         self._gen_perms = [self.point_perm(g) for g in self._gens]
 
         # a parallel class is a Stab(0)-orbit; its id is its least line index
@@ -270,18 +279,20 @@ class GroupSpace:
         # each orbit's class position in class_ids (see "Tables" above)
         position = [-1] + [self.class_ids.index(class_of[o]) for o in range(1, len(orbits))]
         by_position = sorted(range(1, len(orbits)), key=position.__getitem__)
+        bit = [1 << j for j in range(n)]
         self._joinline, self._joinclass, self._linepts_minus = [], [], []
         self._byclass, self._witmask = [], []
-        for i, (trans, row) in enumerate(zip(self.translation_perms, keys)):
-            # the orbit of T_i⁻¹(j) for each j; sorting by image inverts T_i
-            r = list(map(orbit_of.__getitem__, sorted(range(n), key=trans.__getitem__)))
+        for trans, row, minus in zip(self.translation_perms, keys, minus_rows):
+            # the orbit of T_i⁻¹(j) for each j, that is r[T_i(k)] = orbit of k
+            r = [0] * n
+            for k, j in enumerate(trans):
+                r[j] = orbit_of[k]
             lids = [-1] + [line_index[key] for key in row]
-            minus = [None] + [tuple(k for k in ids if k != i) for ids, _ in row]
             self._joinline.append(list(map(lids.__getitem__, r)))
             self._joinclass.append(list(map(position.__getitem__, r)))
             self._linepts_minus.append(list(map(minus.__getitem__, r)))
             self._byclass.append([minus[o] for o in by_position])
-            self._witmask.append([sum(map((1).__lshift__, minus[o])) for o in by_position])
+            self._witmask.append([sum(map(bit.__getitem__, minus[o])) for o in by_position])
 
     def _translation_perms(self) -> tuple[list[PencilAut], list[list[int]]]:
         """The translations and their point permutations, the i-th carrying
@@ -317,7 +328,7 @@ class GroupSpace:
             return SPECIAL, tuple(sorted(pts))
         A = gf.div(y1 - y0, (x1 - x0) ** 2)
         B, C = (-2 * A * x0) % q, (A * x0 * x0 + y0) % q
-        pts = [at[s * q + (A * s * s + B * s + C) % q] for s in range(q)]
+        pts = [at[s * q + ((A * s + B) * s + C) % q] for s in range(q)]
         return STRAIGHT if A == 0 else CIRCLE_LINE, tuple(sorted(pts))
 
     # -- public queries -----------------------------------------------------

@@ -273,7 +273,7 @@ class _Ctx:
         of its unit translation (``not_equivariant``), and the join tables
         must pass ``GroupSpace.certify``, which makes them equivariant under
         the group's generators, the unit translations among them."""
-        plane, space, delta = self.plane, self.space, self.delta
+        space, delta = self.space, self.delta
         generator, members = delta.base_generator_points(), set(self.members)
         for u, m in zip(self.unit_translations, self.unit_maps):
             if (any(m.apply_point(p) != p for p in generator)
@@ -284,7 +284,7 @@ class _Ctx:
         require_reach(p0, [m.apply_point for m in self.unit_maps], space.points,
                       "not_transitive", repr(p0), "residual points")
         for u, m in zip(self.unit_translations, self.unit_maps):
-            if m.perm != [delta.image(u, i) for i in range(len(plane.points))]:
+            if m.perm != delta.perm(u):
                 raise GeometryError(f"the unit translation {list(u)} is not the "
                                     "group's", code="not_equivariant")
         space.certify()

@@ -8,7 +8,7 @@ from laguerre import (Circle, DeltaGroup, GeometryError, LaguerrePlane,
 from laguerre import autgroup
 from laguerre.autgroup import (aut_circle, aut_compose, aut_inverse, classify_aut,
                                require_reach)
-from laguerre.plane import circle_add_map, inversion_map, reach
+from laguerre.plane import aut_index, circle_add_map, inversion_map, reach
 
 
 def aut_point(gf, f, pt):
@@ -299,6 +299,18 @@ def _pencils(pl):
     q = pl.q
     return (canonical_pencil(pl), pl.pencil(affine(1, 2), Circle(0, 0, 2)),
             pl.pencil(ideal(2), Circle(2, 1, 3 % q)))
+
+
+@pytest.mark.parametrize("q", (3, 5, 7))
+def test_whole_permutations_match_the_single_point_action(q):
+    # perm and from_aut list at once what image and aut_index give per point
+    pl = LaguerrePlane(q)
+    indices = range(len(pl.points))
+    for pencil in _pencils(pl):
+        d = DeltaGroup.build(pl, pencil)
+        for f in d.elements:
+            assert d.perm(f) == [d.image(f, i) for i in indices], (pencil, f)
+            assert PermutationMap.from_aut(pl, f).perm == [aut_index(q, f, i) for i in indices]
 
 
 def _reference_normalizer(pl, pencil):

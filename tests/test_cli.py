@@ -1,6 +1,9 @@
 import json
 
-from laguerre.cli import main
+import pytest
+
+from laguerre import DeltaGroup, GroupSpace, LaguerrePlane
+from laguerre.cli import _json, _parse_pencil, _space_json, main
 
 
 def run_cli(capsys, *argv):
@@ -231,6 +234,18 @@ def test_export_space(tmp_path, capsys):
     assert len(blob["lines"]) == 39
     kinds = {entry["kind"] for entry in blob["lines"]}
     assert kinds == {"circle_line", "straight_pencil", "special"}
+
+
+@pytest.mark.parametrize("q", (3, 5, 7))
+def test_space_export_is_the_json_of_its_payload(q):
+    # the export composes its text from one encoding per point; json.dumps
+    # of the whole payload is the oracle (q = 3 has twin two-point lines)
+    plane = LaguerrePlane(q)
+    for spec in ("canonical", "p:1,2"):
+        pencil = _parse_pencil(plane, spec)
+        payload = GroupSpace.build(plane, pencil, DeltaGroup.build(plane, pencil),
+                                   check_preconditions=False).to_json()
+        assert _space_json(payload) == _json(payload), spec
 
 
 def test_export_into_missing_directory_fails_before_the_build(tmp_path, capsys,

@@ -14,7 +14,8 @@ and the group on ``p:1,2``) or of the stdout of ``theorems run --q 13
 verify --q 13 --json``; ``theorems_q17.sha256``, ``skewaffine_q17.sha256``
 and ``group_q17_p1_2.sha256`` pin the stdout of ``theorems run --q 17
 --json``, ``skewaffine verify --q 17 --axiom all --json`` and ``group verify
---q 17 --pencil p:1,2 --json`` the same way.
+--q 17 --pencil p:1,2 --json`` the same way, and ``export_q17_space.sha256``
+the file that ``export --q 17 --what space`` writes.
 """
 
 import os

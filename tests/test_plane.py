@@ -640,6 +640,16 @@ def test_a_circle_listing_a_point_off_the_plane_is_not_a_point():
     assert (e.value.code, str(e.value)) == ("not_a_point", "A(0,9) is not a point of the plane")
 
 
+def test_a_pencil_or_derived_plane_off_the_plane_is_not_a_point(plane5):
+    # A(9,0) agrees mod 5 with A(4,0) on y = 0, but it is no point of the plane
+    for call in (lambda: plane5.pencil(affine(9, 0), Circle(0, 0, 0)),
+                 lambda: plane5.derived_affine(affine(9, 0))):
+        with pytest.raises(GeometryError) as e:
+            call()
+        assert (e.value.code, str(e.value)) == ("not_a_point",
+                                                "A(9,0) is not a point of the plane")
+
+
 def test_a_map_applied_off_the_plane_is_not_a_point(plane5):
     identity = PermutationMap(plane5, list(range(len(plane5.points))))
     assert identity.apply_point(affine(4, 4)) == affine(4, 4)

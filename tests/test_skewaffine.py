@@ -301,14 +301,17 @@ def test_build_rejects_a_translation_bent_off_point_0(monkeypatch):
     # the bent translation still carries point 0 where it should, so the
     # translations stay regular, but it moves the joins it transports
     plane, pencil, delta = _fresh(5)
-    true_image = delta.image
+    true_perm = delta.perm
     bent_at = {plane.point_index[affine(1, 1)]: plane.point_index[affine(1, 2)],
                plane.point_index[affine(1, 2)]: plane.point_index[affine(1, 1)]}
 
-    def bent(f, i):
-        return true_image(f, bent_at.get(i, i) if f == PencilAut(1, 2, 3) else i)
+    def bent(f):
+        perm = true_perm(f)
+        if f != PencilAut(1, 2, 3):
+            return perm
+        return [perm[bent_at.get(i, i)] for i in range(len(perm))]
 
-    monkeypatch.setattr(delta, "image", bent)
+    monkeypatch.setattr(delta, "perm", bent)
     with pytest.raises(GeometryError) as e:
         GroupSpace.build(plane, pencil, delta, check_preconditions=False)
     assert e.value.code == "join_mismatch"
