@@ -201,17 +201,11 @@ class DeltaGroup:
         return [f for f in self.elements if f.k == 1]
 
     def generators(self) -> list[PencilAut]:
-        """A primitive root plus the two unit translations.
-
-        Parallel classes and the orbit sweeps of the residual plane see the
-        group only through these three, so their closure must be exactly the
-        group.
-        """
-        gens = [PencilAut(self.gf.primitive_root(), 0, 0), PencilAut(1, 1, 0),
+        """A primitive-root scaling, then the unit translations (1, 1, 0) and
+        (1, 0, 1): the residual build reads Δ as their point permutations and
+        raises ``generators_not_closed`` unless they give all of it."""
+        return [PencilAut(self.gf.primitive_root(), 0, 0), PencilAut(1, 1, 0),
                 PencilAut(1, 0, 1)]
-        require_reach(IDENTITY, [partial(aut_compose, self.gf, g) for g in gens],
-                      self.elements, "generators_not_closed", "the identity", "elements")
-        return gens
 
     def census(self) -> dict[str, int]:
         out = {tag: 0 for tag in AUT_CLASSES}

@@ -10,21 +10,18 @@ lines.
 Point indices.  Inside ``GroupSpace`` a point is its index in the sorted
 list ``points``.  A group element acts only through ``point_perm``, its
 whole permutation of plane indices (``DeltaGroup.perm``) restricted to these
-points, and ``line_image`` carries a line along it.  Only point 0's
-stabilizer comes from a scan of the group (``DeltaGroup.stabilizer``, which
-reads single points through ``DeltaGroup.image``); the space keeps its
-elements, ``stabilizer0``.  The group is the translations times that
-stabilizer, so the stabilizer of point i is T_i Stab(0) T_i⁻¹,
-where T_i, ``translations[i]``, is the translation carrying point 0 to
-point i; the build raises ``translations_not_regular`` unless exactly one
-translation does, for every i.  Stab(0) is cyclic, so one of its elements,
-c, turns every line through point 0 as one cycle, and T_i c T_i⁻¹ does so
-at point i (see "Row sweeps").  The closed-form join route reads canonical
-coordinates through ``DeltaGroup.canonical_index``.  Named points appear
-only at the boundary: ``join``, ``Line.points`` and ``Line.base_points``,
-witnesses and ``to_json``, which builds each point's dict once: every
-line's ``base`` and ``points`` are those same dicts, so the export encodes
-each point once (``cli``), and its payload is read-only.
+points, and ``line_image`` carries a line along it.  The build reads Δ only
+as its order and the permutations of its generators m, a primitive-root
+scaling, and the two unit translations (the Schreier step, Sims 1970):
+T_i, the translation carrying point 0 to point i, is a word in the units
+(``_schreier``), Stab(0), ``stabilizer0``, the powers of
+s = T_{m(0)}⁻¹ m, and Δ is the translations times Stab(0), so the
+stabilizer of point i is T_i Stab(0) T_i⁻¹.  The closed-form join route
+reads canonical coordinates through ``DeltaGroup.canonical_index``.  Named
+points appear only at the boundary: ``join``, ``Line.points`` and
+``Line.base_points``, witnesses and ``to_json``, which builds each point's
+dict once: every line's ``base`` and ``points`` are those same dicts, so
+the export encodes each point once (``cli``), and its payload is read-only.
 
 Line identity.  The join x_i ⊔ x_j is {i} together with T_i applied to o,
 the Stab(0)-orbit of T_i⁻¹(j), so T_i carries the line (0, o), point 0
@@ -83,7 +80,7 @@ not accept goes to the axiom's case predicate (``_t_case_holds``,
 ``_des_case_holds``, ``_pap_case``) in the sweep's loop order, so the case
 count, the witnesses and their order are those of a case-by-case sweep.
 The rows rest on one dilatation at point 0, c, checked once per space
-after the tables (``_check_dilatation``): c is the first element of
+after the tables (``_check_dilatation``): c is the first power in
 ``stabilizer0`` whose cycles on the other points are exactly the lines
 through point 0, the sets ``_linepts_minus[0][x]``; it keeps
 ``_joinclass``; and ``_joinline[0]`` and ``_joinclass[0]`` partition the
@@ -225,13 +222,12 @@ class GroupSpace:
         for i, (cx, cy) in enumerate(canon):
             at[cx * q + cy] = i
 
-        self.translations, self.translation_perms = self._translation_perms()
+        self._gen_perms = [self.point_perm(g) for g in self._gens]
+        translations, self.stabilizer0 = self._schreier()
         # the orbit of each point under the stabilizer of point 0, numbered
         # in order of least point; the first is point 0's own
-        self.stabilizer0 = delta.stabilizer(self.points[0])
-        stab0 = [self.point_perm(f) for f in self.stabilizer0]
         orbit_ids: dict[tuple[int, ...], int] = {}
-        orbit_of = [orbit_ids.setdefault(tuple(sorted({perm[k] for perm in stab0})),
+        orbit_of = [orbit_ids.setdefault(tuple(sorted({p[k] for p in self.stabilizer0})),
                                          len(orbit_ids)) for k in range(n)]
         self._orbits0 = orbits = list(orbit_ids)
 
@@ -243,7 +239,7 @@ class GroupSpace:
         minus_rows: list[list[tuple | None]] = []
         bases: dict[tuple, list[int]] = {}
         kinds: dict[int, str] = {}
-        for i, trans in enumerate(self.translation_perms):
+        for i, trans in enumerate(translations):
             row, minus = [], [None]
             for o, line0 in enumerate(lines0, 1):
                 ids = tuple(sorted(map(trans.__getitem__, line0)))
@@ -260,7 +256,6 @@ class GroupSpace:
                 minus.append(rest)
             keys.append(row)
             minus_rows.append(minus)
-        self._gen_perms = [self.point_perm(g) for g in self._gens]
 
         # a parallel class is a Stab(0)-orbit; its id is its least line index
         line_index: dict[tuple, int] = {}
@@ -282,7 +277,7 @@ class GroupSpace:
         bit = [1 << j for j in range(n)]
         self._joinline, self._joinclass, self._linepts_minus = [], [], []
         self._byclass, self._witmask = [], []
-        for trans, row, minus in zip(self.translation_perms, keys, minus_rows):
+        for trans, row, minus in zip(translations, keys, minus_rows):
             # the orbit of T_i⁻¹(j) for each j, that is r[T_i(k)] = orbit of k
             r = [0] * n
             for k, j in enumerate(trans):
@@ -294,23 +289,36 @@ class GroupSpace:
             self._byclass.append([minus[o] for o in by_position])
             self._witmask.append([sum(map(bit.__getitem__, minus[o])) for o in by_position])
 
-    def _translation_perms(self) -> tuple[list[PencilAut], list[list[int]]]:
-        """The translations and their point permutations, the i-th carrying
-        point 0 to point i.  The translations must act regularly on the
-        points, or the build raises ``translations_not_regular``."""
-        reach: list[list[PencilAut]] = [[] for _ in range(self.n)]
-        perms = {}
-        for f in self.delta.translations:
-            perms[f] = perm = self.point_perm(f)
-            if perm[0] >= 0:
-                reach[perm[0]].append(f)
-        bad = [{"point": repr(self.points[i]), "translations": [list(f) for f in fs]}
-               for i, fs in enumerate(reach) if len(fs) != 1]
-        if bad or len(self.delta.translations) != self.n:
-            raise GeometryError("the translations do not carry point 0 to every "
-                                "point exactly once", code="translations_not_regular",
-                                witnesses=bad[:1])
-        return [f for f, in reach], [perms[f] for f, in reach]
+    def _schreier(self) -> tuple[list[list[int]], list[list[int]]]:
+        """T_i for every point i, a word in the units found by a walk from
+        point 0, and Stab(0), the powers of s = T_k m, k = T_{m(0)}⁻¹(0).
+        ``translations_not_regular`` unless no unit leaves the space and
+        each unit after each T_i is the T_j of its image j of point 0.  s
+        fixes point 0, so ⟨s⟩ meets the translations only in 1, and the
+        generators give all of Δ and Stab(0) if n·|⟨s⟩| = |Δ|, else
+        ``generators_not_closed``.  At most |Δ|/n powers are listed."""
+        (m, *units), n, order = self._gen_perms, self.n, len(self.delta.elements)
+        trans: list[list[int] | None] = [list(range(n))] + [None] * (n - 1)
+        walk, clash = [] if any(-1 in u for u in units) else [0], []
+        for i in walk:
+            for t in [list(map(u.__getitem__, trans[i])) for u in units]:
+                if trans[t[0]] is None:
+                    trans[t[0]] = t
+                    walk.append(t[0])
+                elif trans[t[0]] != t:
+                    clash.append(t[0])
+        if clash or len(walk) != n:
+            p = self.points[(clash or [trans.index(None)])[0]]
+            raise GeometryError("the unit translations do not act regularly",
+                                code="translations_not_regular", witnesses=[{"point": repr(p)}])
+        s = list(map(trans[trans[m[0]].index(0)].__getitem__, m))
+        powers = [trans[0], s]
+        while powers[-1] != trans[0] and len(powers) * n <= order:
+            powers.append(list(map(s.__getitem__, powers[-1])))
+        if powers.pop() != trans[0] or -1 in m or len(powers) * n != order:
+            raise GeometryError(f"the generators do not give the {order} elements of "
+                                "the group", code="generators_not_closed")
+        return trans, powers
 
     def _closed_form(self, x: int, y: int, canon: list[tuple[int, int]],
                      at: list[int]) -> tuple[str, tuple[int, ...]]:
@@ -520,12 +528,12 @@ class GroupSpace:
     def _check_dilatation(self) -> list[int]:
         """The second half of the certificate of every T, Des and Pap row,
         after ``_check_tables``; returns c, a dilatation at point 0 (see
-        "Row sweeps").  (a) c is the point permutation of the first element
-        of ``stabilizer0`` that fixes point 0 and whose cycles on the other
-        points are exactly the lines through it, the sets
-        ``_linepts_minus[0][x]``; (b) c keeps ``_joinclass``; (c)
-        ``_joinline[0]`` and ``_joinclass[0]`` partition the other points
-        alike, so one line of each class passes through point 0."""
+        "Row sweeps").  (a) c is the first power in ``stabilizer0`` that
+        fixes point 0 and whose cycles on the other points are exactly the
+        lines through it, the sets ``_linepts_minus[0][x]``; (b) c keeps
+        ``_joinclass``; (c) ``_joinline[0]`` and ``_joinclass[0]`` partition
+        the other points alike, so one line of each class passes through
+        point 0."""
         self.certify()
         n, jl, jc = self.n, self._joinline, self._joinclass
         lines = set(self._linepts_minus[0][1:])
@@ -541,7 +549,7 @@ class GroupSpace:
                     return False
             return perm[0] == 0
 
-        c = next(filter(turns, map(self.point_perm, self.stabilizer0)), None)
+        c = next(filter(turns, self.stabilizer0), None)
         if c is None:
             raise GeometryError("no element of the stabilizer of point 0 turns "
                                 "each line through it", code="not_equivariant")

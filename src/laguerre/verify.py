@@ -13,17 +13,17 @@ symmetry checked first, each generator orbit by ``autgroup.require_reach``
 (Kaski and Östergård's isomorph rejection): T4.2 the circle (0, 0, 0),
 along shifts that pass ``PermutationMap.verified``; C2.1 the invariant
 circles at point 0, along the translations, each re-checked where it lands;
-T3.2 normality on the generators, checked to close to Δ, and the
-factorization at point 0, the unit translations checked to close to T;
+T3.2 normality on the generators, which the residual build checks give Δ,
+and the factorization at point 0, the units checked to close to T;
 C3.3 Pgm at the ``orbit`` budget, the join tables certified equivariant and
 the class and line tables against them; C3.4 one line per class, the classes
 checked to partition the lines and each reached by ``reach``.  The other
 fifteen rest on one certificate, ``_Ctx.transport``: the unit translations
 (1, 1, 0) and (1, 0, 1), as point permutations that pass
 ``PermutationMap.verified``, fix the vertex generator pointwise, permute the
-pencil members, carry point 0 to every residual point and are the group's
-own action, and ``GroupSpace.certify`` passes.  They then carry point 0 to
-every residual point, the member y = 0 to every member (each residual point
+pencil members and are the group's own action, and ``GroupSpace.certify``
+passes.  They then carry point 0 to every residual point (the residual
+build checks it), the member y = 0 to every member (each residual point
 lies on one) and the circle (a, 0, 0) to every circle (a, b, c), a != 0,
 keeping every plane, pencil and join fact.  So P2.1, L4.2 and P4.6 run the
 ordered residual pairs at x = point 0; P2.4 the circles based at point 0;
@@ -214,13 +214,18 @@ class _Ctx:
                 for r in self.space.points}
 
     @cached_property
+    def translations(self) -> list[PencilAut]:
+        """T_r = (1, x, y), carrying point 0, A(0,0), to each r = A(x, y)."""
+        return [PencilAut(1, r.x, r.y) for r in self.space.points]
+
+    @cached_property
     def stabilizers(self) -> dict[Point, list[PencilAut]]:
-        """Each point's stabilizer, in residual and (k, t, g) order: the space's
-        Stab(0) conjugated by T_r.  Δ is transitive, so |Δ|/q² elements fixing
-        r are Stab(r); anything else raises ``stabilizer_mismatch``."""
-        gf, delta, space = self.plane.gf, self.delta, self.space
-        stab0, out = space.stabilizer0, {}
-        for r, T in zip(space.points, space.translations):
+        """Each point's stabilizer, in residual and (k, t, g) order: Stab(0),
+        one scan of the group, conjugated by T_r.  Δ is transitive, so |Δ|/q²
+        elements fixing r are Stab(r); else ``stabilizer_mismatch``."""
+        gf, delta, points = self.plane.gf, self.delta, self.space.points
+        stab0, out = delta.stabilizer(points[0]), {}
+        for r, T in zip(points, self.translations):
             Ti, i = aut_inverse(gf, T), self.plane.point_index[r]
             stab = sorted({aut_compose(gf, aut_compose(gf, T, s), Ti) for s in stab0})
             if len(stab) * self.q ** 2 != len(delta.elements) or any(
@@ -232,8 +237,8 @@ class _Ctx:
 
     @cached_property
     def unit_translations(self) -> list[PencilAut]:
-        """(1, 1, 0) and (1, 0, 1), checked to close to all q² translations."""
-        units = [PencilAut(1, 1, 0), PencilAut(1, 0, 1)]
+        """The unit generators, checked to close to all q² translations."""
+        units = self.delta.generators()[1:]
         require_reach(IDENTITY, [partial(aut_compose, self.plane.gf, u) for u in units],
                       self.delta.translations, "translations_not_closed", "the identity",
                       "translations")
@@ -268,27 +273,20 @@ class _Ctx:
         """Point 0, once ``unit_maps`` are certified to carry the cases at
         point 0 or on the member y = 0 to every case: each must fix the
         vertex generator pointwise and permute ``members``
-        (``pencil_not_fixed``), together they must carry point 0 to every
-        residual point (``not_transitive``), each must be the group's action
-        of its unit translation (``not_equivariant``), and the join tables
-        must pass ``GroupSpace.certify``, which makes them equivariant under
-        the group's generators, the unit translations among them."""
-        space, delta = self.space, self.delta
-        generator, members = delta.base_generator_points(), set(self.members)
+        (``pencil_not_fixed``) and be the group's unit translation, which the
+        space build walks to every point (``not_equivariant``); and the join
+        tables must pass ``GroupSpace.certify``, under the same generators."""
+        generator, members = self.delta.base_generator_points(), set(self.members)
         for u, m in zip(self.unit_translations, self.unit_maps):
             if (any(m.apply_point(p) != p for p in generator)
                     or set(map(m.apply_circle, self.members)) != members):
                 raise GeometryError(f"the unit translation {list(u)} does not fix the "
                                     "pencil", code="pencil_not_fixed")
-        p0 = space.points[0]
-        require_reach(p0, [m.apply_point for m in self.unit_maps], space.points,
-                      "not_transitive", repr(p0), "residual points")
-        for u, m in zip(self.unit_translations, self.unit_maps):
-            if m.perm != delta.perm(u):
+            if m.perm != self.delta.perm(u):
                 raise GeometryError(f"the unit translation {list(u)} is not the "
                                     "group's", code="not_equivariant")
-        space.certify()
-        return p0
+        self.space.certify()
+        return self.space.points[0]
 
     @cached_property
     def equiv_report(self) -> Report:
@@ -557,7 +555,7 @@ def _check_c2_1(ctx: _Ctx):
     invariant0 = [C for C in plane.circles if all(apply(f, C) == C for f in stab0)]
     cases, bad = 0, []
     off_vertex_invariant = 0
-    for (r, stab), T in zip(ctx.stabilizers.items(), space.translations):
+    for (r, stab), T in zip(ctx.stabilizers.items(), ctx.translations):
         for C in sorted(apply(T, C0) for C0 in invariant0):  # circle order
             if not all(apply(f, C) == C for f in stab):
                 raise GeometryError(f"{list(C)} is not invariant at {r!r}", code="not_equivariant")
@@ -725,9 +723,10 @@ def _check_p3_2(ctx: _Ctx):
 
 
 def _check_t3_2(ctx: _Ctx):
-    """The normalizer of T is a group, so the generators suffice.  T is a
-    group and |T| |Stab(r)| = |Δ|, so the factorization at point 0 gives it
-    at r: T·Stab(r) = T·T_r·Stab(0)·T_r⁻¹ = T·Stab(0)·T_r⁻¹ = Δ·T_r⁻¹ = Δ."""
+    """The normalizer of T is a group, and the generators give Δ (the
+    residual build, ``ctx.space``, read first, checks it), so they suffice.
+    T is a group and |T| |Stab(r)| = |Δ|, so the factorization at point 0
+    gives it at r: T·Stab(r) = T·T_r·Stab(0)·T_r⁻¹ = T·Stab(0)·T_r⁻¹ = Δ."""
     delta, gf, q = ctx.delta, ctx.plane.gf, ctx.q
     cases, bad = 0, []
     translations = delta.translations
@@ -795,17 +794,16 @@ def _check_c3_4(ctx: _Ctx):
     space = ctx.space
     moves = [[space.line_image(perm, line).index for line in space.lines].__getitem__
              for perm in map(space.point_perm, ctx.unit_translations)]
-    nt = len(space.translations)
     cases, bad = 0, []
     if sorted(itertools.chain(*space.class_members.values())) != list(range(len(space.lines))):
         bad.append({"problem": "classes_not_a_partition"})
     for ids in space.class_members.values():
-        cases += nt
+        cases += space.n  # the translations, one per point
         reached = reach(ids[0], moves)
         if reached != set(ids):
             bad.append({"line": ids[0], "orbit_size": len(reached),
                         "class_size": len(ids)})
-    return cases, bad, _orbit(nt * len(space.lines))
+    return cases, bad, _orbit(space.n * len(space.lines))
 
 
 def _p4_1_on(ctx: _Ctx, L: Circle, fam: TangentFamily):

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from laguerre import (Circle, DeltaGroup, GeometryError, LaguerrePlane,
+from laguerre import (Circle, DeltaGroup, GeometryError, GroupSpace, LaguerrePlane,
                       PencilAut, PermutationMap, affine, canonical_pencil,
                       classify_by_scan, ideal, verify_a1a2a3)
 from laguerre import autgroup
@@ -181,13 +181,15 @@ def test_translations_and_generators(delta5, plane5):
     assert delta5.generators() == [PencilAut(2, 0, 0), PencilAut(1, 1, 0),
                                    PencilAut(1, 0, 1)]
     # a subgroup holds only its own translations, and the three generators
-    # close to more than it
+    # give more than it: the residual build finds it
     pencil = canonical_pencil(plane5)
     sub = DeltaGroup(plane5, pencil, delta5.elements[::2], None)
     assert sub.translations == delta5.translations[::2]
+    assert sub.generators() == delta5.generators()
     with pytest.raises(GeometryError) as e:
-        sub.generators()
+        GroupSpace.build(plane5, pencil, sub, check_preconditions=False)
     assert e.value.code == "generators_not_closed"
+    assert "do not give the 50 elements" in str(e.value)
 
 
 def test_translations_normal_and_commutative(delta5, plane5):

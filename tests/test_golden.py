@@ -8,14 +8,16 @@ module (the stdout of ``theorems run``, ``skewaffine verify --axiom all``,
 ``plane verify`` and ``group verify --pencil p:1,2``, each with ``--q 11
 --json``), and the q=13 ``*.sha256`` files, each of which holds only the
 sha256 of the file that one q=13 ``export`` writes (the space, the space
-on the pencil ``p:1,2`` in ``export_q13_space_p1_2.sha256``, the plane,
-and the group on ``p:1,2``) or of the stdout of ``theorems run --q 13
+on the pencil ``p:1,2`` in ``export_q13_space_p1_2.sha256`` and on
+``ideal:2@K:2,1,3`` in ``export_q13_space_ideal2_K2_1_3.sha256``, the
+plane, and the group on ``p:1,2``) or of the stdout of ``theorems run --q 13
 --json``, ``skewaffine verify --q 13 --axiom all --json`` or ``plane
 verify --q 13 --json``; ``theorems_q17.sha256``, ``skewaffine_q17.sha256``
 and ``group_q17_p1_2.sha256`` pin the stdout of ``theorems run --q 17
 --json``, ``skewaffine verify --q 17 --axiom all --json`` and ``group verify
 --q 17 --pencil p:1,2 --json`` the same way, and ``export_q17_space.sha256``
-the file that ``export --q 17 --what space`` writes.
+and ``export_q17_space_p1_2.sha256`` the files that ``export --q 17 --what
+space`` writes on the canonical pencil and on ``p:1,2``.
 """
 
 import os

@@ -212,7 +212,9 @@ def test_build_checks_only_a1_a2(monkeypatch):
         delta.verify_axioms()
 
 
-def test_build_rejects_generators_not_closed(plane5):
+def test_build_rejects_generators_not_closed(plane5, monkeypatch):
+    # a group of the translations alone, which the scaling leaves; and the
+    # whole group with the scaling cut to -1, which gives only k = ±1
     pencil = canonical_pencil(plane5)
     full = DeltaGroup.build(plane5, pencil)
     translations = DeltaGroup(plane5, pencil,
@@ -220,39 +222,46 @@ def test_build_rejects_generators_not_closed(plane5):
     with pytest.raises(GeometryError) as e:
         GroupSpace.build(plane5, pencil, translations, check_preconditions=False)
     assert e.value.code == "generators_not_closed"
-
-
-def test_build_rejects_join_mismatch(plane5):
-    # with an extra unit shift in y one element fixes no point any more, so
-    # it leaves every stabilizer and the orbit route misses points
-    pencil = canonical_pencil(plane5)
-    delta = DeltaGroup.build(plane5, pencil)
-    true_image = delta.image
-
-    def bent(f, i):
-        img = true_image(f, i)
-        if f == PencilAut(4, 0, 0) and img < 25:
-            x, y = divmod(img, 5)
-            return x * 5 + (y + 1) % 5
-        return img
-
-    delta.image = bent
+    monkeypatch.setattr(full, "generators", lambda: [PencilAut(4, 0, 0), PencilAut(1, 1, 0),
+                                                     PencilAut(1, 0, 1)])
     with pytest.raises(GeometryError) as e:
-        GroupSpace.build(plane5, pencil, delta, check_preconditions=False)
+        GroupSpace.build(plane5, pencil, full, check_preconditions=False)
+    assert e.value.code == "generators_not_closed"
+
+
+def test_build_rejects_join_mismatch(monkeypatch):
+    # the scaling conjugated by the swap of A(1,1) and A(1,2), no
+    # automorphism: it still fixes point 0 and has order q - 1, so the
+    # generators pass the order check, but its orbits are no circle lines
+    plane, pencil, delta = _fresh(5)
+    true_perm, scaling = delta.perm, delta.generators()[0]
+    a, b = plane.point_index[affine(1, 1)], plane.point_index[affine(1, 2)]
+    swap = {a: b, b: a}
+
+    def bent(f):
+        perm = true_perm(f)
+        if f != scaling:
+            return perm
+        return [swap.get(j, j) for j in (perm[swap.get(i, i)] for i in range(len(perm)))]
+
+    monkeypatch.setattr(delta, "perm", bent)
+    with pytest.raises(GeometryError) as e:
+        GroupSpace.build(plane, pencil, delta, check_preconditions=False)
     assert e.value.code == "join_mismatch"
 
 
 @pytest.mark.parametrize("q", (5, 7))
 def test_build_rejects_a_stabilizer_cut_to_plus_minus_one(q, monkeypatch):
-    # with k = ±1 alone point 0's stabilizer orbits split each circle line
-    # into halves, so the orbit route's point sets fall short of the
-    # closed-form circles
+    # the subgroup k = ±1, generated by the scaling -1 and the unit
+    # translations, passes the order check; but point 0's stabilizer orbits
+    # split each circle line into halves, so the orbit route's point sets
+    # fall short of the closed-form circles
     plane, pencil, delta = _fresh(q)
-    true_stabilizer = delta.stabilizer
-    monkeypatch.setattr(delta, "stabilizer", lambda x: [
-        f for f in true_stabilizer(x) if f.k in (1, q - 1)])
+    sub = DeltaGroup(plane, pencil, [f for f in delta.elements if f.k in (1, q - 1)], None)
+    monkeypatch.setattr(sub, "generators",
+                        lambda: [PencilAut(q - 1, 0, 0)] + delta.generators()[1:])
     with pytest.raises(GeometryError) as e:
-        GroupSpace.build(plane, pencil, delta, check_preconditions=False)
+        GroupSpace.build(plane, pencil, sub, check_preconditions=False)
     assert e.value.code == "join_mismatch"
 
 
@@ -279,42 +288,47 @@ def _fresh(q, pencil=None):
     return plane, pencil, DeltaGroup.build(plane, pencil)
 
 
+def _bend_unit(monkeypatch, delta, bend):
+    """``delta.perm`` with the permutation of the unit (1, 0, 1) bent."""
+    monkeypatch.setattr(delta, "perm", lambda f: bend(DeltaGroup.perm(delta, f))
+                        if f == PencilAut(1, 0, 1) else DeltaGroup.perm(delta, f))
+
+
 def test_build_rejects_translations_that_are_not_regular(monkeypatch):
-    # two translations carry point 0 to one point and none reaches another;
-    # the build stops before it joins any pair
+    # the unit y -> y + 1 replaced by x -> x + 1, which reaches q points
+    # only, or bent to carry A(0,0) onto the vertex generator: no word
+    # reaches A(0,1), and the build stops before it joins any pair
     plane, pencil, delta = _fresh(5)
-    doubled = list(delta.translations)
-    doubled[1] = doubled[2]
-    monkeypatch.setattr(delta, "translations", doubled)
+    x_unit, vertex = delta.perm(PencilAut(1, 1, 0)), plane.point_index[ideal(0)]
+
+    def off_space(perm):
+        perm[0], perm[vertex] = perm[vertex], perm[0]
+        return perm
 
     def no_join(*args):
         raise AssertionError("a join was computed")
 
     monkeypatch.setattr(GroupSpace, "_closed_form", no_join)
-    with pytest.raises(GeometryError) as e:
-        GroupSpace.build(plane, pencil, delta, check_preconditions=False)
-    assert e.value.code == "translations_not_regular"
-    assert e.value.witnesses == [{"point": "A(0,1)", "translations": []}]
+    for bend in (lambda perm: x_unit, off_space):
+        _bend_unit(monkeypatch, delta, bend)
+        with pytest.raises(GeometryError) as e:
+            GroupSpace.build(plane, pencil, delta, check_preconditions=False)
+        assert e.value.code == "translations_not_regular"
+        assert e.value.witnesses == [{"point": "A(0,1)"}]
 
 
 def test_build_rejects_a_translation_bent_off_point_0(monkeypatch):
-    # the bent translation still carries point 0 where it should, so the
-    # translations stay regular, but it moves the joins it transports
+    # the bent unit still carries point 0 where it should and reaches every
+    # point, but two of its words to one point disagree off point 0
     plane, pencil, delta = _fresh(5)
-    true_perm = delta.perm
     bent_at = {plane.point_index[affine(1, 1)]: plane.point_index[affine(1, 2)],
                plane.point_index[affine(1, 2)]: plane.point_index[affine(1, 1)]}
-
-    def bent(f):
-        perm = true_perm(f)
-        if f != PencilAut(1, 2, 3):
-            return perm
-        return [perm[bent_at.get(i, i)] for i in range(len(perm))]
-
-    monkeypatch.setattr(delta, "perm", bent)
+    _bend_unit(monkeypatch, delta,
+               lambda perm: [perm[bent_at.get(i, i)] for i in range(len(perm))])
     with pytest.raises(GeometryError) as e:
         GroupSpace.build(plane, pencil, delta, check_preconditions=False)
-    assert e.value.code == "join_mismatch"
+    assert e.value.code == "translations_not_regular"
+    assert e.value.witnesses == [{"point": "A(1,1)"}]
 
 
 @pytest.mark.parametrize("q", (3, 5))
@@ -421,11 +435,23 @@ def test_transported_orbits_match_the_per_point_route(q, pencil):
                                          gs._linepts_minus[i][j]) is gs._linepts_minus[i][j]
 
 
-def test_translation_perms_carry_point_0_to_each_point(space5):
-    for i, perm in enumerate(space5.translation_perms):
-        assert perm[0] == i
-    want = {tuple(space5.point_perm(f)) for f in space5.delta.translations}
-    assert set(map(tuple, space5.translation_perms)) == want
+@pytest.mark.parametrize("q", (3, 5, 7, 11))
+@pytest.mark.parametrize("pencil", ["canonical", "p:1,2", "ideal:2@K:2,1,3"])
+def test_generator_words_match_the_scanned_group(q, pencil):
+    # the scans the build retired, as oracles: the words in the unit
+    # translations are the scanned translations ordered by the image of
+    # point 0, and the powers of s are the scanned stabilizer of point 0.
+    # Off the canonical pencil the scaling moves point 0 from q = 5 on, so
+    # s = T⁻¹ m needs its translation factor
+    make = {"canonical": None, "p:1,2": lambda pl: pl.pencil(affine(1, 2), Circle(0, 0, 2)),
+            "ideal:2@K:2,1,3": lambda pl: pl.pencil(ideal(2), Circle(2, 1, 3 % q))}
+    gs = GroupSpace.build(*_fresh(q, make[pencil]), check_preconditions=False)
+    scanned = sorted(map(gs.point_perm, gs.delta.translations), key=lambda perm: perm[0])
+    assert gs._schreier()[0] == scanned
+    assert {tuple(perm) for perm in map(gs.point_perm, gs.delta.stabilizer(gs.points[0]))} \
+        == set(map(tuple, gs.stabilizer0))
+    assert len(gs.stabilizer0) == q - 1
+    assert (gs._gen_perms[0][0] != 0) == (pencil != "canonical") or q == 3
 
 
 def test_axiom_reports_exhaustive_small(space3):
@@ -1018,27 +1044,28 @@ def test_t_transport_needs_each_certificate_clause(plane5, delta5, damage, axiom
 
 
 def _cut_stabilizer(gs):
-    # (a) no element turns each line through point 0
-    gs.stabilizer0 = [PencilAut(1, 0, 0)]
+    # (a) Stab(0) cut to the identity: no power turns each line through it
+    gs.stabilizer0 = [list(range(gs.n))]
 
 
 def _rotate_lines(gs):
-    # (b) every element of stabilizer0 acts as the rotation of each line
-    # through point 0 in index order: the right cycles, the wrong classes
+    # (b) Stab(0) cut to the rotation of each line through point 0 in index
+    # order: the right cycles, the wrong classes
     rotation = list(range(gs.n))
     for line in set(gs._linepts_minus[0][1:]):
         for k, j in enumerate(line):
             rotation[j] = line[(k + 1) % len(line)]
-    gs.point_perm = lambda f: rotation
+    gs.stabilizer0 = [rotation]
 
 
 def _split_a_line(gs):
     # (c) the generators cut to the unit translations, and one point of a
     # circle line through point 0 moved onto the straight line through it,
     # along every translation, so the join lines stay equivariant
+    translations = gs._schreier()[0]
     _unit_translations(gs)
     j, j2 = gs._byclass[0][3][0], gs._byclass[0][2][0]
-    for i, trans in enumerate(gs.translation_perms):
+    for i, trans in enumerate(translations):
         gs._joinline[i][trans[j]] = gs._joinline[i][trans[j2]]
 
 
@@ -1097,7 +1124,7 @@ def test_certificates_are_checked_lazily_and_only_where_read():
     assert set(gs._certificates) == {"_check_tables"}
     gs.check_axiom("Pap")
     c = gs._certificates["_check_dilatation"]
-    assert c in list(map(gs.point_perm, gs.stabilizer0))
+    assert c in gs.stabilizer0
     # at q = 3 a line through point 0 has one or two other points
     assert {tuple(sorted({j, c[j]})) for j in range(1, gs.n)} == set(gs._linepts_minus[0][1:])
 

@@ -26,3 +26,18 @@ def test_no_module_imports_another_modules_private_name():
              if isinstance(node, ast.ImportFrom) and node.level >= 1
              for alias in node.names if alias.name.startswith("_")]
     assert found == []
+
+
+def test_the_residual_build_reads_the_group_only_as_permutations():
+    # skewaffine reads Δ as its generators' permutations and its order: no
+    # stabilizer scan, no translation list, no single-point image, and the
+    # element list only inside len(...)
+    tree = ast.parse((SRC / "skewaffine.py").read_text())
+    sized = {id(node.args[0]) for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "len" and node.args}
+    reads = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+             and node.attr in ("stabilizer", "translations", "image", "elements")]
+    assert [f"{node.lineno} {node.attr}" for node in reads
+            if node.attr != "elements" or id(node) not in sized] == []
+    assert any(node.attr == "elements" for node in reads)  # the guard sees the order

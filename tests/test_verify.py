@@ -360,9 +360,9 @@ def test_run_suite_derives_each_plane_fact_once(monkeypatch):
     # point).  The other 106 calls are one per tangency base (100) and six
     # for the one tangent family, of the member y = 0, which T4.2 and the
     # family checks share.  Only point 0's stabilizer is scanned, once, by
-    # the space build; the context conjugates the space's copy along the
-    # translations to every other point (C2.1, T3.2 and the fixed points
-    # read those).
+    # the context, which conjugates it along the translations to every
+    # other point (C2.1, T3.2 and the fixed points read those); the space
+    # build scans none.
     monkeypatch.setattr(verify, "_CTX_CACHE", {})
     ctx = verify._context(5)
     calls = {"pencil_tangent": 0, "circle_through": 0, "pencil_members": 0,
@@ -577,10 +577,11 @@ def test_c3_3_orbit_matches_exhaustive_pgm(q):
 @pytest.mark.parametrize("q", [3, 5])
 def test_c3_4_orbit_matches_every_line_and_translation(q):
     space = verify._context(q).space
+    translations = list(map(space.point_perm, space.delta.translations))
     cases, bad = 0, []
     for line in space.lines:
-        cases += len(space.translation_perms)
-        imgs = {space.line_image(perm, line).index for perm in space.translation_perms}
+        cases += len(translations)
+        imgs = {space.line_image(perm, line).index for perm in translations}
         if imgs != set(space.class_members[line.class_id]):
             bad.append(line.index)
     rep = thm_check("C3.4", q)
@@ -611,10 +612,10 @@ def test_stabilizers_reject_a_conjugate_that_moves_the_point(monkeypatch):
     # the translations to points 1 and 2 swapped: Stab(0) conjugated by the
     # wrong one fixes point 2, not point 1
     monkeypatch.setattr(verify, "_CTX_CACHE", {})
-    space = verify._context(5).space
-    swapped = list(space.translations)
+    ctx = verify._context(5)
+    swapped = list(ctx.translations)
     swapped[1], swapped[2] = swapped[2], swapped[1]
-    monkeypatch.setattr(space, "translations", swapped)
+    ctx.translations = swapped
     with pytest.raises(GeometryError) as e:
         thm_check("C2.1", 5)
     assert e.value.code == "stabilizer_mismatch"
@@ -924,10 +925,12 @@ def test_transport_rejects_a_map_that_does_not_permute_the_members(monkeypatch):
 
 
 def test_transport_rejects_units_that_miss_a_point(monkeypatch):
-    # y -> y + 1 replaced by the identity: x -> x + 1 alone reaches 5 points
+    # y -> y + 1 replaced by the identity: x -> x + 1 alone reaches 5
+    # points, and the identity is not the group's (1, 0, 1), whose
+    # permutation the space build checks to reach every point
     e = _transport_with(monkeypatch, lambda plane: PermutationMap(plane, list(range(30))))
-    assert e.code == "not_transitive"
-    assert "to 5 of the 25 residual points" in str(e)
+    assert e.code == "not_equivariant"
+    assert "[1, 0, 1] is not the group's" in str(e)
 
 
 def test_transport_rejects_a_shift_that_is_not_the_groups(monkeypatch):
