@@ -24,9 +24,9 @@ built.  ``DeltaGroup.perm`` gives an element's whole permutation
 the catalog's transport read it.  ``DeltaGroup.image`` gives one point's
 image (``plane.aut_index``); stabilizers, orbits and A1/A2 read it, and
 ``apply`` is the named Point/Circle boundary over it.  A ``PermutationMap``
-is an index list.  Either carries a circle by mapping its point mask
-(``plane.circle_masks``) and looking the image up in
-``plane.mask_positions``.
+is an index list.  Either carries a circle by OR-ing the image bits of its
+point ids (``plane.circle_ids``): every circle at once in ``verified``, one
+in ``apply`` off the canonical chart (``plane.circle_image``).
 """
 
 from __future__ import annotations
@@ -186,7 +186,7 @@ class DeltaGroup:
 
     def apply(self, f: PencilAut, obj):
         """Act on a Point or a Circle; a circle off the canonical chart goes
-        to the circle whose point mask is the image of its own."""
+        to the circle holding the images of its point ids."""
         plane = self.plane
         if not isinstance(obj, Circle):
             return plane.points[self.image(f, plane.point_index[obj])]

@@ -14,7 +14,8 @@ export             --q N --what W --out FILE   plane/group/space JSON
 
 Pencil SPEC is ``canonical`` (default), ``p:x,y[@K:a,b,c]`` for an affine
 vertex, or ``ideal:a[@K:a,b,c]`` for an ideal vertex; when K is omitted a
-circle through the vertex is chosen (y = y0 resp. y = a x^2).
+circle through the vertex is chosen (y = y0 resp. y = a x^2).  Every
+coordinate is an integer v with 0 <= v < q; any other is a bad spec.
 
 Exit codes: 0 all checks pass or are report-only, 1 some check failed,
 2 usage or configuration error.  ``--json`` emits one stable JSON array;
@@ -104,18 +105,20 @@ def _parse_pencil(plane: LaguerrePlane, spec: str) -> Pencil:
     body, at_k, ktext = spec.partition("@K:")
     try:
         if body.startswith("p:"):
-            x, y = (int(v) % plane.q for v in body[2:].split(","))
+            x, y = map(int, body[2:].split(","))
             p = affine(x, y)
             K = Circle(0, 0, y)
         elif body.startswith("ideal:"):
-            a = int(body[6:]) % plane.q
+            a = int(body[6:])
             p = ideal(a)
             K = Circle(a, 0, 0)
         else:
             raise UsageError(f"bad pencil spec {spec!r}")
         if at_k:
-            a, b, c = (int(v) % plane.q for v in ktext.split(","))
+            a, b, c = map(int, ktext.split(","))
             K = Circle(a, b, c)
+        if not all(0 <= v < plane.q for v in (p.x, p.y, *K)):
+            raise ValueError(spec)
     except (ValueError, IndexError):
         raise UsageError(f"bad pencil spec {spec!r}")
     try:

@@ -6,20 +6,20 @@ of ``y = a x^2 + b x + c`` plus the ideal point ``(inf, a)``; two points are
 parallel when they share a generator (a vertical line, or the ideal
 generator).  Circles are kept as coefficient triples, never as point sets:
 that makes equality canonical and group actions O(1), while point sets are
-derived on demand.  The one stored incidence is a point bitset per circle
-(``circle_masks``, read from ``circle_points`` on first use, and keyed back
-to circle positions ``a*q*q+b*q+c`` by ``mask_positions``): a point's bit is
-its position in ``points`` (affine ``x*q+y``, ideal ``q*q+a``).
+derived on demand.  The one incidence is ``circle_ids``, each circle's
+indices in ``points`` (affine ``x*q+y``, ideal ``q*q+a``); ``circle_points``
+and the bitsets ``circle_masks`` (keyed back to positions ``a*q*q+b*q+c``
+by ``mask_positions``) are read from it, a mask always as an OR of bits.
 
 Plane automorphisms live here too: ``PermutationMap``, a list of point
-indices that carries a circle by mapping its mask (``mask_image``,
-``circle_image``) and is verified against the masks, and the maps built
-from closed forms, ``PermutationMap.from_aut`` (``PencilAut``: its whole
-permutation is ``aut_perm``, its single-point form ``aut_index``),
-``circle_add_map`` and ``inversion_map``.  ``autgroup`` assembles its
-normalizers from them, and the axiom sweep transports along them: one
-sweep runs its four stages over a list of circles, of point pairs and of
-flags.  When six maps pass verification the lists hold orbit
+indices that carries a circle by OR-ing the image bits of its ids
+(``circle_images``, ``circle_image``) and is verified against the masks,
+and the maps built from closed forms, ``PermutationMap.from_aut``
+(``PencilAut``: its whole permutation is ``aut_perm``, its single-point
+form ``aut_index``), ``circle_add_map`` and ``inversion_map``.
+``autgroup`` assembles its normalizers from them, and the axiom sweep
+transports along them: one sweep runs its four stages over a list of
+circles, of point pairs and of flags.  When six maps pass verification the lists hold orbit
 representatives picked by ``reach``; when they fail, every case is its own
 representative.  The closed form ``pencil_members`` is read at the listed
 flags.
@@ -34,8 +34,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
-from operator import itemgetter
+from functools import cached_property, reduce
+from operator import itemgetter, or_
 from typing import Callable, NamedTuple
 
 from .field import GF, SQUARE, ZERO
@@ -160,11 +160,24 @@ class LaguerrePlane:
             return tuple(ideal(a) for a in range(self.q))
         return tuple(affine(gen.x, y) for y in range(self.q))
 
+    @cached_property
+    def circle_ids(self) -> list[tuple[int, ...]]:
+        """Each circle's point indices, ascending, in ``circles`` order: at
+        fixed (a, b) the generator x = const, rotated by a x^2 + b x, holds
+        the point of each c; every tuple shares the ints of ``ix``."""
+        q, ix = self.q, list(range(len(self.points)))
+        rows = [ix[x * q:x * q + q] for x in range(q)]
+        ids: list[tuple[int, ...]] = []
+        for a in range(q):
+            for b in range(q):
+                turn = [(a * x + b) * x % q for x in range(q)]
+                ids += zip(*[r[s:] + r[:s] for r, s in zip(rows, turn)], [ix[q * q + a]] * q)
+        return ids
+
     def circle_points(self, C: Circle) -> tuple[Point, ...]:
-        """The points of ``C`` in ``points`` order, built on every call."""
-        q, (a, b, c) = self.q, C
-        return tuple([Point(AFFINE, x, ((a * x + b) * x + c) % q) for x in range(q)]
-                     + [Point(IDEAL, a, 0)])
+        """The points of ``C``, read from its ``circle_ids``."""
+        self.circle_masks  # not_a_point for an id off the plane
+        return tuple(map(self.points.__getitem__, self.circle_ids[self.circle_position(C)]))
 
     def mask(self, pts) -> int:
         """The bitset of ``pts`` over positions in ``points``."""
@@ -185,8 +198,13 @@ class LaguerrePlane:
     @cached_property
     def circle_masks(self) -> list[int]:
         """The point mask of each circle, in ``circles`` order, read from
-        ``circle_points`` on first use."""
-        return [self.mask(self.circle_points(C)) for C in self.circles]
+        ``circle_ids`` on first use; ``not_a_point`` for an id off the plane."""
+        ids, n = self.circle_ids, len(self.points)
+        lo, hi = min(map(min, ids)), max(map(max, ids))
+        if lo < 0 or hi >= n:
+            raise not_a_point(lo if lo < 0 else hi)
+        bit = [1 << i for i in range(n)]
+        return [reduce(or_, map(bit.__getitem__, t)) for t in ids]
 
     @cached_property
     def mask_positions(self) -> dict[int, int]:
@@ -700,22 +718,11 @@ def aut_perm(q: int, f: PencilAut) -> list[int]:
     return [r + c for r in rows for c in cols] + list(range(q * q, q * q + q))
 
 
-def mask_image(image: Callable[[int], int], m: int) -> int:
-    """The mask of the images under ``image``, a map on point indices, of the
-    points in mask ``m``."""
-    out = 0
-    while m:
-        low = m & -m
-        out |= 1 << image(low.bit_length() - 1)
-        m ^= low
-    return out
-
-
 def circle_image(plane: LaguerrePlane, image: Callable[[int], int], C: Circle) -> Circle:
     """The circle holding the images of ``C``'s points under ``image``:
     ``not_a_circle`` if ``C`` is none, ``not_automorphism`` if that is none."""
-    m = mask_image(image, plane.circle_masks[plane.circle_position(C)])
-    i = plane.mask_positions.get(m)
+    at, ids = plane.mask_positions, plane.circle_ids[plane.circle_position(C)]
+    i = at.get(reduce(or_, [1 << image(j) for j in ids]))
     if i is None:
         raise GeometryError(f"image of {C} is not a circle", code="not_automorphism")
     return plane.circles[i]
@@ -726,8 +733,8 @@ class PermutationMap:
     circles: ``perm[i]`` is the index of the image of ``plane.points[i]``.
 
     This is the closed-form-free oracle: it knows nothing about parameters,
-    only point images, and derives circle images by mapping the point mask
-    of each circle and looking it up in ``plane.mask_positions``.
+    only point images, and derives circle images by OR-ing the image bits
+    of each circle's ids and looking the mask up in ``plane.mask_positions``.
     """
 
     def __init__(self, plane: LaguerrePlane, perm: list[int]):
@@ -744,8 +751,8 @@ class PermutationMap:
     def circle_images(self) -> list[int | None]:
         """Per circle position, the position of the circle holding the images
         of its points, or None where no circle holds them."""
-        image, at = self.perm.__getitem__, self.plane.mask_positions
-        return [at.get(mask_image(image, m)) for m in self.plane.circle_masks]
+        at, img = self.plane.mask_positions, [1 << j for j in self.perm]
+        return [at.get(reduce(or_, map(img.__getitem__, t))) for t in self.plane.circle_ids]
 
     def verify(self) -> tuple[bool, list]:
         """Bijectivity plus circles-to-circles and generators-to-generators."""
@@ -754,10 +761,10 @@ class PermutationMap:
             return False, [{"problem": "not_bijective"}]
         witnesses = [{"problem": "circle_image", "circle": list(C)}
                      for C, i in zip(plane.circles, self.circle_images) if i is None]
-        image = self.perm.__getitem__
-        gens = plane.generator_masks
+        img, gens = [1 << j for j in self.perm], plane.generator_masks
         witnesses += [{"problem": "generator_image", "generator": g.to_json()}
-                      for g, m in zip(plane.generators, gens) if mask_image(image, m) not in gens]
+                      for g, m in zip(plane.generators, gens)
+                      if reduce(or_, map(img.__getitem__, bits(m))) not in gens]
         return not witnesses, witnesses
 
     def verified(self) -> "PermutationMap":

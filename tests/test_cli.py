@@ -59,6 +59,26 @@ def test_empty_k_is_a_bad_pencil_spec(tmp_path, capsys):
         assert not out_file.exists()
 
 
+def test_pencil_coordinates_outside_the_field_are_bad_specs(tmp_path, capsys, monkeypatch):
+    # a coordinate must lie in 0 <= v < q; none may wrap mod q onto another
+    # pencil, and each is refused before the group or the space is built
+    def no_build(*args, **kwargs):
+        raise AssertionError("a group was built")
+
+    monkeypatch.setattr(DeltaGroup, "build", no_build)
+    out_file = tmp_path / "space.json"
+    for spec in ("ideal:7", "ideal:5", "ideal:-1", "p:-1,2", "p:1,5", "p:5,0",
+                 "p:0,0@K:0,0,7", "p:0,0@K:-1,0,0", "ideal:2@K:2,1,-3",
+                 "ideal:2@K:2,1,5", "p:1,2@K:0,0"):
+        for argv in (("group", "verify", "--q", "5", "--pencil", spec, "--json"),
+                     ("export", "--q", "5", "--what", "space", "--pencil", spec,
+                      "--out", str(out_file))):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), (argv, out)
+            assert err == f"error: bad pencil spec {spec!r}\n", (argv, err)
+    assert not out_file.exists()
+
+
 def test_skewaffine_verify(capsys):
     code, out, _ = run_cli(capsys, "skewaffine", "verify", "--q", "3",
                            "--axiom", "all")

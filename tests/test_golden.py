@@ -17,7 +17,9 @@ and ``group_q17_p1_2.sha256`` pin the stdout of ``theorems run --q 17
 --json``, ``skewaffine verify --q 17 --axiom all --json`` and ``group verify
 --q 17 --pencil p:1,2 --json`` the same way, and ``export_q17_space.sha256``
 and ``export_q17_space_p1_2.sha256`` the files that ``export --q 17 --what
-space`` writes on the canonical pencil and on ``p:1,2``.
+space`` writes on the canonical pencil and on ``p:1,2``; ``plane_q23.sha256``
+and ``group_q23_ideal2_K2_1_3.sha256`` pin the stdout of ``plane verify --q
+23 --json`` and ``group verify --q 23 --pencil ideal:2@K:2,1,3 --json``.
 """
 
 import os

@@ -1,9 +1,10 @@
 import itertools
+from functools import cached_property
 
 import pytest
 
-from laguerre import (Circle, GeometryError, LaguerrePlane, PermutationMap, affine,
-                      canonical_pencil, ideal)
+from laguerre import (Circle, DeltaGroup, GeometryError, LaguerrePlane, PermutationMap,
+                      affine, canonical_pencil, ideal)
 from laguerre import plane as plane_module
 from laguerre.plane import Pencil
 from laguerre.report import run_check
@@ -234,15 +235,109 @@ def test_incidence_masks_match_closed_forms(q):
         assert (cm[i] & cm[j]).bit_count() == pl.intersection_size(C1, C2)
 
 
-class _MovedPoint(LaguerrePlane):
-    """Incidence fault: circle (1,2,3) holds A(0,4) instead of A(0,3), a
-    point moved along its generator."""
+def _closed_form_points(pl, C):
+    """The points of ``C`` from its equation, as ``Point`` tuples in
+    ``points`` order: the oracle for ``circle_ids`` and ``circle_points``."""
+    return tuple([affine(x, pl.evaluate(C, x)) for x in range(pl.q)] + [ideal(C.a)])
 
-    def circle_points(self, C):
-        pts = super().circle_points(C)
-        if C == Circle(1, 2, 3):
-            pts = tuple(sorted(affine(0, 4) if p == affine(0, 3) else p for p in pts))
-        return pts
+
+def _bit_loop_images(pm):
+    """``pm.circle_images`` by the retired bit loop: each circle's image mask
+    built one set bit at a time, then looked up."""
+    def image(m):
+        out = 0
+        while m:
+            low = m & -m
+            out |= 1 << pm.perm[low.bit_length() - 1]
+            m ^= low
+        return out
+
+    return [pm.plane.mask_positions.get(image(m)) for m in pm.plane.circle_masks]
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_circle_ids_match_incidence_and_the_retired_encodings(q):
+    pl = LaguerrePlane(q)
+    for C, ids in zip(pl.circles, pl.circle_ids):
+        assert [i for i, p in enumerate(pl.points) if pl.incident(p, C)] == list(ids)
+        assert pl.circle_points(C) == _closed_form_points(pl, C)
+    assert pl.circle_masks == [pl.mask(_closed_form_points(pl, C)) for C in pl.circles]
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_circle_images_match_the_retired_bit_loop(q):
+    pl = LaguerrePlane(q)
+    maps = pl._certified_maps()
+    assert len(maps) == 6
+    for pencil in (canonical_pencil(pl), pl.pencil(affine(1, 2), Circle(0, 0, 2)),
+                   pl.pencil(ideal(2), Circle(2, 1, 3 % q))):
+        delta = DeltaGroup.build(pl, pencil)
+        maps += [PermutationMap(pl, delta.perm(f)) for f in delta.elements]
+    for pm in maps:
+        assert pm.circle_images == _bit_loop_images(pm)
+    C = Circle(1, 2, 0)
+    for pm in maps[:6]:
+        assert pm.apply_circle(C) == pl.circles[_bit_loop_images(pm)[pl.circle_position(C)]]
+
+
+def test_a_map_sending_two_points_of_a_circle_to_one_index_is_refused(plane5):
+    # A(1,0) goes where A(0,0) goes: the image of a circle through A(1,0)
+    # holds five points if the circle passes A(0,0) too, else two points of
+    # x = 0; neither is a circle, and every other circle keeps its place
+    pm = PermutationMap(plane5, list(range(len(plane5.points))))
+    pm.perm[5] = 0
+    moved = [i for i, ids in enumerate(plane5.circle_ids) if 5 in ids]
+    assert plane5.circle_position(Circle(0, 0, 0)) in moved
+    assert pm.circle_images == [None if i in moved else i for i in range(len(plane5.circles))]
+    assert pm.verify() == (False, [{"problem": "not_bijective"}])
+
+
+class _RepeatedId(LaguerrePlane):
+    """Incidence fault: y = 0 lists the ids of y = 1 with A(0,1) replaced by
+    A(0,0), twice.  Summed, the two bits of A(0,0) would carry into the bit
+    of A(0,1) and alias y = 1."""
+
+    @cached_property
+    def circle_ids(self):
+        ids = list(super().circle_ids)
+        one = ids[self.circle_position(Circle(0, 0, 1))]
+        assert one[0] == 1  # A(0,1)
+        ids[self.circle_position(Circle(0, 0, 0))] = (0, 0) + one[1:]
+        return ids
+
+
+def test_a_circle_repeating_an_index_matches_no_circle():
+    pl = _RepeatedId(5)
+    y0 = pl.circle_position(Circle(0, 0, 0))
+    assert pl.circle_masks[y0] == pl.mask(map(pl.points.__getitem__, set(pl.circle_ids[y0])))
+    assert pl.circle_masks[y0] not in LaguerrePlane(5).circle_masks
+    assert len(pl.mask_positions) == len(pl.circles)
+    identity = PermutationMap(pl, list(range(len(pl.points))))
+    assert identity.circle_images == list(range(len(pl.circles)))
+
+
+class _Moved(LaguerrePlane):
+    """Incidence fault: ``circle`` holds the point ``new`` instead of ``old``.
+    The fault is written into ``circle_ids``, the plane's one incidence
+    source, from which its masks and ``circle_points`` are read; ``new`` is a
+    point, or a raw index for an id that names no point."""
+
+    circle = old = new = None
+
+    @cached_property
+    def circle_ids(self):
+        ids = list(super().circle_ids)
+        pos, old = self.circle_position(self.circle), self.point_index[self.old]
+        new = self.new if isinstance(self.new, int) else self.point_index[self.new]
+        ids[pos] = tuple(sorted(new if i == old else i for i in ids[pos]))
+        return ids
+
+
+class _MovedPoint(_Moved):
+    """Circle (1,2,3) holds A(0,4) instead of A(0,3), a point moved along its
+    generator."""
+
+    circle, old, new = Circle(1, 2, 3), affine(0, 3), affine(0, 4)
 
 
 def test_verify_axioms_reports_moved_point_as_join():
@@ -530,18 +625,6 @@ def _retired_sweep(pl):
     return run_check("laguerre-axioms", pl.q, sweep)
 
 
-class _Moved(LaguerrePlane):
-    """Incidence fault: ``circle`` holds the point ``new`` instead of ``old``."""
-
-    circle = old = new = None
-
-    def circle_points(self, C):
-        pts = super().circle_points(C)
-        if C == self.circle:
-            pts = tuple(sorted(self.new if p == self.old else p for p in pts))
-        return pts
-
-
 class _SharedThird(_Moved):
     """y = x^2 holds A(0,1) for A(0,0), so it shares exactly three points
     with y = 1."""
@@ -628,16 +711,27 @@ def test_non_first_member_fault_reported_at_every_base():
 
 
 class _OffThePlane(_Moved):
-    """Incidence fault: y = 0 lists A(0,9), which is not a point of the
-    plane, for A(0,0)."""
+    """Incidence fault: y = 0 lists the index 30, one past the last point of
+    the plane at q = 5, for A(0,0)."""
 
-    circle, old, new = Circle(0, 0, 0), affine(0, 0), affine(0, 9)
+    circle, old, new = Circle(0, 0, 0), affine(0, 0), 30
+
+
+class _BelowThePlane(_OffThePlane):
+    """As ``_OffThePlane`` with the index -1, which a list lookup would
+    silently read as the last point."""
+
+    new = -1
 
 
 def test_a_circle_listing_a_point_off_the_plane_is_not_a_point():
-    with pytest.raises(GeometryError) as e:
-        _OffThePlane(5).verify_axioms()
-    assert (e.value.code, str(e.value)) == ("not_a_point", "A(0,9) is not a point of the plane")
+    for cls in (_OffThePlane, _BelowThePlane):
+        for read in (lambda pl: pl.verify_axioms(), lambda pl: pl.circle_points(pl.circle),
+                     lambda pl: pl.derived_affine(ideal(0))):
+            with pytest.raises(GeometryError) as e:
+                read(cls(5))
+            assert (e.value.code, str(e.value)) == (
+                "not_a_point", f"{cls.new} is not a point of the plane"), cls
 
 
 def test_a_pencil_or_derived_plane_off_the_plane_is_not_a_point(plane5):

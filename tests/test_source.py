@@ -41,3 +41,20 @@ def test_the_residual_build_reads_the_group_only_as_permutations():
     assert [f"{node.lineno} {node.attr}" for node in reads
             if node.attr != "elements" or id(node) not in sized] == []
     assert any(node.attr == "elements" for node in reads)  # the guard sees the order
+
+
+def test_only_the_plane_turns_circle_ids_into_masks():
+    # one point encoding per layer: the plane keeps each circle's point ids
+    # and alone ORs them into masks; the bit loop mask_image is retired
+    found, plane_reads = [], 0
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            name = (getattr(node, "name", None) or getattr(node, "id", None)
+                    or getattr(node, "attr", None))
+            if name == "mask_image":
+                found.append(f"{path.name}:{getattr(node, 'lineno', '?')} mask_image")
+            elif name == "circle_ids" and path.name != "plane.py":
+                found.append(f"{path.name}:{node.lineno} circle_ids")
+            plane_reads += name == "circle_ids" and path.name == "plane.py"
+    assert found == []
+    assert plane_reads  # the guard sees the encoding where it lives
