@@ -22,16 +22,19 @@ normalizer's forward and back index lists, composed once when the group is
 built.  ``DeltaGroup.perm`` gives an element's whole permutation
 (``plane.aut_perm``, one list); the residual plane's point permutations and
 the catalog's transport read it.  ``DeltaGroup.image`` gives one point's
-image (``plane.aut_index``); stabilizers, orbits and A1/A2 read it, and
-``apply`` is the named Point/Circle boundary over it.  A ``PermutationMap``
-is an index list.  Either carries a circle by OR-ing the image bits of its
+image (``plane.aut_index``); orbits and A1/A2 read it, and a stabilizer
+compares ``aut_index`` with one canonical index.  ``apply`` is the named
+Point/Circle boundary; ``circle_images`` carries a list of circles, by the
+closed form ``aut_circles`` on the canonical chart.  A ``PermutationMap`` is
+an index list.  Either carries a circle by OR-ing the image bits of its
 point ids (``plane.circle_ids``): every circle at once in ``verified``, one
-in ``apply`` off the canonical chart (``plane.circle_image``).
+at a time in ``circle_images`` off the canonical chart (``plane.circle_image``).
 """
 
 from __future__ import annotations
 
 from functools import cached_property, partial
+from itertools import chain
 from typing import Iterable
 
 from .field import GF
@@ -53,11 +56,12 @@ AUT_CLASSES = (
 )
 
 
-def aut_circle(gf: GF, f: PencilAut, C: Circle) -> Circle:
-    q = gf.q
+def aut_circles(q: int, f: PencilAut, circles: list[Circle]) -> list[Circle]:
+    """The closed form of ``f`` on each circle of a list, in one comprehension."""
     k, t, g = f
-    return Circle(C.a, (k * C.b - 2 * C.a * t) % q,
-                  (C.a * t * t - k * C.b * t + k * k * C.c + g) % q)
+    new = tuple.__new__  # Circle._make without its length check
+    return [new(Circle, (a, (k * b - 2 * a * t) % q, (a * t * t - k * b * t + k * k * c + g) % q))
+            for a, b, c in circles]
 
 
 def aut_compose(gf: GF, f: PencilAut, h: PencilAut) -> PencilAut:
@@ -185,15 +189,25 @@ class DeltaGroup:
         return list(map(self._fwd.__getitem__, map(p.__getitem__, self._back)))
 
     def apply(self, f: PencilAut, obj):
-        """Act on a Point or a Circle; a circle off the canonical chart goes
-        to the circle holding the images of its point ids."""
+        """Act on a Point or a Circle (``circle_images`` of the one circle)."""
         plane = self.plane
         if not isinstance(obj, Circle):
             return plane.points[self.image(f, plane.point_index[obj])]
-        if self._fwd is None:
-            plane.circle_position(obj)  # not_a_circle off the plane
-            return aut_circle(self.gf, f, obj)
-        return circle_image(plane, partial(self.image, f), obj)
+        return self.circle_images(f, [obj])[0]
+
+    def circle_images(self, f: PencilAut, circles: list[Circle]) -> list[Circle]:
+        """``apply`` on each circle of a list: on the canonical chart the
+        closed form ``aut_circles``, after one range check of the whole list
+        (``not_a_circle``); off it the circle holding the images of each
+        circle's point ids."""
+        plane, q = self.plane, self.plane.q
+        if self._fwd is not None:
+            image = partial(self.image, f)
+            return [circle_image(plane, image, C) for C in circles]
+        coords = set(chain.from_iterable(circles))
+        if coords and (min(coords) < 0 or max(coords) >= q):
+            list(map(plane.circle_position, circles))  # not_a_circle at the first one off
+        return aut_circles(q, f, circles)
 
     @cached_property
     def translations(self) -> list[PencilAut]:
@@ -224,16 +238,19 @@ class DeltaGroup:
         return [p for p in self.plane.points if p not in bad]
 
     def stabilizer(self, x: Point) -> list[PencilAut]:
-        """The elements fixing ``x``."""
+        """The elements fixing ``x``: those whose closed form fixes its
+        canonical index, since the normalizer's index lists are inverse
+        permutations."""
         if x in self.base_generator_points():
             raise GeometryError("point lies on the fixed generator; its "
                                 "stabilizer is the whole group",
                                 code="stabilizer_on_base")
-        i, image = self.plane.point_index[x], self.image
-        return [f for f in self.elements if image(f, i) == i]
+        c, q = self.canonical_index(self.plane.point_index[x]), self.plane.q
+        return [f for f in self.elements if aut_index(q, f, c) == c]
 
     def orbit(self, subset: Iterable[PencilAut], x: Point) -> set[Point]:
-        return {self.apply(f, x) for f in subset}
+        i, points, image = self.plane.point_index[x], self.plane.points, self.image
+        return {points[image(f, i)] for f in subset}
 
     # -- structure checks -----------------------------------------------
 
@@ -307,21 +324,15 @@ class DeltaGroup:
 
 def _check_a3(plane: LaguerrePlane, pencil: Pencil) -> tuple[int, list, dict]:
     """A3, every circle avoiding the vertex has exactly one tangent member,
-    as (cases, witnesses, details).  It reads the circle masks: the members
-    come from one ``pencil_members`` call, and a circle M off the vertex is
-    tangent to the member L exactly when their masks share one bit."""
-    cm, position = plane.circle_masks, plane.circle_position
-    members = [(L, cm[position(L)]) for L in plane.pencil_members(pencil, verify=False)]
-    vertex = 1 << plane.point_index[pencil.p]
+    as (cases, witnesses, details).  It reads the circle masks through
+    ``plane.tangent_hits``: a circle M off the vertex is tangent to the
+    member L exactly when their masks share one bit."""
     cases, bad = 0, []
-    for M, m in zip(plane.circles, cm):
-        if m & vertex:
-            continue
+    for M, hits in plane.tangent_hits(pencil):
         cases += 1
-        hits = [L for L, ml in members if (m & ml).bit_count() == 1]
         if len(hits) != 1:
             bad.append({"axiom": "A3", "circle": list(M),
-                        "tangent_members": sorted(map(list, hits))})
+                        "tangent_members": sorted(list(L) for L, _ in hits)})
     return cases, bad, {"circles": cases, "status": "fail" if bad else "pass"}
 
 

@@ -33,10 +33,9 @@ definition is the only one used.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import itemgetter, or_
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .field import GF, SQUARE, ZERO
 from .report import Report, run_check
@@ -375,6 +374,18 @@ class LaguerrePlane:
                 out.append((L, pts[0]))
         return out
 
+    def tangent_hits(self, pencil: Pencil) -> Iterator[tuple[Circle, list[tuple[Circle, int]]]]:
+        """Each circle avoiding the vertex of ``pencil``, in circle order, with
+        its tangent members as (member, touch bit): the member masks it
+        shares exactly one bit with.  The members come from one
+        ``pencil_members`` call; the masks decide tangency."""
+        cm, position = self.circle_masks, self.circle_position
+        members = [(L, cm[position(L)]) for L in self.pencil_members(pencil, verify=False)]
+        vertex = 1 << self.point_index[pencil.p]
+        for M, m in zip(self.circles, cm):
+            if not m & vertex:
+                yield M, [(L, s) for L, ml in members if (s := m & ml).bit_count() == 1]
+
     def pencil_tangent(self, M: Circle, pencil: Pencil) -> tuple[Circle, Point]:
         """The unique pencil member tangent to ``M`` and the tangency point.
 
@@ -673,8 +684,7 @@ class LaguerrePlane:
         }
 
 
-@dataclass
-class DerivedAffine:
+class DerivedAffine(NamedTuple):
     """Derived affine plane at a point: its points, lines, and axiom report."""
 
     center: Point

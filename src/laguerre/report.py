@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import Callable
 
 PASS = "pass"
@@ -28,16 +28,18 @@ MAX_WITNESSES_SHOWN = 20
 _EXPECTED = "expected 'orbit', 'exhaustive' or 'sample:K' with K > 0"
 
 
-@dataclass
 class Report:
-    check_id: str
-    q: int
-    status: str
-    cases_checked: int = 0
-    elapsed_ms: int = 0
-    witnesses: list = field(default_factory=list)
-    reading_notes: str | None = None
-    details: dict = field(default_factory=dict)
+    """One check's result, equal to a report with equal fields."""
+
+    def __init__(self, check_id: str, q: int, status: str, cases_checked: int = 0,
+                 elapsed_ms: int = 0, witnesses: list | None = None,
+                 reading_notes: str | None = None, details: dict | None = None):
+        self.check_id, self.q, self.status, self.cases_checked = check_id, q, status, cases_checked
+        self.elapsed_ms, self.witnesses = elapsed_ms, [] if witnesses is None else witnesses
+        self.reading_notes, self.details = reading_notes, {} if details is None else details
+
+    def __eq__(self, other):
+        return type(other) is Report and vars(self) == vars(other)
 
     @property
     def ok(self) -> bool:
@@ -69,20 +71,18 @@ class Report:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(namedtuple("Budget", "mode samples seed", defaults=("exhaustive", 0, 0))):
     """Quantifier budget: exhaustive sweep, orbit-reduced exhaustive sweep,
     or deterministic seeded sampling of at least one case.  Any other mode
     raises ``ValueError`` at construction."""
 
-    mode: str = "exhaustive"  # "exhaustive" | "orbit" | "sample"
-    samples: int = 0
-    seed: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.mode not in ("exhaustive", "orbit", "sample") or \
-                (self.mode == "sample" and self.samples <= 0):
+    def __new__(cls, mode: str = "exhaustive", samples: int = 0, seed: int = 0):
+        self = super().__new__(cls, mode, samples, seed)
+        if mode not in ("exhaustive", "orbit", "sample") or (mode == "sample" and samples <= 0):
             raise ValueError(f"bad budget {self}; {_EXPECTED}")
+        return self
 
     @staticmethod
     def parse(text: str, seed: int = 0) -> "Budget":

@@ -109,7 +109,6 @@ predicate.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from operator import and_
 
 from .plane import GeometryError, LaguerrePlane, Pencil, PencilAut, Point, not_a_point
@@ -137,7 +136,6 @@ _NOTES = {
 }
 
 
-@dataclass(eq=False)
 class Line:
     """One line of the group space.
 
@@ -149,12 +147,12 @@ class Line:
     with the same points (see "Line identity" above).
     """
 
-    index: int
-    ids: tuple[int, ...]
-    kind: str
-    bases: tuple[int, ...]
-    space_points: list[Point] = field(repr=False)
-    class_id: int
+    __slots__ = ("index", "ids", "kind", "bases", "space_points", "class_id")
+
+    def __init__(self, index: int, ids: tuple[int, ...], kind: str, bases: tuple[int, ...],
+                 space_points: list[Point], class_id: int):
+        self.index, self.ids, self.kind, self.bases = index, ids, kind, bases
+        self.space_points, self.class_id = space_points, class_id
 
     @property
     def points(self) -> tuple[Point, ...]:

@@ -38,8 +38,16 @@ check, by design, cannot see a fault off its representative.
 fixed-point-free group elements and asserts only the restricted claims that
 hold in this model (see its reading notes).
 
+The group acts on circle lists (``DeltaGroup.circle_images``), never one
+circle at a time: C2.1's scan at point 0 and each re-check where a circle
+lands, the slopes of L3.1, T3.2 and P3.1 (a slice of ``plane.circles``),
+and the member tests of P3.1, T3.1 and T3.2 compare lists.  P4.3 runs on height masks (bit y for height y), its witnesses the
+set bits of an XOR.
+
 Plane facts that several checks read are derived once per q, in tables of
-``_Ctx``: ``bases``, circle -> tangency point (P2.1, P2.4, P4.2, T4.1);
+``_Ctx``: ``bases``, circle -> tangency point (P2.1, P2.4, P4.2, T4.1), the
+one bit its mask shares with one member mask, from the sweep A3 runs
+(``plane.tangent_hits``);
 ``line_circles``, line -> circle (P2.1, P2.3, P2.5, P2.6); ``member_of``,
 point -> pencil member (L4.2 and ``vertex_members``); ``vertex_members``,
 point -> the members of the vertex pencil there (T3.1, T3.2);
@@ -52,7 +60,8 @@ table builds it, and its ``elapsed_ms`` includes the build.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
+from operator import itemgetter, or_
 
 from .plane import (Circle, GeometryError, IDEAL, LaguerrePlane, Pencil, PencilAut,
                     PermutationMap, Point, affine, bits, canonical_pencil, circle_add_map,
@@ -187,10 +196,16 @@ class _Ctx:
 
     @cached_property
     def bases(self) -> dict[Circle, Point]:
-        """The tangency point of each circle off the vertex, in circle order."""
-        plane, pencil = self.plane, self.pencil
-        return {M: plane.pencil_tangent(M, pencil)[1] for M in plane.circles
-                if not plane.incident(pencil.p, M)}
+        """The tangency point of each circle off the vertex, in circle order:
+        the one bit its mask shares with its one tangent member
+        (``plane.tangent_hits``); ``a3_violated`` unless there is one."""
+        plane, out = self.plane, {}
+        for M, hits in plane.tangent_hits(self.pencil):
+            if len(hits) != 1:
+                raise GeometryError(f"{len(hits)} tangent members for {M}", code="a3_violated",
+                                    witnesses=[{"circle": list(M), "count": len(hits)}])
+            out[M] = plane.points[hits[0][1].bit_length() - 1]
+        return out
 
     @cached_property
     def line_circles(self) -> list[Circle | None]:
@@ -550,15 +565,18 @@ def _check_p2_6(ctx: _Ctx):
 
 def _check_c2_1(ctx: _Ctx):
     """T_r carries Stab(0)'s invariant circles onto Stab(r) = T_r Stab(0) T_r⁻¹'s."""
-    plane, apply, space = ctx.plane, ctx.delta.apply, ctx.space
-    stab0 = ctx.stabilizers[space.points[0]]
-    invariant0 = [C for C in plane.circles if all(apply(f, C) == C for f in stab0)]
+    plane, images, space = ctx.plane, ctx.delta.circle_images, ctx.space
+    invariant0 = plane.circles
+    for f in ctx.stabilizers[space.points[0]]:
+        invariant0 = [C for C, D in zip(invariant0, images(f, invariant0)) if C == D]
     cases, bad = 0, []
     off_vertex_invariant = 0
     for (r, stab), T in zip(ctx.stabilizers.items(), ctx.translations):
-        for C in sorted(apply(T, C0) for C0 in invariant0):  # circle order
-            if not all(apply(f, C) == C for f in stab):
-                raise GeometryError(f"{list(C)} is not invariant at {r!r}", code="not_equivariant")
+        moved = sorted(images(T, invariant0))  # circle order
+        if any(images(f, moved) != moved for f in stab):
+            C = min(C for f in stab for C, D in zip(moved, images(f, moved)) if C != D)
+            raise GeometryError(f"{list(C)} is not invariant at {r!r}", code="not_equivariant")
+        for C in moved:
             if not plane.incident(r, C):
                 off_vertex_invariant += 1
                 continue
@@ -587,10 +605,9 @@ def _t3_1_at(ctx: _Ctx, r: Point):
     stab, vertex_members = ctx.stabilizers[r], ctx.vertex_members[r]
     cases, bad = 0, []
     for f in stab:
-        for M in vertex_members:
-            cases += 1
-            if delta.apply(f, M) != M:
-                bad.append({"r": repr(r), "element": list(f), "member": list(M)})
+        cases += len(vertex_members)
+        bad += [{"r": repr(r), "element": list(f), "member": list(M)}
+                for M, N in zip(vertex_members, delta.circle_images(f, vertex_members)) if N != M]
     sym = PencilAut(gf.q - 1, (2 * r.x) % gf.q, 0)
     cases += 1
     gen_pts = plane.generator_points(plane.generator_of(r))
@@ -620,18 +637,21 @@ def _is_translation(ctx: _Ctx, f: PencilAut) -> bool:
     return (f == IDENTITY or not ctx.fixed_points[f]) and _keeps_slopes(ctx, f)
 
 
-def _keeps_slopes(ctx: _Ctx, f: PencilAut, alpha: int = 0, heights=(0,)) -> bool:
-    """``f`` keeps the slope b of every circle (alpha, b, c), c in ``heights``."""
-    apply = ctx.delta.apply
-    return all(apply(f, Circle(alpha, b, c)).b == b for b in range(ctx.q) for c in heights)
+def _keeps_slopes(ctx: _Ctx, f: PencilAut, alpha: int = 0, all_heights: bool = False) -> bool:
+    """``f`` keeps the slope b of every circle (alpha, b, 0), or with
+    ``all_heights`` of every (alpha, b, c): a slice of ``plane.circles``,
+    which runs through (a, b, c) in ascending order."""
+    q = ctx.q
+    circles = ctx.plane.circles[alpha * q * q:(alpha + 1) * q * q:1 if all_heights else q]
+    slope = itemgetter(1)
+    return list(map(slope, ctx.delta.circle_images(f, circles))) == list(map(slope, circles))
 
 
 def _check_p3_1(ctx: _Ctx):
     plane, delta = ctx.plane, ctx.delta
     cases, bad = 0, []
     fixing = [f for f in delta.elements
-              if _is_translation(ctx, f)
-              and all(delta.apply(f, M) == M for M in ctx.members)]
+              if _is_translation(ctx, f) and delta.circle_images(f, ctx.members) == ctx.members]
     expected = {PencilAut(1, t, 0) for t in range(plane.q)}
     cases += 1
     if set(fixing) != expected:
@@ -680,7 +700,7 @@ def _check_l3_1(ctx: _Ctx):
     # plane at the vertex (both line directions preserved classwise)
     for f in translations:
         cases += 1
-        if not _keeps_slopes(ctx, f, heights=range(q)):
+        if not _keeps_slopes(ctx, f, all_heights=True):
             bad.append({"problem": "translation_not_direction_preserving",
                         "element": list(f)})
     # the reflected ones are not translations of any derived plane at a
@@ -754,22 +774,20 @@ def _check_t3_2(ctx: _Ctx):
         if not fixed or len(fixed) == len(ctx.space.points):
             continue
         for r in fixed:
-            for M in ctx.vertex_members[r]:
-                cases += 1
-                if delta.apply(f, M) != M:
-                    bad.append({"problem": "fixed_point_element_not_strain",
-                                "element": list(f), "r": repr(r)})
+            members = ctx.vertex_members[r]
+            cases += len(members)
+            bad += [{"problem": "fixed_point_element_not_strain", "element": list(f), "r": repr(r)}
+                    for M, N in zip(members, delta.circle_images(f, members)) if N != M]
     # fixed-point-free k=1 elements fix a line pencil through the vertex
     for f in translations:
         if f == IDENTITY:
             continue
         cases += 1
         if f.t == 0:
-            ok = _keeps_slopes(ctx, f, heights=range(q))
+            ok = _keeps_slopes(ctx, f, all_heights=True)
         else:
-            b0 = gf.div(f.g, f.t)
-            ok = all(delta.apply(f, Circle(0, b0, c)) == Circle(0, b0, c)
-                     for c in range(q))
+            line = [Circle(0, gf.div(f.g, f.t), c) for c in range(q)]
+            ok = delta.circle_images(f, line) == line
         if not ok:
             bad.append({"problem": "translation_without_direction", "element": list(f)})
     return cases, bad, {}
@@ -877,20 +895,21 @@ def _check_p4_2(ctx: _Ctx):
 
 
 def _check_p4_3(ctx: _Ctx):
-    space = ctx.space
-    cases, bad = 0, []
-    member_heights = {M.c for M in ctx.members}
-    yvals = [frozenset(p.y for p in line.points) for line in space.lines]
-    base_y = [frozenset(p.y for p in line.base_points) for line in space.lines]
+    """On height masks, bit y for height y: each line's, its bases' and the
+    members' heights."""
+    space, cases, bad = ctx.space, 0, []
+    ybit = [1 << p.y for p in space.points]
+    yvals = [reduce(or_, map(ybit.__getitem__, line.ids), 0) for line in space.lines]
+    base_y = [reduce(or_, map(ybit.__getitem__, line.bases), 0) for line in space.lines]
+    members = reduce(or_, [1 << M.c for M in ctx.members])
     for ids in space.class_members.values():
         for i, j in itertools.combinations(ids, 2):
             aligned = base_y[i] | base_y[j]
-            if len(aligned) != 1 or next(iter(aligned)) not in member_heights:
+            if aligned.bit_count() != 1 or not aligned & members:
                 continue
-            for e in sorted(member_heights):
-                cases += 1
-                if (e in yvals[i]) != (e in yvals[j]):
-                    bad.append({"lines": [i, j], "straight_height": e})
+            cases += members.bit_count()
+            bad += [{"lines": [i, j], "straight_height": e}
+                    for e in bits((yvals[i] ^ yvals[j]) & members)]
     return cases, bad, {}
 
 

@@ -1,4 +1,5 @@
 import itertools
+from functools import partial
 
 import pytest
 
@@ -6,9 +7,9 @@ from laguerre import (Circle, DeltaGroup, GeometryError, GroupSpace, LaguerrePla
                       PencilAut, PermutationMap, affine, canonical_pencil,
                       classify_by_scan, ideal, verify_a1a2a3)
 from laguerre import autgroup
-from laguerre.autgroup import (aut_circle, aut_compose, aut_inverse, classify_aut,
+from laguerre.autgroup import (aut_circles, aut_compose, aut_inverse, classify_aut,
                                require_reach)
-from laguerre.plane import aut_index, circle_add_map, inversion_map, reach
+from laguerre.plane import aut_index, circle_add_map, circle_image, inversion_map, reach
 
 
 def aut_point(gf, f, pt):
@@ -34,7 +35,7 @@ def test_build_rejects_char2(plane2):
 def test_action_examples(plane5):
     gf = plane5.gf
     assert aut_point(gf, PencilAut(2, 1, 3), affine(1, 1)) == affine(3, 2)
-    assert aut_circle(gf, PencilAut(1, 1, 0), Circle(1, 0, 0)) == Circle(1, 3, 1)
+    assert aut_circles(gf.q, PencilAut(1, 1, 0), [Circle(1, 0, 0)]) == [Circle(1, 3, 1)]
     assert aut_point(gf, PencilAut(2, 1, 3), ideal(4)) == ideal(4)
 
 
@@ -313,6 +314,38 @@ def test_whole_permutations_match_the_single_point_action(q):
         for f in d.elements:
             assert d.perm(f) == [d.image(f, i) for i in indices], (pencil, f)
             assert PermutationMap.from_aut(pl, f).perm == [aut_index(q, f, i) for i in indices]
+
+
+@pytest.mark.parametrize("q", (3, 5, 7))
+def test_stabilizer_matches_the_image_scan(q):
+    # one canonical index against aut_index, in place of three calls per
+    # element through image
+    pl = LaguerrePlane(q)
+    for pencil in _pencils(pl):
+        d = DeltaGroup.build(pl, pencil)
+        for x in d.space_points():
+            i = pl.point_index[x]
+            assert d.stabilizer(x) == [f for f in d.elements if d.image(f, i) == i], (pencil, x)
+
+
+@pytest.mark.parametrize("q", (3, 5, 7))
+def test_circle_images_match_apply_on_every_circle(q):
+    # the list route against apply one circle at a time; on the canonical
+    # chart, where both read the closed form, also against the circle
+    # holding the images of each circle's point ids (apply's route off it)
+    pl = LaguerrePlane(q)
+    for pencil in _pencils(pl):
+        d = DeltaGroup.build(pl, pencil)
+        for f in d.elements:
+            got = d.circle_images(f, pl.circles)
+            assert got == [d.apply(f, C) for C in pl.circles], (pencil, f)
+            assert all(type(C) is Circle for C in got)
+            if d.canonical:
+                assert got == [circle_image(pl, partial(d.image, f), C) for C in pl.circles]
+        for bad in (Circle(0, 0, q), Circle(0, 0, -1)):
+            with pytest.raises(GeometryError) as e:
+                d.circle_images(PencilAut(2, 1, 1), [Circle(1, 2, 0), bad])
+            assert e.value.code == "not_a_circle" and repr(bad) in str(e.value)
 
 
 def _reference_normalizer(pl, pencil):

@@ -1,6 +1,9 @@
 """Rules on the package source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).parent.parent / "src" / "laguerre"
@@ -58,3 +61,14 @@ def test_only_the_plane_turns_circle_ids_into_masks():
             plane_reads += name == "circle_ids" and path.name == "plane.py"
     assert found == []
     assert plane_reads  # the guard sees the encoding where it lives
+
+
+def test_the_command_line_imports_without_dataclasses_or_inspect():
+    # dataclasses pulls in inspect, ast, dis and tokenize, about half of a
+    # cold command's import time; -S keeps site packages out of the count
+    probe = ("import sys, laguerre.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from laguerre import (Budget, Circle, DeltaGroup, GeometryError, LaguerrePlane, PencilAut,
@@ -6,6 +8,7 @@ from laguerre import (Budget, Circle, DeltaGroup, GeometryError, LaguerrePlane, 
 from laguerre.autgroup import IDENTITY, aut_compose, aut_inverse
 from laguerre.skewaffine import SPECIAL
 from laguerre.verify import CHECK_IDS, CHECK_SUMMARIES, TangentFamily
+from test_plane import _MovedPoint
 
 
 def test_catalog_is_closed():
@@ -185,14 +188,9 @@ def test_c4_2_fails_without_a_swept_circle(monkeypatch):
     # every base moved onto the generators x = 0, 1: no locus is fitted, and
     # T4.1 and C4.2 fail at every direction and point instead of raising
     monkeypatch.setattr(verify, "_CTX_CACHE", {})
-    plane = verify._context(5).plane
-    real = plane.pencil_tangent
-
-    def two_generators(N, pencil):
-        member, base = real(N, pencil)
-        return member, affine(base.x % 2, base.y)
-
-    monkeypatch.setattr(plane, "pencil_tangent", two_generators)
+    ctx = verify._context(5)
+    monkeypatch.setattr(ctx, "bases", {M: affine(base.x % 2, base.y)
+                                       for M, base in ctx.bases.items()})
     t41, c42 = thm_check("T4.1", 5), thm_check("C4.2", 5)
     # the catalog evaluates point 0, one locus per direction; the retired
     # loop over every point finds the same fault at all 100 loci
@@ -200,7 +198,6 @@ def test_c4_2_fails_without_a_swept_circle(monkeypatch):
     assert (c42.status, c42.cases_checked, len(c42.witnesses)) == ("fail", 4, 4)
     assert c42.details["cases_represented"] == 100
     assert c42.witnesses[0] == {"beta": 1, "x": "A(0,0)", "locus": None}
-    ctx = verify._context(5)
     assert [len(RETIRED[cid](ctx)[1]) for cid in ("T4.1", "C4.2")] == [100, 100]
 
 
@@ -238,15 +235,14 @@ def test_l3_1_fails_with_a_witness_when_a_glide_keeps_directions(monkeypatch):
     # fixed under one glide: the check must fail and name the element
     monkeypatch.setattr(verify, "_CTX_CACHE", {})
     delta = verify._context(5).delta
-    real = delta.apply
+    real = delta.circle_images
     glide = PencilAut(4, 0, 1)
 
-    def bent(f, obj):
-        if f == glide and isinstance(obj, Circle) and obj.a == 0:
-            return obj
-        return real(f, obj)
+    def bent(f, circles):
+        images = real(f, circles)
+        return [C if f == glide and C.a == 0 else D for C, D in zip(circles, images)]
 
-    monkeypatch.setattr(delta, "apply", bent)
+    monkeypatch.setattr(delta, "circle_images", bent)
     rep = thm_check("L3.1", 5)
     assert rep.status == "fail"
     assert rep.cases_checked == 224
@@ -335,38 +331,56 @@ def test_t4_2_fails_on_a_flipped_intersection_bit(monkeypatch):
 
 def test_p4_2_fails_on_a_moved_base_point(monkeypatch):
     monkeypatch.setattr(verify, "_CTX_CACHE", {})
-    plane = verify._context(5).plane
-    real = plane.pencil_tangent
-
-    def moved(M, pencil):
-        # the base of (1, 0, 0) is A(0,0); claim A(0,1), the base of (1, 0, 1)
-        member, base = real(M, pencil)
-        return (member, affine(0, 1)) if M == Circle(1, 0, 0) else (member, base)
-
-    monkeypatch.setattr(plane, "pencil_tangent", moved)
+    ctx = verify._context(5)
+    # the base of (1, 0, 0) is A(0,0); claim A(0,1), the base of (1, 0, 1)
+    assert (ctx.bases[Circle(1, 0, 0)], ctx.bases[Circle(1, 0, 1)]) == (affine(0, 0), affine(0, 1))
+    monkeypatch.setitem(ctx.bases, Circle(1, 0, 0), affine(0, 1))
     rep = thm_check("P4.2", 5)
     assert rep.status == "fail"
     # (1, 0, 0) is the representative of a = 1, paired with its 24 translates
     assert (rep.cases_checked, rep.details["cases_represented"]) == (96, 1200)
     assert rep.witnesses == [{"circles": [[1, 0, 0], [1, 0, 1]], "disjoint": True}]
-    assert RETIRED["P4.2"](verify._context(5)) == (1200, rep.witnesses)
+    assert RETIRED["P4.2"](ctx) == (1200, rep.witnesses)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_bases_from_masks_match_pencil_tangent(q):
+    # the one bit a circle's mask shares with its one tangent member,
+    # against the intersection sweep of pencil_tangent, circle by circle
+    ctx = verify._context(q)
+    plane, pencil = ctx.plane, ctx.pencil
+    assert list(ctx.bases.items()) == [(M, plane.pencil_tangent(M, pencil)[1])
+                                       for M in plane.circles if not plane.incident(pencil.p, M)]
+
+
+def test_bases_reject_a_damaged_incidence():
+    # (1, 2, 3) holding A(0,4) for A(0,3) shares one point with each of the
+    # members y = 2, 3 and 4; pencil_tangent, on closed forms, sees none of it
+    ctx = verify._Ctx(5)
+    ctx.plane = _MovedPoint(5)
+    with pytest.raises(GeometryError) as e:
+        ctx.bases
+    assert e.value.code == "a3_violated"
+    assert e.value.witnesses == [{"circle": [1, 2, 3], "count": 3}]
 
 
 def test_run_suite_derives_each_plane_fact_once(monkeypatch):
-    # q^3 - q^2 circles avoid the vertex; 105 lines carry a circle, and each
-    # of the q - 1 loci at point 0 fits one more.  The vertex pencil at each
-    # of the q^2 residual points is built once, for T3.1 and T3.2 together
-    # (T3.2 alone rebuilt it for each of the 75 elements with one fixed
-    # point).  The other 106 calls are one per tangency base (100) and six
-    # for the one tangent family, of the member y = 0, which T4.2 and the
-    # family checks share.  Only point 0's stabilizer is scanned, once, by
+    # 105 lines carry a circle, and each of the q - 1 loci at point 0 fits
+    # one more.  The vertex pencil at each of the q^2 residual points is
+    # built once, for T3.1 and T3.2 together (T3.2 alone rebuilt it for each
+    # of the 75 elements with one fixed point).  The other 7 calls are one
+    # for the members whose masks ``tangent_hits`` reads, which gives all
+    # q^3 - q^2 = 100 tangency bases in one sweep (no ``pencil_tangent``
+    # call, which made 100 calls of its own), and six for the one tangent
+    # family, of the member y = 0, which T4.2 and the family checks share.
+    # Only point 0's stabilizer is scanned, once, by
     # the context, which conjugates it along the translations to every
     # other point (C2.1, T3.2 and the fixed points read those); the space
     # build scans none.
     monkeypatch.setattr(verify, "_CTX_CACHE", {})
     ctx = verify._context(5)
-    calls = {"pencil_tangent": 0, "circle_through": 0, "pencil_members": 0,
-             "stabilizer": 0}
+    calls = {"pencil_tangent": 0, "tangent_hits": 0, "circle_through": 0,
+             "pencil_members": 0, "stabilizer": 0}
     for name in calls:
         owner = ctx.delta if name == "stabilizer" else ctx.plane
         real = getattr(owner, name)
@@ -385,8 +399,8 @@ def test_run_suite_derives_each_plane_fact_once(monkeypatch):
 
     monkeypatch.setattr(verify, "TangentFamily", Counted)
     assert all(rep.ok for rep in verify.run_suite(5))
-    assert calls == {"pencil_tangent": 100, "circle_through": 109,
-                     "pencil_members": 25 + 106, "stabilizer": 1}
+    assert calls == {"pencil_tangent": 0, "tangent_hits": 1, "circle_through": 109,
+                     "pencil_members": 25 + 1 + 6, "stabilizer": 1}
     assert families == [Circle(0, 0, 0)]
 
 
@@ -590,22 +604,70 @@ def test_c3_4_orbit_matches_every_line_and_translation(q):
     assert rep.details["cases_represented"] == cases
 
 
+def _p4_3_frozensets(ctx):
+    """P4.3 as it ran on frozensets of heights: the bitset route's oracle."""
+    space = ctx.space
+    cases, bad = 0, []
+    member_heights = {M.c for M in ctx.members}
+    yvals = [frozenset(p.y for p in line.points) for line in space.lines]
+    base_y = [frozenset(p.y for p in line.base_points) for line in space.lines]
+    for ids in space.class_members.values():
+        for i, j in itertools.combinations(ids, 2):
+            aligned = base_y[i] | base_y[j]
+            if len(aligned) != 1 or next(iter(aligned)) not in member_heights:
+                continue
+            for e in sorted(member_heights):
+                cases += 1
+                if (e in yvals[i]) != (e in yvals[j]):
+                    bad.append({"lines": [i, j], "straight_height": e})
+    return cases, bad, {}
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_p4_3_bitsets_match_the_frozenset_loop(q, monkeypatch):
+    # intact, then with the first one or two points of every 7th line
+    # dropped: a pair that differs at two heights names both, ascending
+    monkeypatch.setattr(verify, "_CTX_CACHE", {})
+    ctx = verify._context(q)
+    got = verify._check_p4_3(ctx)
+    assert got == _p4_3_frozensets(ctx) and not got[1]
+    for n, line in enumerate(ctx.space.lines[::7]):
+        monkeypatch.setattr(line, "ids", line.ids[1 + n % 2:])
+    got = verify._check_p4_3(ctx)
+    assert got == _p4_3_frozensets(ctx) and got[1]
+    if q == 5:
+        assert (got[0], len(got[1])) == (1500, 76)
+        assert got[1][4:6] == [{"lines": [2, 147], "straight_height": 0},
+                               {"lines": [2, 147], "straight_height": 1}]
+
+
 def test_c2_1_applies_the_group_at_point_0_only(monkeypatch):
-    # on a warm context: 260 images for point 0's scan of the 125 circles,
-    # then 45 at each of the 25 points (5 moved circles, 20 invariance
-    # re-checks, 20 remnant-orbit images); the scan at every point made 7,000
+    # on a warm context, circle lists go through ``circle_images``: point 0's
+    # scan is one call per element of Stab(0) = {(k, 0, 0)}, on the circles
+    # still invariant, 125 + 125 + 5 + 5 = 260 circles (the identity keeps
+    # all 125, (2, 0, 0) the 5 circles (a, 0, 0)); then at each of the 25
+    # points one call moves the 5 circles and four re-check them, 5 + 4 * 5
+    # = 25 circles: 4 + 25 * 5 = 129 calls on 260 + 25 * 25 = 885 circles.
+    # The scan at every point imaged 25 * 260 = 6,500.  Points go through
+    # ``image``: 4 images for each of the 5 remnants at each point, 500.
     monkeypatch.setattr(verify, "_CTX_CACHE", {})
     ctx = verify._context(5)
     ctx.stabilizers
-    real, calls = ctx.delta.apply, []
+    delta, lists, points = ctx.delta, [], []
+    real_images, real_image = delta.circle_images, delta.image
 
-    def counted(f, obj):
-        calls.append(f)
-        return real(f, obj)
+    def counted_images(f, circles):
+        lists.append(len(circles))
+        return real_images(f, circles)
 
-    monkeypatch.setattr(ctx.delta, "apply", counted)
+    def counted_image(f, i):
+        points.append(i)
+        return real_image(f, i)
+
+    monkeypatch.setattr(delta, "circle_images", counted_images)
+    monkeypatch.setattr(delta, "image", counted_image)
     assert thm_check("C2.1", 5).status == "pass"
-    assert len(calls) == 1385
+    assert (len(lists), sum(lists), len(points)) == (129, 885, 500)
 
 
 def test_stabilizers_reject_a_conjugate_that_moves_the_point(monkeypatch):
@@ -631,14 +693,13 @@ def test_c2_1_rejects_a_moved_circle_that_is_not_invariant(monkeypatch):
     strain = next(f for f in ctx.stabilizers[r] if f.k == 2)
     target = next(C for C in ctx.plane.circles if ctx.plane.incident(r, C)
                   and all(ctx.delta.apply(f, C) == C for f in ctx.stabilizers[r]))
-    real = ctx.delta.apply
+    real = ctx.delta.circle_images
 
-    def bent(f, obj):
-        if (f, obj) == (strain, target):
-            return Circle(obj.a, obj.b, (obj.c + 1) % 5)
-        return real(f, obj)
+    def bent(f, circles):
+        return [Circle(C.a, C.b, (C.c + 1) % 5) if (f, C) == (strain, target) else D
+                for C, D in zip(circles, real(f, circles))]
 
-    monkeypatch.setattr(ctx.delta, "apply", bent)
+    monkeypatch.setattr(ctx.delta, "circle_images", bent)
     with pytest.raises(GeometryError) as e:
         thm_check("C2.1", 5)
     assert e.value.code == "not_equivariant"
