@@ -1,3 +1,7 @@
-from .cli import main
+"""``python -m laguerre``: the command line through ``cli.entry``, which ends
+the process with ``os._exit`` once the output is flushed."""
 
-raise SystemExit(main())
+from .cli import entry
+
+if __name__ == "__main__":
+    entry()

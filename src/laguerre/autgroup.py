@@ -22,10 +22,11 @@ normalizer's forward and back index lists, composed once when the group is
 built.  ``DeltaGroup.perm`` gives an element's whole permutation
 (``plane.aut_perm``, one list); the residual plane's point permutations and
 the catalog's transport read it.  ``DeltaGroup.image`` gives one point's
-image (``plane.aut_index``); orbits and A1/A2 read it, and a stabilizer
-compares ``aut_index`` with one canonical index.  ``apply`` is the named
-Point/Circle boundary; ``circle_images`` carries a list of circles, by the
-closed form ``aut_circles`` on the canonical chart.  A ``PermutationMap`` is
+image (``plane.aut_index``); orbits and A1/A2 read it.  A stabilizer is
+read from the closed form: the q - 1 elements fixing one canonical index,
+kept where the group has them.  ``apply`` is the named Point/Circle
+boundary; ``circle_images`` carries a list of circles, by the closed form
+``aut_circles`` on the canonical chart.  A ``PermutationMap`` is
 an index list.  Either carries a circle by OR-ing the image bits of its
 point ids (``plane.circle_ids``): every circle at once in ``verified``, one
 at a time in ``circle_images`` off the canonical chart (``plane.circle_image``).
@@ -238,15 +239,23 @@ class DeltaGroup:
         return [p for p in self.plane.points if p not in bad]
 
     def stabilizer(self, x: Point) -> list[PencilAut]:
-        """The elements fixing ``x``: those whose closed form fixes its
-        canonical index, since the normalizer's index lists are inverse
-        permutations."""
+        """The elements fixing ``x``, in element order, read from the closed
+        form: the normalizer's index lists are inverse permutations, so f
+        fixes ``x`` exactly when ``aut_index`` fixes its canonical index.  At
+        the canonical point (x, y) those are (k, x(1 - k), y(1 - k^2)), one
+        per k, and the group keeps the ones among its elements (one C-level
+        membership pass, so no per-group index outlives the call); an ideal
+        canonical index is fixed by every element."""
         if x in self.base_generator_points():
             raise GeometryError("point lies on the fixed generator; its "
                                 "stabilizer is the whole group",
                                 code="stabilizer_on_base")
         c, q = self.canonical_index(self.plane.point_index[x]), self.plane.q
-        return [f for f in self.elements if aut_index(q, f, c) == c]
+        if c >= q * q:
+            return list(self.elements)
+        x0, y0 = divmod(c, q)
+        fixing = {PencilAut(k, x0 * (1 - k) % q, y0 * (1 - k * k) % q) for k in range(1, q)}
+        return list(filter(fixing.__contains__, self.elements))
 
     def orbit(self, subset: Iterable[PencilAut], x: Point) -> set[Point]:
         i, points, image = self.plane.point_index[x], self.plane.points, self.image

@@ -18,16 +18,23 @@ circle through the vertex is chosen (y = y0 resp. y = a x^2).  Every
 coordinate is an integer v with 0 <= v < q; any other is a bad spec.
 
 Exit codes: 0 all checks pass or are report-only, 1 some check failed,
-2 usage or configuration error.  ``--json`` emits one stable JSON array;
-timing is excluded so identical runs are byte-identical.
+2 usage or configuration error, an unwritable ``--out`` or a closed stdout.
+``--json`` emits one stable JSON array; timing is excluded so identical runs
+are byte-identical.
+
+``main(argv)`` returns the exit code in process; ``entry``, the process's
+one entry point, runs it, flushes both streams and ends with ``os._exit``,
+so a command does not free its tables one object at a time on the way out.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
+import stat
 import sys
-from pathlib import Path
 
 from .field import FieldError, GF, is_prime
 from .plane import (Circle, GeometryError, LaguerrePlane, Pencil, affine,
@@ -150,14 +157,21 @@ def _space_json(payload: dict) -> str:
     return '{"lines":[%s],"points":[%s],"q":%d}' % (lines, points, payload["q"])
 
 
+def _stdout_error(e: OSError) -> UsageError:
+    return UsageError(f"cannot write to stdout: {e.strerror}")
+
+
 def _emit(reports: list[Report], as_json: bool) -> int:
-    if as_json:
-        print(_json([r.to_dict() for r in reports]))
-    else:
-        for r in reports:
-            print(r.text())
-        fails = sum(not r.ok for r in reports)
-        print(f"-- {len(reports)} checks, {fails} failing")
+    try:
+        if as_json:
+            print(_json([r.to_dict() for r in reports]))
+        else:
+            for r in reports:
+                print(r.text())
+            fails = sum(not r.ok for r in reports)
+            print(f"-- {len(reports)} checks, {fails} failing")
+    except OSError as e:  # the reader closed stdout, say
+        raise _stdout_error(e) from None
     return 0 if all(r.ok for r in reports) else 1
 
 
@@ -215,15 +229,38 @@ def _cmd_theorems_run(args) -> int:
     return _emit(run_suite(args.q, ids), args.json)
 
 
+def _parent(path: str) -> str:
+    """``str(pathlib.Path(path).parent)`` on POSIX: the path without its last
+    component, empty and ``.`` components dropped (``a/b/`` gives ``a``, a
+    bare name ``.``), a leading ``//`` kept."""
+    if path.startswith("//") and not path.startswith("///"):
+        root = "//"
+    else:
+        root = "/" if path.startswith("/") else ""
+    parts = [part for part in path.split("/") if part not in ("", ".")]
+    return root + "/".join(parts[:-1]) or "."
+
+
+def _is_dir(path: str) -> bool:
+    """``pathlib.Path(path).is_dir()``: False for a missing path, an
+    OSError for any other failure of its ``stat``."""
+    try:
+        return stat.S_ISDIR(os.stat(path).st_mode)
+    except OSError as e:
+        if e.errno in (errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP):
+            return False
+        raise
+
+
 def _cmd_export(args) -> int:
     if args.what == "plane" and args.pencil is not None:
         raise UsageError("--pencil does not apply to --what plane")
-    out = Path(args.out)
     try:
-        if out.is_dir():
+        if _is_dir(args.out):
             raise UsageError(f"output path {args.out!r} is a directory")
-        if not out.parent.is_dir():
-            raise UsageError(f"output directory {str(out.parent)!r} does not exist")
+        parent = _parent(args.out)
+        if not _is_dir(parent):
+            raise UsageError(f"output directory {parent!r} does not exist")
     except OSError as e:
         raise UsageError(f"cannot write {args.out!r}: {e.strerror}") from None
     plane = LaguerrePlane(args.q)
@@ -269,5 +306,25 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def entry() -> None:
+    """Run ``main`` on ``sys.argv``, flush stdout and stderr, and end the
+    process with ``os._exit``: the interpreter frees nothing on the way out,
+    and an export's file is already closed.  Output still buffered when the
+    reader has closed stdout is the same ``error:`` line and exit 2 as in
+    ``_emit``, unless ``main`` has already printed its one error line."""
+    status = main()
+    try:
+        sys.stdout.flush()
+    except OSError as e:
+        if status != 2:
+            print(f"error: {_stdout_error(e)}", file=sys.stderr)
+            status = 2
+    try:
+        sys.stderr.flush()
+    except OSError:
+        pass  # nowhere left to say so
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    entry()

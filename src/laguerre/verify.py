@@ -896,20 +896,27 @@ def _check_p4_2(ctx: _Ctx):
 
 def _check_p4_3(ctx: _Ctx):
     """On height masks, bit y for height y: each line's, its bases' and the
-    members' heights."""
+    members' heights.  Every line has a base, so two lines are base-aligned
+    exactly when their base masks are the same one member bit: each class's
+    lines are grouped by that mask, and each line meets the later lines of
+    its group, in class order, the aligned pairs of ``combinations``."""
     space, cases, bad = ctx.space, 0, []
     ybit = [1 << p.y for p in space.points]
     yvals = [reduce(or_, map(ybit.__getitem__, line.ids), 0) for line in space.lines]
     base_y = [reduce(or_, map(ybit.__getitem__, line.bases), 0) for line in space.lines]
     members = reduce(or_, [1 << M.c for M in ctx.members])
+    per_pair = members.bit_count()
     for ids in space.class_members.values():
-        for i, j in itertools.combinations(ids, 2):
-            aligned = base_y[i] | base_y[j]
-            if aligned.bit_count() != 1 or not aligned & members:
-                continue
-            cases += members.bit_count()
+        groups: dict[int, list[int]] = {}
+        for i in ids:
+            if base_y[i] & members and base_y[i].bit_count() == 1:
+                groups.setdefault(base_y[i], []).append(i)
+        later = {i: group[n + 1:] for group in groups.values() for n, i in enumerate(group)}
+        for i in filter(later.__contains__, ids):
+            cases += per_pair * len(later[i])
+            yi = yvals[i]
             bad += [{"lines": [i, j], "straight_height": e}
-                    for e in bits((yvals[i] ^ yvals[j]) & members)]
+                    for j in later[i] for e in bits((yi ^ yvals[j]) & members)]
     return cases, bad, {}
 
 

@@ -316,16 +316,19 @@ def test_whole_permutations_match_the_single_point_action(q):
             assert PermutationMap.from_aut(pl, f).perm == [aut_index(q, f, i) for i in indices]
 
 
-@pytest.mark.parametrize("q", (3, 5, 7))
+@pytest.mark.parametrize("q", (3, 5, 7, 11))
 def test_stabilizer_matches_the_image_scan(q):
-    # one canonical index against aut_index, in place of three calls per
-    # element through image
+    # the closed form's q - 1 fixing elements against a scan of the group
+    # through image, for the whole group and for the subset elements[::2],
+    # which keeps only its own elements
     pl = LaguerrePlane(q)
     for pencil in _pencils(pl):
-        d = DeltaGroup.build(pl, pencil)
-        for x in d.space_points():
-            i = pl.point_index[x]
-            assert d.stabilizer(x) == [f for f in d.elements if d.image(f, i) == i], (pencil, x)
+        full = DeltaGroup.build(pl, pencil)
+        for d in (full, DeltaGroup(pl, pencil, full.elements[::2], full.normalizer)):
+            for x in d.space_points():
+                i = pl.point_index[x]
+                assert d.stabilizer(x) == [f for f in d.elements if d.image(f, i) == i], \
+                    (pencil, len(d.elements), x)
 
 
 @pytest.mark.parametrize("q", (3, 5, 7))

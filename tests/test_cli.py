@@ -1,9 +1,14 @@
+import errno
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from laguerre import DeltaGroup, GroupSpace, LaguerrePlane
-from laguerre.cli import _json, _parse_pencil, _space_json, main
+from laguerre.cli import _json, _parent, _parse_pencil, _space_json, main
 
 
 def run_cli(capsys, *argv):
@@ -300,3 +305,96 @@ def test_export_to_a_path_the_os_rejects_is_a_usage_error(tmp_path, capsys):
         assert stdout == ""
         assert err.startswith("error: cannot write ") and err.count("\n") == 1, err
         assert "Traceback" not in err
+
+
+# -- the process entry point --------------------------------------------------
+
+ROOT = Path(__file__).parent.parent
+
+
+def _cold(*argv, stdout=subprocess.PIPE, unbuffered=False):
+    """``python -m laguerre`` in a child, src on its path."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-m", "laguerre", *argv], cwd=ROOT, env=env,
+                          stdout=stdout, stderr=subprocess.PIPE, text=True)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("plane", "verify", "--q", "5", "--json"), 0),
+    (("group", "verify", "--q", "2", "--json"), 1),
+    (("plane", "verify", "--q", "5", "--bogus"), 2),
+])
+def test_a_cold_command_matches_main_in_process(argv, code, capsys):
+    # entry ends the process with os._exit once both streams are flushed
+    proc = _cold(*argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(capsys, *argv)
+    assert proc.returncode == code
+
+
+def test_an_export_file_is_complete_at_exit(tmp_path, capsys):
+    cold, warm = tmp_path / "cold.json", tmp_path / "warm.json"
+    proc = _cold("export", "--q", "5", "--what", "space", "--out", str(cold))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert run_cli(capsys, "export", "--q", "5", "--what", "space", "--out", str(warm))[0] == 0
+    assert cold.read_bytes() == warm.read_bytes()
+    assert cold.read_bytes().endswith(b"}\n")
+
+
+def test_the_project_script_is_the_entry_point():
+    text = (ROOT / "pyproject.toml").read_text()
+    assert 'laguerre-verify = "laguerre.cli:entry"' in text.splitlines()
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_closed_stdout_is_one_error_line(unbuffered):
+    # buffered, the output fails at entry's final flush; unbuffered, in
+    # _emit's print: either way one line and exit 2, as for --out
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _cold("plane", "verify", "--q", "5", "--json", stdout=write_end,
+                     unbuffered=unbuffered)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (2, "error: cannot write to stdout: Broken pipe\n")
+
+
+def test_emit_turns_a_failed_write_into_a_usage_error(capsys, monkeypatch):
+    class Closed:
+        def write(self, text):
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", Closed())
+    code = main(["plane", "verify", "--q", "3"])
+    monkeypatch.undo()
+    assert (code, capsys.readouterr().err) == (2, "error: cannot write to stdout: Broken pipe\n")
+
+
+# -- export paths without pathlib --------------------------------------------
+
+
+def test_parent_is_the_pathlib_parent():
+    for path in ("x.json", "a/b/", "a/b/c.json", "a//b", "a/./b", "./a", "../a", "a/..",
+                 "..", ".", "", "/", "/x", "//", "//a", "//a/b", "///a", "a/"):
+        assert _parent(path) == str(Path(path).parent), path
+
+
+def test_export_path_checks(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+
+    def export(out):
+        return run_cli(capsys, "export", "--q", "3", "--what", "plane", "--out", out)
+
+    # an existing directory; a trailing slash on a missing one, whose parent
+    # is the path before the last component; a missing parent; a bare name,
+    # whose parent is '.'
+    assert export("d") == (2, "", "error: output path 'd' is a directory\n")
+    assert export("d/") == (2, "", "error: output path 'd/' is a directory\n")
+    assert export("m/n/") == (2, "", "error: output directory 'm' does not exist\n")
+    assert export("m/x.json") == (2, "", "error: output directory 'm' does not exist\n")
+    assert export("x.json") == (0, "wrote plane for q=3 to x.json\n", "")
+    assert (tmp_path / "x.json").read_text().startswith('{"circles":')

@@ -65,10 +65,29 @@ def test_only_the_plane_turns_circle_ids_into_masks():
 
 def test_the_command_line_imports_without_dataclasses_or_inspect():
     # dataclasses pulls in inspect, ast, dis and tokenize, about half of a
-    # cold command's import time; -S keeps site packages out of the count
+    # cold command's import time, and pathlib urllib.parse, ipaddress and
+    # fnmatch; -S keeps site packages out of the count
     probe = ("import sys, laguerre.cli; "
-             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+             "print(sorted({'dataclasses', 'inspect', 'pathlib'} & set(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     out = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out == "[]\n"
+
+
+def test_only_the_entry_point_calls_os_exit():
+    # os._exit skips every finally and buffer flush: one function, the
+    # process's entry point, calls it, after flushing both streams
+    found, entry_calls = [], 0
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        owner = {id(node): fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                 for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "_exit":
+                where = (path.name, owner.get(id(node)))
+                entry_calls += where == ("cli.py", "entry")
+                if where != ("cli.py", "entry"):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+    assert entry_calls == 1  # the guard sees the one call

@@ -623,8 +623,9 @@ def _p4_3_frozensets(ctx):
     return cases, bad, {}
 
 
-@pytest.mark.parametrize("q", [3, 5, 7])
+@pytest.mark.parametrize("q", [3, 5, 7, 13])
 def test_p4_3_bitsets_match_the_frozenset_loop(q, monkeypatch):
+    # the aligned pairs by base-height group against every pair of a class,
     # intact, then with the first one or two points of every 7th line
     # dropped: a pair that differs at two heights names both, ascending
     monkeypatch.setattr(verify, "_CTX_CACHE", {})
@@ -639,6 +640,8 @@ def test_p4_3_bitsets_match_the_frozenset_loop(q, monkeypatch):
         assert (got[0], len(got[1])) == (1500, 76)
         assert got[1][4:6] == [{"lines": [2, 147], "straight_height": 0},
                                {"lines": [2, 147], "straight_height": 1}]
+    if q == 13:
+        assert (got[0], len(got[1])) == (184548, 1366)
 
 
 def test_c2_1_applies_the_group_at_point_0_only(monkeypatch):
