@@ -261,6 +261,8 @@ def _cmd_export(args) -> int:
         parent = _parent(args.out)
         if not _is_dir(parent):
             raise UsageError(f"output directory {parent!r} does not exist")
+        if args.out.endswith("/"):  # names a directory, so no file can be written
+            raise UsageError(f"cannot write {args.out!r}: {os.strerror(errno.EISDIR)}")
     except OSError as e:
         raise UsageError(f"cannot write {args.out!r}: {e.strerror}") from None
     plane = LaguerrePlane(args.q)

@@ -383,12 +383,13 @@ class GroupSpace:
         checker = getattr(self, f"_ax_{axiom}")
         return run_check(axiom, self.q, lambda: checker(budget), _NOTES.get(axiom))
 
-    def certify(self) -> None:
+    def certify(self) -> dict[PencilAut, list[int]]:
         """Raise ``not_equivariant`` unless the join tables pass the
         certificate every orbit sweep rests on (``_check_tables``): then the
         group's generators, the unit translations among them, carry every
-        join to the join of the image pair.  It runs once per space."""
-        self._certificate(self._check_tables)
+        join to the join of the image pair.  It runs once per space and
+        returns the line permutation it checked for each generator."""
+        return self._certificate(self._check_tables)
 
     def _witness(self, names: tuple[str, ...], *idx: int) -> dict:
         return {name: repr(self.points[i]) for name, i in zip(names, idx)}
@@ -473,7 +474,7 @@ class GroupSpace:
             return False
         return True
 
-    def _check_tables(self) -> None:
+    def _check_tables(self) -> dict[PencilAut, list[int]]:
         """The certificate of every orbit sweep, and the first half of the
         one every T, Des and Pap row rests on (``_check_dilatation`` runs
         it first).  Every axiom case is decided by the join-line and
@@ -522,6 +523,7 @@ class GroupSpace:
                     witnesses=[{"x": repr(self.points[i])}])
         require_reach(0, [perm.__getitem__ for perm in perms], range(n),
                       "not_equivariant", repr(self.points[0]), "points")
+        return dict(zip(self._gens, line_perms))
 
     def _check_dilatation(self) -> list[int]:
         """The second half of the certificate of every T, Des and Pap row,

@@ -1,11 +1,12 @@
 """One machine check per statement in the checking catalog.
 
-``_CATALOG`` lists the checks in report order, each with its checker and
-summary; ``CHECK_IDS`` and ``CHECK_SUMMARIES`` are read off it.  A checker
-sweeps the statement's quantifiers over the canonical pencil of the plane
-of the requested size and returns (cases, witnesses, details), as the
-residual-plane axiom checkers do.  Checks verify conclusions, not
-intermediate constructions.
+``_CATALOG`` lists the checks in report order, each with its symmetry,
+evaluation and summary; ``CHECK_IDS`` and ``CHECK_SUMMARIES`` are read off
+it, and ``thm_check`` is the one driver.  A check sweeps the statement's
+quantifiers over the canonical pencil of the plane of the requested size
+and returns (cases, witnesses, details), as the residual-plane axiom
+checkers do: the evaluation alone, or through the symmetry it declares.
+Checks verify conclusions, not intermediate constructions.
 
 Nine checks are exhaustive (P2.2, P2.3, P2.5, P2.6, P3.1, C3.1, L3.1, P3.2,
 P4.3).  The other twenty evaluate a representative and move it along a
@@ -17,7 +18,8 @@ T3.2 normality on the generators, which the residual build checks give Δ,
 and the factorization at point 0, the units checked to close to T;
 C3.3 Pgm at the ``orbit`` budget, the join tables certified equivariant and
 the class and line tables against them; C3.4 one line per class, the classes
-checked to partition the lines and each reached by ``reach``.  The other
+checked to partition the lines and each reached by ``reach`` along the
+units' line permutations that ``GroupSpace.certify`` checked.  The other
 fifteen rest on one certificate, ``_Ctx.transport``: the unit translations
 (1, 1, 0) and (1, 0, 1), as point permutations that pass
 ``PermutationMap.verified``, fix the vertex generator pointwise, permute the
@@ -29,7 +31,8 @@ keeping every plane, pencil and join fact.  So P2.1, L4.2 and P4.6 run the
 ordered residual pairs at x = point 0; P2.4 the circles based at point 0;
 T3.1 point 0's stabilizer; T4.1 and C4.2 the loci at x = point 0; P4.2 the
 circle (a, 0, 0) paired with every circle of equal a; and P4.1, C4.1, L4.1,
-P4.4, P4.5, P4.7 and R4.1 the tangent family of the member y = 0.  A
+P4.4, P4.5, P4.7 and R4.1 the tangent family of the member y = 0; all but
+L4.2 and P4.2 declare that symmetry, ``_at_point0`` or ``_on_member0``.  A
 reduced check reports ``mode: "orbit"``, its ``representative`` (C3.3 and
 C3.4 name none) and ``cases_represented``, the case count of the full sweep
 (``_orbit``).  The tests keep each retired loop as an oracle; a reduced
@@ -438,11 +441,11 @@ def _orbit(cases_represented: int, representative=None) -> dict:
     return details
 
 
-def _at_point0(ctx: _Ctx, at, *args):
-    """``at(ctx, x, *args)``, the (cases, witnesses) with first point x, at
-    point 0 only: the transport carries them to every residual point."""
+def _at_point0(ctx: _Ctx, at):
+    """``at(ctx, x)``, the (cases, witnesses) with first point x, at point 0
+    only: the transport carries them to every residual point."""
     x0 = ctx.transport
-    cases, bad = at(ctx, x0, *args)
+    cases, bad = at(ctx, x0)
     return cases, bad, _orbit(len(ctx.space.points) * cases, repr(x0))
 
 
@@ -485,10 +488,6 @@ def _p2_1_at(ctx: _Ctx, x: Point):
     return cases, bad
 
 
-def _check_p2_1(ctx: _Ctx):
-    return _at_point0(ctx, _p2_1_at)
-
-
 def _check_p2_2(ctx: _Ctx):
     space = ctx.space
     cases, bad = 0, []
@@ -528,10 +527,6 @@ def _p2_4_at(ctx: _Ctx, r: Point):
             if set(space.join(base, y).points) != remnant:
                 bad.append({"circle": list(M), "y": repr(y)})
     return cases, bad
-
-
-def _check_p2_4(ctx: _Ctx):
-    return _at_point0(ctx, _p2_4_at)
 
 
 def _check_p2_5(ctx: _Ctx):
@@ -624,10 +619,6 @@ def _t3_1_at(ctx: _Ctx, r: Point):
         if _remnant_missed(ctx, stab, r, M):
             bad.append({"r": repr(r), "member": list(M), "problem": "not_transitive"})
     return cases, bad
-
-
-def _check_t3_1(ctx: _Ctx):
-    return _at_point0(ctx, _t3_1_at)
 
 
 def _is_translation(ctx: _Ctx, f: PencilAut) -> bool:
@@ -810,8 +801,8 @@ def _check_c3_3(ctx: _Ctx):
 def _check_c3_4(ctx: _Ctx):
     """One line per class stands for all: a class's lines share their T-orbit."""
     space = ctx.space
-    moves = [[space.line_image(perm, line).index for line in space.lines].__getitem__
-             for perm in map(space.point_perm, ctx.unit_translations)]
+    units = ctx.unit_translations  # raises unless they close to T, before certify
+    moves = [space.certify()[u].__getitem__ for u in units]
     cases, bad = 0, []
     if sorted(itertools.chain(*space.class_members.values())) != list(range(len(space.lines))):
         bad.append({"problem": "classes_not_a_partition"})
@@ -835,10 +826,6 @@ def _p4_1_on(ctx: _Ctx, L: Circle, fam: TangentFamily):
     return cases, bad
 
 
-def _check_p4_1(ctx: _Ctx):
-    return _on_member0(ctx, _p4_1_on)
-
-
 def _c4_1_on(ctx: _Ctx, L: Circle, fam: TangentFamily):
     plane = ctx.plane
     cases, bad = 0, []
@@ -853,10 +840,6 @@ def _c4_1_on(ctx: _Ctx, L: Circle, fam: TangentFamily):
             if not common:
                 bad.append({"member": list(L), "circles": [list(M), list(N)]})
     return cases, bad
-
-
-def _check_c4_1(ctx: _Ctx):
-    return _on_member0(ctx, _c4_1_on)
 
 
 def _p4_2_pairs(ctx: _Ctx, M: Circle, others: list[Circle]):
@@ -936,25 +919,14 @@ def _l4_1_on(ctx: _Ctx, L: Circle, fam: TangentFamily):
     return cases, bad
 
 
-def _check_l4_1(ctx: _Ctx):
-    return _on_member0(ctx, _l4_1_on)
-
-
 def _equiv_laws(rep: Report, laws: tuple[str, ...]):
     """A thm_equiv_rel report's cases and its witnesses of the named laws."""
     return rep.cases_checked, [w for w in rep.witnesses if w["law"] in laws]
 
 
-def _equiv_sweep(ctx: _Ctx, laws: tuple[str, ...]):
-    return _on_member0(ctx, lambda ctx, L, fam: _equiv_laws(ctx.equiv_report, laws))
-
-
-def _check_p4_4(ctx: _Ctx):
-    return _equiv_sweep(ctx, ("reflexive", "symmetric", "transitive"))
-
-
-def _check_p4_5(ctx: _Ctx):
-    return _equiv_sweep(ctx, ("single_witness",))
+def _laws(*laws: str):
+    """P4.4, P4.5, P4.7 and R4.1 on the member y = 0, ``equiv_report``'s laws."""
+    return lambda ctx, L, fam: _equiv_laws(ctx.equiv_report, laws)
 
 
 def _p4_6_at(ctx: _Ctx, x: Point, fam: TangentFamily):
@@ -974,18 +946,6 @@ def _p4_6_at(ctx: _Ctx, x: Point, fam: TangentFamily):
             if (z in line_pts) != fam.equivalent(z, y):
                 bad.append({"x": repr(x), "y": repr(y), "z": repr(z)})
     return cases, bad
-
-
-def _check_p4_6(ctx: _Ctx):
-    return _at_point0(ctx, _p4_6_at, ctx.family0)
-
-
-def _check_p4_7(ctx: _Ctx):
-    return _equiv_sweep(ctx, ("two_circle_count",))
-
-
-def _check_r4_1(ctx: _Ctx):
-    return _equiv_sweep(ctx, ("square_class_rule", "block_count"))
 
 
 def _l4_2_at(ctx: _Ctx, x: Point):
@@ -1037,17 +997,13 @@ def _loci_at(ctx: _Ctx, x: Point) -> list[tuple[int, Circle | None, Report]]:
 
 
 def _t4_1_at(ctx: _Ctx, x: Point, loci):
+    """T4.1's cases on the loci at x.  Δ fixes every ideal point, so the
+    transport carries the loci at point 0 to those at every point."""
     cases, bad = 0, []
     for beta, locus, rep in loci:
         cases += rep.cases_checked
         bad.extend(dict(w, beta=beta, x=repr(x)) for w in rep.witnesses)
     return cases, bad
-
-
-def _check_t4_1(ctx: _Ctx):
-    """Δ fixes every ideal point, so the transport carries the loci at point
-    0 to those at every point."""
-    return _at_point0(ctx, _t4_1_at, ctx.loci)
 
 
 def _c4_2_at(ctx: _Ctx, x: Point, loci):
@@ -1059,10 +1015,6 @@ def _c4_2_at(ctx: _Ctx, x: Point, loci):
         if locus is None or not plane.incident(qprime, locus):
             bad.append({"beta": beta, "x": repr(x), "locus": locus and list(locus)})
     return cases, bad
-
-
-def _check_c4_2(ctx: _Ctx):
-    return _at_point0(ctx, _c4_2_at, ctx.loci)
 
 
 def _check_t4_2(ctx: _Ctx):
@@ -1095,53 +1047,56 @@ def _check_t4_2(ctx: _Ctx):
     return cases, bad, _orbit(len(plane.circles) * cases, list(L))
 
 
-# The catalog in report order: each check's checker and summary.  The only
-# source of the check ids, their order, their summaries and dispatch.
+# The catalog in report order: each check's symmetry (None, or the one
+# ``thm_check`` runs the evaluation through), evaluation and summary; the
+# only source of the ids, their order, their summaries and dispatch.  A
+# row's lambda reads its table when the check runs, so the first reader pays.
 _CATALOG = {
-    "P2.1": (_check_p2_1, "joins of nonparallel points are circle remnants based at the first point; parallel joins stay inside one generator"),
-    "P2.2": (_check_p2_2, "lines carried by pencil members are straight"),
-    "P2.3": (_check_p2_3, "parallel circle remnants share their ideal point"),
-    "P2.4": (_check_p2_4, "a circle avoiding the vertex is the line based at its tangency point, whichever second point is used"),
-    "P2.5": (_check_p2_5, "straight circle remnants come only from pencil members"),
-    "P2.6": (_check_p2_6, "circle remnants with equal ideal points are parallel"),
-    "C2.1": (_check_c2_1, "stabilizer-invariant circles through the fixed point carry a transitive stabilizer action off the fixed and vertex-parallel points"),
-    "T3.1": (_check_t3_1, "point stabilizers fix the vertex pencil at their point, contain the two-generator symmetry, and act transitively on invariant remnants"),
-    "P3.1": (_check_p3_1, "the member-fixing translations act transitively along each pencil member"),
-    "C3.1": (_check_c3_1, "any two points of a pencil member are swapped by a symmetry based on that member"),
-    "L3.1": (_check_l3_1, "census of fixed-point-free elements (report-only; restricted claims asserted)"),
-    "P3.2": (_check_p3_2, "the generator-fixing translations act transitively along each generator"),
-    "T3.2": (_check_t3_2, "translations form a normal transitive subgroup, the translation/stabilizer factorization is bijective, and fixed-point elements are strains"),
-    "C3.3": (_check_c3_3, "the residual plane satisfies the parallelogram condition and the translation subgroup is commutative"),
-    "C3.4": (_check_c3_4, "line parallelism coincides with translation reachability"),
-    "P4.1": (_check_p4_1, "circles tangent to one member at distinct points never meet only on the vertex generator"),
-    "C4.1": (_check_c4_1, "parallel circle lines based on one straight line always meet"),
-    "P4.2": (_check_p4_2, "parallel proper circle lines are disjoint exactly when their base points are distinct and parallel"),
-    "P4.3": (_check_p4_3, "a straight circle line meeting one of two base-aligned parallel lines meets the other"),
-    "L4.1": (_check_l4_1, "intersection with a middle tangent circle propagates to the outer pair"),
-    "P4.4": (_check_p4_4, "the tangency relation is an equivalence off each member"),
-    "P4.5": (_check_p4_5, "one intersecting tangent pair at distinct points already forces equivalence"),
-    "P4.6": (_check_p4_6, "special-line membership matches the tangency equivalence"),
-    "P4.7": (_check_p4_7, "equivalence of an ideal point to an affine point means exactly two common tangent circles"),
-    "L4.2": (_check_l4_2, "reversing a join sends its ideal direction to a unique opposite ideal point"),
-    "T4.1": (_check_t4_1, "the base points of a vertical joining pencil sweep exactly one circle"),
-    "C4.2": (_check_c4_2, "the swept circle passes through the opposite ideal point"),
-    "T4.2": (_check_t4_2, "two-tangent-circles existence, all-pairs intersection, and one intersecting distinct-tangency pair are equivalent"),
-    "R4.1": (_check_r4_1, "the tangency equivalence is the square-class partition of height offsets"),
+    "P2.1": (_at_point0, _p2_1_at, "joins of nonparallel points are circle remnants based at the first point; parallel joins stay inside one generator"),
+    "P2.2": (None, _check_p2_2, "lines carried by pencil members are straight"),
+    "P2.3": (None, _check_p2_3, "parallel circle remnants share their ideal point"),
+    "P2.4": (_at_point0, _p2_4_at, "a circle avoiding the vertex is the line based at its tangency point, whichever second point is used"),
+    "P2.5": (None, _check_p2_5, "straight circle remnants come only from pencil members"),
+    "P2.6": (None, _check_p2_6, "circle remnants with equal ideal points are parallel"),
+    "C2.1": (None, _check_c2_1, "stabilizer-invariant circles through the fixed point carry a transitive stabilizer action off the fixed and vertex-parallel points"),
+    "T3.1": (_at_point0, _t3_1_at, "point stabilizers fix the vertex pencil at their point, contain the two-generator symmetry, and act transitively on invariant remnants"),
+    "P3.1": (None, _check_p3_1, "the member-fixing translations act transitively along each pencil member"),
+    "C3.1": (None, _check_c3_1, "any two points of a pencil member are swapped by a symmetry based on that member"),
+    "L3.1": (None, _check_l3_1, "census of fixed-point-free elements (report-only; restricted claims asserted)"),
+    "P3.2": (None, _check_p3_2, "the generator-fixing translations act transitively along each generator"),
+    "T3.2": (None, _check_t3_2, "translations form a normal transitive subgroup, the translation/stabilizer factorization is bijective, and fixed-point elements are strains"),
+    "C3.3": (None, _check_c3_3, "the residual plane satisfies the parallelogram condition and the translation subgroup is commutative"),
+    "C3.4": (None, _check_c3_4, "line parallelism coincides with translation reachability"),
+    "P4.1": (_on_member0, _p4_1_on, "circles tangent to one member at distinct points never meet only on the vertex generator"),
+    "C4.1": (_on_member0, _c4_1_on, "parallel circle lines based on one straight line always meet"),
+    "P4.2": (None, _check_p4_2, "parallel proper circle lines are disjoint exactly when their base points are distinct and parallel"),
+    "P4.3": (None, _check_p4_3, "a straight circle line meeting one of two base-aligned parallel lines meets the other"),
+    "L4.1": (_on_member0, _l4_1_on, "intersection with a middle tangent circle propagates to the outer pair"),
+    "P4.4": (_on_member0, _laws("reflexive", "symmetric", "transitive"), "the tangency relation is an equivalence off each member"),
+    "P4.5": (_on_member0, _laws("single_witness"), "one intersecting tangent pair at distinct points already forces equivalence"),
+    "P4.6": (_at_point0, lambda ctx, x: _p4_6_at(ctx, x, ctx.family0), "special-line membership matches the tangency equivalence"),
+    "P4.7": (_on_member0, _laws("two_circle_count"), "equivalence of an ideal point to an affine point means exactly two common tangent circles"),
+    "L4.2": (None, _check_l4_2, "reversing a join sends its ideal direction to a unique opposite ideal point"),
+    "T4.1": (_at_point0, lambda ctx, x: _t4_1_at(ctx, x, ctx.loci), "the base points of a vertical joining pencil sweep exactly one circle"),
+    "C4.2": (_at_point0, lambda ctx, x: _c4_2_at(ctx, x, ctx.loci), "the swept circle passes through the opposite ideal point"),
+    "T4.2": (None, _check_t4_2, "two-tangent-circles existence, all-pairs intersection, and one intersecting distinct-tangency pair are equivalent"),
+    "R4.1": (_on_member0, _laws("square_class_rule", "block_count"), "the tangency equivalence is the square-class partition of height offsets"),
 }
 
 CHECK_IDS = tuple(_CATALOG)
-CHECK_SUMMARIES = {cid: summary for cid, (_, summary) in _CATALOG.items()}
+CHECK_SUMMARIES = {cid: summary for cid, (*_, summary) in _CATALOG.items()}
 
 
 def thm_check(check_id: str, q: int) -> Report:
-    """Run one catalog check at field size q (canonical pencil)."""
+    """Run one catalog check at q (canonical pencil), through its row's symmetry if any."""
     if check_id not in _CATALOG:
         raise GeometryError(f"unknown check id {check_id!r}", code="bad_check")
     if q == 2 or q % 2 == 0:
         raise GeometryError("catalog checks need an odd prime q", code="char2_group")
-    checker, summary = _CATALOG[check_id]
+    symmetry, evaluation, summary = _CATALOG[check_id]
     ctx = _context(q)
-    rep = run_check(check_id, q, lambda: checker(ctx), _NOTES.get(check_id),
+    sweep = partial(evaluation, ctx) if symmetry is None else partial(symmetry, ctx, evaluation)
+    rep = run_check(check_id, q, sweep, _NOTES.get(check_id),
                     REPORT_ONLY if check_id in _REPORT_ONLY_IDS else PASS)
     rep.details["summary"] = summary
     return rep

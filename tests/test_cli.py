@@ -398,3 +398,20 @@ def test_export_path_checks(tmp_path, capsys, monkeypatch):
     assert export("m/x.json") == (2, "", "error: output directory 'm' does not exist\n")
     assert export("x.json") == (0, "wrote plane for q=3 to x.json\n", "")
     assert (tmp_path / "x.json").read_text().startswith('{"circles":')
+
+
+def test_a_trailing_slash_fails_before_the_build(tmp_path, capsys, monkeypatch):
+    # a path ending in '/' names a directory, missing or not, never a file
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f.json").write_text("kept")
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("the plane was built")
+
+    monkeypatch.setattr(LaguerrePlane, "__init__", no_build)
+    for out in ("missing/", "f.json/"):
+        code, stdout, err = run_cli(capsys, "export", "--q", "3", "--what", "plane",
+                                    "--out", out)
+        assert (code, stdout, err) == (2, "", f"error: cannot write {out!r}: Is a directory\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f.json"]
+    assert (tmp_path / "f.json").read_text() == "kept"

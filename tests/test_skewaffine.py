@@ -1129,6 +1129,19 @@ def test_certificates_are_checked_lazily_and_only_where_read():
     assert {tuple(sorted({j, c[j]})) for j in range(1, gs.n)} == set(gs._linepts_minus[0][1:])
 
 
+def test_certify_returns_each_generators_line_permutation(space3, space5, space5_p1_2):
+    # the permutations the table certificate checked, one per generator in
+    # the group's order, each line's image under the generator's point action
+    for gs in (space3, space5, space5_p1_2):
+        got = gs.certify()
+        assert list(got) == gs.delta.generators()
+        for g, line_perm in got.items():
+            perm = gs.point_perm(g)
+            assert line_perm[:len(gs.lines)] == [gs.line_image(perm, line).index
+                                                 for line in gs.lines], (gs.q, g)
+        assert gs.certify() is got  # run once per space
+
+
 def test_t_orbit_matches_exhaustive_q7(space7):
     from laguerre import Budget
     for gs in (space7, GroupSpace.build(*_fresh(7, _p1_2), check_preconditions=False)):

@@ -15,14 +15,26 @@ def test_catalog_is_closed():
     assert len(CHECK_IDS) == 29
     assert len(set(CHECK_IDS)) == 29
     assert set(CHECK_SUMMARIES) == set(CHECK_IDS)
-    # report order, and one checker per id
+    # report order, and one symmetry and evaluation per id
     assert CHECK_IDS == (
         "P2.1", "P2.2", "P2.3", "P2.4", "P2.5", "P2.6", "C2.1",
         "T3.1", "P3.1", "C3.1", "L3.1", "P3.2", "T3.2", "C3.3", "C3.4",
         "P4.1", "C4.1", "P4.2", "P4.3", "L4.1",
         "P4.4", "P4.5", "P4.6", "P4.7", "L4.2", "T4.1", "C4.2", "T4.2", "R4.1")
     assert list(verify._CATALOG) == list(CHECK_IDS)
-    assert all(callable(checker) for checker, _ in verify._CATALOG.values())
+    assert all(symmetry in (None, verify._at_point0, verify._on_member0) and callable(evaluation)
+               for symmetry, evaluation, _ in verify._CATALOG.values())
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_each_check_alone_matches_the_suite(q, monkeypatch):
+    # run alone on a fresh context, a check builds the tables it reads in
+    # its own order (transport, family0, loci), as ``theorems run --id`` does
+    monkeypatch.setattr(verify, "_CTX_CACHE", {})
+    suite = [rep.to_dict() for rep in verify.run_suite(q)]
+    for cid, want in zip(CHECK_IDS, suite):
+        verify._CTX_CACHE.clear()
+        assert thm_check(cid, q).to_dict() == want, cid
 
 
 def test_unknown_id_rejected():
@@ -733,6 +745,9 @@ def test_unit_translations_must_close_to_the_translations(monkeypatch):
     with pytest.raises(GeometryError) as e:
         verify._context(5).unit_translations
     assert e.value.code == "translations_not_closed"
+    with pytest.raises(GeometryError) as e:
+        thm_check("C3.4", 5)
+    assert e.value.code == "translations_not_closed"
 
 
 def test_c3_3_rejects_a_flipped_join_class(monkeypatch):
@@ -843,6 +858,17 @@ RETIRED = {
     "C4.2": _every_point_loci(verify._c4_2_at),
     "R4.1": _every_member_equiv(("square_class_rule", "block_count")),
 }
+
+
+def test_declared_symmetries_match_the_retired_loops():
+    # every retired loop but P4.2's and L4.2's, which count their cases their
+    # own way, is declared in the catalog: a dropped declaration fails here
+    declared = {sym: {cid for cid, (s, *_) in verify._CATALOG.items() if s is sym}
+                for sym in (verify._at_point0, verify._on_member0)}
+    assert declared[verify._at_point0] == {"P2.1", "P2.4", "T3.1", "P4.6", "T4.1", "C4.2"}
+    assert declared[verify._on_member0] == {"P4.1", "C4.1", "L4.1", "P4.4", "P4.5", "P4.7",
+                                            "R4.1"}
+    assert set.union(*declared.values()) == set(RETIRED) - {"P4.2", "L4.2"}
 
 
 @pytest.mark.parametrize("q", [3, 5, 7])
