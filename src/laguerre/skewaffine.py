@@ -40,11 +40,11 @@ Tables.  The whole incidence structure is point 0's orbits moved along the
 translations, so every table is derived once per (i, o), and row i of each
 is point 0's row moved along T_i: entry j reads the orbit o of T_i⁻¹(j).
 ``_joinline[i][j]`` is the index of the line (i, o); ``_joinclass[i][j]``
-the position of its class in ``class_ids`` (not o: the two orders differ);
-``_linepts_minus[i][j]`` the points of that line other than i, one tuple
-per (i, o), which ``_byclass[i][c]`` shares for the class at position c
-and whose bits are ``_witmask[i][c]``.  The diagonal, point 0's own orbit,
-reads -1 in the first two tables and ``None`` in the third.
+the position c of its class in ``class_ids`` (not o: the two orders
+differ); ``_byclass[i][c]`` the points of that line other than i, one tuple
+per (i, o), so the line through i and j is ``_byclass[i][_joinclass[i][j]]``;
+and ``_witmask[i][c]`` the bits of those points.  The diagonal, point 0's
+own orbit, reads -1 in the first two tables.
 
 Every join is computed twice.  The orbit route above gives every pair's
 line.  The closed form, the circle through x and y with its vertex at x or
@@ -64,8 +64,8 @@ certificate, ``_check_tables``: both tables must be equivariant under the
 three generators of the group, and the generators must carry the
 representative to every point (``autgroup.require_reach``, which with
 ``PermutationMap.verified`` states every reduction's group); the sweeps
-also read ``_byclass``, ``_witmask`` and ``_linepts_minus``, so these must
-agree with ``_joinclass`` row by row.  Otherwise the sweep raises
+also read ``_byclass`` and ``_witmask``, so these must agree with
+``_joinclass`` row by row.  Otherwise the sweep raises
 ``not_equivariant``.  The check runs lazily, at most once per space once
 it passes, never in the build.  ``exhaustive`` sweeps every ordered pair
 and is the brute-force oracle for the reduction; ``sample:K`` draws K
@@ -82,12 +82,13 @@ count, the witnesses and their order are those of a case-by-case sweep.
 The rows rest on one dilatation at point 0, c, checked once per space
 after the tables (``_check_dilatation``): c is the first power in
 ``stabilizer0`` whose cycles on the other points are exactly the lines
-through point 0, the sets ``_linepts_minus[0][x]``; it keeps
-``_joinclass``; and ``_joinline[0]`` and ``_joinclass[0]`` partition the
-other points alike, one line per class through point 0.  Stab(0) is
-GF(q)* acting by dilatation, a cyclic group, so a generator passes.  The
-generators carry point 0 to any u, say by a; the powers of a c a⁻¹ then fix
-u, turn each line through u as one cycle, keep the classes and commute.
+through point 0, the sets ``_byclass[0][k]`` for the classes k in
+``_joinclass[0]``; it keeps ``_joinclass``; and ``_joinline[0]`` and
+``_joinclass[0]`` partition the other points alike, one line per class
+through point 0.  Stab(0) is GF(q)* acting by dilatation, a cyclic group,
+so a generator passes.  The generators carry point 0 to any u, say by a;
+the powers of a c a⁻¹ then fix u, turn each line through u as one cycle,
+keep the classes and commute.
 T: the cases of a row are the pairs of one class k, and some a cʲ carries
 (0, y0), y0 = ``_byclass[0][k][0]``, to each of them, and a witness z' of
 (0, y0) with it; so the one AND ``_witmask[0][c1] & _witmask[y0][c2]``, for
@@ -111,7 +112,7 @@ from __future__ import annotations
 import random
 from operator import and_
 
-from .plane import GeometryError, LaguerrePlane, Pencil, PencilAut, Point, not_a_point
+from .plane import GeometryError, LaguerrePlane, Pencil, PencilAut, Point
 from .autgroup import DeltaGroup, require_reach
 from .report import Budget, Report, run_check
 
@@ -210,10 +211,11 @@ class GroupSpace:
         delta, plane, q = self.delta, self.plane, self.q
         self.points = delta.space_points()
         self.n = n = len(self.points)
-        self.index = {p: i for i, p in enumerate(self.points)}
         # plane index of each residual point, and back (-1 off the space)
         self._plane_ids = [plane.point_index[p] for p in self.points]
-        self._local = [self.index.get(p, -1) for p in plane.points]
+        self._local = [-1] * len(plane.points)
+        for i, k in enumerate(self._plane_ids):
+            self._local[k] = i
         # every residual point is affine in canonical coordinates
         canon = [divmod(delta.canonical_index(p), q) for p in self._plane_ids]
         at = [-1] * (q * q)
@@ -273,8 +275,7 @@ class GroupSpace:
         position = [-1] + [self.class_ids.index(class_of[o]) for o in range(1, len(orbits))]
         by_position = sorted(range(1, len(orbits)), key=position.__getitem__)
         bit = [1 << j for j in range(n)]
-        self._joinline, self._joinclass, self._linepts_minus = [], [], []
-        self._byclass, self._witmask = [], []
+        self._joinline, self._joinclass, self._byclass, self._witmask = [], [], [], []
         for trans, row, minus in zip(translations, keys, minus_rows):
             # the orbit of T_i⁻¹(j) for each j, that is r[T_i(k)] = orbit of k
             r = [0] * n
@@ -283,7 +284,6 @@ class GroupSpace:
             lids = [-1] + [line_index[key] for key in row]
             self._joinline.append(list(map(lids.__getitem__, r)))
             self._joinclass.append(list(map(position.__getitem__, r)))
-            self._linepts_minus.append(list(map(minus.__getitem__, r)))
             self._byclass.append([minus[o] for o in by_position])
             self._witmask.append([sum(map(bit.__getitem__, minus[o])) for o in by_position])
 
@@ -342,14 +342,14 @@ class GroupSpace:
     def join(self, x: Point, y: Point) -> Line:
         if x == y:
             raise GeometryError("join needs two distinct points", code="join_degenerate")
-        try:
-            return self.lines[self._joinline[self.index[x]][self.index[y]]]
-        except KeyError:
-            off = x if x not in self.index else y
-            if off not in self.plane.point_index:
-                raise not_a_point(off) from None
+        local, index = self._local, self.plane.point_index
+        i = local[index[x]]  # not_a_point off the plane
+        # x is resolved fully before y is looked up
+        j = local[index[y]] if i >= 0 else -1
+        if i < 0 or j < 0:
             raise GeometryError("point lies on the vertex generator",
-                                code="point_on_base_generator") from None
+                                code="point_on_base_generator")
+        return self.lines[self._joinline[i][j]]
 
     def census(self) -> dict:
         counts = {CIRCLE_LINE: 0, STRAIGHT: 0, SPECIAL: 0}
@@ -482,19 +482,19 @@ class GroupSpace:
         (x, y) to the join line of the image pair and keep its class, and
         the generators must carry point 0 to every point; then point 0
         alone can stand for all first points, and carries the dilatation
-        at point 0 to every point.  The sweeps also read the classes
-        through ``_byclass``, ``_witmask`` and ``_linepts_minus``.  So
-        ``_byclass[i][c]``, in index order, and the bits of ``_witmask[i][c]``
-        must be exactly the points j != i with ``_joinclass[i][j] == c``,
-        ``_linepts_minus[i][j]`` must be ``_byclass[i][_joinclass[i][j]]``,
-        and the diagonal must read -1 and ``None``."""
+        at point 0 to every point.  The sweeps also read the classes, and
+        the line through i and j as ``_byclass[i][_joinclass[i][j]]``, and
+        their witnesses through ``_witmask``.  So ``_byclass[i][c]``, in
+        index order, and the bits of ``_witmask[i][c]`` must be exactly the
+        points j != i with ``_joinclass[i][j] == c``, and the diagonal must
+        read -1."""
         n, ncls, jl, jc = self.n, self.ncls, self._joinline, self._joinclass
         perms = self._gen_perms
         # each generator's line permutation; the diagonal's -1 stays -1
         line_perms = [[self.line_image(perm, line).index for line in self.lines] + [-1]
                       for perm in perms]
-        for i, (jl_i, jc_i, byc_i, wm_i, lpm_i) in enumerate(zip(
-                jl, jc, self._byclass, self._witmask, self._linepts_minus)):
+        for i, (jl_i, jc_i, byc_i, wm_i) in enumerate(zip(jl, jc, self._byclass,
+                                                          self._witmask)):
             for g, perm, line_perm in zip(self._gens, perms, line_perms):
                 jl_gi, jc_gi = jl[perm[i]], jc[perm[i]]
                 if (list(map(jl_gi.__getitem__, perm)) != list(map(line_perm.__getitem__, jl_i))
@@ -510,15 +510,11 @@ class GroupSpace:
             for j, c in enumerate(jc_i):
                 if j != i and 0 <= c < ncls:
                     members[c].append(j)
-            # in a built space these are the tuples _linepts_minus shares;
-            # the diagonal's class -1 reads None
-            lines = list(map(tuple, byc_i)) + [None]
             if (jc_i[i] != -1 or sum(map(len, members)) != n - 1
-                    or lines != list(map(tuple, members)) + [None]
-                    or wm_i != [sum(map((1).__lshift__, m)) for m in members]
-                    or lpm_i != list(map(lines.__getitem__, jc_i))):
+                    or list(map(tuple, byc_i)) != list(map(tuple, members))
+                    or wm_i != [sum(map((1).__lshift__, m)) for m in members]):
                 raise GeometryError(
-                    "the by-class, witness-mask and line tables disagree with "
+                    "the by-class and witness-mask tables disagree with "
                     "the join classes", code="not_equivariant",
                     witnesses=[{"x": repr(self.points[i])}])
         require_reach(0, [perm.__getitem__ for perm in perms], range(n),
@@ -530,13 +526,13 @@ class GroupSpace:
         after ``_check_tables``; returns c, a dilatation at point 0 (see
         "Row sweeps").  (a) c is the first power in ``stabilizer0`` that
         fixes point 0 and whose cycles on the other points are exactly the
-        lines through it, the sets ``_linepts_minus[0][x]``; (b) c keeps
-        ``_joinclass``; (c) ``_joinline[0]`` and ``_joinclass[0]`` partition
-        the other points alike, so one line of each class passes through
-        point 0."""
+        lines through it, the sets ``_byclass[0][k]`` of the classes k in
+        ``_joinclass[0]``; (b) c keeps ``_joinclass``; (c) ``_joinline[0]``
+        and ``_joinclass[0]`` partition the other points alike, so one line
+        of each class passes through point 0."""
         self.certify()
         n, jl, jc = self.n, self._joinline, self._joinclass
-        lines = set(self._linepts_minus[0][1:])
+        lines = {self._byclass[0][c] for c in jc[0][1:]}
 
         def turns(perm):
             # from its first point, |line| steps visit the line and return
@@ -574,12 +570,13 @@ class GroupSpace:
         return self._sweep(Budget(), ("x", "y"), pair)
 
     def _ax_L2(self, budget: Budget):
-        jl = self._joinline
+        jl, jc, byc = self._joinline, self._joinclass, self._byclass
 
         def pair(i, j, fail):
-            others = self._linepts_minus[i][j]
+            jl_i = jl[i]
+            lid, others = jl_i[j], byc[i][jc[i][j]]
             for k in others:
-                if jl[i][k] != jl[i][j]:
+                if jl_i[k] != lid:
                     fail(i, j, k)
             return len(others)
 
@@ -694,12 +691,13 @@ class GroupSpace:
         return self._sweep(budget, ("x", "y", "z", "x'", "y'"), pair, draw, holds)
 
     def _des_case_holds(self, u, x, y, z, x2) -> bool:
-        jc = self._joinclass
+        jc, byc_u = self._joinclass, self._byclass[u]
         cxy, cxz, cyz = jc[x][y], jc[x][z], jc[y][z]
-        for y2 in self._linepts_minus[u][y]:
+        on_uz = byc_u[jc[u][z]]
+        for y2 in byc_u[jc[u][y]]:
             if y2 == x2 or jc[x2][y2] != cxy:
                 continue
-            for z2 in self._linepts_minus[u][z]:
+            for z2 in on_uz:
                 if z2 == x2 or z2 == y2:
                     continue
                 if jc[x2][z2] == cxz and jc[y2][z2] == cyz:
@@ -707,15 +705,15 @@ class GroupSpace:
         return False
 
     def _ax_Des(self, budget: Budget):
-        n = self.n
-        lpm = self._linepts_minus
+        n, jc, byc = self.n, self._joinclass, self._byclass
         holds = self._des_case_holds
         # a certified dilatation makes every case hold (see "Row sweeps")
         certified = self._row_certificate(budget)
 
         def pair(u, x, fail):
+            line = byc[u][jc[u][x]]
             if certified:
-                return (n - 2) * (n - 3) * len(lpm[u][x])
+                return (n - 2) * (n - 3) * len(line)
             cases = 0
             for y in range(n):
                 if y in (u, x):
@@ -723,7 +721,7 @@ class GroupSpace:
                 for z in range(n):
                     if z in (u, x, y):
                         continue
-                    for x2 in lpm[u][x]:
+                    for x2 in line:
                         cases += 1
                         if not holds(u, x, y, z, x2):
                             fail(u, x, y, z, x2)
@@ -733,7 +731,7 @@ class GroupSpace:
             u = randrange(n); x = randrange(n); y = randrange(n); z = randrange(n)
             if u == x or u == y or u == z or x == y or x == z or y == z:
                 return None
-            opts = lpm[u][x]
+            opts = byc[u][jc[u][x]]
             return u, x, y, z, opts[randrange(len(opts))]
 
         return self._sweep(budget, ("u", "x", "y", "z", "x'"), pair, draw, holds)
@@ -743,12 +741,13 @@ class GroupSpace:
             return True  # vacuous: a printed join is undefined
         jc = self._joinclass
         want1 = jc[x][x2]
-        for y2 in self._linepts_minus[u][x2]:
+        line = self._byclass[u][jc[u][x2]]
+        for y2 in line:
             if y2 == x or y2 == z:
                 continue
             c_xy2 = jc[x][y2]
             c_yx2 = jc[y][x2]
-            for z2 in self._linepts_minus[u][x2]:
+            for z2 in line:
                 if z2 == z or z2 == y:
                     continue
                 if jc[z][z2] == want1 and jc[y][z2] == c_xy2 and jc[z][y2] == c_yx2:
@@ -756,14 +755,13 @@ class GroupSpace:
         return False
 
     def _ax_Pap(self, budget: Budget):
-        n = self.n
-        lpm, jl = self._linepts_minus, self._joinline
+        n, jc, jl, byc = self.n, self._joinclass, self._joinline, self._byclass
         holds = self._pap_case
         # a certified dilatation makes every case hold (see "Row sweeps")
         certified = self._row_certificate(budget)
 
         def pair(u, x, fail):
-            online = lpm[u][x]
+            online = byc[u][jc[u][x]]
             lid = jl[u][x]
             offline = [x2 for x2 in range(n)
                        if x2 != u and x2 != x and jl[u][x2] != lid]
@@ -782,7 +780,7 @@ class GroupSpace:
             u = randrange(n); x = randrange(n)
             if u == x:
                 return None
-            online = lpm[u][x]
+            online = byc[u][jc[u][x]]
             y = online[randrange(len(online))]
             z = online[randrange(len(online))]
             x2 = randrange(n)

@@ -23,11 +23,18 @@ def test_join_examples(space5):
 
 
 def test_join_errors(space5):
-    with pytest.raises(GeometryError):
-        space5.join(affine(0, 0), affine(0, 0))
-    with pytest.raises(GeometryError) as e:
-        space5.join(ideal(0), affine(0, 0))
-    assert e.value.code == "point_on_base_generator"
+    # x is resolved fully before y: a point on the vertex generator first
+    # wins over a y off the plane, and a first point off the plane over one
+    # on the vertex generator
+    outside = affine(7, 7)
+    for x, y, code in ((affine(0, 0), affine(0, 0), "join_degenerate"),
+                       (ideal(0), affine(0, 0), "point_on_base_generator"),
+                       (affine(0, 0), ideal(0), "point_on_base_generator"),
+                       (ideal(0), outside, "point_on_base_generator"),
+                       (outside, ideal(0), "not_a_point")):
+        with pytest.raises(GeometryError) as e:
+            space5.join(x, y)
+        assert e.value.code == code, (x, y)
 
 
 def test_point_outside_the_plane_is_a_geometry_error(space5):
@@ -423,16 +430,15 @@ def test_transported_orbits_match_the_per_point_route(q, pencil):
     assert gs._joinclass == jc
     assert [[list(members) for members in row] for row in gs._byclass] == byclass
     assert gs._witmask == witmask
-    assert gs._linepts_minus == minus
-    # one tuple per base point and line through it, shared by every entry
-    # of its row and by its class
+    # the line through i and j, less i, is the by-class entry of their
+    # class: one tuple per base point and line through it
     for i in range(gs.n):
         shared = {}
         for j in range(gs.n):
             if j != i:
-                assert gs._byclass[i][jc[i][j]] is gs._linepts_minus[i][j]
-                assert shared.setdefault(gs._joinline[i][j],
-                                         gs._linepts_minus[i][j]) is gs._linepts_minus[i][j]
+                line = gs._byclass[i][jc[i][j]]
+                assert line == minus[i][j]
+                assert shared.setdefault(gs._joinline[i][j], line) is line
 
 
 @pytest.mark.parametrize("q", (3, 5, 7, 11))
@@ -570,7 +576,9 @@ def test_sampled_failure_witnesses_are_pinned(plane5, delta5):
 def test_exhaustive_failure_witnesses_are_pinned(plane5, delta5):
     # every failing case of T, Des and Pap at q = 5, in sweep order: the
     # case count, the witness count, the first three witnesses and a digest
-    # of the whole list stay as the per-case sweep reported them
+    # of the whole list stay as the per-case sweep reported them.  Des and
+    # Pap read the line of u and x as _byclass[u][_joinclass[u][x]], so a
+    # damaged join class also moves the line they read
     import hashlib
     import json
     from laguerre import Budget
@@ -581,16 +589,16 @@ def test_exhaustive_failure_witnesses_are_pinned(plane5, delta5):
                 ("A(0,0)", "A(0,3)", "A(1,3)", "A(0,1)", "A(0,3)"),
                 ("A(0,0)", "A(0,3)", "A(1,3)", "A(0,1)", "A(0,4)")],
                 "c15271129a573d1a296e7e23fa675419c6eefa1bffe310d3a0a9a7875f1e978e"),
-            "Des": (1113200, 6774, [
+            "Des": (1114212, 14750, [
                 ("A(0,0)", "A(0,1)", "A(0,3)", "A(1,3)", "A(0,4)"),
                 ("A(0,0)", "A(0,2)", "A(0,3)", "A(1,3)", "A(0,3)"),
                 ("A(0,0)", "A(0,2)", "A(2,2)", "A(3,2)", "A(0,3)")],
-                "cd27754793989d5df851a6dadaf0c17f612cf84a1ba49d6fd9a045eeecf9eb60"),
-            "Pap": (168800, 466, [
+                "696136183a1b673cdbaf8f888ecc45464c0dc231e4e7378bddbaff923e113d60"),
+            "Pap": (169280, 1866, [
                 ("A(0,0)", "A(0,2)", "A(0,3)", "A(0,2)", "A(1,3)"),
                 ("A(0,0)", "A(0,3)", "A(0,2)", "A(0,2)", "A(1,3)"),
                 ("A(0,0)", "A(0,3)", "A(0,3)", "A(0,2)", "A(1,3)")],
-                "03896c5c75a1049594964e5539de2b09e0b2a01a52554703b8ad1b375ad86174"),
+                "c22de6e83376f7bcc41370efbe5a0400902a45f4d40cb24b817203fbb84c7d24"),
         },
         False: {
             "T": (1263850, 13950, [
@@ -598,16 +606,16 @@ def test_exhaustive_failure_witnesses_are_pinned(plane5, delta5):
                 ("A(0,0)", "A(0,2)", "A(1,0)", "A(0,0)", "A(0,3)"),
                 ("A(0,0)", "A(0,2)", "A(1,0)", "A(0,1)", "A(0,3)")],
                 "e08d59dd2a8c862fe0cdc61ac2ef0cc6e6b72a6fc5912bd3e98cb58f4405ed8d"),
-            "Des": (1113200, 22097, [
+            "Des": (1112188, 37869, [
                 ("A(0,0)", "A(0,1)", "A(0,2)", "A(1,0)", "A(0,4)"),
                 ("A(0,0)", "A(0,1)", "A(1,0)", "A(0,2)", "A(0,4)"),
                 ("A(0,0)", "A(0,1)", "A(1,2)", "A(2,1)", "A(0,4)")],
-                "b2b93e3597d7fd2578d6b9f6865d90c8f45048dc59c60736b00e7844d9068661"),
-            "Pap": (168800, 2446, [
+                "9b91c3c90b1d726bd9b3600cd73a150950eb9ab95b04393438d5b8d55ddb4790"),
+            "Pap": (168560, 3820, [
                 ("A(0,0)", "A(0,2)", "A(0,2)", "A(0,3)", "A(1,0)"),
                 ("A(0,0)", "A(0,2)", "A(0,3)", "A(0,3)", "A(1,0)"),
                 ("A(0,0)", "A(0,3)", "A(0,2)", "A(0,3)", "A(1,0)")],
-                "b58d4abea4ed3def9a80aae9b2d11e7113feb57e094288817d1aac9dc0092f35"),
+                "e4e0837e145da964fc1d07fc1b7134146aa8811b726a060e17c4ecaf9d6d2fc6"),
         },
     }
     names = {"T": ("x", "y", "z", "x'", "y'"), "Des": ("u", "x", "y", "z", "x'"),
@@ -625,30 +633,39 @@ def test_exhaustive_failure_witnesses_are_pinned(plane5, delta5):
 
 def _pap_cases(gs, pairs):
     """Every Pap case whose (u, x) is in ``pairs``, in the sweep's loop order."""
-    jl, lpm = gs._joinline, gs._linepts_minus
+    jl, jc, byc = gs._joinline, gs._joinclass, gs._byclass
     for u, x in pairs:
         offline = [x2 for x2 in range(gs.n)
                    if x2 != u and x2 != x and jl[u][x2] != jl[u][x]]
-        for y in lpm[u][x]:
-            for z in lpm[u][x]:
+        online = byc[u][jc[u][x]]
+        for y in online:
+            for z in online:
                 for x2 in offline:
                     yield u, x, y, z, x2
 
 
+def _move_a_point(gs):
+    # u = A(0,0): the line of u and A(0,2) in _byclass, less u, has its point
+    # A(0,2) moved onto A(0,1), from (2, 3) to (1, 3)
+    row = gs._byclass[0]
+    assert row[gs._joinclass[0][2]] == (2, 3)
+    row[gs._joinclass[0][2]] = (1, 3)
+    return gs
+
+
 def test_pap_rows_keep_x_out_of_the_y_prime_pool(plane5, delta5):
-    # u = A(0,0), x = A(0,1), x' = A(0,2): the _linepts_minus tuple of u⊔x'
-    # gets its point A(0,2) moved onto x, so x enters the y' pool of the
-    # rows at (u, x).  With class 0 read as the diagonal's -1, a y' = x
-    # there finds a z', as the case predicate, which skips y' = x, does
-    # not; the rows must drop x too, or they accept a failing case.  The
-    # damaged tables fail the table certificate, so the orbit sweep refuses
-    # to run and the exhaustive one sends every row to the predicate
+    # u = A(0,0), x = A(0,1), x' = A(0,2): the line of u⊔x' gets its point
+    # A(0,2) moved onto x, so x enters the y' pool of the rows at (u, x).
+    # With class 0 read as the diagonal's -1, a y' = x there finds a z', as
+    # the case predicate, which skips y' = x, does not; the rows must drop x
+    # too, or they accept a failing case.  The remap also makes every pair
+    # of class 0 read its line from the last class, so most of the failing
+    # cases come from there.  The damaged tables fail the table certificate,
+    # so the orbit sweep refuses to run and the exhaustive one sends every
+    # row to the predicate
     from laguerre import Budget
-    gs = GroupSpace.build(plane5, canonical_pencil(plane5), delta5,
-                          check_preconditions=False)
-    row = gs._linepts_minus[0]
-    assert row[2] == (2, 3)
-    row[2] = (1, 3)
+    gs = _move_a_point(GroupSpace.build(plane5, canonical_pencil(plane5), delta5,
+                                        check_preconditions=False))
     gs._joinclass = [[-1 if c == 0 else c for c in jc_i] for jc_i in gs._joinclass]
     names = ("u", "x", "y", "z", "x'")
     with pytest.raises(GeometryError) as e:
@@ -658,10 +675,10 @@ def test_pap_rows_keep_x_out_of_the_y_prime_pool(plane5, delta5):
     rep = gs.check_axiom("Pap", Budget("exhaustive", 0, 0))
     want = [gs._witness(names, *case) for case in _pap_cases(gs, every)
             if not gs._pap_case(*case)]
-    assert (rep.cases_checked, len(want)) == (168800, 307)
+    assert (rep.cases_checked, len(want)) == (182000, 29994)
     assert rep.witnesses == want
-    assert want[0] == dict(zip(names, ("A(0,0)", "A(0,1)", "A(0,1)",
-                                       "A(0,1)", "A(0,2)")))
+    assert want[0] == dict(zip(names, ("A(0,0)", "A(0,1)", "A(1,2)",
+                                       "A(1,2)", "A(0,2)")))
 
 
 def _p1_2(pl):
@@ -707,21 +724,21 @@ def _sweep_pairs(gs, mode):
 
 def _des_cases(gs, pairs):
     """Every Des case whose (u, x) is in ``pairs``, in the sweep's loop order."""
-    lpm = gs._linepts_minus
+    jc, byc = gs._joinclass, gs._byclass
     for u, x in pairs:
         for y in range(gs.n):
             if y != u and y != x:
                 for z in range(gs.n):
                     if z not in (u, x, y):
-                        for x2 in lpm[u][x]:
+                        for x2 in byc[u][jc[u][x]]:
                             yield u, x, y, z, x2
 
 
 def _row_masks(gs):
     """Bitsets for the retired Des and Pap rows, derived from the tables
     their predicates read: ``cls[i][c]`` holds the points j != i with
-    ``_joinclass[i][j] == c``, and ``off[u][z]`` the points of
-    ``_linepts_minus[u][z]`` (0 for z = u).  ``cls[i]`` has one spare last
+    ``_joinclass[i][j] == c``, and ``off[u][z]`` the points of the line
+    ``_byclass[u][_joinclass[u][z]]`` (0 for z = u).  ``cls[i]`` has one spare last
     slot, so that the class -1 of the diagonal reads the points that carry
     it, as the predicates' comparisons do."""
     n, jc = gs.n, gs._joinclass
@@ -731,8 +748,8 @@ def _row_masks(gs):
         for j in range(n):
             if j != i:
                 row[jc_i[j]] |= 1 << j
-    off = [[sum(1 << k for k in pts or ()) for pts in lpm_u]
-           for lpm_u in gs._linepts_minus]
+    off = [[0 if z == u else sum(1 << k for k in gs._byclass[u][c])
+            for z, c in enumerate(jc[u])] for u in range(n)]
     return cls, off
 
 
@@ -743,12 +760,12 @@ def _bitset_des(gs, budget):
     the bitsets ``_row_masks`` derives; every rejected row goes to the
     predicate.  Kept as the oracle of the certified Des sweep."""
     from operator import and_, or_
-    n, jc, lpm = gs.n, gs._joinclass, gs._linepts_minus
+    n, jc, byc = gs.n, gs._joinclass, gs._byclass
     cls, off = _row_masks(gs)
 
     def pair(u, x, fail):
         cases = 0
-        off_u, jc_x, line = off[u], jc[x], lpm[u][x]
+        off_u, jc_x, line = off[u], jc[x], byc[u][jc[u][x]]
         reach = [list(map(and_, off_u, map(cls[x2].__getitem__, jc_x)))
                  for x2 in line]
         for y in range(n):
@@ -786,12 +803,12 @@ def _bitset_pap(gs, budget):
     space; every case a row does not accept goes to the predicate.  Kept as
     the oracle of the certified rows."""
     from operator import and_, neg, or_
-    n, jc, jl, lpm = gs.n, gs._joinclass, gs._joinline, gs._linepts_minus
+    n, jc, jl, byc = gs.n, gs._joinclass, gs._joinline, gs._byclass
     cls, off = _row_masks(gs)
 
     def pair(u, x, fail):
         cases = 0
-        online = lpm[u][x]
+        online = byc[u][jc[u][x]]
         offline = [x2 for x2 in range(n)
                    if x2 != u and x2 != x and jl[u][x2] != jl[u][x]]
         jc_x = jc[x]
@@ -860,7 +877,7 @@ def test_des_witness_rows_accept_only_holding_cases(space3, space5, space5_p1_2,
     from itertools import repeat
     from laguerre import Budget
     for gs in (space3, space5, space5_p1_2):
-        n, lpm, holds = gs.n, gs._linepts_minus, gs._des_case_holds
+        n, jc, byc, holds = gs.n, gs._joinclass, gs._byclass, gs._des_case_holds
         for mode in ("orbit", "exhaustive"):
             budget = Budget(mode, 0, 0)
             got, sent = _with_calls(gs, "Des", budget, monkeypatch)
@@ -871,7 +888,7 @@ def test_des_witness_rows_accept_only_holding_cases(space3, space5, space5_p1_2,
                     if y == u or y == x:
                         continue
                     zs = [z for z in range(n) if z not in (u, x, y)]
-                    for x2 in lpm[u][x]:
+                    for x2 in byc[u][jc[u][x]]:
                         if (u, x, y, x2) not in sent:
                             assert all(map(holds, repeat(u), repeat(x), repeat(y),
                                            zs, repeat(x2))), (gs.q, mode, u, x, y, x2)
@@ -889,24 +906,16 @@ def test_des_reports_match_the_bitset_rows_on_damaged_spaces(plane5, delta5):
         assert got == _bitset_des(gs, budget), consistent
 
 
-def _lpm_damaged_space5(plane5, delta5):
-    # u = A(0,0): the _linepts_minus entry of u and A(0,2) is moved from
-    # (2, 3) to (1, 3), so a y' = A(0,2) for y = A(0,2) no longer counts
-    gs = GroupSpace.build(plane5, canonical_pencil(plane5), delta5,
-                          check_preconditions=False)
-    row = gs._linepts_minus[0]
-    assert row[2] == (2, 3)
-    row[2] = (1, 3)
-    return gs
-
-
 def test_des_witnesses_check_the_line_tables(plane5, delta5):
-    # every witness g with g(A(0,2)) = A(0,2) still carries the join classes
-    # as a dilatation does; only its check against the line table keeps its
-    # rows from accepting the cases that the predicate now fails.  The line
-    # table fails the table certificate, so the orbit sweep refuses to run
+    # the line of u = A(0,0) and A(0,2), read for y or z = A(0,2) or A(0,3),
+    # loses A(0,2) to A(0,1), so a y' = A(0,2) no longer counts.  Every
+    # witness g with g(A(0,2)) = A(0,2) still carries the join classes as a
+    # dilatation does; only the check of the by-class table against them
+    # keeps its rows from accepting the cases that the predicate now fails.
+    # The table fails the table certificate, so the orbit sweep refuses to run
     from laguerre import Budget
-    gs = _lpm_damaged_space5(plane5, delta5)
+    gs = _move_a_point(GroupSpace.build(plane5, canonical_pencil(plane5), delta5,
+                                        check_preconditions=False))
     names = ("u", "x", "y", "z", "x'")
     with pytest.raises(GeometryError) as e:
         gs.check_axiom("Des", Budget("orbit", 0, 0))
@@ -915,22 +924,23 @@ def test_des_witnesses_check_the_line_tables(plane5, delta5):
     want = [gs._witness(names, *case)
             for case in _des_cases(gs, _sweep_pairs(gs, "exhaustive"))
             if not gs._des_case_holds(*case)]
-    assert (rep.cases_checked, len(want)) == (1113200, 2398)
+    assert (rep.cases_checked, len(want)) == (1113200, 4796)
     assert rep.witnesses == want
     assert want[0] == dict(zip(names, ("A(0,0)", "A(0,1)", "A(0,2)",
                                        "A(0,3)", "A(0,1)")))
 
 
 def test_orbit_des_and_pap_reject_a_short_line_table(plane5, delta5):
-    # _linepts_minus off point 0 with its first point dropped: orbit Des and
-    # Pap read only point 0's row, and passed; the table certificate now
-    # compares every row with the by-class table, while the exhaustive
-    # sweeps report the failing cases as before
+    # the line of A(1,2) and A(0,0), off point 0, with its first point
+    # dropped from _byclass: orbit Des and Pap read only point 0's row, and
+    # would pass; the table certificate compares every row with the join
+    # classes, while the exhaustive sweeps report the failing cases
     from laguerre import Budget
     gs = GroupSpace.build(plane5, canonical_pencil(plane5), delta5,
                           check_preconditions=False)
-    gs._linepts_minus[7][0] = gs._linepts_minus[7][0][1:]
-    for axiom, cases, count in (("Des", 1112694, 780), ("Pap", 168660, 104)):
+    row = gs._byclass[7]
+    row[gs._joinclass[7][0]] = row[gs._joinclass[7][0]][1:]
+    for axiom, cases, count in (("Des", 1111176, 3152), ("Pap", 168240, 396)):
         with pytest.raises(GeometryError) as e:
             gs.check_axiom(axiom)
         assert e.value.code == "not_equivariant", axiom
@@ -1031,7 +1041,8 @@ def test_t_transport_needs_each_certificate_clause(plane5, delta5, damage, axiom
     got, sent = _with_calls(gs, axiom, budget, monkeypatch)
     assert got == {"T": _bitset_t, "Des": _bitset_des}[axiom](gs, budget)
     if axiom == "Des":
-        assert got[0] == 1113200
+        # Des reads its lines from _byclass, so a short one has fewer cases
+        assert got[0] == (1111176 if damage is _short_byclass else 1113200)
     if damage is _unit_translations:
         assert sent == []
         orbit = gs.check_axiom(axiom)
@@ -1052,7 +1063,7 @@ def _rotate_lines(gs):
     # (b) Stab(0) cut to the rotation of each line through point 0 in index
     # order: the right cycles, the wrong classes
     rotation = list(range(gs.n))
-    for line in set(gs._linepts_minus[0][1:]):
+    for line in {gs._byclass[0][c] for c in gs._joinclass[0][1:]}:
         for k, j in enumerate(line):
             rotation[j] = line[(k + 1) % len(line)]
     gs.stabilizer0 = [rotation]
@@ -1126,7 +1137,8 @@ def test_certificates_are_checked_lazily_and_only_where_read():
     c = gs._certificates["_check_dilatation"]
     assert c in gs.stabilizer0
     # at q = 3 a line through point 0 has one or two other points
-    assert {tuple(sorted({j, c[j]})) for j in range(1, gs.n)} == set(gs._linepts_minus[0][1:])
+    assert {tuple(sorted({j, c[j]})) for j in range(1, gs.n)} == \
+        {gs._byclass[0][k] for k in gs._joinclass[0][1:]}
 
 
 def test_certify_returns_each_generators_line_permutation(space3, space5, space5_p1_2):

@@ -63,6 +63,23 @@ def test_only_the_plane_turns_circle_ids_into_masks():
     assert plane_reads  # the guard sees the encoding where it lives
 
 
+def test_the_residual_space_stores_each_line_and_position_once():
+    # the line through i and j is _byclass[i][_joinclass[i][j]], so no
+    # module names the retired per-pair copy _linepts_minus; a residual
+    # point's position is _local at its plane index, not a dict ``index``
+    from laguerre import DeltaGroup, GroupSpace, LaguerrePlane, canonical_pencil
+    found = [f"{path.name}:{getattr(node, 'lineno', '?')}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if "_linepts_minus" in (getattr(node, "name", None), getattr(node, "id", None),
+                                     getattr(node, "attr", None))]
+    assert found == []
+    plane = LaguerrePlane(3)
+    pencil = canonical_pencil(plane)
+    space = GroupSpace.build(plane, pencil, DeltaGroup.build(plane, pencil))
+    assert space._byclass and not hasattr(space, "index")
+
+
 def test_the_command_line_imports_without_dataclasses_or_inspect():
     # dataclasses pulls in inspect, ast, dis and tokenize, about half of a
     # cold command's import time, and pathlib urllib.parse, ipaddress and
