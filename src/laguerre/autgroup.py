@@ -21,15 +21,16 @@ Point indices.  The group acts on indices in ``plane.points`` (affine
 normalizer's forward and back index lists, composed once when the group is
 built.  ``DeltaGroup.perm`` gives an element's whole permutation
 (``plane.aut_perm``, one list); the residual plane's point permutations and
-the catalog's transport read it.  ``DeltaGroup.image`` gives one point's
-image (``plane.aut_index``); orbits and A1/A2 read it.  A stabilizer is
-read from the closed form: the q - 1 elements fixing one canonical index,
-kept where the group has them.  ``apply`` is the named Point/Circle
-boundary; ``circle_images`` carries a list of circles, by the closed form
-``aut_circles`` on the canonical chart.  A ``PermutationMap`` is
-an index list.  Either carries a circle by OR-ing the image bits of its
-point ids (``plane.circle_ids``): every circle at once in ``verified``, one
-at a time in ``circle_images`` off the canonical chart (``plane.circle_image``).
+the catalog read it.  ``DeltaGroup.image`` gives one point's image
+(``plane.aut_index``); orbits and A1/A2 read it.  A stabilizer is read
+from the closed form: the q - 1 elements fixing one canonical index, kept
+where the group has them.  ``circle_images`` carries a list of circles, by
+the closed form ``aut_circles`` on the canonical chart.  There is no
+Point/Circle wrapper: a point's image is ``points[image(f, i)]``, a circle's
+``circle_images(f, [C])``.  A ``PermutationMap`` is an index list.  Either
+carries a circle by OR-ing the image bits of its point ids
+(``plane.circle_ids``): every circle at once in ``verified``, one at a time
+in ``circle_images`` off the canonical chart (``plane.circle_image``).
 """
 
 from __future__ import annotations
@@ -189,15 +190,8 @@ class DeltaGroup:
             return p
         return list(map(self._fwd.__getitem__, map(p.__getitem__, self._back)))
 
-    def apply(self, f: PencilAut, obj):
-        """Act on a Point or a Circle (``circle_images`` of the one circle)."""
-        plane = self.plane
-        if not isinstance(obj, Circle):
-            return plane.points[self.image(f, plane.point_index[obj])]
-        return self.circle_images(f, [obj])[0]
-
     def circle_images(self, f: PencilAut, circles: list[Circle]) -> list[Circle]:
-        """``apply`` on each circle of a list: on the canonical chart the
+        """The image of each circle of a list: on the canonical chart the
         closed form ``aut_circles``, after one range check of the whole list
         (``not_a_circle``); off it the circle holding the images of each
         circle's point ids."""

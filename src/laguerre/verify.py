@@ -44,8 +44,11 @@ hold in this model (see its reading notes).
 The group acts on circle lists (``DeltaGroup.circle_images``), never one
 circle at a time: C2.1's scan at point 0 and each re-check where a circle
 lands, the slopes of L3.1, T3.2 and P3.1 (a slice of ``plane.circles``),
-and the member tests of P3.1, T3.1 and T3.2 compare lists.  P4.3 runs on height masks (bit y for height y), its witnesses the
-set bits of an XOR.
+and the member tests of P3.1, T3.1 and T3.2 compare lists.  On points it
+acts through whole permutations (``DeltaGroup.perm``: C3.1's q symmetries,
+P3.2's filter, T3.1's symmetry) and orbits, never one image at a time.
+P4.3 runs on height masks (bit y for height y), its witnesses the set bits
+of an XOR.
 
 Plane facts that several checks read are derived once per q, in tables of
 ``_Ctx``: ``bases``, circle -> tangency point (P2.1, P2.4, P4.2, T4.1), the
@@ -232,22 +235,17 @@ class _Ctx:
                 for r in self.space.points}
 
     @cached_property
-    def translations(self) -> list[PencilAut]:
-        """T_r = (1, x, y), carrying point 0, A(0,0), to each r = A(x, y)."""
-        return [PencilAut(1, r.x, r.y) for r in self.space.points]
-
-    @cached_property
     def stabilizers(self) -> dict[Point, list[PencilAut]]:
         """Each point's stabilizer, in residual and (k, t, g) order: Stab(0),
-        one scan of the group, conjugated by T_r.  Δ is transitive, so |Δ|/q²
+        one scan of the group, conjugated by T_r = (1, x, y), which is
+        ``delta.translations`` at r = A(x, y).  Δ is transitive, so |Δ|/q²
         elements fixing r are Stab(r); else ``stabilizer_mismatch``."""
         gf, delta, points = self.plane.gf, self.delta, self.space.points
         stab0, out = delta.stabilizer(points[0]), {}
-        for r, T in zip(points, self.translations):
-            Ti, i = aut_inverse(gf, T), self.plane.point_index[r]
+        for r, T in zip(points, delta.translations):
+            Ti = aut_inverse(gf, T)
             stab = sorted({aut_compose(gf, aut_compose(gf, T, s), Ti) for s in stab0})
-            if len(stab) * self.q ** 2 != len(delta.elements) or any(
-                    delta.image(f, i) != i for f in stab):
+            if len(stab) * self.q ** 2 != len(delta.elements) or delta.orbit(stab, r) != {r}:
                 raise GeometryError(f"Stab(0) conjugated to {r!r} is not its stabilizer",
                                     code="stabilizer_mismatch")
             out[r] = stab
@@ -390,7 +388,11 @@ def thm_tangency_locus(plane: LaguerrePlane, pencil: Pencil, q_ideal: Point,
     its members must fill the affine part of exactly one circle, and that
     circle must contain the opposite ideal point.  The circle is fitted
     through the first three pairwise nonparallel bases; without such a
-    triple it is None, and the bases fail as ``not_a_circle``."""
+    triple it is None, and the bases fail as ``not_a_circle``.  The opposite
+    point is ``ideal(-beta)`` for the vertex I(0) alone (``bad_vertex``)."""
+    plane.point_index[q_ideal], plane.point_index[x]  # not_a_point off the plane
+    if pencil.p != ideal(0):
+        raise GeometryError(f"the pencil vertex {pencil.p!r} is not I(0)", code="bad_vertex")
     if q_ideal.kind != IDEAL or q_ideal.x == 0:
         raise GeometryError("second vertex must be ideal and distinct from "
                             "the pencil vertex", code="bad_vertex")
@@ -559,14 +561,16 @@ def _check_p2_6(ctx: _Ctx):
 
 
 def _check_c2_1(ctx: _Ctx):
-    """T_r carries Stab(0)'s invariant circles onto Stab(r) = T_r Stab(0) T_r⁻¹'s."""
+    """T_r carries Stab(0)'s invariant circles onto Stab(r) = T_r Stab(0) T_r⁻¹'s.
+    Only that scan is reduced: every point is evaluated, its moved circles
+    re-checked where they land, so the check declares no symmetry."""
     plane, images, space = ctx.plane, ctx.delta.circle_images, ctx.space
     invariant0 = plane.circles
     for f in ctx.stabilizers[space.points[0]]:
         invariant0 = [C for C, D in zip(invariant0, images(f, invariant0)) if C == D]
     cases, bad = 0, []
     off_vertex_invariant = 0
-    for (r, stab), T in zip(ctx.stabilizers.items(), ctx.translations):
+    for (r, stab), T in zip(ctx.stabilizers.items(), ctx.delta.translations):
         moved = sorted(images(T, invariant0))  # circle order
         if any(images(f, moved) != moved for f in stab):
             C = min(C for f in stab for C, D in zip(moved, images(f, moved)) if C != D)
@@ -605,13 +609,12 @@ def _t3_1_at(ctx: _Ctx, r: Point):
                 for M, N in zip(vertex_members, delta.circle_images(f, vertex_members)) if N != M]
     sym = PencilAut(gf.q - 1, (2 * r.x) % gf.q, 0)
     cases += 1
-    gen_pts = plane.generator_points(plane.generator_of(r))
-    kpts = plane.circle_points(K)
+    index, fixed = plane.point_index, {i for i, j in enumerate(delta.perm(sym)) if i == j}
     ok = (sym in stab
           and aut_compose(gf, sym, sym) == IDENTITY
-          and all(delta.apply(sym, p) == p for p in gen_pts)
-          and delta.apply(sym, K) == K
-          and any(delta.apply(sym, p) != p for p in kpts))
+          and {index[p] for p in plane.generator_points(plane.generator_of(r))} <= fixed
+          and delta.circle_images(sym, [K]) == [K]
+          and not {index[p] for p in plane.circle_points(K)} <= fixed)
     if not ok:
         bad.append({"r": repr(r), "problem": "symmetry_missing"})
     for M in vertex_members:
@@ -638,35 +641,41 @@ def _keeps_slopes(ctx: _Ctx, f: PencilAut, alpha: int = 0, all_heights: bool = F
     return list(map(slope, ctx.delta.circle_images(f, circles))) == list(map(slope, circles))
 
 
+def _transitive_along(ctx: _Ctx, fixing, expected, problem: str, name: str, rows):
+    """The subgroup ``fixing`` is ``expected`` (else ``problem``), and
+    carries the first point of each (key, points) of ``rows`` to all of
+    them (else ``not_transitive_along_{name}``): one case each."""
+    bad = [] if set(fixing) == expected else [{"problem": problem,
+                                               "got": sorted(map(list, fixing))}]
+    bad += [{"problem": f"not_transitive_along_{name}", name: key} for key, pts in rows
+            if set(pts) != ctx.delta.orbit(fixing, pts[0])]
+    return 1 + len(rows), bad, {}
+
+
 def _check_p3_1(ctx: _Ctx):
     plane, delta = ctx.plane, ctx.delta
-    cases, bad = 0, []
     fixing = [f for f in delta.elements
               if _is_translation(ctx, f) and delta.circle_images(f, ctx.members) == ctx.members]
-    expected = {PencilAut(1, t, 0) for t in range(plane.q)}
-    cases += 1
-    if set(fixing) != expected:
-        bad.append({"problem": "member_fixing_translations",
-                    "got": sorted(map(list, fixing))})
-    for M in ctx.members:
-        pts = [p for p in plane.circle_points(M) if p != ctx.pencil.p]
-        orbit = delta.orbit(fixing, pts[0])
-        cases += 1
-        if set(pts) != orbit:
-            bad.append({"problem": "not_transitive_along_member", "member": list(M)})
-    return cases, bad, {}
+    rows = [(list(M), [p for p in plane.circle_points(M) if p != ctx.pencil.p])
+            for M in ctx.members]
+    return _transitive_along(ctx, fixing, {PencilAut(1, t, 0) for t in range(plane.q)},
+                             "member_fixing_translations", "member", rows)
 
 
 def _check_c3_1(ctx: _Ctx):
-    plane, delta = ctx.plane, ctx.delta
-    gf = plane.gf
+    """The symmetry based at r, (q - 1, 2 r.x, 0), depends on r.x alone:
+    its q permutations are built once, and the ordered pair (x, y) passes
+    when one based on the member carries x's plane index to y's."""
+    plane, q = ctx.plane, ctx.q
+    swaps = [ctx.delta.perm(PencilAut(q - 1, 2 * rx % q, 0)) for rx in range(q)]
     cases, bad = 0, []
     for R in ctx.members:
         pts = [p for p in plane.circle_points(R) if p.kind != IDEAL]
-        for x, y in itertools.permutations(pts, 2):
+        ids = list(map(plane.point_index.__getitem__, pts))
+        reached = {i: {swaps[r.x][i] for r in pts} for i in ids}
+        for (x, i), (y, j) in itertools.permutations(zip(pts, ids), 2):
             cases += 1
-            if not any(delta.apply(PencilAut(gf.q - 1, 2 * r.x % gf.q, 0), x) == y
-                       for r in pts):
+            if j not in reached[i]:
                 bad.append({"member": list(R), "x": repr(x), "y": repr(y)})
     return cases, bad, {}
 
@@ -711,26 +720,14 @@ def _check_l3_1(ctx: _Ctx):
 
 def _check_p3_2(ctx: _Ctx):
     plane, delta = ctx.plane, ctx.delta
-    q = plane.q
-    cases, bad = 0, []
     gens = [plane.generator_points(g) for g in plane.generators]
-    fixing = [f for f in delta.elements
-              if all({delta.apply(f, p) for p in gp} == set(gp) for gp in gens)]
-    expected = {PencilAut(1, 0, g) for g in range(q)}
-    cases += 1
-    if set(fixing) != expected:
-        bad.append({"problem": "generator_fixing_subgroup",
-                    "got": sorted(map(list, fixing))})
-    for gp in gens:
-        aff = [p for p in gp if p.kind != IDEAL]
-        if not aff:
-            continue
-        cases += 1
-        orbit = delta.orbit(fixing, aff[0])
-        if set(aff) != orbit:
-            bad.append({"problem": "not_transitive_along_generator",
-                        "generator": repr(aff[0])})
-    return cases, bad, {}
+    gen_ids = [set(map(plane.point_index.__getitem__, gp)) for gp in gens]
+    fixing = [f for f, perm in zip(delta.elements, map(delta.perm, delta.elements))
+              if all(set(map(perm.__getitem__, ids)) == ids for ids in gen_ids)]
+    rows = [(repr(aff[0]), aff) for aff in ([p for p in gp if p.kind != IDEAL] for gp in gens)
+            if aff]
+    return _transitive_along(ctx, fixing, {PencilAut(1, 0, g) for g in range(plane.q)},
+                             "generator_fixing_subgroup", "generator", rows)
 
 
 def _check_t3_2(ctx: _Ctx):
@@ -785,21 +782,24 @@ def _check_t3_2(ctx: _Ctx):
 
 
 def _check_c3_3(ctx: _Ctx):
-    gf = ctx.plane.gf
-    translations = ctx.delta.translations
-    cases, bad = 0, []
-    for t1, t2 in itertools.combinations(translations, 2):
-        cases += 1
-        if aut_compose(gf, t1, t2) != aut_compose(gf, t2, t1):
-            bad.append({"problem": "translations_not_commutative",
-                        "pair": [list(t1), list(t2)]})
+    """The translation pairs commute, all of them; Pgm is handed to the
+    space's orbit sweep, which reduces under its own certificate, so the
+    check declares no symmetry of its own."""
+    gf, translations = ctx.plane.gf, ctx.delta.translations
+    cases = len(translations) * (len(translations) - 1) // 2
+    bad = [{"problem": "translations_not_commutative", "pair": [list(t1), list(t2)]}
+           for t1, t2 in itertools.combinations(translations, 2)
+           if aut_compose(gf, t1, t2) != aut_compose(gf, t2, t1)]
     rep = ctx.space.check_axiom("Pgm")
     bad.extend(rep.witnesses)
     return cases + rep.cases_checked, bad, _orbit(cases + rep.details["cases_represented"])
 
 
 def _check_c3_4(ctx: _Ctx):
-    """One line per class stands for all: a class's lines share their T-orbit."""
+    """One line per class stands for all: a class's lines share their T-orbit.
+    The representatives are lines, moved along the line permutations that
+    ``certify`` checked, not a point or a member, so neither declared
+    symmetry fits."""
     space = ctx.space
     units = ctx.unit_translations  # raises unless they close to T, before certify
     moves = [space.certify()[u].__getitem__ for u in units]
@@ -863,7 +863,9 @@ def _p4_2_pairs(ctx: _Ctx, M: Circle, others: list[Circle]):
 def _check_p4_2(ctx: _Ctx):
     """The translations keep a and carry (a, 0, 0) to every circle of equal
     a != 0, so it is paired with each of them; every unordered pair is a
-    translate of two of these ordered ones."""
+    translate of two of these ordered ones.  It has one representative per
+    a, and its full sweep counts unordered pairs, half of n times its cases,
+    so it reduces here and not through ``_at_point0``."""
     ctx.transport  # raises unless the transport is certified
     by_a: dict[int, list[Circle]] = {}
     for M in ctx.bases:
@@ -982,7 +984,9 @@ def _direction_classes(q: int, seen_dirs: set[int]):
 
 def _check_l4_2(ctx: _Ctx):
     """The translations keep every ideal point, so the joins at point 0
-    show every direction that the joins at any point show."""
+    show every direction that the joins at any point show.  The q - 1
+    direction cases count once, not once per point, so the check reduces
+    here and not through ``_at_point0``."""
     x0 = ctx.transport
     cases, bad, seen_dirs = _l4_2_at(ctx, x0)
     dcases, dbad = _direction_classes(ctx.q, seen_dirs)
@@ -999,30 +1003,26 @@ def _loci_at(ctx: _Ctx, x: Point) -> list[tuple[int, Circle | None, Report]]:
 def _t4_1_at(ctx: _Ctx, x: Point, loci):
     """T4.1's cases on the loci at x.  Δ fixes every ideal point, so the
     transport carries the loci at point 0 to those at every point."""
-    cases, bad = 0, []
-    for beta, locus, rep in loci:
-        cases += rep.cases_checked
-        bad.extend(dict(w, beta=beta, x=repr(x)) for w in rep.witnesses)
-    return cases, bad
+    return (sum(rep.cases_checked for *_, rep in loci),
+            [dict(w, beta=beta, x=repr(x)) for beta, _, rep in loci for w in rep.witnesses])
 
 
 def _c4_2_at(ctx: _Ctx, x: Point, loci):
     plane = ctx.plane
-    cases, bad = 0, []
-    for beta, locus, rep in loci:
-        cases += 1
-        qprime = ideal((-beta) % plane.q)
-        if locus is None or not plane.incident(qprime, locus):
-            bad.append({"beta": beta, "x": repr(x), "locus": locus and list(locus)})
-    return cases, bad
+    return len(loci), [{"beta": beta, "x": repr(x), "locus": locus and list(locus)}
+                       for beta, locus, _ in loci
+                       if locus is None or not plane.incident(ideal(-beta % plane.q), locus)]
 
 
 def _check_t4_2(ctx: _Ctx):
     """T4.2 at (0, 0, 0) for all q³ circles: its predicates are incidence
     properties, and the verified shifts carry (0, 0, 0) to every circle.
     (0, 0, 0) is the member y = 0, so its family and the shift y += 1 are
-    the context's.  This route cannot see a fault in another circle's
-    ``TangentFamily``; the all-circles loop in the tests is its oracle."""
+    the context's.  The transport's translations keep a circle's a, so
+    ``_on_member0`` reaches only the members, and the check reduces along
+    its own shifts instead.  This route cannot see a fault in another
+    circle's ``TangentFamily``; the all-circles loop in the tests is its
+    oracle."""
     plane, L = ctx.plane, ctx.pencil.base
     # y += x², x; verified here
     maps = [circle_add_map(plane, Q).verified() for Q in (Circle(1, 0, 0), Circle(0, 1, 0))]

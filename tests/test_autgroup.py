@@ -28,8 +28,9 @@ def test_group_sizes():
 
 
 def test_build_rejects_char2(plane2):
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError) as e:
         DeltaGroup.build(plane2, canonical_pencil(plane2))
+    assert e.value.code == "char2_group"
 
 
 def test_action_examples(plane5):
@@ -77,10 +78,10 @@ def test_every_element_is_an_automorphism_q_le_7():
 
 def test_incidence_preserved(delta5, plane5):
     f = PencilAut(3, 2, 4)
-    for C in plane5.circles[:25]:
-        Ci = delta5.apply(f, C)
+    perm, circles = delta5.perm(f), plane5.circles[:25]
+    for C, Ci in zip(circles, delta5.circle_images(f, circles)):
         for p in plane5.circle_points(C):
-            assert plane5.incident(delta5.apply(f, p), Ci)
+            assert plane5.incident(plane5.points[perm[plane5.point_index[p]]], Ci)
 
 
 def test_stabilizer_examples(delta5):
@@ -131,6 +132,17 @@ def test_classification_matches_fixed_point_scan():
         for f in d.elements:
             pm = PermutationMap.from_aut(pl, f)
             assert classify_by_scan(pl, pm.perm) == classify_aut(pl.gf, f)
+
+
+def test_classify_by_scan_rejects_an_unclassifiable_permutation(plane5):
+    # (x, 0) and (x, 1) swapped on every affine generator: each generator is
+    # fixed setwise but none pointwise, and 15 points are fixed
+    perm = list(range(len(plane5.points)))
+    for x in range(5):
+        perm[x * 5], perm[x * 5 + 1] = x * 5 + 1, x * 5
+    with pytest.raises(GeometryError) as e:
+        classify_by_scan(plane5, perm)
+    assert e.value.code == "unclassifiable"
 
 
 def test_census_q5(delta5):
@@ -332,16 +344,16 @@ def test_stabilizer_matches_the_image_scan(q):
 
 
 @pytest.mark.parametrize("q", (3, 5, 7))
-def test_circle_images_match_apply_on_every_circle(q):
-    # the list route against apply one circle at a time; on the canonical
-    # chart, where both read the closed form, also against the circle
-    # holding the images of each circle's point ids (apply's route off it)
+def test_circle_images_match_one_circle_at_a_time(q):
+    # the list route against one circle at a time; on the canonical chart,
+    # where both read the closed form, also against the circle holding the
+    # images of each circle's point ids (the route off it)
     pl = LaguerrePlane(q)
     for pencil in _pencils(pl):
         d = DeltaGroup.build(pl, pencil)
         for f in d.elements:
             got = d.circle_images(f, pl.circles)
-            assert got == [d.apply(f, C) for C in pl.circles], (pencil, f)
+            assert got == [d.circle_images(f, [C])[0] for C in pl.circles], (pencil, f)
             assert all(type(C) is Circle for C in got)
             if d.canonical:
                 assert got == [circle_image(pl, partial(d.image, f), C) for C in pl.circles]
@@ -396,13 +408,14 @@ def test_action_matches_closed_form(q):
         back = {v: k for k, v in fwd.items()}
         assert len(back) == len(pl.points)
         for f in d.elements:
+            perm = d.perm(f)
             for i, pt in enumerate(pl.points):
                 want = fwd[aut_point(pl.gf, f, back[pt])]
                 assert pl.points[d.image(f, i)] == want, (pencil, f, pt)
-                assert d.apply(f, pt) == want
-            for C in pl.circles[::7]:
+                assert pl.points[perm[i]] == want
+            for C, D in zip(pl.circles[::7], d.circle_images(f, pl.circles[::7])):
                 img = {fwd[aut_point(pl.gf, f, back[x])] for x in pl.circle_points(C)}
-                assert set(pl.circle_points(d.apply(f, C))) == img, (pencil, f, C)
+                assert set(pl.circle_points(D)) == img, (pencil, f, C)
 
 
 def test_transposition_is_not_an_automorphism(plane5):
@@ -494,8 +507,8 @@ def test_a_triple_off_the_plane_is_not_a_circle(plane5, delta5, C):
     off_chart = DeltaGroup.build(plane5, _pencils(plane5)[1])
     calls = (lambda: PermutationMap.from_aut(plane5, PencilAut(2, 1, 3)).apply_circle(C),
              lambda: off_chart.normalizer.apply_circle(C),
-             lambda: delta5.apply(PencilAut(2, 1, 3), C),
-             lambda: off_chart.apply(PencilAut(2, 1, 3), C))
+             lambda: delta5.circle_images(PencilAut(2, 1, 3), [C]),
+             lambda: off_chart.circle_images(PencilAut(2, 1, 3), [C]))
     for call in calls:
         with pytest.raises(GeometryError) as e:
             call()

@@ -62,8 +62,10 @@ def test_intersection_examples(plane5):
         (affine(1, 1), affine(4, 1))
     # equal leading coefficients share exactly the ideal point
     assert plane5.intersection(Circle(0, 0, 0), Circle(0, 0, 1)) == (ideal(0),)
-    with pytest.raises(GeometryError):
-        plane5.intersection(Circle(1, 0, 0), Circle(1, 0, 0))
+    for meet in (plane5.intersection, plane5.intersection_size):
+        with pytest.raises(GeometryError) as e:
+            meet(Circle(1, 0, 0), Circle(1, 0, 0))
+        assert e.value.code == "identical_circles"
 
 
 def test_tangency_examples(plane5, plane2):
@@ -155,6 +157,23 @@ def test_pencil_tangent_examples(plane5):
         (Circle(0, 0, 0), affine(1, 0))
     assert plane5.pencil_tangent(Circle(1, 0, 0), pencil) == \
         (Circle(0, 0, 0), affine(0, 0))
+
+
+def test_closed_forms_are_checked_against_the_sweep(monkeypatch):
+    # the canonical pencil's tangency point and the touching circle are
+    # closed forms, each checked against incidence before it is returned
+    plane = LaguerrePlane(5)
+    pencil = canonical_pencil(plane)
+    real = plane.tangent_members
+    monkeypatch.setattr(plane, "tangent_members", lambda pencil, M: [
+        (L, affine(4, 4)) for L, _ in real(pencil, M)])
+    with pytest.raises(GeometryError) as e:
+        plane.pencil_tangent(Circle(1, 3, 1), pencil)
+    assert e.value.code == "tangency_mismatch"
+    monkeypatch.setattr(plane, "intersection", lambda C1, C2: (affine(0, 0), affine(1, 1)))
+    with pytest.raises(GeometryError) as e:
+        plane.touching_circle(affine(0, 0), Circle(0, 0, 0), affine(1, 1))
+    assert e.value.code == "touching_circle_mismatch"
 
 
 def test_pencil_tangent_char2_fails_with_witnesses(plane2):

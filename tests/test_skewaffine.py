@@ -42,12 +42,12 @@ def test_point_outside_the_plane_is_a_geometry_error(space5):
     plane = space5.plane
     off_chart = DeltaGroup.build(plane, plane.pencil(affine(1, 2), Circle(0, 0, 2)))
     for call, code in ((lambda: delta.stabilizer(outside), "not_a_point"),
-                       (lambda: delta.apply(PencilAut(2, 1, 3), outside), "not_a_point"),
+                       (lambda: plane.point_index[outside], "not_a_point"),
                        (lambda: space5.join(outside, affine(0, 0)), "not_a_point"),
                        (lambda: space5.join(affine(0, 0), outside), "not_a_point"),
-                       (lambda: delta.apply(PencilAut(2, 1, 3), Circle(7, 7, 7)),
+                       (lambda: delta.circle_images(PencilAut(2, 1, 3), [Circle(7, 7, 7)]),
                         "not_a_circle"),
-                       (lambda: off_chart.apply(PencilAut(2, 1, 3), Circle(7, 7, 7)),
+                       (lambda: off_chart.circle_images(PencilAut(2, 1, 3), [Circle(7, 7, 7)]),
                         "not_a_circle")):
         with pytest.raises(GeometryError) as e:
             call()
@@ -491,8 +491,9 @@ def test_axiom_budget_modes(space5):
         assert rep.details == {"mode": "exhaustive"}, axiom
         assert rep.cases_checked == space5.check_axiom(
             axiom, Budget("exhaustive", 0, 0)).cases_checked
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError) as e:
         space5.check_axiom("XX")
+    assert e.value.code == "bad_axiom"
 
 
 def test_orbit_matches_exhaustive(space3, space5):
@@ -1242,9 +1243,9 @@ def test_every_vertex_pencil_matches_canonical(q):
 
 
 def test_line_image_matches_point_action(space3, space5):
-    # reference: act on the named points with DeltaGroup.apply and look the
-    # image up by point set and base-point set, which tell the q = 3 twin
-    # lines apart
+    # reference: act on the named points one at a time with DeltaGroup.image
+    # and look the image up by point set and base-point set, which tell the
+    # q = 3 twin lines apart
     pl = LaguerrePlane(5)
     pencil = pl.pencil(affine(1, 2), Circle(0, 0, 2))
     conjugated = GroupSpace.build(pl, pencil, DeltaGroup.build(pl, pencil),
@@ -1252,11 +1253,16 @@ def test_line_image_matches_point_action(space3, space5):
     for gs in (space3, space5, conjugated):
         by_points = {(line.points, line.base_points): line for line in gs.lines}
         assert len(by_points) == len(gs.lines)
+        points, index = gs.plane.points, gs.plane.point_index
         for f in gs.delta.elements:
             perm = gs.point_perm(f)
+
+            def act(p):
+                return points[gs.delta.image(f, index[p])]
+
             for line in gs.lines:
-                pts = tuple(sorted(gs.delta.apply(f, p) for p in line.points))
-                bases = tuple(sorted(gs.delta.apply(f, p) for p in line.base_points))
+                pts = tuple(sorted(map(act, line.points)))
+                bases = tuple(sorted(map(act, line.base_points)))
                 want = by_points[(pts, bases)]
                 assert gs.line_image(perm, line) is want, (gs.q, f, line.index)
 

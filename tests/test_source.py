@@ -108,3 +108,50 @@ def test_only_the_entry_point_calls_os_exit():
                     found.append(f"{path.name}:{node.lineno}")
     assert found == []
     assert entry_calls == 1  # the guard sees the one call
+
+
+def test_the_catalog_reads_the_group_as_whole_permutations():
+    # verify reads Δ as permutations, circle lists, orbits and the group's
+    # own lists: no single-point ``image`` and no Point/Circle ``apply``,
+    # which is gone, as is the catalog's own translation list
+    from laguerre import DeltaGroup, verify
+    reads = [node for node in ast.walk(ast.parse((SRC / "verify.py").read_text()))
+             if isinstance(node, ast.Attribute) and node.attr in ("apply", "image", "perm")]
+    assert [f"{node.lineno} {node.attr}" for node in reads if node.attr != "perm"] == []
+    assert any(node.attr == "perm" for node in reads)  # the guard sees the reads
+    assert not hasattr(DeltaGroup, "apply")
+    assert not hasattr(verify._Ctx, "translations")
+
+
+# every error code the package raised when the guard below was written: it
+# must still see each of them, so it cannot pass with nothing to check
+_CODES = frozenset({
+    "a1a2_failed", "a3_char2", "a3_violated", "bad_axiom", "bad_check", "bad_vertex",
+    "char2_group", "char2_square_class", "div_zero", "generators_not_closed",
+    "identical_circles", "join_degenerate", "join_mismatch", "normalizer_mismatch",
+    "not_a_circle", "not_a_point", "not_automorphism", "not_canonical_member",
+    "not_equivariant", "not_on_circle", "not_prime", "not_transitive", "on_circle",
+    "out_of_range", "parallel_points", "pencil_member_mismatch", "pencil_not_fixed",
+    "point_on_base_generator", "stabilizer_mismatch", "stabilizer_on_base",
+    "tangency_mismatch", "touching_circle_mismatch", "translations_not_closed",
+    "translations_not_regular", "unclassifiable"})
+
+
+def test_every_error_code_is_named_by_a_test():
+    # each constant ``code=`` keyword, and the code each ``require_reach``
+    # call is given, appears as a string in some other test file
+    codes = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.keyword) and node.arg == "code"
+                    and isinstance(node.value, ast.Constant)):
+                codes.add(node.value.value)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "require_reach"):
+                codes.add(node.args[3].value)
+    named = {node.value for path in sorted(Path(__file__).parent.glob("test_*.py"))
+             if path.name != Path(__file__).name
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    assert codes >= _CODES
+    assert sorted(codes - named) == []

@@ -41,8 +41,10 @@ def test_unknown_id_rejected():
     with pytest.raises(GeometryError) as e:
         thm_check("P9.9", 5)
     assert e.value.code == "bad_check"
-    with pytest.raises(GeometryError):
-        thm_check("P4.4", 2)
+    for q in (2, 4):
+        with pytest.raises(GeometryError) as e:
+            thm_check("P4.4", q)
+        assert e.value.code == "char2_group"
 
 
 def test_equiv_rel_examples(plane5):
@@ -87,10 +89,12 @@ def test_equiv_rel_brute_force_agrees_with_rule():
 
 
 def test_equiv_rel_rejects_bad_input(plane5, plane2):
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError) as e:
         thm_equiv_rel(plane5, Circle(1, 0, 0))
-    with pytest.raises(GeometryError):
+    assert e.value.code == "not_canonical_member"
+    with pytest.raises(GeometryError) as e:
         thm_equiv_rel(plane2, Circle(0, 0, 0))
+    assert e.value.code == "char2_group"
 
 
 def test_equiv_rel_fails_on_a_flipped_pair(monkeypatch):
@@ -219,6 +223,27 @@ def test_tangency_locus_rejects_bad_vertex(plane5):
         thm_tangency_locus(plane5, pencil, ideal(0), affine(0, 0))
     with pytest.raises(GeometryError):
         thm_tangency_locus(plane5, pencil, affine(0, 1), affine(0, 0))
+
+
+def test_tangency_locus_rejects_points_off_the_plane_and_other_vertices(plane5):
+    # points off the plane are looked up before anything else; the opposite
+    # point ideal(-beta) needs the pencil vertex I(0), so another vertex is
+    # rejected instead of failing (I(2)) or leaking on_circle (A(1,2))
+    canonical = canonical_pencil(plane5)
+    for pencil, q_ideal, x, code in (
+            (canonical, ideal(1), affine(9, 0), "not_a_point"),
+            (canonical, ideal(7), affine(0, 0), "not_a_point"),
+            (canonical, ideal(1), affine(0, 7), "not_a_point"),
+            (plane5.pencil(ideal(2), Circle(2, 0, 0)), ideal(1), affine(0, 0), "bad_vertex"),
+            (plane5.pencil(affine(1, 2), Circle(0, 0, 2)), ideal(1), affine(0, 0),
+             "bad_vertex")):
+        with pytest.raises(GeometryError) as e:
+            thm_tangency_locus(plane5, pencil, q_ideal, x)
+        assert e.value.code == code, (pencil, q_ideal, x)
+    # any pencil at I(0) has the opposite point ideal(-beta)
+    _, rep = thm_tangency_locus(plane5, plane5.pencil(ideal(0), Circle(0, 2, 0)), ideal(1),
+                                affine(0, 0))
+    assert rep.status == "pass"
 
 
 def test_spot_checks_q5():
@@ -554,7 +579,7 @@ def _c2_1_every_point(ctx):
     for r in ctx.space.points:
         stab = delta.stabilizer(r)
         for C in plane.circles:
-            if not all(delta.apply(f, C) == C for f in stab):
+            if not all(delta.circle_images(f, [C]) == [C] for f in stab):
                 continue
             if not plane.incident(r, C):
                 off_vertex_invariant += 1
@@ -614,6 +639,114 @@ def test_c3_4_orbit_matches_every_line_and_translation(q):
     assert not bad and rep.status == "pass"
     assert rep.details["mode"] == "orbit"
     assert rep.details["cases_represented"] == cases
+
+
+def _act(ctx, f, p):
+    """The image of one point, as the retired ``DeltaGroup.apply`` gave it."""
+    return ctx.plane.points[ctx.delta.image(f, ctx.plane.point_index[p])]
+
+
+def _c3_1_point_loop(ctx):
+    """C3.1 as it searched a symmetry per ordered pair, one point at a time."""
+    plane, q = ctx.plane, ctx.q
+    cases, bad = 0, []
+    for R in ctx.members:
+        pts = [p for p in plane.circle_points(R) if p.kind != "I"]
+        for x, y in itertools.permutations(pts, 2):
+            cases += 1
+            if not any(_act(ctx, PencilAut(q - 1, 2 * r.x % q, 0), x) == y for r in pts):
+                bad.append({"member": list(R), "x": repr(x), "y": repr(y)})
+    return cases, bad, {}
+
+
+def _p3_2_point_loop(ctx):
+    """P3.2 as it filtered Δ by the generator sets, one point at a time."""
+    plane, delta = ctx.plane, ctx.delta
+    cases, bad = 0, []
+    gens = [plane.generator_points(g) for g in plane.generators]
+    fixing = [f for f in delta.elements
+              if all({_act(ctx, f, p) for p in gp} == set(gp) for gp in gens)]
+    cases += 1
+    if set(fixing) != {PencilAut(1, 0, g) for g in range(ctx.q)}:
+        bad.append({"problem": "generator_fixing_subgroup", "got": sorted(map(list, fixing))})
+    for gp in gens:
+        aff = [p for p in gp if p.kind != "I"]
+        if not aff:
+            continue
+        cases += 1
+        if set(aff) != delta.orbit(fixing, aff[0]):
+            bad.append({"problem": "not_transitive_along_generator", "generator": repr(aff[0])})
+    return cases, bad, {}
+
+
+def _t3_1_symmetry_by_points(ctx, r):
+    """T3.1's symmetry test at r, one point and one circle at a time."""
+    plane, gf, K = ctx.plane, ctx.plane.gf, ctx.pencil.base
+    sym = PencilAut(ctx.q - 1, 2 * r.x % ctx.q, 0)
+    return (sym in ctx.stabilizers[r] and aut_compose(gf, sym, sym) == IDENTITY
+            and all(_act(ctx, sym, p) == p for p in plane.generator_points(plane.generator_of(r)))
+            and ctx.delta.circle_images(sym, [K])[0] == K
+            and any(_act(ctx, sym, p) != p for p in plane.circle_points(K)))
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_whole_permutations_match_the_point_loops(q):
+    # C3.1, P3.2 and T3.1's symmetry read Δ through whole permutations; the
+    # loops they retired read one point image at a time.  The stabilizers
+    # and C2.1 read the translation to each point off ``delta.translations``,
+    # the closed-form list it retired
+    ctx = verify._context(q)
+    assert verify._check_c3_1(ctx) == _c3_1_point_loop(ctx)
+    assert verify._check_p3_2(ctx) == _p3_2_point_loop(ctx)
+    missing = {"problem": "symmetry_missing"}
+    for r in ctx.space.points:
+        assert _t3_1_symmetry_by_points(ctx, r)
+        assert dict(missing, r=repr(r)) not in verify._t3_1_at(ctx, r)[1]
+    assert ctx.delta.translations == [PencilAut(1, r.x, r.y) for r in ctx.space.points]
+
+
+def _damage_perm(monkeypatch, delta, target, damage):
+    """``delta.perm`` with ``damage`` applied to the permutation of
+    ``target`` alone, replacing any earlier damage."""
+    real = DeltaGroup.perm.__get__(delta)
+    monkeypatch.setattr(delta, "perm", lambda f: damage(real(f)) if f == target else real(f))
+
+
+def _swapped(i, j):
+    """The damage that makes plane points i and j trade images."""
+    def damage(perm):
+        perm = list(perm)
+        perm[i], perm[j] = perm[j], perm[i]
+        return perm
+    return damage
+
+
+def test_whole_permutation_checks_see_a_damaged_permutation(monkeypatch):
+    # the point loops read ``image`` and miss these faults; the checks read
+    # ``perm`` and see them
+    monkeypatch.setattr(verify, "_CTX_CACHE", {})
+    ctx = verify._context(5)
+    ctx.transport  # built before the fault
+    # the symmetry based at x = 1 taken as the identity: no other one swaps
+    # the pairs with x + y = 2, four on each of the five members
+    _damage_perm(monkeypatch, ctx.delta, PencilAut(4, 2, 0), lambda perm: sorted(perm))
+    rep = thm_check("C3.1", 5)
+    assert (rep.status, len(rep.witnesses)) == ("fail", 20)
+    assert rep.witnesses[0] == {"member": [0, 0, 0], "x": "A(0,0)", "y": "A(2,0)"}
+    assert not _c3_1_point_loop(ctx)[1]
+    # A(0,0) and A(1,0) trade images under (1, 0, 1): it keeps no generator
+    _damage_perm(monkeypatch, ctx.delta, PencilAut(1, 0, 1), _swapped(0, 5))
+    rep = thm_check("P3.2", 5)
+    assert rep.status == "fail"
+    assert rep.witnesses[0] == {"problem": "generator_fixing_subgroup",
+                                "got": [[1, 0, 0], [1, 0, 2], [1, 0, 3], [1, 0, 4]]}
+    assert not _p3_2_point_loop(ctx)[1]
+    # A(0,1) and A(0,2) trade images under point 0's symmetry: it no longer
+    # fixes its generator pointwise, though it still keeps the member y = 0
+    _damage_perm(monkeypatch, ctx.delta, PencilAut(4, 0, 0), _swapped(1, 2))
+    rep = thm_check("T3.1", 5)
+    assert rep.witnesses == [{"r": "A(0,0)", "problem": "symmetry_missing"}]
+    assert _t3_1_symmetry_by_points(ctx, affine(0, 0))
 
 
 def _p4_3_frozensets(ctx):
@@ -690,9 +823,9 @@ def test_stabilizers_reject_a_conjugate_that_moves_the_point(monkeypatch):
     # wrong one fixes point 2, not point 1
     monkeypatch.setattr(verify, "_CTX_CACHE", {})
     ctx = verify._context(5)
-    swapped = list(ctx.translations)
+    swapped = list(ctx.delta.translations)
     swapped[1], swapped[2] = swapped[2], swapped[1]
-    ctx.translations = swapped
+    monkeypatch.setattr(ctx.delta, "translations", swapped)
     with pytest.raises(GeometryError) as e:
         thm_check("C2.1", 5)
     assert e.value.code == "stabilizer_mismatch"
@@ -707,7 +840,7 @@ def test_c2_1_rejects_a_moved_circle_that_is_not_invariant(monkeypatch):
     r = ctx.space.points[1]
     strain = next(f for f in ctx.stabilizers[r] if f.k == 2)
     target = next(C for C in ctx.plane.circles if ctx.plane.incident(r, C)
-                  and all(ctx.delta.apply(f, C) == C for f in ctx.stabilizers[r]))
+                  and all(ctx.delta.circle_images(f, [C]) == [C] for f in ctx.stabilizers[r]))
     real = ctx.delta.circle_images
 
     def bent(f, circles):
