@@ -1,5 +1,6 @@
-"""Finite Laguerre planes, their pencil-fixing automorphism groups, and the
-residual skewaffine planes built from them, with exhaustive verification."""
+"""Finite Laguerre planes, the group Δ of a tangency pencil (the pointwise
+stabilizer of the vertex generator inside the pencil stabilizer), and the
+residual skewaffine planes built from it, with exhaustive verification."""
 
 from .field import GF, FieldError, NONSQUARE, SQUARE, ZERO
 from .plane import (Circle, GeometryError, Generator, LaguerrePlane, Pencil,

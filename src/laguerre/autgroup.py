@@ -1,4 +1,5 @@
-"""The group of plane automorphisms fixing a tangency pencil.
+"""The group Δ of a tangency pencil: the pointwise stabilizer of the vertex
+generator inside the pencil stabilizer.
 
 For the canonical pencil (vertex ``(inf,0)`` on the circle ``y = 0``) the
 group is parametrized by triples ``(k, t, g)`` with ``k != 0`` acting as
@@ -8,13 +9,14 @@ group is parametrized by triples ``(k, t, g)`` with ``k != 0`` acting as
     (a, b, c) ->  (a,  k b - 2 a t,  a t^2 - k b t + k^2 c + g)
 
 so it fixes the ideal generator pointwise and permutes the pencil members
-among themselves.  Any other pencil is handled by conjugating with a
-normalizing plane automorphism assembled from two primitives of ``plane``:
-adding a fixed quadratic to every y-coordinate (``circle_add_map``), and
-the x-coordinate inversion ``(x, y) -> (1/x, y/x^2)`` that swaps the ideal
-generator with ``x = 0`` (``inversion_map``).  The composed normalizer is
-verified to be a plane automorphism by an exhaustive circle-image check
-before it is used.
+among themselves; for c != 0, 1, ``(x, y) -> (x, c y)``, ``(inf, a) ->
+(inf, c a)`` fixes the pencil too, but is not in Δ.  Any other pencil is
+handled by conjugating with a normalizing plane automorphism assembled from
+two primitives of ``plane``: adding a fixed quadratic to every y-coordinate
+(``circle_add_map``), and the inversion ``(x, y) -> (1/x, y/x^2)`` that
+swaps the ideal generator with ``x = 0`` (``inversion_map``).  The composed
+normalizer is verified to be a plane automorphism by an exhaustive
+circle-image check before it is used.
 
 Point indices.  The group acts on indices in ``plane.points`` (affine
 ``x*q + y``, ideal ``q*q + a``) by the closed form above, read through the
@@ -24,10 +26,11 @@ built.  ``DeltaGroup.perm`` gives an element's whole permutation
 the catalog read it.  ``DeltaGroup.image`` gives one point's image
 (``plane.aut_index``); orbits and A1/A2 read it.  A stabilizer is read
 from the closed form: the q - 1 elements fixing one canonical index, kept
-where the group has them.  ``circle_images`` carries a list of circles, by
-the closed form ``aut_circles`` on the canonical chart.  There is no
-Point/Circle wrapper: a point's image is ``points[image(f, i)]``, a circle's
-``circle_images(f, [C])``.  A ``PermutationMap`` is an index list.  Either
+where the group has them; ``join_oracle`` reads it for every k, the
+residual build's closed-form join.  ``circle_images`` carries a list of
+circles, by the closed form ``aut_circles`` on the canonical chart.  There
+is no Point/Circle wrapper: a point's image is ``points[image(f, i)]``, a
+circle's ``circle_images(f, [C])``.  A ``PermutationMap`` is an index list.  Either
 carries a circle by OR-ing the image bits of its point ids
 (``plane.circle_ids``): every circle at once in ``verified``, one at a time
 in ``circle_images`` off the canonical chart (``plane.circle_image``).
@@ -37,7 +40,7 @@ from __future__ import annotations
 
 from functools import cached_property, partial
 from itertools import chain
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .field import GF
 from .plane import (Circle, GeometryError, IDEAL, LaguerrePlane, Pencil, PencilAut,
@@ -46,6 +49,9 @@ from .plane import (Circle, GeometryError, IDEAL, LaguerrePlane, Pencil, PencilA
 from .report import Report, run_check
 
 IDENTITY = PencilAut(1, 0, 0)
+
+# kinds of residual lines, decided by the join oracle
+CIRCLE_LINE, STRAIGHT, SPECIAL = "circle_line", "straight_pencil", "special"
 
 # classification tags, decided by (k, t, g) alone
 AUT_CLASSES = (
@@ -123,7 +129,8 @@ def require_reach(start, moves, domain, code: str, name: str, noun: str) -> None
 
 
 class DeltaGroup:
-    """The pencil-fixing group: elements, action, census, and axiom checks."""
+    """Δ, the pencil stabilizer's pointwise stabilizer of the vertex
+    generator: elements, action, census, join oracle, and axiom checks."""
 
     def __init__(self, plane: LaguerrePlane, pencil: Pencil,
                  elements: list[PencilAut], normalizer: PermutationMap | None):
@@ -174,13 +181,13 @@ class DeltaGroup:
 
     # -- the action ---------------------------------------------------------
 
-    def canonical_index(self, i: int) -> int:
+    def _canonical_index(self, i: int) -> int:
         """The index of plane point ``i`` in canonical coordinates."""
         return i if self._back is None else self._back[i]
 
     def image(self, f: PencilAut, i: int) -> int:
         """The index of the image of plane point ``i`` under ``f``."""
-        c = aut_index(self.plane.q, f, self.canonical_index(i))
+        c = aut_index(self.plane.q, f, self._canonical_index(i))
         return c if self._fwd is None else self._fwd[c]
 
     def perm(self, f: PencilAut) -> list[int]:
@@ -244,12 +251,40 @@ class DeltaGroup:
             raise GeometryError("point lies on the fixed generator; its "
                                 "stabilizer is the whole group",
                                 code="stabilizer_on_base")
-        c, q = self.canonical_index(self.plane.point_index[x]), self.plane.q
+        c, q = self._canonical_index(self.plane.point_index[x]), self.plane.q
         if c >= q * q:
             return list(self.elements)
         x0, y0 = divmod(c, q)
         fixing = {PencilAut(k, x0 * (1 - k) % q, y0 * (1 - k * k) % q) for k in range(1, q)}
         return list(filter(fixing.__contains__, self.elements))
+
+    def join_oracle(self) -> Callable[[int, int], tuple[str, tuple[int, ...]]]:
+        """The residual build's oracle: ``join(x, y)`` on positions in
+        ``space_points()`` (canonically affine) is the kind and the ascending
+        positions of x and the orbit of y under the closed-form stabilizer of
+        x, ``stabilizer``'s for every k != 0: (x0 + k dx, y0 + k^2 dy).  For
+        dx != 0 that is the circle (x0 + s, y0 + a s^2), a = dy/dx^2, with its
+        vertex at x; for dx = 0 x's offsets by dy times each nonzero square."""
+        q, index, gf = self.plane.q, self.plane.point_index, self.gf
+        canon = [divmod(self._canonical_index(index[p]), q) for p in self.space_points()]
+        at = [-1] * (q * q)
+        for i, (cx, cy) in enumerate(canon):
+            at[cx * q + cy] = i
+        # per x0 and s, the row of x0 + s and s^2; 1/dx^2, a negative dx as q + dx
+        rows = [[((x0 + s) % q * q, s * s) for s in range(q)] for x0 in range(q)]
+        inv_square = [0] + [gf.inv(d * d) for d in range(1, q)]
+
+        def join(x: int, y: int) -> tuple[str, tuple[int, ...]]:
+            (x0, y0), (x1, y1) = canon[x], canon[y]
+            dx, dy = x1 - x0, y1 - y0
+            if dx == 0:
+                pts = [x] + [at[x0 * q + (y0 + s * dy) % q] for s in gf.squares]
+                return SPECIAL, tuple(sorted(pts))
+            a = dy * inv_square[dx] % q
+            pts = [at[row + (y0 + a * s2) % q] for row, s2 in rows[x0]]
+            return STRAIGHT if a == 0 else CIRCLE_LINE, tuple(sorted(pts))
+
+        return join
 
     def orbit(self, subset: Iterable[PencilAut], x: Point) -> set[Point]:
         i, points, image = self.plane.point_index[x], self.plane.points, self.image

@@ -33,10 +33,9 @@ import argparse
 import errno
 import json
 import os
-import stat
 import sys
 
-from .field import FieldError, GF, is_prime
+from .field import MAX_Q, FieldError, GF, is_prime
 from .plane import (Circle, GeometryError, LaguerrePlane, Pencil, affine,
                     canonical_pencil, ideal)
 from .autgroup import DeltaGroup, verify_a1a2a3
@@ -71,7 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
     plane_sub = plane.add_subparsers(dest="action", required=True)
     add_common(plane_sub.add_parser("verify", help="check the plane axioms"))
 
-    group = sub.add_parser("group", help="pencil-fixing group commands")
+    group = sub.add_parser("group", help="commands on the pencil stabilizer's "
+                                         "pointwise stabilizer of the vertex generator")
     group_sub = group.add_subparsers(dest="action", required=True)
     gv = group_sub.add_parser("verify", help="check transitivity and tangency axioms")
     add_common(gv)
@@ -192,7 +192,7 @@ def _cmd_group_verify(args) -> int:
 def _require_odd(q: int) -> None:
     if q % 2 == 0:
         raise UsageError("this command needs an odd prime q")
-    if not is_prime(q):
+    if q <= MAX_Q and not is_prime(q):  # a larger q fails the field's bound
         raise UsageError(f"{q} is not prime")
 
 
@@ -229,38 +229,18 @@ def _cmd_theorems_run(args) -> int:
     return _emit(run_suite(args.q, ids), args.json)
 
 
-def _parent(path: str) -> str:
-    """``str(pathlib.Path(path).parent)`` on POSIX: the path without its last
-    component, empty and ``.`` components dropped (``a/b/`` gives ``a``, a
-    bare name ``.``), a leading ``//`` kept."""
-    if path.startswith("//") and not path.startswith("///"):
-        root = "//"
-    else:
-        root = "/" if path.startswith("/") else ""
-    parts = [part for part in path.split("/") if part not in ("", ".")]
-    return root + "/".join(parts[:-1]) or "."
-
-
-def _is_dir(path: str) -> bool:
-    """``pathlib.Path(path).is_dir()``: False for a missing path, an
-    OSError for any other failure of its ``stat``."""
-    try:
-        return stat.S_ISDIR(os.stat(path).st_mode)
-    except OSError as e:
-        if e.errno in (errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP):
-            return False
-        raise
-
-
 def _cmd_export(args) -> int:
+    # imported here, by its one user, so that importing the CLI loads no pathlib
+    from pathlib import Path
+
     if args.what == "plane" and args.pencil is not None:
         raise UsageError("--pencil does not apply to --what plane")
     try:
-        if _is_dir(args.out):
+        out = Path(args.out)
+        if out.is_dir():
             raise UsageError(f"output path {args.out!r} is a directory")
-        parent = _parent(args.out)
-        if not _is_dir(parent):
-            raise UsageError(f"output directory {parent!r} does not exist")
+        if not out.parent.is_dir():
+            raise UsageError(f"output directory {str(out.parent)!r} does not exist")
         if args.out.endswith("/"):  # names a directory, so no file can be written
             raise UsageError(f"cannot write {args.out!r}: {os.strerror(errno.EISDIR)}")
     except OSError as e:

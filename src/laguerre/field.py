@@ -42,7 +42,8 @@ class GF:
     __slots__ = ("q", "char2", "_inv", "_sqrt", "squares")
 
     def __init__(self, q: int):
-        if not isinstance(q, int) or isinstance(q, bool) or not is_prime(q):
+        # the bound first: trial division of a huge q would run for hours
+        if not isinstance(q, int) or isinstance(q, bool) or not (q > MAX_Q or is_prime(q)):
             raise FieldError(f"{q!r} is not prime", code="not_prime")
         if q > MAX_Q:
             raise FieldError(f"q={q} exceeds the configured bound {MAX_Q}", code="out_of_range")

@@ -1,4 +1,5 @@
-"""The residual skewaffine plane: the group space of the pencil-fixing group.
+"""The residual skewaffine plane: the group space of Δ, the pointwise
+stabilizer of the vertex generator inside the pencil stabilizer.
 
 Points are the plane points off the vertex generator.  The join of x and y
 is ``{x}`` together with the orbit of ``y`` under the stabilizer of ``x``;
@@ -17,11 +18,12 @@ T_i, the translation carrying point 0 to point i, is a word in the units
 (``_schreier``), Stab(0), ``stabilizer0``, the powers of
 s = T_{m(0)}⁻¹ m, and Δ is the translations times Stab(0), so the
 stabilizer of point i is T_i Stab(0) T_i⁻¹.  The closed-form join route
-reads canonical coordinates through ``DeltaGroup.canonical_index``.  Named
-points appear only at the boundary: ``join``, ``Line.points`` and
-``Line.base_points``, witnesses and ``to_json``, which builds each point's
-dict once: every line's ``base`` and ``points`` are those same dicts, so
-the export encodes each point once (``cli``), and its payload is read-only.
+is the group's own oracle, ``DeltaGroup.join_oracle``, on positions in
+these points, so this module does no field arithmetic.  Named points appear
+only at the boundary: ``join``, ``Line.points`` and ``Line.base_points``,
+witnesses and ``to_json``, which builds each point's dict once: every
+line's ``base`` and ``points`` are those same dicts, so the export encodes
+each point once (``cli``), and its payload is read-only.
 
 Line identity.  The join x_i ⊔ x_j is {i} together with T_i applied to o,
 the Stab(0)-orbit of T_i⁻¹(j), so T_i carries the line (0, o), point 0
@@ -47,11 +49,12 @@ and ``_witmask[i][c]`` the bits of those points.  The diagonal, point 0's
 own orbit, reads -1 in the first two tables.
 
 Every join is computed twice.  The orbit route above gives every pair's
-line.  The closed form, the circle through x and y with its vertex at x or
-the square-class offsets of a parallel pair, runs once per (i, o), on i and
-the least point of T_i(o); its point set must equal the orbit route's, and
-its kind the orbit's, or the build raises ``join_mismatch``.  Any other y
-of the same orbit lies on that line, and its closed-form line is the same.
+line.  The group's closed form (``DeltaGroup.join_oracle``), the circle
+through x and y with its vertex at x or the square-class offsets of a
+parallel pair, runs once per (i, o), on i and the least point of T_i(o);
+its point set must equal the orbit route's, and its kind the orbit's, or
+the build raises ``join_mismatch``.  Any other y of the same orbit lies on
+that line, and its closed-form line is the same.
 
 Axiom budgets.  T, V, Pgm, Des and Pap quantify first over two points, and
 every case is decided by the join-line and join-class tables, which the
@@ -66,12 +69,13 @@ representative to every point (``autgroup.require_reach``, which with
 ``PermutationMap.verified`` states every reduction's group); the sweeps
 also read ``_byclass`` and ``_witmask``, so these must agree with
 ``_joinclass`` row by row.  Otherwise the sweep raises
-``not_equivariant``.  The check runs lazily, at most once per space once
-it passes, never in the build.  ``exhaustive`` sweeps every ordered pair
-and is the brute-force oracle for the reduction; ``sample:K`` draws K
-seeded cases of T, Des and Pap.  The other axioms have no sampled form and
-are swept exhaustively under ``sample:K``; L1, L2, P1 and P2 are quadratic
-and always exhaustive.
+``not_equivariant``.  Like ``_check_dilatation`` below, it is a cached
+property: read lazily, never in the build, and kept once it passes (a
+failing one runs again at its next read).  ``exhaustive`` sweeps every
+ordered pair and is the brute-force oracle for the reduction; ``sample:K``
+draws K seeded cases of T, Des and Pap.  The other axioms have no sampled
+form and are swept exhaustively under ``sample:K``; L1, L2, P1 and P2 are
+quadratic and always exhaustive.
 
 Row sweeps.  The orbit and exhaustive sweeps of T, Des and Pap decide a row
 of cases at once: for T the (x', y') pairs of one (x, y, z), for Des and
@@ -110,15 +114,12 @@ predicate.
 from __future__ import annotations
 
 import random
+from functools import cached_property
 from operator import and_
 
 from .plane import GeometryError, LaguerrePlane, Pencil, PencilAut, Point
-from .autgroup import DeltaGroup, require_reach
+from .autgroup import CIRCLE_LINE, SPECIAL, STRAIGHT, DeltaGroup, require_reach
 from .report import Budget, Report, run_check
-
-CIRCLE_LINE = "circle_line"
-STRAIGHT = "straight_pencil"
-SPECIAL = "special"
 
 AXIOMS = ("L1", "L2", "P1", "P2", "T", "V", "Pgm", "Des", "Pap")
 
@@ -171,11 +172,9 @@ class GroupSpace:
         self.plane = plane
         self.pencil = pencil
         self.delta = delta
-        self.gf = plane.gf
         self.q = plane.q
         self.points: list[Point] = []
         self.lines: list[Line] = []
-        self._certificates: dict[str, object] = {}
 
     # -- construction -----------------------------------------------------
 
@@ -208,7 +207,7 @@ class GroupSpace:
 
     def _build(self) -> None:
         self._gens = self.delta.generators()
-        delta, plane, q = self.delta, self.plane, self.q
+        delta, plane = self.delta, self.plane
         self.points = delta.space_points()
         self.n = n = len(self.points)
         # plane index of each residual point, and back (-1 off the space)
@@ -216,11 +215,6 @@ class GroupSpace:
         self._local = [-1] * len(plane.points)
         for i, k in enumerate(self._plane_ids):
             self._local[k] = i
-        # every residual point is affine in canonical coordinates
-        canon = [divmod(delta.canonical_index(p), q) for p in self._plane_ids]
-        at = [-1] * (q * q)
-        for i, (cx, cy) in enumerate(canon):
-            at[cx * q + cy] = i
 
         self._gen_perms = [self.point_perm(g) for g in self._gens]
         translations, self.stabilizer0 = self._schreier()
@@ -239,13 +233,14 @@ class GroupSpace:
         minus_rows: list[list[tuple | None]] = []
         bases: dict[tuple, list[int]] = {}
         kinds: dict[int, str] = {}
+        closed_form = delta.join_oracle()
         for i, trans in enumerate(translations):
             row, minus = [], [None]
             for o, line0 in enumerate(lines0, 1):
                 ids = tuple(sorted(map(trans.__getitem__, line0)))
                 at_i = ids.index(i)
                 rest = ids[:at_i] + ids[at_i + 1:]
-                kind, want = self._closed_form(i, rest[0], canon, at)
+                kind, want = closed_form(i, rest[0])
                 if want != ids or kinds.setdefault(o, kind) != kind:
                     raise GeometryError(
                         f"join mismatch between orbit and closed form "
@@ -318,25 +313,6 @@ class GroupSpace:
                                 "the group", code="generators_not_closed")
         return trans, powers
 
-    def _closed_form(self, x: int, y: int, canon: list[tuple[int, int]],
-                     at: list[int]) -> tuple[str, tuple[int, ...]]:
-        """The kind and sorted point indices of x⊔y in closed form, the
-        oracle for the orbit route.  From the canonical coordinates
-        ``canon`` of the pair: the circle through both with its vertex at x,
-        or, for a parallel pair, x and its offsets by the height offset d
-        times each nonzero square.  ``at[cx * q + cy]`` maps coordinates
-        back to indices."""
-        q, gf = self.q, self.gf
-        (x0, y0), (x1, y1) = canon[x], canon[y]
-        if x0 == x1:
-            d = y1 - y0
-            pts = [x] + [at[x0 * q + (y0 + s * d) % q] for s in gf.squares]
-            return SPECIAL, tuple(sorted(pts))
-        A = gf.div(y1 - y0, (x1 - x0) ** 2)
-        B, C = (-2 * A * x0) % q, (A * x0 * x0 + y0) % q
-        pts = [at[s * q + ((A * s + B) * s + C) % q] for s in range(q)]
-        return STRAIGHT if A == 0 else CIRCLE_LINE, tuple(sorted(pts))
-
     # -- public queries -----------------------------------------------------
 
     def join(self, x: Point, y: Point) -> Line:
@@ -387,9 +363,9 @@ class GroupSpace:
         """Raise ``not_equivariant`` unless the join tables pass the
         certificate every orbit sweep rests on (``_check_tables``): then the
         group's generators, the unit translations among them, carry every
-        join to the join of the image pair.  It runs once per space and
-        returns the line permutation it checked for each generator."""
-        return self._certificate(self._check_tables)
+        join to the join of the image pair.  It returns the line permutation
+        it checked for each generator."""
+        return self._check_tables
 
     def _witness(self, names: tuple[str, ...], *idx: int) -> dict:
         return {name: repr(self.points[i]) for name, i in zip(names, idx)}
@@ -443,15 +419,6 @@ class GroupSpace:
         return cases, witnesses, {"mode": "orbit", "first": repr(self.points[first]),
                                   "second": second, "cases_represented": represented}
 
-    def _certificate(self, check):
-        """What the symmetry check ``check`` returns, run once per space.
-        A failing check raises ``not_equivariant`` and is run again at the
-        next call."""
-        name = check.__name__
-        if name not in self._certificates:
-            self._certificates[name] = check()
-        return self._certificates[name]
-
     def _orbit_reps(self) -> tuple[int, list[tuple[int, int]]]:
         """Point 0 and, per orbit of its stabilizer on the other points, the
         least point index with the orbit size."""
@@ -467,13 +434,14 @@ class GroupSpace:
         if budget.mode == "sample":
             return False
         try:
-            self._certificate(self._check_dilatation)
+            self._check_dilatation  # raises unless the space is certified
         except GeometryError:
             if budget.mode == "orbit":
                 raise
             return False
         return True
 
+    @cached_property
     def _check_tables(self) -> dict[PencilAut, list[int]]:
         """The certificate of every orbit sweep, and the first half of the
         one every T, Des and Pap row rests on (``_check_dilatation`` runs
@@ -521,6 +489,7 @@ class GroupSpace:
                       "not_equivariant", repr(self.points[0]), "points")
         return dict(zip(self._gens, line_perms))
 
+    @cached_property
     def _check_dilatation(self) -> list[int]:
         """The second half of the certificate of every T, Des and Pap row,
         after ``_check_tables``; returns c, a dilatation at point 0 (see

@@ -27,6 +27,26 @@ def test_group_sizes():
         assert len(d.elements) == q * q * (q - 1)
 
 
+@pytest.mark.parametrize("q", (5, 7))
+def test_delta_is_not_the_whole_pencil_stabilizer(q):
+    # the scaling (x, y) -> (x, c y), (inf, a) -> (inf, c a) by a primitive
+    # root c is a plane automorphism that fixes the vertex I(0) and permutes
+    # the canonical pencil's members, but moves the vertex generator's
+    # points: Δ is the pointwise stabilizer of that generator inside the
+    # pencil stabilizer
+    pl = LaguerrePlane(q)
+    pencil, c = canonical_pencil(pl), pl.gf.primitive_root()
+    scale = {p: ideal(c * p.x % q) if p.kind == "I" else affine(p.x, c * p.y % q)
+             for p in pl.points}
+    pm = PermutationMap(pl, [pl.point_index[scale[p]] for p in pl.points]).verified()
+    members = pl.pencil_members(pencil)
+    assert pm.apply_point(ideal(0)) == ideal(0)
+    assert sorted(map(pm.apply_circle, members)) == sorted(members)
+    assert pm.apply_point(ideal(1)) != ideal(1)
+    d = DeltaGroup.build(pl, pencil)
+    assert all(d.perm(f) != pm.perm for f in d.elements)
+
+
 def test_build_rejects_char2(plane2):
     with pytest.raises(GeometryError) as e:
         DeltaGroup.build(plane2, canonical_pencil(plane2))
@@ -345,15 +365,17 @@ def test_stabilizer_matches_the_image_scan(q):
 
 @pytest.mark.parametrize("q", (3, 5, 7))
 def test_circle_images_match_one_circle_at_a_time(q):
-    # the list route against one circle at a time; on the canonical chart,
-    # where both read the closed form, also against the circle holding the
-    # images of each circle's point ids (the route off it)
+    # the list route against the whole permutation's circle images, read
+    # back through the plane's mask positions; on the canonical chart, where
+    # the list route reads the closed form, also against the circle holding
+    # the images of each circle's point ids, one at a time (the route off it)
     pl = LaguerrePlane(q)
     for pencil in _pencils(pl):
         d = DeltaGroup.build(pl, pencil)
         for f in d.elements:
             got = d.circle_images(f, pl.circles)
-            assert got == [d.circle_images(f, [C])[0] for C in pl.circles], (pencil, f)
+            assert got == list(map(pl.circles.__getitem__,
+                                   PermutationMap(pl, d.perm(f)).circle_images)), (pencil, f)
             assert all(type(C) is Circle for C in got)
             if d.canonical:
                 assert got == [circle_image(pl, partial(d.image, f), C) for C in pl.circles]

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from laguerre import DeltaGroup, GroupSpace, LaguerrePlane
-from laguerre.cli import _json, _parent, _parse_pencil, _space_json, main
+from laguerre.cli import _json, _parse_pencil, _space_json, main
 
 
 def run_cli(capsys, *argv):
@@ -143,6 +143,27 @@ def test_usage_errors(capsys):
     assert run_cli(capsys, "plane", "verify", "--q", "211") == \
         (2, "", "error: q=211 exceeds the configured bound 101\n")
     assert run_cli(capsys, "nonsense")[0] == 2
+
+
+def test_the_bound_on_q_is_checked_before_its_primality(tmp_path, capsys, monkeypatch):
+    # trial division of a huge q would run for hours; every command refuses
+    # it by the bound first
+    from laguerre import cli, field
+    true_is_prime = field.is_prime
+
+    def bounded_is_prime(n):
+        if n > field.MAX_Q:
+            raise AssertionError(f"is_prime({n}) was called")
+        return true_is_prime(n)
+
+    for module in (field, cli):
+        monkeypatch.setattr(module, "is_prime", bounded_is_prime)
+    q = "10000000000000061"
+    for argv in (("plane", "verify"), ("group", "verify"),
+                 ("skewaffine", "verify", "--axiom", "all"), ("theorems", "run"),
+                 ("export", "--what", "space", "--out", str(tmp_path / "s.json"))):
+        assert run_cli(capsys, *argv, "--q", q) == \
+            (2, "", f"error: q={q} exceeds the configured bound 101\n"), argv
 
 
 def test_bad_budget_is_a_usage_error(capsys):
@@ -373,13 +394,7 @@ def test_emit_turns_a_failed_write_into_a_usage_error(capsys, monkeypatch):
     assert (code, capsys.readouterr().err) == (2, "error: cannot write to stdout: Broken pipe\n")
 
 
-# -- export paths without pathlib --------------------------------------------
-
-
-def test_parent_is_the_pathlib_parent():
-    for path in ("x.json", "a/b/", "a/b/c.json", "a//b", "a/./b", "./a", "../a", "a/..",
-                 "..", ".", "", "/", "/x", "//", "//a", "//a/b", "///a", "a/"):
-        assert _parent(path) == str(Path(path).parent), path
+# -- export paths ------------------------------------------------------------
 
 
 def test_export_path_checks(tmp_path, capsys, monkeypatch):

@@ -27,6 +27,8 @@ def test_run_check_times_the_sweep():
     rep = run_check("X", 5, sweep)
     assert rep.elapsed_ms >= 20
     assert "elapsed_ms" not in rep.to_dict()
+    # runs of one sweep differ in their time alone, so their content is equal
+    assert rep.to_dict() == run_check("X", 5, lambda: (0, [], {})).to_dict()
 
 
 def test_budget_rejects_unknown_mode_and_empty_sample():

@@ -160,14 +160,15 @@ def _closed_form_label(gs, canon, i, j):
     both with its vertex at i, or the square class of the height offset of a
     parallel pair (offsets scale by k^2, leading coefficients are fixed)."""
     (x0, y0), (x1, y1) = canon[i], canon[j]
+    gf = gs.plane.gf
     if x0 == x1:
-        return SPECIAL, gs.gf.square_class(y1 - y0)
-    A = gs.gf.div(y1 - y0, (x1 - x0) ** 2)
+        return SPECIAL, gf.square_class(y1 - y0)
+    A = gf.div(y1 - y0, (x1 - x0) ** 2)
     return STRAIGHT if A == 0 else CIRCLE_LINE, A
 
 
 def _canonical_coordinates(gs):
-    return [divmod(gs.delta.canonical_index(gs.plane.point_index[p]), gs.q)
+    return [divmod(gs.delta._canonical_index(gs.plane.point_index[p]), gs.q)
             for p in gs.points]
 
 
@@ -276,14 +277,14 @@ def test_build_rejects_a_kind_that_differs_along_an_orbit(monkeypatch):
     # a closed form that calls the pencil member through point 1 a circle
     # line still matches its point set, but not the kind that the same
     # stabilizer orbit has at point 0
-    true_closed_form = GroupSpace._closed_form
+    plane, pencil, delta = _fresh(5)
+    true_join = delta.join_oracle()
 
-    def relabelled(self, x, y, canon, at):
-        kind, pts = true_closed_form(self, x, y, canon, at)
+    def relabelled(x, y):
+        kind, pts = true_join(x, y)
         return CIRCLE_LINE if kind == STRAIGHT and x == 1 else kind, pts
 
-    monkeypatch.setattr(GroupSpace, "_closed_form", relabelled)
-    plane, pencil, delta = _fresh(5)
+    monkeypatch.setattr(delta, "join_oracle", lambda: relabelled)
     with pytest.raises(GeometryError) as e:
         GroupSpace.build(plane, pencil, delta, check_preconditions=False)
     assert e.value.code == "join_mismatch"
@@ -315,7 +316,7 @@ def test_build_rejects_translations_that_are_not_regular(monkeypatch):
     def no_join(*args):
         raise AssertionError("a join was computed")
 
-    monkeypatch.setattr(GroupSpace, "_closed_form", no_join)
+    monkeypatch.setattr(delta, "join_oracle", lambda: no_join)
     for bend in (lambda perm: x_unit, off_space):
         _bend_unit(monkeypatch, delta, bend)
         with pytest.raises(GeometryError) as e:
@@ -1126,20 +1127,46 @@ def test_orbit_pgm_and_v_reject_a_stale_witness_mask(plane5, delta5):
 def test_certificates_are_checked_lazily_and_only_where_read():
     # the build checks no symmetry; Pgm and V check the tables, not the
     # dilatation that only the T, Des and Pap rows read
+    certificates = ("_check_tables", "_check_dilatation")
+
+    def cached(gs):
+        return {name for name in certificates if name in vars(gs)}
+
     gs = GroupSpace.build(*_fresh(3), check_preconditions=False)
-    assert gs._certificates == {}
+    assert cached(gs) == set()
     gs.check_axiom("Des")
-    assert set(gs._certificates) == {"_check_tables", "_check_dilatation"}
+    assert cached(gs) == {"_check_tables", "_check_dilatation"}
     gs = GroupSpace.build(*_fresh(3), check_preconditions=False)
     gs.check_axiom("Pgm")
     gs.check_axiom("V")
-    assert set(gs._certificates) == {"_check_tables"}
+    assert cached(gs) == {"_check_tables"}
     gs.check_axiom("Pap")
-    c = gs._certificates["_check_dilatation"]
+    c = gs._check_dilatation
     assert c in gs.stabilizer0
     # at q = 3 a line through point 0 has one or two other points
     assert {tuple(sorted({j, c[j]})) for j in range(1, gs.n)} == \
         {gs._byclass[0][k] for k in gs._joinclass[0][1:]}
+
+
+@pytest.mark.parametrize("damage, certificate", [(_stale_witmask, "_check_tables"),
+                                                 (_cut_stabilizer, "_check_dilatation")])
+def test_a_failing_certificate_runs_again_at_its_next_read(plane5, delta5, damage,
+                                                           certificate):
+    # a cached property whose getter raises caches nothing: a damaged space
+    # fails its certificate at every read, and once the damage is undone
+    # the next read certifies it and is kept
+    gs = GroupSpace.build(plane5, canonical_pencil(plane5), delta5,
+                          check_preconditions=False)
+    witmask, stabilizer0 = [list(row) for row in gs._witmask], gs.stabilizer0
+    damage(gs)
+    for _ in range(2):
+        with pytest.raises(GeometryError) as e:
+            getattr(gs, certificate)
+        assert e.value.code == "not_equivariant"
+        assert certificate not in vars(gs)
+    gs._witmask, gs.stabilizer0 = witmask, stabilizer0
+    got = getattr(gs, certificate)
+    assert vars(gs)[certificate] is got
 
 
 def test_certify_returns_each_generators_line_permutation(space3, space5, space5_p1_2):

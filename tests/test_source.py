@@ -32,9 +32,11 @@ def test_no_module_imports_another_modules_private_name():
 
 
 def test_the_residual_build_reads_the_group_only_as_permutations():
-    # skewaffine reads Δ as its generators' permutations and its order: no
-    # stabilizer scan, no translation list, no single-point image, and the
-    # element list only inside len(...)
+    # skewaffine reads Δ as its generators' permutations, its order and its
+    # join oracle: no stabilizer scan, no translation list, no single-point
+    # image, and the element list only inside len(...).  The group supplies
+    # the closed form, so skewaffine does no field arithmetic: no %, no
+    # divmod, and no field or canonical coordinates
     tree = ast.parse((SRC / "skewaffine.py").read_text())
     sized = {id(node.args[0]) for node in ast.walk(tree)
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
@@ -44,6 +46,21 @@ def test_the_residual_build_reads_the_group_only_as_permutations():
     assert [f"{node.lineno} {node.attr}" for node in reads
             if node.attr != "elements" or id(node) not in sized] == []
     assert any(node.attr == "elements" for node in reads)  # the guard sees the order
+
+    def arithmetic(node):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Mod):
+            return "%"
+        if isinstance(node, ast.Name) and node.id == "divmod":
+            return "divmod"
+        if isinstance(node, ast.Attribute) and node.attr in (
+                "gf", "canonical_index", "_canonical_index"):
+            return node.attr
+        return None
+
+    assert [f"{node.lineno} {name}" for node in ast.walk(tree)
+            if (name := arithmetic(node))] == []
+    assert any(isinstance(node, ast.Attribute) and node.attr == "join_oracle"
+               for node in ast.walk(tree))  # the guard sees the oracle
 
 
 def test_only_the_plane_turns_circle_ids_into_masks():
