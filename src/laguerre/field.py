@@ -100,12 +100,6 @@ class GF:
         other = self.q - r
         return (r, other) if r < other else (other, r)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GF) and other.q == self.q
-
-    def __hash__(self) -> int:
-        return hash(("GF", self.q))
-
     def __repr__(self) -> str:
         return f"GF({self.q})"
 

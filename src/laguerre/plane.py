@@ -16,13 +16,13 @@ indices that carries a circle by OR-ing the image bits of its ids
 (``circle_images``, ``circle_image``) and is verified against the masks,
 and the maps built from closed forms, ``PermutationMap.from_aut``
 (``PencilAut``: its whole permutation is ``aut_perm``, its single-point
-form ``aut_index``), ``circle_add_map`` and ``inversion_map``.
-``autgroup`` assembles its normalizers from them, and the axiom sweep
-transports along them: one sweep runs its four stages over a list of
-circles, of point pairs and of flags.  When six maps pass verification the lists hold orbit
-representatives picked by ``reach``; when they fail, every case is its own
-representative.  The closed form ``pencil_members`` is read at the listed
-flags.
+form ``aut_index``), ``circle_add_map`` and ``inversion_map``.  The plane's
+one certificate, the cached ``certified_maps``, verifies six of them
+(``PlaneMaps``, by name) for the axiom sweep and the catalog; only
+``autgroup``'s normalizer builds a map of its own.  One sweep runs its four
+stages over lists of circles, point pairs and flags: orbit representatives
+by ``reach`` when the certificate holds, every case when it raises
+``not_automorphism``.  ``pencil_members`` is read at the listed flags.
 
 Tangency is defined set-theoretically (exactly one common point).  For odd
 q the quadratic-discriminant shortcut computes the same counts and the two
@@ -431,15 +431,12 @@ class LaguerrePlane:
         |C1 ∩ C2| <= 2.  The touching axiom takes each pencil from the closed
         form ``pencil_members`` (``_touch_flag``).
 
-        Certificate.  Six plane maps: adding x², x and 1 to every
-        y-coordinate (``circle_add_map``), the x-shift ``PencilAut(1, 1, 0)``,
-        the scaling ``PencilAut(g, 0, 0)`` by the least primitive root g and
-        ``inversion_map``.  Each must pass ``PermutationMap.verify`` against
-        this plane's own masks, and no two circles may share a mask; each
-        map's ``circle_images`` is then a permutation of the circles.  Every
-        stage's predicate is kept by a map that carries points, circles and
-        generators to points, circles and generators, so a representative of
-        each orbit stands for its orbit.
+        Certificate.  The six maps of ``certified_maps`` (``PlaneMaps``),
+        each verified against this plane's own masks, no two circles sharing
+        a mask, so each map's ``circle_images`` is a permutation of the
+        circles.  Every stage's predicate is kept by a map that carries
+        points, circles and generators to points, circles and generators, so
+        a representative of each orbit stands for its orbit.
 
         The sweep (``_sweep``) runs over a list of circles, of point pairs
         (u, v) each with its third points, and of flags.  Certified, the
@@ -464,20 +461,32 @@ class LaguerrePlane:
         witness list: every circle, every pair with u on an earlier generator
         than v, its third points on the generators after v's, and every flag.
         """
-        return run_check("laguerre-axioms", self.q,
-                         lambda: self._sweep(self._certified_maps()))
 
-    def _certified_maps(self) -> list[PermutationMap] | None:
-        """The six maps of ``verify_axioms``'s certificate, each verified, or
-        None when one fails or two circles share a mask."""
+        def sweep():
+            try:
+                maps = self.certified_maps
+            except GeometryError as e:
+                if e.code != "not_automorphism":
+                    raise
+                maps = None
+            return self._sweep(maps)
+
+        return run_check("laguerre-axioms", self.q, sweep)
+
+    @cached_property
+    def certified_maps(self) -> PlaneMaps:
+        """The plane's certificate, the one place its six maps are built and
+        verified: each passes ``PermutationMap.verify`` against this plane's
+        own masks, and no two circles share a mask.  Else it raises
+        ``not_automorphism``, with the failing map's witnesses, and caches
+        nothing, so the next read runs it again."""
         if len(self.mask_positions) != len(self.circles):
-            return None
-        maps = [circle_add_map(self, Q)
-                for Q in (Circle(1, 0, 0), Circle(0, 1, 0), Circle(0, 0, 1))]
-        maps += [PermutationMap.from_aut(self, PencilAut(1, 1, 0)),
-                 PermutationMap.from_aut(self, PencilAut(self.gf.primitive_root(), 0, 0)),
-                 inversion_map(self)]
-        return maps if all(m.verify()[0] for m in maps) else None
+            raise GeometryError("two circles share a point mask", code="not_automorphism")
+        g = self.gf.primitive_root()
+        return PlaneMaps(*(m.verified() for m in [
+            *(circle_add_map(self, Q) for Q in (Circle(1, 0, 0), Circle(0, 1, 0), Circle(0, 0, 1))),
+            PermutationMap.from_aut(self, PencilAut(1, 1, 0)),
+            PermutationMap.from_aut(self, PencilAut(g, 0, 0)), inversion_map(self)]))
 
     def _touch_flag(self, pi: int, ki: int, strict: bool, findings: list,
                     mismatches: list) -> list[int]:
@@ -527,7 +536,7 @@ class LaguerrePlane:
             return []
         return [] if failed else mis
 
-    def _sweep(self, maps: list[PermutationMap] | None) -> tuple[int, list, dict]:
+    def _sweep(self, maps: tuple[PermutationMap, ...] | None) -> tuple[int, list, dict]:
         """The case count, witnesses and details of the four stages at the
         representatives of the orbits of ``maps``, or at every case when
         ``maps`` is None.
@@ -798,6 +807,17 @@ class PermutationMap:
     @classmethod
     def from_aut(cls, plane: LaguerrePlane, f: PencilAut) -> "PermutationMap":
         return cls(plane, aut_perm(plane.q, f))
+
+
+class PlaneMaps(NamedTuple):
+    """The six verified maps of ``LaguerrePlane.certified_maps``, by name."""
+
+    add_x2: PermutationMap     # (x, y) -> (x, y + x^2)
+    add_x: PermutationMap      # (x, y) -> (x, y + x)
+    add_1: PermutationMap      # (x, y) -> (x, y + 1), the unit translation (1, 0, 1)
+    shift_x: PermutationMap    # (x, y) -> (x + 1, y), the unit translation (1, 1, 0)
+    scale: PermutationMap      # (x, y) -> (g x, g^2 y), g the least primitive root
+    inversion: PermutationMap  # (x, y) -> (1/x, y/x^2)
 
 
 def circle_add_map(plane: LaguerrePlane, Q: Circle) -> PermutationMap:

@@ -62,11 +62,11 @@ group permutes.  Their default ``orbit`` budget therefore fixes the first
 point to one representative and takes one second point per orbit of its
 stabilizer (q + 2 orbits); this is McKay's isomorph rejection ("Isomorph-free
 exhaustive generation", J. Algorithms 26, 1998).  The reduction is
-machine-checked once per space, before its first orbit sweep, by one
-certificate, ``_check_tables``: both tables must be equivariant under the
-three generators of the group, and the generators must carry the
-representative to every point (``autgroup.require_reach``, which with
-``PermutationMap.verified`` states every reduction's group); the sweeps
+machine-checked once per space, before its first orbit sweep, by the
+space's one certificate, ``certificate``, which the catalog's transport
+and C3.4 read too: both tables must be equivariant under the three
+generators of the group, and the generators must carry the
+representative to every point (``autgroup.require_reach``); the sweeps
 also read ``_byclass`` and ``_witmask``, so these must agree with
 ``_joinclass`` row by row.  Otherwise the sweep raises
 ``not_equivariant``.  Like ``_check_dilatation`` below, it is a cached
@@ -359,14 +359,6 @@ class GroupSpace:
         checker = getattr(self, f"_ax_{axiom}")
         return run_check(axiom, self.q, lambda: checker(budget), _NOTES.get(axiom))
 
-    def certify(self) -> dict[PencilAut, list[int]]:
-        """Raise ``not_equivariant`` unless the join tables pass the
-        certificate every orbit sweep rests on (``_check_tables``): then the
-        group's generators, the unit translations among them, carry every
-        join to the join of the image pair.  It returns the line permutation
-        it checked for each generator."""
-        return self._check_tables
-
     def _witness(self, names: tuple[str, ...], *idx: int) -> dict:
         return {name: repr(self.points[i]) for name, i in zip(names, idx)}
 
@@ -422,7 +414,7 @@ class GroupSpace:
     def _orbit_reps(self) -> tuple[int, list[tuple[int, int]]]:
         """Point 0 and, per orbit of its stabilizer on the other points, the
         least point index with the orbit size."""
-        self.certify()
+        self.certificate  # raises unless the tables are certified
         # _orbits0[0] is the orbit of point 0 itself
         return 0, [(orbit[0], len(orbit)) for orbit in self._orbits0[1:]]
 
@@ -442,11 +434,13 @@ class GroupSpace:
         return True
 
     @cached_property
-    def _check_tables(self) -> dict[PencilAut, list[int]]:
-        """The certificate of every orbit sweep, and the first half of the
-        one every T, Des and Pap row rests on (``_check_dilatation`` runs
-        it first).  Every axiom case is decided by the join-line and
-        join-class tables.  Each generator must carry the join line of
+    def certificate(self) -> dict[PencilAut, list[int]]:
+        """The space's one certificate, read by every orbit sweep, by the
+        catalog's transport and C3.4, and first by ``_check_dilatation``,
+        the rest of the one every T, Des and Pap row rests on: each
+        generator's line permutation, once these checks pass, else
+        ``not_equivariant``.  Every axiom case is decided by the join-line
+        and join-class tables.  Each generator must carry the join line of
         (x, y) to the join line of the image pair and keep its class, and
         the generators must carry point 0 to every point; then point 0
         alone can stand for all first points, and carries the dilatation
@@ -492,14 +486,14 @@ class GroupSpace:
     @cached_property
     def _check_dilatation(self) -> list[int]:
         """The second half of the certificate of every T, Des and Pap row,
-        after ``_check_tables``; returns c, a dilatation at point 0 (see
+        after ``certificate``; returns c, a dilatation at point 0 (see
         "Row sweeps").  (a) c is the first power in ``stabilizer0`` that
         fixes point 0 and whose cycles on the other points are exactly the
         lines through it, the sets ``_byclass[0][k]`` of the classes k in
         ``_joinclass[0]``; (b) c keeps ``_joinclass``; (c) ``_joinline[0]``
         and ``_joinclass[0]`` partition the other points alike, so one line
         of each class passes through point 0."""
-        self.certify()
+        self.certificate  # raises unless the tables are certified
         n, jl, jc = self.n, self._joinline, self._joinclass
         lines = {self._byclass[0][c] for c in jc[0][1:]}
 

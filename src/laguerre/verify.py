@@ -11,20 +11,21 @@ Checks verify conclusions, not intermediate constructions.
 Nine checks are exhaustive (P2.2, P2.3, P2.5, P2.6, P3.1, C3.1, L3.1, P3.2,
 P4.3).  The other twenty evaluate a representative and move it along a
 symmetry checked first, each generator orbit by ``autgroup.require_reach``
-(Kaski and Östergård's isomorph rejection): T4.2 the circle (0, 0, 0),
-along shifts that pass ``PermutationMap.verified``; C2.1 the invariant
-circles at point 0, along the translations, each re-checked where it lands;
-T3.2 normality on the generators, which the residual build checks give Δ,
-and the factorization at point 0, the units checked to close to T;
-C3.3 Pgm at the ``orbit`` budget, the join tables certified equivariant and
-the class and line tables against them; C3.4 one line per class, the classes
-checked to partition the lines and each reached by ``reach`` along the
-units' line permutations that ``GroupSpace.certify`` checked.  The other
-fifteen rest on one certificate, ``_Ctx.transport``: the unit translations
-(1, 1, 0) and (1, 0, 1), as point permutations that pass
-``PermutationMap.verified``, fix the vertex generator pointwise, permute the
-pencil members and are the group's own action, and ``GroupSpace.certify``
-passes.  They then carry point 0 to every residual point (the residual
+(Kaski and Östergård's isomorph rejection).  Each layer has one
+certificate, read by every reduction above it: the plane's
+``certified_maps`` and the residual space's ``certificate``.  T4.2
+evaluates the circle (0, 0, 0), along the plane's y-shifts; C2.1 the
+invariant circles at point 0, along the translations, each re-checked
+where it lands; T3.2 normality on the generators, which the residual build
+checks give Δ, and the factorization at point 0, the units checked to
+close to T; C3.3 Pgm at the ``orbit`` budget, under the space's
+certificate; C3.4 one line per class, the classes checked to partition the
+lines and each reached by ``reach`` along the units' line permutations in
+the space's certificate.  The other fifteen rest on ``_Ctx.transport``:
+the unit translations (1, 1, 0) and (1, 0, 1), the plane's maps x ↦ x + 1
+and y ↦ y + 1, fix the vertex generator pointwise, permute the pencil
+members and are the group's own action, and the space's certificate
+holds.  They then carry point 0 to every residual point (the residual
 build checks it), the member y = 0 to every member (each residual point
 lies on one) and the circle (a, 0, 0) to every circle (a, b, c), a != 0,
 keeping every plane, pencil and join fact.  So P2.1, L4.2 and P4.6 run the
@@ -69,9 +70,8 @@ import itertools
 from functools import cached_property, partial, reduce
 from operator import itemgetter, or_
 
-from .plane import (Circle, GeometryError, IDEAL, LaguerrePlane, Pencil, PencilAut,
-                    PermutationMap, Point, affine, bits, canonical_pencil, circle_add_map,
-                    ideal, reach)
+from .plane import (Circle, GeometryError, IDEAL, LaguerrePlane, Pencil, PencilAut, Point,
+                    affine, bits, canonical_pencil, ideal, reach)
 from .autgroup import IDENTITY, DeltaGroup, aut_compose, aut_inverse, require_reach
 from .skewaffine import GroupSpace, SPECIAL, STRAIGHT
 from .report import PASS, REPORT_ONLY, Report, run_check
@@ -271,29 +271,21 @@ class _Ctx:
         return fixed
 
     @cached_property
-    def unit_maps(self) -> list[PermutationMap]:
-        """The unit translations (1, 1, 0) and (1, 0, 1) as point
-        permutations, verified here: x ↦ x + 1, and y ↦ y + 1, T4.2's
-        ``Circle(0, 0, 1)`` shift."""
-        plane = self.plane
-        return [PermutationMap.from_aut(plane, PencilAut(1, 1, 0)).verified(),
-                circle_add_map(plane, Circle(0, 0, 1)).verified()]
-
-    @cached_property
     def family0(self) -> TangentFamily:
         """The tangent family of the member y = 0, the pencil's base."""
         return TangentFamily(self.plane, self.pencil.base)
 
     @cached_property
     def transport(self) -> Point:
-        """Point 0, once ``unit_maps`` are certified to carry the cases at
-        point 0 or on the member y = 0 to every case: each must fix the
-        vertex generator pointwise and permute ``members``
-        (``pencil_not_fixed``) and be the group's unit translation, which the
-        space build walks to every point (``not_equivariant``); and the join
-        tables must pass ``GroupSpace.certify``, under the same generators."""
+        """Point 0, once the unit translations, x ↦ x + 1 and y ↦ y + 1 in
+        ``plane.certified_maps``, are certified to carry the cases at point 0
+        or on the member y = 0 to every case: each must fix the vertex
+        generator pointwise and permute ``members`` (``pencil_not_fixed``) and
+        be the group's unit translation, which the space build walks to every
+        point (``not_equivariant``), and ``space.certificate`` must hold."""
         generator, members = self.delta.base_generator_points(), set(self.members)
-        for u, m in zip(self.unit_translations, self.unit_maps):
+        units, maps = self.unit_translations, self.plane.certified_maps
+        for u, m in zip(units, (maps.shift_x, maps.add_1)):
             if (any(m.apply_point(p) != p for p in generator)
                     or set(map(m.apply_circle, self.members)) != members):
                 raise GeometryError(f"the unit translation {list(u)} does not fix the "
@@ -301,7 +293,7 @@ class _Ctx:
             if m.perm != self.delta.perm(u):
                 raise GeometryError(f"the unit translation {list(u)} is not the "
                                     "group's", code="not_equivariant")
-        self.space.certify()
+        self.space.certificate  # raises unless the tables are certified
         return self.space.points[0]
 
     @cached_property
@@ -797,12 +789,12 @@ def _check_c3_3(ctx: _Ctx):
 
 def _check_c3_4(ctx: _Ctx):
     """One line per class stands for all: a class's lines share their T-orbit.
-    The representatives are lines, moved along the line permutations that
-    ``certify`` checked, not a point or a member, so neither declared
+    The representatives are lines, moved along the line permutations of the
+    space's ``certificate``, not a point or a member, so neither declared
     symmetry fits."""
     space = ctx.space
-    units = ctx.unit_translations  # raises unless they close to T, before certify
-    moves = [space.certify()[u].__getitem__ for u in units]
+    units = ctx.unit_translations  # raises unless they close to T, before the certificate
+    moves = [space.certificate[u].__getitem__ for u in units]
     cases, bad = 0, []
     if sorted(itertools.chain(*space.class_members.values())) != list(range(len(space.lines))):
         bad.append({"problem": "classes_not_a_partition"})
@@ -1016,19 +1008,18 @@ def _c4_2_at(ctx: _Ctx, x: Point, loci):
 
 def _check_t4_2(ctx: _Ctx):
     """T4.2 at (0, 0, 0) for all q³ circles: its predicates are incidence
-    properties, and the verified shifts carry (0, 0, 0) to every circle.
-    (0, 0, 0) is the member y = 0, so its family and the shift y += 1 are
-    the context's.  The transport's translations keep a circle's a, so
-    ``_on_member0`` reaches only the members, and the check reduces along
-    its own shifts instead.  This route cannot see a fault in another
-    circle's ``TangentFamily``; the all-circles loop in the tests is its
-    oracle."""
+    properties, and the y-shifts by x², x and 1 in ``certified_maps`` carry
+    (0, 0, 0) to every circle along their ``circle_images``.  (0, 0, 0) is
+    the member y = 0, so its family is the context's.  The transport's
+    translations keep a circle's a, so ``_on_member0`` reaches only the
+    members, and the check reduces along the y-shifts instead.  This route
+    cannot see a fault in another circle's ``TangentFamily``; the
+    all-circles loop in the tests is its oracle."""
     plane, L = ctx.plane, ctx.pencil.base
-    # y += x², x; verified here
-    maps = [circle_add_map(plane, Q).verified() for Q in (Circle(1, 0, 0), Circle(0, 1, 0))]
-    maps.append(ctx.unit_maps[1])
-    require_reach(L, [m.apply_circle for m in maps], plane.circles,
-                  "not_transitive", str(list(L)), "circles")
+    maps = plane.certified_maps
+    require_reach(plane.circle_position(L),
+                  [m.circle_images.__getitem__ for m in (maps.add_x2, maps.add_x, maps.add_1)],
+                  range(len(plane.circles)), "not_transitive", str(list(L)), "circles")
     fam = ctx.family0
     pts = fam.off_points
     cases, bad = 0, []

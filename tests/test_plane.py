@@ -286,7 +286,7 @@ def test_circle_ids_match_incidence_and_the_retired_encodings(q):
 @pytest.mark.parametrize("q", [3, 5, 7])
 def test_circle_images_match_the_retired_bit_loop(q):
     pl = LaguerrePlane(q)
-    maps = pl._certified_maps()
+    maps = list(pl.certified_maps)
     assert len(maps) == 6
     for pencil in (canonical_pencil(pl), pl.pencil(affine(1, 2), Circle(0, 0, 2)),
                    pl.pencil(ideal(2), Circle(2, 1, 3 % q))):
@@ -526,6 +526,49 @@ def _uncertified(monkeypatch):
         return PermutationMap(pl, perm)
 
     monkeypatch.setattr(plane_module, "inversion_map", swapped)
+
+
+def test_a_failing_plane_certificate_runs_again_at_its_next_read(monkeypatch):
+    # a cached property whose getter raises caches nothing: with the
+    # inversion swapped, every read raises the swap's own witnesses, and once
+    # the real inversion is back the next read certifies the plane and is kept
+    pl = LaguerrePlane(5)
+    real = plane_module.inversion_map
+    _uncertified(monkeypatch)
+    witnesses = plane_module.inversion_map(pl).verify()[1]
+    assert witnesses and {w["problem"] for w in witnesses} == {"circle_image"}
+    for _ in range(2):
+        with pytest.raises(GeometryError) as e:
+            pl.certified_maps
+        assert (e.value.code, e.value.witnesses) == ("not_automorphism", witnesses)
+        assert "certified_maps" not in vars(pl)
+    monkeypatch.setattr(plane_module, "inversion_map", real)
+    got = pl.certified_maps
+    assert vars(pl)["certified_maps"] is got
+    assert got.inversion.perm == real(pl).perm
+
+
+class _SameAsY1(LaguerrePlane):
+    """Incidence fault: y = 0 lists the points of y = 1, so the two circles
+    share a mask."""
+
+    @cached_property
+    def circle_ids(self):
+        ids = list(super().circle_ids)
+        ids[self.circle_position(Circle(0, 0, 0))] = ids[self.circle_position(Circle(0, 0, 1))]
+        return ids
+
+
+def test_a_plane_whose_circles_share_a_mask_is_uncertified():
+    # y = 0 holds y = 1's points: the two circles share a mask, so the
+    # certificate raises and the sweep runs every case, finding the pair
+    pl = _SameAsY1(5)
+    with pytest.raises(GeometryError) as e:
+        pl.certified_maps
+    assert e.value.code == "not_automorphism"
+    rep = pl.verify_axioms()
+    assert (rep.status, rep.details["mode"]) == ("fail", "exhaustive")
+    assert {"axiom": "join", "circles": [[0, 0, 0], [0, 0, 1]]} in rep.witnesses
 
 
 def _counted_pencil_members(monkeypatch, pl):
@@ -777,8 +820,9 @@ def test_fewer_certified_maps_leave_more_orbits_and_the_same_report(q, kept, mon
     # the first 0, 1 and 3 maps leave several orbits per stage: every
     # circle and flag, the orbits of y -> y + x^2, and the q + 1 generators
     full = LaguerrePlane(q).verify_axioms().details["stages"]
-    certified = LaguerrePlane._certified_maps
-    monkeypatch.setattr(LaguerrePlane, "_certified_maps", lambda self: certified(self)[:kept])
+    certified = LaguerrePlane.certified_maps.func
+    monkeypatch.setattr(LaguerrePlane, "certified_maps",
+                        property(lambda self: certified(self)[:kept]))
     rep = LaguerrePlane(q).verify_axioms()
     assert (rep.status, rep.witnesses, rep.details["mode"]) == ("pass", [], "orbit")
     stages = rep.details["stages"]

@@ -1096,7 +1096,7 @@ def test_rows_need_each_dilatation_clause(plane5, delta5, damage, axiom, monkeyp
     gs = GroupSpace.build(plane5, canonical_pencil(plane5), delta5,
                           check_preconditions=False)
     damage(gs)
-    gs.certify()
+    gs.certificate
     budget = Budget("exhaustive", 0, 0)
     got, sent = _with_calls(gs, axiom, budget, monkeypatch)
     oracle = {"T": _bitset_t, "Des": _bitset_des, "Pap": _bitset_pap}[axiom]
@@ -1127,7 +1127,7 @@ def test_orbit_pgm_and_v_reject_a_stale_witness_mask(plane5, delta5):
 def test_certificates_are_checked_lazily_and_only_where_read():
     # the build checks no symmetry; Pgm and V check the tables, not the
     # dilatation that only the T, Des and Pap rows read
-    certificates = ("_check_tables", "_check_dilatation")
+    certificates = ("certificate", "_check_dilatation")
 
     def cached(gs):
         return {name for name in certificates if name in vars(gs)}
@@ -1135,11 +1135,11 @@ def test_certificates_are_checked_lazily_and_only_where_read():
     gs = GroupSpace.build(*_fresh(3), check_preconditions=False)
     assert cached(gs) == set()
     gs.check_axiom("Des")
-    assert cached(gs) == {"_check_tables", "_check_dilatation"}
+    assert cached(gs) == {"certificate", "_check_dilatation"}
     gs = GroupSpace.build(*_fresh(3), check_preconditions=False)
     gs.check_axiom("Pgm")
     gs.check_axiom("V")
-    assert cached(gs) == {"_check_tables"}
+    assert cached(gs) == {"certificate"}
     gs.check_axiom("Pap")
     c = gs._check_dilatation
     assert c in gs.stabilizer0
@@ -1148,7 +1148,7 @@ def test_certificates_are_checked_lazily_and_only_where_read():
         {gs._byclass[0][k] for k in gs._joinclass[0][1:]}
 
 
-@pytest.mark.parametrize("damage, certificate", [(_stale_witmask, "_check_tables"),
+@pytest.mark.parametrize("damage, certificate", [(_stale_witmask, "certificate"),
                                                  (_cut_stabilizer, "_check_dilatation")])
 def test_a_failing_certificate_runs_again_at_its_next_read(plane5, delta5, damage,
                                                            certificate):
@@ -1169,17 +1169,17 @@ def test_a_failing_certificate_runs_again_at_its_next_read(plane5, delta5, damag
     assert vars(gs)[certificate] is got
 
 
-def test_certify_returns_each_generators_line_permutation(space3, space5, space5_p1_2):
+def test_certificate_is_each_generators_line_permutation(space3, space5, space5_p1_2):
     # the permutations the table certificate checked, one per generator in
     # the group's order, each line's image under the generator's point action
     for gs in (space3, space5, space5_p1_2):
-        got = gs.certify()
+        got = gs.certificate
         assert list(got) == gs.delta.generators()
         for g, line_perm in got.items():
             perm = gs.point_perm(g)
             assert line_perm[:len(gs.lines)] == [gs.line_image(perm, line).index
                                                  for line in gs.lines], (gs.q, g)
-        assert gs.certify() is got  # run once per space
+        assert gs.certificate is got  # run once per space
 
 
 def test_t_orbit_matches_exhaustive_q7(space7):

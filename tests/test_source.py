@@ -140,6 +140,31 @@ def test_the_catalog_reads_the_group_as_whole_permutations():
     assert not hasattr(verify._Ctx, "translations")
 
 
+def test_only_the_plane_builds_its_certified_maps():
+    # each layer has one certificate, read by every reduction above it: the
+    # plane alone builds maps from closed forms (certified_maps), except the
+    # normalizer DeltaGroup.build composes; the catalog rebuilds none, and
+    # the retired unit_maps and certify stay gone
+    from laguerre import GroupSpace, verify
+    builders = {"circle_add_map", "inversion_map", "from_aut"}
+    found, normalizer_calls = [], 0
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        owner = {id(node): fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                 for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and (getattr(node.func, "id", None)
+                                               or getattr(node.func, "attr", None)) in builders:
+                where = (path.name, owner.get(id(node)))
+                normalizer_calls += where == ("autgroup.py", "build")
+                if path.name != "plane.py" and where != ("autgroup.py", "build"):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+    assert normalizer_calls  # the guard sees the normalizer's calls
+    assert not hasattr(verify._Ctx, "unit_maps")
+    assert not hasattr(GroupSpace, "certify")
+
+
 # every error code the package raised when the guard below was written: it
 # must still see each of them, so it cannot pass with nothing to check
 _CODES = frozenset({

@@ -1,14 +1,16 @@
 import itertools
+import json
 
 import pytest
 
 from laguerre import (Budget, Circle, DeltaGroup, GeometryError, LaguerrePlane, PencilAut,
-                      PermutationMap, affine, canonical_pencil, ideal, thm_check,
+                      PermutationMap, affine, canonical_pencil, cli, ideal, thm_check,
                       thm_equiv_rel, thm_tangency_locus, verify)
+from laguerre import plane as plane_module
 from laguerre.autgroup import IDENTITY, aut_compose, aut_inverse
 from laguerre.skewaffine import SPECIAL
 from laguerre.verify import CHECK_IDS, CHECK_SUMMARIES, TangentFamily
-from test_plane import _MovedPoint
+from test_plane import _MovedPoint, _uncertified
 
 
 def test_catalog_is_closed():
@@ -442,9 +444,9 @@ def test_run_suite_derives_each_plane_fact_once(monkeypatch):
 
 
 def test_each_automorphism_is_verified_once_where_it_is_used(monkeypatch):
-    # the catalog verifies its two unit translations and T4.2's two shifts
-    # y += x² and y += x; a group at an affine vertex verifies its composed
-    # normalizer alone
+    # the catalog reads the plane's certificate, one pass per certified map,
+    # and the plane's sweep afterwards reads the same certificate; a group at
+    # an affine vertex verifies its composed normalizer alone
     passes = []
     real = PermutationMap.verify
 
@@ -455,8 +457,11 @@ def test_each_automorphism_is_verified_once_where_it_is_used(monkeypatch):
     monkeypatch.setattr(PermutationMap, "verify", spy)
     monkeypatch.setattr(verify, "_CTX_CACHE", {})
     assert all(rep.ok for rep in verify.run_suite(5))
-    assert len(passes) == 4
+    assert len(passes) == 6
     passes.clear()
+    rep = verify._context(5).plane.verify_axioms()
+    assert (rep.status, rep.details["mode"]) == ("pass", "orbit")
+    assert passes == []
     pl = LaguerrePlane(5)
     DeltaGroup.build(pl, pl.pencil(affine(1, 2), Circle(0, 0, 2)))
     assert len(passes) == 1
@@ -537,7 +542,9 @@ def test_t4_2_rejects_a_shift_that_is_not_an_automorphism(monkeypatch):
         perm[1] = perm[0]
         return PermutationMap(plane, perm)
 
-    monkeypatch.setattr(verify, "circle_add_map", collapsed)
+    # a fresh context builds its plane's certificate from the patch
+    monkeypatch.setattr(verify, "_CTX_CACHE", {})
+    monkeypatch.setattr(plane_module, "circle_add_map", collapsed)
     with pytest.raises(GeometryError) as e:
         thm_check("T4.2", 5)
     assert e.value.code == "not_automorphism"
@@ -548,12 +555,12 @@ def test_t4_2_rejects_shifts_that_are_not_transitive(monkeypatch):
     # y -> y + 1 replaced by the identity: the shifts reach only the q^2
     # circles with c = 0 (a fresh context builds its shift from the patch)
     monkeypatch.setattr(verify, "_CTX_CACHE", {})
-    real = verify.circle_add_map
+    real = plane_module.circle_add_map
 
     def no_constant(plane, Q):
         return real(plane, Circle(0, 0, 0) if Q == Circle(0, 0, 1) else Q)
 
-    monkeypatch.setattr(verify, "circle_add_map", no_constant)
+    monkeypatch.setattr(plane_module, "circle_add_map", no_constant)
     with pytest.raises(GeometryError) as e:
         thm_check("T4.2", 5)
     assert e.value.code == "not_transitive"
@@ -1116,12 +1123,12 @@ def _transport_with(monkeypatch, shift):
     """The error P2.1 raises on a fresh q=5 context whose unit translation
     y -> y + 1 is ``shift(plane)``."""
     monkeypatch.setattr(verify, "_CTX_CACHE", {})
-    real = verify.circle_add_map
+    real = plane_module.circle_add_map
 
     def patched(plane, Q):
         return shift(plane) if Q == Circle(0, 0, 1) else real(plane, Q)
 
-    monkeypatch.setattr(verify, "circle_add_map", patched)
+    monkeypatch.setattr(plane_module, "circle_add_map", patched)
     with pytest.raises(GeometryError) as e:
         thm_check("P2.1", 5)
     return e.value
@@ -1136,6 +1143,24 @@ def test_transport_rejects_a_unit_translation_that_is_not_an_automorphism(monkey
     e = _transport_with(monkeypatch, collapsed)
     assert e.code == "not_automorphism"
     assert e.witnesses == [{"problem": "not_bijective"}]
+
+
+def test_a_failing_plane_certificate_stops_the_catalog_not_the_plane_sweep(monkeypatch,
+                                                                           capsys):
+    # the inversion swapped for a transposition of A(0,0) and A(0,1): the
+    # plane sweep falls back to every case, while T4.2 and the transport,
+    # which read the same certificate, raise the swap's own witnesses
+    _uncertified(monkeypatch)
+    assert cli.main(["plane", "verify", "--q", "5", "--json"]) == 0
+    [rep] = json.loads(capsys.readouterr().out)
+    assert (rep["status"], rep["details"]["mode"]) == ("pass", "exhaustive")
+    witnesses = plane_module.inversion_map(LaguerrePlane(5)).verify()[1]
+    assert witnesses
+    for cid in ("T4.2", "P2.1"):
+        monkeypatch.setattr(verify, "_CTX_CACHE", {})
+        with pytest.raises(GeometryError) as e:
+            thm_check(cid, 5)
+        assert (e.value.code, e.value.witnesses) == ("not_automorphism", witnesses), cid
 
 
 def test_transport_rejects_a_map_that_does_not_permute_the_members(monkeypatch):
