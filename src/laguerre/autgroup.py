@@ -53,16 +53,6 @@ IDENTITY = PencilAut(1, 0, 0)
 # kinds of residual lines, decided by the join oracle
 CIRCLE_LINE, STRAIGHT, SPECIAL = "circle_line", "straight_pencil", "special"
 
-# classification tags, decided by (k, t, g) alone
-AUT_CLASSES = (
-    "identity",
-    "translation_generators",
-    "translation_circle_direction",
-    "strain",
-    "symmetry",
-    "glide",
-)
-
 
 def aut_circles(q: int, f: PencilAut, circles: list[Circle]) -> list[Circle]:
     """The closed form of ``f`` on each circle of a list, in one comprehension."""
@@ -85,40 +75,6 @@ def aut_inverse(gf: GF, f: PencilAut) -> PencilAut:
     return PencilAut(ki, (-f.t * ki) % q, (-f.g * ki * ki) % q)
 
 
-def classify_aut(gf: GF, f: PencilAut) -> str:
-    """Tag by parameters; the fixed-point scan oracle must agree (tested)."""
-    k, t, g = f
-    if k == 1:
-        if t == 0:
-            return "identity" if g == 0 else "translation_generators"
-        return "translation_circle_direction"
-    if k == gf.q - 1:
-        return "symmetry" if g == 0 else "glide"
-    return "strain"
-
-
-def classify_by_scan(plane: LaguerrePlane, perm: list[int]) -> str:
-    """Classify an automorphism fixing the ideal generator purely by its
-    fixed points and fixed generators, given as a permutation of point
-    indices (no parameter knowledge)."""
-    q = plane.q
-    fixed_affine = [i for i in range(q * q) if perm[i] == i]
-    gens = [range(x * q, x * q + q) for x in range(q)]
-    fixed_setwise = [gp for gp in gens if {perm[i] for i in gp} == set(gp)]
-    fixed_pointwise = [gp for gp in fixed_setwise if all(perm[i] == i for i in gp)]
-    if len(fixed_affine) == q * q:
-        return "identity"
-    if not fixed_affine:
-        if len(fixed_setwise) == len(gens):
-            return "translation_generators"
-        return "glide" if fixed_setwise else "translation_circle_direction"
-    if fixed_pointwise:
-        return "symmetry"
-    if len(fixed_affine) == 1:
-        return "strain"
-    raise GeometryError("unclassifiable automorphism", code="unclassifiable")
-
-
 def require_reach(start, moves, domain, code: str, name: str, noun: str) -> None:
     """Raise ``code`` unless ``moves`` carry ``start`` (``name``) to exactly
     the ``domain`` of its ``noun``: then ``start`` may stand for every one."""
@@ -130,7 +86,7 @@ def require_reach(start, moves, domain, code: str, name: str, noun: str) -> None
 
 class DeltaGroup:
     """Δ, the pencil stabilizer's pointwise stabilizer of the vertex
-    generator: elements, action, census, join oracle, and axiom checks."""
+    generator: elements, action, join oracle, and axiom checks."""
 
     def __init__(self, plane: LaguerrePlane, pencil: Pencil,
                  elements: list[PencilAut], normalizer: PermutationMap | None):
@@ -223,12 +179,6 @@ class DeltaGroup:
         return [PencilAut(self.gf.primitive_root(), 0, 0), PencilAut(1, 1, 0),
                 PencilAut(1, 0, 1)]
 
-    def census(self) -> dict[str, int]:
-        out = {tag: 0 for tag in AUT_CLASSES}
-        for f in self.elements:
-            out[classify_aut(self.gf, f)] += 1
-        return out
-
     # -- orbits and stabilizers ---------------------------------------------
 
     def base_generator_points(self) -> set[Point]:
@@ -245,16 +195,14 @@ class DeltaGroup:
         fixes ``x`` exactly when ``aut_index`` fixes its canonical index.  At
         the canonical point (x, y) those are (k, x(1 - k), y(1 - k^2)), one
         per k, and the group keeps the ones among its elements (one C-level
-        membership pass, so no per-group index outlives the call); an ideal
-        canonical index is fixed by every element."""
+        membership pass, so no per-group index outlives the call).  Every
+        other canonical index is ideal, on the vertex generator."""
         if x in self.base_generator_points():
             raise GeometryError("point lies on the fixed generator; its "
                                 "stabilizer is the whole group",
                                 code="stabilizer_on_base")
-        c, q = self._canonical_index(self.plane.point_index[x]), self.plane.q
-        if c >= q * q:
-            return list(self.elements)
-        x0, y0 = divmod(c, q)
+        q = self.plane.q
+        x0, y0 = divmod(self._canonical_index(self.plane.point_index[x]), q)
         fixing = {PencilAut(k, x0 * (1 - k) % q, y0 * (1 - k * k) % q) for k in range(1, q)}
         return list(filter(fixing.__contains__, self.elements))
 
@@ -262,27 +210,22 @@ class DeltaGroup:
         """The residual build's oracle: ``join(x, y)`` on positions in
         ``space_points()`` (canonically affine) is the kind and the ascending
         positions of x and the orbit of y under the closed-form stabilizer of
-        x, ``stabilizer``'s for every k != 0: (x0 + k dx, y0 + k^2 dy).  For
-        dx != 0 that is the circle (x0 + s, y0 + a s^2), a = dy/dx^2, with its
-        vertex at x; for dx = 0 x's offsets by dy times each nonzero square."""
-        q, index, gf = self.plane.q, self.plane.point_index, self.gf
+        x, ``stabilizer``'s for every k != 0: {x} and (x0 + k dx, y0 + k^2 dy).
+        For dx != 0 that is the circle with its vertex at x, a straight line
+        when dy = 0; for dx = 0 the special line, x's offsets by dy times the
+        nonzero squares."""
+        q, index = self.plane.q, self.plane.point_index
         canon = [divmod(self._canonical_index(index[p]), q) for p in self.space_points()]
         at = [-1] * (q * q)
         for i, (cx, cy) in enumerate(canon):
             at[cx * q + cy] = i
-        # per x0 and s, the row of x0 + s and s^2; 1/dx^2, a negative dx as q + dx
-        rows = [[((x0 + s) % q * q, s * s) for s in range(q)] for x0 in range(q)]
-        inv_square = [0] + [gf.inv(d * d) for d in range(1, q)]
 
         def join(x: int, y: int) -> tuple[str, tuple[int, ...]]:
             (x0, y0), (x1, y1) = canon[x], canon[y]
             dx, dy = x1 - x0, y1 - y0
-            if dx == 0:
-                pts = [x] + [at[x0 * q + (y0 + s * dy) % q] for s in gf.squares]
-                return SPECIAL, tuple(sorted(pts))
-            a = dy * inv_square[dx] % q
-            pts = [at[row + (y0 + a * s2) % q] for row, s2 in rows[x0]]
-            return STRAIGHT if a == 0 else CIRCLE_LINE, tuple(sorted(pts))
+            pts = {x, *[at[(x0 + k * dx) % q * q + (y0 + k * k * dy) % q] for k in range(1, q)]}
+            kind = SPECIAL if dx == 0 else STRAIGHT if dy == 0 else CIRCLE_LINE
+            return kind, tuple(sorted(pts))
 
         return join
 
@@ -291,21 +234,6 @@ class DeltaGroup:
         return {points[image(f, i)] for f in subset}
 
     # -- structure checks -----------------------------------------------
-
-    def normally_transitive(self) -> tuple[bool, dict | None]:
-        """Transitive off the vertex generator, and every ordered pair of
-        those points has a stabilizer separator."""
-        pts, missing = self._a1()
-        if missing:
-            return False, {"problem": "not_transitive", "from": repr(pts[0]),
-                           "unreached": repr(missing[0])}
-        stabs = {x: frozenset(self.stabilizer(x)) for x in pts}
-        for x in pts:
-            for y in pts:
-                if x != y and not (stabs[x] - stabs[y]):
-                    return False, {"problem": "no_separating_element",
-                                   "x": repr(x), "y": repr(y)}
-        return True, None
 
     def _a1(self) -> tuple[list[Point], list[Point]]:
         """The residual points, and those the first is not carried to (A1)."""
@@ -386,11 +314,9 @@ def verify_a1a2a3(plane: LaguerrePlane, pencil: Pencil,
     on circle masks (``_check_a3``).
 
     For q = 2 only A3 is evaluated (and fails, with the full witness list);
-    the parametrized group does not exist there.
+    the parametrized group does not exist there, and ``delta`` is None.
     """
     char2 = plane.gf.char2
-    if delta is None and not char2:
-        delta = DeltaGroup.build(plane, pencil)
 
     def sweep():
         cases, witnesses, details = (0, [], {}) if char2 else delta.check_a1a2()

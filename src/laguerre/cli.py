@@ -278,9 +278,7 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_ska_verify(args)
         if args.command == "theorems":
             return _cmd_theorems_run(args)
-        if args.command == "export":
-            return _cmd_export(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        return _cmd_export(args)  # the parser admits no other command
     except SystemExit as e:  # only --help exits; argparse errors raise UsageError
         return 2 if e.code not in (0, None) else 0
     except (UsageError, FieldError, GeometryError) as e:

@@ -99,7 +99,3 @@ class GF:
             return (r,)
         other = self.q - r
         return (r, other) if r < other else (other, r)
-
-    def __repr__(self) -> str:
-        return f"GF({self.q})"
-

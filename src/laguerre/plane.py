@@ -363,17 +363,6 @@ class LaguerrePlane:
             out.append(Circle(a, b, c))
         return sorted(out)
 
-    def tangent_members(self, pencil: Pencil, M: Circle) -> list[tuple[Circle, Point]]:
-        """Pencil members tangent to ``M``, with their tangency points."""
-        out = []
-        for L in self.pencil_members(pencil, verify=False):
-            if L == M:
-                continue
-            pts = self.intersection(L, M)
-            if len(pts) == 1:
-                out.append((L, pts[0]))
-        return out
-
     def tangent_hits(self, pencil: Pencil) -> Iterator[tuple[Circle, list[tuple[Circle, int]]]]:
         """Each circle avoiding the vertex of ``pencil``, in circle order, with
         its tangent members as (member, touch bit): the member masks it
@@ -385,38 +374,6 @@ class LaguerrePlane:
         for M, m in zip(self.circles, cm):
             if not m & vertex:
                 yield M, [(L, s) for L, ml in members if (s := m & ml).bit_count() == 1]
-
-    def pencil_tangent(self, M: Circle, pencil: Pencil) -> tuple[Circle, Point]:
-        """The unique pencil member tangent to ``M`` and the tangency point.
-
-        ``M`` must avoid the pencil vertex.  In characteristic 2 the count
-        is never one, so the full tangent list is raised as the witness.
-        """
-        if self.incident(pencil.p, M):
-            raise GeometryError(f"{pencil.p} lies on {M}", code="on_circle")
-        hits = self.tangent_members(pencil, M)
-        if self.gf.char2:
-            raise GeometryError(
-                f"tangency-count axiom fails in characteristic 2 for {M}: "
-                f"{len(hits)} tangent members",
-                code="a3_char2",
-                witnesses=[{"circle": list(M), "tangent_members": sorted(list(L) for L, _ in hits)}],
-            )
-        if len(hits) != 1:
-            raise GeometryError(
-                f"{len(hits)} tangent members for {M}", code="a3_violated",
-                witnesses=[{"circle": list(M), "count": len(hits)}],
-            )
-        member, point = hits[0]
-        gf = self.gf
-        if pencil.p == ideal(0) and pencil.base.a == 0 and pencil.base.b == 0 and M.a != 0:
-            # closed form for the canonical pencil; must match the sweep
-            u = gf.div(-M.b, 2 * M.a)
-            v = gf.sub(M.c, gf.div(M.b * M.b, 4 * M.a))
-            if point != affine(u, v) or member != Circle(0, 0, v):
-                raise GeometryError(f"closed-form tangency disagrees with the sweep "
-                                    f"for {M}", code="tangency_mismatch")
-        return member, point
 
     # -- axiom verification ------------------------------------------------
 
@@ -478,15 +435,18 @@ class LaguerrePlane:
         """The plane's certificate, the one place its six maps are built and
         verified: each passes ``PermutationMap.verify`` against this plane's
         own masks, and no two circles share a mask.  Else it raises
-        ``not_automorphism``, with the failing map's witnesses, and caches
-        nothing, so the next read runs it again."""
+        ``not_automorphism``, naming the failing map by its ``PlaneMaps``
+        field, with its witnesses, and caches nothing, so the next read runs
+        it again."""
         if len(self.mask_positions) != len(self.circles):
             raise GeometryError("two circles share a point mask", code="not_automorphism")
         g = self.gf.primitive_root()
-        return PlaneMaps(*(m.verified() for m in [
-            *(circle_add_map(self, Q) for Q in (Circle(1, 0, 0), Circle(0, 1, 0), Circle(0, 0, 1))),
-            PermutationMap.from_aut(self, PencilAut(1, 1, 0)),
-            PermutationMap.from_aut(self, PencilAut(g, 0, 0)), inversion_map(self)]))
+        maps = [*(circle_add_map(self, Q)
+                  for Q in (Circle(1, 0, 0), Circle(0, 1, 0), Circle(0, 0, 1))),
+                PermutationMap.from_aut(self, PencilAut(1, 1, 0)),
+                PermutationMap.from_aut(self, PencilAut(g, 0, 0)), inversion_map(self)]
+        return PlaneMaps(*(m.verified(f"the plane map {name}")
+                           for name, m in zip(PlaneMaps._fields, maps)))
 
     def _touch_flag(self, pi: int, ki: int, strict: bool, findings: list,
                     mismatches: list) -> list[int]:
@@ -638,50 +598,6 @@ class LaguerrePlane:
             "stages": {s: {"cases": c, "cases_represented": represented[s]}
                        for s, c in cases.items()}}
 
-    # -- derived affine plane ----------------------------------------------
-
-    def derived_affine(self, p: Point) -> "DerivedAffine":
-        """The affine plane living on the points nonparallel to ``p``."""
-        self.point_index[p]  # not_a_point off the plane
-        pts = [x for x in self.points if not self.parallel(x, p)]
-        lines: list[frozenset] = []
-        for C in self.circles:
-            if self.incident(p, C):
-                lines.append(frozenset(x for x in self.circle_points(C) if x != p))
-        for g in self.generators:
-            gp = self.generator_points(g)
-            if p not in gp:
-                lines.append(frozenset(gp))
-
-        def sweep():
-            cases, witnesses = 0, []
-            for u, v in itertools.combinations(pts, 2):
-                cases += 1
-                n = sum(1 for L in lines if u in L and v in L)
-                if n != 1:
-                    witnesses.append({"axiom": "two_point_join", "points": [repr(u), repr(v)],
-                                      "lines": n})
-            for L in lines:
-                for x in pts:
-                    if x in L:
-                        continue
-                    cases += 1
-                    n = sum(1 for M in lines if x in M and not (M & L))
-                    if n != 1:
-                        witnesses.append({"axiom": "playfair", "point": repr(x),
-                                          "line": sorted(map(repr, L)), "parallels": n})
-            cases += 1
-            triangle = any(
-                not any(set((a, b, c)) <= L for L in lines)
-                for a, b, c in itertools.combinations(pts[: min(len(pts), 12)], 3)
-            )
-            if not triangle:
-                witnesses.append({"axiom": "triangle"})
-            return cases, witnesses, {}
-
-        report = run_check("derived-affine", self.q, sweep)
-        return DerivedAffine(p, pts, sorted(lines, key=sorted), report)
-
     # -- export -------------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -691,15 +607,6 @@ class LaguerrePlane:
             "generators": [g.to_json() for g in self.generators],
             "circles": [list(C) for C in self.circles],
         }
-
-
-class DerivedAffine(NamedTuple):
-    """Derived affine plane at a point: its points, lines, and axiom report."""
-
-    center: Point
-    points: list[Point]
-    lines: list[frozenset]
-    report: Report
 
 
 def canonical_pencil(plane: LaguerrePlane) -> Pencil:
@@ -786,11 +693,12 @@ class PermutationMap:
                       if reduce(or_, map(img.__getitem__, bits(m))) not in gens]
         return not witnesses, witnesses
 
-    def verified(self) -> "PermutationMap":
-        """This map, once ``verify`` passes; else ``not_automorphism``."""
+    def verified(self, name: str = "the permutation") -> "PermutationMap":
+        """This map, once ``verify`` passes; else ``not_automorphism``, which
+        calls the map ``name``."""
         ok, wit = self.verify()
         if not ok:
-            raise GeometryError("the permutation is not a plane automorphism",
+            raise GeometryError(f"{name} is not a plane automorphism",
                                 code="not_automorphism", witnesses=wit)
         return self
 

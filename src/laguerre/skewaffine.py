@@ -49,9 +49,10 @@ and ``_witmask[i][c]`` the bits of those points.  The diagonal, point 0's
 own orbit, reads -1 in the first two tables.
 
 Every join is computed twice.  The orbit route above gives every pair's
-line.  The group's closed form (``DeltaGroup.join_oracle``), the circle
-through x and y with its vertex at x or the square-class offsets of a
-parallel pair, runs once per (i, o), on i and the least point of T_i(o);
+line.  The group's closed form (``DeltaGroup.join_oracle``), x and the
+points x + (k dx, k^2 dy) for k != 0 (the circle through x and y with its
+vertex at x, or the square-class offsets of a parallel pair), runs once
+per (i, o), on i and the least point of T_i(o);
 its point set must equal the orbit route's, and its kind the orbit's, or
 the build raises ``join_mismatch``.  Any other y of the same orbit lies on
 that line, and its closed-form line is the same.
@@ -359,9 +360,6 @@ class GroupSpace:
         checker = getattr(self, f"_ax_{axiom}")
         return run_check(axiom, self.q, lambda: checker(budget), _NOTES.get(axiom))
 
-    def _witness(self, names: tuple[str, ...], *idx: int) -> dict:
-        return {name: repr(self.points[i]) for name, i in zip(names, idx)}
-
     def _sweep(self, budget: Budget, names: tuple[str, ...], pair,
                draw=None, holds=None) -> tuple[int, list, dict]:
         """Sweep an axiom whose cases start with two quantified points and
@@ -378,10 +376,11 @@ class GroupSpace:
         for an axiom without ``draw``, runs all ordered pairs of distinct
         points, first point outermost.
         """
-        witnesses = []
+        witnesses, points = [], self.points
 
         def fail(*case, **extra):
-            witnesses.append(dict(self._witness(names, *case), **extra))
+            witnesses.append(dict({name: repr(points[i]) for name, i in zip(names, case)},
+                                  **extra))
 
         n = self.n
         if budget.mode == "sample" and draw is not None:
@@ -556,7 +555,7 @@ class GroupSpace:
                 if hit != 1:
                     off[c].append((i, hit))
         class_of = {cid: c for c, cid in enumerate(self.class_ids)}
-        witnesses = [dict(self._witness(("x",), i), line=line.index, count=hit)
+        witnesses = [dict(x=repr(self.points[i]), line=line.index, count=hit)
                      for line in self.lines for i, hit in off[class_of[line.class_id]]]
         return len(self.lines) * self.n, witnesses, {"mode": "exhaustive"}
 

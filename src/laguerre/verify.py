@@ -70,7 +70,7 @@ import itertools
 from functools import cached_property, partial, reduce
 from operator import itemgetter, or_
 
-from .plane import (Circle, GeometryError, IDEAL, LaguerrePlane, Pencil, PencilAut, Point,
+from .plane import (Circle, GeometryError, IDEAL, LaguerrePlane, PencilAut, Point,
                     affine, bits, canonical_pencil, ideal, reach)
 from .autgroup import IDENTITY, DeltaGroup, aut_compose, aut_inverse, require_reach
 from .skewaffine import GroupSpace, SPECIAL, STRAIGHT
@@ -298,12 +298,12 @@ class _Ctx:
 
     @cached_property
     def equiv_report(self) -> Report:
-        """``thm_equiv_rel`` on ``family0``."""
+        """``_equiv_report`` on ``family0``, the member y = 0's family."""
         return _equiv_report(self.plane, self.pencil.base, self.family0)[1]
 
     @cached_property
     def loci(self) -> list[tuple[int, Circle | None, Report]]:
-        """``thm_tangency_locus`` per ideal direction, at point 0."""
+        """``_locus_report`` per ideal direction, at point 0."""
         return _loci_at(self, self.transport)
 
 
@@ -317,22 +317,13 @@ def _context(q: int) -> _Ctx:
     return ctx
 
 
-def thm_equiv_rel(plane: LaguerrePlane, member: Circle) -> tuple[dict[Point, str], Report]:
-    """Brute-force the equivalence off ``member`` and verify its shape:
-    equivalence laws, the single-witness characterization, the two-circle
-    count against ideal points, and the square-class partition rule.
-    Returns the square class of each point off ``member`` with the report."""
-    if plane.gf.char2:
-        raise GeometryError("needs odd q", code="char2_group")
-    if not (member.a == 0 and member.b == 0):
-        raise GeometryError("member must belong to the canonical pencil",
-                            code="not_canonical_member")
-    return _equiv_report(plane, member, TangentFamily(plane, member))
-
-
 def _equiv_report(plane: LaguerrePlane, member: Circle,
                   fam: TangentFamily) -> tuple[dict[Point, str], Report]:
-    """``thm_equiv_rel`` on the tangent family ``fam`` of ``member``."""
+    """Brute-force the equivalence off ``member`` on its tangent family
+    ``fam`` and verify its shape: equivalence laws, the single-witness
+    characterization, the two-circle count against ideal points, and the
+    square-class partition rule.  Returns the square class of each point
+    off ``member`` with the report."""
 
     def rule_class(p: Point) -> str:
         """Square class of the height offset (ideal points use their label)."""
@@ -374,28 +365,14 @@ def _equiv_report(plane: LaguerrePlane, member: Circle,
     return classes, run_check("equiv-rel", plane.q, sweep)
 
 
-def thm_tangency_locus(plane: LaguerrePlane, pencil: Pencil, q_ideal: Point,
-                       x: Point) -> tuple[Circle | None, Report]:
-    """Sweep the joining pencil of ``q_ideal`` and ``x``; the base points of
-    its members must fill the affine part of exactly one circle, and that
-    circle must contain the opposite ideal point.  The circle is fitted
-    through the first three pairwise nonparallel bases; without such a
-    triple it is None, and the bases fail as ``not_a_circle``.  The opposite
-    point is ``ideal(-beta)`` for the vertex I(0) alone (``bad_vertex``)."""
-    plane.point_index[q_ideal], plane.point_index[x]  # not_a_point off the plane
-    if pencil.p != ideal(0):
-        raise GeometryError(f"the pencil vertex {pencil.p!r} is not I(0)", code="bad_vertex")
-    if q_ideal.kind != IDEAL or q_ideal.x == 0:
-        raise GeometryError("second vertex must be ideal and distinct from "
-                            "the pencil vertex", code="bad_vertex")
-    if x.kind == IDEAL:
-        raise GeometryError("x must be affine", code="bad_vertex")
-    return _locus_report(plane, q_ideal, x, lambda N: plane.pencil_tangent(N, pencil)[1])
-
-
 def _locus_report(plane: LaguerrePlane, q_ideal: Point, x: Point,
                   base_of) -> tuple[Circle | None, Report]:
-    """``thm_tangency_locus`` with ``base_of``, circle -> tangency point."""
+    """Sweep the joining pencil of ``q_ideal`` and ``x``, with ``base_of``,
+    circle -> tangency point: the bases must fill the affine part of exactly
+    one circle, and that circle must contain the opposite ideal point
+    ``ideal(-beta)`` of the vertex I(0).  The circle is fitted through the
+    first three pairwise nonparallel bases; without such a triple it is
+    None, and the bases fail as ``not_a_circle``."""
     beta = q_ideal.x
     bases = list(map(base_of, plane.joining_pencil(q_ideal, x)))
     fit = next((t for t in itertools.combinations(bases, 3)
@@ -914,13 +891,13 @@ def _l4_1_on(ctx: _Ctx, L: Circle, fam: TangentFamily):
 
 
 def _equiv_laws(rep: Report, laws: tuple[str, ...]):
-    """A thm_equiv_rel report's cases and its witnesses of the named laws."""
+    """An equivalence report's cases and its witnesses of the named laws."""
     return rep.cases_checked, [w for w in rep.witnesses if w["law"] in laws]
 
 
-def _laws(*laws: str):
+def _laws(ctx: _Ctx, L: Circle, fam: TangentFamily, laws: tuple[str, ...]):
     """P4.4, P4.5, P4.7 and R4.1 on the member y = 0, ``equiv_report``'s laws."""
-    return lambda ctx, L, fam: _equiv_laws(ctx.equiv_report, laws)
+    return _equiv_laws(ctx.equiv_report, laws)
 
 
 def _p4_6_at(ctx: _Ctx, x: Point, fam: TangentFamily):
@@ -987,7 +964,7 @@ def _check_l4_2(ctx: _Ctx):
 
 
 def _loci_at(ctx: _Ctx, x: Point) -> list[tuple[int, Circle | None, Report]]:
-    """``thm_tangency_locus`` at x, per ideal direction."""
+    """``_locus_report`` at x, per ideal direction, on ``bases``."""
     return [(beta, *_locus_report(ctx.plane, ideal(beta), x, ctx.bases.__getitem__))
             for beta in range(1, ctx.q)]
 
@@ -1063,15 +1040,15 @@ _CATALOG = {
     "P4.2": (None, _check_p4_2, "parallel proper circle lines are disjoint exactly when their base points are distinct and parallel"),
     "P4.3": (None, _check_p4_3, "a straight circle line meeting one of two base-aligned parallel lines meets the other"),
     "L4.1": (_on_member0, _l4_1_on, "intersection with a middle tangent circle propagates to the outer pair"),
-    "P4.4": (_on_member0, _laws("reflexive", "symmetric", "transitive"), "the tangency relation is an equivalence off each member"),
-    "P4.5": (_on_member0, _laws("single_witness"), "one intersecting tangent pair at distinct points already forces equivalence"),
+    "P4.4": (_on_member0, partial(_laws, laws=("reflexive", "symmetric", "transitive")), "the tangency relation is an equivalence off each member"),
+    "P4.5": (_on_member0, partial(_laws, laws=("single_witness",)), "one intersecting tangent pair at distinct points already forces equivalence"),
     "P4.6": (_at_point0, lambda ctx, x: _p4_6_at(ctx, x, ctx.family0), "special-line membership matches the tangency equivalence"),
-    "P4.7": (_on_member0, _laws("two_circle_count"), "equivalence of an ideal point to an affine point means exactly two common tangent circles"),
+    "P4.7": (_on_member0, partial(_laws, laws=("two_circle_count",)), "equivalence of an ideal point to an affine point means exactly two common tangent circles"),
     "L4.2": (None, _check_l4_2, "reversing a join sends its ideal direction to a unique opposite ideal point"),
     "T4.1": (_at_point0, lambda ctx, x: _t4_1_at(ctx, x, ctx.loci), "the base points of a vertical joining pencil sweep exactly one circle"),
     "C4.2": (_at_point0, lambda ctx, x: _c4_2_at(ctx, x, ctx.loci), "the swept circle passes through the opposite ideal point"),
     "T4.2": (None, _check_t4_2, "two-tangent-circles existence, all-pairs intersection, and one intersecting distinct-tangency pair are equivalent"),
-    "R4.1": (_on_member0, _laws("square_class_rule", "block_count"), "the tangency equivalence is the square-class partition of height offsets"),
+    "R4.1": (_on_member0, partial(_laws, laws=("square_class_rule", "block_count")), "the tangency equivalence is the square-class partition of height offsets"),
 }
 
 CHECK_IDS = tuple(_CATALOG)

@@ -290,6 +290,35 @@ def test_build_rejects_a_kind_that_differs_along_an_orbit(monkeypatch):
     assert e.value.code == "join_mismatch"
 
 
+def _literal_join(delta, power):
+    """``join_oracle``'s closed form on the canonical pencil, whose residual
+    point x q + y is A(x, y), with k**power in place of k^2."""
+    q = delta.plane.q
+
+    def join(x, y):
+        (x0, y0), (x1, y1) = divmod(x, q), divmod(y, q)
+        dx, dy = x1 - x0, y1 - y0
+        pts = {x, *[(x0 + k * dx) % q * q + (y0 + k ** power * dy) % q for k in range(1, q)]}
+        return SPECIAL if dx == 0 else STRAIGHT if dy == 0 else CIRCLE_LINE, tuple(sorted(pts))
+
+    return join
+
+
+@pytest.mark.parametrize("q", (5, 7))
+def test_build_rejects_offsets_over_every_nonzero_value(q, monkeypatch):
+    # k in place of k^2: the special line through x becomes its whole
+    # generator and each circle line a straight one, which no stabilizer
+    # orbit is; with k^2 the same literal form is the group's own oracle
+    plane, pencil, delta = _fresh(q)
+    true_join, literal = delta.join_oracle(), _literal_join(delta, 2)
+    assert all(literal(x, y) == true_join(x, y)
+               for x in range(q * q) for y in range(q * q) if x != y)
+    monkeypatch.setattr(delta, "join_oracle", lambda: _literal_join(delta, 1))
+    with pytest.raises(GeometryError) as e:
+        GroupSpace.build(plane, pencil, delta, check_preconditions=False)
+    assert e.value.code == "join_mismatch"
+
+
 def _fresh(q, pencil=None):
     plane = LaguerrePlane(q)
     pencil = pencil(plane) if pencil else canonical_pencil(plane)
@@ -633,6 +662,11 @@ def test_exhaustive_failure_witnesses_are_pinned(plane5, delta5):
             assert hashlib.sha256(json.dumps(got).encode()).hexdigest() == digest
 
 
+def _witness(gs, names, *case):
+    """A sweep's witness of a failing case: each named point by its repr."""
+    return {name: repr(gs.points[i]) for name, i in zip(names, case)}
+
+
 def _pap_cases(gs, pairs):
     """Every Pap case whose (u, x) is in ``pairs``, in the sweep's loop order."""
     jl, jc, byc = gs._joinline, gs._joinclass, gs._byclass
@@ -675,7 +709,7 @@ def test_pap_rows_keep_x_out_of_the_y_prime_pool(plane5, delta5):
     assert e.value.code == "not_equivariant"
     every = [(u, x) for u in range(gs.n) for x in range(gs.n) if u != x]
     rep = gs.check_axiom("Pap", Budget("exhaustive", 0, 0))
-    want = [gs._witness(names, *case) for case in _pap_cases(gs, every)
+    want = [_witness(gs, names, *case) for case in _pap_cases(gs, every)
             if not gs._pap_case(*case)]
     assert (rep.cases_checked, len(want)) == (182000, 29994)
     assert rep.witnesses == want
@@ -923,7 +957,7 @@ def test_des_witnesses_check_the_line_tables(plane5, delta5):
         gs.check_axiom("Des", Budget("orbit", 0, 0))
     assert e.value.code == "not_equivariant"
     rep = gs.check_axiom("Des", Budget("exhaustive", 0, 0))
-    want = [gs._witness(names, *case)
+    want = [_witness(gs, names, *case)
             for case in _des_cases(gs, _sweep_pairs(gs, "exhaustive"))
             if not gs._des_case_holds(*case)]
     assert (rep.cases_checked, len(want)) == (1113200, 4796)
@@ -1206,7 +1240,7 @@ def _p1_every_line_and_point(gs):
             cases += 1
             hit = counts[i][c] if gs._byclass[i][c] else 0
             if hit != 1:
-                witnesses.append(dict(gs._witness(("x",), i), line=line.index, count=hit))
+                witnesses.append(dict(_witness(gs, ("x",), i), line=line.index, count=hit))
     return cases, witnesses, {"mode": "exhaustive"}
 
 

@@ -1,6 +1,10 @@
 """Rules on the package source itself."""
 
 import ast
+import contextlib
+import errno
+import io
+import json
 import os
 import subprocess
 import sys
@@ -12,8 +16,9 @@ SRC = Path(__file__).parent.parent / "src" / "laguerre"
 def test_invariants_raise_typed_errors_not_asserts():
     # python -O strips assert statements, so an invariant of the engine must
     # raise a typed GeometryError instead
-    modules = sorted(SRC.glob("*.py"))
-    assert modules
+    # and so must the tests' oracles, which the python -O step runs too
+    modules = sorted(SRC.glob("*.py")) + [Path(__file__).parent / "oracles.py"]
+    assert len(modules) > 1
     found = [f"{path.name}:{node.lineno}" for path in modules
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
@@ -168,15 +173,14 @@ def test_only_the_plane_builds_its_certified_maps():
 # every error code the package raised when the guard below was written: it
 # must still see each of them, so it cannot pass with nothing to check
 _CODES = frozenset({
-    "a1a2_failed", "a3_char2", "a3_violated", "bad_axiom", "bad_check", "bad_vertex",
-    "char2_group", "char2_square_class", "div_zero", "generators_not_closed",
-    "identical_circles", "join_degenerate", "join_mismatch", "normalizer_mismatch",
-    "not_a_circle", "not_a_point", "not_automorphism", "not_canonical_member",
-    "not_equivariant", "not_on_circle", "not_prime", "not_transitive", "on_circle",
-    "out_of_range", "parallel_points", "pencil_member_mismatch", "pencil_not_fixed",
-    "point_on_base_generator", "stabilizer_mismatch", "stabilizer_on_base",
-    "tangency_mismatch", "touching_circle_mismatch", "translations_not_closed",
-    "translations_not_regular", "unclassifiable"})
+    "a1a2_failed", "a3_violated", "bad_axiom", "bad_check", "char2_group",
+    "char2_square_class", "div_zero", "generators_not_closed", "identical_circles",
+    "join_degenerate", "join_mismatch", "normalizer_mismatch", "not_a_circle",
+    "not_a_point", "not_automorphism", "not_equivariant", "not_on_circle", "not_prime",
+    "not_transitive", "on_circle", "out_of_range", "parallel_points",
+    "pencil_member_mismatch", "pencil_not_fixed", "point_on_base_generator",
+    "stabilizer_mismatch", "stabilizer_on_base", "touching_circle_mismatch",
+    "translations_not_closed", "translations_not_regular"})
 
 
 def test_every_error_code_is_named_by_a_test():
@@ -197,3 +201,156 @@ def test_every_error_code_is_named_by_a_test():
              if isinstance(node, ast.Constant) and isinstance(node.value, str)}
     assert codes >= _CODES
     assert sorted(codes - named) == []
+
+
+# -- the package is what a command runs ---------------------------------------
+
+# the functions no command calls, each with its reason
+_UNCALLED = {
+    "cli.entry": "it ends the process; the subprocess tests of test_cli run it",
+    "autgroup.DeltaGroup.canonical": "the benchmark's tracer reads it (perfbench/child.py)",
+    "skewaffine.GroupSpace.census": "the benchmark's tracer reads it (perfbench/child.py)",
+    "plane.PointIndex.__missing__": "it rejects a point off the plane on the Python API",
+    "plane.not_a_point": "the error that rejection raises",
+}
+
+
+def _functions() -> dict[tuple[str, int], str]:
+    """Each module-level function and method of the package, keyed by its
+    file name and first line (its first decorator's, as in ``co_firstlineno``).
+    A function nested in another is part of that function's body."""
+    found = {}
+
+    def visit(path, node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(path, child, f"{prefix}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                found[path.name, first] = f"{path.stem}.{prefix}{child.name}"
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(path, ast.parse(path.read_text(), str(path)), "")
+    return found
+
+
+def _matrix(tmp: Path) -> tuple[list[list[str]], list[list[str]]]:
+    """Every command at q = 2, 3 and 5, as text and JSON, at three pencils,
+    four budgets and three exports; and inputs that must exit 2."""
+    pencils = ("canonical", "p:1,2", "ideal:2@K:2,1,0")
+    budgets = ((), ("--budget", "orbit"), ("--budget", "exhaustive"),
+               ("--budget", "sample:3", "--seed", "1"))
+    runs = []
+    for q in ("2", "3", "5"):
+        for as_json in ((), ("--json",)):
+            runs.append(["plane", "verify", "--q", q, *as_json])
+            runs += [["group", "verify", "--q", q, "--pencil", p, *as_json] for p in pencils]
+            runs += [["skewaffine", "verify", "--q", q, "--axiom", "all", *b, *as_json]
+                     for b in budgets]
+            runs.append(["theorems", "run", "--q", q, *as_json])
+        runs.append(["export", "--q", q, "--what", "plane", "--out", str(tmp / f"plane{q}")])
+        runs += [["export", "--q", q, "--what", what, "--pencil", p,
+                  "--out", str(tmp / f"{what}{q}{i}")]
+                 for what in ("group", "space") for i, p in enumerate(pencils)]
+    (tmp / "link").symlink_to(tmp / "missing" / "x.json")
+    bad = [["plane", "verify", "--q", "9"], ["theorems", "run", "--q", "9"],
+           ["group", "verify", "--q", "4"], ["skewaffine", "verify", "--q", "4", "--axiom", "V"],
+           ["skewaffine", "verify", "--q", "5", "--axiom", "X"],
+           ["theorems", "run", "--q", "5", "--id", "X9.9"],
+           ["group", "verify", "--q", "5", "--pencil", "p:1"],
+           ["group", "verify", "--q", "5", "--pencil", "p:1,2@K:0,0,0"],
+           ["skewaffine", "verify", "--q", "5", "--axiom", "T", "--budget", "sample:0"],
+           ["plane", "verify", "--q", "5", "--bogus"],
+           ["export", "--q", "3", "--what", "plane", "--pencil", "canonical",
+            "--out", str(tmp / "x")]]
+    bad += [["export", "--q", "3", "--what", "plane", "--out", out]
+            for out in (str(tmp), str(tmp / "missing" / "x.json"), str(tmp / "missing") + "/",
+                        str(tmp / ("x" * 300)), str(tmp / "link"))]
+    return runs, bad
+
+
+def test_every_function_of_the_package_is_called_by_some_command(tmp_path, monkeypatch):
+    # the matrix runs in process under a profiler that records each code
+    # object it enters, with the catalog's context cache empty; a function
+    # it never enters is one no command runs, so it belongs in the tests
+    from laguerre import cli, verify
+    monkeypatch.setattr(verify, "_CTX_CACHE", {})
+    runs, bad = _matrix(tmp_path)
+
+    class Closed:
+        def write(self, text):
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    entered = set()
+    previous = sys.getprofile()
+    sys.setprofile(lambda frame, event, arg: entered.add(frame.f_code))
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            codes = [cli.main(argv) for argv in runs + bad]
+            with contextlib.redirect_stdout(Closed()):
+                codes.append(cli.main(["plane", "verify", "--q", "3"]))
+    finally:
+        sys.setprofile(previous)
+    assert codes[len(runs):] == [2] * (len(bad) + 1)
+    assert {0, 1} <= set(codes[:len(runs)])
+    files = {m.__file__ for name, m in sys.modules.items()
+             if name.startswith("laguerre.") and getattr(m, "__file__", None)}
+    called = {(Path(code.co_filename).name, code.co_firstlineno) for code in entered
+              if code.co_filename in files}
+    functions = _functions()
+    assert len(functions) > 150 and len(_UNCALLED) <= 5  # the guard sees the package
+    assert sorted(name for key, name in functions.items() if key not in called) == \
+        sorted(_UNCALLED)
+
+
+def test_the_benchmark_finds_every_name_it_reads():
+    # perfbench/child.py spans the CLI's calls into the package by patching
+    # these names, and reads canonical and census() off what they return;
+    # perfbench/baseline.py imports its names from the package, and both
+    # build the space with check_preconditions=False.  install() patches the
+    # classes for good, so the probe runs in a child interpreter
+    root = Path(__file__).parent.parent
+    bench = root / "perfbench"
+    patched = sorted(f"{ast.unparse(node.args[0])}.{node.args[1].value}"
+                     for node in ast.walk(ast.parse((bench / "child.py").read_text()))
+                     if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                     and node.func.attr == "patch")
+    assert patched == [
+        "autgroup.DeltaGroup.build", "autgroup.DeltaGroup.verify_axioms",
+        "plane.LaguerrePlane.__init__", "plane.LaguerrePlane.verify_axioms",
+        "skewaffine.GroupSpace.build", "skewaffine.GroupSpace.check_axiom",
+        "skewaffine.GroupSpace.to_json", "verify.thm_check"]
+    imported = sorted(alias.name for node in ast.walk(ast.parse((bench / "baseline.py").read_text()))
+                      if isinstance(node, ast.ImportFrom) and node.module == "laguerre"
+                      for alias in node.names)
+    probe = f"""
+import json, sys
+sys.path.insert(0, {str(bench)!r})
+from child import Tracer, install
+import laguerre
+tracer = Tracer("probe")
+install(tracer)
+from laguerre import DeltaGroup, GroupSpace, LaguerrePlane, canonical_pencil, verify
+missing = [name for name in {imported!r} if not hasattr(laguerre, name)]
+plane = LaguerrePlane(3)
+plane.verify_axioms()
+pencil = canonical_pencil(plane)
+delta = DeltaGroup.build(plane, pencil)
+delta.verify_axioms()
+space = GroupSpace.build(plane, pencil, delta, check_preconditions=False)
+space.check_axiom("V")
+space.to_json()
+verify.thm_check("P2.1", 3)
+print(json.dumps({{"missing": missing, "spans": tracer.spans}}))
+"""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = json.loads(subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                                    text=True, check=True).stdout)
+    assert out["missing"] == []
+    spans = {span["name"]: span for span in out["spans"]}
+    assert sorted(spans) == ["autgroup.build", "autgroup.verify_axioms", "plane.build",
+                             "plane.verify_axioms", "skewaffine.build",
+                             "skewaffine.check_axiom", "skewaffine.to_json",
+                             "verify.thm_check"]
+    assert spans["autgroup.build"]["canonical"] is True
+    assert spans["skewaffine.build"]["lines"] == 39

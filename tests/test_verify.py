@@ -5,11 +5,13 @@ import pytest
 
 from laguerre import (Budget, Circle, DeltaGroup, GeometryError, LaguerrePlane, PencilAut,
                       PermutationMap, affine, canonical_pencil, cli, ideal, thm_check,
-                      thm_equiv_rel, thm_tangency_locus, verify)
+                      verify)
 from laguerre import plane as plane_module
 from laguerre.autgroup import IDENTITY, aut_compose, aut_inverse
 from laguerre.skewaffine import SPECIAL
 from laguerre.verify import CHECK_IDS, CHECK_SUMMARIES, TangentFamily
+import oracles
+from oracles import pencil_tangent, thm_equiv_rel, thm_tangency_locus
 from test_plane import _MovedPoint, _uncertified
 
 
@@ -150,14 +152,13 @@ def test_tangency_locus_brute_base_points(plane5):
 
 def test_tangency_locus_fails_on_a_moved_base(monkeypatch):
     plane = LaguerrePlane(5)
-    real = plane.pencil_tangent
 
-    def moved(N, pencil):
+    def moved(pl, N, pencil):
         # the fourth base of the joining pencil of I(1) and A(0,0) is A(1,4)
-        member, base = real(N, pencil)
+        member, base = pencil_tangent(pl, N, pencil)
         return member, affine(1, 0) if base == affine(1, 4) else base
 
-    monkeypatch.setattr(plane, "pencil_tangent", moved)
+    monkeypatch.setattr(oracles, "pencil_tangent", moved)
     locus, rep = thm_tangency_locus(plane, canonical_pencil(plane), ideal(1),
                                     affine(0, 0))
     assert locus == Circle(4, 0, 0)
@@ -171,13 +172,12 @@ def test_tangency_locus_fits_nonparallel_bases(monkeypatch):
     # base A(2,1): the circle is fitted through A(2,0), A(4,4), A(1,4)
     # instead, and the bases fail against it
     plane = LaguerrePlane(5)
-    real = plane.pencil_tangent
 
-    def moved(N, pencil):
-        member, base = real(N, pencil)
+    def moved(pl, N, pencil):
+        member, base = pencil_tangent(pl, N, pencil)
         return member, affine(2, 0) if base == affine(0, 0) else base
 
-    monkeypatch.setattr(plane, "pencil_tangent", moved)
+    monkeypatch.setattr(oracles, "pencil_tangent", moved)
     locus, rep = thm_tangency_locus(plane, canonical_pencil(plane), ideal(1),
                                     affine(0, 0))
     assert locus == Circle(2, 0, 2)
@@ -188,12 +188,12 @@ def test_tangency_locus_fits_nonparallel_bases(monkeypatch):
         {"problem": "missing_opposite_ideal_point", "locus": [2, 0, 2],
          "q_prime": "I(4)"}]
 
-    def two_generators(N, pencil):
-        member, base = real(N, pencil)
+    def two_generators(pl, N, pencil):
+        member, base = pencil_tangent(pl, N, pencil)
         return member, affine(base.x % 2, base.y)
 
     # no three bases are pairwise nonparallel: there is no circle to fit
-    monkeypatch.setattr(plane, "pencil_tangent", two_generators)
+    monkeypatch.setattr(oracles, "pencil_tangent", two_generators)
     locus, rep = thm_tangency_locus(plane, canonical_pencil(plane), ideal(1),
                                     affine(0, 0))
     assert locus is None
@@ -388,7 +388,7 @@ def test_bases_from_masks_match_pencil_tangent(q):
     # against the intersection sweep of pencil_tangent, circle by circle
     ctx = verify._context(q)
     plane, pencil = ctx.plane, ctx.pencil
-    assert list(ctx.bases.items()) == [(M, plane.pencil_tangent(M, pencil)[1])
+    assert list(ctx.bases.items()) == [(M, pencil_tangent(plane, M, pencil)[1])
                                        for M in plane.circles if not plane.incident(pencil.p, M)]
 
 
@@ -421,7 +421,7 @@ def test_run_suite_derives_each_plane_fact_once(monkeypatch):
     calls = {"pencil_tangent": 0, "tangent_hits": 0, "circle_through": 0,
              "pencil_members": 0, "stabilizer": 0}
     for name in calls:
-        owner = ctx.delta if name == "stabilizer" else ctx.plane
+        owner = {"stabilizer": ctx.delta, "pencil_tangent": oracles}.get(name, ctx.plane)
         real = getattr(owner, name)
 
         def counted(*args, name=name, real=real, **kwargs):
@@ -1149,7 +1149,8 @@ def test_a_failing_plane_certificate_stops_the_catalog_not_the_plane_sweep(monke
                                                                            capsys):
     # the inversion swapped for a transposition of A(0,0) and A(0,1): the
     # plane sweep falls back to every case, while T4.2 and the transport,
-    # which read the same certificate, raise the swap's own witnesses
+    # which read the same certificate, raise the swap's own witnesses under
+    # the failing map's name
     _uncertified(monkeypatch)
     assert cli.main(["plane", "verify", "--q", "5", "--json"]) == 0
     [rep] = json.loads(capsys.readouterr().out)
@@ -1161,6 +1162,7 @@ def test_a_failing_plane_certificate_stops_the_catalog_not_the_plane_sweep(monke
         with pytest.raises(GeometryError) as e:
             thm_check(cid, 5)
         assert (e.value.code, e.value.witnesses) == ("not_automorphism", witnesses), cid
+        assert str(e.value) == "the plane map inversion is not a plane automorphism", cid
 
 
 def test_transport_rejects_a_map_that_does_not_permute_the_members(monkeypatch):
