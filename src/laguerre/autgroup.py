@@ -26,8 +26,10 @@ built.  ``DeltaGroup.perm`` gives an element's whole permutation
 the catalog read it.  ``DeltaGroup.image`` gives one point's image
 (``plane.aut_index``); orbits and A1/A2 read it.  A stabilizer is read
 from the closed form: the q - 1 elements fixing one canonical index, kept
-where the group has them; ``join_oracle`` reads it for every k, the
-residual build's closed-form join.  ``circle_images`` carries a list of
+where the group has them; ``join_oracle`` reads it for every k at once, the
+residual build's closed form a row per point: the offsets' classes under
+(k dx, k^2 dy), one closed-form line each, so orbits matching a row's
+classes one to one have the lines' point sets.  ``circle_images`` carries a list of
 circles, by the closed form ``aut_circles`` on the canonical chart.  There
 is no Point/Circle wrapper: a point's image is ``points[image(f, i)]``, a
 circle's ``circle_images(f, [C])``.  A ``PermutationMap`` is an index list.  Either
@@ -206,28 +208,30 @@ class DeltaGroup:
         fixing = {PencilAut(k, x0 * (1 - k) % q, y0 * (1 - k * k) % q) for k in range(1, q)}
         return list(filter(fixing.__contains__, self.elements))
 
-    def join_oracle(self) -> Callable[[int, int], tuple[str, tuple[int, ...]]]:
-        """The residual build's oracle: ``join(x, y)`` on positions in
-        ``space_points()`` (canonically affine) is the kind and the ascending
-        positions of x and the orbit of y under the closed-form stabilizer of
-        x, ``stabilizer``'s for every k != 0: {x} and (x0 + k dx, y0 + k^2 dy).
-        For dx != 0 that is the circle with its vertex at x, a straight line
-        when dy = 0; for dx = 0 the special line, x's offsets by dy times the
-        nonzero squares."""
+    def join_oracle(self) -> Callable[[int], tuple[list[int], list[str | None]]]:
+        """The residual build's oracle, a row per point: ``row(x)``, on
+        positions in ``space_points()`` (canonically affine), is each y's
+        class, its offset's (dx, dy) under the closed-form stabilizer of x,
+        (k dx, k^2 dy) for k != 0: dy/dx^2 if dx != 0 (a circle line, straight
+        if dy = 0), q plus the square class of dy if dx = 0 (a special line),
+        q + 2 at x; and each class's kind.  A class is one closed-form line
+        through x, so orbits that match a row's classes one to one are its
+        lines' point sets.  The q^2 offsets' classes are tabled once, each
+        block twice over: a row is slices and a ``map``, no field operation."""
         q, index = self.plane.q, self.plane.point_index
-        canon = [divmod(self._canonical_index(index[p]), q) for p in self.space_points()]
-        at = [-1] * (q * q)
-        for i, (cx, cy) in enumerate(canon):
-            at[cx * q + cy] = i
+        canon = [self._canonical_index(index[p]) for p in self.space_points()]
+        gf = self.gf
+        label = [[q + 2] + [q + (dy not in gf.squares) for dy in range(1, q)]] + [
+            [gf.div(dy, dx * dx) for dy in range(q)] for dx in range(1, q)]
+        blocks = [b + b for b in label] * 2
+        kinds = [STRAIGHT] + [CIRCLE_LINE] * (q - 1) + [SPECIAL, SPECIAL, None]
 
-        def join(x: int, y: int) -> tuple[str, tuple[int, ...]]:
-            (x0, y0), (x1, y1) = canon[x], canon[y]
-            dx, dy = x1 - x0, y1 - y0
-            pts = {x, *[at[(x0 + k * dx) % q * q + (y0 + k * k * dy) % q] for k in range(1, q)]}
-            kind = SPECIAL if dx == 0 else STRAIGHT if dy == 0 else CIRCLE_LINE
-            return kind, tuple(sorted(pts))
+        def row(x: int) -> tuple[list[int], list[str | None]]:
+            x0, y0 = divmod(canon[x], q)
+            flat = list(chain.from_iterable(b[q - y0:2 * q - y0] for b in blocks[q - x0:2 * q - x0]))
+            return list(map(flat.__getitem__, canon)), kinds
 
-        return join
+        return row
 
     def orbit(self, subset: Iterable[PencilAut], x: Point) -> set[Point]:
         i, points, image = self.plane.point_index[x], self.plane.points, self.image
@@ -314,9 +318,11 @@ def verify_a1a2a3(plane: LaguerrePlane, pencil: Pencil,
     on circle masks (``_check_a3``).
 
     For q = 2 only A3 is evaluated (and fails, with the full witness list);
-    the parametrized group does not exist there, and ``delta`` is None.
+    the parametrized group does not exist there.  Odd q builds it for a None.
     """
     char2 = plane.gf.char2
+    if delta is None and not char2:
+        delta = DeltaGroup.build(plane, pencil)
 
     def sweep():
         cases, witnesses, details = (0, [], {}) if char2 else delta.check_a1a2()

@@ -39,23 +39,25 @@ the line (i, o) to the line (g(i), o), because T_{g(i)}⁻¹ g T_i fixes point
 the least index of a line with that orbit, and a line's kind is its orbit's.
 
 Tables.  The whole incidence structure is point 0's orbits moved along the
-translations, so every table is derived once per (i, o), and row i of each
-is point 0's row moved along T_i: entry j reads the orbit o of T_i⁻¹(j).
-``_joinline[i][j]`` is the index of the line (i, o); ``_joinclass[i][j]``
-the position c of its class in ``class_ids`` (not o: the two orders
-differ); ``_byclass[i][c]`` the points of that line other than i, one tuple
-per (i, o), so the line through i and j is ``_byclass[i][_joinclass[i][j]]``;
-and ``_witmask[i][c]`` the bits of those points.  The diagonal, point 0's
-own orbit, reads -1 in the first two tables.
+translations, derived a whole row or column at a time: row i of the orbit
+labels is the orbit of T_i⁻¹(j) for each j, a ``map`` over T_i⁻¹, and the
+translations transposed once, col[p][i] = T_i(p), give the n lines (i, o)
+of one orbit o at once.  ``_joinline[i][j]`` is the index of the line
+(i, o); ``_joinclass[i][j]`` the position c of its class in ``class_ids``
+(not o: the two orders differ); ``_byclass[i][c]`` the points of that line
+other than i, one tuple per (i, o), so the line through i and j is
+``_byclass[i][_joinclass[i][j]]``; and ``_witmask[i][c]`` the bits of those
+points.  The diagonal, point 0's own orbit, reads -1 in the first two tables.
 
 Every join is computed twice.  The orbit route above gives every pair's
-line.  The group's closed form (``DeltaGroup.join_oracle``), x and the
-points x + (k dx, k^2 dy) for k != 0 (the circle through x and y with its
-vertex at x, or the square-class offsets of a parallel pair), runs once
-per (i, o), on i and the least point of T_i(o);
-its point set must equal the orbit route's, and its kind the orbit's, or
-the build raises ``join_mismatch``.  Any other y of the same orbit lies on
-that line, and its closed-form line is the same.
+line.  The group's closed form (``DeltaGroup.join_oracle``) gives, one row
+per point x, the class of each y's offset (dx, dy) under (k dx, k^2 dy):
+dy/dx^2 (the circle through x and y with its vertex at x) or, for dx = 0,
+the square class of dy (a special line), with each class's kind.  Row i's
+orbits and classes must correspond one to one, each orbit with one kind in
+every row, or the build raises ``join_mismatch``.  This is the point-set
+check: the lines through i partition the other points, and two offsets
+share a stabilizer orbit exactly when their classes are equal.
 
 Axiom budgets.  T, V, Pgm, Des and Pap quantify first over two points, and
 every case is decided by the join-line and join-class tables, which the
@@ -116,7 +118,8 @@ from __future__ import annotations
 
 import random
 from functools import cached_property
-from operator import and_
+from itertools import chain, compress, repeat
+from operator import and_, itemgetter
 
 from .plane import GeometryError, LaguerrePlane, Pencil, PencilAut, Point
 from .autgroup import CIRCLE_LINE, SPECIAL, STRAIGHT, DeltaGroup, require_reach
@@ -226,62 +229,62 @@ class GroupSpace:
                                          len(orbit_ids)) for k in range(n)]
         self._orbits0 = orbits = list(orbit_ids)
 
-        # the key of the line (i, o), for every orbit o but point 0's own,
-        # and its points other than i: T_i carries the line (0, o), point 0
-        # and the orbit o, to it
-        lines0 = [(0,) + orbit for orbit in orbits[1:]]
-        keys: list[list[tuple]] = []
-        minus_rows: list[list[tuple | None]] = []
-        bases: dict[tuple, list[int]] = {}
-        kinds: dict[int, str] = {}
-        closed_form = delta.join_oracle()
-        for i, trans in enumerate(translations):
-            row, minus = [], [None]
-            for o, line0 in enumerate(lines0, 1):
-                ids = tuple(sorted(map(trans.__getitem__, line0)))
-                at_i = ids.index(i)
-                rest = ids[:at_i] + ids[at_i + 1:]
-                kind, want = closed_form(i, rest[0])
-                if want != ids or kinds.setdefault(o, kind) != kind:
-                    raise GeometryError(
-                        f"join mismatch between orbit and closed form "
-                        f"at {self.points[i]}, {self.points[rest[0]]}",
-                        code="join_mismatch")
-                bases.setdefault((ids, o), []).append(i)
-                row.append((ids, o))
-                minus.append(rest)
-            keys.append(row)
-            minus_rows.append(minus)
+        # row i of the orbit labels, over T_i⁻¹, the translation carrying i to
+        # point 0, must match the closed form's classes (see "Every join")
+        col = list(zip(*translations))  # col[p][i] = T_i(p)
+        rows = [list(map(orbit_of.__getitem__, translations[t.index(0)])) for t in translations]
+        del translations  # n lists of n, freed before the tables are built
+        closed_form, norb, kinds = delta.join_oracle(), len(orbits), None
+        for i, r in enumerate(rows):
+            labels, kind_of = closed_form(i)
+            label_of = dict(zip(r, labels))
+            row_kinds = list(map(kind_of.__getitem__, map(label_of.__getitem__, range(norb))))
+            kinds = kinds or row_kinds
+            if (list(map(label_of.__getitem__, r)) != labels
+                    or len(set(label_of.values())) != norb or row_kinds != kinds):
+                raise GeometryError(f"join mismatch between orbit and closed form at "
+                                    f"{self.points[i]}", code="join_mismatch")
+
+        # the lines (i, o) of each orbit o but point 0's by columns, keyed by
+        # sorted ids and o; each i is its own base unless its line repeats
+        singles = list(zip(range(n)))
+
+        def bases(row):
+            once = dict(zip(row, singles))
+            return once if len(once) == n else {
+                pts: tuple(compress(pts, map(pts.__eq__, map(row.__getitem__, pts))))
+                for pts in once}
+
+        cols = [list(map(col.__getitem__, orbit)) for orbit in orbits[1:]]
+        minus = [list(map(tuple, map(sorted, zip(*c)))) for c in cols]
+        ids = [list(map(tuple, map(sorted, zip(range(n), *c)))) for c in cols]
+        del col, cols  # likewise
+        base_of = [{}] + list(map(bases, ids))
+        keys = sorted(chain.from_iterable(zip(b, repeat(o)) for o, b in enumerate(base_of)),
+                      key=itemgetter(0))  # stable: in orbit order where ids tie
 
         # a parallel class is a Stab(0)-orbit; its id is its least line index
-        line_index: dict[tuple, int] = {}
+        line_index = dict(zip(keys, range(len(keys))))
         self.class_members: dict[int, list[int]] = {}
         class_of: dict[int, int] = {}
-        for ix, key in enumerate(sorted(bases)):
-            ids, o = key
-            line_index[key] = ix
+        for ix, (pts, o) in enumerate(keys):
             cid = class_of.setdefault(o, ix)
             self.class_members.setdefault(cid, []).append(ix)
-            self.lines.append(Line(ix, ids, kinds[o], tuple(bases[key]), self.points, cid))
+            self.lines.append(Line(ix, pts, kinds[o], base_of[o][pts], self.points, cid))
         self.class_ids = list(self.class_members)
         self.ncls = len(self.class_ids)
         self._line_by_key = {(l.ids, l.class_id): l for l in self.lines}
 
         # each orbit's class position in class_ids (see "Tables" above)
-        position = [-1] + [self.class_ids.index(class_of[o]) for o in range(1, len(orbits))]
-        by_position = sorted(range(1, len(orbits)), key=position.__getitem__)
-        bit = [1 << j for j in range(n)]
-        self._joinline, self._joinclass, self._byclass, self._witmask = [], [], [], []
-        for trans, row, minus in zip(translations, keys, minus_rows):
-            # the orbit of T_i⁻¹(j) for each j, that is r[T_i(k)] = orbit of k
-            r = [0] * n
-            for k, j in enumerate(trans):
-                r[j] = orbit_of[k]
-            lids = [-1] + [line_index[key] for key in row]
-            self._joinline.append(list(map(lids.__getitem__, r)))
-            self._joinclass.append(list(map(position.__getitem__, r)))
-            self._byclass.append([minus[o] for o in by_position])
-            self._witmask.append([sum(map(bit.__getitem__, minus[o])) for o in by_position])
+        position = [-1] + [self.class_ids.index(class_of[o]) for o in range(1, norb)]
+        by_position = sorted(range(1, norb), key=position.__getitem__)
+        lids = zip(repeat(-1), *[map(line_index.__getitem__, zip(row, repeat(o)))
+                                 for o, row in enumerate(ids, 1)])
+        masks = [map(sum, map(map, repeat((1).__lshift__), minus[o - 1])) for o in by_position]
+        self._joinline = [list(map(lid.__getitem__, r)) for lid, r in zip(lids, rows)]
+        self._joinclass = [list(map(position.__getitem__, r)) for r in rows]
+        self._byclass = list(map(list, zip(*[minus[o - 1] for o in by_position])))
+        self._witmask = list(map(list, zip(*masks)))
 
     def _schreier(self) -> tuple[list[list[int]], list[list[int]]]:
         """T_i for every point i, a word in the units found by a walk from

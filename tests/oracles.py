@@ -7,6 +7,8 @@ name matches no test pattern); the tests import it.
   counts Δ by tag.
 - ``normally_transitive`` checks Δ for a stabilizer separator at every
   ordered pair of residual points.
+- ``pair_join`` is the closed-form join one pair at a time, the reference
+  for ``DeltaGroup.join_oracle``'s whole rows.
 - ``tangent_members`` and ``pencil_tangent`` find tangency by closed-form
   intersection, where A3 and the catalog read circle masks.
 - ``derived_affine`` sweeps the affine plane at a point by brute force.
@@ -21,6 +23,7 @@ import itertools
 from typing import NamedTuple
 
 from laguerre import verify
+from laguerre.autgroup import CIRCLE_LINE, SPECIAL, STRAIGHT
 from laguerre.field import GF
 from laguerre.plane import (IDEAL, Circle, GeometryError, LaguerrePlane, Pencil, PencilAut,
                             Point, affine, ideal)
@@ -93,6 +96,30 @@ def normally_transitive(delta) -> tuple[bool, dict | None]:
                 return False, {"problem": "no_separating_element",
                                "x": repr(x), "y": repr(y)}
     return True, None
+
+
+def pair_join(delta):
+    """The closed-form join of one pair: ``join(x, y)`` on positions in
+    ``space_points()`` (canonically affine) is the kind and the ascending
+    positions of x and the orbit of y under the closed-form stabilizer of x,
+    the elements (k, x0(1 - k), y0(1 - k^2)) for every k != 0: {x} and
+    (x0 + k dx, y0 + k^2 dy).  For dx != 0 that is the circle with its vertex
+    at x, a straight line when dy = 0; for dx = 0 the special line, x's
+    offsets by dy times the nonzero squares."""
+    q, index = delta.plane.q, delta.plane.point_index
+    canon = [divmod(delta._canonical_index(index[p]), q) for p in delta.space_points()]
+    at = [-1] * (q * q)
+    for i, (cx, cy) in enumerate(canon):
+        at[cx * q + cy] = i
+
+    def join(x: int, y: int) -> tuple[str, tuple[int, ...]]:
+        (x0, y0), (x1, y1) = canon[x], canon[y]
+        dx, dy = x1 - x0, y1 - y0
+        pts = {x, *[at[(x0 + k * dx) % q * q + (y0 + k * k * dy) % q] for k in range(1, q)]}
+        kind = SPECIAL if dx == 0 else STRAIGHT if dy == 0 else CIRCLE_LINE
+        return kind, tuple(sorted(pts))
+
+    return join
 
 
 def tangent_members(plane: LaguerrePlane, pencil: Pencil, M: Circle) -> list[tuple[Circle, Point]]:

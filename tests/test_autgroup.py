@@ -298,6 +298,15 @@ def test_a3_on_masks_matches_tangent_members(q):
         assert bool(got[1]) == (q == 2), pencil
 
 
+@pytest.mark.parametrize("pencil", [None, lambda pl: pl.pencil(affine(1, 2), Circle(0, 0, 2))])
+def test_a1a2a3_builds_the_group_it_is_not_given(plane5, pencil):
+    # at odd q a missing group is built, so the public report needs none
+    pencil = pencil(plane5) if pencil else canonical_pencil(plane5)
+    want = DeltaGroup.build(plane5, pencil).verify_axioms().to_dict()
+    assert verify_a1a2a3(plane5, pencil, None).to_dict() == want
+    assert want["status"] == "pass" and want["cases_checked"] > 0
+
+
 def test_a1a2a3_char2_a3_fails(plane2):
     rep = verify_a1a2a3(plane2, canonical_pencil(plane2), None)
     assert rep.status == "fail"

@@ -19,7 +19,9 @@ and ``group_q17_p1_2.sha256`` pin the stdout of ``theorems run --q 17
 and ``export_q17_space_p1_2.sha256`` the files that ``export --q 17 --what
 space`` writes on the canonical pencil and on ``p:1,2``; ``plane_q23.sha256``
 and ``group_q23_ideal2_K2_1_3.sha256`` pin the stdout of ``plane verify --q
-23 --json`` and ``group verify --q 23 --pencil ideal:2@K:2,1,3 --json``.
+23 --json`` and ``group verify --q 23 --pencil ideal:2@K:2,1,3 --json``;
+and ``export_q29_space.sha256`` the file that a cold ``export --q 29 --what
+space`` writes, the largest space CI builds.
 """
 
 import os

@@ -4,6 +4,7 @@ from laguerre import (Circle, DeltaGroup, GeometryError, GroupSpace, autgroup,
                       LaguerrePlane, PencilAut, affine, canonical_pencil, ideal)
 from laguerre.skewaffine import (AXIOMS, CIRCLE_LINE, ORBIT_AXIOMS, SPECIAL,
                                  STRAIGHT)
+from oracles import pair_join
 
 
 def test_join_examples(space5):
@@ -275,14 +276,14 @@ def test_build_rejects_a_stabilizer_cut_to_plus_minus_one(q, monkeypatch):
 
 def test_build_rejects_a_kind_that_differs_along_an_orbit(monkeypatch):
     # a closed form that calls the pencil member through point 1 a circle
-    # line still matches its point set, but not the kind that the same
+    # line still matches its classes, but not the kind that the same
     # stabilizer orbit has at point 0
     plane, pencil, delta = _fresh(5)
-    true_join = delta.join_oracle()
+    true_row = delta.join_oracle()
 
-    def relabelled(x, y):
-        kind, pts = true_join(x, y)
-        return CIRCLE_LINE if kind == STRAIGHT and x == 1 else kind, pts
+    def relabelled(x):
+        labels, kinds = true_row(x)
+        return labels, [CIRCLE_LINE if k == STRAIGHT and x == 1 else k for k in kinds]
 
     monkeypatch.setattr(delta, "join_oracle", lambda: relabelled)
     with pytest.raises(GeometryError) as e:
@@ -290,33 +291,89 @@ def test_build_rejects_a_kind_that_differs_along_an_orbit(monkeypatch):
     assert e.value.code == "join_mismatch"
 
 
-def _literal_join(delta, power):
-    """``join_oracle``'s closed form on the canonical pencil, whose residual
-    point x q + y is A(x, y), with k**power in place of k^2."""
+def _literal_row(delta, power):
+    """``join_oracle``'s rows on the canonical pencil, whose residual point
+    x q + y is A(x, y), with k**power in place of k^2: the class of y is the
+    orbit of its offset (dx, dy) under (k dx, k**power dy), named by its
+    least member, whose kind it reads off dx = 0 or dy = 0 (none at x)."""
     q = delta.plane.q
 
-    def join(x, y):
-        (x0, y0), (x1, y1) = divmod(x, q), divmod(y, q)
-        dx, dy = x1 - x0, y1 - y0
-        pts = {x, *[(x0 + k * dx) % q * q + (y0 + k ** power * dy) % q for k in range(1, q)]}
-        return SPECIAL if dx == 0 else STRAIGHT if dy == 0 else CIRCLE_LINE, tuple(sorted(pts))
+    def row(x):
+        (x0, y0), labels = divmod(x, q), []
+        for y in range(q * q):
+            dx, dy = (y // q - x0) % q, (y % q - y0) % q
+            labels.append(min((k * dx % q, k ** power * dy % q) for k in range(1, q)))
+        return labels, {label: None if label == (0, 0) else SPECIAL if label[0] == 0
+                        else STRAIGHT if label[1] == 0 else CIRCLE_LINE for label in labels}
 
-    return join
+    return row
+
+
+def _members(labels):
+    """The points of each class of a join oracle's row."""
+    members = {}
+    for y, label in enumerate(labels):
+        members.setdefault(label, set()).add(y)
+    return members
+
+
+def _row_classes(row, x):
+    """Row x of a join oracle as the set of its classes, each the points it
+    holds and its kind."""
+    labels, kinds = row(x)
+    return {(frozenset(points), kinds[label]) for label, points in _members(labels).items()}
 
 
 @pytest.mark.parametrize("q", (5, 7))
 def test_build_rejects_offsets_over_every_nonzero_value(q, monkeypatch):
     # k in place of k^2: the special line through x becomes its whole
     # generator and each circle line a straight one, which no stabilizer
-    # orbit is; with k^2 the same literal form is the group's own oracle
+    # orbit is; with k^2 the same literal form has the group's own classes
     plane, pencil, delta = _fresh(q)
-    true_join, literal = delta.join_oracle(), _literal_join(delta, 2)
-    assert all(literal(x, y) == true_join(x, y)
-               for x in range(q * q) for y in range(q * q) if x != y)
-    monkeypatch.setattr(delta, "join_oracle", lambda: _literal_join(delta, 1))
+    true_row, literal = delta.join_oracle(), _literal_row(delta, 2)
+    assert all(_row_classes(literal, x) == _row_classes(true_row, x) for x in range(q * q))
+    monkeypatch.setattr(delta, "join_oracle", lambda: _literal_row(delta, 1))
     with pytest.raises(GeometryError) as e:
         GroupSpace.build(plane, pencil, delta, check_preconditions=False)
     assert e.value.code == "join_mismatch"
+
+
+_PENCILS = {"canonical": None, "p:1,2": lambda pl: pl.pencil(affine(1, 2), Circle(0, 0, 2)),
+            "ideal:2@K:2,1,3": lambda pl: pl.pencil(ideal(2), Circle(2, 1, 3 % pl.q))}
+
+
+@pytest.mark.parametrize("q", (3, 5, 7))
+@pytest.mark.parametrize("pencil", list(_PENCILS))
+def test_join_oracle_rows_match_the_per_pair_reference(q, pencil):
+    # at every ordered pair: y and z share a class of row x exactly when z
+    # lies on the closed-form line through x and y, and the class has that
+    # line's kind; x alone has its own class
+    plane, pencil, delta = _fresh(q, _PENCILS[pencil])
+    row, join, n = delta.join_oracle(), pair_join(delta), q * q
+    for x in range(n):
+        labels, kinds = row(x)
+        members = _members(labels)
+        assert len(labels) == n and members[labels[x]] == {x}
+        for y in range(n):
+            if y != x:
+                kind, pts = join(x, y)
+                assert members[labels[y]] == set(pts) - {x}, (x, y)
+                assert kinds[labels[y]] == kind, (x, y)
+
+
+def test_build_computes_one_row_per_point(monkeypatch):
+    # whole rows: the build asks the closed form for exactly one row per
+    # residual point, and no single pair
+    plane, pencil, delta = _fresh(7)
+    true_row, calls = delta.join_oracle(), []
+
+    def counted(x):
+        calls.append(x)
+        return true_row(x)
+
+    monkeypatch.setattr(delta, "join_oracle", lambda: counted)
+    gs = GroupSpace.build(plane, pencil, delta, check_preconditions=False)
+    assert sorted(calls) == list(range(gs.n)) and gs.n == 49
 
 
 def _fresh(q, pencil=None):
@@ -334,7 +391,7 @@ def _bend_unit(monkeypatch, delta, bend):
 def test_build_rejects_translations_that_are_not_regular(monkeypatch):
     # the unit y -> y + 1 replaced by x -> x + 1, which reaches q points
     # only, or bent to carry A(0,0) onto the vertex generator: no word
-    # reaches A(0,1), and the build stops before it joins any pair
+    # reaches A(0,1), and the build stops before it computes any row
     plane, pencil, delta = _fresh(5)
     x_unit, vertex = delta.perm(PencilAut(1, 1, 0)), plane.point_index[ideal(0)]
 
@@ -342,10 +399,10 @@ def test_build_rejects_translations_that_are_not_regular(monkeypatch):
         perm[0], perm[vertex] = perm[vertex], perm[0]
         return perm
 
-    def no_join(*args):
-        raise AssertionError("a join was computed")
+    def no_row(*args):
+        raise AssertionError("a row was computed")
 
-    monkeypatch.setattr(delta, "join_oracle", lambda: no_join)
+    monkeypatch.setattr(delta, "join_oracle", lambda: no_row)
     for bend in (lambda perm: x_unit, off_space):
         _bend_unit(monkeypatch, delta, bend)
         with pytest.raises(GeometryError) as e:
